@@ -1197,10 +1197,14 @@ query n_path|}
       incr bench_failures;
       Fmt.epr "  SERVICE FAILURE (%s): %d/%d terminal outcomes@." name s.Service.completed n
     end;
-    if s.Service.domains_spawned <> s.Service.domains_joined then begin
+    (* workers and their replacements are the only domains a service spawns *)
+    if
+      s.Service.domains_spawned <> jobs + s.Service.respawns
+      || s.Service.domains_spawned <> s.Service.domains_joined
+    then begin
       incr bench_failures;
-      Fmt.epr "  SERVICE FAILURE (%s): domain leak (%d spawned, %d joined)@." name
-        s.Service.domains_spawned s.Service.domains_joined
+      Fmt.epr "  SERVICE FAILURE (%s): domain leak (%d workers, %d respawns, %d spawned, %d joined)@."
+        name jobs s.Service.respawns s.Service.domains_spawned s.Service.domains_joined
     end;
     (svc, outcomes, wall, s, ok)
   in

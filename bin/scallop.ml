@@ -262,27 +262,6 @@ let repl_cmd =
 
 (* ---- [scallop serve]: the supervised inference service over stdio ------------ *)
 
-(* Bounded line reader: a line longer than [max] bytes is consumed up to
-   its newline but only [max] bytes are kept and the overflow is flagged,
-   so the serving loop answers with a typed error instead of buffering an
-   unbounded request in memory. *)
-let input_line_bounded ic max : (string * bool) option =
-  let b = Buffer.create 128 in
-  let rec go truncated =
-    match In_channel.input_char ic with
-    | None ->
-        if Buffer.length b = 0 && not truncated then None
-        else Some (Buffer.contents b, truncated)
-    | Some '\n' -> Some (Buffer.contents b, truncated)
-    | Some c ->
-        if Buffer.length b >= max then go true
-        else begin
-          Buffer.add_char b c;
-          go truncated
-        end
-  in
-  go false
-
 let serve_cmd =
   let module Service = Scallop_serve.Service in
   let module Chaos = Scallop_serve.Chaos in
@@ -529,8 +508,11 @@ let serve_cmd =
     let svc = Service.create ~config provenance in
     (* Replication roles.  A primary ships every durable update into the
        ship log (via the repl sink wired into [Durable]); a follower's
-       registry starts as a standby and a poller domain tails the ship
-       log into it. *)
+       registry starts as a standby and a poller thread tails the ship
+       log into it.  Like the printer below, these helper loops are
+       threads on the main domain: the only domains are the service's
+       workers, since every extra domain joins each stop-the-world minor
+       GC. *)
     let primary =
       Option.map
         (fun dir ->
@@ -554,20 +536,23 @@ let serve_cmd =
       Option.map (fun dir -> Replica.Follower.create ~dir ~fid:repl_id ~mgr:dmgr ()) repl_follow
     in
     let repl_stop = Atomic.make false in
-    let heartbeat_domain =
+    let heartbeat_thread =
       Option.map
         (fun p ->
-          Domain.spawn (fun () ->
+          Thread.create
+            (fun () ->
               while not (Atomic.get repl_stop) do
                 Replica.Primary.heartbeat p;
                 Unix.sleepf 0.25
-              done))
+              done)
+            ())
         primary
     in
-    let poller_domain =
+    let poller_thread =
       Option.map
         (fun f ->
-          Domain.spawn (fun () ->
+          Thread.create
+            (fun () ->
               let auto_promoted = ref false in
               while not (Atomic.get repl_stop) do
                 (try if Replica.Follower.poll f = 0 then Unix.sleepf 0.002
@@ -584,7 +569,8 @@ let serve_cmd =
                         auto_promoted := true
                     | _ -> ())
                 | _ -> ()
-              done))
+              done)
+            ())
         follower
     in
     (* Protocol: one request per stdin line ([;] separates items within a
@@ -614,8 +600,14 @@ let serve_cmd =
     let pcond = Condition.create () in
     let pending = Queue.create () in
     let eof = ref false in
+    (* The printer thread is the only writer of stdout ([Format] is not
+       thread-safe).  Each reply is rendered into [out] and flushed once,
+       so an 80-row reply costs one write rather than one per row. *)
     let printer =
-      Domain.spawn (fun () ->
+      Thread.create
+        (fun () ->
+          let out = Buffer.create 4096 in
+          let ppf = Format.formatter_of_buffer out in
           let rec loop () =
             Mutex.lock pmutex;
             while Queue.is_empty pending && not !eof do
@@ -627,8 +619,8 @@ let serve_cmd =
             | None -> ()
             | Some (n, reply) ->
                 (match reply with
-                | `Err e -> Fmt.pr "done %d error compile %s@." n (Session.error_string e)
-                | `Lines lines -> List.iter (fun l -> Fmt.pr "%s@." l) lines
+                | `Err e -> Fmt.pf ppf "done %d error compile %s@." n (Session.error_string e)
+                | `Lines lines -> List.iter (fun l -> Fmt.pf ppf "%s@." l) lines
                 | `Ticket ticket -> (
                     let o = Service.await svc ticket in
                     let rung = Registry.spec_name o.Service.rung in
@@ -639,19 +631,22 @@ let serve_cmd =
                           (fun (pred, rows) ->
                             List.iter
                               (fun (t, tag) ->
-                                Fmt.pr "out %d %a::%s%a@." n Provenance.Output.pp tag pred
-                                  Tuple.pp t)
+                                Fmt.pf ppf "out %d %a::%s%a@." n Provenance.Output.pp tag
+                                  pred Tuple.pp t)
                               rows)
                           result.Session.outputs;
-                        Fmt.pr "done %d ok rung=%s attempts=%d ms=%.1f@." n rung
+                        Fmt.pf ppf "done %d ok rung=%s attempts=%d ms=%.1f@." n rung
                           o.Service.attempts ms
                     | Error e ->
-                        Fmt.pr "done %d error rung=%s attempts=%d %s@." n rung
+                        Fmt.pf ppf "done %d error rung=%s attempts=%d %s@." n rung
                           o.Service.attempts (Session.error_string e)));
+                Buffer.output_buffer stdout out;
+                flush stdout;
+                Buffer.clear out;
                 loop ()
           in
-          loop ();
-          Fmt.pr "%!")
+          loop ())
+        ()
     in
     let push n reply =
       Mutex.lock pmutex;
@@ -864,39 +859,28 @@ let serve_cmd =
             | compiled -> `Ticket (Service.submit svc compiled)
             | exception Session.Error e -> `Err e)
     in
+    let requests = Protocol.reader ~max_line:max_line_bytes stdin in
     let reqno = ref 0 in
     let rec read_loop () =
-      match input_line_bounded stdin max_line_bytes with
+      match Protocol.read_request requests with
       | None -> ()
-      | Some (line, false) when String.trim line = "" -> read_loop ()
-      | Some (line, truncated) ->
+      | Some outcome ->
           let n = !reqno in
           incr reqno;
-          (let outcome =
-             if truncated then
-               Error
-                 (Exec_error.Invalid_input
-                    {
-                      msg =
-                        Fmt.str "request line exceeds the %d-byte limit; discarded"
-                          max_line_bytes;
-                    })
-             else Protocol.parse ~max_line:max_line_bytes line
-           in
-           match outcome with
-           | Error e -> push n (`Lines [ Fmt.str "done %d error %s" n (Session.error_string e) ])
-           | Ok req -> dispatch n req);
+          (match outcome with
+          | Error e -> push n (`Lines [ Fmt.str "done %d error %s" n (Session.error_string e) ])
+          | Ok req -> dispatch n req);
           read_loop ()
     in
     read_loop ();
     Atomic.set repl_stop true;
-    Option.iter Domain.join poller_domain;
-    Option.iter Domain.join heartbeat_domain;
+    Option.iter Thread.join poller_thread;
+    Option.iter Thread.join heartbeat_thread;
     Mutex.lock pmutex;
     eof := true;
     Condition.broadcast pcond;
     Mutex.unlock pmutex;
-    Domain.join printer;
+    Thread.join printer;
     Service.shutdown svc;
     Durable.shutdown dmgr;
     Option.iter Replica.Primary.close primary;

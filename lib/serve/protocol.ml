@@ -10,7 +10,11 @@
 
     Anything that does not start with a known verb is a {!Run} request —
     the legacy one-shot path that compiles the line as a Scallop program
-    (whose own parser produces its own typed diagnostics). *)
+    (whose own parser produces its own typed diagnostics).
+
+    {!read_request} feeds the parser from a channel through a bounded
+    line reader, so the whole path from raw input bytes to a typed
+    request lives here. *)
 
 open Scallop_core
 
@@ -182,3 +186,78 @@ let parse ?(max_line = default_max_line) (line : string) : (request, Exec_error.
           invalid_input "repl: expected 'repl status' or 'repl promote [epoch=N]'"
       | _ -> Run { program = line })
   with Session.Error e -> Error e
+
+(* ---- the bounded line reader ----------------------------------------------------- *)
+
+(* Input is consumed a chunk at a time (one channel lock per chunk, not per
+   byte), but a line keeps at most [max_line] bytes: the overflow up to its
+   newline is scanned and dropped, so an unbounded request never sits in
+   memory. *)
+type reader = {
+  ic : in_channel;
+  max_line : int;
+  chunk : Bytes.t;
+  mutable pos : int;  (** next unconsumed byte of [chunk] *)
+  mutable len : int;  (** valid bytes in [chunk] *)
+  line : Buffer.t;  (** the line being assembled, at most [max_line] bytes *)
+}
+
+(** [chunk_size] (default 64 KiB) is how much one channel read may take;
+    tests shrink it to push lines across chunk boundaries. *)
+let reader ?(max_line = default_max_line) ?(chunk_size = 65536) ic =
+  if chunk_size < 1 then invalid_arg "Protocol.reader: chunk_size must be >= 1";
+  { ic; max_line; chunk = Bytes.create chunk_size; pos = 0; len = 0; line = Buffer.create 128 }
+
+(** [read_line r] is the next line without its newline, paired with
+    whether it was longer than [max_line] bytes (then only the first
+    [max_line] are kept).  A final line with no newline still counts;
+    [None] at end of input. *)
+let read_line r : (string * bool) option =
+  Buffer.clear r.line;
+  let rec go truncated =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- In_channel.input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then
+      if Buffer.length r.line = 0 && not truncated then None
+      else Some (Buffer.contents r.line, truncated)
+    else begin
+      let start = r.pos in
+      let stop = ref start in
+      while !stop < r.len && Bytes.unsafe_get r.chunk !stop <> '\n' do
+        incr stop
+      done;
+      let n = !stop - start in
+      let room = Int.max 0 (r.max_line - Buffer.length r.line) in
+      Buffer.add_subbytes r.line r.chunk start (Int.min n room);
+      let truncated = truncated || n > room in
+      if !stop < r.len then begin
+        r.pos <- !stop + 1;
+        Some (Buffer.contents r.line, truncated)
+      end
+      else begin
+        r.pos <- r.len;
+        go truncated
+      end
+    end
+  in
+  go false
+
+(** [read_request r] reads up to the next non-blank line and classifies
+    it: a line over the limit is a typed [Invalid_input] (its bytes were
+    never buffered), anything else goes through {!parse}.  [None] at end
+    of input. *)
+let rec read_request r : (request, Exec_error.t) result option =
+  match read_line r with
+  | None -> None
+  | Some (line, false) when String.trim line = "" -> read_request r
+  | Some (_, true) ->
+      Some
+        (Error
+           (Exec_error.Invalid_input
+              {
+                msg =
+                  Fmt.str "request line exceeds the %d-byte limit; discarded" r.max_line;
+              }))
+  | Some (line, false) -> Some (parse ~max_line:r.max_line line)

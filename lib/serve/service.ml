@@ -25,8 +25,9 @@
       for the doomed attempt, until a half-open probe succeeds and restores
       fidelity.
     - {b Worker supervision}: requests execute on [jobs] worker domains
-      that heartbeat on the service clock.  A watchdog domain cancels
-      attempts whose heartbeat goes stale (via the attempt's
+      that heartbeat on the service clock — the only domains the service
+      spawns.  A watchdog thread on the domain that called {!create}
+      cancels attempts whose heartbeat goes stale (via the attempt's
       {!Scallop_utils.Cancel} token), declares workers dead when the cancel
       is ignored past a grace period or the domain exited (chaos kill,
       unexpected exception), respawns a replacement domain, and requeues
@@ -47,8 +48,8 @@
     Every submitted request receives {e exactly one} terminal outcome:
     a result, a degraded result, or a typed error — shed at admission,
     failed in execution, or cancelled by {!shutdown}.  [shutdown] drains
-    the queue, joins every domain ever spawned (including replaced ones),
-    and fails whatever could not be served. *)
+    the queue, joins the watchdog thread and every domain ever spawned
+    (including replaced ones), and fails whatever could not be served. *)
 
 open Scallop_core
 module U = Scallop_utils
@@ -165,8 +166,8 @@ type stats = {
   mutable chaos_stalls : int;
   mutable chaos_budget_faults : int;
   mutable chaos_nans : int;
-  mutable domains_spawned : int;
-  mutable domains_joined : int;
+  mutable domains_spawned : int;  (** worker domains, replacements included *)
+  mutable domains_joined : int;  (** worker domains joined by {!shutdown} *)
 }
 
 let empty_stats () =
@@ -227,7 +228,7 @@ type t = {
   mutable next_id : int;
   mutable stopping : bool;
   workers : worker array;
-  mutable watchdog : unit Domain.t option;
+  mutable watchdog : Thread.t option;
   mutable dead_domains : unit Domain.t list;  (** replaced domains, joined at shutdown *)
   stats : stats;
 }
@@ -657,10 +658,11 @@ let create ?(config = default_config ()) (spec : Registry.spec) : t =
     }
   in
   Array.iter (fun w -> w.domain <- Some (spawn_worker_locked svc w)) svc.workers;
+  (* The watchdog mostly sleeps, so it is a thread on the caller's domain:
+     an extra domain would have to join every stop-the-world minor GC. *)
   (match config.watchdog_interval with
   | Some interval when interval > 0.0 ->
-      svc.stats.domains_spawned <- svc.stats.domains_spawned + 1;
-      svc.watchdog <- Some (Domain.spawn (fun () -> watchdog_loop svc interval))
+      svc.watchdog <- Some (Thread.create (fun () -> watchdog_loop svc interval) ())
   | _ -> ());
   svc
 
@@ -745,25 +747,28 @@ let stats svc : stats =
 
 let queue_length svc = locked svc (fun () -> Queue.length svc.queue)
 
-(** Stop accepting, drain the queue, join every domain ever spawned
-    (workers, replacements, watchdog), then fail whatever request could
-    not be served with a typed [Cancelled].  After [shutdown] returns, the
-    domain count is back to its pre-[create] baseline.  Idempotent. *)
+(** Stop accepting, drain the queue, join the watchdog thread and every
+    domain ever spawned (workers and replacements), then fail whatever
+    request could not be served with a typed [Cancelled].  After
+    [shutdown] returns, the domain count is back to its pre-[create]
+    baseline.  Idempotent. *)
 let shutdown svc =
-  let to_join =
+  let watchdog, to_join =
     locked svc (fun () ->
         svc.stopping <- true;
         Condition.broadcast svc.nonempty;
         let ds =
           List.filter_map Fun.id (Array.to_list (Array.map (fun w -> w.domain) svc.workers))
           @ svc.dead_domains
-          @ (match svc.watchdog with Some d -> [ d ] | None -> [])
         in
+        let wd = svc.watchdog in
         Array.iter (fun w -> w.domain <- None) svc.workers;
         svc.dead_domains <- [];
         svc.watchdog <- None;
-        ds)
+        (wd, ds))
   in
+  (* [stopping] ends the watchdog's sleep within one slice *)
+  Option.iter Thread.join watchdog;
   List.iter
     (fun d ->
       Domain.join d;

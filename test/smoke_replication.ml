@@ -14,7 +14,9 @@
     reference.  Finally the promoted follower is itself SIGKILLed and
     restarted single-node on its own state dir: it must report the
     session recovered and serve the same rows again — replicated state is
-    durable state.
+    durable state.  Last, a fresh primary and follower pair must both exit
+    0 within a deadline once stdin closes: the heartbeat and poller loops
+    are threads the serve loop stops and joins.
 
     Exits nonzero on any divergence, missing reply, or unexpected server
     death. *)
@@ -100,6 +102,27 @@ let finish p =
   | _, Unix.WEXITED 0 -> ()
   | _, Unix.WEXITED n -> fail "scallop serve exited %d" n
   | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> fail "scallop serve killed by signal %d" n
+
+(* Close stdin and require a clean exit within [secs]: a helper loop that
+   is never joined, or never sees the stop flag, shows up as a hang. *)
+let finish_within secs p what =
+  close_out_noerr p.into;
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] p.pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        wait ()
+    | 0, _ ->
+        Unix.kill p.pid Sys.sigkill;
+        ignore (Unix.waitpid [] p.pid);
+        fail "%s still running %.0fs after stdin EOF" what secs
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED n -> fail "%s exited %d on stdin EOF" what n
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> fail "%s killed by signal %d" what n
+  in
+  wait ();
+  close_in_noerr p.from
 
 let sigkill p =
   close_out_noerr p.into;
@@ -227,13 +250,36 @@ let () =
     fail "restarted follower rows diverged from the reference";
   finish p2;
 
+  (* ---- clean shutdown of both replication roles on stdin EOF ------------------ *)
+  let ship2 = scratch "ship-eof" in
+  let dir_p2 = scratch "primary-eof" in
+  let dir_f2 = scratch "follower-eof" in
+  let prim2 = spawn [| "--state-dir"; dir_p2; "--repl-ship"; ship2; "--repl-id"; "gamma" |] in
+  let fol2 =
+    spawn [| "--state-dir"; dir_f2; "--repl-follow"; ship2; "--repl-id"; "delta" |]
+  in
+  send prim2 open_line;
+  List.iter (send prim2) prefix;
+  send prim2 "repl status";
+  ignore (read_replies prim2 (2 + cut));
+  send fol2 "repl status";
+  (match read_replies fol2 1 with
+  | first :: _ when has first "role=follower" -> ()
+  | replies -> fail "follower status should report role=follower, got %s" (String.concat " | " replies));
+  finish_within 10.0 fol2 "follower (--repl-follow)";
+  finish_within 10.0 prim2 "primary (--repl-ship)";
+
   rm_rf dir_o;
   rm_rf ship;
   rm_rf dir_p;
   rm_rf dir_f;
+  rm_rf ship2;
+  rm_rf dir_p2;
+  rm_rf dir_f2;
   if !failures > 0 then exit 1;
   Fmt.pr
     "smoke: follower promoted after SIGKILLing a quorum-acked primary at update %d; %d \
      final rows bit-identical to the uninterrupted run, and identical again after the \
-     promoted node itself was killed and recovered@."
+     promoted node itself was killed and recovered; a primary and a follower both exited \
+     cleanly on stdin EOF@."
     cut (List.length reference)

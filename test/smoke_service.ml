@@ -6,8 +6,9 @@
 
     - {b library}: 50 requests through {!Scallop_serve.Service} under 10%
       injected worker kills plus 10% latency; every ticket must reach a
-      terminal outcome, and after shutdown every spawned domain must have
-      been joined (no leaks);
+      terminal outcome, the only domains spawned are the workers and their
+      replacements, and after shutdown every one must have been joined (no
+      leaks);
     - {b CLI}: 50 request lines piped through [scallop serve] under the
       same chaos; the process must print exactly one [done <id> ...] status
       line per request and exit 0 (per-request failures are replies, not a
@@ -93,6 +94,9 @@ let library_soak () =
     fail "library soak: %d/%d terminal outcomes" (!ok + !err) requests;
   if s.Service.completed <> requests then
     fail "library soak: completed counter %d <> %d" s.Service.completed requests;
+  if s.Service.domains_spawned <> config.Service.jobs + s.Service.respawns then
+    fail "library soak: %d domains spawned for %d workers and %d respawns"
+      s.Service.domains_spawned config.Service.jobs s.Service.respawns;
   if s.Service.domains_spawned <> s.Service.domains_joined then
     fail "library soak: %d domains spawned but %d joined" s.Service.domains_spawned
       s.Service.domains_joined;

@@ -4,7 +4,8 @@
     torn/damaged ship segments, follower lag past segment pruning
     (snapshot-transfer fallback), divergence quarantine, fencing (double
     promotion and deposed-primary write refusal), WAL group commit, the
-    [scrub] bit-rot sweep, and fuzzing of the serve line protocol. *)
+    [scrub] bit-rot sweep, fuzzing of the serve line protocol, and its
+    bounded line reader against the byte-at-a-time oracle. *)
 
 open Scallop_core
 module Durable = Scallop_incr.Durable
@@ -570,6 +571,121 @@ let test_protocol_classification () =
   | Error (Exec_error.Invalid_input _) -> ()
   | _ -> Alcotest.fail "oversized line should be a typed error")
 
+(* ---- the bounded line reader --------------------------------------------------------- *)
+
+let with_input contents f =
+  let path = Filename.temp_file "scallop-reader" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> In_channel.with_open_bin path f)
+
+let all_lines ?chunk_size ~max_line contents =
+  with_input contents (fun ic ->
+      let r = Protocol.reader ~max_line ?chunk_size ic in
+      let rec go acc =
+        match Protocol.read_line r with None -> List.rev acc | Some l -> go (l :: acc)
+      in
+      go [])
+
+let all_requests ~max_line contents =
+  with_input contents (fun ic ->
+      let r = Protocol.reader ~max_line ic in
+      let rec go acc =
+        match Protocol.read_request r with None -> List.rev acc | Some q -> go (q :: acc)
+      in
+      go [])
+
+(* Oracle: the obvious byte-at-a-time bounded reader. *)
+let bytewise_lines ~max_line contents =
+  with_input contents (fun ic ->
+      let b = Buffer.create 16 in
+      let rec line truncated =
+        match In_channel.input_char ic with
+        | None ->
+            if Buffer.length b = 0 && not truncated then None
+            else Some (Buffer.contents b, truncated)
+        | Some '\n' -> Some (Buffer.contents b, truncated)
+        | Some c ->
+            if Buffer.length b >= max_line then line true
+            else begin
+              Buffer.add_char b c;
+              line truncated
+            end
+      in
+      let rec go acc =
+        Buffer.clear b;
+        match line false with None -> List.rev acc | Some l -> go (l :: acc)
+      in
+      go [])
+
+let line_t = Alcotest.(pair string bool)
+
+let test_reader_bounds () =
+  let max_line = 16 in
+  let exact = String.make max_line 'a' and over = String.make (max_line + 1) 'b' in
+  Alcotest.check
+    Alcotest.(list line_t)
+    "exactly max kept whole; max + 1 truncated to max"
+    [ (exact, false); (String.make max_line 'b', true) ]
+    (all_lines ~max_line (exact ^ "\n" ^ over ^ "\n"));
+  Alcotest.check
+    Alcotest.(list line_t)
+    "final line without newline; blank lines are lines"
+    [ ("", false); ("x", false); ("", false); ("tail", false) ]
+    (all_lines ~max_line "\nx\n\ntail");
+  Alcotest.check Alcotest.(list line_t) "empty input" [] (all_lines ~max_line "");
+  Alcotest.check
+    Alcotest.(list line_t)
+    "overflow with no newline"
+    [ (exact, true) ]
+    (all_lines ~max_line (exact ^ "zz"));
+  (* the serve replies these lines get: blank lines are skipped, the
+     oversized one is a typed error, the rest are parsed *)
+  let max_line = 24 in
+  let query = "query " ^ String.make (max_line - 6) 's' in
+  let replies =
+    List.map
+      (function
+        | Ok (Protocol.Query { sid; outputs = None }) -> "query " ^ sid
+        | Ok _ -> "other request"
+        | Error e -> "error " ^ Session.error_string e)
+      (all_requests ~max_line
+         ("\n  \n" ^ query ^ "\n" ^ query ^ "s\n\t\nstats\n" ^ "close a b"))
+  in
+  Alcotest.check
+    Alcotest.(list string)
+    "typed replies"
+    [
+      query;
+      "error request line exceeds the 24-byte limit; discarded";
+      "other request";
+      "error close: expected 'close <sid>', got 2 arguments";
+    ]
+    replies
+
+let test_reader_matches_bytewise () =
+  let seed = ref 0x1F2E3D4C5B6A in
+  let rand bound =
+    let x = !seed in
+    let x = x lxor (x lsl 13) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor (x lsl 17) in
+    seed := x;
+    abs x mod bound
+  in
+  let alphabet = "ab \n\n\r\t" in
+  for _ = 1 to 300 do
+    let n = rand 80 in
+    let contents = String.init n (fun _ -> alphabet.[rand (String.length alphabet)]) in
+    let max_line = rand 12 in
+    let chunk_size = 1 + rand 9 in
+    let expected = bytewise_lines ~max_line contents in
+    Alcotest.check
+      Alcotest.(list line_t)
+      (Fmt.str "%S max=%d chunk=%d" contents max_line chunk_size)
+      expected
+      (all_lines ~chunk_size ~max_line contents)
+  done
+
 let suite =
   [
     Alcotest.test_case "failover at every acked prefix" `Quick
@@ -593,4 +709,7 @@ let suite =
     Alcotest.test_case "scrub detects bit rot" `Quick test_scrub_detects_bitrot;
     Alcotest.test_case "protocol fuzz is total" `Quick test_protocol_fuzz_total;
     Alcotest.test_case "protocol classification" `Quick test_protocol_classification;
+    Alcotest.test_case "line reader bounds and typed replies" `Quick test_reader_bounds;
+    Alcotest.test_case "chunked line reader = bytewise reader" `Quick
+      test_reader_matches_bytewise;
   ]

@@ -16,7 +16,9 @@
       finiteness guardrail);
     - per-request deadline propagation (queue wait and stalls burn it);
     - shutdown with dead workers: every request still gets a terminal
-      outcome and every spawned domain is joined (no leaks). *)
+      outcome and every spawned domain is joined (no leaks);
+    - domain accounting: [jobs = n] spawns exactly [n] domains, the
+      watchdog being a thread on the creating domain. *)
 
 open Scallop_core
 open Scallop_serve
@@ -236,8 +238,34 @@ let test_watchdog_kill_respawn () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "respawned worker failed: %s" (Session.error_string e));
   let s = Service.stats svc in
+  check Alcotest.int "domains = the worker plus its replacements" (1 + s.Service.respawns)
+    s.Service.domains_spawned;
   check Alcotest.int "every spawned domain was joined" s.Service.domains_spawned
     s.Service.domains_joined
+
+(* ---- domain accounting: one domain per worker, the watchdog is a thread ---------- *)
+
+let test_one_domain_per_worker () =
+  let compiled = Session.compile trivial_src in
+  List.iter
+    (fun jobs ->
+      let config =
+        { (Service.default_config ()) with Service.jobs; watchdog_interval = Some 0.005 }
+      in
+      let svc = Service.create ~config Registry.Boolean in
+      check Alcotest.int (Fmt.str "jobs=%d: domains spawned" jobs) jobs
+        (Service.stats svc).Service.domains_spawned;
+      (match (Service.await svc (Service.submit svc compiled)).Service.response with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "jobs=%d: %s" jobs (Session.error_string e));
+      Service.shutdown svc;
+      let s = Service.stats svc in
+      check Alcotest.int (Fmt.str "jobs=%d: still no respawns" jobs) 0 s.Service.respawns;
+      check Alcotest.int (Fmt.str "jobs=%d: domains spawned after shutdown" jobs) jobs
+        s.Service.domains_spawned;
+      check Alcotest.int (Fmt.str "jobs=%d: domains joined" jobs) jobs
+        s.Service.domains_joined)
+    [ 1; 3 ]
 
 (* ---- circuit breaker at the service level (injectable clock) --------------------- *)
 
@@ -431,6 +459,8 @@ let suite =
     Alcotest.test_case "admission: bounded queue sheds Overloaded" `Quick test_admission_sheds;
     Alcotest.test_case "watchdog: kill, respawn, requeue-once" `Quick
       test_watchdog_kill_respawn;
+    Alcotest.test_case "one domain per worker, watchdog is a thread" `Quick
+      test_one_domain_per_worker;
     Alcotest.test_case "breaker: service degrades and recovers" `Quick
       test_service_breaker_degrades_and_recovers;
     Alcotest.test_case "transient retry: NaN guardrail" `Quick test_nan_retry_then_exhaust;
