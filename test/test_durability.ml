@@ -8,6 +8,7 @@
 open Scallop_core
 module Incr = Scallop_incr.Incr
 module Durable = Scallop_incr.Durable
+module Replica = Scallop_incr.Replica
 module Wal = Scallop_utils.Wal
 module Atomic_io = Scallop_utils.Atomic_io
 
@@ -513,6 +514,105 @@ let test_ephemeral_registry () =
   | _ -> Alcotest.fail "unknown session should fail"
   | exception Session.Error (Exec_error.Invalid_input _) -> ())
 
+(* ---- on-disk format golden ------------------------------------------------------- *)
+
+(* Byte-exact pins of every on-disk encoding and file name.  A state dir or
+   ship log written by one build must recover under the next, so a change
+   to any value below is a format break, not a refactor. *)
+
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_format_golden () =
+  let check name expected actual = Alcotest.(check string) name expected (hex actual) in
+  let exists name path = Alcotest.(check bool) name true (Sys.file_exists path) in
+  let mixed =
+    Tuple.of_list [ i32 (-3); Value.Float (Value.F64, 0.5); Value.S "hi"; Value.B true; Value.C 'z' ]
+  in
+  check "open op" "4f0102000000000000006831020000000000000068320700000000000000626f6f6c65616e0b0000000000000072656c2070203d207b317d"
+    (Durable.encode_op
+       (Durable.Op_open
+          { expect_hash = Some "h1"; hash = "h2"; spec = "boolean"; source = "rel p = {1}" }));
+  check "assert op" "41050000000000000004000000000000006564676501000000000000d03f01070000000000000005000000000000000002fdffffffffffffff010b000000000000e03f04020000000000000068690201037a"
+    (Durable.encode_op
+       (Durable.Op_assert
+          {
+            lsn = 5;
+            pred = "edge";
+            input = { Provenance.Input.prob = Some 0.25; me_group = Some 7 };
+            tuple = mixed;
+          }));
+  check "retract op" "52060000000000000004000000000000006564676502000000000000000002010000000000000000020200000000000000"
+    (Durable.encode_op (Durable.Op_retract { lsn = 6; pred = "edge"; tuple = pair 1 2 }));
+  check "close op" "430900000000000000" (Durable.encode_op (Durable.Op_close { lsn = 9 }));
+  check "snapshot payload" "010700000000000000626f6f6c65616e010000000000000068000b0000000000000072656c2070203d207b317d04000000000000000100000000000000040000000000000065646765020000000000000000000200000000000000000201000000000000000002020000000000000001000000000000e03f0002000000000000000002020000000000000000020300000000000000"
+    (Durable.encode_snapshot
+       {
+         Durable.sn_spec = "boolean";
+         sn_hash = "h";
+         sn_expect = None;
+         sn_source = "rel p = {1}";
+         sn_lsn = 4;
+         sn_facts =
+           [
+             ( "edge",
+               [
+                 (Provenance.Input.none, pair 1 2);
+                 ({ Provenance.Input.prob = Some 0.5; me_group = None }, pair 2 3);
+               ] );
+           ];
+       });
+  check "atomic_io envelope" "53434c534e415031010000000700000000000000e5e9b563d0a9b8cf7061796c6f6164" (Atomic_io.encode "payload");
+  Alcotest.(check string) "chain_add" "e6047a3a24901c27" (Printf.sprintf "%016Lx" (Durable.chain_add 0L "x"));
+  Alcotest.(check string) "source_hash" "49dcbb775b05a738" (Session.source_hash "rel p = {1}");
+  check "ack" "030000000000000007000000000000000b0000000000000001"
+    (Replica.encode_ack { Replica.a_epoch = 3; a_seg = 7; a_idx = 11; a_fence = true });
+  let root = scratch_dir () in
+  let wal = Filename.concat root "two.log" in
+  let w = Wal.open_append ~sync:false ~path:wal () in
+  List.iter (Wal.append w) [ "ab"; "" ];
+  Wal.close w;
+  check "two-record wal file" "53434c57414c3031020000006a9845b507449c0861620000000025232284e49cf2cb" (read_bytes wal);
+  (* frames, through a primary whose ship dir already holds segment 6 *)
+  let ship = Filename.concat root "ship" in
+  Atomic_io.mkdir_p ship;
+  write_bytes (Filename.concat ship "ship-000000006.log") "";
+  let prim = Replica.Primary.create ~dir:ship ~id:"alpha" ~ack:Replica.Ack_none () in
+  let sink = Replica.Primary.sink prim in
+  sink.Durable.rs_emit
+    (Durable.Ev_op { sid = "s"; seg = 2; lsn = 3; chain = 0x0123456789abcdefL; payload = "op" });
+  sink.Durable.rs_emit
+    (Durable.Ev_seal { sid = "s"; seg = 2; last_lsn = 3; chain = -2L; records = 4 });
+  sink.Durable.rs_emit (Durable.Ev_snapshot { sid = "s"; gen = 5; lsn = 3; payload = "sn" });
+  Replica.Primary.close prim;
+  let seg7 = Filename.concat ship "ship-000000007.log" in
+  exists "ship segment name" seg7;
+  (match Wal.read ~path:seg7 with
+  | [ e; o; s; n ], Wal.Clean ->
+      check "epoch frame" "4501000000000000000500000000000000616c706861" e;
+      check "op frame" "4f01000000000000007302000000000000000300000000000000efcdab896745230102000000000000006f70" o;
+      check "seal frame" "5301000000000000007302000000000000000300000000000000feffffffffffffff0400000000000000" s;
+      check "snapshot frame" "4e010000000000000073050000000000000003000000000000000200000000000000736e" n
+  | rs, t -> Alcotest.failf "ship segment: %d records, tail %s" (List.length rs) (Wal.tail_string t));
+  (* session directory, WAL segment and snapshot generation names *)
+  let sd = Filename.concat root "state" in
+  let mgr = Durable.create (Durable.config ~state_dir:sd ~wal_sync:false Registry.Boolean) in
+  let sid = "a/b c" in
+  let _ = Durable.open_session mgr ~sid tc_src in
+  for _ = 1 to 3 do
+    Durable.compact mgr ~sid
+  done;
+  Durable.assert_fact mgr ~sid ~pred:"edge" (pair 1 2);
+  let sdir = Filename.concat (Filename.concat sd "sessions") "s-a%2Fb%20c" in
+  exists "session dir name" sdir;
+  exists "wal segment name" (Filename.concat sdir "wal-000000003.log");
+  exists "snapshot generation name" (Filename.concat (Filename.concat sdir "snap") "snapshot-000000002.ckpt");
+  let fol = Replica.Follower.create ~dir:ship ~fid:"f/1 x" ~mgr () in
+  exists "ack log name" (Filename.concat ship "ack-f%2F1%20x.log");
+  Replica.Follower.close fol;
+  Durable.shutdown mgr;
+  rm_rf root
+
 let suite =
   [
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
@@ -528,4 +628,5 @@ let suite =
     Alcotest.test_case "close drains in-flight query" `Quick test_close_drains_inflight_query;
     Alcotest.test_case "validate before log" `Quick test_validate_before_log;
     Alcotest.test_case "ephemeral registry" `Quick test_ephemeral_registry;
+    Alcotest.test_case "on-disk format golden" `Quick test_format_golden;
   ]
