@@ -1081,10 +1081,10 @@ let bench_resilience (m : mode) =
     | None -> 0
   in
   let fallback_ok =
-    match List.rev (Scallop_utils.Atomic_io.generations ~dir:ck_dir) with
+    match List.rev (Scallop_utils.Atomic_io.Generations.list ~dir:ck_dir) with
     | newest :: _ :: _ ->
         let before = resume_steps () in
-        let path = Scallop_utils.Atomic_io.path_of ~dir:ck_dir newest in
+        let path = Scallop_utils.Atomic_io.Generations.path ~dir:ck_dir newest in
         let ic = open_in_bin path in
         let len = in_channel_length ic in
         let body = really_input_string ic len in

@@ -23,6 +23,7 @@
 open Scallop_tensor
 open Scallop_core
 module Faults = Scallop_utils.Faults
+module Codec = Scallop_utils.Codec
 
 type config = {
   seed : int;
@@ -102,54 +103,43 @@ let checkpoint ?(every_n_steps = 25) ?(keep = 3) dir =
 let payload_format = 1
 
 let checkpoint_payload ~done_steps ~losses ~total ~(opt : Optim.t) ~rngs : string =
-  let b = Buffer.create 4096 in
-  Serialize.put_int b payload_format;
-  Serialize.put_int b done_steps;
-  Serialize.put_float_list b losses;
-  Serialize.put_float b total;
-  Serialize.put_params b opt.Optim.params;
-  Serialize.put_optim b opt;
-  Serialize.put_int b (List.length rngs);
-  List.iter (Serialize.put_rng b) rngs;
-  Buffer.contents b
+  Codec.encode ~size:4096
+    (fun b () ->
+      Codec.add_int b payload_format;
+      Codec.add_int b done_steps;
+      Codec.add_list Codec.add_f64 b losses;
+      Codec.add_f64 b total;
+      Serialize.put_params b opt.Optim.params;
+      Serialize.put_optim b opt;
+      Codec.add_list Serialize.put_rng b rngs)
+    ()
 
 (** Restore a payload produced by {!checkpoint_payload} into [opt] (params
     + optimizer state, in place) and [rngs]; returns
     [(done_steps, losses, total)].  Raises [Serialize.Corrupt] on any
     structural mismatch. *)
 let restore_checkpoint ~payload ~(opt : Optim.t) ~rngs : int * float list * float =
-  let r = Serialize.reader payload in
-  let fmt = Serialize.get_int r in
-  if fmt <> payload_format then Serialize.corrupt "unknown checkpoint format %d" fmt;
-  let done_steps = Serialize.get_int r in
-  let losses = Serialize.get_float_list r in
-  let total = Serialize.get_float r in
+  let r = Codec.reader payload in
+  let fmt = Codec.int r in
+  if fmt <> payload_format then Codec.fail "unknown checkpoint format %d" fmt;
+  let done_steps = Codec.int r in
+  let losses = Codec.list "loss count" Codec.f64 r in
+  let total = Codec.f64 r in
   Serialize.get_params_into r opt.Optim.params;
   Serialize.get_optim_into r opt;
-  let n_rngs = Serialize.get_int r in
+  let n_rngs = Codec.int r in
   if n_rngs <> List.length rngs then
-    Serialize.corrupt "checkpoint holds %d RNG streams, caller supplied %d" n_rngs
-      (List.length rngs);
+    Codec.fail "checkpoint holds %d RNG streams, caller supplied %d" n_rngs (List.length rngs);
   List.iter (Serialize.get_rng_into r) rngs;
   (done_steps, losses, total)
 
-(* Resume-from-latest-valid: Atomic_io already skips snapshots whose
-   checksum fails; a snapshot that decodes but does not fit the live model
-   (e.g. the architecture changed) is treated the same way — try the next
-   older generation, or start fresh. *)
+(* Resume-from-latest-valid: a snapshot that checksums but does not fit the
+   live model (e.g. the architecture changed) is skipped like a corrupt
+   one — try the next older generation, or start fresh. *)
 let try_resume ~(ck : checkpoint) ~opt ~rngs : (int * float list * float) option =
-  let rec walk gens =
-    match gens with
-    | [] -> None
-    | gen :: older -> (
-        match Scallop_utils.Atomic_io.read_file ~path:(Scallop_utils.Atomic_io.path_of ~dir:ck.dir gen) with
-        | Error _ -> walk older
-        | Ok payload -> (
-            match restore_checkpoint ~payload ~opt ~rngs with
-            | state -> Some state
-            | exception Serialize.Corrupt _ -> walk older))
-  in
-  walk (List.rev (Scallop_utils.Atomic_io.generations ~dir:ck.dir))
+  Option.map snd
+    (Scallop_utils.Atomic_io.load_latest ~dir:ck.dir ~decode:(fun payload ->
+         restore_checkpoint ~payload ~opt ~rngs))
 
 (* ---- guarded optimizer step -------------------------------------------------------- *)
 

@@ -326,13 +326,7 @@ let clear_wmc_cache = Wmc.clear_cache
 (** 64-bit FNV-1a of the program text, in hex — the identity under which a
     compiled plan is shared across tenants. *)
 let source_hash (source : string) : string =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    source;
-  Fmt.str "%016Lx" !h
+  Fmt.str "%016Lx" (Scallop_utils.Atomic_io.fnv1a64 source)
 
 type plan_cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 

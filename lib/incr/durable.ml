@@ -45,6 +45,7 @@
 open Scallop_core
 module Wal = Scallop_utils.Wal
 module Atomic_io = Scallop_utils.Atomic_io
+module Codec = Scallop_utils.Codec
 
 let invalid_input fmt = Session.invalid_input fmt
 
@@ -66,57 +67,12 @@ let io_guard f =
   | Sys_error msg ->
       raise (Session.Error (Exec_error.Runtime_error { msg = "state-dir I/O failed: " ^ msg }))
 
-(* ---- binary codec ----------------------------------------------------------- *)
+(* ---- value codec ------------------------------------------------------------ *)
 
-(* Ops and snapshots share one little-endian binary codec.  Floats travel
-   as IEEE-754 bits, so probabilities round-trip bit-exactly — part of the
+(* Ops and snapshots are written with {!Scallop_utils.Codec}; values,
+   tuples and fact inputs are encoded here on top of it.  Floats travel as
+   IEEE-754 bits, so probabilities round-trip bit-exactly — part of the
    recovery contract, not a nicety. *)
-
-exception Decode of string
-
-type cur = { buf : string; mutable pos : int }
-
-let need c n = if c.pos + n > String.length c.buf then raise (Decode "truncated field")
-
-let u8 c =
-  need c 1;
-  let v = Char.code c.buf.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let i64 c =
-  need c 8;
-  let v = String.get_int64_le c.buf c.pos in
-  c.pos <- c.pos + 8;
-  v
-
-let int_ c = Int64.to_int (i64 c)
-let f64 c = Int64.float_of_bits (i64 c)
-
-let str c =
-  let n = int_ c in
-  if n < 0 || n > String.length c.buf then raise (Decode "bad string length");
-  need c n;
-  let v = String.sub c.buf c.pos n in
-  c.pos <- c.pos + n;
-  v
-
-let opt f c =
-  match u8 c with 0 -> None | 1 -> Some (f c) | _ -> raise (Decode "bad option tag")
-
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let add_i64 b v = Buffer.add_int64_le b (Int64.of_int v)
-let add_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
-
-let add_str b s =
-  add_i64 b (String.length s);
-  Buffer.add_string b s
-
-let add_opt f b = function
-  | None -> add_u8 b 0
-  | Some v ->
-      add_u8 b 1;
-      f b v
 
 let ty_code : Value.ty -> int = function
   | Value.I8 -> 0
@@ -151,56 +107,50 @@ let ty_of_code = function
   | 12 -> Value.Bool
   | 13 -> Value.Char
   | 14 -> Value.Str
-  | n -> raise (Decode (Printf.sprintf "bad type code %d" n))
+  | n -> Codec.fail "bad type code %d" n
 
 let add_value b : Value.t -> unit = function
   | Value.Int (ty, n) ->
-      add_u8 b 0;
-      add_u8 b (ty_code ty);
-      add_i64 b n
+      Codec.add_u8 b 0;
+      Codec.add_u8 b (ty_code ty);
+      Codec.add_int b n
   | Value.Float (ty, f) ->
-      add_u8 b 1;
-      add_u8 b (ty_code ty);
-      add_f64 b f
+      Codec.add_u8 b 1;
+      Codec.add_u8 b (ty_code ty);
+      Codec.add_f64 b f
   | Value.B x ->
-      add_u8 b 2;
-      add_u8 b (if x then 1 else 0)
+      Codec.add_u8 b 2;
+      Codec.add_bool b x
   | Value.C ch ->
-      add_u8 b 3;
-      add_u8 b (Char.code ch)
+      Codec.add_u8 b 3;
+      Codec.add_char b ch
   | Value.S s ->
-      add_u8 b 4;
-      add_str b s
+      Codec.add_u8 b 4;
+      Codec.add_str b s
 
-let value c : Value.t =
-  match u8 c with
+let value r : Value.t =
+  match Codec.u8 r with
   | 0 ->
-      let ty = ty_of_code (u8 c) in
-      Value.Int (ty, int_ c)
+      let ty = ty_of_code (Codec.u8 r) in
+      Value.Int (ty, Codec.int r)
   | 1 ->
-      let ty = ty_of_code (u8 c) in
-      Value.Float (ty, f64 c)
-  | 2 -> Value.B (u8 c <> 0)
-  | 3 -> Value.C (Char.chr (u8 c))
-  | 4 -> Value.S (str c)
-  | n -> raise (Decode (Printf.sprintf "bad value tag %d" n))
+      let ty = ty_of_code (Codec.u8 r) in
+      Value.Float (ty, Codec.f64 r)
+  | 2 -> Value.B (Codec.bool r)
+  | 3 -> Value.C (Codec.char r)
+  | 4 -> Value.S (Codec.str r)
+  | n -> Codec.fail "bad value tag %d" n
 
-let add_tuple b (t : Tuple.t) =
-  add_i64 b (Array.length t);
-  Array.iter (add_value b) t
-
-let tuple c : Tuple.t =
-  let n = int_ c in
-  if n < 0 || n > 65536 then raise (Decode "bad tuple arity");
-  Array.init n (fun _ -> value c)
+let add_tuple b (t : Tuple.t) = Codec.add_array add_value b t
+let tuple r : Tuple.t = Codec.array ~max:65536 "tuple arity" value r
 
 let add_input b (i : Provenance.Input.t) =
-  add_opt add_f64 b i.Provenance.Input.prob;
-  add_opt add_i64 b i.Provenance.Input.me_group
+  Codec.add_opt Codec.add_f64 b i.Provenance.Input.prob;
+  Codec.add_opt Codec.add_int b i.Provenance.Input.me_group
 
-let input c : Provenance.Input.t =
-  let prob = opt f64 c in
-  let me_group = opt int_ c in
+let input r : Provenance.Input.t =
+  let prob = Codec.opt Codec.f64 r in
+  let me_group = Codec.opt Codec.int r in
   { Provenance.Input.prob; me_group }
 
 (* ---- op records ------------------------------------------------------------- *)
@@ -215,57 +165,51 @@ let op_lsn = function
   | Op_open _ -> 0
   | Op_assert { lsn; _ } | Op_retract { lsn; _ } | Op_close { lsn } -> lsn
 
-let encode_op (op : op) : string =
-  let b = Buffer.create 64 in
-  (match op with
-  | Op_open { expect_hash; hash; spec; source } ->
-      add_u8 b (Char.code 'O');
-      add_opt add_str b expect_hash;
-      add_str b hash;
-      add_str b spec;
-      add_str b source
-  | Op_assert { lsn; pred; input; tuple = t } ->
-      add_u8 b (Char.code 'A');
-      add_i64 b lsn;
-      add_str b pred;
-      add_input b input;
-      add_tuple b t
-  | Op_retract { lsn; pred; tuple = t } ->
-      add_u8 b (Char.code 'R');
-      add_i64 b lsn;
-      add_str b pred;
-      add_tuple b t
-  | Op_close { lsn } ->
-      add_u8 b (Char.code 'C');
-      add_i64 b lsn);
-  Buffer.contents b
+let encode_op : op -> string =
+  Codec.encode (fun b -> function
+    | Op_open { expect_hash; hash; spec; source } ->
+        Codec.add_char b 'O';
+        Codec.add_opt Codec.add_str b expect_hash;
+        Codec.add_str b hash;
+        Codec.add_str b spec;
+        Codec.add_str b source
+    | Op_assert { lsn; pred; input; tuple = t } ->
+        Codec.add_char b 'A';
+        Codec.add_int b lsn;
+        Codec.add_str b pred;
+        add_input b input;
+        add_tuple b t
+    | Op_retract { lsn; pred; tuple = t } ->
+        Codec.add_char b 'R';
+        Codec.add_int b lsn;
+        Codec.add_str b pred;
+        add_tuple b t
+    | Op_close { lsn } ->
+        Codec.add_char b 'C';
+        Codec.add_int b lsn)
 
-let decode_op (payload : string) : op =
-  let c = { buf = payload; pos = 0 } in
-  let op =
-    match Char.chr (u8 c) with
-    | 'O' ->
-        let expect_hash = opt str c in
-        let hash = str c in
-        let spec = str c in
-        let source = str c in
-        Op_open { expect_hash; hash; spec; source }
-    | 'A' ->
-        let lsn = int_ c in
-        let pred = str c in
-        let i = input c in
-        let t = tuple c in
-        Op_assert { lsn; pred; input = i; tuple = t }
-    | 'R' ->
-        let lsn = int_ c in
-        let pred = str c in
-        let t = tuple c in
-        Op_retract { lsn; pred; tuple = t }
-    | 'C' -> Op_close { lsn = int_ c }
-    | ch -> raise (Decode (Printf.sprintf "unknown op tag %C" ch))
-  in
-  if c.pos <> String.length payload then raise (Decode "trailing bytes in op record");
-  op
+let decode_op : string -> op =
+  Codec.decode "op record" (fun r ->
+      match Codec.char r with
+      | 'O' ->
+          let expect_hash = Codec.opt Codec.str r in
+          let hash = Codec.str r in
+          let spec = Codec.str r in
+          let source = Codec.str r in
+          Op_open { expect_hash; hash; spec; source }
+      | 'A' ->
+          let lsn = Codec.int r in
+          let pred = Codec.str r in
+          let i = input r in
+          let t = tuple r in
+          Op_assert { lsn; pred; input = i; tuple = t }
+      | 'R' ->
+          let lsn = Codec.int r in
+          let pred = Codec.str r in
+          let t = tuple r in
+          Op_retract { lsn; pred; tuple = t }
+      | 'C' -> Op_close { lsn = Codec.int r }
+      | ch -> Codec.fail "unknown op tag %C" ch)
 
 (* ---- snapshots -------------------------------------------------------------- *)
 
@@ -284,54 +228,47 @@ type snapshot = {
 
 let snapshot_version = 1
 
-let encode_snapshot (s : snapshot) : string =
-  let b = Buffer.create 256 in
-  add_u8 b snapshot_version;
-  add_str b s.sn_spec;
-  add_str b s.sn_hash;
-  add_opt add_str b s.sn_expect;
-  add_str b s.sn_source;
-  add_i64 b s.sn_lsn;
-  add_i64 b (List.length s.sn_facts);
-  List.iter
-    (fun (pred, facts) ->
-      add_str b pred;
-      add_i64 b (List.length facts);
-      List.iter
-        (fun (i, t) ->
-          add_input b i;
-          add_tuple b t)
-        facts)
-    s.sn_facts;
-  Buffer.contents b
+let add_facts b (pred, facts) =
+  Codec.add_str b pred;
+  Codec.add_list
+    (fun b (i, t) ->
+      add_input b i;
+      add_tuple b t)
+    b facts
 
-let decode_snapshot (payload : string) : snapshot =
-  let c = { buf = payload; pos = 0 } in
-  let v = u8 c in
-  if v <> snapshot_version then
-    raise (Decode (Printf.sprintf "unsupported snapshot version %d" v));
-  let sn_spec = str c in
-  let sn_hash = str c in
-  let sn_expect = opt str c in
-  let sn_source = str c in
-  let sn_lsn = int_ c in
-  let npreds = int_ c in
-  if npreds < 0 || npreds > 1_000_000 then raise (Decode "bad predicate count");
-  let sn_facts =
-    List.init npreds (fun _ ->
-        let pred = str c in
-        let n = int_ c in
-        if n < 0 || n > 100_000_000 then raise (Decode "bad fact count");
-        let facts =
-          List.init n (fun _ ->
-              let i = input c in
-              let t = tuple c in
-              (i, t))
-        in
-        (pred, facts))
+let facts r =
+  let pred = Codec.str r in
+  let facts =
+    Codec.list ~max:100_000_000 "fact count"
+      (fun r ->
+        let i = input r in
+        let t = tuple r in
+        (i, t))
+      r
   in
-  if c.pos <> String.length payload then raise (Decode "trailing bytes in snapshot");
-  { sn_spec; sn_hash; sn_expect; sn_source; sn_lsn; sn_facts }
+  (pred, facts)
+
+let encode_snapshot : snapshot -> string =
+  Codec.encode ~size:256 (fun b s ->
+      Codec.add_u8 b snapshot_version;
+      Codec.add_str b s.sn_spec;
+      Codec.add_str b s.sn_hash;
+      Codec.add_opt Codec.add_str b s.sn_expect;
+      Codec.add_str b s.sn_source;
+      Codec.add_int b s.sn_lsn;
+      Codec.add_list add_facts b s.sn_facts)
+
+let decode_snapshot : string -> snapshot =
+  Codec.decode "snapshot" (fun r ->
+      let v = Codec.u8 r in
+      if v <> snapshot_version then Codec.fail "unsupported snapshot version %d" v;
+      let sn_spec = Codec.str r in
+      let sn_hash = Codec.str r in
+      let sn_expect = Codec.opt Codec.str r in
+      let sn_source = Codec.str r in
+      let sn_lsn = Codec.int r in
+      let sn_facts = Codec.list ~max:1_000_000 "predicate count" facts r in
+      { sn_spec; sn_hash; sn_expect; sn_source; sn_lsn; sn_facts })
 
 (* ---- directory layout -------------------------------------------------------- *)
 
@@ -372,21 +309,20 @@ let session_dir state_dir sid =
   Filename.concat (sessions_root state_dir) (dir_prefix ^ encode_sid sid)
 
 let snap_dir dir = Filename.concat dir "snap"
-let segment_name k = Printf.sprintf "wal-%09d.log" k
-let segment_path dir k = Filename.concat dir (segment_name k)
 
-let segment_of_name name =
-  if
-    String.length name = 17
-    && String.equal (String.sub name 0 4) "wal-"
-    && Filename.check_suffix name ".log"
-  then int_of_string_opt (String.sub name 4 9)
-  else None
+module Segments = Atomic_io.Family (struct
+  let prefix = "wal-"
+  let suffix = ".log"
+end)
 
-let segments_of_dir dir : int list =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names -> Array.to_list names |> List.filter_map segment_of_name |> List.sort compare
+module Generations = Atomic_io.Generations
+
+(* Every WAL segment up to the oldest retained snapshot generation is
+   folded into that generation — and into every newer one. *)
+let prune_segments dir =
+  match Generations.list ~dir:(snap_dir dir) with
+  | [] -> ()
+  | g_min :: _ -> Segments.remove_upto ~dir g_min
 
 let rec rm_rf path =
   match Sys.is_directory path with
@@ -407,7 +343,7 @@ let rec rm_rf path =
 let chain_add (chain : int64) (payload : string) : int64 =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 chain;
-  Atomic_io.fnv1a64 (Bytes.unsafe_to_string b ^ payload)
+  Atomic_io.fnv1a64 ~seed:(Atomic_io.fnv1a64 (Bytes.unsafe_to_string b)) payload
 
 (** What a primary tells its followers.  [Ev_op] carries the {e exact} WAL
     record bytes (so follower segments are byte-identical to the
@@ -549,9 +485,7 @@ type t = {
   mutable max_ticket : int;  (** newest group-commit ticket issued; -1 if none *)
 }
 
-let locked mgr f =
-  Mutex.lock mgr.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mgr.mutex) f
+let locked mgr f = Mutex.protect mgr.mutex f
 
 let stats mgr = mgr.dstats
 let spec_name_of mgr = Registry.spec_name mgr.cfg.spec
@@ -571,6 +505,25 @@ type loaded = {
   l_closed : bool;
 }
 
+(* Validate an assert/retract against the engine without mutating it,
+   raising exactly what applying it would; the op carries the checked
+   tuple. *)
+let check_change incr = function
+  | Op_assert ({ pred; tuple; _ } as a) ->
+      Op_assert { a with tuple = Incr.check_assert incr ~pred tuple }
+  | Op_retract ({ pred; tuple; _ } as r) ->
+      Op_retract { r with tuple = Incr.check_retract incr ~pred tuple }
+  | (Op_open _ | Op_close _) as op -> op
+
+(* Apply an assert/retract to the engine: the commit, replay and remote
+   apply paths all go through here. *)
+let apply_change incr = function
+  | Op_assert { pred; input; tuple; _ } ->
+      Incr.assert_fact incr ~pred ?prob:input.Provenance.Input.prob
+        ?me_group:input.Provenance.Input.me_group tuple
+  | Op_retract { pred; tuple; _ } -> Incr.retract_fact incr ~pred tuple
+  | Op_open _ | Op_close _ -> ()
+
 (* A session directory with no snapshot and zero complete log records: the
    crash happened before the open was acknowledged, so the session never
    observably existed — its remains are discarded, not quarantined. *)
@@ -579,17 +532,7 @@ exception Never_opened
 (* Newest snapshot generation that both checksums (Atomic_io envelope) and
    decodes — the generation fallback extended to the payload layer. *)
 let load_snapshot ~sdir : snapshot option =
-  let rec try_gens = function
-    | [] -> None
-    | g :: older -> (
-        match Atomic_io.read_file ~path:(Atomic_io.path_of ~dir:sdir g) with
-        | Error _ -> try_gens older
-        | Ok payload -> (
-            match decode_snapshot payload with
-            | s -> Some s
-            | exception Decode _ -> try_gens older))
-  in
-  try_gens (List.rev (Atomic_io.generations ~dir:sdir))
+  Option.map snd (Atomic_io.load_latest ~dir:sdir ~decode:decode_snapshot)
 
 (** Rebuild one session from its directory.  Raises
     [Session.Error (Recovery_failed _)] on anything that cannot be
@@ -598,11 +541,11 @@ let load_session mgr ~sid ~dir : loaded =
   let session = sid in
   let snap = load_snapshot ~sdir:(snap_dir dir) in
   let newest_gen_present =
-    match List.rev (Atomic_io.generations ~dir:(snap_dir dir)) with
+    match List.rev (Generations.list ~dir:(snap_dir dir)) with
     | g :: _ -> g
     | [] -> -1
   in
-  let segs = segments_of_dir dir in
+  let segs = Segments.list ~dir in
   let last_seg = match List.rev segs with s :: _ -> s | [] -> -1 in
   (* Read every retained segment; only the final segment may be torn.  The
      final segment's raw payloads are kept separately so the replication
@@ -613,15 +556,15 @@ let load_session mgr ~sid ~dir : loaded =
   let records =
     List.concat_map
       (fun k ->
-        let recs, tail = Wal.read ~path:(segment_path dir k) in
+        let recs, tail = Wal.read ~path:(Segments.path ~dir k) in
         (match tail with
         | Wal.Clean -> ()
         | Wal.Torn _ when k = last_seg -> ()
         | Wal.Torn { valid_bytes } ->
             recovery_failed ~session "log segment %s truncated mid-history (%d valid bytes)"
-              (segment_name k) valid_bytes
+              (Segments.name k) valid_bytes
         | Wal.Corrupt { offset; reason } ->
-            recovery_failed ~session "corrupt log segment %s at byte %d: %s" (segment_name k)
+            recovery_failed ~session "corrupt log segment %s at byte %d: %s" (Segments.name k)
               offset reason);
         if k = last_seg then last_records := recs;
         recs)
@@ -632,7 +575,7 @@ let load_session mgr ~sid ~dir : loaded =
       (fun payload ->
         match decode_op payload with
         | op -> op
-        | exception Decode msg -> recovery_failed ~session "undecodable log record: %s" msg)
+        | exception Codec.Decode msg -> recovery_failed ~session "undecodable log record: %s" msg)
       records
   in
   (* Base state: the snapshot if any, else the open record heading segment 0. *)
@@ -687,13 +630,9 @@ let load_session mgr ~sid ~dir : loaded =
            max_lsn := max !max_lsn lsn;
            match op with
            | Op_open _ -> ()
-           | Op_assert { pred; input = i; tuple = tup; _ } ->
+           | Op_assert _ | Op_retract _ ->
                replayed := !replayed + 1;
-               Incr.assert_fact incr ~pred ?prob:i.Provenance.Input.prob
-                 ?me_group:i.Provenance.Input.me_group tup
-           | Op_retract { pred; tuple = tup; _ } ->
-               replayed := !replayed + 1;
-               Incr.retract_fact incr ~pred tup
+               apply_change incr op
            | Op_close _ -> was_closed := true
          end)
        ops
@@ -724,6 +663,46 @@ let load_session mgr ~sid ~dir : loaded =
 
 (* ---- internals (callers hold the mutex) ------------------------------------------- *)
 
+(* The one entry constructor.  A new session sits at lsn 1 of segment 0
+   with an empty chain; recovery passes where the log left it. *)
+let make_entry mgr ~sid ~dir ?(source = "") ?(hash = "") ?expect_hash ?(next_lsn = 1)
+    ?(active_seg = 0) ?(seg_chain = 0L) ?(seg_records = 0) ?(ops_since_snap = 0) e_state =
+  {
+    sid;
+    dir;
+    source;
+    hash;
+    expect_hash;
+    e_state;
+    next_lsn;
+    active_seg;
+    seg_chain;
+    seg_records;
+    ops_since_snap;
+    last_used = mgr.cfg.now ();
+    pins = 0;
+    last_stats =
+      (match e_state with Live l -> Incr.stats l.incr | _ -> Incr.empty_session_stats ());
+  }
+
+let entry_of_loaded mgr ~sid ~dir ~ops_since_snap (l : loaded) =
+  make_entry mgr ~sid ~dir:(Some dir) ~source:l.l_source ~hash:l.l_hash ?expect_hash:l.l_expect
+    ~next_lsn:l.l_next_lsn ~active_seg:l.l_active_seg ~seg_chain:l.l_seg_chain
+    ~seg_records:l.l_seg_records ~ops_since_snap
+    (Live { incr = l.l_incr; wal = None })
+
+(* Close a live session's WAL writer (fsync'd); the next append reopens
+   the active segment. *)
+let release_wal = function
+  | Live ({ wal = Some w; _ } as l) ->
+      Wal.close w;
+      l.wal <- None
+  | Spilled | Failed _ | Closed | Live { wal = None; _ } -> ()
+
+let as_recovery_failed ~session = function
+  | Exec_error.Recovery_failed _ as e -> e
+  | other -> Exec_error.Recovery_failed { session; reason = Session.error_string other }
+
 let find_entry mgr sid =
   match Hashtbl.find_opt mgr.entries sid with
   | Some e -> e
@@ -738,7 +717,7 @@ let wal_of mgr entry (l : live) : Wal.t =
         io_guard (fun () ->
             Atomic_io.mkdir_p dir;
             Wal.open_append ~sync:mgr.cfg.wal_sync ?group:mgr.wal_group
-              ~path:(segment_path dir entry.active_seg) ())
+              ~path:(Segments.path ~dir entry.active_seg) ())
       in
       l.wal <- Some w;
       w
@@ -831,26 +810,13 @@ let compact_locked mgr entry =
              chain = entry.seg_chain;
              records = entry.seg_records;
            });
-      (match l.wal with
-      | Some w ->
-          Wal.close w;
-          l.wal <- None
-      | None -> ());
+      release_wal entry.e_state;
       entry.active_seg <- max (entry.active_seg + 1) (gen + 1);
       entry.seg_chain <- 0L;
       entry.seg_records <- 0;
       entry.ops_since_snap <- 0;
       emit mgr (Ev_snapshot { sid = entry.sid; gen; lsn = s.sn_lsn; payload = encoded });
-      (* The oldest retained generation has every segment at or below its
-         own number folded in — and so does every newer one. *)
-      (match Atomic_io.generations ~dir:(snap_dir dir) with
-      | [] -> ()
-      | g_min :: _ ->
-          List.iter
-            (fun k ->
-              if k <= g_min then
-                try Sys.remove (segment_path dir k) with Sys_error _ -> ())
-            (segments_of_dir dir))
+      prune_segments dir
   | _ -> ()
 
 (* Spill a cold session: make the disk state current (a fresh snapshot if
@@ -860,11 +826,7 @@ let spill_locked mgr entry =
   match entry.e_state with
   | Live l when entry.pins = 0 && entry.dir <> None ->
       if entry.ops_since_snap > 0 then compact_locked mgr entry;
-      (match l.wal with
-      | Some w ->
-          Wal.close w;
-          l.wal <- None
-      | None -> ());
+      release_wal entry.e_state;
       entry.last_stats <- Incr.stats l.incr;
       entry.e_state <- Spilled;
       mgr.dstats.evictions <- mgr.dstats.evictions + 1
@@ -925,13 +887,7 @@ let rehydrate_locked mgr entry : live =
       mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
       raise (Session.Error e)
   | exception Session.Error e ->
-      let e =
-        match e with
-        | Exec_error.Recovery_failed _ -> e
-        | other ->
-            Exec_error.Recovery_failed
-              { session = entry.sid; reason = Session.error_string other }
-      in
+      let e = as_recovery_failed ~session:entry.sid e in
       entry.e_state <- Failed e;
       mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
       raise (Session.Error e)
@@ -967,12 +923,11 @@ let set_standby mgr standby =
    and older segments can be pruned. *)
 
 let emit_disk_snapshot_locked mgr entry dir =
-  match Atomic_io.load_latest ~dir:(snap_dir dir) with
+  match
+    Atomic_io.load_latest ~dir:(snap_dir dir) ~decode:(fun p -> ((decode_snapshot p).sn_lsn, p))
+  with
   | None -> ()
-  | Some (gen, payload) -> (
-      match decode_snapshot payload with
-      | s -> emit mgr (Ev_snapshot { sid = entry.sid; gen; lsn = s.sn_lsn; payload })
-      | exception Decode _ -> ())
+  | Some (gen, (lsn, payload)) -> emit mgr (Ev_snapshot { sid = entry.sid; gen; lsn; payload })
 
 let ship_snapshot_locked mgr entry =
   match entry.dir with
@@ -983,7 +938,7 @@ let ship_snapshot_locked mgr entry =
       | Live _ ->
           (* compacting emits the seal + a current snapshot; a session with
              nothing unsnapshotted just re-ships its newest disk snapshot *)
-          if entry.ops_since_snap > 0 || Atomic_io.generations ~dir:(snap_dir dir) = []
+          if entry.ops_since_snap > 0 || Generations.list ~dir:(snap_dir dir) = []
           then compact_locked mgr entry
           else emit_disk_snapshot_locked mgr entry dir
       | Spilled ->
@@ -1063,55 +1018,17 @@ let create (cfg : config) : t =
                 rm_rf dir
             | loaded ->
                 Hashtbl.replace mgr.entries sid
-                  {
-                    sid;
-                    dir = Some dir;
-                    source = loaded.l_source;
-                    hash = loaded.l_hash;
-                    expect_hash = loaded.l_expect;
-                    e_state = Live { incr = loaded.l_incr; wal = None };
-                    next_lsn = loaded.l_next_lsn;
-                    active_seg = loaded.l_active_seg;
-                    seg_chain = loaded.l_seg_chain;
-                    seg_records = loaded.l_seg_records;
-                    ops_since_snap = loaded.l_replayed;
-                    last_used = cfg.now ();
-                    pins = 0;
-                    last_stats = Incr.stats loaded.l_incr;
-                  };
+                  (entry_of_loaded mgr ~sid ~dir ~ops_since_snap:loaded.l_replayed loaded);
                 mgr.dstats.recovered <- mgr.dstats.recovered + 1;
                 mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + loaded.l_replayed
             | exception Session.Error e ->
-                let e =
-                  match e with
-                  | Exec_error.Recovery_failed _ -> e
-                  | other ->
-                      Exec_error.Recovery_failed
-                        { session = sid; reason = Session.error_string other }
-                in
                 Hashtbl.replace mgr.entries sid
-                  {
-                    sid;
-                    dir = Some dir;
-                    source = "";
-                    hash = "";
-                    expect_hash = None;
-                    e_state = Failed e;
-                    next_lsn = 0;
-                    active_seg = 0;
-                    seg_chain = 0L;
-                    seg_records = 0;
-                    ops_since_snap = 0;
-                    last_used = cfg.now ();
-                    pins = 0;
-                    last_stats = Incr.empty_session_stats ();
-                  };
+                  (make_entry mgr ~sid ~dir:(Some dir) ~next_lsn:0
+                     (Failed (as_recovery_failed ~session:sid e)));
                 mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1
           end)
         names;
-      Mutex.lock mgr.mutex;
-      enforce_caps_locked mgr;
-      Mutex.unlock mgr.mutex);
+      locked mgr (fun () -> enforce_caps_locked mgr));
   mgr
 
 (* ---- operations --------------------------------------------------------------------- *)
@@ -1130,31 +1047,11 @@ let open_session mgr ~sid ?expect_hash source : string * bool =
         in
         let hash = Incr.program_hash incr in
         let dir = Option.map (fun sd -> session_dir sd sid) mgr.cfg.state_dir in
-        let entry =
-          {
-            sid;
-            dir;
-            source;
-            hash;
-            expect_hash;
-            e_state = Live { incr; wal = None };
-            next_lsn = 1;
-            active_seg = 0;
-            seg_chain = 0L;
-            seg_records = 0;
-            ops_since_snap = 0;
-            last_used = mgr.cfg.now ();
-            pins = 0;
-            last_stats = Incr.stats incr;
-          }
-        in
+        let l = { incr; wal = None } in
+        let entry = make_entry mgr ~sid ~dir ~source ~hash ?expect_hash (Live l) in
+        Option.iter rm_rf dir;
         let ticket =
-          match (dir, entry.e_state) with
-          | Some d, Live l ->
-              rm_rf d;
-              append_op mgr entry l
-                (Op_open { expect_hash; hash; spec = spec_name_of mgr; source })
-          | _ -> None
+          append_op mgr entry l (Op_open { expect_hash; hash; spec = spec_name_of mgr; source })
         in
         Hashtbl.replace mgr.entries sid entry;
         maybe_rotate_ship_locked mgr;
@@ -1164,67 +1061,45 @@ let open_session mgr ~sid ?expect_hash source : string * bool =
   commit_wait mgr ticket;
   result
 
+(* The validate → log → apply commit shared by {!assert_fact} and
+   {!retract_fact}: [op lsn] is the change to commit at [lsn]. *)
+let commit_change mgr ~sid op =
+  let ticket =
+    locked mgr (fun () ->
+        require_primary mgr;
+        let entry = find_entry mgr sid in
+        let l = touch_live_locked mgr entry in
+        let op = check_change l.incr (op entry.next_lsn) in
+        let ticket = append_op mgr entry l op in
+        apply_change l.incr op;
+        entry.next_lsn <- entry.next_lsn + 1;
+        entry.ops_since_snap <- entry.ops_since_snap + 1;
+        if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
+          compact_locked mgr entry;
+        maybe_rotate_ship_locked mgr;
+        enforce_caps_locked mgr;
+        ticket)
+  in
+  commit_wait mgr ticket
+
 (** Assert a fact.  Commit protocol: validate (raising exactly what
     {!Incr.assert_fact} would, without mutating), append the op to the WAL
     (fsync'd), then apply.  An acknowledged assert is therefore both valid
     and durable. *)
 let assert_fact mgr ~sid ~pred ?prob ?me_group tup =
-  let ticket =
-    locked mgr (fun () ->
-        require_primary mgr;
-        let entry = find_entry mgr sid in
-        let l = touch_live_locked mgr entry in
-        let tup = Incr.check_assert l.incr ~pred tup in
-        let ticket =
-          append_op mgr entry l
-            (Op_assert
-               {
-                 lsn = entry.next_lsn;
-                 pred;
-                 input = { Provenance.Input.prob; me_group };
-                 tuple = tup;
-               })
-        in
-        Incr.assert_fact l.incr ~pred ?prob ?me_group tup;
-        entry.next_lsn <- entry.next_lsn + 1;
-        entry.ops_since_snap <- entry.ops_since_snap + 1;
-        if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
-          compact_locked mgr entry;
-        maybe_rotate_ship_locked mgr;
-        enforce_caps_locked mgr;
-        ticket)
-  in
-  commit_wait mgr ticket
+  commit_change mgr ~sid (fun lsn ->
+      Op_assert { lsn; pred; input = { Provenance.Input.prob; me_group }; tuple = tup })
 
 (** Retract a fact; same validate → log → apply protocol as {!assert_fact}. *)
 let retract_fact mgr ~sid ~pred tup =
-  let ticket =
-    locked mgr (fun () ->
-        require_primary mgr;
-        let entry = find_entry mgr sid in
-        let l = touch_live_locked mgr entry in
-        let tup = Incr.check_retract l.incr ~pred tup in
-        let ticket =
-          append_op mgr entry l (Op_retract { lsn = entry.next_lsn; pred; tuple = tup })
-        in
-        Incr.retract_fact l.incr ~pred tup;
-        entry.next_lsn <- entry.next_lsn + 1;
-        entry.ops_since_snap <- entry.ops_since_snap + 1;
-        if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
-          compact_locked mgr entry;
-        maybe_rotate_ship_locked mgr;
-        enforce_caps_locked mgr;
-        ticket)
-  in
-  commit_wait mgr ticket
+  commit_change mgr ~sid (fun lsn -> Op_retract { lsn; pred; tuple = tup })
 
 let unpin mgr entry =
-  Mutex.lock mgr.mutex;
-  entry.pins <- entry.pins - 1;
-  entry.last_used <- mgr.cfg.now ();
-  (match entry.e_state with Live l -> entry.last_stats <- Incr.stats l.incr | _ -> ());
-  Condition.broadcast mgr.unpinned;
-  Mutex.unlock mgr.mutex
+  locked mgr (fun () ->
+      entry.pins <- entry.pins - 1;
+      entry.last_used <- mgr.cfg.now ();
+      (match entry.e_state with Live l -> entry.last_stats <- Incr.stats l.incr | _ -> ());
+      Condition.broadcast mgr.unpinned)
 
 (* Reads pin the entry: the manager mutex is released for the (possibly
    long) evaluation, and pinned entries are never spilled or torn down. *)
@@ -1274,11 +1149,7 @@ let close mgr ~sid : Incr.session_stats =
                 entry.last_stats <- Incr.stats l.incr;
                 ignore (append_op mgr entry l (Op_close { lsn = entry.next_lsn }));
                 entry.next_lsn <- entry.next_lsn + 1;
-                (match l.wal with
-                | Some w ->
-                    Wal.close w;
-                    l.wal <- None
-                | None -> ());
+                release_wal entry.e_state;
                 Incr.close l.incr
             | Spilled -> (
                 (* no need to rehydrate the engine just to retire it, but the
@@ -1291,7 +1162,7 @@ let close mgr ~sid : Incr.session_stats =
                     io_guard (fun () ->
                         let w =
                           Wal.open_append ~sync:mgr.cfg.wal_sync
-                            ~path:(segment_path dir entry.active_seg) ()
+                            ~path:(Segments.path ~dir entry.active_seg) ()
                         in
                         Wal.append w payload;
                         Wal.close w);
@@ -1363,14 +1234,7 @@ let is_spilled mgr ~sid =
     live on disk for the next {!create}. *)
 let shutdown mgr =
   locked mgr (fun () ->
-      Hashtbl.iter
-        (fun _ e ->
-          match e.e_state with
-          | Live ({ wal = Some w; _ } as l) ->
-              Wal.close w;
-              l.wal <- None
-          | _ -> ())
-        mgr.entries)
+      Hashtbl.iter (fun _ e -> release_wal e.e_state) mgr.entries)
 
 (* ---- remote apply (the follower's commit path) ---------------------------------------- *)
 
@@ -1398,11 +1262,7 @@ let diverged mgr entry ~segment fmt =
       let err =
         Exec_error.Replication_diverged { session = entry.sid; segment; reason }
       in
-      (match entry.e_state with
-      | Live ({ wal = Some w; _ } as l) ->
-          Wal.close w;
-          l.wal <- None
-      | _ -> ());
+      release_wal entry.e_state;
       entry.e_state <- Failed err;
       mgr.dstats.divergences <- mgr.dstats.divergences + 1;
       raise (Session.Error err))
@@ -1440,7 +1300,7 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
         invalid_input "remote apply requires a state dir";
       let op =
         try decode_op payload
-        with Decode msg ->
+        with Codec.Decode msg ->
           diverged_no_entry ~session:sid ~segment:seg "undecodable replicated record: %s"
             msg
       in
@@ -1466,24 +1326,7 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
               hash;
           let dir = Option.map (fun sd -> session_dir sd sid) mgr.cfg.state_dir in
           let l = { incr; wal = None } in
-          let entry =
-            {
-              sid;
-              dir;
-              source;
-              hash;
-              expect_hash;
-              e_state = Live l;
-              next_lsn = 1;
-              active_seg = seg;
-              seg_chain = 0L;
-              seg_records = 0;
-              ops_since_snap = 0;
-              last_used = mgr.cfg.now ();
-              pins = 0;
-              last_stats = Incr.stats incr;
-            }
-          in
+          let entry = make_entry mgr ~sid ~dir ~source ~hash ?expect_hash ~active_seg:seg (Live l) in
           Option.iter rm_rf dir;
           ignore (append_payload mgr entry l payload);
           Hashtbl.replace mgr.entries sid entry;
@@ -1514,30 +1357,17 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
               diverged mgr entry ~segment:seg "checksum chain mismatch after lsn %d" lsn
           in
           match op with
-          | Op_assert { pred; input; tuple = tup; _ } ->
-              let tup =
-                try Incr.check_assert l.incr ~pred tup
+          | Op_assert _ | Op_retract _ ->
+              let op =
+                try check_change l.incr op
                 with Session.Error e ->
-                  diverged mgr entry ~segment:seg
-                    "replicated assert no longer validates: %s" (Session.error_string e)
+                  diverged mgr entry ~segment:seg "replicated %s no longer validates: %s"
+                    (match op with Op_assert _ -> "assert" | _ -> "retract")
+                    (Session.error_string e)
               in
               ignore (append_payload mgr entry l payload);
               check_chain ();
-              Incr.assert_fact l.incr ~pred ?prob:input.Provenance.Input.prob
-                ?me_group:input.Provenance.Input.me_group tup;
-              entry.next_lsn <- entry.next_lsn + 1;
-              entry.ops_since_snap <- entry.ops_since_snap + 1;
-              mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1
-          | Op_retract { pred; tuple = tup; _ } ->
-              let tup =
-                try Incr.check_retract l.incr ~pred tup
-                with Session.Error e ->
-                  diverged mgr entry ~segment:seg
-                    "replicated retract no longer validates: %s" (Session.error_string e)
-              in
-              ignore (append_payload mgr entry l payload);
-              check_chain ();
-              Incr.retract_fact l.incr ~pred tup;
+              apply_change l.incr op;
               entry.next_lsn <- entry.next_lsn + 1;
               entry.ops_since_snap <- entry.ops_since_snap + 1;
               mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1
@@ -1552,11 +1382,7 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
               (match entry.e_state with
               | Live l2 ->
                   entry.last_stats <- Incr.stats l2.incr;
-                  (match l2.wal with
-                  | Some w ->
-                      Wal.close w;
-                      l2.wal <- None
-                  | None -> ());
+                  release_wal entry.e_state;
                   Incr.close l2.incr
               | _ -> ());
               Option.iter rm_rf entry.dir;
@@ -1614,7 +1440,7 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
       in
       let s =
         try decode_snapshot payload
-        with Decode msg ->
+        with Codec.Decode msg ->
           diverged_no_entry ~session:sid ~segment:gen "undecodable snapshot: %s" msg
       in
       let existing = Hashtbl.find_opt mgr.entries sid in
@@ -1629,32 +1455,17 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
                 payload);
           mgr.dstats.snapshots <- mgr.dstats.snapshots + 1;
           if gen + 1 > e.active_seg then begin
-            (match e.e_state with
-            | Live ({ wal = Some w; _ } as l) ->
-                Wal.close w;
-                l.wal <- None
-            | _ -> ());
+            release_wal e.e_state;
             e.active_seg <- gen + 1;
             e.seg_chain <- 0L;
             e.seg_records <- 0
           end;
           e.ops_since_snap <- 0;
-          (match Atomic_io.generations ~dir:(snap_dir dir) with
-          | [] -> ()
-          | g_min :: _ ->
-              List.iter
-                (fun k ->
-                  if k <= g_min then
-                    try Sys.remove (segment_path dir k) with Sys_error _ -> ())
-                (segments_of_dir dir));
+          prune_segments dir;
           Adopted
       | _ -> (
           (* unknown, quarantined, or behind: full transfer *)
-          (match existing with
-          | Some { e_state = Live ({ wal = Some w; _ } as l); _ } ->
-              Wal.close w;
-              l.wal <- None
-          | _ -> ());
+          Option.iter (fun e -> release_wal e.e_state) existing;
           let dir = session_dir state_dir sid in
           io_guard (fun () ->
               rm_rf dir;
@@ -1663,35 +1474,14 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
           match load_session mgr ~sid ~dir with
           | loaded ->
               Hashtbl.replace mgr.entries sid
-                {
-                  sid;
-                  dir = Some dir;
-                  source = loaded.l_source;
-                  hash = loaded.l_hash;
-                  expect_hash = loaded.l_expect;
-                  e_state = Live { incr = loaded.l_incr; wal = None };
-                  next_lsn = loaded.l_next_lsn;
-                  active_seg = loaded.l_active_seg;
-                  seg_chain = loaded.l_seg_chain;
-                  seg_records = loaded.l_seg_records;
-                  ops_since_snap = 0;
-                  last_used = mgr.cfg.now ();
-                  pins = 0;
-                  last_stats = Incr.stats loaded.l_incr;
-                };
+                (entry_of_loaded mgr ~sid ~dir ~ops_since_snap:0 loaded);
               mgr.dstats.remote_installs <- mgr.dstats.remote_installs + 1;
               Installed
           | exception Never_opened ->
               diverged_no_entry ~session:sid ~segment:gen
                 "installed snapshot did not load"
           | exception Session.Error e ->
-              let err =
-                match e with
-                | Exec_error.Recovery_failed _ -> e
-                | other ->
-                    Exec_error.Recovery_failed
-                      { session = sid; reason = Session.error_string other }
-              in
+              let err = as_recovery_failed ~session:sid e in
               (match existing with
               | Some entry -> entry.e_state <- Failed err
               | None -> ());
@@ -1724,10 +1514,10 @@ let scrub mgr : scrub_report list =
             | Some dir, _ ->
                 let errors = ref [] in
                 let sdir = snap_dir dir in
-                let gens = Atomic_io.generations ~dir:sdir in
+                let gens = Generations.list ~dir:sdir in
                 List.iter
                   (fun g ->
-                    match Atomic_io.read_file ~path:(Atomic_io.path_of ~dir:sdir g) with
+                    match Atomic_io.read_file ~path:(Generations.path ~dir:sdir g) with
                     | Error err ->
                         errors :=
                           Fmt.str "snapshot gen %d: %s" g
@@ -1736,19 +1526,19 @@ let scrub mgr : scrub_report list =
                     | Ok payload -> (
                         match decode_snapshot payload with
                         | _ -> ()
-                        | exception Decode msg ->
+                        | exception Codec.Decode msg ->
                             errors := Fmt.str "snapshot gen %d: %s" g msg :: !errors))
                   gens;
-                let segs = segments_of_dir dir in
+                let segs = Segments.list ~dir in
                 let last = match List.rev segs with s :: _ -> s | [] -> -1 in
                 List.iter
                   (fun k ->
-                    match snd (Wal.read ~path:(segment_path dir k)) with
+                    match snd (Wal.read ~path:(Segments.path ~dir k)) with
                     | Wal.Clean -> ()
                     | Wal.Torn _ when k = last -> () (* crash leftover, truncated on reopen *)
                     | tail ->
                         errors :=
-                          Fmt.str "segment %s: %s" (segment_name k) (Wal.tail_string tail)
+                          Fmt.str "segment %s: %s" (Segments.name k) (Wal.tail_string tail)
                           :: !errors)
                   segs;
                 {

@@ -50,26 +50,16 @@
 open Scallop_core
 module Wal = Scallop_utils.Wal
 module Atomic_io = Scallop_utils.Atomic_io
+module Codec = Scallop_utils.Codec
 
 let invalid_input fmt = Session.invalid_input fmt
 
 (* ---- ship-directory layout ---------------------------------------------------- *)
 
-let ship_name k = Printf.sprintf "ship-%09d.log" k
-let ship_path dir k = Filename.concat dir (ship_name k)
-
-let ship_seg_of_name name =
-  if
-    String.length name = 18
-    && String.equal (String.sub name 0 5) "ship-"
-    && Filename.check_suffix name ".log"
-  then int_of_string_opt (String.sub name 5 9)
-  else None
-
-let ship_segments dir : int list =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names -> Array.to_list names |> List.filter_map ship_seg_of_name |> List.sort compare
+module Ship = Atomic_io.Family (struct
+  let prefix = "ship-"
+  let suffix = ".log"
+end)
 
 let ack_name fid = "ack-" ^ Durable.encode_sid fid ^ ".log"
 let ack_path dir fid = Filename.concat dir (ack_name fid)
@@ -101,95 +91,85 @@ let write_epoch dir ~epoch ~holder =
 
 (* ---- frame codec --------------------------------------------------------------- *)
 
-type frame =
-  | F_epoch of { epoch : int; primary : string }
-  | F_op of { sid : string; seg : int; lsn : int; chain : int64; payload : string }
-  | F_seal of { sid : string; seg : int; last_lsn : int; chain : int64; records : int }
-  | F_snapshot of { sid : string; gen : int; lsn : int; payload : string }
+(* A ship frame is a {!Durable.repl_event} or the epoch frame heading each
+   segment. *)
+type frame = F_epoch of { epoch : int; primary : string } | F_event of Durable.repl_event
 
-let encode_frame (f : frame) : string =
-  let b = Buffer.create 64 in
-  (match f with
-  | F_epoch { epoch; primary } ->
-      Durable.add_u8 b (Char.code 'E');
-      Durable.add_i64 b epoch;
-      Durable.add_str b primary
-  | F_op { sid; seg; lsn; chain; payload } ->
-      Durable.add_u8 b (Char.code 'O');
-      Durable.add_str b sid;
-      Durable.add_i64 b seg;
-      Durable.add_i64 b lsn;
-      Buffer.add_int64_le b chain;
-      Durable.add_str b payload
-  | F_seal { sid; seg; last_lsn; chain; records } ->
-      Durable.add_u8 b (Char.code 'S');
-      Durable.add_str b sid;
-      Durable.add_i64 b seg;
-      Durable.add_i64 b last_lsn;
-      Buffer.add_int64_le b chain;
-      Durable.add_i64 b records
-  | F_snapshot { sid; gen; lsn; payload } ->
-      Durable.add_u8 b (Char.code 'N');
-      Durable.add_str b sid;
-      Durable.add_i64 b gen;
-      Durable.add_i64 b lsn;
-      Durable.add_str b payload);
-  Buffer.contents b
+let encode_frame : frame -> string =
+  Codec.encode (fun b -> function
+    | F_epoch { epoch; primary } ->
+        Codec.add_char b 'E';
+        Codec.add_int b epoch;
+        Codec.add_str b primary
+    | F_event (Durable.Ev_op { sid; seg; lsn; chain; payload }) ->
+        Codec.add_char b 'O';
+        Codec.add_str b sid;
+        Codec.add_int b seg;
+        Codec.add_int b lsn;
+        Codec.add_i64 b chain;
+        Codec.add_str b payload
+    | F_event (Durable.Ev_seal { sid; seg; last_lsn; chain; records }) ->
+        Codec.add_char b 'S';
+        Codec.add_str b sid;
+        Codec.add_int b seg;
+        Codec.add_int b last_lsn;
+        Codec.add_i64 b chain;
+        Codec.add_int b records
+    | F_event (Durable.Ev_snapshot { sid; gen; lsn; payload }) ->
+        Codec.add_char b 'N';
+        Codec.add_str b sid;
+        Codec.add_int b gen;
+        Codec.add_int b lsn;
+        Codec.add_str b payload)
 
-let decode_frame (payload : string) : frame =
-  let c = { Durable.buf = payload; pos = 0 } in
-  let f =
-    match Char.chr (Durable.u8 c) with
-    | 'E' ->
-        let epoch = Durable.int_ c in
-        let primary = Durable.str c in
-        F_epoch { epoch; primary }
-    | 'O' ->
-        let sid = Durable.str c in
-        let seg = Durable.int_ c in
-        let lsn = Durable.int_ c in
-        let chain = Durable.i64 c in
-        let payload = Durable.str c in
-        F_op { sid; seg; lsn; chain; payload }
-    | 'S' ->
-        let sid = Durable.str c in
-        let seg = Durable.int_ c in
-        let last_lsn = Durable.int_ c in
-        let chain = Durable.i64 c in
-        let records = Durable.int_ c in
-        F_seal { sid; seg; last_lsn; chain; records }
-    | 'N' ->
-        let sid = Durable.str c in
-        let gen = Durable.int_ c in
-        let lsn = Durable.int_ c in
-        let payload = Durable.str c in
-        F_snapshot { sid; gen; lsn; payload }
-    | ch -> raise (Durable.Decode (Printf.sprintf "unknown frame tag %C" ch))
-  in
-  if c.Durable.pos <> String.length payload then
-    raise (Durable.Decode "trailing bytes in frame");
-  f
+let decode_frame : string -> frame =
+  Codec.decode "frame" (fun r ->
+      match Codec.char r with
+      | 'E' ->
+          let epoch = Codec.int r in
+          let primary = Codec.str r in
+          F_epoch { epoch; primary }
+      | 'O' ->
+          let sid = Codec.str r in
+          let seg = Codec.int r in
+          let lsn = Codec.int r in
+          let chain = Codec.i64 r in
+          let payload = Codec.str r in
+          F_event (Durable.Ev_op { sid; seg; lsn; chain; payload })
+      | 'S' ->
+          let sid = Codec.str r in
+          let seg = Codec.int r in
+          let last_lsn = Codec.int r in
+          let chain = Codec.i64 r in
+          let records = Codec.int r in
+          F_event (Durable.Ev_seal { sid; seg; last_lsn; chain; records })
+      | 'N' ->
+          let sid = Codec.str r in
+          let gen = Codec.int r in
+          let lsn = Codec.int r in
+          let payload = Codec.str r in
+          F_event (Durable.Ev_snapshot { sid; gen; lsn; payload })
+      | ch -> Codec.fail "unknown frame tag %C" ch)
 
 (* Ack records: the follower's durable cursor.  (epoch, seg, idx) says
    "every frame of ship segment [seg] up to index [idx] is applied and
    locally fsync'd, under epoch [epoch]".  [fence] marks a promotion. *)
 type ack = { a_epoch : int; a_seg : int; a_idx : int; a_fence : bool }
 
-let encode_ack (a : ack) : string =
-  let b = Buffer.create 32 in
-  Durable.add_i64 b a.a_epoch;
-  Durable.add_i64 b a.a_seg;
-  Durable.add_i64 b a.a_idx;
-  Durable.add_u8 b (if a.a_fence then 1 else 0);
-  Buffer.contents b
+let encode_ack : ack -> string =
+  Codec.encode ~size:32 (fun b a ->
+      Codec.add_int b a.a_epoch;
+      Codec.add_int b a.a_seg;
+      Codec.add_int b a.a_idx;
+      Codec.add_bool b a.a_fence)
 
-let decode_ack (payload : string) : ack =
-  let c = { Durable.buf = payload; pos = 0 } in
-  let a_epoch = Durable.int_ c in
-  let a_seg = Durable.int_ c in
-  let a_idx = Durable.int_ c in
-  let a_fence = Durable.u8 c <> 0 in
-  { a_epoch; a_seg; a_idx; a_fence }
+let decode_ack : string -> ack =
+  Codec.decode "ack" (fun r ->
+      let a_epoch = Codec.int r in
+      let a_seg = Codec.int r in
+      let a_idx = Codec.int r in
+      let a_fence = Codec.bool r in
+      { a_epoch; a_seg; a_idx; a_fence })
 
 (* ---- primary -------------------------------------------------------------------- *)
 
@@ -259,9 +239,9 @@ module Primary = struct
     let cur = match read_epoch dir with Some (e, _) -> e | None -> 0 in
     let epoch = cur + 1 in
     Durable.io_guard (fun () -> write_epoch dir ~epoch ~holder:id);
-    let seg = match List.rev (ship_segments dir) with s :: _ -> s + 1 | [] -> 1 in
+    let seg = match List.rev (Ship.list ~dir) with s :: _ -> s + 1 | [] -> 1 in
     let wal =
-      Durable.io_guard (fun () -> Wal.open_append ~sync:false ~path:(ship_path dir seg) ())
+      Durable.io_guard (fun () -> Wal.open_append ~sync:false ~path:(Ship.path ~dir seg) ())
     in
     let p =
       {
@@ -326,7 +306,7 @@ module Primary = struct
                           (match p.fenced with
                           | Some e -> max e a.a_epoch
                           | None -> a.a_epoch)
-                | exception Durable.Decode _ -> ())
+                | exception Codec.Decode _ -> ())
               records)
       p.tails
 
@@ -344,10 +324,7 @@ module Primary = struct
      epoch, then verifies the EPOCH file one last time — the fencing
      handshake: a quorum of acks means nothing if the epoch has moved. *)
   let barrier p =
-    Mutex.lock p.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock p.m)
-      (fun () ->
+    Mutex.protect p.m (fun () ->
         p.stats.barriers <- p.stats.barriers + 1;
         (match p.fenced with Some e -> raise_fenced p e | None -> ());
         match p.ack with
@@ -361,7 +338,7 @@ module Primary = struct
         | Ack_quorum ->
             let target_seg = p.seg and target_idx = p.frames in
             let quorum = (p.cluster / 2) + 1 in
-            let t0 = Unix.gettimeofday () in
+            let t0 = Scallop_utils.Monotonic.now () in
             let caught (a : ack) =
               a.a_epoch = p.epoch
               && (a.a_seg > target_seg || (a.a_seg = target_seg && a.a_idx >= target_idx))
@@ -372,7 +349,7 @@ module Primary = struct
               let n = List.length (List.filter (fun (_, a) -> caught a) p.acks) in
               if n >= quorum then ()
               else begin
-                let waited = Unix.gettimeofday () -. t0 in
+                let waited = Scallop_utils.Monotonic.elapsed_since t0 in
                 if waited > p.ack_timeout then
                   raise
                     (Session.Error (Exec_error.Ack_timeout { acked = n; quorum; waited }));
@@ -383,53 +360,29 @@ module Primary = struct
             wait ();
             check_epoch_locked p;
             (match p.fenced with Some e -> raise_fenced p e | None -> ());
-            let waited = Unix.gettimeofday () -. t0 in
+            let waited = Scallop_utils.Monotonic.elapsed_since t0 in
             p.stats.barrier_wait <- p.stats.barrier_wait +. waited;
             if waited > p.stats.max_barrier_wait then p.stats.max_barrier_wait <- waited)
 
   (** The {!Durable.repl_sink} gluing this primary under a registry. *)
   let sink (p : t) : Durable.repl_sink =
     {
-      Durable.rs_emit =
-        (fun ev ->
-          Mutex.lock p.m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock p.m)
-            (fun () ->
-              ship_locked p
-                (match ev with
-                | Durable.Ev_op { sid; seg; lsn; chain; payload } ->
-                    F_op { sid; seg; lsn; chain; payload }
-                | Durable.Ev_seal { sid; seg; last_lsn; chain; records } ->
-                    F_seal { sid; seg; last_lsn; chain; records }
-                | Durable.Ev_snapshot { sid; gen; lsn; payload } ->
-                    F_snapshot { sid; gen; lsn; payload })));
+      Durable.rs_emit = (fun ev -> Mutex.protect p.m (fun () -> ship_locked p (F_event ev)));
       rs_rotation_due = (fun () -> p.frames >= p.segment_frames);
       rs_rotate_begin =
         (fun () ->
-          Mutex.lock p.m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock p.m)
-            (fun () ->
+          Mutex.protect p.m (fun () ->
               Wal.close p.wal;
               p.seg <- p.seg + 1;
               p.wal <-
                 Durable.io_guard (fun () ->
-                    Wal.open_append ~sync:false ~path:(ship_path p.dir p.seg) ());
+                    Wal.open_append ~sync:false ~path:(Ship.path ~dir:p.dir p.seg) ());
               p.frames <- 0;
               p.stats.rotations <- p.stats.rotations + 1;
               ship_locked p (F_epoch { epoch = p.epoch; primary = p.id })));
       rs_rotate_end =
         (fun () ->
-          Mutex.lock p.m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock p.m)
-            (fun () ->
-              List.iter
-                (fun k ->
-                  if k < p.seg - p.retain then
-                    try Sys.remove (ship_path p.dir k) with Sys_error _ -> ())
-                (ship_segments p.dir)));
+          Mutex.protect p.m (fun () -> Ship.remove_upto ~dir:p.dir (p.seg - p.retain - 1)));
       rs_barrier = (fun () -> barrier p);
     }
 
@@ -447,10 +400,7 @@ module Primary = struct
   }
 
   let status p : status =
-    Mutex.lock p.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock p.m)
-      (fun () ->
+    Mutex.protect p.m (fun () ->
         refresh_acks_locked p;
         {
           st_epoch = p.epoch;
@@ -467,9 +417,7 @@ module Primary = struct
           st_followers = List.sort compare p.acks;
         })
 
-  let close p =
-    Mutex.lock p.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock p.m) (fun () -> Wal.close p.wal)
+  let close p = Mutex.protect p.m (fun () -> Wal.close p.wal)
 end
 
 (* ---- follower -------------------------------------------------------------------- *)
@@ -545,7 +493,7 @@ module Follower = struct
     f.idx <- f.idx + 1;
     match frame with
     | F_epoch { epoch; _ } -> if epoch > f.epoch then f.epoch <- epoch
-    | F_op { sid; seg; lsn; chain; payload } ->
+    | F_event (Durable.Ev_op { sid; seg; lsn; chain; payload }) ->
         let apply () =
           try
             Durable.apply_remote f.mgr ~sid ~seg ~lsn ~chain ~payload;
@@ -570,7 +518,7 @@ module Follower = struct
               else if lsn = wm.wm_next_lsn && seg = wm.wm_seg then apply ()
               else park f sid (* gap: lag past pruning or segment misalignment *)
         end
-    | F_seal { sid; seg; last_lsn; chain; records } ->
+    | F_event (Durable.Ev_seal { sid; seg; last_lsn; chain; records }) ->
         if Hashtbl.mem f.await sid then f.stats.skipped <- f.stats.skipped + 1
         else begin
           match Durable.remote_watermark f.mgr ~sid with
@@ -590,7 +538,7 @@ module Follower = struct
               end
               else park f sid
         end
-    | F_snapshot { sid; gen; payload; _ } -> (
+    | F_event (Durable.Ev_snapshot { sid; gen; payload; _ }) -> (
         try
           (match Durable.install_snapshot f.mgr ~sid ~gen ~payload with
           | Durable.Installed -> f.stats.installs <- f.stats.installs + 1
@@ -611,7 +559,7 @@ module Follower = struct
   let attach_locked f s =
     f.seg <- s;
     f.idx <- 0;
-    f.tail <- Some (Wal.Tail.create ~path:(ship_path f.dir s) ())
+    f.tail <- Some (Wal.Tail.create ~path:(Ship.path ~dir:f.dir s) ())
 
   let poll_locked f : int =
     if f.promoted then 0
@@ -625,7 +573,7 @@ module Follower = struct
         | None -> (
             (* first attach: the newest segment opens with a full barrier,
                so it alone is enough to sync from *)
-            match List.rev (ship_segments f.dir) with
+            match List.rev (Ship.list ~dir:f.dir) with
             | s :: _ -> attach_locked f s
             | [] -> ()));
         match f.tail with
@@ -635,7 +583,7 @@ module Follower = struct
             | Ok [] -> (
                 (* hand-off: the primary only writes one segment at a time,
                    so a newer segment existing means this one is finished *)
-                match List.filter (fun s -> s > f.seg) (ship_segments f.dir) with
+                match List.filter (fun s -> s > f.seg) (Ship.list ~dir:f.dir) with
                 | s :: _ ->
                     attach_locked f s;
                     continue := true
@@ -645,7 +593,7 @@ module Follower = struct
                   (fun payload ->
                     match decode_frame payload with
                     | frame -> handle_frame f frame
-                    | exception Durable.Decode msg ->
+                    | exception Codec.Decode msg ->
                         f.idx <- f.idx + 1;
                         f.last_error <- Some ("undecodable frame: " ^ msg))
                   frames;
@@ -659,7 +607,7 @@ module Follower = struct
                 f.last_error <- Some ("ship segment damaged: " ^ reason);
                 (* jump forward if the primary has moved on; the barrier
                    heading the next segment resyncs us *)
-                match List.filter (fun s -> s > f.seg) (ship_segments f.dir) with
+                match List.filter (fun s -> s > f.seg) (Ship.list ~dir:f.dir) with
                 | s :: _ ->
                     attach_locked f s;
                     continue := true
@@ -671,9 +619,7 @@ module Follower = struct
   (** Consume every frame currently visible in the ship log; returns how
       many were processed.  Safe to call in a tight loop or a poller
       domain; a promoted follower is inert and returns 0. *)
-  let poll f : int =
-    Mutex.lock f.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock f.m) (fun () -> poll_locked f)
+  let poll f : int = Mutex.protect f.m (fun () -> poll_locked f)
 
   (** Promote this follower: drain the ship log, claim a strictly newer
       fencing epoch (typed [Fenced] rejection otherwise — this is what
@@ -681,10 +627,7 @@ module Follower = struct
       ack so the deposed primary observes it, and open the standby for
       writes.  Returns the claimed epoch. *)
   let promote ?epoch f : int =
-    Mutex.lock f.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock f.m)
-      (fun () ->
+    Mutex.protect f.m (fun () ->
         if f.promoted then invalid_input "follower %s is already promoted" f.fid;
         let rec drain () = if poll_locked f > 0 then drain () in
         drain ();
@@ -724,10 +667,7 @@ module Follower = struct
   }
 
   let status f : status =
-    Mutex.lock f.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock f.m)
-      (fun () ->
+    Mutex.protect f.m (fun () ->
         {
           st_epoch = f.epoch;
           st_seg = f.seg;
@@ -745,7 +685,5 @@ module Follower = struct
           st_sessions = Durable.session_watermarks f.mgr;
         })
 
-  let close f =
-    Mutex.lock f.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock f.m) (fun () -> Wal.close f.ack)
+  let close f = Mutex.protect f.m (fun () -> Wal.close f.ack)
 end

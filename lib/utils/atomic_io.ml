@@ -28,9 +28,10 @@ let header_len = 8 + 4 + 8 + 8
 
 (** FNV-1a, 64-bit: not cryptographic, but detects the truncations and byte
     flips a torn write or bad sector produces, at memory speed and with no
-    dependencies. *)
-let fnv1a64 (s : string) : int64 =
-  let h = ref 0xCBF29CE484222325L in
+    dependencies.  [seed] continues a hash: [fnv1a64 ~seed:(fnv1a64 a) b]
+    is [fnv1a64 (a ^ b)]. *)
+let fnv1a64 ?(seed = 0xCBF29CE484222325L) (s : string) : int64 =
+  let h = ref seed in
   String.iter
     (fun c ->
       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
@@ -87,12 +88,19 @@ let fsync_dir dir =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+(** Write all of [s] to [fd], looping over short writes. *)
+let write_all fd (s : string) =
+  let n = String.length s in
+  let written = ref 0 in
+  while !written < n do
+    written := !written + Unix.write_substring fd s !written (n - !written)
+  done
+
 (** [write_file ~path payload] atomically replaces [path] with an encoded
     snapshot: the bytes are written to [path ^ ".tmp"], fsynced, renamed
     over [path], and the directory entry is fsynced.  A reader (or a
     restart) sees either the old complete file or the new complete file. *)
 let write_file ~path (payload : string) : unit =
-  let raw = encode payload in
   let tmp = path ^ ".tmp" in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
@@ -100,12 +108,7 @@ let write_file ~path (payload : string) : unit =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let bytes = Bytes.unsafe_of_string raw in
-      let n = Bytes.length bytes in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd bytes !written (n - !written)
-      done;
+      write_all fd (encode payload);
       Unix.fsync fd);
   Unix.rename tmp path;
   fsync_dir (Filename.dirname path)
@@ -118,16 +121,7 @@ let read_file ~path : (string, read_error) result =
       let raw = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic) in
       decode raw
 
-(* ---- generation rotation ----------------------------------------------------- *)
-
-let snapshot_re gen = Printf.sprintf "snapshot-%09d.ckpt" gen
-
-let gen_of_name name =
-  if String.length name = 23
-     && String.sub name 0 9 = "snapshot-"
-     && Filename.check_suffix name ".ckpt"
-  then int_of_string_opt (String.sub name 9 9)
-  else None
+(* ---- numbered file families ------------------------------------------------ *)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -135,64 +129,88 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(** Generation numbers present in [dir], ascending ([] if the directory does
-    not exist). *)
-let generations ~dir : int list =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names |> List.filter_map gen_of_name |> List.sort compare
+(** Files named [prefix ^ NNNNNNNNN ^ suffix] in one directory, numbered
+    by a nine-digit zero-padded counter: snapshot generations here, WAL
+    segments in {!Scallop_incr.Durable}, ship segments in
+    {!Scallop_incr.Replica}. *)
+module Family (N : sig
+  val prefix : string
+  val suffix : string
+end) =
+struct
+  let name k = Printf.sprintf "%s%09d%s" N.prefix k N.suffix
+  let path ~dir k = Filename.concat dir (name k)
 
-let path_of ~dir gen = Filename.concat dir (snapshot_re gen)
+  let of_name name =
+    let p = String.length N.prefix in
+    if
+      String.length name = p + 9 + String.length N.suffix
+      && String.starts_with ~prefix:N.prefix name
+      && String.ends_with ~suffix:N.suffix name
+    then int_of_string_opt (String.sub name p 9)
+    else None
 
-(** [save ~dir ~keep payload] writes the next generation snapshot into
-    [dir] (created if needed), prunes all but the newest [keep]
-    generations, and returns the generation number written.  Pruning
-    happens {e after} the new snapshot is durable, so at least one valid
-    snapshot always survives a crash anywhere in [save]. *)
-let save ~dir ?(keep = 3) (payload : string) : int =
-  if keep < 1 then invalid_arg "Atomic_io.save: keep must be >= 1";
-  mkdir_p dir;
-  let gens = generations ~dir in
-  let gen = match List.rev gens with g :: _ -> g + 1 | [] -> 0 in
-  write_file ~path:(path_of ~dir gen) payload;
-  let all = gens @ [ gen ] in
-  let excess = List.length all - keep in
-  List.iteri
-    (fun i g ->
-      if i < excess then try Sys.remove (path_of ~dir g) with Sys_error _ -> ())
-    all;
-  gen
+  (** Numbers present in [dir], ascending ([] if it does not exist). *)
+  let list ~dir : int list =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> []
+    | names -> Array.to_list names |> List.filter_map of_name |> List.sort compare
+
+  (** Delete every member numbered [<= k]. *)
+  let remove_upto ~dir k =
+    List.iter
+      (fun g -> if g <= k then try Sys.remove (path ~dir g) with Sys_error _ -> ())
+      (list ~dir)
+end
+
+(* ---- generation rotation ----------------------------------------------------- *)
+
+module Generations = Family (struct
+  let prefix = "snapshot-"
+  let suffix = ".ckpt"
+end)
 
 (** [save_at ~dir ~gen ~keep payload] installs [payload] as generation
     [gen] {e exactly} — a replication follower mirroring the primary's
-    snapshot numbering must not let the directory pick its own — pruning to
-    the newest [keep] generations as {!save} does.  Re-installing an
-    existing generation atomically replaces it. *)
+    snapshot numbering must not let the directory pick its own — then
+    prunes all but the newest [keep] generations.  Pruning happens
+    {e after} the new snapshot is durable, so at least one valid snapshot
+    always survives a crash anywhere in here.  Re-installing an existing
+    generation atomically replaces it. *)
 let save_at ~dir ~gen ?(keep = 3) (payload : string) : unit =
   if keep < 1 then invalid_arg "Atomic_io.save_at: keep must be >= 1";
   if gen < 0 then invalid_arg "Atomic_io.save_at: negative generation";
   mkdir_p dir;
-  write_file ~path:(path_of ~dir gen) payload;
-  let all = generations ~dir in
-  let excess = List.length all - keep in
-  List.iteri
-    (fun i g ->
-      if i < excess then try Sys.remove (path_of ~dir g) with Sys_error _ -> ())
-    all
+  write_file ~path:(Generations.path ~dir gen) payload;
+  let gens = Generations.list ~dir in
+  let excess = List.length gens - keep in
+  if excess > 0 then Generations.remove_upto ~dir (List.nth gens (excess - 1))
 
-(** [load_latest ~dir] returns the newest snapshot that validates, as
-    [(generation, payload)] — walking backwards over corrupt or truncated
-    generations — or [None] when no valid snapshot exists. *)
-let load_latest ~dir : (int * string) option =
+(** [save ~dir ~keep payload] writes the next generation snapshot into
+    [dir] (created if needed) as {!save_at} does, and returns the
+    generation number written. *)
+let save ~dir ?keep (payload : string) : int =
+  let gen = match List.rev (Generations.list ~dir) with g :: _ -> g + 1 | [] -> 0 in
+  save_at ~dir ~gen ?keep payload;
+  gen
+
+(** [load_latest ~dir ~decode] returns the newest generation that both
+    validates and decodes, as [(generation, decode payload)] — walking
+    backwards over corrupt, truncated or undecodable generations ([decode]
+    signals the latter with {!Codec.Decode}) — or [None] when there is
+    none. *)
+let load_latest ~dir ~decode : (int * 'a) option =
   let rec try_gens = function
     | [] -> None
     | g :: older -> (
-        match read_file ~path:(path_of ~dir g) with
-        | Ok payload -> Some (g, payload)
-        | Error _ -> try_gens older)
+        match read_file ~path:(Generations.path ~dir g) with
+        | Error _ -> try_gens older
+        | Ok payload -> (
+            match decode payload with
+            | v -> Some (g, v)
+            | exception Codec.Decode _ -> try_gens older))
   in
-  try_gens (List.rev (generations ~dir))
+  try_gens (List.rev (Generations.list ~dir))
 
 (** Remove every snapshot (and temp file) in [dir]; used by [--resume]-less
     fresh starts.  The directory itself is kept. *)
@@ -202,6 +220,6 @@ let clear ~dir : unit =
   | names ->
       Array.iter
         (fun name ->
-          if gen_of_name name <> None || Filename.check_suffix name ".ckpt.tmp" then
+          if Generations.of_name name <> None || Filename.check_suffix name ".ckpt.tmp" then
             try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
         names

@@ -60,6 +60,48 @@ let tail_string = function
   | Torn { valid_bytes } -> Printf.sprintf "torn tail after %d valid bytes" valid_bytes
   | Corrupt { offset; reason } -> Printf.sprintf "corrupt at byte %d: %s" offset reason
 
+(* How a scan over framed records stopped. *)
+type stop =
+  | End  (** exactly at the end of the buffer *)
+  | Partial
+      (** at a record that is cut short, or whose checksum fails while it
+          is the last thing in the buffer: a crash tear to {!read}, an
+          append still in flight to {!Tail.poll} *)
+  | Damaged of string  (** at a record no in-flight append explains *)
+
+(** [scan buf off] parses the complete, checksum-valid records of [buf]
+    from byte [off], returning them with the offset and reason the scan
+    stopped at. *)
+let scan (buf : string) (off : int) : string list * int * stop =
+  let n = String.length buf in
+  let rec go off acc =
+    let stop why = (List.rev acc, off, why) in
+    if off = n then stop End
+    else if n - off < record_header_len then stop Partial
+    else
+      let len = Int32.to_int (String.get_int32_le buf off) in
+      if len < 0 || len > max_record_len then
+        stop (Damaged (Printf.sprintf "implausible record length %d" len))
+      else
+        let next = off + record_header_len + len in
+        if next > n then stop Partial
+        else
+          let payload = String.sub buf (off + record_header_len) len in
+          if Int64.equal (fnv1a64 payload) (String.get_int64_le buf (off + 4)) then
+            go next (payload :: acc)
+          else if next = n then stop Partial
+          else stop (Damaged "checksum mismatch")
+  in
+  go off []
+
+(* Whether [buf] opens with the magic, with a (possibly empty) prefix of
+   it cut short, or with anything else. *)
+let magic_state buf =
+  let n = String.length buf and m = String.length magic in
+  if n >= m then if String.equal (String.sub buf 0 m) magic then `Ok else `Bad
+  else if String.equal buf (String.sub magic 0 n) then `Short
+  else `Bad
+
 (** [read ~path] returns the complete records of the segment in append
     order, together with the state of its tail.  A missing file reads as
     zero records, [Clean] (creating the segment and crashing before the
@@ -67,46 +109,18 @@ let tail_string = function
 let read ~path : string list * tail =
   match open_in_bin path with
   | exception Sys_error _ -> ([], Clean)
-  | ic ->
+  | ic -> (
       let raw =
         Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic)
       in
-      let n = String.length raw in
-      if n = 0 then ([], Torn { valid_bytes = 0 })
-      else if n < String.length magic then
-        if String.equal raw (String.sub magic 0 n) then ([], Torn { valid_bytes = 0 })
-        else ([], Corrupt { offset = 0; reason = "bad magic" })
-      else if not (String.equal (String.sub raw 0 8) magic) then
-        ([], Corrupt { offset = 0; reason = "bad magic" })
-      else begin
-        let records = ref [] in
-        let rec go offset =
-          if offset = n then (List.rev !records, Clean)
-          else if n - offset < record_header_len then
-            (List.rev !records, Torn { valid_bytes = offset })
-          else
-            let len = Int32.to_int (String.get_int32_le raw offset) in
-            if len < 0 || len > max_record_len then
-              ( List.rev !records,
-                Corrupt { offset; reason = Printf.sprintf "implausible record length %d" len } )
-            else if offset + record_header_len + len > n then
-              (List.rev !records, Torn { valid_bytes = offset })
-            else
-              let sum = String.get_int64_le raw (offset + 4) in
-              let payload = String.sub raw (offset + record_header_len) len in
-              if not (Int64.equal (fnv1a64 payload) sum) then
-                if offset + record_header_len + len = n then
-                  (* the damaged record is the very last: indistinguishable
-                     from a write cut short, so tolerated as a tear *)
-                  (List.rev !records, Torn { valid_bytes = offset })
-                else (List.rev !records, Corrupt { offset; reason = "checksum mismatch" })
-              else begin
-                records := payload :: !records;
-                go (offset + record_header_len + len)
-              end
-        in
-        go 8
-      end
+      match magic_state raw with
+      | `Short -> ([], Torn { valid_bytes = 0 })
+      | `Bad -> ([], Corrupt { offset = 0; reason = "bad magic" })
+      | `Ok -> (
+          match scan raw (String.length magic) with
+          | records, _, End -> (records, Clean)
+          | records, offset, Partial -> (records, Torn { valid_bytes = offset })
+          | records, offset, Damaged reason -> (records, Corrupt { offset; reason })))
 
 (* ---- incremental tailing ----------------------------------------------------- *)
 
@@ -147,50 +161,23 @@ module Tail = struct
               t.pending <- t.pending ^ fresh;
               t.file_off <- n
             end));
-    let err reason = Error reason in
-    (* Parse complete frames out of the (post-magic) pending buffer,
-       holding back a trailing partial — or a trailing complete frame
-       whose checksum does not validate yet, which an in-flight append
-       explains.  A bad checksum with bytes beyond it does not. *)
     let parse () =
-      let buf = t.pending in
-      let n = String.length buf in
-      let rec frames off acc =
-        if n - off < record_header_len then Ok (off, List.rev acc)
-        else
-          let len = Int32.to_int (String.get_int32_le buf off) in
-          if len < 0 || len > max_record_len then
-            err (Printf.sprintf "implausible record length %d" len)
-          else if off + record_header_len + len > n then Ok (off, List.rev acc)
-          else
-            let sum = String.get_int64_le buf (off + 4) in
-            let payload = String.sub buf (off + record_header_len) len in
-            if not (Int64.equal (fnv1a64 payload) sum) then
-              if off + record_header_len + len = n then
-                (* could still be a frame observed mid-write: hold it back *)
-                Ok (off, List.rev acc)
-              else err "checksum mismatch"
-            else frames (off + record_header_len + len) (payload :: acc)
-      in
-      match frames 0 [] with
-      | Ok (consumed, recs) ->
-          t.pending <- String.sub buf consumed (n - consumed);
-          Ok recs
-      | Error _ as e -> e
+      match scan t.pending 0 with
+      | _, _, Damaged reason -> Error reason
+      | records, off, (End | Partial) ->
+          t.pending <- String.sub t.pending off (String.length t.pending - off);
+          Ok records
     in
     if t.started then parse ()
     else
-      let buf = t.pending in
-      let n = String.length buf in
-      let m = String.length magic in
-      if n < m then
-        if String.equal buf (String.sub magic 0 n) then Ok [] else err "bad magic"
-      else if not (String.equal (String.sub buf 0 m) magic) then err "bad magic"
-      else begin
-        t.started <- true;
-        t.pending <- String.sub buf m (n - m);
-        parse ()
-      end
+      match magic_state t.pending with
+      | `Short -> Ok []
+      | `Bad -> Error "bad magic"
+      | `Ok ->
+          let m = String.length magic in
+          t.started <- true;
+          t.pending <- String.sub t.pending m (String.length t.pending - m);
+          parse ()
 end
 
 (* ---- group commit ------------------------------------------------------------ *)
@@ -219,6 +206,9 @@ module Group = struct
     mutable dirty : Unix.file_descr list;
     mutable syncs : int;  (** fsync calls issued *)
     mutable appends : int;  (** tickets issued *)
+    mutable failed : (int * int * exn) list;
+        (** ticket ranges [\[lo, hi)] whose flush failed, newest first, with
+            the error their waiters raise *)
   }
 
   let create ?(window = 0.) () =
@@ -232,79 +222,88 @@ module Group = struct
       dirty = [];
       syncs = 0;
       appends = 0;
+      failed = [];
     }
 
   (** Called by a writer after its bytes are in the file: marks [fd] dirty
       and returns the ticket {!wait} must be given before the record may be
       acknowledged. *)
   let register t fd : int =
-    Mutex.lock t.m;
-    let ticket = t.next in
-    t.next <- t.next + 1;
-    t.appends <- t.appends + 1;
-    if not (List.memq fd t.dirty) then t.dirty <- fd :: t.dirty;
-    Mutex.unlock t.m;
-    ticket
+    Mutex.protect t.m (fun () ->
+        let ticket = t.next in
+        t.next <- t.next + 1;
+        t.appends <- t.appends + 1;
+        if not (List.memq fd t.dirty) then t.dirty <- fd :: t.dirty;
+        ticket)
+
+  (* Flush every dirty descriptor once; the first fsync error, if any. *)
+  let flush_fds t fds : exn option =
+    List.fold_left
+      (fun err fd ->
+        match Unix.fsync fd with
+        | () ->
+            Mutex.protect t.m (fun () -> t.syncs <- t.syncs + 1);
+            err
+        | exception (Unix.Unix_error _ as e) -> if err = None then Some e else err)
+      None fds
 
   (** Block until [ticket]'s record is on stable storage, flushing as
-      leader if nobody else is. *)
+      leader if nobody else is.  Raises the flush's [Unix_error] when the
+      fsync covering [ticket] failed, exactly as an inline fsync would. *)
   let rec wait t ticket : unit =
-    Mutex.lock t.m;
-    if ticket < t.durable then Mutex.unlock t.m
-    else if t.leader then begin
-      (* someone is flushing: wait for their broadcast, then re-check *)
-      while t.leader && ticket >= t.durable do
-        Condition.wait t.flushed t.m
-      done;
-      Mutex.unlock t.m;
-      wait t ticket
-    end
-    else begin
-      t.leader <- true;
-      Mutex.unlock t.m;
+    let lead =
+      Mutex.protect t.m (fun () ->
+          (* someone is flushing: wait for their broadcast *)
+          while t.leader && ticket >= t.durable do
+            Condition.wait t.flushed t.m
+          done;
+          if ticket < t.durable then begin
+            List.iter
+              (fun (lo, hi, e) -> if lo <= ticket && ticket < hi then raise e)
+              t.failed;
+            false
+          end
+          else begin
+            t.leader <- true;
+            true
+          end)
+    in
+    if lead then begin
       if t.window > 0. then Unix.sleepf t.window;
-      Mutex.lock t.m;
-      let upto = t.next in
-      let fds = t.dirty in
-      t.dirty <- [];
-      Mutex.unlock t.m;
-      List.iter
-        (fun fd ->
-          try
-            Unix.fsync fd;
-            Mutex.lock t.m;
-            t.syncs <- t.syncs + 1;
-            Mutex.unlock t.m
-          with Unix.Unix_error _ -> ())
-        fds;
-      Mutex.lock t.m;
-      t.durable <- max t.durable upto;
-      t.leader <- false;
-      Condition.broadcast t.flushed;
-      Mutex.unlock t.m;
-      if ticket >= t.durable then wait t ticket
+      let lo, upto, fds =
+        Mutex.protect t.m (fun () ->
+            let fds = t.dirty in
+            t.dirty <- [];
+            (t.durable, t.next, fds))
+      in
+      let error = flush_fds t fds in
+      Mutex.protect t.m (fun () ->
+          (match (error, t.failed) with
+          | None, _ -> ()
+          | Some _, (l, hi, e) :: older when hi = lo -> t.failed <- (l, upto, e) :: older
+          | Some e, older -> t.failed <- (lo, upto, e) :: older);
+          t.durable <- max t.durable upto;
+          t.leader <- false;
+          Condition.broadcast t.flushed);
+      wait t ticket
     end
 
   (** Flush [fd] now and drop it from the dirty set: a writer about to
       close its descriptor must not leave it for a later leader to fsync
       (fsync on a closed fd is EBADF). *)
   let forget t fd : unit =
-    Mutex.lock t.m;
-    let was_dirty = List.memq fd t.dirty in
-    t.dirty <- List.filter (fun d -> not (d == fd)) t.dirty;
-    Mutex.unlock t.m;
+    let was_dirty =
+      Mutex.protect t.m (fun () ->
+          let was_dirty = List.memq fd t.dirty in
+          t.dirty <- List.filter (fun d -> not (d == fd)) t.dirty;
+          was_dirty)
+    in
     if was_dirty then begin
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Mutex.lock t.m;
-      t.syncs <- t.syncs + 1;
-      Mutex.unlock t.m
+      Mutex.protect t.m (fun () -> t.syncs <- t.syncs + 1)
     end
 
-  let stats t : int * int =
-    Mutex.lock t.m;
-    let r = (t.syncs, t.appends) in
-    Mutex.unlock t.m;
-    r
+  let stats t : int * int = Mutex.protect t.m (fun () -> (t.syncs, t.appends))
 end
 
 (* ---- appending -------------------------------------------------------------- *)
@@ -324,13 +323,6 @@ let appends t = t.appends
 let bytes t = t.bytes
 
 exception Unwritable of { path : string; tail : tail }
-
-let write_all fd bytes =
-  let n = Bytes.length bytes in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd bytes !written (n - !written)
-  done
 
 (** [open_append ~sync ~path] opens (creating if needed) a segment for
     appending.  An existing segment is first scanned: a torn tail is
@@ -366,7 +358,7 @@ let open_append ?(sync = true) ?group ~path () : t =
   in
   if fresh then begin
     if size > 0 then Unix.ftruncate fd 0;
-    write_all fd (Bytes.of_string magic);
+    Atomic_io.write_all fd magic;
     if sync then begin
       Unix.fsync fd;
       Atomic_io.fsync_dir (Filename.dirname path)
@@ -387,7 +379,7 @@ let append_ticket (t : t) (payload : string) : int option =
   Bytes.set_int32_le frame 0 (Int32.of_int len);
   Bytes.set_int64_le frame 4 (fnv1a64 payload);
   Bytes.blit_string payload 0 frame record_header_len len;
-  write_all t.fd frame;
+  Atomic_io.write_all t.fd (Bytes.unsafe_to_string frame);
   t.appends <- t.appends + 1;
   t.bytes <- t.bytes + Bytes.length frame;
   if not t.sync then None

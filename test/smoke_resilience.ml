@@ -91,9 +91,9 @@ let () =
     match Common.try_resume ~ck ~opt ~rngs:[] with Some (s, _, _) -> s | None -> 0
   in
   let before = resume_steps () in
-  (match List.rev (Atomic_io.generations ~dir) with
+  (match List.rev (Atomic_io.Generations.list ~dir) with
   | newest :: _ ->
-      let path = Atomic_io.path_of ~dir newest in
+      let path = Atomic_io.Generations.path ~dir newest in
       let ic = open_in_bin path in
       let len = in_channel_length ic in
       let body = Bytes.of_string (really_input_string ic len) in

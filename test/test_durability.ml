@@ -342,11 +342,11 @@ let test_snapshot_generation_fallback () =
   let expected = q mgr "s" in
   Durable.shutdown mgr;
   let snaps = Filename.concat (Filename.concat (Filename.concat sd "sessions") "s-s") "snap" in
-  let gens = Atomic_io.generations ~dir:snaps in
+  let gens = Atomic_io.Generations.list ~dir:snaps in
   if List.length gens < 2 then
     Alcotest.failf "expected >= 2 snapshot generations, found %d" (List.length gens);
   let newest = List.nth gens (List.length gens - 1) in
-  flip_byte (Atomic_io.path_of ~dir:snaps newest) 40;
+  flip_byte (Atomic_io.Generations.path ~dir:snaps newest) 40;
   let mgr2 = Durable.create (mgr_config ~state_dir:sd ()) in
   Alcotest.(check int) "fallback recovers" 1 (Durable.stats mgr2).Durable.recovered;
   if (Durable.stats mgr2).Durable.wal_replayed = 0 then
@@ -356,7 +356,7 @@ let test_snapshot_generation_fallback () =
   (* scorch every generation (a fresh byte, so the already-flipped newest
      stays damaged): segment 0 was pruned long ago, so nothing can rebuild
      the session — a quarantine, not a crash *)
-  List.iter (fun g -> flip_byte (Atomic_io.path_of ~dir:snaps g) 41) (Atomic_io.generations ~dir:snaps);
+  List.iter (fun g -> flip_byte (Atomic_io.Generations.path ~dir:snaps g) 41) (Atomic_io.Generations.list ~dir:snaps);
   let mgr3 = Durable.create (mgr_config ~state_dir:sd ()) in
   Alcotest.(check int) "quarantined" 1 (Durable.stats mgr3).Durable.recovery_failures;
   (match q mgr3 "s" with

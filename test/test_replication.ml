@@ -159,8 +159,8 @@ let test_torn_ship_frame () =
   List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2); A (2, 3) ];
   (* cut into the last shipped frame — the crash signature of a dying
      primary (the follower has not polled yet) *)
-  let seg = List.hd (List.rev (Replica.ship_segments (Filename.concat c.root "ship"))) in
-  let path = Replica.ship_path (Filename.concat c.root "ship") seg in
+  let seg = List.hd (List.rev (Replica.Ship.list ~dir:(Filename.concat c.root "ship"))) in
+  let path = Replica.Ship.path ~dir:(Filename.concat c.root "ship") seg in
   let full = read_bytes path in
   write_bytes path (String.sub full 0 (String.length full - 3));
   ignore (Replica.Follower.poll c.fol);
@@ -181,8 +181,8 @@ let test_damaged_ship_segment_resync () =
   let c = make_cluster ~ack:Replica.Ack_none () in
   List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2); A (2, 3); R (1, 2) ];
   let ship = Filename.concat c.root "ship" in
-  let seg = List.hd (List.rev (Replica.ship_segments ship)) in
-  flip_byte (Replica.ship_path ship seg) 25 (* inside the segment's first frame *);
+  let seg = List.hd (List.rev (Replica.Ship.list ~dir:ship)) in
+  flip_byte (Replica.Ship.path ~dir:ship seg) 25 (* inside the segment's first frame *);
   ignore (Replica.Follower.poll c.fol);
   let st = Replica.Follower.status c.fol in
   (match st.Replica.Follower.st_last_error with
@@ -212,7 +212,7 @@ let test_lag_past_pruning_snapshot_transfer () =
   let pst = Replica.Primary.status c.prim in
   if pst.Replica.Primary.st_rotations < 1 then
     Alcotest.fail "test needs rotation to have happened";
-  if List.length (Replica.ship_segments ship) > 2 then
+  if List.length (Replica.Ship.list ~dir:ship) > 2 then
     Alcotest.fail "retain=0 should prune everything below the active segment";
   (* a brand-new follower, far behind the stream's beginning *)
   let late_state = Filename.concat c.root "late" in
@@ -471,8 +471,8 @@ let test_scrub_detects_bitrot () =
   (* rot a retained snapshot generation — scrub must flag it while the
      session keeps serving (recovery would fall back a generation) *)
   let sdir = Filename.concat (Filename.concat (Filename.concat sd "sessions") "s-s") "snap" in
-  let gens = Atomic_io.generations ~dir:sdir in
-  flip_byte (Atomic_io.path_of ~dir:sdir (List.hd gens)) 40;
+  let gens = Atomic_io.Generations.list ~dir:sdir in
+  flip_byte (Atomic_io.Generations.path ~dir:sdir (List.hd gens)) 40;
   let dirty = Durable.scrub mgr in
   (match dirty with
   | [ r ] ->

@@ -109,10 +109,10 @@ let test_crash_resume_kill_point kill () =
 (* ---- 2. corrupted newest snapshot falls back to the previous generation ------- *)
 
 let corrupt_newest ~dir f =
-  match List.rev (Atomic_io.generations ~dir) with
+  match List.rev (Atomic_io.Generations.list ~dir) with
   | [] -> Alcotest.fail "no snapshot generations on disk"
   | newest :: _ ->
-      let path = Atomic_io.path_of ~dir newest in
+      let path = Atomic_io.Generations.path ~dir newest in
       let ic = open_in_bin path in
       let len = in_channel_length ic in
       let body = really_input_string ic len in

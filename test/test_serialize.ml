@@ -7,6 +7,7 @@
 open Scallop_tensor
 module Rng = Scallop_utils.Rng
 module Atomic_io = Scallop_utils.Atomic_io
+module Codec = Scallop_utils.Codec
 
 let check = Alcotest.check
 
@@ -71,7 +72,7 @@ let qcheck_rng_resume_continues_sequence =
       Serialize.put_rng b rng;
       let expected = List.init (n + 1) (fun _ -> Rng.next_int64 rng) in
       let restored = Rng.create 0 in
-      Serialize.get_rng_into (Serialize.reader (Buffer.contents b)) restored;
+      Serialize.get_rng_into (Codec.reader (Buffer.contents b)) restored;
       expected = List.init (n + 1) (fun _ -> Rng.next_int64 restored))
 
 let qcheck_rng_substreams_survive_resume =
@@ -87,7 +88,7 @@ let qcheck_rng_substreams_survive_resume =
       let sub = Rng.substream rng i in
       let expected = List.init 4 (fun _ -> Rng.next_int64 sub) in
       let restored = Rng.create 0 in
-      Serialize.get_rng_into (Serialize.reader (Buffer.contents b)) restored;
+      Serialize.get_rng_into (Codec.reader (Buffer.contents b)) restored;
       let sub' = Rng.substream restored i in
       expected = List.init 4 (fun _ -> Rng.next_int64 sub'))
 
@@ -127,12 +128,12 @@ let roundtrip_kind kind () =
       let blob = snapshot_opt opt in
       (* restore into a freshly-initialized instance of the same model *)
       let fresh = trained_opt ~kind ~steps:0 in
-      let r = Serialize.reader blob in
+      let r = Codec.reader blob in
       Serialize.get_params_into r fresh.Optim.params;
       Serialize.get_optim_into r fresh;
       check Alcotest.bool
         (Fmt.str "reader consumed the whole snapshot (steps=%d)" steps)
-        true (Serialize.at_end r);
+        true (Codec.at_end r);
       check Alcotest.string
         (Fmt.str "restored state re-serializes identically (steps=%d)" steps)
         blob (snapshot_opt fresh))
@@ -141,7 +142,7 @@ let roundtrip_kind kind () =
 let test_optim_kind_mismatch_detected () =
   let adam = trained_opt ~kind:`Adam ~steps:2 in
   let sgd = trained_opt ~kind:`Sgd ~steps:0 in
-  let r = Serialize.reader (snapshot_opt adam) in
+  let r = Codec.reader (snapshot_opt adam) in
   Serialize.get_params_into r sgd.Optim.params;
   match Serialize.get_optim_into r sgd with
   | () -> Alcotest.fail "restoring Adam state into SGD must raise Corrupt"
@@ -151,7 +152,7 @@ let test_param_shape_mismatch_detected () =
   let b = Buffer.create 64 in
   Serialize.put_params b [ Autodiff.param (Nd.zeros [| 2; 3 |]) ];
   let live = [ Autodiff.param (Nd.zeros [| 3; 2 |]) ] in
-  match Serialize.get_params_into (Serialize.reader (Buffer.contents b)) live with
+  match Serialize.get_params_into (Codec.reader (Buffer.contents b)) live with
   | () -> Alcotest.fail "shape mismatch must raise Corrupt"
   | exception Serialize.Corrupt _ -> ()
 
@@ -197,14 +198,14 @@ let test_save_load_rotation () =
   let gens = List.init 5 (fun i -> Atomic_io.save ~dir ~keep:3 (Printf.sprintf "payload-%d" i)) in
   check (Alcotest.list Alcotest.int) "sequential generation numbers" [ 0; 1; 2; 3; 4 ] gens;
   check (Alcotest.list Alcotest.int) "only the newest 3 survive" [ 2; 3; 4 ]
-    (Atomic_io.generations ~dir);
-  (match Atomic_io.load_latest ~dir with
+    (Atomic_io.Generations.list ~dir);
+  (match Atomic_io.load_latest ~dir ~decode:Fun.id with
   | Some (4, "payload-4") -> ()
   | Some (g, p) -> Alcotest.failf "wrong snapshot loaded: gen %d payload %S" g p
   | None -> Alcotest.fail "no snapshot loaded");
   Atomic_io.clear ~dir;
   check (Alcotest.list Alcotest.int) "clear removes all generations" []
-    (Atomic_io.generations ~dir)
+    (Atomic_io.Generations.list ~dir)
 
 let corrupt_file path f =
   let ic = open_in_bin path in
@@ -218,12 +219,12 @@ let test_load_latest_skips_corrupt () =
   ignore (Atomic_io.save ~dir "old");
   let newest = Atomic_io.save ~dir "new" in
   (* flip a payload byte of the newest snapshot *)
-  corrupt_file (Atomic_io.path_of ~dir newest) (fun raw ->
+  corrupt_file (Atomic_io.Generations.path ~dir newest) (fun raw ->
       let b = Bytes.of_string raw in
       let last = Bytes.length b - 1 in
       Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0xff));
       Bytes.to_string b);
-  (match Atomic_io.load_latest ~dir with
+  (match Atomic_io.load_latest ~dir ~decode:Fun.id with
   | Some (_, "old") -> ()
   | Some (_, p) -> Alcotest.failf "expected fallback to %S, got %S" "old" p
   | None -> Alcotest.fail "fallback generation not found");
@@ -233,9 +234,9 @@ let test_load_latest_skips_truncated () =
   let dir = tmp_dir "truncated" in
   ignore (Atomic_io.save ~dir "old");
   let newest = Atomic_io.save ~dir "new" in
-  corrupt_file (Atomic_io.path_of ~dir newest) (fun raw ->
+  corrupt_file (Atomic_io.Generations.path ~dir newest) (fun raw ->
       String.sub raw 0 (String.length raw / 2));
-  (match Atomic_io.load_latest ~dir with
+  (match Atomic_io.load_latest ~dir ~decode:Fun.id with
   | Some (_, "old") -> ()
   | Some (_, p) -> Alcotest.failf "expected fallback to %S, got %S" "old" p
   | None -> Alcotest.fail "fallback generation not found");
@@ -244,7 +245,7 @@ let test_load_latest_skips_truncated () =
 let test_load_latest_empty_dir () =
   let dir = tmp_dir "empty" in
   check Alcotest.bool "no snapshot in a fresh directory" true
-    (Atomic_io.load_latest ~dir = None)
+    (Atomic_io.load_latest ~dir ~decode:Fun.id = None)
 
 let suite =
   [
