@@ -369,15 +369,6 @@ let serve_cmd =
             "Skip the per-append fsync. Acknowledged ops then survive a process kill but \
              not a power loss.")
   in
-  let no_group_commit_arg =
-    Arg.(
-      value & flag
-      & info [ "no-group-commit" ]
-          ~doc:
-            "Disable WAL group commit. By default concurrent sessions' synchronous WAL \
-             appends share fsyncs (a leader flushes every dirty log once per batch); this \
-             flag restores one fsync per append. No effect under $(b,--no-wal-sync).")
-  in
   let repl_ship_arg =
     Arg.(
       value
@@ -470,7 +461,7 @@ let serve_cmd =
   in
   let run provenance seed jobs queue_depth request_timeout max_retries chaos_seed chaos_kill
       chaos_latency chaos_latency_secs chaos_budget chaos_nan state_dir max_live session_ttl
-      snapshot_every no_wal_sync no_group_commit repl_ship repl_follow repl_id repl_ack
+      snapshot_every no_wal_sync repl_ship repl_follow repl_id repl_ack
       repl_followers repl_ack_timeout repl_segment_frames repl_retain repl_auto_promote
       max_line_bytes base =
     let conflict =
@@ -525,7 +516,7 @@ let serve_cmd =
       Durable.create
         (Durable.config ?state_dir ?max_live ?idle_ttl:session_ttl ~snapshot_every
            ~wal_sync:(not no_wal_sync)
-           ~group_commit:(not no_group_commit)
+           ~group_commit:true
            ?repl:(Option.map Replica.Primary.sink primary)
            ~standby:(repl_follow <> None) ~interp:config.Service.interp provenance)
     in
@@ -900,7 +891,7 @@ let serve_cmd =
        $ request_timeout_arg $ max_retries_arg $ chaos_seed_arg $ chaos_kill_arg
        $ chaos_latency_arg $ chaos_latency_secs_arg $ chaos_budget_arg $ chaos_nan_arg
        $ state_dir_arg $ max_live_arg $ session_ttl_arg $ snapshot_every_arg
-       $ no_wal_sync_arg $ no_group_commit_arg $ repl_ship_arg $ repl_follow_arg
+       $ no_wal_sync_arg $ repl_ship_arg $ repl_follow_arg
        $ repl_id_arg $ repl_ack_arg $ repl_followers_arg $ repl_ack_timeout_arg
        $ repl_segment_frames_arg $ repl_retain_arg $ repl_auto_promote_arg
        $ max_line_bytes_arg $ base_arg))

@@ -228,7 +228,7 @@ type snapshot = {
 
 let snapshot_version = 1
 
-let add_facts b (pred, facts) =
+let add_pred_facts b (pred, facts) =
   Codec.add_str b pred;
   Codec.add_list
     (fun b (i, t) ->
@@ -236,7 +236,7 @@ let add_facts b (pred, facts) =
       add_tuple b t)
     b facts
 
-let facts r =
+let pred_facts r =
   let pred = Codec.str r in
   let facts =
     Codec.list ~max:100_000_000 "fact count"
@@ -256,7 +256,7 @@ let encode_snapshot : snapshot -> string =
       Codec.add_opt Codec.add_str b s.sn_expect;
       Codec.add_str b s.sn_source;
       Codec.add_int b s.sn_lsn;
-      Codec.add_list add_facts b s.sn_facts)
+      Codec.add_list add_pred_facts b s.sn_facts)
 
 let decode_snapshot : string -> snapshot =
   Codec.decode "snapshot" (fun r ->
@@ -267,7 +267,7 @@ let decode_snapshot : string -> snapshot =
       let sn_expect = Codec.opt Codec.str r in
       let sn_source = Codec.str r in
       let sn_lsn = Codec.int r in
-      let sn_facts = Codec.list ~max:1_000_000 "predicate count" facts r in
+      let sn_facts = Codec.list ~max:1_000_000 "predicate count" pred_facts r in
       { sn_spec; sn_hash; sn_expect; sn_source; sn_lsn; sn_facts })
 
 (* ---- directory layout -------------------------------------------------------- *)

@@ -23,12 +23,13 @@
     Each ship segment is a {!Scallop_utils.Wal} file whose records encode:
 
     - [F_epoch]: opens every segment — the writer's fencing epoch and id;
-    - [F_op]: one committed session op — sid, (segment, lsn) position, the
-      {e exact} WAL record bytes, and the per-segment FNV-1a checksum
-      chain after the record;
-    - [F_seal]: a session segment closed at compaction, carrying last lsn,
-      record count, and final chain for divergence detection;
-    - [F_snapshot]: a snapshot generation — the catch-up bridge for
+    - [F_event (Ev_op _)]: one committed session op — sid, (segment, lsn)
+      position, the {e exact} WAL record bytes, and the per-segment FNV-1a
+      checksum chain after the record;
+    - [F_event (Ev_seal _)]: a session segment closed at compaction,
+      carrying last lsn, record count, and final chain for divergence
+      detection;
+    - [F_event (Ev_snapshot _)]: a snapshot generation — the catch-up bridge for
       followers that lagged past segment pruning, and the barrier content
       heading each ship segment (every segment opens with snapshots of
       all live sessions, so a follower can start from the newest segment

@@ -192,9 +192,12 @@ end
     the set of dirty descriptors, fsyncs each descriptor {b once}, and
     advances the durable watermark over every ticket issued before the
     grab.  Appends that landed while the leader was flushing get the next
-    batch.  An optional [window] makes the leader sleep briefly before
-    grabbing, letting stragglers pile into the same flush — higher
-    amortization at the cost of bounded added latency. *)
+    batch.  When an fsync of the batch fails, every ticket in it raises
+    that error from {!Group.wait}, as an inline fsync would; consecutive
+    failed batches share one recorded range.  An optional [window] makes
+    the leader sleep briefly before grabbing, letting stragglers pile into
+    the same flush — higher amortization at the cost of bounded added
+    latency. *)
 module Group = struct
   type t = {
     m : Mutex.t;

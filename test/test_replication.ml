@@ -453,6 +453,46 @@ let test_group_commit_durable_roundtrip () =
   Durable.shutdown mgr2;
   rm_rf sd
 
+(* A failed group fsync must fail every ticket that flush covered, exactly
+   as an inline fsync raises — never settle them as durable.  fsync on a
+   pipe fails (EINVAL on Linux), so a pipe's write end stands in for a
+   disk that refuses to flush. *)
+let test_group_commit_fsync_failure () =
+  let r, w = Unix.pipe () in
+  let g = Wal.Group.create () in
+  let t1 = Wal.Group.register g w in
+  let t2 = Wal.Group.register g w in
+  let raises what tk =
+    match Wal.Group.wait g tk with
+    | () -> Alcotest.failf "%s: a failed fsync settled the ticket as durable" what
+    | exception Unix.Unix_error _ -> ()
+  in
+  raises "leader" t2;
+  raises "covered waiter" t1;
+  (* a later flush that succeeds settles its own tickets normally *)
+  let dir = scratch_dir () in
+  let fd = Unix.openfile (Filename.concat dir "ok.log") [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  Wal.Group.wait g (Wal.Group.register g fd);
+  raises "covered waiter, asked again" t1;
+  List.iter Unix.close [ r; w; fd ];
+  rm_rf dir
+
+(* ---- ack codec ---------------------------------------------------------------------- *)
+
+(* Acks decode as strictly as every other record: no trailing bytes, and a
+   fence byte that is 0 or 1. *)
+let test_ack_decode_strict () =
+  let ack = { Replica.a_epoch = 2; a_seg = 3; a_idx = 4; a_fence = true } in
+  let raw = Replica.encode_ack ack in
+  if Replica.decode_ack raw <> ack then Alcotest.fail "ack round trip";
+  let rejects what raw =
+    match Replica.decode_ack raw with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Scallop_utils.Codec.Decode _ -> ()
+  in
+  rejects "trailing byte" (raw ^ "\000");
+  rejects "fence byte 2" (String.sub raw 0 (String.length raw - 1) ^ "\002")
+
 (* ---- scrub -------------------------------------------------------------------------- *)
 
 let test_scrub_detects_bitrot () =
@@ -706,6 +746,9 @@ let suite =
       test_group_commit_concurrent_writers;
     Alcotest.test_case "group commit durable roundtrip" `Quick
       test_group_commit_durable_roundtrip;
+    Alcotest.test_case "group commit fsync failure fails every covered waiter" `Quick
+      test_group_commit_fsync_failure;
+    Alcotest.test_case "ack decode is strict" `Quick test_ack_decode_strict;
     Alcotest.test_case "scrub detects bit rot" `Quick test_scrub_detects_bitrot;
     Alcotest.test_case "protocol fuzz is total" `Quick test_protocol_fuzz_total;
     Alcotest.test_case "protocol classification" `Quick test_protocol_classification;
