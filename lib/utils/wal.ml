@@ -210,8 +210,8 @@ module Group = struct
     mutable syncs : int;  (** fsync calls issued *)
     mutable appends : int;  (** tickets issued *)
     mutable failed : (int * int * exn) list;
-        (** ticket ranges [\[lo, hi)] whose flush failed, newest first, with
-            the error their waiters raise *)
+        (** failed flushes, newest first: tickets [lo] (inclusive) to [hi]
+            (exclusive) and the error their waiters raise *)
   }
 
   let create ?(window = 0.) () =
