@@ -103,16 +103,15 @@ let checkpoint ?(every_n_steps = 25) ?(keep = 3) dir =
 let payload_format = 1
 
 let checkpoint_payload ~done_steps ~losses ~total ~(opt : Optim.t) ~rngs : string =
-  Codec.encode ~size:4096
-    (fun b () ->
-      Codec.add_int b payload_format;
-      Codec.add_int b done_steps;
-      Codec.add_list Codec.add_f64 b losses;
-      Codec.add_f64 b total;
-      Serialize.put_params b opt.Optim.params;
-      Serialize.put_optim b opt;
-      Codec.add_list Serialize.put_rng b rngs)
-    ()
+  let b = Buffer.create 4096 in
+  Codec.add_int b payload_format;
+  Codec.add_int b done_steps;
+  Codec.add_list Codec.add_f64 b losses;
+  Codec.add_f64 b total;
+  Serialize.put_params b opt.Optim.params;
+  Serialize.put_optim b opt;
+  Codec.add_list Serialize.put_rng b rngs;
+  Buffer.contents b
 
 (** Restore a payload produced by {!checkpoint_payload} into [opt] (params
     + optimizer state, in place) and [rngs]; returns

@@ -247,7 +247,7 @@ module Group = struct
         | () ->
             Mutex.protect t.m (fun () -> t.syncs <- t.syncs + 1);
             err
-        | exception (Unix.Unix_error _ as e) -> if err = None then Some e else err)
+        | exception (Unix.Unix_error _ as e) -> if Option.is_none err then Some e else err)
       None fds
 
   (** Block until [ticket]'s record is on stable storage, flushing as
