@@ -481,7 +481,9 @@ query path|}
    on a chain, maximizing semi-naive iteration count) and a wide aggregation
    (sum + count over many groups).  Each workload runs with the fixpoint
    index cache on and off, under discrete, minmaxprob and top-k-proof
-   provenances, and the measurements land in BENCH_interp.json. *)
+   provenances; a last row pair times MNIST sum3 under difftopkproofsme-3
+   on both engines, alternating (the training path).  The measurements land
+   in BENCH_interp.json. *)
 and bench_interp (m : mode) =
   section "Interpreter workloads: fixpoint + aggregation throughput (writes BENCH_interp.json)";
   let open Scallop_core in
@@ -613,6 +615,47 @@ query sizes|}
     ~spec:Registry.Max_min_prob ~n:2000 agg (agg_facts ~groups:50 ~per_group:40);
   measure ~engines:[ false; true ] ~name:"aggregation-sum-count" ~prov_name:"topkproofs-3"
     ~spec:(Registry.Top_k_proofs 3) ~n:60 agg (agg_facts ~groups:6 ~per_group:10);
+  (* The training path's A/B: MNIST sum3 (Table 4) under difftopkproofsme-3,
+     the provenance [train-sum3] trains with, the two engines alternating run
+     by run so host drift hits both alike. *)
+  let sum3 = Session.compile Scallop_apps.Programs.mnist_sum3 in
+  let digit_facts =
+    let rng = Scallop_utils.Rng.create 5 in
+    List.mapi
+      (fun g pred ->
+        ( pred,
+          List.init 10 (fun d ->
+              ( Provenance.Input.prob ~me_group:g (0.02 +. Scallop_utils.Rng.float rng),
+                Tuple.of_list [ Value.int Value.U32 d ] )) ))
+      [ "digit_1"; "digit_2"; "digit_3" ]
+  in
+  let sum3_spec = Registry.Diff_top_k_proofs_me 3 in
+  let ab_runs = if m.quick then 200 else 600 in
+  let ab_total = [| 0.0; 0.0 |] in
+  List.iter (fun columnar -> ignore (time_once ~cache:true ~columnar ~spec:sum3_spec sum3 digit_facts))
+    [ false; true ];
+  for _ = 1 to ab_runs do
+    List.iteri
+      (fun k columnar ->
+        ab_total.(k) <-
+          ab_total.(k) +. time_once ~cache:true ~columnar ~spec:sum3_spec sum3 digit_facts)
+      [ false; true ]
+  done;
+  List.iteri
+    (fun k columnar ->
+      let mean = ab_total.(k) /. float_of_int ab_runs in
+      let words = alloc_per_tuple ~cache:true ~columnar ~spec:sum3_spec sum3 digit_facts in
+      Fmt.pr "  %-24s %-12s n=%-5d cache=true  columnar=%-5b %9.3f ms %10.2f ops/sec %9.1f w/tuple@."
+        "mnist-sum3-ab" "difftopkproofsme-3" 30 columnar (1000.0 *. mean) (1.0 /. mean) words;
+      results :=
+        Fmt.str
+          {|    {"name": "mnist-sum3-ab", "provenance": "difftopkproofsme-3", "n": 30, "cache": true, "columnar": %b, "runs": %d, "mean_ms": %.3f, "ops_per_sec": %.3f, "minor_words_per_tuple": %.1f}|}
+          columnar ab_runs (1000.0 *. mean) (1.0 /. mean) words
+        :: !results)
+    [ false; true ];
+  let sum3_ratio = ab_total.(1) /. ab_total.(0) in
+  Fmt.pr "  mnist-sum3 difftopkproofsme-3 columnar/tree-walker time: %.3f (alternating, %d runs each)@."
+    sum3_ratio ab_runs;
   Fmt.pr "@.  TC-120 topkproofs-3 guided+cache vs eager (historic): %.2fx@." speedup;
   (* Columnar gate: the vectorized engine must beat the cached row engine by
      >= 10x on the TC-500 boolean workload.  A shortfall is a perf
@@ -639,7 +682,8 @@ query sizes|}
   output_string oc "\n  ],\n";
   output_string oc
     (Fmt.str "  \"tc120_topk_speedup_guided_cache_vs_eager\": %.3f,\n" speedup);
-  output_string oc (Fmt.str "  \"tc500_columnar_speedup\": %.3f\n}\n" col_speedup);
+  output_string oc (Fmt.str "  \"tc500_columnar_speedup\": %.3f,\n" col_speedup);
+  output_string oc (Fmt.str "  \"mnist_sum3_columnar_vs_tree\": %.3f\n}\n" sum3_ratio);
   close_out oc;
   Fmt.pr "@.  wrote BENCH_interp.json (%d measurements)@." (List.length !results)
 

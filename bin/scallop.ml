@@ -61,16 +61,6 @@ let no_cache_arg =
     value & flag
     & info [ "no-cache" ] ~doc:"Disable reuse of join indices across fixpoint iterations.")
 
-let columnar_arg =
-  Arg.(
-    value & flag
-    & info [ "columnar" ]
-        ~doc:
-          "Execute strata with the columnar batch engine (struct-of-arrays relations, \
-           vectorized operators); plan nodes it does not cover (samplers, foreign \
-           predicates) fall back to the tree-walker. Results are identical to the \
-           default engine.")
-
 let no_wmc_cache_arg =
   Arg.(
     value & flag
@@ -103,13 +93,12 @@ let max_iterations_arg =
     & info [ "max-iterations" ] ~docv:"N"
         ~doc:"Cap fixpoint iterations per stratum (default 10000).")
 
-let make_config ?(budget = Budget.default) ?(columnar = false) ~seed ~profile ~no_cache () =
+let make_config ?(budget = Budget.default) ~seed ~profile ~no_cache () =
   {
     (Interp.default_config ()) with
     Interp.rng = Scallop_utils.Rng.create seed;
     budget;
     cache_indices = not no_cache;
-    columnar;
     stats = (if profile then Some (Interp.empty_stats ()) else None);
   }
 
@@ -134,7 +123,7 @@ let print_outputs (result : Session.result) =
     result.Session.outputs
 
 let run_term =
-  let run provenance seed profile no_cache columnar no_wmc_cache jobs timeout max_tuples
+  let run provenance seed profile no_cache no_wmc_cache jobs timeout max_tuples
       max_iterations paths =
     let jobs = resolve_jobs jobs in
     Session.set_wmc_cache (not no_wmc_cache);
@@ -163,7 +152,7 @@ let run_term =
       match c with
       | Error e -> Error e
       | Ok c -> (
-          let config = make_config ~budget ~columnar ~seed ~profile ~no_cache () in
+          let config = make_config ~budget ~seed ~profile ~no_cache () in
           try Ok (c, Session.run ~config ~provenance:(Registry.create provenance) c ())
           with Session.Error e -> Error e)
     in
@@ -197,9 +186,8 @@ let run_term =
   in
   Term.(
     ret
-      (const run $ provenance_arg $ seed_arg $ profile_arg $ no_cache_arg $ columnar_arg
-     $ no_wmc_cache_arg $ jobs_arg $ timeout_arg $ max_tuples_arg $ max_iterations_arg
-     $ files_arg))
+      (const run $ provenance_arg $ seed_arg $ profile_arg $ no_cache_arg $ no_wmc_cache_arg
+     $ jobs_arg $ timeout_arg $ max_tuples_arg $ max_iterations_arg $ files_arg))
 
 let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a Scallop program and print its output relations.") run_term
@@ -218,13 +206,13 @@ let compile_cmd =
     Term.(ret (const run $ file_arg))
 
 let repl_cmd =
-  let run provenance seed profile no_cache columnar no_wmc_cache =
+  let run provenance seed profile no_cache no_wmc_cache =
     Session.set_wmc_cache (not no_wmc_cache);
     Fmt.pr "Scallop REPL — enter items (rel/type/const/query); an empty line executes.@.";
     let buffer = Buffer.create 256 in
     (* One RNG for the whole session (repeated executions keep sampling new
        draws); a fresh stats sink per execution so profiles don't accumulate. *)
-    let base_config = make_config ~columnar ~seed ~profile ~no_cache () in
+    let base_config = make_config ~seed ~profile ~no_cache () in
     let rec loop () =
       Fmt.pr "scl> %!";
       match In_channel.input_line stdin with
@@ -257,8 +245,7 @@ let repl_cmd =
     (Cmd.info "repl" ~doc:"Interactive toplevel: accumulate items, execute on empty line.")
     Term.(
       ret
-        (const run $ provenance_arg $ seed_arg $ profile_arg $ no_cache_arg $ columnar_arg
-       $ no_wmc_cache_arg))
+        (const run $ provenance_arg $ seed_arg $ profile_arg $ no_cache_arg $ no_wmc_cache_arg))
 
 (* ---- [scallop serve]: the supervised inference service over stdio ------------ *)
 

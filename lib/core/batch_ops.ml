@@ -1,6 +1,6 @@
 (** Batch-at-a-time relational operators over columnar storage ({!Column}),
-    parameterized by a provenance — the vectorized execution engine behind
-    [config.columnar] (see DESIGN.md, "Columnar executor").
+    parameterized by a provenance — the vectorized execution engine every
+    run uses by default (see DESIGN.md, "Columnar executor").
 
     A {!batch} is a struct-of-arrays relation fragment: one encoded column
     per attribute plus a parallel provenance-tag array, rows in {e emission
@@ -14,33 +14,104 @@
     merged with an amortized size-doubling policy (total merge cost
     O(N log N) across a fixpoint instead of O(N) per iteration), plus a
     tuple-hash membership table so the dominant "is this tuple new?" probe
-    of semi-naive deltas is O(1) for genuinely new tuples.  Tags of a tuple
-    split across runs combine oldest-first, matching the left-fold order of
-    the tree-walker's ⊕-merges (all registered provenances have associative
-    ⊕, which is what makes deferred run-merging sound).
+    of semi-naive deltas is O(1) for genuinely new tuples.  A tuple's tag is
+    the one in the newest run holding it, already ⊕-merged as the
+    tree-walker's [merge_newly] stores it, so merging runs never
+    re-associates ⊕.
 
     Aggregations decode group bodies back to tuples and reuse
     {!Aggregate.Make} verbatim, so the per-aggregator DP schemes — and their
     provenance semantics — are shared with the oracle rather than cloned. *)
 
-module Ivec = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = Array.make 16 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let b = Array.make (2 * v.len) 0 in
-      Array.blit v.a 0 b 0 v.len;
-      v.a <- b
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let to_array v = Array.sub v.a 0 v.len
-end
-
 let runtime_error msg = Exec_error.raise_error (Exec_error.Runtime_error { msg })
+
+(** Stable sort of [a.(0 .. n-1)] by [cmp], with [tmp] (length >= [n]) as
+    the merge buffer: insertion-sorted blocks, then bottom-up merges.  A
+    stable sort needs no index tie-break to reproduce emission order, and
+    sorting a prefix lets [a] and [tmp] be reused scratch buffers. *)
+let sort_prefix (cmp : int -> int -> int) (a : int array) (tmp : int array) (n : int) : unit =
+  let block = 16 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + block) in
+    for i = !lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && cmp a.(!j) v > 0 do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done;
+    lo := hi
+  done;
+  let src = ref a and dst = ref tmp and width = ref block in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+      let i = ref !lo and j = ref mid and k = ref !lo in
+      while !i < mid && !j < hi do
+        if cmp s.(!j) s.(!i) < 0 then begin
+          d.(!k) <- s.(!j);
+          incr j
+        end
+        else begin
+          d.(!k) <- s.(!i);
+          incr i
+        end;
+        incr k
+      done;
+      Array.blit s !i d !k (mid - !i);
+      Array.blit s !j d (!k + mid - !i) (hi - !j);
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
+(** First position [p] in [[from], n) with [cmp (at p) i >= 0] ([> 0] when
+    [upper]), for positions sorted under [cmp]: one binary search of a
+    sorted run (or a sorted permutation [at]) for row [i] of a probe. *)
+let bound ~upper (cmp : int -> int -> int) (at : int array option) (from : int) (n : int)
+    (i : int) : int =
+  let lo = ref from and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = cmp (match at with None -> mid | Some perm -> perm.(mid)) i in
+    if c < 0 || (upper && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* ---- pooled scratch ---------------------------------------------------------- *)
+
+(** Index and value buffers that operators stage intermediate results in,
+    grown by doubling. *)
+type scratch = { ints : int array array; mutable values : Value.t array array }
+
+(* One idle scratch per domain, handed from run to run so a run does not
+   regrow its buffers from nothing.  [Atomic.exchange] gives it to at most
+   one run at a time, even when several threads share the domain; a run
+   that finds the pool empty starts a fresh scratch. *)
+let pool : scratch option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+(* A buffer longer than this is dropped rather than pooled, so one huge run
+   does not pin its high-water mark on the domain. *)
+let max_pooled = 1 lsl 18
+
+let acquire_scratch () : scratch =
+  match Atomic.exchange (Domain.DLS.get pool) None with
+  | Some sc -> sc
+  | None -> { ints = Array.make 4 [||]; values = [||] }
+
+let release_scratch (sc : scratch) =
+  Array.iteri (fun i a -> if Array.length a > max_pooled then sc.ints.(i) <- [||]) sc.ints;
+  sc.values <- Array.map (fun a -> if Array.length a > max_pooled then [||] else a) sc.values;
+  Atomic.set (Domain.DLS.get pool) (Some sc)
 
 module Make (P : Provenance.S) = struct
   module Agg = Aggregate.Make (P)
@@ -93,15 +164,13 @@ module Make (P : Provenance.S) = struct
      [Tuple.compare]'s shorter-is-smaller rule for differing arities. *)
   let cmp_cols_across (ca : Column.t array) (cb : Column.t array) i j =
     let la = Array.length ca and lb = Array.length cb in
-    let rec go c =
-      if c >= la && c >= lb then 0
-      else if c >= la then -1
-      else if c >= lb then 1
-      else
-        let r = Column.cmp_across ca.(c) cb.(c) i j in
-        if r <> 0 then r else go (c + 1)
-    in
-    go 0
+    let w = min la lb in
+    let c = ref 0 and k = ref 0 in
+    while !c = 0 && !k < w do
+      c := Column.cmp_across ca.(!k) cb.(!k) i j;
+      incr k
+    done;
+    if !c <> 0 then !c else Int.compare la lb
 
   let cmp_rows (cols : Column.t array) i j = cmp_cols_across cols cols i j
 
@@ -188,8 +257,6 @@ module Make (P : Provenance.S) = struct
         | [| f0; f1 |] -> fun i -> ((((17 * 31) + f0 i) * 31) + f1 i)
         | fs -> fun i -> Array.fold_left (fun h f -> (h * 31) + f i) 17 fs)
 
-  let row_hash (cols : Column.t array) (i : int) : int = row_hasher cols i
-
   (* Open-addressing int hash set (linear probing, power-of-two capacity).
      Generic [Hashtbl] costs ~4x more per membership test — this sits on the
      per-derived-tuple fixpoint path. *)
@@ -255,11 +322,85 @@ module Make (P : Provenance.S) = struct
       end
   end
 
-  (* Keep rows [idx] (with replacement tags); canonicalizes emptiness. *)
-  let take (b : batch) (idx : int array) (tags : P.t array) : batch =
-    let n = Array.length idx in
-    if n = 0 then empty
-    else { n; cols = Array.map (fun c -> Column.gather c idx) b.cols; tags }
+  (* ---- scratch buffers ------------------------------------------------------ *)
+
+  (* Operators stage intermediate indices, tags and values in scratch
+     buffers and allocate only the exactly-sized arrays they return, so a
+     fixpoint round does not put a fresh index or tag array per operator
+     into the major heap.  The index and value buffers come from the
+     domain's {!pool} on first use and go back at {!release} (the
+     interpreter calls it when a run ends); the tag buffer is typed by [P]
+     and lives with this instance.  {!Interp.Make}, and with it this
+     functor, is applied once per [Session.run], so an instance serves one
+     run on one thread.  An operator owns the buffers only until it
+     returns, and never calls another buffer-using operator while it holds
+     them. *)
+  let held : scratch option ref = ref None
+
+  let scratch () =
+    match !held with
+    | Some sc -> sc
+    | None ->
+        let sc = acquire_scratch () in
+        held := Some sc;
+        sc
+
+  (** Return the pooled buffers to the domain (a later operator call takes
+      them again). *)
+  let release () =
+    match !held with
+    | Some sc ->
+        held := None;
+        release_scratch sc
+    | None -> ()
+
+  let ints slot n =
+    let sc = scratch () in
+    let a = sc.ints.(slot) in
+    if Array.length a >= n then a
+    else begin
+      let a = Array.make (max n (2 * Array.length a)) 0 in
+      sc.ints.(slot) <- a;
+      a
+    end
+
+  let tslot : P.t array ref = ref [||]
+
+  (* [filler] only initializes a grown buffer; every read slot is written
+     first. *)
+  let tag_buf n (filler : P.t) : P.t array =
+    if Array.length !tslot < n then tslot := Array.make (max n (2 * Array.length !tslot)) filler;
+    !tslot
+
+  let value_bufs w n : Value.t array array =
+    let sc = scratch () in
+    if Array.length sc.values < w then
+      sc.values <- Array.append sc.values (Array.make (w - Array.length sc.values) [||]);
+    let vs = sc.values in
+    for c = 0 to w - 1 do
+      if Array.length vs.(c) < n then
+        vs.(c) <- Array.make (max n (2 * Array.length vs.(c))) (Value.B false)
+    done;
+    vs
+
+  (* Rows [idx.(0 .. m-1)] of [b] with tags [tags.(0 .. m-1)], both staged
+     in scratch; canonicalizes emptiness. *)
+  let take (b : batch) (idx : int array) (tags : P.t array) (m : int) : batch =
+    if m = 0 then empty
+    else { n = m; cols = Array.map (fun c -> Column.gather c idx m) b.cols; tags = Array.sub tags 0 m }
+
+  (* Every row of [b], in place, with tags [tags.(0 .. b.n-1)]: the columns
+     are shared, and [b] itself is returned when no tag changed. *)
+  let with_tags (b : batch) (tags : P.t array) : batch =
+    let same = ref true in
+    for i = 0 to b.n - 1 do
+      if tags.(i) != b.tags.(i) then same := false
+    done;
+    if !same then b else { b with tags = Array.sub tags 0 b.n }
+
+  (* [take] for a filter ([idx] strictly increasing). *)
+  let keep_rows (b : batch) (idx : int array) (tags : P.t array) (m : int) : batch =
+    if m < b.n then take b idx tags m else with_tags b tags
 
   (* ---- normalization and sorted-run algebra ------------------------------- *)
 
@@ -284,62 +425,64 @@ module Make (P : Provenance.S) = struct
        with Exit -> ());
       if !sorted then begin
         if Array.exists P.discard b.tags then begin
-          let out_idx = Ivec.create () and out_tags = ref [] in
+          let idx = ints 0 b.n and tags = tag_buf b.n b.tags.(0) in
+          let m = ref 0 in
           for i = 0 to b.n - 1 do
             if not (P.discard b.tags.(i)) then begin
-              Ivec.push out_idx i;
-              out_tags := b.tags.(i) :: !out_tags
+              idx.(!m) <- i;
+              tags.(!m) <- b.tags.(i);
+              incr m
             end
           done;
-          take b (Ivec.to_array out_idx) (Array.of_list (List.rev !out_tags))
+          keep_rows b idx tags !m
         end
         else b
       end
-      else sort_normalize_slow b
+      else sort_normalize_slow rcmp b
     end
 
-  and sort_normalize_slow (b : batch) : batch =
-    begin
-      let rcmp = self_cmp b.cols in
-      let idx = Array.init b.n Fun.id in
-      let cmp i j =
-        let c = rcmp i j in
-        if c <> 0 then c else Stdlib.compare (i : int) j
-      in
-      Array.sort cmp idx;
-      let keep = Array.make b.n 0 and tags = Array.make b.n b.tags.(0) in
-      let m = ref 0 in
-      Array.iter
-        (fun r ->
-          if !m > 0 && rcmp keep.(!m - 1) r = 0 then
-            tags.(!m - 1) <- P.add tags.(!m - 1) b.tags.(r)
-          else begin
-            keep.(!m) <- r;
-            tags.(!m) <- b.tags.(r);
-            incr m
-          end)
-        idx;
-      let out_idx = Ivec.create () and out_tags = ref [] in
-      for x = 0 to !m - 1 do
-        if not (P.discard tags.(x)) then begin
-          Ivec.push out_idx keep.(x);
-          out_tags := tags.(x) :: !out_tags
-        end
-      done;
-      take b (Ivec.to_array out_idx) (Array.of_list (List.rev !out_tags))
-    end
+  and sort_normalize_slow rcmp (b : batch) : batch =
+    let n = b.n in
+    let idx = ints 0 n in
+    for i = 0 to n - 1 do
+      idx.(i) <- i
+    done;
+    sort_prefix rcmp idx (ints 1 n) n;
+    (* fold each run of equal rows into its first (leader) row, compacting
+       leaders and their ⊕-folded tags to the front of the buffers *)
+    let tags = tag_buf n b.tags.(0) in
+    let m = ref 0 in
+    for p = 0 to n - 1 do
+      let r = idx.(p) in
+      if !m > 0 && rcmp idx.(!m - 1) r = 0 then tags.(!m - 1) <- P.add tags.(!m - 1) b.tags.(r)
+      else begin
+        idx.(!m) <- r;
+        tags.(!m) <- b.tags.(r);
+        incr m
+      end
+    done;
+    let k = ref 0 in
+    for x = 0 to !m - 1 do
+      if not (P.discard tags.(x)) then begin
+        idx.(!k) <- idx.(x);
+        tags.(!k) <- tags.(x);
+        incr k
+      end
+    done;
+    take b idx tags !k
 
-  (** Sorted merge of two strictly-sorted runs, ⊕-merging collisions with the
-      {e older} ([a]) tag first — [Tuple.Map.union (fun _ o n -> P.add o n)],
-      i.e. [Interp.merge_newly].  No discard filtering (the tree-walker's
-      merge does none either). *)
+  (** Sorted merge of an older strictly-sorted run [a] and a newer one [b]
+      of the same relation; a tuple in both keeps [b]'s tag, which already
+      accumulates [a]'s (see {!crel}) —
+      [Tuple.Map.union (fun _ _older newer -> Some newer)]. *)
   let union_runs (a : batch) (b : batch) : batch =
     if a.n = 0 then b
     else if b.n = 0 then a
     else begin
+      let total = a.n + b.n in
       let cmp = cross_cmp a.cols b.cols in
-      let plan = Array.make (a.n + b.n) 0 in
-      let tags = Array.make (a.n + b.n) a.tags.(0) in
+      let plan = ints 0 total in
+      let tags = Array.make total a.tags.(0) in
       let k = ref 0 and i = ref 0 and j = ref 0 in
       while !i < a.n && !j < b.n do
         let c = cmp !i !j in
@@ -357,7 +500,7 @@ module Make (P : Provenance.S) = struct
         end
         else begin
           plan.(!k) <- !i lsl 1;
-          tags.(!k) <- P.add a.tags.(!i) b.tags.(!j);
+          tags.(!k) <- b.tags.(!j);
           incr k;
           incr i;
           incr j
@@ -375,20 +518,18 @@ module Make (P : Provenance.S) = struct
         incr k;
         incr j
       done;
-      let plan = Array.sub plan 0 !k in
+      let k = !k in
       {
-        n = !k;
-        cols = Array.map2 (fun ca cb -> Column.merge ca cb plan) a.cols b.cols;
-        tags = Array.sub tags 0 !k;
+        n = k;
+        cols = Array.map2 (fun ca cb -> Column.merge ca cb plan k) a.cols b.cols;
+        tags = (if k = total then tags else Array.sub tags 0 k);
       }
     end
 
   (* When every column of every run is a same-type unboxed int column and the
      per-column value spans pack into a small composite key, the whole run
-     stack merges with one stable counting sort instead of O(log k) pairwise
-     comparison merges.  Stability over the oldest-first concatenation makes
-     colliding tags fold oldest-to-newest exactly like the tree-walker's
-     linear [merge_newly] fold — this path has {e no} ⊕-association caveat.
+     stack merges with one counting pass instead of O(log k) pairwise
+     comparison merges; the newest run holding a tuple supplies its tag.
      Key-width and range guards keep the count array proportional to the
      data; anything else falls back to the comparison merge. *)
   let radix_bits = 20
@@ -445,9 +586,11 @@ module Make (P : Provenance.S) = struct
             done;
             let range = 1 lsl !bits_total in
             if range > (16 * total) + 1024 then raise Exit;
-            (* composite keys + histogram, one pass over the runs *)
-            let keys = Array.make total 0 in
-            let count = Array.make (range + 1) 0 in
+            (* composite keys, one pass over the runs; [slot] marks the
+               keys that occur *)
+            let keys = ints 0 total in
+            let slot = ints 1 range in
+            Array.fill slot 0 range 0;
             let off = ref 0 in
             for r = 0 to nruns - 1 do
               let rc = raw.(r) in
@@ -458,7 +601,7 @@ module Make (P : Provenance.S) = struct
                   for i = 0 to n - 1 do
                     let key = ((a0.(i) - m0) lsl s1) lor (a1.(i) - m1) in
                     keys.(!off + i) <- key;
-                    count.(key + 1) <- count.(key + 1) + 1
+                    slot.(key) <- 1
                   done
               | _ ->
                   for i = 0 to n - 1 do
@@ -467,85 +610,60 @@ module Make (P : Provenance.S) = struct
                       key := (!key lsl shift_bits.(c)) lor (rc.(c).(i) - mins.(c))
                     done;
                     keys.(!off + i) <- !key;
-                    count.(!key + 1) <- count.(!key + 1) + 1
+                    slot.(!key) <- 1
                   done);
               off := !off + n
             done;
-            for k = 1 to range do
-              count.(k) <- count.(k) + count.(k - 1)
+            (* Distinct keys in ascending order — which is row order, the
+               key being injective on the offset values — take consecutive
+               output positions: [slot.(key)] becomes position + 1. *)
+            let m = ref 0 in
+            for k = 0 to range - 1 do
+              if slot.(k) <> 0 then begin
+                incr m;
+                slot.(k) <- !m
+              end
             done;
-            (* Stable scatter straight to sorted position — no flattened
-               copy, no permutation array.  Stability over the oldest-first
-               run order is what makes the duplicate fold below match the
-               tree-walker's linear ⊕ order. *)
-            let out_cols = Array.init width (fun _ -> Array.make total 0) in
-            let out_tags = Array.make total first.tags.(0) in
-            let keys_sorted = Array.make total 0 in
+            let m = !m in
+            (* Scatter each row to its key's position, runs oldest first: the
+               first occurrence writes the row (and negates its slot), later
+               (newer) ones overwrite its tag.  Outputs are sized exactly. *)
+            let out_cols = Array.init width (fun _ -> Array.make m 0) in
+            let out_tags = Array.make m first.tags.(0) in
             let off = ref 0 in
             for r = 0 to nruns - 1 do
               let rc = raw.(r) and tg = runs.(r).tags in
               let n = runs.(r).n in
-              (match rc with
-              | [| a0; a1 |] ->
-                  let o0 = out_cols.(0) and o1 = out_cols.(1) in
-                  for i = 0 to n - 1 do
-                    let key = keys.(!off + i) in
-                    let p = count.(key) in
-                    count.(key) <- p + 1;
-                    o0.(p) <- a0.(i);
-                    o1.(p) <- a1.(i);
-                    out_tags.(p) <- tg.(i);
-                    keys_sorted.(p) <- key
-                  done
-              | _ ->
-                  for i = 0 to n - 1 do
-                    let key = keys.(!off + i) in
-                    let p = count.(key) in
-                    count.(key) <- p + 1;
-                    for c = 0 to width - 1 do
-                      out_cols.(c).(p) <- rc.(c).(i)
-                    done;
-                    out_tags.(p) <- tg.(i);
-                    keys_sorted.(p) <- key
-                  done);
+              for i = 0 to n - 1 do
+                let key = keys.(!off + i) in
+                let sl = slot.(key) in
+                if sl > 0 then begin
+                  slot.(key) <- -sl;
+                  for c = 0 to width - 1 do
+                    out_cols.(c).(sl - 1) <- rc.(c).(i)
+                  done;
+                  out_tags.(sl - 1) <- tg.(i)
+                end
+                else out_tags.(-sl - 1) <- tg.(i)
+              done;
               off := !off + n
             done;
-            (* ⊕-fold duplicate keys in place (key equality iff row
-               equality: the key is injective on the offset values by
-               construction); duplicate-free input compacts to itself with
-               no writes and the scattered arrays are returned as-is. *)
-            let m = ref 0 and last_key = ref (-1) in
-            for p = 0 to total - 1 do
-              let key = keys_sorted.(p) in
-              if !m > 0 && key = !last_key then
-                out_tags.(!m - 1) <- P.add out_tags.(!m - 1) out_tags.(p)
-              else begin
-                if !m <> p then begin
-                  for c = 0 to width - 1 do
-                    out_cols.(c).(!m) <- out_cols.(c).(p)
-                  done;
-                  out_tags.(!m) <- out_tags.(p)
-                end;
-                last_key := key;
-                incr m
-              end
-            done;
-            let m = !m in
             Some
               {
                 n = m;
-                cols =
-                  Array.init width (fun c ->
-                      Column.I
-                        ( tys.(c),
-                          if m = total then out_cols.(c)
-                          else Array.sub out_cols.(c) 0 m ));
-                tags = (if m = total then out_tags else Array.sub out_tags 0 m);
+                cols = Array.init width (fun c -> Column.I (tys.(c), out_cols.(c)));
+                tags = out_tags;
               }
           with Exit -> None)
 
   (* ---- materialized relations: sorted-run stacks --------------------------- *)
 
+  (** A relation as a stack of sorted runs.  A tuple's tag is the one in
+      the newest run holding it: a run is pushed with every colliding
+      tuple's tag already ⊕-merged into the relation's ({!delta_of_run}),
+      exactly as [Interp.merge_newly] stores it, so merging runs never
+      re-associates ⊕ and stays bit-identical for a non-associative ⊕ (the
+      clamped float sum of [addmultprob]). *)
   type crel = {
     mutable runs : batch list;  (** newest first; each strictly sorted *)
     mutable hset : Ihs.t option;
@@ -606,8 +724,8 @@ module Make (P : Provenance.S) = struct
     | a :: b :: rest when a.n >= b.n -> squash (union_runs b a :: rest)
     | runs -> runs
 
-  (** ⊕-merge a freshly normalized run into the relation
-      ([Interp.merge_newly] semantics). *)
+  (** Push a run whose tags already accumulate the relation's (the first
+      result of {!delta_of_run}). *)
   let crel_push (c : crel) (r : batch) =
     if r.n > 0 then begin
       c.runs <- squash (r :: c.runs);
@@ -630,11 +748,7 @@ module Make (P : Provenance.S) = struct
           | None ->
               (* Adjacent pairwise rounds: O(N log k) total copying even when
                  the fixpoint pushed one small run per iteration (a linear
-                 fold would be O(N·k) — quadratic on a chain TC).  Only
-                 adjacent runs merge, so colliding tags still fold
-                 oldest-to-newest; the association differs from the linear
-                 fold, which ⊕-associativity absorbs (the same caveat the
-                 run-merge timing already carries). *)
+                 fold would be O(N·k) — quadratic on a chain TC). *)
               let rec round = function
                 | newer :: older :: rest -> union_runs older newer :: round rest
                 | tail -> tail
@@ -652,32 +766,11 @@ module Make (P : Provenance.S) = struct
         if c.hset = None then c.unhashed <- [ merged ];
         merged
 
-  let find_in_run (r : batch) (pcols : Column.t array) (i : int) : P.t option =
-    let lo = ref 0 and hi = ref r.n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cmp_cols_across r.cols pcols mid i < 0 then lo := mid + 1 else hi := mid
-    done;
-    if !lo < r.n && cmp_cols_across r.cols pcols !lo i = 0 then Some r.tags.(!lo) else None
-
-  (** Accumulated ⊕ tag of row [i] of [pcols] across all runs, oldest first
-      — the tag [merge_newly] would have stored.  The membership hash makes
-      the all-new common case O(1). *)
-  let crel_find_slow (c : crel) (pcols : Column.t array) (i : int) : P.t option =
-    let rec go = function
-      | [] -> None
-      | r :: older -> (
-          let acc = go older in
-          match find_in_run r pcols i with
-          | None -> acc
-          | Some t -> (
-              match acc with None -> Some t | Some o -> Some (P.add o t)))
-    in
-    go c.runs
-
-  let crel_find (c : crel) (pcols : Column.t array) (i : int) : P.t option =
-    if not (Ihs.mem (hset_of c) (row_hash pcols i)) then None
-    else crel_find_slow c pcols i
+  (* Position of the row of sorted run [r] equal to row [i] of the probe,
+     or -1; [cmp] is [cross_cmp r.cols probe_cols]. *)
+  let find_in_run cmp (r : batch) (i : int) : int =
+    let p = bound ~upper:false cmp None 0 r.n i in
+    if p < r.n && cmp p i = 0 then p else -1
 
   let to_relation (c : crel) : P.t Tuple.Map.t =
     let r = crel_force c in
@@ -687,11 +780,26 @@ module Make (P : Provenance.S) = struct
     done;
     !m
 
-  (** [Interp.delta_of] over a sorted newly-derived run: tuples absent from
-      [old] keep their tag; colliding tuples carry the merged (old ⊕ new) tag
-      unless saturated. *)
-  let delta_of_run ~(old : crel) (newly : batch) : batch =
-    if newly.n = 0 then empty
+  (* Rows [idx.(0 .. m-1)] of [b] with their own tags. *)
+  let select_rows (b : batch) (idx : int array) (m : int) : batch =
+    if m = b.n then b
+    else if m = 0 then empty
+    else
+      {
+        n = m;
+        cols = Array.map (fun c -> Column.gather c idx m) b.cols;
+        tags = Array.init m (fun k -> b.tags.(idx.(k)));
+      }
+
+  (** One semi-naive round against the relation [old], for a sorted
+      newly-derived run: returns [(acc, delta)].  [acc] is [newly] with each
+      colliding tuple's tag replaced by the merged (old ⊕ new) tag — what
+      [Interp.merge_newly] stores, and what {!crel_push} takes.  [delta] is
+      [Interp.delta_of]: the rows of [acc] that are new or whose merged tag
+      is not saturated. *)
+  let delta_of_run ~(old : crel) (newly : batch) : batch * batch =
+    if newly.n = 0 then (empty, empty)
+    else if old.runs = [] then (newly, newly)
     else begin
       let hs = hset_of old in
       let hash = row_hasher newly.cols in
@@ -716,39 +824,82 @@ module Make (P : Provenance.S) = struct
        with Exit -> ());
       if !hit < 0 then begin
         old.prehashed <- Some newly;
-        newly
+        (newly, newly)
       end
       else begin
-        let out_idx = Ivec.create () and out_tags = ref [] in
-        for i = 0 to newly.n - 1 do
-          match
-            if Ihs.mem hs (hash i) then crel_find_slow old newly.cols i else None
-          with
-          | None ->
-              Ivec.push out_idx i;
-              out_tags := newly.tags.(i) :: !out_tags
-          | Some t_old ->
-              let merged = P.add t_old newly.tags.(i) in
-              if not (P.saturated ~old:t_old merged) then begin
-                Ivec.push out_idx i;
-                out_tags := merged :: !out_tags
-              end
+        (* Rows before the first hit missed the probe, so they are new.  From
+           the hit on, a row in the membership set takes its tag from the
+           newest run holding it, found with one comparator per run built
+           once per call, not per probe.  A row whose merged tag is
+           physically its old one (e.g. [true || true]) changes nothing and
+           is left out of [acc]; [delta] indexes into [acc]. *)
+        let runs = Array.of_list old.runs in
+        let cmps = Array.map (fun (r : batch) -> cross_cmp r.cols newly.cols) runs in
+        let n = newly.n in
+        let aidx = ints 0 n and didx = ints 1 n and tags = tag_buf n newly.tags.(0) in
+        for i = 0 to !hit - 1 do
+          aidx.(i) <- i;
+          didx.(i) <- i;
+          tags.(i) <- newly.tags.(i)
         done;
-        take newly (Ivec.to_array out_idx) (Array.of_list (List.rev !out_tags))
+        let ma = ref !hit and md = ref !hit in
+        for i = !hit to n - 1 do
+          let t_new = newly.tags.(i) in
+          let p = ref (-1) and k = ref 0 in
+          if Ihs.mem hs (hash i) then
+            while !p < 0 && !k < Array.length runs do
+              p := find_in_run cmps.(!k) runs.(!k) i;
+              if !p < 0 then incr k
+            done;
+          if !p < 0 then begin
+            aidx.(!ma) <- i;
+            tags.(!ma) <- t_new;
+            didx.(!md) <- !ma;
+            incr ma;
+            incr md
+          end
+          else begin
+            let t_old = runs.(!k).tags.(!p) in
+            let merged = P.add t_old t_new in
+            if merged != t_old then begin
+              aidx.(!ma) <- i;
+              tags.(!ma) <- merged;
+              if not (P.saturated ~old:t_old merged) then begin
+                didx.(!md) <- !ma;
+                incr md
+              end;
+              incr ma
+            end
+          end
+        done;
+        let acc = keep_rows newly aidx tags !ma in
+        (acc, select_rows acc didx !md)
       end
     end
 
   (* ---- σ / π / ∪ / × ------------------------------------------------------- *)
 
+  (* [e] evaluated at row indices of [b] ({!Ram.stage_vexpr}). *)
+  let stage (b : batch) (e : Ram.vexpr) : int -> Value.t option =
+    let arity = Array.length b.cols in
+    Ram.stage_vexpr (fun j -> if j < arity then Some (Column.get b.cols.(j)) else None) e
+
   let select (cond : Ram.vexpr) (b : batch) : batch =
     if b.n = 0 then empty
     else begin
-      let sel = Ivec.create () in
+      let f = stage b cond in
+      let idx = ints 0 b.n and tags = tag_buf b.n b.tags.(0) in
+      let m = ref 0 in
       for i = 0 to b.n - 1 do
-        if Ram.eval_cond (tuple_at b i) cond then Ivec.push sel i
+        (* [Ram.eval_cond]: failure counts as false *)
+        match f i with
+        | Some (Value.B true) ->
+            idx.(!m) <- i;
+            tags.(!m) <- b.tags.(i);
+            incr m
+        | _ -> ()
       done;
-      let idx = Ivec.to_array sel in
-      take b idx (Array.map (fun i -> b.tags.(i)) idx)
+      keep_rows b idx tags !m
     end
 
   let project (m : Ram.vexpr list) (b : batch) : batch =
@@ -762,23 +913,34 @@ module Make (P : Provenance.S) = struct
         (* pure column selection: no per-row work, columns and tags shared *)
         { b with cols = Array.of_list (List.map (fun o -> b.cols.(Option.get o)) accesses) }
       else begin
-        let kept = Ivec.create () and outs = ref [] in
+        (* [Ram.eval_mapping] column by column: a row survives iff every
+           component evaluates and no float result is NaN; survivors' values
+           go straight into per-column buffers, never into a tuple *)
+        let fs = Array.of_list (List.map (stage b) m) in
+        let w = Array.length fs in
+        let outs = value_bufs w b.n and kept = ints 0 b.n in
+        let k = ref 0 in
         for i = 0 to b.n - 1 do
-          match Ram.eval_mapping (tuple_at b i) m with
-          | Some u ->
-              Ivec.push kept i;
-              outs := u :: !outs
-          | None -> ()
+          let ok = ref true and c = ref 0 in
+          while !ok && !c < w do
+            (match fs.(!c) i with
+            | Some (Value.Float (_, f)) when Float.is_nan f -> ok := false
+            | Some v -> outs.(!c).(!k) <- v
+            | None -> ok := false);
+            incr c
+          done;
+          if !ok then begin
+            kept.(!k) <- i;
+            incr k
+          end
         done;
-        let rows = Array.of_list (List.rev !outs) in
-        if Array.length rows = 0 then empty
+        let k = !k in
+        if k = 0 then empty
         else
-          let out_arity = List.length m in
           {
-            n = Array.length rows;
-            cols =
-              Array.init out_arity (fun c -> Column.pack (Array.map (fun u -> u.(c)) rows));
-            tags = Array.map (fun i -> b.tags.(i)) (Ivec.to_array kept);
+            n = k;
+            cols = Array.init w (fun c -> Column.pack_prefix outs.(c) k);
+            tags = Array.init k (fun x -> b.tags.(kept.(x)));
           }
       end
     end
@@ -799,14 +961,18 @@ module Make (P : Provenance.S) = struct
     if a.n = 0 || b.n = 0 then empty
     else begin
       let n = a.n * b.n in
-      let la = Array.init n (fun k -> k / b.n) and lb = Array.init n (fun k -> k mod b.n) in
+      let la = ints 0 n and lb = ints 1 n in
+      for k = 0 to n - 1 do
+        la.(k) <- k / b.n;
+        lb.(k) <- k mod b.n
+      done;
       {
         n;
         cols =
           Array.append
-            (Array.map (fun c -> Column.gather c la) a.cols)
-            (Array.map (fun c -> Column.gather c lb) b.cols);
-        tags = Array.init n (fun k -> P.mult a.tags.(k / b.n) b.tags.(k mod b.n));
+            (Array.map (fun c -> Column.gather c la n) a.cols)
+            (Array.map (fun c -> Column.gather c lb n) b.cols);
+        tags = Array.init n (fun k -> P.mult a.tags.(la.(k)) b.tags.(lb.(k)));
       }
     end
 
@@ -815,37 +981,39 @@ module Make (P : Provenance.S) = struct
 
   (* ---- − / ∩ against a normalized right-hand run --------------------------- *)
 
+  (* Tagged negation of a matched right-hand tag (Diff-2 / anti-join). *)
+  let negate (t : P.t) : P.t =
+    match P.negate t with
+    | Some nt -> nt
+    | None -> runtime_error (P.name ^ " does not support negation")
+
   let diff (a : batch) (rb : batch) : batch =
     if a.n = 0 then empty
     else begin
-      let out_idx = Ivec.create () and out_tags = ref [] in
+      let cmp = cross_cmp rb.cols a.cols in
+      let tags = tag_buf a.n a.tags.(0) in
       for i = 0 to a.n - 1 do
-        match find_in_run rb a.cols i with
-        | None ->
-            Ivec.push out_idx i;
-            out_tags := a.tags.(i) :: !out_tags
-        | Some tb -> (
-            match P.negate tb with
-            | Some ntb ->
-                Ivec.push out_idx i;
-                out_tags := P.mult a.tags.(i) ntb :: !out_tags
-            | None -> runtime_error (P.name ^ " does not support negation"))
+        let p = find_in_run cmp rb i in
+        tags.(i) <- (if p < 0 then a.tags.(i) else P.mult a.tags.(i) (negate rb.tags.(p)))
       done;
-      take a (Ivec.to_array out_idx) (Array.of_list (List.rev !out_tags))
+      with_tags a tags
     end
 
   let intersect (a : batch) (rb : batch) : batch =
     if a.n = 0 || rb.n = 0 then empty
     else begin
-      let out_idx = Ivec.create () and out_tags = ref [] in
+      let cmp = cross_cmp rb.cols a.cols in
+      let idx = ints 0 a.n and tags = tag_buf a.n a.tags.(0) in
+      let m = ref 0 in
       for i = 0 to a.n - 1 do
-        match find_in_run rb a.cols i with
-        | None -> ()
-        | Some tb ->
-            Ivec.push out_idx i;
-            out_tags := P.mult a.tags.(i) tb :: !out_tags
+        let p = find_in_run cmp rb i in
+        if p >= 0 then begin
+          idx.(!m) <- i;
+          tags.(!m) <- P.mult a.tags.(i) rb.tags.(p);
+          incr m
+        end
       done;
-      take a (Ivec.to_array out_idx) (Array.of_list (List.rev !out_tags))
+      keep_rows a idx tags !m
     end
 
   (* ---- ⋈ / ▷ sorted-run key indices ---------------------------------------- *)
@@ -869,12 +1037,7 @@ module Make (P : Provenance.S) = struct
       if r.n = 0 then [||] else Array.of_list (List.map (fun k -> r.cols.(k)) keys)
     in
     let perm = Array.init r.n Fun.id in
-    let rcmp = self_cmp kcols in
-    let cmp i j =
-      let c = rcmp i j in
-      if c <> 0 then c else Stdlib.compare (i : int) j
-    in
-    Array.sort cmp perm;
+    if Array.length kcols > 0 then sort_prefix (self_cmp kcols) perm (ints 0 r.n) r.n;
     let ikey =
       match kcols with
       | [| Column.I (ty, arr) |] -> Some (ty, Array.map (fun p -> arr.(p)) perm)
@@ -882,51 +1045,17 @@ module Make (P : Provenance.S) = struct
     in
     { ki_cols = kcols; ki_perm = perm; ki_src = r; ki_ikey = ikey }
 
-  (* Sorted-position range [lo, hi) of index entries whose key equals row [i]
-     of [pcols]. *)
-  let key_range (ix : key_index) (pcols : Column.t array) (i : int) : int * int =
-    let n = Array.length ix.ki_perm in
-    let lower () =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cmp_cols_across ix.ki_cols pcols ix.ki_perm.(mid) i < 0 then lo := mid + 1
-        else hi := mid
-      done;
-      !lo
-    in
-    let upper () =
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cmp_cols_across ix.ki_cols pcols ix.ki_perm.(mid) i <= 0 then lo := mid + 1
-        else hi := mid
-      done;
-      !lo
-    in
-    let lo = lower () in
-    if lo >= n || cmp_cols_across ix.ki_cols pcols ix.ki_perm.(lo) i <> 0 then (lo, lo)
-    else (lo, upper ())
-
-  (* Sorted-position range of [karr] entries equal to [k]: the unboxed twin
-     of {!key_range} for single-int-column keys. *)
-  let int_range (karr : int array) (k : int) : int * int =
-    let n = Array.length karr in
-    let lo = ref 0 and hi = ref n in
+  (* First position in [[from], n) of [karr] (sorted) holding a value >= [k]
+     ([> k] when [upper]): the unboxed twin of {!bound} for single-int-column
+     keys. *)
+  let int_bound ~upper (karr : int array) (from : int) (k : int) : int =
+    let lo = ref from and hi = ref (Array.length karr) in
     while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if karr.(mid) < k then lo := mid + 1 else hi := mid
+      let mid = (!lo + !hi) lsr 1 in
+      let v = karr.(mid) in
+      if v < k || (upper && v = k) then lo := mid + 1 else hi := mid
     done;
-    let first = !lo in
-    if first >= n || karr.(first) <> k then (first, first)
-    else begin
-      let lo = ref first and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if karr.(mid) <= k then lo := mid + 1 else hi := mid
-      done;
-      (first, !lo)
-    end
+    !lo
 
   (** [join ~lkeys left ix] with optionally only the combined columns in
       [keep] materialized (a π of pure accesses directly above the ⋈ —
@@ -937,35 +1066,56 @@ module Make (P : Provenance.S) = struct
     if left.n = 0 || ix.ki_src.n = 0 then empty
     else begin
       let pcols = Array.of_list (List.map (fun k -> left.cols.(k)) lkeys) in
-      (* int-keyed probes bypass the boxed comparator entirely; the type
-         tags must match or ordering would go through [Value.compare_ty]
-         first *)
-      let fast =
-        match (ix.ki_ikey, pcols) with
-        | Some (ty, karr), [| Column.I (pty, parr) |] when Value.equal_ty pty ty ->
-            Some (karr, parr)
-        | _ -> None
-      in
-      let ls = Ivec.create () and rs = Ivec.create () in
+      let nr = Array.length ix.ki_perm in
+      (* Pass 1: each left row's range [los.(i), his.(i)) of sorted index
+         positions with an equal key, which sizes the output exactly. *)
+      let los = ints 0 left.n and his = ints 1 left.n in
+      (match (ix.ki_ikey, pcols) with
+      | _, [||] ->
+          (* no keys (a cross product): every row matches every row *)
+          Array.fill los 0 left.n 0;
+          Array.fill his 0 left.n nr
+      | Some (ty, karr), [| Column.I (pty, parr) |] when Value.equal_ty pty ty ->
+          (* int-keyed probes bypass the boxed comparator entirely; the type
+             tags must match or ordering would go through [Value.compare_ty]
+             first *)
+          for i = 0 to left.n - 1 do
+            let k = parr.(i) in
+            let lo = int_bound ~upper:false karr 0 k in
+            los.(i) <- lo;
+            his.(i) <- (if lo < nr && karr.(lo) = k then int_bound ~upper:true karr lo k else lo)
+          done
+      | _ ->
+          let cmp = cross_cmp ix.ki_cols pcols and perm = Some ix.ki_perm in
+          for i = 0 to left.n - 1 do
+            let lo = bound ~upper:false cmp perm 0 nr i in
+            los.(i) <- lo;
+            his.(i) <-
+              (if lo < nr && cmp ix.ki_perm.(lo) i = 0 then bound ~upper:true cmp perm lo nr i
+               else lo)
+          done);
+      let n = ref 0 in
       for i = 0 to left.n - 1 do
-        let lo, hi =
-          match fast with
-          | Some (karr, parr) -> int_range karr parr.(i)
-          | None -> key_range ix pcols i
-        in
-        for m = hi - 1 downto lo do
-          Ivec.push ls i;
-          Ivec.push rs ix.ki_perm.(m)
-        done
+        n := !n + his.(i) - los.(i)
       done;
-      let la = Ivec.to_array ls and ra = Ivec.to_array rs in
-      let n = Array.length la in
+      let n = !n in
       if n = 0 then empty
       else begin
+        (* Pass 2: matches walk each range backwards — the tree-walker's
+           reversed per-key bucket order. *)
+        let la = ints 2 n and ra = ints 3 n in
+        let k = ref 0 in
+        for i = 0 to left.n - 1 do
+          for m = his.(i) - 1 downto los.(i) do
+            la.(!k) <- i;
+            ra.(!k) <- ix.ki_perm.(m);
+            incr k
+          done
+        done;
         let lw = Array.length left.cols in
         let combined_at (k : int) : Column.t =
-          if k < lw then Column.gather left.cols.(k) la
-          else Column.gather ix.ki_src.cols.(k - lw) ra
+          if k < lw then Column.gather left.cols.(k) la n
+          else Column.gather ix.ki_src.cols.(k - lw) ra n
         in
         let cols =
           match keep with
@@ -992,55 +1142,40 @@ module Make (P : Provenance.S) = struct
     if r.n = 0 then { ai_cols = [||]; ai_tags = [||] }
     else begin
       let ix = build_key_index keys r in
-      let leaders = Ivec.create () and tags = ref [] in
+      let leaders = ints 0 r.n and tags = tag_buf r.n r.tags.(0) in
       (* walk sorted positions, folding tags per key group in emission
          (= stable-sorted) order *)
-      let prev_leader = ref (-1) in
+      let m = ref 0 in
       Array.iter
         (fun row ->
-          if !prev_leader >= 0 && cmp_rows ix.ki_cols !prev_leader row = 0 then
-            tags := (match !tags with t :: rest -> P.add t r.tags.(row) :: rest | [] -> assert false)
+          if !m > 0 && cmp_rows ix.ki_cols leaders.(!m - 1) row = 0 then
+            tags.(!m - 1) <- P.add tags.(!m - 1) r.tags.(row)
           else begin
-            prev_leader := row;
-            Ivec.push leaders row;
-            tags := r.tags.(row) :: !tags
+            leaders.(!m) <- row;
+            tags.(!m) <- r.tags.(row);
+            incr m
           end)
         ix.ki_perm;
-      let la = Ivec.to_array leaders in
       {
-        ai_cols = Array.map (fun c -> Column.gather c la) ix.ki_cols;
-        ai_tags = Array.of_list (List.rev !tags);
+        ai_cols = Array.map (fun c -> Column.gather c leaders !m) ix.ki_cols;
+        ai_tags = Array.sub tags 0 !m;
       }
     end
-
-  let anti_find (ai : anti_index) (pcols : Column.t array) (i : int) : P.t option =
-    let n = Array.length ai.ai_tags in
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cmp_cols_across ai.ai_cols pcols mid i < 0 then lo := mid + 1 else hi := mid
-    done;
-    if !lo < n && cmp_cols_across ai.ai_cols pcols !lo i = 0 then Some ai.ai_tags.(!lo)
-    else None
 
   let antijoin ~(lkeys : int list) (left : batch) (ai : anti_index) : batch =
     if left.n = 0 then empty
     else begin
       let pcols = Array.of_list (List.map (fun k -> left.cols.(k)) lkeys) in
-      let out_idx = Ivec.create () and out_tags = ref [] in
+      let cmp = cross_cmp ai.ai_cols pcols in
+      let na = Array.length ai.ai_tags in
+      let tags = tag_buf left.n left.tags.(0) in
       for i = 0 to left.n - 1 do
-        match anti_find ai pcols i with
-        | None ->
-            Ivec.push out_idx i;
-            out_tags := left.tags.(i) :: !out_tags
-        | Some tr -> (
-            match P.negate tr with
-            | Some ntr ->
-                Ivec.push out_idx i;
-                out_tags := P.mult left.tags.(i) ntr :: !out_tags
-            | None -> runtime_error (P.name ^ " does not support negation"))
+        let p = bound ~upper:false cmp None 0 na i in
+        tags.(i) <-
+          (if p < na && cmp p i = 0 then P.mult left.tags.(i) (negate ai.ai_tags.(p))
+           else left.tags.(i))
       done;
-      take left (Ivec.to_array out_idx) (Array.of_list (List.rev !out_tags))
+      with_tags left tags
     end
 
   (* ---- aggregation ---------------------------------------------------------- *)

@@ -41,11 +41,10 @@ let get (c : t) (i : int) : Value.t =
 
 let to_array (c : t) : Value.t array = Array.init (length c) (get c)
 
-(** Choose the densest encoding for a column of values.  O(n) for uniform
-    int/float columns; O(n log d) (d distinct values) for the dictionary
-    fallback. *)
-let pack (vs : Value.t array) : t =
-  let n = Array.length vs in
+(** Choose the densest encoding for the first [n] values of [vs].  O(n)
+    for uniform int/float columns; O(n log d) (d distinct values) for the
+    dictionary fallback. *)
+let pack_prefix (vs : Value.t array) (n : int) : t =
   let uniform_int =
     n > 0
     && (match vs.(0) with
@@ -62,7 +61,7 @@ let pack (vs : Value.t array) : t =
   if uniform_int then
     match vs.(0) with
     | Value.Int (ty0, _) ->
-        I (ty0, Array.map (function Value.Int (_, x) -> x | _ -> assert false) vs)
+        I (ty0, Array.init n (fun i -> match vs.(i) with Value.Int (_, x) -> x | _ -> assert false))
     | _ -> assert false
   else
     let uniform_float =
@@ -81,10 +80,10 @@ let pack (vs : Value.t array) : t =
     if uniform_float then
       match vs.(0) with
       | Value.Float (ty0, _) ->
-          F (ty0, Array.map (function Value.Float (_, x) -> x | _ -> assert false) vs)
+          F (ty0, Array.init n (fun i -> match vs.(i) with Value.Float (_, x) -> x | _ -> assert false))
       | _ -> assert false
     else begin
-      let sorted = Array.copy vs in
+      let sorted = Array.sub vs 0 n in
       Array.sort Value.compare sorted;
       let distinct = ref 0 in
       Array.iteri
@@ -104,8 +103,10 @@ let pack (vs : Value.t array) : t =
         done;
         !lo
       in
-      D (dict, Array.map code vs)
+      D (dict, Array.init n (fun i -> code vs.(i)))
     end
+
+let pack (vs : Value.t array) : t = pack_prefix vs (Array.length vs)
 
 (* ---- comparisons ------------------------------------------------------------ *)
 
@@ -132,13 +133,14 @@ let hash_at (c : t) (i : int) : int = Value.hash_value (get c i)
 
 (* ---- bulk movement ---------------------------------------------------------- *)
 
-(** Select rows by index, preserving the encoding (dictionaries are shared,
-    not copied). *)
-let gather (c : t) (idx : int array) : t =
+(** Select the rows [idx.(0 .. n-1)], preserving the encoding
+    (dictionaries are shared, not copied).  [idx] may be longer than [n]:
+    callers stage indices in reusable scratch buffers. *)
+let gather (c : t) (idx : int array) (n : int) : t =
   match c with
-  | I (ty, a) -> I (ty, Array.map (fun i -> a.(i)) idx)
-  | F (ty, a) -> F (ty, Array.map (fun i -> a.(i)) idx)
-  | D (dict, codes) -> D (dict, Array.map (fun i -> codes.(i)) idx)
+  | I (ty, a) -> I (ty, Array.init n (fun k -> a.(idx.(k))))
+  | F (ty, a) -> F (ty, Array.init n (fun k -> a.(idx.(k))))
+  | D (dict, codes) -> D (dict, Array.init n (fun k -> codes.(idx.(k))))
 
 (** Concatenate two columns; falls back to re-packing when the encodings are
     incompatible (different int/float types, different dictionaries). *)
@@ -149,18 +151,21 @@ let append (a : t) (b : t) : t =
   | D (da, ca), D (db, cb) when da == db -> D (da, Array.append ca cb)
   | _ -> pack (Array.append (to_array a) (to_array b))
 
-(** Merge two columns along a sorted-merge plan: entry [p] takes row
-    [p lsr 1] of [a] when [p land 1 = 0], of [b] otherwise.  Encodings are
-    preserved when compatible. *)
-let merge (a : t) (b : t) (plan : int array) : t =
-  let pick_int xa xb = Array.map (fun p -> if p land 1 = 0 then xa.(p lsr 1) else xb.(p lsr 1)) plan in
-  let pick_float xa xb =
-    Array.map (fun p -> if p land 1 = 0 then xa.(p lsr 1) else xb.(p lsr 1)) plan
+(** Merge two columns along the first [n] entries of a sorted-merge plan:
+    entry [p] takes row [p lsr 1] of [a] when [p land 1 = 0], of [b]
+    otherwise.  Encodings are preserved when compatible. *)
+let merge (a : t) (b : t) (plan : int array) (n : int) : t =
+  let pick xa xb =
+    Array.init n (fun k ->
+        let p = plan.(k) in
+        if p land 1 = 0 then xa.(p lsr 1) else xb.(p lsr 1))
   in
   match (a, b) with
-  | I (ta, xa), I (tb, xb) when Value.equal_ty ta tb -> I (ta, pick_int xa xb)
-  | F (ta, xa), F (tb, xb) when Value.equal_ty ta tb -> F (ta, pick_float xa xb)
-  | D (da, ca), D (db, cb) when da == db -> D (da, pick_int ca cb)
+  | I (ta, xa), I (tb, xb) when Value.equal_ty ta tb -> I (ta, pick xa xb)
+  | F (ta, xa), F (tb, xb) when Value.equal_ty ta tb -> F (ta, pick xa xb)
+  | D (da, ca), D (db, cb) when da == db -> D (da, pick ca cb)
   | _ ->
       pack
-        (Array.map (fun p -> if p land 1 = 0 then get a (p lsr 1) else get b (p lsr 1)) plan)
+        (Array.init n (fun k ->
+             let p = plan.(k) in
+             if p land 1 = 0 then get a (p lsr 1) else get b (p lsr 1)))

@@ -70,12 +70,15 @@ type config = {
       (** reuse join indices / invariant sub-relations across fixpoint
           iterations (sound; see {!Plan}) *)
   columnar : bool;
-      (** evaluate strata with the columnar batch executor ({!Batch_ops});
-          plan subtrees the columnar path does not cover (samplers, foreign
-          joins — [Plan.colable = false]) fall back to the tree-walker over
-          decoded views.  Bit-identical to the tree-walker for every
-          registered provenance whose ⊕ is associative (all of them); see
-          DESIGN.md "Columnar executor". *)
+      (** [true] (the default, and the only production setting): evaluate
+          strata with the columnar batch executor ({!Batch_ops}); plan
+          subtrees it does not cover (samplers, foreign joins —
+          [Plan.colable = false]) fall back to the tree-walker over decoded
+          views, one subtree at a time.  [false] runs the whole program on
+          the tree-walker and exists only as the differential oracle (the
+          fuzz suite, test/test_columnar.ml, [bench interp]).  The two are
+          bit-identical; see DESIGN.md "Columnar executor".  Incremental
+          maintenance ({!continue_stratum}) does not read this field. *)
   stats : stats option;  (** profiling sink; [None] disables collection *)
 }
 
@@ -85,7 +88,7 @@ let default_config () =
     budget = Budget.default;
     semi_naive = true;
     cache_indices = true;
-    columnar = false;
+    columnar = true;
     stats = None;
   }
 
@@ -944,29 +947,31 @@ module Make (P : Provenance.S) = struct
           (r.Plan.head, newly))
         s.Plan.rules
     in
+    (* every rule's (acc, delta) against the round-start state, then every
+       push: heads are distinct, but a head's crel is mutable *)
     let deltas_of cdb updates =
       List.map (fun (h, newly) -> (h, B.delta_of_run ~old:(crel_of cdb h) newly)) updates
     in
-    let push cdb updates =
+    let push cdb deltas =
       List.fold_left
-        (fun a (h, newly) ->
+        (fun a (h, (acc, _)) ->
           let cr = crel_of a h in
-          B.crel_push cr newly;
+          B.crel_push cr acc;
           SMap.add h cr a)
-        cdb updates
+        cdb deltas
     in
-    let dsize ds = List.fold_left (fun acc (_, d) -> acc + d.B.n) 0 ds in
+    let dsize ds = List.fold_left (fun acc (_, (_, d)) -> acc + d.B.n) 0 ds in
     if not s.Plan.recursive then begin
       check_iteration config mon ~next_iter:1;
       record_iter ();
-      push cdb (rule_updates cdb (fun r -> [ r.Plan.body ]))
+      push cdb (deltas_of cdb (rule_updates cdb (fun r -> [ r.Plan.body ])))
     end
     else begin
       (* delta-drained loop shared by naive and semi-naive: [delta_of_run]
          empty for every head ⟺ [relation_saturated] (saturation is
          reflexive), so both modes share the same termination test *)
       let rec loop cdb deltas iters =
-        if List.for_all (fun (_, d) -> d.B.n = 0) deltas then begin
+        if List.for_all (fun (_, (_, d)) -> d.B.n = 0) deltas then begin
           mon.m_iterations <- iters - 1;
           cdb
         end
@@ -976,7 +981,7 @@ module Make (P : Provenance.S) = struct
             if config.semi_naive then begin
               let cdb_with_deltas =
                 List.fold_left
-                  (fun a (h, d) -> SMap.add (Plan.delta_name h) (B.crel_of_run d) a)
+                  (fun a (h, (_, d)) -> SMap.add (Plan.delta_name h) (B.crel_of_run d) a)
                   cdb deltas
               in
               rule_updates cdb_with_deltas (fun r -> r.Plan.deltas)
@@ -984,7 +989,7 @@ module Make (P : Provenance.S) = struct
             else rule_updates cdb (fun r -> [ r.Plan.body ])
           in
           let deltas' = deltas_of cdb updates in
-          let cdb' = push cdb updates in
+          let cdb' = push cdb deltas' in
           record_iter
             ?size:(match trace with Some _ -> Some (dsize deltas') | None -> None)
             ();
@@ -995,7 +1000,7 @@ module Make (P : Provenance.S) = struct
       check_iteration config mon ~next_iter:1;
       let updates = rule_updates cdb (fun r -> [ r.Plan.body ]) in
       let deltas = deltas_of cdb updates in
-      let cdb1 = push cdb updates in
+      let cdb1 = push cdb deltas in
       record_iter ?size:(match trace with Some _ -> Some (dsize deltas) | None -> None) ();
       loop cdb1 deltas 2
     end
@@ -1014,7 +1019,9 @@ module Make (P : Provenance.S) = struct
              (fun (cdb, i) s -> (ceval_stratum config mon rt cdb i s, i + 1))
              (cdb, 0) p.Plan.strata)
       in
-      SMap.map B.to_relation cdb
+      let db = SMap.map B.to_relation cdb in
+      B.release ();
+      db
     end
     else
       fst
@@ -1051,7 +1058,11 @@ module Make (P : Provenance.S) = struct
              (fun (cdb, i) s -> (ceval_stratum config mon rt cdb i s, i + 1))
              (cdb, 0) p.Plan.strata)
       in
-      List.map (fun pred -> (pred, B.to_outputs (B.crel_force (crel_of cdb pred)))) out
+      let outputs =
+        List.map (fun pred -> (pred, B.to_outputs (B.crel_force (crel_of cdb pred)))) out
+      in
+      B.release ();
+      outputs
     end
     else
       let db = eval_plan_program config db p in

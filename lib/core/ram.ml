@@ -53,6 +53,49 @@ let rec eval_vexpr (t : Tuple.t) (e : vexpr) : Value.t option =
       | _ -> None)
   | Cast (ty, a) -> Option.bind (eval_vexpr t a) (Value.cast ty)
 
+(** [eval_vexpr] staged over a row source that is not a boxed tuple (the
+    columnar executor's columns): [col j] is the reader of column [j], or
+    [None] when rows have no column [j].  The result evaluates [e] at a row
+    index with exactly [eval_vexpr]'s results and evaluation order, without
+    building the row's tuple. *)
+let rec stage_vexpr (col : int -> (int -> Value.t) option) (e : vexpr) : int -> Value.t option =
+  match e with
+  | Access j -> (
+      match col j with Some get -> fun i -> Some (get i) | None -> fun _ -> None)
+  | Const v ->
+      let r = Some v in
+      fun _ -> r
+  | Binop (op, a, b) -> (
+      let fa = stage_vexpr col a and fb = stage_vexpr col b in
+      fun i ->
+        match (fa i, fb i) with
+        | Some va, Some vb -> Foreign.eval_binop op va vb
+        | _ -> None)
+  | Unop (op, a) ->
+      let fa = stage_vexpr col a in
+      fun i -> Option.bind (fa i) (Foreign.eval_unop op)
+  | Call (name, args) -> (
+      let fs = List.map (stage_vexpr col) args in
+      match Foreign.lookup_function name with
+      | None -> fun _ -> None
+      | Some f ->
+          fun i ->
+            let rec eval_all acc = function
+              | [] -> Some (List.rev acc)
+              | g :: rest -> ( match g i with Some v -> eval_all (v :: acc) rest | None -> None)
+            in
+            Option.bind (eval_all [] fs) f)
+  | If_then_else (c, a, b) -> (
+      let fc = stage_vexpr col c and fa = stage_vexpr col a and fb = stage_vexpr col b in
+      fun i ->
+        match fc i with
+        | Some (Value.B true) -> fa i
+        | Some (Value.B false) -> fb i
+        | _ -> None)
+  | Cast (ty, a) ->
+      let fa = stage_vexpr col a in
+      fun i -> Option.bind (fa i) (Value.cast ty)
+
 (** Evaluate a condition: true iff the expression evaluates to [true].
     Failure counts as false (the tuple is filtered out). *)
 let eval_cond (t : Tuple.t) (e : vexpr) : bool =

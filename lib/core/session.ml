@@ -15,11 +15,13 @@
     iteration/tuple/node caps, cancellation) travel in
     [config.Interp.budget]; {!run_batch} isolates failures per sample.
 
-    The execution engine is selected by [config.Interp.columnar]: the
-    default tree-walking interpreter, or the columnar batch executor (CLI
-    [--columnar]) with identical results.  The flag rides through
-    {!batch_config} untouched, so batched samples all execute under the
-    engine the template config selects. *)
+    Every run executes on the columnar batch executor ({!Batch_ops}), with
+    plan subtrees it does not cover (samplers, foreign joins) on the
+    tree-walking interpreter inside the same run.  [config.Interp.columnar
+    = false] runs the whole program on the tree-walker instead, with
+    identical results; it exists only as the differential-test oracle.  The
+    field rides through {!batch_config} untouched, so batched samples all
+    execute under the engine the template config selects. *)
 
 exception Error of Exec_error.t
 

@@ -111,7 +111,8 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
         let merged =
           B.union_runs (B.of_list (Tuple.Map.bindings ma)) (B.of_list (Tuple.Map.bindings mb))
         in
-        let expect = Tuple.Map.union (fun _ o n -> Some (P.add o n)) ma mb in
+        (* the newer run's tag wins: a crel pushes accumulated tags *)
+        let expect = Tuple.Map.union (fun _ _ n -> Some n) ma mb in
         items_equal (B.to_list merged) (Tuple.Map.bindings expect))
   in
   let exprs =
@@ -166,8 +167,163 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
   in
   (merge_test :: List.map op_test exprs)
 
+(* ---- whole programs under a non-associative ⊕ ------------------------------- *)
+
+(* addmultprob's ⊕ is a clamped float sum, so a tag folded in a different
+   association differs in its last bits.  Transitive closure over random
+   cyclic graphs derives the same path in many fixpoint rounds; int node
+   columns take the radix merge of a relation's runs, string columns the
+   pairwise one.  Both must equal the tree-walker bit for bit. *)
+let addmult_tc ~strings () =
+  let rng = Scallop_utils.Rng.create (if strings then 17 else 16) in
+  let failures = ref [] in
+  for seed = 1 to 60 do
+    let n = 5 + Scallop_utils.Rng.int rng 25 and m = 10 + Scallop_utils.Rng.int rng 80 in
+    let node k = if strings then Fmt.str "%S" (Fmt.str "n%d" k) else string_of_int k in
+    let edges =
+      List.init m (fun _ ->
+          Fmt.str "%.3f::(%s, %s)"
+            (0.05 +. (0.9 *. Scallop_utils.Rng.float rng))
+            (node (Scallop_utils.Rng.int rng n))
+            (node (Scallop_utils.Rng.int rng n)))
+    in
+    let ty = if strings then "String" else "i32" in
+    let src =
+      Fmt.str
+        "type edge(%s, %s)\nrel edge = {%s}\nrel path(a, b) = edge(a, b)\nrel path(a, c) = path(a, b), edge(b, c)\nquery path\n"
+        ty ty (String.concat ", " edges)
+    in
+    let c = Session.compile src in
+    let rows columnar =
+      (Session.run
+         ~config:{ (Interp.default_config ()) with Interp.columnar }
+         ~provenance:(Registry.create Registry.Add_mult_prob) c ())
+        .Session.outputs
+      |> List.concat_map (fun (_, l) -> List.map (fun (t, o) -> (t, Provenance.Output.prob o)) l)
+    in
+    let a = rows true and b = rows false in
+    if
+      not
+        (List.length a = List.length b
+        && List.for_all2
+             (fun (ta, pa) (tb, pb) -> Tuple.compare ta tb = 0 && Float.equal pa pb)
+             a b)
+    then failures := seed :: !failures
+  done;
+  if !failures <> [] then
+    Alcotest.failf "columnar diverged from the tree-walker on graphs %a"
+      Fmt.(list ~sep:comma int)
+      (List.rev !failures)
+
+(* ---- the default engine --------------------------------------------------------- *)
+
+let default_is_columnar () =
+  Alcotest.(check bool) "default config runs columnar" true
+    (Interp.default_config ()).Interp.columnar
+
+(* One-shot programs piped through [scallop serve] (which runs them on the
+   default engine) must reply exactly the rows of an in-process tree-walker
+   run under the config the service gives request [n]: the bench's three
+   one-shot families, a sampler (its draws depend on that config's RNG
+   substream) and foreign predicates plus a foreign function (plan subtrees
+   that fall back to the tree-walker inside a columnar run). *)
+let serve_matches_tree_walker () =
+  let rng = Scallop_utils.Rng.create 23 in
+  let int n = Scallop_utils.Rng.int rng n in
+  let prob () = Fmt.str "%.2f" (0.1 +. (0.8 *. Scallop_utils.Rng.float rng)) in
+  let edges () =
+    String.concat ", " (List.init 40 (fun _ -> Fmt.str "%s::(%d, %d)" (prob ()) (int 20) (int 20)))
+  in
+  let closure =
+    "rel path(a, b) = edge(a, b);rel path(a, c) = path(a, b), edge(b, c);rel reach(b) = \
+     path(0, b)"
+  in
+  let graph () = "type edge(i32, i32);rel edge = {" ^ edges () ^ "};" ^ closure in
+  let reach () = graph () ^ ";rel cnt(n) = n := count(b: reach(b));query cnt" in
+  let unreach () =
+    graph () ^ ";type node(i32);rel node = {"
+    ^ String.concat ", " (List.init 20 string_of_int)
+    ^ "};rel unreach(b) = node(b), not reach(b);rel cnt(n) = n := count(b: unreach(b));query \
+       cnt"
+  in
+  let group () =
+    "type item(i32, i32);rel item = {"
+    ^ String.concat ", " (List.init 60 (fun _ -> Fmt.str "%s::(%d, %d)" (prob ()) (int 6) (int 100)))
+    ^ "};rel total(g, s) = s := sum(x: item(g, x));rel sizes(g, n) = n := count(x: item(g, x));query \
+       total;query sizes"
+  in
+  let sampler () = graph () ^ ";rel picked(b) = b := uniform<3>(x: reach(x));query picked" in
+  let foreign () =
+    "type e(i32, i32);rel e = {" ^ edges ()
+    ^ "};rel cell(x, y, x * 10 + y) = range(0, 6, x), range(0, 6, y), e(x, y);rel \
+       name($string_concat(\"c\", $string_concat(\"-\", \"x\"))) = cell(_, _, _);query cell;query \
+       name"
+  in
+  let programs =
+    [ reach (); unreach (); group (); sampler (); foreign (); reach (); unreach (); group ();
+      sampler (); foreign () ]
+  in
+  let expected =
+    List.concat
+      (List.mapi
+         (fun n program ->
+           let c = Session.compile (String.map (fun ch -> if ch = ';' then '\n' else ch) program) in
+           let config =
+             { (Session.batch_config (Interp.default_config ()) n) with Interp.columnar = false }
+           in
+           let r =
+             Session.run ~config ~provenance:(Registry.create Registry.Max_min_prob) c ()
+           in
+           List.concat_map
+             (fun (pred, rows) ->
+               List.map
+                 (fun (t, o) -> Fmt.str "out %d %a::%s%a" n Provenance.Output.pp o pred Tuple.pp t)
+                 rows)
+             r.Session.outputs)
+         programs)
+  in
+  let dir = Filename.temp_file "scallop_columnar" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_text (path "in.txt") (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) programs);
+  let code =
+    Sys.command
+      (Fmt.str "../bin/scallop.exe serve -p minmaxprob < %s > %s 2> %s"
+         (Filename.quote (path "in.txt"))
+         (Filename.quote (path "out.txt"))
+         (Filename.quote (path "err.txt")))
+  in
+  let replies =
+    In_channel.with_open_text (path "out.txt") In_channel.input_all |> String.split_on_char '\n'
+  in
+  Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Alcotest.(check int) "serve exit status" 0 code;
+  let dones = List.filter (fun l -> String.starts_with ~prefix:"done " l) replies in
+  List.iter
+    (fun l ->
+      if not (String.length l > 0 && List.mem "ok" (String.split_on_char ' ' l)) then
+        Alcotest.failf "request failed: %s" l)
+    dones;
+  Alcotest.(check int) "one reply per program" (List.length programs) (List.length dones);
+  Alcotest.(check (list string))
+    "serve rows = tree-walker rows" expected
+    (List.filter (fun l -> String.starts_with ~prefix:"out " l) replies)
+
 let suite =
-  [ col_roundtrip; col_cmp_consistent ]
+  [
+    Alcotest.test_case "default config is columnar" `Quick default_is_columnar;
+    Alcotest.test_case "serve one-shot replies = tree-walker rows" `Quick
+      serve_matches_tree_walker;
+    Alcotest.test_case "addmultprob TC, int columns: columnar = tree-walker bit-exactly" `Quick
+      (addmult_tc ~strings:false);
+    Alcotest.test_case "addmultprob TC, string columns: columnar = tree-walker bit-exactly"
+      `Quick (addmult_tc ~strings:true);
+    col_roundtrip;
+    col_cmp_consistent;
+  ]
   @ tests_for "boolean" Registry.Boolean ~rich_aggs:true
   @ tests_for "minmaxprob" Registry.Max_min_prob ~rich_aggs:true
   @ tests_for "topkproofs-3" (Registry.Top_k_proofs 3) ~rich_aggs:false

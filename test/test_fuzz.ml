@@ -13,8 +13,8 @@ open Scallop_fuzz
 
 let master_seed = 0xF02A
 
-let check_spec ?(recursion = true) name spec ~first ~count () =
-  match Fuzz_gen.check_range ~recursion ~spec ~master_seed ~first ~count () with
+let check_spec ?(recursion = true) ?columnar_only name spec ~first ~count () =
+  match Fuzz_gen.check_range ~recursion ?columnar_only ~spec ~master_seed ~first ~count () with
   | [] -> ()
   | failures ->
       let shown = List.filteri (fun i _ -> i < 3) failures in
@@ -58,4 +58,15 @@ let suite =
          ~first:500 ~count:25);
     Alcotest.test_case "incr boolean: 2-domain shared-plan sweep" `Slow
       (check_incr ~parallel:true "incr-boolean-par" Registry.Boolean ~first:600 ~count:24);
+    (* Every provenance runs on the columnar engine by default, so these
+       get bit-exact pairs too.  addmultprob's ⊕ is a clamped float sum
+       over recursive rules (naive and semi-naive count derivations
+       differently, so only same-mode pairs are a contract);
+       difftopkproofsme-3 is the training provenance. *)
+    Alcotest.test_case "addmultprob: 60 programs, columnar = tree-walker bit-exactly" `Slow
+      (check_spec ~columnar_only:true "addmultprob" Registry.Add_mult_prob ~first:700 ~count:60);
+    Alcotest.test_case
+      "difftopkproofsme-3: 50 non-recursive programs, all modes + columnar agree" `Slow
+      (check_spec ~recursion:false "difftopkproofsme-3" (Registry.Diff_top_k_proofs_me 3)
+         ~first:800 ~count:50);
   ]
