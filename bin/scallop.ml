@@ -56,20 +56,6 @@ let profile_arg =
     & info [ "profile"; "stats" ]
         ~doc:"Collect execution statistics and print a per-RAM-node profile after the outputs.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Disable reuse of join indices across fixpoint iterations.")
-
-let no_wmc_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-wmc-cache" ]
-        ~doc:
-          "Disable the cross-iteration weighted-model-counting cache used when recovering \
-           probabilities from top-k proof provenances (BDDs and counted results are then \
-           rebuilt from scratch on every recover call).")
-
 let timeout_arg =
   Arg.(
     value
@@ -93,12 +79,11 @@ let max_iterations_arg =
     & info [ "max-iterations" ] ~docv:"N"
         ~doc:"Cap fixpoint iterations per stratum (default 10000).")
 
-let make_config ?(budget = Budget.default) ~seed ~profile ~no_cache () =
+let make_config ?(budget = Budget.default) ~seed ~profile () =
   {
     (Interp.default_config ()) with
     Interp.rng = Scallop_utils.Rng.create seed;
     budget;
-    cache_indices = not no_cache;
     stats = (if profile then Some (Interp.empty_stats ()) else None);
   }
 
@@ -123,10 +108,8 @@ let print_outputs (result : Session.result) =
     result.Session.outputs
 
 let run_term =
-  let run provenance seed profile no_cache no_wmc_cache jobs timeout max_tuples
-      max_iterations paths =
+  let run provenance seed profile jobs timeout max_tuples max_iterations paths =
     let jobs = resolve_jobs jobs in
-    Session.set_wmc_cache (not no_wmc_cache);
     let budget = Budget.make ?timeout ?max_iterations ?max_tuples () in
     (* Compile on the main domain (compilation is cheap and stateful-ish),
        then fan the executions out: each file runs under its own config —
@@ -152,7 +135,7 @@ let run_term =
       match c with
       | Error e -> Error e
       | Ok c -> (
-          let config = make_config ~budget ~seed ~profile ~no_cache () in
+          let config = make_config ~budget ~seed ~profile () in
           try Ok (c, Session.run ~config ~provenance:(Registry.create provenance) c ())
           with Session.Error e -> Error e)
     in
@@ -186,8 +169,8 @@ let run_term =
   in
   Term.(
     ret
-      (const run $ provenance_arg $ seed_arg $ profile_arg $ no_cache_arg $ no_wmc_cache_arg
-     $ jobs_arg $ timeout_arg $ max_tuples_arg $ max_iterations_arg $ files_arg))
+      (const run $ provenance_arg $ seed_arg $ profile_arg $ jobs_arg $ timeout_arg
+     $ max_tuples_arg $ max_iterations_arg $ files_arg))
 
 let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a Scallop program and print its output relations.") run_term
@@ -206,13 +189,12 @@ let compile_cmd =
     Term.(ret (const run $ file_arg))
 
 let repl_cmd =
-  let run provenance seed profile no_cache no_wmc_cache =
-    Session.set_wmc_cache (not no_wmc_cache);
+  let run provenance seed profile =
     Fmt.pr "Scallop REPL — enter items (rel/type/const/query); an empty line executes.@.";
     let buffer = Buffer.create 256 in
     (* One RNG for the whole session (repeated executions keep sampling new
        draws); a fresh stats sink per execution so profiles don't accumulate. *)
-    let base_config = make_config ~seed ~profile ~no_cache () in
+    let base_config = make_config ~seed ~profile () in
     let rec loop () =
       Fmt.pr "scl> %!";
       match In_channel.input_line stdin with
@@ -243,9 +225,7 @@ let repl_cmd =
   in
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive toplevel: accumulate items, execute on empty line.")
-    Term.(
-      ret
-        (const run $ provenance_arg $ seed_arg $ profile_arg $ no_cache_arg $ no_wmc_cache_arg))
+    Term.(ret (const run $ provenance_arg $ seed_arg $ profile_arg))
 
 (* ---- [scallop serve]: the supervised inference service over stdio ------------ *)
 
@@ -479,7 +459,7 @@ let serve_cmd =
         queue_depth;
         request_timeout;
         max_retries;
-        interp = make_config ~seed ~profile:false ~no_cache:false ();
+        interp = make_config ~seed ~profile:false ();
         chaos;
       }
     in
@@ -557,7 +537,7 @@ let serve_cmd =
        line per request.  Per-request failures are replies, not a process
        failure: the exit status is 0 as long as the service answered.
 
-       A line starting with a stateful verb drives an incremental session
+       A line starting with a stateful verb drives a stateful session
        instead of a one-shot query:
 
          open <sid> [hash=<hex>] <program>   compile (shared plan cache) + open
@@ -713,14 +693,10 @@ let serve_cmd =
       match req with
       | Protocol.Open { sid; expect_hash; program } ->
           verb n (fun () ->
-              let hash, exact =
+              let hash =
                 Durable.open_session dmgr ~sid ?expect_hash (base_src ^ unquote program)
               in
-              `Lines
-                [
-                  Fmt.str "done %d ok opened %s hash=%s engine=%s" n sid hash
-                    (if exact then "delta" else "recompute");
-                ])
+              `Lines [ Fmt.str "done %d ok opened %s hash=%s" n sid hash ])
       | Protocol.Assert { sid; prob; pred; tuple } ->
           verb n (fun () ->
               lookup sid;

@@ -77,8 +77,7 @@ type config = {
           views, one subtree at a time.  [false] runs the whole program on
           the tree-walker and exists only as the differential oracle (the
           fuzz suite, test/test_columnar.ml, [bench interp]).  The two are
-          bit-identical; see DESIGN.md "Columnar executor".  Incremental
-          maintenance ({!continue_stratum}) does not read this field. *)
+          bit-identical; see DESIGN.md "Columnar executor". *)
   stats : stats option;  (** profiling sink; [None] disables collection *)
 }
 
@@ -575,7 +574,7 @@ module Make (P : Provenance.S) = struct
       newly Tuple.Map.empty
 
   (* Per-stratum iteration trace, appended to the profiling sink in stratum
-     order (shared by [eval_stratum] and [continue_stratum]). *)
+     order. *)
   let new_trace config sidx =
     match config.stats with
     | Some st ->
@@ -597,25 +596,15 @@ module Make (P : Provenance.S) = struct
   (* The semi-naive inner loop: repeatedly evaluate each rule's delta
      variants with the current delta relations bound under their mangled
      names, ⊕-merge the normalized derivations, and recompute the deltas,
-     until every delta drains.  Returns the saturated database together with
-     the {e cumulative} per-head delta — the union of the seed and every
-     round's changed tuples, later (merged) tags winning — which is what
-     lets an incremental caller propagate a stratum's total change to the
-     strata downstream. *)
+     until every delta drains.  Returns the saturated database.  The
+     first, full round already ran in [eval_stratum], so counting starts at
+     iteration 2. *)
   let delta_loop config mon cache trace (s : Plan.stratum) (db : db)
-      (deltas : (string * relation) list) start_iter : db * (string * relation) list =
-    let merge_acc acc ds =
-      List.map
-        (fun (h, cum) ->
-          match List.assoc_opt h ds with
-          | None -> (h, cum)
-          | Some d -> (h, Tuple.Map.union (fun _ _cum t_new -> Some t_new) cum d))
-        acc
-    in
-    let rec loop db deltas acc iters =
+      (deltas : (string * relation) list) : db =
+    let rec loop db deltas iters =
       if List.for_all (fun (_, d) -> Tuple.Map.is_empty d) deltas then begin
         mon.m_iterations <- iters - 1;
-        (db, acc)
+        db
       end
       else begin
         check_iteration config mon ~next_iter:iters;
@@ -645,10 +634,10 @@ module Make (P : Provenance.S) = struct
         record_iter config trace
           ?size:(match trace with Some _ -> Some (delta_size deltas') | None -> None)
           ();
-        loop db' deltas' (merge_acc acc deltas') (iters + 1)
+        loop db' deltas' (iters + 1)
       end
     in
-    loop db deltas deltas start_iter
+    loop db deltas 2
 
   let eval_stratum config mon (db : db) (sidx : int) (s : Plan.stratum) : db =
     let heads = s.Plan.heads in
@@ -709,27 +698,8 @@ module Make (P : Provenance.S) = struct
         List.map (fun h -> (h, changed ~old_rel:(relation_of db h) (relation_of db1 h))) heads
       in
       record_iter ?size:(match trace with Some _ -> Some (delta_size deltas) | None -> None) ();
-      fst (delta_loop config mon cache trace s db1 deltas 2)
+      delta_loop config mon cache trace s db1 deltas
     end
-
-  (** Continue stratum [sidx]'s semi-naive fixed point from an
-      already-materialized state: [db] must contain head relations that
-      already ⊕-absorb every derivation not involving [deltas], and [deltas]
-      must carry the changed tuples under their merged tags (the
-      [changed]/[delta_of] convention).  Returns the saturated database and
-      the cumulative per-head delta, seed included.  Only meaningful for
-      recursive strata (non-recursive rules carry no delta variants).  With
-      an idempotent ⊕ whose saturation is equality (unit/boolean/minmaxprob)
-      the result is bit-identical to re-running the stratum from scratch on
-      the updated inputs — the contract the incremental maintenance engine
-      ([Incr]) is built on. *)
-  let continue_stratum config (mon : monitor) (db : db) (sidx : int) (s : Plan.stratum)
-      ~(deltas : (string * relation) list) : db * (string * relation) list =
-    mon.m_stratum <- sidx;
-    mon.m_iterations <- 0;
-    let cache = if config.cache_indices then Some (fresh_cache config) else None in
-    let trace = new_trace config sidx in
-    delta_loop config mon cache trace s db deltas 1
 
   (* ---- columnar execution (config.columnar) ------------------------------- *)
 

@@ -254,25 +254,6 @@ let of_expr ?(heads = []) (e : Ram.expr) : t =
   in
   plan_expr ~next ~heads e
 
-(** Delta variants of a plan with respect to an {e arbitrary} predicate set,
-    numbering fresh spine nodes from [start] upward; returns the variants and
-    the next unused id.  [of_program] only rewrites same-stratum heads (the
-    classic semi-naive case); the incremental maintenance engine ([Incr])
-    additionally needs variants over the {e changed input} predicates of a
-    stratum — EDB relations and lower-stratum heads touched by an update — to
-    seed a fixpoint continuation.  Callers thread a counter starting past
-    [node_count] so generated spines never collide with planned ids (the
-    fixpoint caches and the profiler key on node id). *)
-let delta_plans_from ~start ~(heads : string list) (p : t) : t list * int =
-  let counter = ref start in
-  let next () =
-    let i = !counter in
-    incr counter;
-    i
-  in
-  let variants = delta_plans ~next ~heads p in
-  (variants, !counter)
-
 (** Standalone delta variants of a plan (tests, inspection); fresh spine
     nodes get negative ids so they cannot collide with planned ids. *)
 let delta_variants ~heads (p : t) : t list =

@@ -14,9 +14,6 @@ type spec =
   | Add_mult_prob
   | Proofs
   | Top_k_proofs of int
-  | Top_k_proofs_eager of int
-      (** reference implementation of [Top_k_proofs] with eager operators;
-          differential-test oracle and benchmark baseline *)
   | Sample_k_proofs of int * int (* k, seed *)
   | Exact_prob
   | Diff_exact_prob
@@ -40,15 +37,6 @@ let create : spec -> Provenance.t = function
   | Top_k_proofs k ->
       let module M =
         Prov_prob.Top_k_proofs
-          (struct
-            let k = k
-          end)
-          ()
-      in
-      (module M)
-  | Top_k_proofs_eager k ->
-      let module M =
-        Prov_prob.Top_k_proofs_eager
           (struct
             let k = k
           end)
@@ -140,8 +128,6 @@ let degrade : spec -> spec option = function
   | Diff_exact_prob -> Some (Diff_top_k_proofs 3)
   | Top_k_proofs k when k > 1 -> Some (Top_k_proofs (k / 2))
   | Top_k_proofs _ -> Some Max_min_prob
-  | Top_k_proofs_eager k when k > 1 -> Some (Top_k_proofs_eager (k / 2))
-  | Top_k_proofs_eager _ -> Some Max_min_prob
   | Sample_k_proofs (k, seed) when k > 1 -> Some (Sample_k_proofs (k / 2, seed))
   | Sample_k_proofs _ -> Some Max_min_prob
   | Exact_prob -> Some (Top_k_proofs 3)
@@ -165,7 +151,6 @@ let spec_name : spec -> string = function
   | Add_mult_prob -> "addmultprob"
   | Proofs -> "proofs"
   | Top_k_proofs k -> Fmt.str "topkproofs-%d" k
-  | Top_k_proofs_eager k -> Fmt.str "topkproofseager-%d" k
   | Sample_k_proofs (k, _) -> Fmt.str "samplekproofs-%d" k
   | Exact_prob -> "exactprobproofs"
   | Diff_exact_prob -> "diffexactprobproofs"
@@ -211,9 +196,6 @@ let spec_of_string s =
               match with_k "dtkp" (fun k -> Diff_top_k_proofs k) with
               | Some r -> Some r
               | None -> (
-                  match with_k "topkproofseager" (fun k -> Top_k_proofs_eager k) with
-                  | Some r -> Some r
-                  | None -> (
                   match with_k "topkproofs" (fun k -> Top_k_proofs k) with
                   | Some r -> Some r
                   | None -> (
@@ -226,7 +208,7 @@ let spec_of_string s =
                           | Some r -> Some r
                           | None ->
                               with_k "difftopbottomkclauses" (fun k ->
-                                  Diff_top_bottom_k_clauses k))))))))
+                                  Diff_top_bottom_k_clauses k)))))))
 
 let of_string s = Option.map create (spec_of_string s)
 
@@ -239,7 +221,6 @@ let all_names =
     "addmultprob";
     "proofs";
     "topkproofs-3";
-    "topkproofseager-3";
     "samplekproofs-3";
     "exactprobproofs";
     "diffexactprobproofs";

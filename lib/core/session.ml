@@ -312,7 +312,7 @@ let clear_wmc_cache = Wmc.clear_cache
 (* ---- shared compiled-plan cache ------------------------------------------------
 
    Multi-tenant serving compiles the same program text over and over: every
-   tenant of an incremental session ({!Incr}) runs the same rules over a
+   tenant of a stateful session ({!Incr}) runs the same rules over a
    private EDB overlay.  Compiled programs are immutable once built
    ([rel_types] is only read after compilation), so they can be shared
    freely across sessions and domains.  The cache below memoizes [compile]

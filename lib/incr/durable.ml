@@ -1,7 +1,7 @@
-(** Durable incremental sessions: write-ahead logging, crash-consistent
+(** Durable stateful sessions: write-ahead logging, crash-consistent
     recovery, and idle eviction over {!Incr}.
 
-    A {!t} manages a registry of named incremental sessions and — when given
+    A {!t} manages a registry of named stateful sessions and — when given
     a [state_dir] — makes them survive process death.  The machinery:
 
     - {b Write-ahead log.}  Every state-changing op ([open]/[assert]/
@@ -429,7 +429,9 @@ type state =
   | Live of live
   | Spilled  (** durable on disk; rehydrated on next touch *)
   | Failed of Exec_error.t
-      (** recovery failed; every touch but [close] replies with this *)
+      (** recovery failed, or a close could not make its record durable;
+          every touch but [close] replies with this, and [close] discards
+          the session *)
   | Closed
 
 type entry = {
@@ -754,14 +756,19 @@ let append_op mgr entry (l : live) (op : op) : int option =
            });
       ticket
 
+(* Wait for the group fsync covering an op's ticket, raising its failure
+   as a typed error. *)
+let settle mgr (ticket : int option) : unit =
+  match (ticket, mgr.wal_group) with
+  | Some tk, Some g -> io_guard (fun () -> Wal.Group.wait g tk)
+  | _ -> ()
+
 (* Settle an op's durability and replication level, called OUTSIDE the
    manager lock after the locked section committed locally: wait for the
    group fsync covering the op's ticket, then run the replication barrier
    (which may raise Fenced / Ack_timeout to veto the acknowledgement). *)
 let commit_wait mgr (ticket : int option) : unit =
-  (match (ticket, mgr.wal_group) with
-  | Some tk, Some g -> io_guard (fun () -> Wal.Group.wait g tk)
-  | _ -> ());
+  settle mgr ticket;
   match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ()
 
 (** Wait until every WAL record appended so far is on stable storage — the
@@ -1035,9 +1042,8 @@ let create (cfg : config) : t =
 
 (** Open a session.  The program is compiled (shared plan cache) and
     validated {e before} anything is persisted, so a rejected open leaves no
-    on-disk trace.  Returns the program hash and whether the session runs
-    the exact delta engine. *)
-let open_session mgr ~sid ?expect_hash source : string * bool =
+    on-disk trace.  Returns the program hash. *)
+let open_session mgr ~sid ?expect_hash source : string =
   let result, ticket =
     locked mgr (fun () ->
         require_primary mgr;
@@ -1056,7 +1062,7 @@ let open_session mgr ~sid ?expect_hash source : string * bool =
         Hashtbl.replace mgr.entries sid entry;
         maybe_rotate_ship_locked mgr;
         enforce_caps_locked mgr;
-        ((hash, Incr.is_exact incr), ticket))
+        (hash, ticket))
   in
   commit_wait mgr ticket;
   result
@@ -1114,8 +1120,7 @@ let with_pinned mgr ~sid f =
   Fun.protect ~finally:(fun () -> unpin mgr entry) (fun () -> f l.incr)
 
 (** Answer a query.  Queries never touch the log — they change no durable
-    state (the pending-changes fold happens in memory and is reconstructed
-    by replay). *)
+    state (a query only runs the program over the in-memory overlay). *)
 let query ?outputs ?budget mgr ~sid () : Session.result =
   with_pinned mgr ~sid (fun incr -> Incr.query ?outputs ?budget incr)
 
@@ -1123,12 +1128,54 @@ let query ?outputs ?budget mgr ~sid () : Session.result =
 let run_cold ?outputs mgr ~sid () : Session.result =
   with_pinned mgr ~sid (fun incr -> Incr.run_cold ?outputs incr)
 
-(** Close a session: drain in-flight queries (pins), log the close, delete
-    the session's on-disk state, and retire the entry.  The sid stays
-    registered as closed — re-opening it in the same process is
-    "already open", matching the in-memory registry.  Closing a
-    recovery-failed session discards its quarantined state.  Returns the
-    session's final statistics. *)
+(* Log a closing session's close record and make it durable before its
+   directory goes, so a crash between the two replays as a clean close.
+   Runs under the manager lock: nothing touches the entry while the record
+   settles.  Raises a typed error when the write or its fsync fails. *)
+let log_close_locked mgr entry =
+  match entry.e_state with
+  | Live l ->
+      entry.last_stats <- Incr.stats l.incr;
+      let ticket = append_op mgr entry l (Op_close { lsn = entry.next_lsn }) in
+      entry.next_lsn <- entry.next_lsn + 1;
+      settle mgr ticket;
+      release_wal entry.e_state;
+      Incr.close l.incr
+  | Spilled -> (
+      (* no need to rehydrate the engine just to retire it *)
+      match entry.dir with
+      | None -> ()
+      | Some dir ->
+          let payload = encode_op (Op_close { lsn = entry.next_lsn }) in
+          io_guard (fun () ->
+              let w =
+                Wal.open_append ~sync:mgr.cfg.wal_sync
+                  ~path:(Segments.path ~dir entry.active_seg) ()
+              in
+              Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.append w payload));
+          entry.seg_chain <- chain_add entry.seg_chain payload;
+          entry.seg_records <- entry.seg_records + 1;
+          emit mgr
+            (Ev_op
+               {
+                 sid = entry.sid;
+                 seg = entry.active_seg;
+                 lsn = entry.next_lsn;
+                 chain = entry.seg_chain;
+                 payload;
+               });
+          entry.next_lsn <- entry.next_lsn + 1)
+  | Failed _ | Closed -> ()
+
+(** Close a session: drain in-flight queries (pins), log the close and wait
+    for it to be durable, delete the session's on-disk state, and retire
+    the entry.  The sid stays registered as closed — re-opening it in the
+    same process is "already open", matching the in-memory registry.
+    Closing a quarantined session discards its state.  A close whose
+    record cannot be made durable raises the typed I/O error and
+    quarantines the session instead: after a failed fsync neither the
+    record nor the log can be trusted, and a retried close discards it.
+    Returns the session's final statistics. *)
 let close mgr ~sid : Incr.session_stats =
   let result =
     locked mgr (fun () ->
@@ -1144,47 +1191,15 @@ let close mgr ~sid : Incr.session_stats =
             while entry.pins > 0 do
               Condition.wait mgr.unpinned mgr.mutex
             done;
-            (match entry.e_state with
-            | Live l ->
-                entry.last_stats <- Incr.stats l.incr;
-                ignore (append_op mgr entry l (Op_close { lsn = entry.next_lsn }));
-                entry.next_lsn <- entry.next_lsn + 1;
-                release_wal entry.e_state;
-                Incr.close l.incr
-            | Spilled -> (
-                (* no need to rehydrate the engine just to retire it, but the
-                   close must still reach the log before the directory goes:
-                   a crash between the two replays as a clean close *)
-                match entry.dir with
-                | None -> ()
-                | Some dir ->
-                    let payload = encode_op (Op_close { lsn = entry.next_lsn }) in
-                    io_guard (fun () ->
-                        let w =
-                          Wal.open_append ~sync:mgr.cfg.wal_sync
-                            ~path:(Segments.path ~dir entry.active_seg) ()
-                        in
-                        Wal.append w payload;
-                        Wal.close w);
-                    entry.seg_chain <- chain_add entry.seg_chain payload;
-                    entry.seg_records <- entry.seg_records + 1;
-                    emit mgr
-                      (Ev_op
-                         {
-                           sid = entry.sid;
-                           seg = entry.active_seg;
-                           lsn = entry.next_lsn;
-                           chain = entry.seg_chain;
-                           payload;
-                         });
-                    entry.next_lsn <- entry.next_lsn + 1)
-            | _ -> ());
+            (try log_close_locked mgr entry
+             with Session.Error e ->
+               release_wal entry.e_state;
+               entry.e_state <- Failed e;
+               raise (Session.Error e));
             Option.iter rm_rf entry.dir;
             entry.e_state <- Closed;
             entry.last_stats)
   in
-  (* the close record is fsync'd by Wal.close / the direct writer above;
-     only the replication barrier remains *)
   (match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ());
   result
 

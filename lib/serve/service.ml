@@ -117,7 +117,7 @@ type payload =
   | Exec of (rung:Registry.spec -> config:Interp.config -> Session.result)
       (** an opaque execution run under the same admission, deadline,
           retry, chaos and watchdog machinery; receives the granted rung
-          and the per-attempt constrained config.  Incremental sessions
+          and the per-attempt constrained config.  Stateful sessions
           ([Incr]) submit these — they pin their own provenance, so they
           ignore the rung, but still degrade by budget via the config. *)
 

@@ -1,7 +1,7 @@
 (** Crash-consistent write-ahead log segments.
 
     A segment is an append-only file of checksummed records, the durability
-    substrate under {!Scallop_incr.Durable}'s incremental-session state.
+    substrate under {!Scallop_incr.Durable}'s stateful-session state.
     Each record is framed with its payload length and an FNV-1a-64 checksum
     (the same hash {!Atomic_io} uses for snapshots), so a reader can
     distinguish the three states a crash can leave a segment in:
@@ -293,7 +293,11 @@ module Group = struct
 
   (** Flush [fd] now and drop it from the dirty set: a writer about to
       close its descriptor must not leave it for a later leader to fsync
-      (fsync on a closed fd is EBADF). *)
+      (fsync on a closed fd is EBADF).  Best effort: an fsync error is
+      ignored.  No acknowledgement depends on this flush — a record is
+      acknowledged only after {!wait} settles its ticket, and the writers
+      closed with records still unsettled (compaction and spill, which
+      snapshot first; shutdown) acknowledge nothing through them. *)
   let forget t fd : unit =
     let was_dirty =
       Mutex.protect t.m (fun () ->
@@ -402,10 +406,15 @@ let append (t : t) (payload : string) : unit =
 
 (** Force an fsync now regardless of the writer's sync policy — used for
     records whose visibility must not wait for the page cache (the
-    follower's fencing ack). *)
-let sync_now (t : t) : unit =
-  if not t.closed then try Unix.fsync t.fd with Unix.Unix_error _ -> ()
+    follower's fencing ack).  Raises the fsync's [Unix_error]: the caller
+    acknowledges on the strength of it. *)
+let sync_now (t : t) : unit = if not t.closed then Unix.fsync t.fd
 
+(** Close the writer, with a last fsync when it syncs.  Best effort: errors
+    are ignored, so no acknowledgement may depend on this flush.  A caller
+    settles every record it acknowledges before closing — through the
+    inline fsync of {!append}, {!Group.wait} on the record's ticket, or
+    {!sync_now}. *)
 let close (t : t) : unit =
   if not t.closed then begin
     t.closed <- true;

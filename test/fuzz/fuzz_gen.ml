@@ -124,7 +124,7 @@ let snapshots_equal a b =
        a b
 
 (* Bit-exact comparison — used where the contract is identity, not
-   tolerance: the incremental maintenance engine, and the columnar executor
+   tolerance: stateful sessions against the cold run, and the columnar executor
    against its same-mode tree-walker twin. *)
 let snapshots_bit_equal a b =
   List.length a = List.length b

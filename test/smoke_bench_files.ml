@@ -197,22 +197,30 @@ let count_substring (text : string) (sub : string) : int =
   done;
   !count
 
-(* Extract the numeric value following ["key": ] in [text]. *)
-let json_number_field (text : string) (key : string) : float option =
+(* The numeric values following every ["key": ] in [text], in order; an
+   occurrence whose value is not a number reads as [None]. *)
+let json_number_fields (text : string) (key : string) : float option list =
   let probe = Printf.sprintf "%S:" key in
   let n = String.length text and m = String.length probe in
   let rec find i = if i + m > n then None else if String.sub text i m = probe then Some (i + m) else find (i + 1) in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let e = ref start in
-      while
-        !e < n
-        && (match text.[!e] with ' ' | '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true | _ -> false)
-      do
-        incr e
-      done;
-      float_of_string_opt (String.trim (String.sub text start (!e - start)))
+  let rec from i acc =
+    match find i with
+    | None -> List.rev acc
+    | Some start ->
+        let e = ref start in
+        while
+          !e < n
+          && (match text.[!e] with ' ' | '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true | _ -> false)
+        do
+          incr e
+        done;
+        from !e (float_of_string_opt (String.trim (String.sub text start (!e - start))) :: acc)
+  in
+  from 0 []
+
+(* The numeric value following the first ["key": ] in [text]. *)
+let json_number_field (text : string) (key : string) : float option =
+  match json_number_fields text key with v :: _ -> v | [] -> None
 
 (** The columnar executor rides on BENCH_interp.json: both engine variants
     must be represented (row-oriented baseline and columnar twin of each
@@ -234,6 +242,38 @@ let audit_interp_columnar (text : string) : string list =
   | Some x when x < 10.0 ->
       nag (Printf.sprintf "tc500_columnar_speedup %.2f below the pinned 10x gate" x)
   | Some _ -> ());
+  List.rev !errs
+
+(** Sessions ride on BENCH_incr.json: an update batch plus a session query
+    against a cold run on the same facts.  The file must record the gate
+    the bench harness enforces (at most 1.25, [gate] in bench/main.ml) and
+    its worst ratio, every row must sit within the gate, and no row may
+    come from the deleted delta-maintenance engine.  A regeneration with a
+    failing or missing gate fails here. *)
+let audit_incr_sessions (text : string) : string list =
+  let errs = ref [] in
+  let nag msg = errs := msg :: !errs in
+  if count_substring text "\"engine\": \"delta\"" > 0 then
+    nag "a row reports the deleted delta engine";
+  (match json_number_field text "session_over_cold_gate" with
+  | None -> nag "missing numeric session_over_cold_gate field"
+  | Some gate ->
+      if gate > 1.25 then
+        nag (Printf.sprintf "session_over_cold_gate %.2f is looser than 1.25" gate);
+      let rows = json_number_fields text "session_over_cold" in
+      if rows = [] then nag "no session_over_cold rows";
+      List.iteri
+        (fun i -> function
+          | None -> nag (Printf.sprintf "row %d: non-numeric session_over_cold" i)
+          | Some r when r > gate ->
+              nag (Printf.sprintf "row %d: session_over_cold %.3f above the %.2f gate" i r gate)
+          | Some _ -> ())
+        rows;
+      match json_number_field text "session_over_cold_max" with
+      | None -> nag "missing numeric session_over_cold_max field"
+      | Some worst when worst > gate ->
+          nag (Printf.sprintf "session_over_cold_max %.3f above the %.2f gate" worst gate)
+      | Some _ -> ());
   List.rev !errs
 
 let () =
@@ -267,7 +307,10 @@ let () =
         match parse_json text with
         | () ->
             let audit_errs =
-              if name = "BENCH_interp.json" then audit_interp_columnar text else []
+              match name with
+              | "BENCH_interp.json" -> audit_interp_columnar text
+              | "BENCH_incr.json" -> audit_incr_sessions text
+              | _ -> []
             in
             if audit_errs = [] then Fmt.pr "smoke_bench_files: %s OK@." name
             else

@@ -210,8 +210,7 @@ let check_recovered_identity what mgr sid expected =
 let test_recover_basic () =
   let sd = scratch_dir () in
   let mgr = Durable.create (mgr_config ~state_dir:sd ()) in
-  let _hash, exact = Durable.open_session mgr ~sid:"s1" tc_src in
-  Alcotest.(check bool) "boolean TC runs the delta engine" true exact;
+  let _ = Durable.open_session mgr ~sid:"s1" tc_src in
   Durable.assert_fact mgr ~sid:"s1" ~pred:"edge" (pair 1 2);
   Durable.assert_fact mgr ~sid:"s1" ~pred:"edge" (pair 2 3);
   Durable.assert_fact mgr ~sid:"s1" ~pred:"edge" (pair 3 4);
@@ -514,6 +513,62 @@ let test_ephemeral_registry () =
   | _ -> Alcotest.fail "unknown session should fail"
   | exception Session.Error (Exec_error.Invalid_input _) -> ())
 
+(* ---- fsync failures on acknowledged paths ---------------------------------------- *)
+
+(* fsync on a pipe fails (EINVAL on Linux), so a pipe's write end dup2-ed
+   over a writer's descriptor stands in for a disk that refuses to flush.
+   The pipe stays open until the writer is closed: a write into a pipe
+   without a reader would raise SIGPIPE. *)
+
+let test_wal_sync_now_raises () =
+  let dir = scratch_dir () in
+  let w = Wal.open_append ~sync:false ~path:(Filename.concat dir "ack.log") () in
+  Wal.append w "fence";
+  let r, pw = Unix.pipe () in
+  Unix.dup2 pw w.Wal.fd;
+  (match Wal.sync_now w with
+  | () -> Alcotest.fail "sync_now reported a failed fsync as success"
+  | exception Unix.Unix_error _ -> ());
+  Wal.close w;
+  List.iter Unix.close [ r; pw ];
+  rm_rf dir
+
+(* A close whose record cannot be made durable must not be acknowledged:
+   it fails with the typed I/O error and quarantines the session, and a
+   retried close discards it. *)
+let test_close_fsync_failure_quarantines () =
+  let sd = scratch_dir () in
+  let mgr =
+    Durable.create
+      (Durable.config ~state_dir:sd ~wal_sync:true ~group_commit:true Registry.Boolean)
+  in
+  let _ = Durable.open_session mgr ~sid:"s" tc_src in
+  Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair 1 2);
+  let wal =
+    match (Hashtbl.find mgr.Durable.entries "s").Durable.e_state with
+    | Durable.Live { wal = Some w; _ } -> w
+    | _ -> Alcotest.fail "expected a live session with an open WAL writer"
+  in
+  let r, pw = Unix.pipe () in
+  Unix.dup2 pw wal.Wal.fd;
+  (match Durable.close mgr ~sid:"s" with
+  | _ -> Alcotest.fail "close acknowledged a record whose fsync failed"
+  | exception Session.Error (Exec_error.Runtime_error _) -> ());
+  List.iter Unix.close [ r; pw ];
+  let c = Durable.session_counts mgr in
+  Alcotest.(check int) "quarantined" 1 c.Durable.failed;
+  Alcotest.(check int) "not closed" 0 c.Durable.closed;
+  (match q mgr "s" with
+  | _ -> Alcotest.fail "a quarantined session answered a query"
+  | exception Session.Error (Exec_error.Runtime_error _) -> ());
+  let _ = Durable.close mgr ~sid:"s" in
+  Alcotest.(check int) "a retried close discards it" 1
+    (Durable.session_counts mgr).Durable.closed;
+  Alcotest.(check bool) "session state removed" false
+    (Sys.file_exists (Filename.concat (Filename.concat sd "sessions") "s-s"));
+  Durable.shutdown mgr;
+  rm_rf sd
+
 (* ---- on-disk format golden ------------------------------------------------------- *)
 
 (* Byte-exact pins of every on-disk encoding and file name.  A state dir or
@@ -628,5 +683,8 @@ let suite =
     Alcotest.test_case "close drains in-flight query" `Quick test_close_drains_inflight_query;
     Alcotest.test_case "validate before log" `Quick test_validate_before_log;
     Alcotest.test_case "ephemeral registry" `Quick test_ephemeral_registry;
+    Alcotest.test_case "wal sync_now raises on a failed fsync" `Quick test_wal_sync_now_raises;
+    Alcotest.test_case "close fsync failure quarantines the session" `Quick
+      test_close_fsync_failure_quarantines;
     Alcotest.test_case "on-disk format golden" `Quick test_format_golden;
   ]

@@ -1,6 +1,6 @@
-(** Incremental view maintenance ({!Scallop_incr.Incr}): bit-identity of
-    stateful sessions against the cold-run differential oracle, maintenance
-    strategy selection, plan-cache sharing, and protocol errors. *)
+(** Stateful sessions ({!Scallop_incr.Incr}): bit-identity of every query
+    against the cold-run differential oracle, the clean-repeat cache,
+    budget-abort retries, plan-cache sharing, and protocol errors. *)
 
 open Scallop_core
 module Incr = Scallop_incr.Incr
@@ -47,6 +47,8 @@ let check_oracle what t =
   if not (results_equal incr cold) then
     Alcotest.failf "%s: incremental result diverges from cold run" what
 
+let full_runs t = (Incr.stats t).Incr.full_runs
+
 let invalid_input_of f =
   match f () with
   | _ -> Alcotest.fail "expected Invalid_input"
@@ -54,20 +56,16 @@ let invalid_input_of f =
   | exception Session.Error e ->
       Alcotest.failf "expected Invalid_input, got %s" (Session.error_string e)
 
-(* ---- exact engine: additions ----------------------------------------------- *)
+(* ---- additions ------------------------------------------------------------- *)
 
 let test_tc_additive_boolean () =
   let t = Incr.open_session ~spec:Registry.Boolean tc_src in
-  Alcotest.(check bool) "boolean sessions use the exact engine" true (Incr.is_exact t);
   check_oracle "empty EDB" t;
   List.iteri
     (fun i (a, b) ->
       Incr.assert_fact t ~pred:"edge" (pair a b);
       check_oracle (Fmt.str "after edge %d" i) t)
-    [ (0, 1); (1, 2); (2, 3); (3, 4); (0, 2) ];
-  let s = Incr.stats t in
-  Alcotest.(check int) "one full evaluation" 1 s.Incr.full_runs;
-  Alcotest.(check bool) "delta continuations happened" true (s.Incr.strata_continued > 0)
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (0, 2) ]
 
 let test_tc_additive_minmaxprob () =
   let t = Incr.open_session ~spec:Registry.Max_min_prob tc_src in
@@ -76,13 +74,11 @@ let test_tc_additive_minmaxprob () =
   check_oracle "initial" t;
   Incr.assert_fact t ~pred:"edge" ~prob:0.7 (pair 2 0);
   check_oracle "after closing the cycle" t;
-  (* pure tag increase: still the additive fast path *)
+  (* pure tag increase *)
   Incr.assert_fact t ~pred:"edge" ~prob:0.95 (pair 1 2);
-  check_oracle "after prob raise" t;
-  let s = Incr.stats t in
-  Alcotest.(check int) "raises never recompute" 0 s.Incr.strata_recomputed
+  check_oracle "after prob raise" t
 
-(* ---- exact engine: retractions and weakenings ------------------------------- *)
+(* ---- retractions and weakenings ----------------------------------------------- *)
 
 let test_tc_retract () =
   let t = Incr.open_session ~spec:Registry.Max_min_prob tc_src in
@@ -92,24 +88,25 @@ let test_tc_retract () =
   check_oracle "initial cycle" t;
   Incr.retract_fact t ~pred:"edge" (pair 1 2);
   check_oracle "after retract" t;
-  (* tag decrease: delete-rederive, still oracle-identical *)
+  (* tag decrease *)
   Incr.assert_fact t ~pred:"edge" ~prob:0.5 (pair 0 1);
-  check_oracle "after prob lowering" t;
-  let s = Incr.stats t in
-  Alcotest.(check bool) "retractions recompute" true (s.Incr.strata_recomputed > 0)
+  check_oracle "after prob lowering" t
 
 let test_retract_then_reassert () =
   let t = Incr.open_session ~spec:Registry.Boolean tc_src in
   Incr.assert_fact t ~pred:"edge" (pair 0 1);
   check_oracle "one edge" t;
-  (* retract + re-assert between queries nets out to no change *)
+  (* retract + re-assert between queries nets out to no change, but the
+     next query is still dirty: exactly one run *)
+  let runs = full_runs t in
   Incr.retract_fact t ~pred:"edge" (pair 0 1);
   Incr.assert_fact t ~pred:"edge" (pair 0 1);
   check_oracle "net no-op batch" t;
+  Alcotest.(check int) "one run" (runs + 1) (full_runs t);
   Incr.retract_fact t ~pred:"edge" (pair 0 1);
   check_oracle "empty again" t
 
-(* ---- exact engine: non-monotone readers and head overlays ------------------- *)
+(* ---- non-monotone readers and head overlays ------------------------------------ *)
 
 let test_negation_reader () =
   let src =
@@ -171,60 +168,86 @@ let test_static_and_dynamic_overlap () =
   Alcotest.(check bool) "mentions never asserted" true
     (contains msg "never asserted")
 
-(* ---- stratum reuse ----------------------------------------------------------- *)
+(* ---- independent strata ------------------------------------------------------- *)
+
+let two_outputs_src =
+  "type e0(i32, i32)\n\
+   type e1(i32, i32)\n\
+   rel a(x, y) = e0(x, y)\n\
+   rel b(x, y) = e1(x, y)\n\
+   query a\n\
+   query b"
 
 let test_stratum_reuse () =
-  let src =
-    "type e0(i32, i32)\n\
-     type e1(i32, i32)\n\
-     rel a(x, y) = e0(x, y)\n\
-     rel b(x, y) = e1(x, y)\n\
-     query a\n\
-     query b"
-  in
-  let t = Incr.open_session ~spec:Registry.Boolean src in
+  let t = Incr.open_session ~spec:Registry.Boolean two_outputs_src in
   Incr.assert_fact t ~pred:"e0" (pair 0 1);
   Incr.assert_fact t ~pred:"e1" (pair 2 3);
   check_oracle "initial" t;
-  let before = (Incr.stats t).Incr.strata_reused in
   Incr.assert_fact t ~pred:"e1" (pair 3 4);
-  check_oracle "only e1 changed" t;
-  let after = (Incr.stats t).Incr.strata_reused in
-  Alcotest.(check bool) "the e0 stratum was reused" true (after > before)
+  check_oracle "only e1 changed" t
 
-(* ---- recompute engine -------------------------------------------------------- *)
+(* ---- clean-repeat cache -------------------------------------------------------- *)
 
-let test_recompute_topkproofs () =
-  let t = Incr.open_session ~spec:(Registry.Top_k_proofs 3) tc_src in
-  Alcotest.(check bool) "proof provenances recompute" false (Incr.is_exact t);
+(* Updates between oracle checks, then a clean repeat query: served from
+   the cached result, without a run. *)
+let check_clean_repeat spec =
+  let name = Registry.spec_name spec in
+  let t = Incr.open_session ~spec tc_src in
   List.iter
     (fun (a, b, p) -> Incr.assert_fact t ~pred:"edge" ~prob:p (pair a b))
     [ (0, 1, 0.9); (1, 2, 0.8); (2, 0, 0.7); (0, 2, 0.6) ];
-  check_oracle "initial" t;
+  check_oracle (name ^ " initial") t;
   Incr.retract_fact t ~pred:"edge" (pair 2 0);
-  check_oracle "after retract" t;
+  check_oracle (name ^ " after retract") t;
   Incr.assert_fact t ~pred:"edge" ~prob:0.95 (pair 2 3);
-  check_oracle "after growth" t;
-  (* a clean repeat query is served from the cached result *)
-  let full_before = (Incr.stats t).Incr.full_runs in
+  check_oracle (name ^ " after growth") t;
+  let full_before = full_runs t in
   let r1 = Incr.query t in
   let r2 = Incr.query t in
-  Alcotest.(check bool) "repeat query identical" true (results_equal r1 r2);
-  Alcotest.(check int) "repeat query did not re-run" 0
-    ((Incr.stats t).Incr.full_runs - full_before)
+  Alcotest.(check bool) (name ^ ": repeat query identical") true (results_equal r1 r2);
+  Alcotest.(check int) (name ^ ": repeat query did not re-run") 0 (full_runs t - full_before)
+
+let test_recompute_topkproofs () =
+  List.iter check_clean_repeat
+    [ Registry.Top_k_proofs 3; Registry.Boolean; Registry.Max_min_prob ]
+
+(* The cache is keyed on the [outputs] list too: asking for other
+   relations runs again, and so does going back. *)
+let test_outputs_change_reruns () =
+  let t = Incr.open_session ~spec:Registry.Max_min_prob two_outputs_src in
+  Incr.assert_fact t ~pred:"e0" ~prob:0.9 (pair 0 1);
+  Incr.assert_fact t ~pred:"e1" ~prob:0.8 (pair 2 3);
+  let all = Incr.query t in
+  let runs = full_runs t in
+  let only_a = Incr.query ~outputs:[ "a" ] t in
+  Alcotest.(check int) "other outputs run again" (runs + 1) (full_runs t);
+  if not (results_equal only_a (Incr.run_cold ~outputs:[ "a" ] t)) then
+    Alcotest.fail "outputs [a] diverge from the cold run";
+  Alcotest.(check (list string)) "only a" [ "a" ] (List.map fst only_a.Session.outputs);
+  ignore (Incr.query ~outputs:[ "a" ] t);
+  Alcotest.(check int) "the same outputs repeat clean" (runs + 1) (full_runs t);
+  let again = Incr.query t in
+  Alcotest.(check int) "the default outputs run again" (runs + 2) (full_runs t);
+  Alcotest.(check bool) "same answer as before" true (results_equal all again)
 
 (* ---- budget aborts leave state intact ----------------------------------------- *)
 
 let test_budget_abort_keeps_pending () =
   let t = Incr.open_session ~spec:Registry.Boolean tc_src in
-  for i = 0 to 10 do
+  Incr.assert_fact t ~pred:"edge" (pair 0 1);
+  (* a first answer fills the clean-repeat cache *)
+  check_oracle "before the update" t;
+  for i = 1 to 10 do
     Incr.assert_fact t ~pred:"edge" (pair i (i + 1))
   done;
   (match Incr.query ~budget:(Budget.make ~max_iterations:1 ()) t with
   | _ -> Alcotest.fail "expected a budget abort"
   | exception Session.Error (Exec_error.Budget_exceeded _) -> ());
-  (* the changelog survived the abort: the retry folds everything in *)
-  check_oracle "after retry" t
+  (* the abort left the session dirty: the retry runs cold rather than
+     returning the cached answer from before the update *)
+  let runs = full_runs t in
+  check_oracle "after retry" t;
+  Alcotest.(check int) "the retry ran" (runs + 1) (full_runs t)
 
 (* ---- protocol errors ----------------------------------------------------------- *)
 
@@ -284,6 +307,7 @@ let suite =
     Alcotest.test_case "static and dynamic overlap" `Quick test_static_and_dynamic_overlap;
     Alcotest.test_case "stratum reuse" `Quick test_stratum_reuse;
     Alcotest.test_case "recompute topkproofs" `Quick test_recompute_topkproofs;
+    Alcotest.test_case "other outputs run again" `Quick test_outputs_change_reruns;
     Alcotest.test_case "budget abort keeps pending" `Quick test_budget_abort_keeps_pending;
     Alcotest.test_case "retract never asserted" `Quick test_retract_never_asserted;
     Alcotest.test_case "closed session" `Quick test_closed_session;

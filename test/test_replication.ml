@@ -477,6 +477,24 @@ let test_group_commit_fsync_failure () =
   List.iter Unix.close [ r; w; fd ];
   rm_rf dir
 
+(* A promotion whose fencing ack cannot be made durable fails typed and
+   leaves the node a standby.  The ack log's descriptor is replaced by a
+   pipe, on which fsync fails; the pipe stays open until the follower has
+   closed it. *)
+let test_promote_fsync_failure () =
+  let c = make_cluster ~ack:Replica.Ack_none () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1) ];
+  let r, w = Unix.pipe () in
+  Unix.dup2 w c.fol.Replica.Follower.ack.Wal.fd;
+  (match Replica.Follower.promote c.fol with
+  | _ -> Alcotest.fail "promotion reported success for a fence ack that is not on disk"
+  | exception Session.Error (Exec_error.Runtime_error _) -> ());
+  Alcotest.(check bool) "still a standby" true (Durable.is_standby c.fmgr);
+  Alcotest.(check bool) "not promoted" false
+    (Replica.Follower.status c.fol).Replica.Follower.st_promoted;
+  destroy c;
+  List.iter Unix.close [ r; w ]
+
 (* ---- ack codec ---------------------------------------------------------------------- *)
 
 (* Acks decode as strictly as every other record: no trailing bytes, and a
@@ -748,6 +766,8 @@ let suite =
       test_group_commit_durable_roundtrip;
     Alcotest.test_case "group commit fsync failure fails every covered waiter" `Quick
       test_group_commit_fsync_failure;
+    Alcotest.test_case "promote fsync failure keeps the standby" `Quick
+      test_promote_fsync_failure;
     Alcotest.test_case "ack decode is strict" `Quick test_ack_decode_strict;
     Alcotest.test_case "scrub detects bit rot" `Quick test_scrub_detects_bitrot;
     Alcotest.test_case "protocol fuzz is total" `Quick test_protocol_fuzz_total;

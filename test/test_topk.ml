@@ -1,8 +1,8 @@
 (** Differential tests for the guided (lazy best-first) ∨k/∧k/¬k proof
     operators against the eager reference oracle ({!Formula.disj_k_eager} and
-    friends, also exposed as the [topkproofseager-k] provenance), plus
-    insertion-order determinism, the cross-iteration WMC cache, and the
-    rewritten sample-k-proofs draw sequence. *)
+    friends, also instantiated as the {!Prov_prob.Top_k_proofs_eager}
+    provenance), plus insertion-order determinism, the cross-iteration WMC
+    cache, and the rewritten sample-k-proofs draw sequence. *)
 
 open Scallop_core
 module Rng = Scallop_utils.Rng
@@ -139,10 +139,18 @@ let test_fixpoint_guided_vs_eager () =
               Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ] )) );
     ]
   in
-  let run spec =
-    Session.output (Session.run ~provenance:(Registry.create spec) compiled ~facts ()) "path"
+  let run provenance = Session.output (Session.run ~provenance compiled ~facts ()) "path" in
+  let eager : Provenance.t =
+    let module M =
+      Prov_prob.Top_k_proofs_eager
+        (struct
+          let k = 3
+        end)
+        ()
+    in
+    (module M)
   in
-  let guided = run (Registry.Top_k_proofs 3) and eager = run (Registry.Top_k_proofs_eager 3) in
+  let guided = run (Registry.create (Registry.Top_k_proofs 3)) and eager = run eager in
   check Alcotest.int "same tuple count" (List.length eager) (List.length guided);
   List.iter2
     (fun (tg, og) (te, oe) ->
