@@ -6,6 +6,7 @@ let () =
       ("bdd", Test_bdd.suite);
       ("formula-wmc", Test_formula.suite);
       ("topk-guided", Test_topk.suite);
+      ("proof-golden", Test_proof_golden.suite);
       ("provenance", Test_provenance.suite);
       ("aggregate", Test_aggregate.suite);
       ("parser", Test_parser.suite);

@@ -103,6 +103,51 @@ let qcheck_guided_results_canonical =
       let d = Formula.disj_k env k a b and c = Formula.conj_k env k a b in
       Formula.equal_ordered d (canon env d) && Formula.equal_ordered c (canon env c))
 
+(* The left operand is already truncated to k, and the right one mixes a's
+   own proofs, proofs a absorbs (one literal added) and a few fresh proofs,
+   so the union often adds nothing. *)
+let saturation_case_gen =
+  QCheck.make
+    ~print:(fun (ei, k, a, picks, b) ->
+      Fmt.str "env=%s k=%d a=%s picks=%a b=%s" (fst envs.(ei)) k (fpp a)
+        Fmt.(Dump.list (Dump.pair int (Dump.pair int bool)))
+        picks (fpp b))
+    QCheck.Gen.(
+      map
+        (fun ((ei, k, a), (picks, b)) -> (ei, k, a, picks, b))
+        (pair
+           (triple
+              (int_bound (Array.length envs - 1))
+              (int_range 1 5)
+              (raw_formula_gen ~max_proofs:6 ~max_lits:4))
+           (pair
+              (list_size (int_range 0 6) (pair (int_bound 2) literal_gen))
+              (raw_formula_gen ~max_proofs:1 ~max_lits:3))))
+
+(* DESIGN.md "Canonical proof-set order": when the union adds nothing, ∨k
+   hands back its left argument physically, which makes the saturation
+   check O(1).  Losing this only slows fixpoints down, so nothing else
+   would notice. *)
+let qcheck_disj_saturation_returns_left =
+  qtest "∨k returns its left argument physically when the union adds nothing"
+    saturation_case_gen (fun (ei, k, ra, picks, rb) ->
+      let env = snd envs.(ei) in
+      let a = Formula.top_k env k ra in
+      let b =
+        List.concat
+          (List.mapi
+             (fun i p ->
+               match List.nth_opt picks i with
+               | Some (0, _) -> [ p ]
+               | Some (1, lit) -> [ Formula.proof_of_literals (Formula.proof_literals p @ [ lit ]) ]
+               | _ -> [])
+             a)
+        @ rb
+        |> canon env
+      in
+      (not (Formula.equal_ordered (Formula.disj_k_eager env k a b) a))
+      || Formula.disj_k env k a b == a)
+
 let qcheck_insertion_order_determinism =
   qtest "top-k independent of proof insertion order (equal-probability ties)"
     (QCheck.make
@@ -345,6 +390,7 @@ let suite =
     qcheck_conj_guided_eq_eager;
     qcheck_neg_guided_eq_eager;
     qcheck_guided_results_canonical;
+    qcheck_disj_saturation_returns_left;
     qcheck_insertion_order_determinism;
     Alcotest.test_case "fixpoint: guided ≡ eager provenance" `Quick test_fixpoint_guided_vs_eager;
     Alcotest.test_case "wmc cache: bit-identical to uncached" `Quick test_wmc_cache_bit_identical;
