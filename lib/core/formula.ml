@@ -22,78 +22,212 @@
     group; a proof containing two distinct positive literals from the same
     group is contradictory and removed during conflict checking. *)
 
-module IMap = Map.Make (Int)
-module ISet = Set.Make (Int)
+(* --- environments -------------------------------------------------------- *)
 
-(** A proof maps each mentioned variable to its polarity (true = positive). *)
-type proof = bool IMap.t
+(** Everything the formula operations need to know about variables: their
+    probability and their mutual-exclusion group ([no_group] when none).
+    Variables below the length of the dense tables [probs]/[groups] are
+    read from them; the others from [prob_of]/[group_of].  A variable's
+    probability and group must not change once a proof mentioning it has
+    been weighed: [id] names the environment in every proof's cached
+    probability, and a cached value is only read back under the same id. *)
+type env = {
+  id : int;
+  mutable probs : float array;
+  mutable groups : int array;
+  prob_of : int -> float;
+  group_of : int -> int;
+}
+
+let no_group = min_int
+let next_env_id = Atomic.make 0
+
+let make_env ~probs ~groups ~prob_of ~group_of =
+  { id = Atomic.fetch_and_add next_env_id 1; probs; groups; prob_of; group_of }
+
+(** An environment given by functions. *)
+let env ?me_group prob =
+  let group_of =
+    match me_group with
+    | None -> fun _ -> no_group
+    | Some f -> fun v -> ( match f v with Some g -> g | None -> no_group)
+  in
+  make_env ~probs:[||] ~groups:[||] ~prob_of:prob ~group_of
+
+(** An environment kept in tables indexed by variable id, filled with
+    {!set_var}; unset variables have probability 1 and no group. *)
+let table_env () =
+  make_env ~probs:(Array.make 64 1.0) ~groups:(Array.make 64 no_group)
+    ~prob_of:(fun _ -> 1.0)
+    ~group_of:(fun _ -> no_group)
+
+(** Set the probability and group of a variable no proof mentions yet.
+    Growing the tables copies [prob_of]/[group_of] into the new slots, so
+    every other variable reads as before. *)
+let set_var envr v p g =
+  let n = Array.length envr.probs in
+  if v >= n then begin
+    let size = Stdlib.max (v + 1) (2 * n) in
+    envr.probs <- Array.init size (fun u -> if u < n then envr.probs.(u) else envr.prob_of u);
+    envr.groups <- Array.init size (fun u -> if u < n then envr.groups.(u) else envr.group_of u)
+  end;
+  envr.probs.(v) <- p;
+  envr.groups.(v) <- g
+
+let prob envr v =
+  let t = envr.probs in
+  if v >= 0 && v < Array.length t then Array.unsafe_get t v else envr.prob_of v
+
+let group envr v =
+  let t = envr.groups in
+  if v >= 0 && v < Array.length t then Array.unsafe_get t v else envr.group_of v
+
+(* --- literals and proofs -------------------------------------------------- *)
+
+(* A literal is [2·var + polarity] (1 = positive).  Sorting literals as ints
+   sorts them by variable, then negative before positive — the binding order
+   of the former [bool IMap.t] proofs under [IMap.compare Bool.compare]. *)
+let lit v s = (2 * v) + if s then 1 else 0
+let lit_var l = l asr 1
+let lit_pos l = l land 1 = 1
+
+(** A proof: its literals in ascending order, at most one per variable, and
+    its probability [pw] under the environment whose id is [penv] ([-1]:
+    not computed yet).  Proofs are immutable; compare them with
+    {!proof_equal}/{!proof_compare}, never with polymorphic equality. *)
+type proof = { lits : int array; pw : float; penv : int }
 
 type t = proof list
 (** Invariant: proofs are distinct, none absorbs another, and they appear in
     canonical order (descending probability, ties by [proof_compare]) —
     maintained by every operation below that returns a [t]. *)
 
-(* --- environments -------------------------------------------------------- *)
+(* Product of the literal probabilities in ascending variable order (paper
+   Eq. 1) — the order every proof probability has always been folded in, so
+   the bits never depend on how the proof was built.  Reads the table inline
+   rather than through [prob], which would box every factor. *)
+let lits_prob envr (lits : int array) =
+  let t = envr.probs in
+  let acc = ref 1.0 in
+  for i = 0 to Array.length lits - 1 do
+    let l = Array.unsafe_get lits i in
+    let v = lit_var l in
+    let r = if v >= 0 && v < Array.length t then Array.unsafe_get t v else envr.prob_of v in
+    acc := !acc *. if lit_pos l then r else 1.0 -. r
+  done;
+  !acc
 
-(** Everything the formula operations need to know about variables: their
-    probability and their optional mutual-exclusion group. *)
-type env = { prob : int -> float; me_group : int -> int option }
+let unweighed lits = { lits; pw = Float.nan; penv = -1 }
+let weighed envr lits = { lits; pw = lits_prob envr lits; penv = envr.id }
 
-let env ?(me_group = fun _ -> None) prob = { prob; me_group }
+(** Probability of a proof: the cached value when it was computed under
+    [envr], otherwise recomputed from the literals. *)
+let proof_prob envr p = if p.penv = envr.id then p.pw else lits_prob envr p.lits
 
-(* --- proofs -------------------------------------------------------------- *)
+(** [p] with its probability under [envr] cached. *)
+let with_prob envr p = if p.penv = envr.id then p else weighed envr p.lits
 
+(** A proof from [(var, polarity)] pairs; a later pair for the same variable
+    overrides an earlier one. *)
 let proof_of_literals lits =
-  List.fold_left (fun m (v, s) -> IMap.add v s m) IMap.empty lits
+  let last = List.fold_left (fun acc (v, s) -> (v, s) :: List.remove_assoc v acc) [] lits in
+  unweighed (Array.of_list (List.sort Int.compare (List.map (fun (v, s) -> lit v s) last)))
 
-let proof_literals (p : proof) = IMap.bindings p
-let true_proof : proof = IMap.empty
-let singleton_pos i : proof = IMap.singleton i true
-let singleton_neg i : proof = IMap.singleton i false
-let proof_equal (a : proof) (b : proof) = IMap.equal Bool.equal a b
-let proof_compare (a : proof) (b : proof) = IMap.compare Bool.compare a b
+let proof_literals p = Array.fold_right (fun l acc -> (lit_var l, lit_pos l) :: acc) p.lits []
+let true_proof = unweighed [||]
+let singleton_pos i = unweighed [| lit i true |]
+let singleton_neg i = unweighed [| lit i false |]
 
-(** Probability of a proof: the product of its literal probabilities
-    (paper Eq. 1). *)
-let proof_prob envr (p : proof) =
-  IMap.fold
-    (fun v sign acc ->
-      let r = envr.prob v in
-      acc *. (if sign then r else 1.0 -. r))
-    p 1.0
+(* Length of the common prefix of two literal arrays. *)
+let common_prefix (la : int array) (lb : int array) =
+  let n = Stdlib.min (Array.length la) (Array.length lb) in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get la !i = Array.unsafe_get lb !i do
+    incr i
+  done;
+  !i
 
-(** Merge two proofs into their conjunction; [None] when they conflict —
+let proof_equal a b =
+  a == b
+  ||
+  let n = Array.length a.lits in
+  n = Array.length b.lits && common_prefix a.lits b.lits = n
+
+(* Lexicographic on literal arrays, a proper prefix first. *)
+let compare_lits (la : int array) (lb : int array) =
+  let i = common_prefix la lb in
+  if i < Array.length la && i < Array.length lb then Int.compare la.(i) lb.(i)
+  else Int.compare (Array.length la) (Array.length lb)
+
+(** The tie order of the canonical order: {!compare_lits} on the literals. *)
+let proof_compare a b = compare_lits a.lits b.lits
+
+(* Two distinct positive literals of one exclusion group. *)
+let me_conflict envr (lits : int array) =
+  let n = Array.length lits in
+  let conflict = ref false and i = ref 0 in
+  while (not !conflict) && !i < n do
+    let l = lits.(!i) in
+    let g = if lit_pos l then group envr (lit_var l) else no_group in
+    if g <> no_group then
+      for j = !i + 1 to n - 1 do
+        let l' = lits.(j) in
+        if lit_pos l' && group envr (lit_var l') = g then conflict := true
+      done;
+    incr i
+  done;
+  !conflict
+
+(** The sorted union of two literal arrays; [None] when they conflict —
     same variable with both polarities, or (with mutual exclusion) two
-    distinct positive variables of the same group. *)
-let merge_proofs envr (a : proof) (b : proof) : proof option =
-  let conflict = ref false in
-  let merged =
-    IMap.union
-      (fun _ sa sb ->
-        if Bool.equal sa sb then Some sa
-        else begin
-          conflict := true;
-          Some sa
-        end)
-      a b
-  in
-  if !conflict then None
+    distinct positive variables of the same group.  Returns an argument
+    itself when it already holds the union. *)
+let merge_lits envr (a : int array) (b : int array) : int array option =
+  let na = Array.length a and nb = Array.length b in
+  (* first pass: the size of the union, or -1 on a polarity clash *)
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !n >= 0 && !i < na && !j < nb do
+    let x = a.(!i) and y = b.(!j) in
+    if x = y then begin
+      incr i;
+      incr j;
+      incr n
+    end
+    else if lit_var x = lit_var y then n := -1
+    else begin
+      if x < y then incr i else incr j;
+      incr n
+    end
+  done;
+  if !n < 0 then None
   else begin
-    (* Mutual-exclusion check: collect positive literals per group. *)
-    let seen = Hashtbl.create 4 in
-    let me_conflict = ref false in
-    IMap.iter
-      (fun v sign ->
-        if sign then
-          match envr.me_group v with
-          | None -> ()
-          | Some g -> (
-              match Hashtbl.find_opt seen g with
-              | Some v' when v' <> v -> me_conflict := true
-              | _ -> Hashtbl.replace seen g v))
-      merged;
-    if !me_conflict then None else Some merged
+    let n = !n + (na - !i) + (nb - !j) in
+    let out =
+      if n = na then a
+      else if n = nb then b
+      else begin
+        let out = Array.make n 0 and i = ref 0 and j = ref 0 in
+        for k = 0 to n - 1 do
+          if !j = nb || (!i < na && a.(!i) <= b.(!j)) then begin
+            if !j < nb && a.(!i) = b.(!j) then incr j;
+            out.(k) <- a.(!i);
+            incr i
+          end
+          else begin
+            out.(k) <- b.(!j);
+            incr j
+          end
+        done;
+        out
+      end
+    in
+    if me_conflict envr out then None else Some out
   end
+
+(** Merge two proofs into their conjunction, weighed under [envr]; [None]
+    when they conflict (see {!merge_lits}). *)
+let merge_proofs envr (a : proof) (b : proof) : proof option =
+  match merge_lits envr a.lits b.lits with Some l -> Some (weighed envr l) | None -> None
 
 (* --- formulas ------------------------------------------------------------ *)
 
@@ -101,7 +235,7 @@ let ff : t = []
 let tt : t = [ true_proof ]
 let of_pos i : t = [ singleton_pos i ]
 let is_false (t : t) = t = []
-let is_true (t : t) = List.exists (fun p -> IMap.is_empty p) t
+let is_true (t : t) = List.exists (fun p -> Array.length p.lits = 0) t
 
 (** Set equality, independent of proof order.  O(n²); kept as the oracle
     notion of equality — fixpoint saturation uses {!equal_ordered}. *)
@@ -119,67 +253,110 @@ let equal_ordered (a : t) (b : t) =
 
 let dedup proofs = Scallop_utils.Listx.dedup_stable proof_equal proofs
 
-(** A proof [p] absorbs [q] if p ⊆ q (then p ∨ q = p).  Removing absorbed
-    proofs keeps formulas small and makes [top_k] more meaningful. *)
+(** [p] absorbs [q] if p ⊆ q (then p ∨ q = p): a subset test on the sorted
+    literal arrays. *)
 let absorbs (p : proof) (q : proof) =
-  IMap.for_all (fun v s -> match IMap.find_opt v q with Some s' -> Bool.equal s s' | None -> false) p
-
-let remove_absorbed proofs =
-  List.filter
-    (fun q -> not (List.exists (fun p -> (not (proof_equal p q)) && absorbs p q) proofs))
-    proofs
+  let lp = p.lits and lq = q.lits in
+  let np = Array.length lp and nq = Array.length lq in
+  let i = ref 0 and j = ref 0 in
+  while !i < np && np - !i <= nq - !j do
+    let x = lp.(!i) and y = lq.(!j) in
+    if x = y then incr i;
+    (* x < y: x is missing from q, which the length test then reports *)
+    j := if x < y then nq + 1 else !j + 1
+  done;
+  !i = np
 
 (* --- canonical order ------------------------------------------------------ *)
 
 (* Sort key for a proof probability: a total order where NaN sorts below
    everything (a NaN-weighted proof never beats a real one, and comparisons
    stay consistent). *)
-let prob_key = Scallop_utils.Listx.float_key
+let prob_key x = if Float.is_nan x then Float.neg_infinity else x
 
-(* A proof decorated with its (precomputed) probability. *)
-type dproof = { dp : proof; dkey : float }
-
-let decorate envr p = { dp = p; dkey = prob_key (proof_prob envr p) }
-
-(* Canonical order: descending probability key, ties by proof_compare. *)
+(* Canonical order on weighed proofs: descending probability key, ties by
+   proof_compare. *)
 let dcompare a b =
-  let c = Float.compare b.dkey a.dkey in
-  if c <> 0 then c else proof_compare a.dp b.dp
+  let c = Float.compare (prob_key b.pw) (prob_key a.pw) in
+  if c <> 0 then c else proof_compare a b
 
-(* Canonicalize a decorated candidate list: sort, drop duplicates (equal
-   proofs have equal keys, hence are adjacent after sorting), drop absorbed
-   proofs.  An absorber is a subset of what it absorbs, so its probability
-   key is >= the absorbed one's whenever weights lie in [0,1]; we still scan
-   all pairs so the result matches the eager oracle even on adversarial
-   weights. *)
-let finalize_all (cands : dproof list) : dproof list =
-  let sorted = List.stable_sort dcompare cands in
-  let rec drop_dups = function
-    | a :: b :: rest when proof_equal a.dp b.dp -> drop_dups (a :: rest)
-    | a :: rest -> a :: drop_dups rest
-    | [] -> []
-  in
-  let distinct = drop_dups sorted in
-  List.filter
-    (fun q ->
-      not
-        (List.exists
-           (fun p -> (not (proof_equal p.dp q.dp)) && absorbs p.dp q.dp)
-           distinct))
-    distinct
+(* Some proof among the first [m] slots of [c] is a strict subset of [q]. *)
+let absorbed_among (c : proof array) m q =
+  let lq = Array.length q.lits in
+  let found = ref false and j = ref 0 in
+  while (not !found) && !j < m do
+    let p = c.(!j) in
+    if Array.length p.lits < lq && absorbs p q then found := true;
+    incr j
+  done;
+  !found
 
-let undecorate ds = List.map (fun d -> d.dp) ds
+(* Canonicalize the weighed candidates of [c] in place: sort, drop
+   duplicates (equal proofs have equal keys, hence are adjacent after
+   sorting; the earliest copy stays), then keep the first [k] proofs no
+   other candidate absorbs.  An absorber is a subset of what it absorbs, so
+   its probability key is >= the absorbed one's whenever weights lie in
+   [0,1]; we still scan all pairs so the result matches the eager oracle
+   even on adversarial weights.  Returns the number of survivors, which sit
+   in canonical order at the front of [c]. *)
+let finalize k (c : proof array) =
+  (* Stable insertion sort: no allocation on the handful of candidates a
+     call usually has, and the absorption scan below is quadratic anyway. *)
+  for i = 1 to Array.length c - 1 do
+    let x = c.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && dcompare c.(!j) x > 0 do
+      c.(!j + 1) <- c.(!j);
+      decr j
+    done;
+    c.(!j + 1) <- x
+  done;
+  let m = ref 0 in
+  for i = 0 to Array.length c - 1 do
+    if !m = 0 || not (proof_equal c.(i) c.(!m - 1)) then begin
+      c.(!m) <- c.(i);
+      incr m
+    end
+  done;
+  let m = !m in
+  (* Survivors move to the front.  An overwritten slot held a survivor
+     (copied earlier) or an absorbed proof, and whatever absorbed it is a
+     strict subset that some survivor or unread slot still holds, so the
+     absorption test stays exact. *)
+  let s = ref 0 and i = ref 0 in
+  while !s < k && !i < m do
+    let q = c.(!i) in
+    if not (absorbed_among c m q) then begin
+      c.(!s) <- q;
+      incr s
+    end;
+    incr i
+  done;
+  !s
 
-(* Physical list equality: lets disj_k return its left argument unchanged
-   when the union added nothing, which in turn makes the saturation check in
-   equal_ordered O(1) on converged relations. *)
-let phys_equal_list (a : 'a list) (b : 'a list) =
-  List.compare_lengths a b = 0 && List.for_all2 ( == ) a b
+let rec list_of_prefix (c : proof array) i acc =
+  if i < 0 then acc else list_of_prefix c (i - 1) (c.(i) :: acc)
+
+let prefix_to_list c n = list_of_prefix c (n - 1) []
+
+(* Weigh the proofs of a list into [c] from slot [i] on. *)
+let rec weigh_into envr (c : proof array) i = function
+  | [] -> ()
+  | p :: rest ->
+      c.(i) <- with_prob envr p;
+      weigh_into envr c (i + 1) rest
+
+let weigh_all envr (proofs : proof list) =
+  let c = Array.make (List.length proofs) true_proof in
+  weigh_into envr c 0 proofs;
+  c
 
 (** Keep the [k] proofs of highest probability, in canonical order. *)
 let top_k envr k proofs =
   if k <= 0 then ff
-  else Scallop_utils.Listx.take k (undecorate (finalize_all (List.map (decorate envr) proofs)))
+  else
+    let c = weigh_all envr proofs in
+    prefix_to_list c (finalize k c)
 
 (* --- eager reference operations (differential-test oracle) ---------------- *)
 
@@ -193,6 +370,10 @@ let conj_k_eager envr k (a : t) (b : t) : t =
   in
   top_k envr k merged
 
+(* The CNF of ¬t: one clause per proof, the negation of each of its
+   literals (flipping the polarity bit keeps the array sorted). *)
+let negated_clauses (t : t) = List.map (fun p -> Array.map (fun l -> l lxor 1) p.lits) t
+
 (** ¬k : negate every literal giving a CNF, then convert back to DNF by
     distribution with conflict checking (cnf2dnf, Fig. 13).  The raw
     conversion is exponential; we bound every intermediate result by [beam]
@@ -200,26 +381,17 @@ let conj_k_eager envr k (a : t) (b : t) : t =
     [k] anyway. *)
 let neg_k_eager ?beam envr k (t : t) : t =
   let beam = match beam with Some b -> Stdlib.max b k | None -> Stdlib.max (8 * k) 64 in
-  (* CNF: one clause per proof; each clause is the disjunction of the
-     negated literals of that proof. *)
-  let clauses =
-    List.map (fun p -> List.map (fun (v, s) -> (v, not s)) (proof_literals p)) t
-  in
-  let init : t = [ true_proof ] in
   let result =
     List.fold_left
       (fun acc clause ->
         let next =
           List.concat_map
             (fun p ->
-              List.filter_map
-                (fun (v, s) ->
-                  merge_proofs envr p (IMap.singleton v s))
-                clause)
+              List.filter_map (fun l -> merge_proofs envr p (unweighed [| l |])) (Array.to_list clause))
             acc
         in
         top_k envr beam next)
-      init clauses
+      tt (negated_clauses t)
   in
   top_k envr k result
 
@@ -236,19 +408,16 @@ let neg_k_eager ?beam envr k (t : t) : t =
    its probability is >= its victim's), the survivors equal the eager
    oracle's — see DESIGN.md for the full argument. *)
 let best_first ~k ~(peek_key : unit -> float option)
-    ~(pop_expand : unit -> bool) ~(candidates : dproof list ref) : t =
+    ~(pop_expand : unit -> bool) ~(candidates : proof list ref) : t =
   let rec settle () =
-    let surv = finalize_all !candidates in
-    let nsurv = List.length surv in
-    let bar =
-      if nsurv < k then None
-      else Some (List.nth surv (k - 1)).dkey
-    in
+    let c = Array.of_list !candidates in
+    let nsurv = finalize k c in
+    let bar = if nsurv < k then None else Some (prob_key c.(k - 1).pw) in
     match peek_key () with
-    | None -> Scallop_utils.Listx.take k (undecorate surv)
+    | None -> prefix_to_list c nsurv
     | Some top_key -> (
         match bar with
-        | Some b when top_key < b -> Scallop_utils.Listx.take k (undecorate surv)
+        | Some b when top_key < b -> prefix_to_list c nsurv
         | _ ->
             (* Expand a batch before re-finalizing: everything whose bound
                still ties or beats the bar, or (while short of k survivors)
@@ -270,18 +439,26 @@ let best_first ~k ~(peek_key : unit -> float option)
   in
   settle ()
 
+(* The slots of [c] from [i] on hold the proofs of the list, physically. *)
+let rec holds_list (c : proof array) i = function
+  | [] -> true
+  | p :: rest -> c.(i) == p && holds_list c (i + 1) rest
+
 (** ∨k, guided: both inputs are (or are brought to) canonical order, so the
     union is a merge followed by the shared canonicalization; probabilities
-    are computed once per proof.  Returns the left argument physically
+    are cached on the proofs.  Returns the left argument physically
     unchanged when the union adds nothing — the common case once a relation
     has converged. *)
 let disj_k envr k (a : t) (b : t) : t =
   if k <= 0 then ff
   else if is_false b && List.compare_length_with a k <= 0 then a
   else begin
-    let cands = List.map (decorate envr) a @ List.map (decorate envr) b in
-    let result = Scallop_utils.Listx.take k (undecorate (finalize_all cands)) in
-    if phys_equal_list result a then a else result
+    let na = List.length a in
+    let c = Array.make (na + List.length b) true_proof in
+    weigh_into envr c 0 a;
+    weigh_into envr c na b;
+    let n = finalize k c in
+    if n = na && holds_list c 0 a then a else prefix_to_list c n
   end
 
 (** ∧k, guided: best-first over the grid of proof pairs, both sides sorted
@@ -295,59 +472,63 @@ let disj_k envr k (a : t) (b : t) : t =
     cheaper than maintaining a frontier. *)
 let conj_k envr k (a : t) (b : t) : t =
   if k <= 0 || is_false a || is_false b then ff
-  else begin
-    let na = List.length a and nb = List.length b in
-    if float_of_int na *. float_of_int nb <= 4.0 *. float_of_int k then begin
-      (* Small product: the full pairwise merge costs less than a frontier,
-         and only merged candidates need their probability computed. *)
-      let cands = ref [] in
-      List.iter
-        (fun pa ->
+  else
+    match (a, b) with
+    | [ pa ], [ pb ] -> (
+        (* one candidate is already canonical *)
+        match merge_lits envr pa.lits pb.lits with Some l -> [ weighed envr l ] | None -> ff)
+    | _ ->
+        let na = List.length a and nb = List.length b in
+        if float_of_int na *. float_of_int nb <= 4.0 *. float_of_int k then begin
+          (* Small product: the full pairwise merge costs less than a
+             frontier, and only merged candidates need a probability. *)
+          let c = Array.make (na * nb) true_proof in
+          let n = ref 0 in
           List.iter
-            (fun pb ->
-              match merge_proofs envr pa pb with
-              | Some m -> cands := decorate envr m :: !cands
-              | None -> ())
-            b)
-        a;
-      Scallop_utils.Listx.take k (undecorate (finalize_all !cands))
-    end
-    else begin
-      let da = Array.of_list (List.map (decorate envr) a) in
-      let db = Array.of_list (List.map (decorate envr) b) in
-      Array.sort dcompare da;
-      Array.sort dcompare db;
-      let bound i j = Float.min da.(i).dkey db.(j).dkey in
-      let heap =
-        Scallop_utils.Heap.create ~cmp:(fun (u1, _, _) (u2, _, _) ->
-            Float.compare u1 u2)
-      in
-      let seen = Hashtbl.create 64 in
-      let push i j =
-        if i < na && j < nb && not (Hashtbl.mem seen (i, j)) then begin
-          Hashtbl.replace seen (i, j) ();
-          Scallop_utils.Heap.push heap (bound i j, i, j)
+            (fun pa ->
+              List.iter
+                (fun pb ->
+                  match merge_proofs envr pa pb with
+                  | Some m ->
+                      c.(!n) <- m;
+                      incr n
+                  | None -> ())
+                b)
+            a;
+          let c = if !n < Array.length c then Array.sub c 0 !n else c in
+          prefix_to_list c (finalize k c)
         end
-      in
-      push 0 0;
-      let candidates = ref [] in
-      let peek_key () =
-        Option.map (fun (u, _, _) -> u) (Scallop_utils.Heap.peek heap)
-      in
-      let pop_expand () =
-        match Scallop_utils.Heap.pop heap with
-        | None -> false
-        | Some (_, i, j) ->
-            (match merge_proofs envr da.(i).dp db.(j).dp with
-            | Some m -> candidates := decorate envr m :: !candidates
-            | None -> ());
-            push (i + 1) j;
-            push i (j + 1);
-            true
-      in
-      best_first ~k ~peek_key ~pop_expand ~candidates
-    end
-  end
+        else begin
+          let da = weigh_all envr a and db = weigh_all envr b in
+          Array.sort dcompare da;
+          Array.sort dcompare db;
+          let bound i j = Float.min (prob_key da.(i).pw) (prob_key db.(j).pw) in
+          let heap =
+            Scallop_utils.Heap.create ~cmp:(fun (u1, _, _) (u2, _, _) -> Float.compare u1 u2)
+          in
+          let seen = Bytes.make (na * nb) '\000' in
+          let push i j =
+            if i < na && j < nb && Bytes.get seen ((i * nb) + j) = '\000' then begin
+              Bytes.set seen ((i * nb) + j) '\001';
+              Scallop_utils.Heap.push heap (bound i j, i, j)
+            end
+          in
+          push 0 0;
+          let candidates = ref [] in
+          let peek_key () = Option.map (fun (u, _, _) -> u) (Scallop_utils.Heap.peek heap) in
+          let pop_expand () =
+            match Scallop_utils.Heap.pop heap with
+            | None -> false
+            | Some (_, i, j) ->
+                (match merge_proofs envr da.(i) db.(j) with
+                | Some m -> candidates := m :: !candidates
+                | None -> ());
+                push (i + 1) j;
+                push i (j + 1);
+                true
+          in
+          best_first ~k ~peek_key ~pop_expand ~candidates
+        end
 
 (* Above this k the guided negation would have to enumerate essentially the
    whole cnf2dnf expansion anyway; delegate to the beam-bounded eager code
@@ -372,32 +553,28 @@ let neg_k ?beam envr k (t : t) : t =
   else if k > guided_neg_k_limit then neg_k_eager ?beam envr k t
   else begin
     let clauses =
-      t
-      |> List.map (fun p -> List.map (fun (v, s) -> (v, not s)) (proof_literals p))
+      negated_clauses t
       |> List.sort (fun c1 c2 ->
-             let c = compare (List.length c1) (List.length c2) in
-             if c <> 0 then c else compare c1 c2)
+             let c = Int.compare (Array.length c1) (Array.length c2) in
+             if c <> 0 then c else compare_lits c1 c2)
       |> Array.of_list
     in
     let n = Array.length clauses in
     let heap =
-      Scallop_utils.Heap.create ~cmp:(fun (u1, _, _) (u2, _, _) ->
-          Float.compare u1 u2)
+      Scallop_utils.Heap.create ~cmp:(fun (u1, _, _) (u2, _, _) -> Float.compare u1 u2)
     in
     let seen = Hashtbl.create 64 in
-    let push (d : dproof) idx =
-      let key = (idx, proof_literals d.dp) in
+    let push (d : proof) idx =
+      let key = (idx, d.lits) in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.replace seen key ();
-        Scallop_utils.Heap.push heap (d.dkey, d, idx)
+        Scallop_utils.Heap.push heap (prob_key d.pw, d, idx)
       end
     in
-    push (decorate envr true_proof) 0;
+    push (with_prob envr true_proof) 0;
     let candidates = ref [] in
     let expansions = ref 0 in
-    let peek_key () =
-      Option.map (fun (u, _, _) -> u) (Scallop_utils.Heap.peek heap)
-    in
+    let peek_key () = Option.map (fun (u, _, _) -> u) (Scallop_utils.Heap.peek heap) in
     let exception Too_many in
     let pop_expand () =
       match Scallop_utils.Heap.pop heap with
@@ -407,10 +584,10 @@ let neg_k ?beam envr k (t : t) : t =
           if !expansions > guided_neg_max_expansions then raise Too_many;
           if idx = n then candidates := d :: !candidates
           else
-            List.iter
-              (fun (v, s) ->
-                match merge_proofs envr d.dp (IMap.singleton v s) with
-                | Some m -> push (decorate envr m) (idx + 1)
+            Array.iter
+              (fun l ->
+                match merge_lits envr d.lits [| l |] with
+                | Some m -> push (if m == d.lits then d else weighed envr m) (idx + 1)
                 | None -> ())
               clauses.(idx);
           true
@@ -419,10 +596,10 @@ let neg_k ?beam envr k (t : t) : t =
     with Too_many -> neg_k_eager ?beam envr k t
   end
 
-(** All variables mentioned by the formula. *)
+(** All variables mentioned by the formula, ascending. *)
 let variables (t : t) =
-  List.fold_left (fun acc p -> IMap.fold (fun v _ s -> ISet.add v s) p acc) ISet.empty t
-  |> ISet.elements
+  List.concat_map (fun p -> Array.fold_right (fun l acc -> lit_var l :: acc) p.lits []) t
+  |> List.sort_uniq Int.compare
 
 (** Hard upper bound on the formula probability: the probability of the
     disjunction assuming proofs disjoint, clamped. Used as a cheap weight. *)

@@ -94,21 +94,17 @@ end
 module Proofs () : sig
   include S with type t = Formula.t
 
-  val probs : (int, float) Hashtbl.t
-  val me_groups : (int, int) Hashtbl.t
   val env : Formula.env
 end = struct
   type t = Formula.t
 
   let name = "proofs"
-  let probs : (int, float) Hashtbl.t = Hashtbl.create 64
-  let me_groups : (int, int) Hashtbl.t = Hashtbl.create 64
-  let next_id = ref 0
 
-  let env =
-    Formula.env
-      ~me_group:(fun v -> Hashtbl.find_opt me_groups v)
-      (fun v -> match Hashtbl.find_opt probs v with Some p -> p | None -> 1.0)
+  (* Variable ids are allocated densely from 0, so the environment is a
+     table indexed by id; a variable's probability and group are set once,
+     before any proof mentions it. *)
+  let env = Formula.table_env ()
+  let next_id = ref 0
 
   (* No truncation: k = max_int.  Beam for cnf2dnf stays bounded to keep
      negation tractable; exactness is preserved up to that beam. *)
@@ -134,9 +130,8 @@ end = struct
     | Some p ->
         let id = !next_id in
         incr next_id;
-        Hashtbl.replace probs id p;
-        (match i.Input.me_group with Some g -> Hashtbl.replace me_groups id g | None -> ());
-        (Formula.of_pos id, Some id)
+        Formula.set_var env id p (Option.value i.Input.me_group ~default:Formula.no_group);
+        ([ Formula.with_prob env (Formula.singleton_pos id) ], Some id)
 
   let recover t = Output.O_proofs t
   let pp = Formula.pp

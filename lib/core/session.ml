@@ -293,7 +293,8 @@ let prob_of (r : result) pred tuple : float =
    move per step.  {!Wmc} keeps a per-domain cache (hash-consed BDD manager +
    results keyed on (root, weights), so changed probabilities re-count
    automatically).  These re-exports let embedders toggle and inspect it
-   without depending on [Wmc] directly; the CLI exposes [--no-wmc-cache]. *)
+   without depending on [Wmc] directly; [set_wmc_cache] is the only switch,
+   and the CLI has none. *)
 
 (** Enable/disable the per-domain WMC cache (on by default).  Disabling does
     not clear existing entries; they are simply not consulted. *)

@@ -103,26 +103,24 @@ let wmc_bdd (type a) (ops : a ops) ~(weight_of : int -> a) (formula : Formula.t)
    would build: cached and uncached results are bit-identical. *)
 
 module FKey = struct
-  (* Canonical structural identity: proofs as sorted literal lists, the
-     proof list itself sorted.  Independent of proof insertion order and of
-     the IMap internals. *)
-  type t = (int * bool) list list
+  (* Canonical structural identity: the proofs' literal arrays, sorted.
+     Independent of proof insertion order. *)
+  type t = int array array
 
   let of_formula (f : Formula.t) : t =
-    List.sort compare (List.map Formula.proof_literals f)
+    let k = Array.of_list (List.map (fun (p : Formula.proof) -> p.Formula.lits) f) in
+    Array.sort Formula.compare_lits k;
+    k
 
-  let equal (a : t) (b : t) = a = b
+  let equal (a : t) (b : t) =
+    Array.length a = Array.length b && Array.for_all2 (fun x y -> Formula.compare_lits x y = 0) a b
 
   (* Fold over the whole structure: formulas from one fixpoint often share
      long literal prefixes (e.g. every path(0, j) along a chain), so a
      prefix-limited polymorphic hash would put them all in one bucket. *)
   let hash (k : t) =
-    List.fold_left
-      (fun h lits ->
-        List.fold_left
-          (fun h (v, s) -> (h * 131) + (2 * v) + (if s then 1 else 0))
-          ((h * 17) + 3)
-          lits)
+    Array.fold_left
+      (fun h lits -> Array.fold_left (fun h l -> (h * 131) + l) ((h * 17) + 3) lits)
       0 k
     land max_int
 end
@@ -148,7 +146,7 @@ end
 
 module RTbl = Hashtbl.Make (RKey)
 
-type centry = { root : Scallop_bdd.Bdd.t; cvars : int list }
+type centry = { root : Scallop_bdd.Bdd.t; cvars : int array }
 
 type cache = {
   manager : Scallop_bdd.Bdd.manager;
@@ -185,9 +183,10 @@ let cache () = Domain.DLS.get cache_key
 
 let enabled = Atomic.make true
 
-(** Globally enable/disable the cross-iteration cache (e.g. the CLI's
-    [--no-wmc-cache]).  Disabled, every call compiles into a fresh manager —
-    the historic behaviour.  Results are identical either way. *)
+(** Globally enable/disable the cross-iteration cache; {!Session.set_wmc_cache}
+    is the only switch (there is no CLI flag).  Disabled, every call
+    compiles into a fresh manager — the historic behaviour.  Results are
+    identical either way. *)
 let set_cache_enabled b = Atomic.set enabled b
 
 let cache_enabled () = Atomic.get enabled
@@ -240,7 +239,7 @@ let bdd_of_cached c (formula : Formula.t) : centry =
         RTbl.reset c.duals
       end;
       let root = Scallop_bdd.Bdd.of_dnf c.manager (List.map Formula.proof_literals formula) in
-      let e = { root; cvars = Formula.variables formula } in
+      let e = { root; cvars = Array.of_list (Formula.variables formula) } in
       FTbl.replace c.bdds key e;
       e
 
@@ -249,7 +248,7 @@ let cached_result (type r) (table : r RTbl.t) c ~(env : Formula.env) formula
   let e = bdd_of_cached c formula in
   (* The weight vector enters the key — a training step that moves any input
      probability misses and recomputes; this is the invalidation rule. *)
-  let values = Array.of_list (List.map env.Formula.prob e.cvars) in
+  let values = Array.map (Formula.prob env) e.cvars in
   let rkey = (Scallop_bdd.Bdd.node_id e.root, values) in
   match RTbl.find_opt table rkey with
   | Some r ->
@@ -257,99 +256,121 @@ let cached_result (type r) (table : r RTbl.t) c ~(env : Formula.env) formula
       r
   | None ->
       c.result_misses <- c.result_misses + 1;
-      let r = compute ~vars:e.cvars e.root in
+      let r = compute ~vars:(Array.to_list e.cvars) e.root in
       if RTbl.length table >= max_result_entries then RTbl.reset table;
       RTbl.add table rkey r;
       r
 
 (* ---- Inclusion–exclusion engine (mutual exclusion aware) ---------------- *)
 
-module IMap = Map.Make (Int)
-
 (* Probability of a single conjunction of literals under categorical group
-   semantics.  Proofs coming out of [Formula.merge_proofs] are already free
-   of within-proof conflicts, but merged subsets during IE may conflict, in
-   which case this returns zero. *)
-let conj_weight (type a) (ops : a ops) ~(weight_of : int -> a) ~(me_group : int -> int option)
-    (proof : Formula.proof) : a =
-  (* Partition literals by group. *)
-  let grouped : (int * bool) list IMap.t ref = ref IMap.empty in
-  let free = ref [] in
-  List.iter
-    (fun (v, s) ->
-      match me_group v with
-      | None -> free := (v, s) :: !free
-      | Some g ->
-          grouped :=
-            IMap.update g (fun l -> Some ((v, s) :: Option.value l ~default:[])) !grouped)
-    (Formula.proof_literals proof);
+   semantics.  Proofs coming out of [Formula.merge_lits] are free of
+   conflicts, so within a group there is at most one positive literal, and
+   never a variable with both polarities.  The float operations run in a
+   fixed order, which values and gradients depend on bit for bit: free
+   literals in descending variable order, then each group in ascending
+   group id, its literals in descending variable order. *)
+let conj_weight (type a) (ops : a ops) ~(weight_of : int -> a) ~(env : Formula.env)
+    (lits : int array) : a =
+  let n = Array.length lits in
+  let groups = Array.make n Formula.no_group in
+  for i = 0 to n - 1 do
+    groups.(i) <- Formula.group env (Formula.lit_var lits.(i))
+  done;
   let acc = ref ops.one in
-  List.iter
-    (fun (v, s) ->
-      let w = weight_of v in
-      acc := ops.mul !acc (if s then w else ops.complement w))
-    !free;
-  IMap.iter
-    (fun _g lits ->
-      let pos = List.filter (fun (_, s) -> s) lits in
-      let negs = List.filter (fun (_, s) -> not s) lits in
-      match pos with
-      | (v, _) :: rest ->
-          if rest <> [] then acc := ops.zero (* two positives: contradiction *)
-          else if List.exists (fun (v', _) -> v' = v) negs then acc := ops.zero
-          else acc := ops.mul !acc (weight_of v)
-          (* negatives of other members are implied by exclusivity *)
-      | [] ->
-          (* P(none of the negated members chosen) = 1 - Σ rᵢ, clamped. *)
-          let s =
-            List.fold_left (fun s (v, _) -> ops.add s (weight_of v)) ops.zero negs
-          in
-          acc := ops.mul !acc (ops.max0 (ops.complement s)))
-    !grouped;
+  for i = n - 1 downto 0 do
+    if groups.(i) = Formula.no_group then begin
+      let w = weight_of (Formula.lit_var lits.(i)) in
+      acc := ops.mul !acc (if Formula.lit_pos lits.(i) then w else ops.complement w)
+    end
+  done;
+  (* Groups in ascending id: repeatedly pick the least id above the last
+     one done.  Per group, a positive literal implies the negatives of the
+     other members; without one, P(none of the negated members chosen) =
+     1 - Σ rᵢ, clamped. *)
+  let above = ref Formula.no_group and more = ref true in
+  while !more do
+    let g = ref !above in
+    for i = 0 to n - 1 do
+      let h = groups.(i) in
+      if h > !above && (!g = !above || h < !g) then g := h
+    done;
+    if !g = !above then more := false
+    else begin
+      let g = !g in
+      let pos = ref (-1) in
+      for i = 0 to n - 1 do
+        if groups.(i) = g && Formula.lit_pos lits.(i) then pos := i
+      done;
+      let w =
+        if !pos >= 0 then weight_of (Formula.lit_var lits.(!pos))
+        else begin
+          let s = ref ops.zero in
+          for i = n - 1 downto 0 do
+            if groups.(i) = g then s := ops.add !s (weight_of (Formula.lit_var lits.(i)))
+          done;
+          ops.max0 (ops.complement !s)
+        end
+      in
+      acc := ops.mul !acc w;
+      above := g
+    end
+  done;
   !acc
 
-let wmc_ie (type a) (ops : a ops) ~(weight_of : int -> a) ~(me_group : int -> int option)
-    ~(env : Formula.env) (formula : Formula.t) : a =
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+let wmc_ie (type a) (ops : a ops) ~(weight_of : int -> a) ~(env : Formula.env)
+    (formula : Formula.t) : a =
   let proofs =
     if List.length formula <= max_ie_proofs then formula
     else Formula.top_k env max_ie_proofs formula
   in
   let proofs = Array.of_list proofs in
   let n = Array.length proofs in
+  (* merged.(mask): the conjunction of the proofs in [mask], built from the
+     mask without its lowest proof; [None] once any two conflict *)
+  let merged = Array.make (1 lsl n) (Some [||]) in
   let total = ref ops.zero in
-  (* Iterate over non-empty subsets via bitmasks; n ≤ max_ie_proofs. *)
   for mask = 1 to (1 lsl n) - 1 do
-    let merged = ref (Some Formula.true_proof) in
-    let size = ref 0 in
-    for i = 0 to n - 1 do
-      if mask land (1 lsl i) <> 0 then begin
-        incr size;
-        match !merged with
-        | None -> ()
-        | Some p -> merged := Formula.merge_proofs env p proofs.(i)
-      end
+    let low = mask land -mask in
+    let i = ref 0 in
+    while 1 lsl !i <> low do
+      incr i
     done;
-    (match !merged with
+    let m =
+      match merged.(mask lxor low) with
+      | None -> None
+      | Some l -> Formula.merge_lits env l proofs.(!i).Formula.lits
+    in
+    merged.(mask) <- m;
+    match m with
     | None -> ()
-    | Some p ->
-        let w = conj_weight ops ~weight_of ~me_group p in
-        let w = if !size mod 2 = 1 then w else ops.neg w in
-        total := ops.add !total w)
+    | Some lits ->
+        let w = conj_weight ops ~weight_of ~env lits in
+        let w = if popcount mask mod 2 = 1 then w else ops.neg w in
+        total := ops.add !total w
   done;
   !total
 
 (* ---- public entry points ------------------------------------------------ *)
 
-let has_me_vars ~me_group formula =
-  List.exists (fun v -> me_group v <> None) (Formula.variables formula)
+let rec has_me_vars env : Formula.t -> bool = function
+  | [] -> false
+  | p :: rest ->
+      let lits = p.Formula.lits in
+      let found = ref false in
+      for i = 0 to Array.length lits - 1 do
+        if Formula.group env (Formula.lit_var lits.(i)) <> Formula.no_group then found := true
+      done;
+      !found || has_me_vars env rest
 
 (** WMC in an arbitrary weight semiring. *)
 let run (type a) (ops : a ops) ~(weight_of : int -> a) ~(env : Formula.env)
     (formula : Formula.t) : a =
   if Formula.is_false formula then ops.zero
   else if Formula.is_true formula then ops.one
-  else if has_me_vars ~me_group:env.Formula.me_group formula then
-    wmc_ie ops ~weight_of ~me_group:env.Formula.me_group ~env formula
+  else if has_me_vars env formula then wmc_ie ops ~weight_of ~env formula
   else wmc_bdd ops ~weight_of formula
 
 (* Shared dispatch for the cached entry points: trivial formulas and the
@@ -359,8 +380,7 @@ let run_cached (type a) (ops : a ops) ~(weight_of : int -> a)
     ~(table : cache -> a RTbl.t) ~(env : Formula.env) formula : a =
   if Formula.is_false formula then ops.zero
   else if Formula.is_true formula then ops.one
-  else if has_me_vars ~me_group:env.Formula.me_group formula then
-    wmc_ie ops ~weight_of ~me_group:env.Formula.me_group ~env formula
+  else if has_me_vars env formula then wmc_ie ops ~weight_of ~env formula
   else if not (cache_enabled ()) then wmc_bdd ops ~weight_of formula
   else
     let c = cache () in
@@ -369,11 +389,11 @@ let run_cached (type a) (ops : a ops) ~(weight_of : int -> a)
 
 (** Plain probability. *)
 let prob ~(env : Formula.env) formula =
-  run_cached float_ops ~weight_of:env.Formula.prob ~table:(fun c -> c.probs) ~env
+  run_cached float_ops ~weight_of:(Formula.prob env) ~table:(fun c -> c.probs) ~env
     formula
 
 (** Probability with gradient: each variable [v] is a dual [var v (prob v)]. *)
 let dual ~(env : Formula.env) formula =
   run_cached dual_ops
-    ~weight_of:(fun v -> Dual.var v (env.Formula.prob v))
+    ~weight_of:(fun v -> Dual.var v (Formula.prob env v))
     ~table:(fun c -> c.duals) ~env formula

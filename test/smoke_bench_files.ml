@@ -224,10 +224,14 @@ let json_number_field (text : string) (key : string) : float option =
 
 (** The columnar executor rides on BENCH_interp.json: both engine variants
     must be represented (row-oriented baseline and columnar twin of each
-    workload), and the pinned TC-500 speedup must stay at or above the 10x
-    gate the bench harness enforces ([col_gate] in bench/main.ml).  A
-    regeneration that silently dropped the columnar rows — or pinned a
-    regressed multiple — fails here instead of weakening the contract. *)
+    workload), and the pinned TC-500 boolean columnar row must allocate
+    within the gate the bench harness enforces ([col_words_gate] in
+    bench/main.ml): at most 1.25x the 11.6 minor words per tuple it
+    allocated when the gate was set.  A regeneration that silently dropped
+    the columnar rows — or pinned a regressed allocation — fails here
+    instead of weakening the contract. *)
+let interp_words_gate = 1.25 *. 11.6
+
 let audit_interp_columnar (text : string) : string list =
   let errs = ref [] in
   let nag msg = errs := msg :: !errs in
@@ -237,10 +241,17 @@ let audit_interp_columnar (text : string) : string list =
     nag (Printf.sprintf "expected >= 4 columnar rows, found %d" col_true);
   if col_false < 4 then
     nag (Printf.sprintf "expected >= 4 row-engine rows, found %d" col_false);
-  (match json_number_field text "tc500_columnar_speedup" with
-  | None -> nag "missing numeric tc500_columnar_speedup field"
-  | Some x when x < 10.0 ->
-      nag (Printf.sprintf "tc500_columnar_speedup %.2f below the pinned 10x gate" x)
+  (match json_number_field text "tc500_columnar_minor_words_gate" with
+  | None -> nag "missing numeric tc500_columnar_minor_words_gate field"
+  | Some gate when gate > interp_words_gate ->
+      nag (Printf.sprintf "tc500_columnar_minor_words_gate %.1f is looser than %.1f" gate
+             interp_words_gate)
+  | Some _ -> ());
+  (match json_number_field text "tc500_columnar_minor_words_per_tuple" with
+  | None -> nag "missing numeric tc500_columnar_minor_words_per_tuple field"
+  | Some x when not (x <= interp_words_gate) ->
+      nag (Printf.sprintf "tc500_columnar_minor_words_per_tuple %.1f above the %.1f gate" x
+             interp_words_gate)
   | Some _ -> ());
   List.rev !errs
 
@@ -275,6 +286,22 @@ let audit_incr_sessions (text : string) : string list =
           nag (Printf.sprintf "session_over_cold_max %.3f above the %.2f gate" worst gate)
       | Some _ -> ());
   List.rev !errs
+
+(* The audits must reject what they exist to catch: a TC-500 columnar row
+   at 15.0 minor words per tuple breaks the 14.5 gate. *)
+let () =
+  let rows =
+    String.concat "\n" (List.init 4 (fun _ -> {|"columnar": true, "columnar": false|}))
+  in
+  let file words =
+    Printf.sprintf
+      {|%s "tc500_columnar_minor_words_per_tuple": %.1f, "tc500_columnar_minor_words_gate": 14.5|}
+      rows words
+  in
+  if audit_interp_columnar (file 11.6) <> [] || audit_interp_columnar (file 15.0) = [] then begin
+    Fmt.epr "smoke_bench_files: the BENCH_interp.json audit misjudges its own gate@.";
+    exit 1
+  end
 
 let () =
   let sources = [ "ROADMAP.md"; Filename.concat "bench" "main.ml" ] in

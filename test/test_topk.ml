@@ -166,6 +166,169 @@ let qcheck_insertion_order_determinism =
            (Formula.disj_k env k (canon env rf) Formula.ff)
            (Formula.disj_k env k (canon env shuffled) Formula.ff))
 
+(* ---- proof representation ------------------------------------------------------------ *)
+
+module IMap = Map.Make (Int)
+
+let imap_of p =
+  List.fold_left (fun m (v, s) -> IMap.add v s m) IMap.empty (Formula.proof_literals p)
+
+let proof_pair_gen =
+  QCheck.make
+    ~print:(fun (a, b) -> Fmt.str "%a vs %a" Formula.pp_proof a Formula.pp_proof b)
+    QCheck.Gen.(pair (proof_gen 4) (proof_gen 4))
+
+(* Literal arrays compared lexicographically, a proper prefix first, order
+   proofs exactly as the map-based representation's IMap.compare
+   Bool.compare did — so canonical order breaks probability ties the same
+   way. *)
+let qcheck_tie_order_is_map_order =
+  qtest ~count:1000 "proof_compare ≡ IMap.compare Bool.compare" proof_pair_gen (fun (a, b) ->
+      Int.compare (Formula.proof_compare a b) 0
+      = Int.compare (IMap.compare Bool.compare (imap_of a) (imap_of b)) 0)
+
+(* The product over a proof's literals in ascending variable order. *)
+let reference_prob env p =
+  List.fold_left
+    (fun acc (v, s) ->
+      let r = Formula.prob env v in
+      acc *. if s then r else 1.0 -. r)
+    1.0 (Formula.proof_literals p)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Every proof an operator returns carries the ascending-variable product of
+   its own literals, bit for bit — never a product of its parents'
+   probabilities. *)
+let qcheck_proof_prob_bits =
+  qtest "result proofs carry the ascending-variable literal product" binop_case_gen
+    (fun (ei, k, ra, rb) ->
+      let env = snd envs.(ei) in
+      let a = canon env ra and b = canon env rb in
+      List.for_all
+        (List.for_all (fun p -> same_bits (Formula.proof_prob env p) (reference_prob env p)))
+        [
+          Formula.disj_k env k a b;
+          Formula.conj_k env k a b;
+          Formula.neg_k env k a;
+          Formula.conj_k_eager env k a b;
+        ])
+
+(* A probability cached under one environment is never served under
+   another: results built under [plain] and reused under [ties], [nan] or
+   [me] read that environment's numbers and rank exactly as freshly built
+   proofs do. *)
+let qcheck_cached_prob_follows_env =
+  qtest "cached proof probabilities follow the environment" binop_case_gen
+    (fun (ei, k, ra, rb) ->
+      let built = snd envs.(0) and env = snd envs.(ei) in
+      let a = Formula.conj_k built k (canon built ra) (canon built rb) in
+      let fresh f = List.map (fun p -> Formula.proof_of_literals (Formula.proof_literals p)) f in
+      List.for_all (fun p -> same_bits (Formula.proof_prob env p) (reference_prob env p)) a
+      && Formula.equal_ordered (Formula.top_k env k a) (Formula.top_k env k (fresh a))
+      && same_bits (Formula.prob_upper_bound env a) (Formula.prob_upper_bound env (fresh a)))
+
+(* The inclusion–exclusion engine as the map-based representation ran it:
+   literal lists, groups collected in an IMap, free literals multiplied in
+   descending variable order, then groups in ascending id. *)
+let reference_ie env (formula : Formula.t) =
+  let ops = Wmc.dual_ops in
+  let weight_of v = Dual.var v (Formula.prob env v) in
+  let me_group v =
+    let g = Formula.group env v in
+    if g = Formula.no_group then None else Some g
+  in
+  let merge a b =
+    let conflict = ref false in
+    let m =
+      IMap.union
+        (fun _ sa sb ->
+          if not (Bool.equal sa sb) then conflict := true;
+          Some sa)
+        a b
+    in
+    let seen = Hashtbl.create 4 in
+    IMap.iter
+      (fun v s ->
+        if s then
+          match me_group v with
+          | None -> ()
+          | Some g -> (
+              match Hashtbl.find_opt seen g with
+              | Some v' when v' <> v -> conflict := true
+              | _ -> Hashtbl.replace seen g v))
+      m;
+    if !conflict then None else Some m
+  in
+  let conj_weight proof =
+    let grouped = ref IMap.empty and free = ref [] in
+    IMap.iter
+      (fun v s ->
+        match me_group v with
+        | None -> free := (v, s) :: !free
+        | Some g ->
+            grouped := IMap.update g (fun l -> Some ((v, s) :: Option.value l ~default:[])) !grouped)
+      proof;
+    let acc = ref ops.Wmc.one in
+    List.iter
+      (fun (v, s) ->
+        let w = weight_of v in
+        acc := ops.Wmc.mul !acc (if s then w else ops.Wmc.complement w))
+      !free;
+    IMap.iter
+      (fun _ lits ->
+        match List.filter snd lits with
+        | (v, _) :: _ -> acc := ops.Wmc.mul !acc (weight_of v)
+        | [] ->
+            let s = List.fold_left (fun s (v, _) -> ops.Wmc.add s (weight_of v)) ops.Wmc.zero lits in
+            acc := ops.Wmc.mul !acc (ops.Wmc.max0 (ops.Wmc.complement s)))
+      !grouped;
+    !acc
+  in
+  let proofs = Array.of_list (List.map imap_of formula) in
+  let n = Array.length proofs in
+  let total = ref ops.Wmc.zero in
+  for mask = 1 to (1 lsl n) - 1 do
+    let merged = ref (Some IMap.empty) and size = ref 0 in
+    for i = 0 to n - 1 do
+      if mask land (1 lsl i) <> 0 then begin
+        incr size;
+        merged := Option.bind !merged (fun m -> merge m proofs.(i))
+      end
+    done;
+    match !merged with
+    | None -> ()
+    | Some m ->
+        let w = conj_weight m in
+        total := ops.Wmc.add !total (if !size mod 2 = 1 then w else ops.Wmc.neg w)
+  done;
+  !total
+
+(* The [me] environment plus one whose exclusion group {0, 1, 2} sums to
+   less than 1 with weights whose sum depends on the order of addition, so
+   the all-negative group term is not clamped away. *)
+let ie_envs =
+  [|
+    snd envs.(3);
+    Formula.env
+      ~me_group:(fun v -> if v mod nvars < 3 then Some 0 else None)
+      (fun v -> [| 0.1; 0.2; 0.3; 0.6; 0.35; 0.8 |].(v mod nvars));
+  |]
+
+let qcheck_ie_float_order =
+  qtest ~count:500 "IE dual value and gradients ≡ map-based IE, bit for bit"
+    (QCheck.make ~print:(fun (ei, k, f) -> Fmt.str "env=%d k=%d f=%s" ei k (fpp f))
+       QCheck.Gen.(triple (int_bound 1) (int_range 1 5) (raw_formula_gen ~max_proofs:6 ~max_lits:4)))
+    (fun (ei, k, rf) ->
+      let env = ie_envs.(ei) in
+      let f = Formula.top_k env k rf in
+      let got = Wmc.dual ~env f and want = reference_ie env f in
+      (not (List.exists (fun p -> List.exists (fun (v, _) -> v mod nvars < 3) (Formula.proof_literals p)) f))
+      || same_bits (Dual.value got) (Dual.value want)
+         && List.equal
+              (fun (v, g) (v', g') -> v = v' && same_bits g g')
+              (Dual.deriv_list got) (Dual.deriv_list want))
+
 (* ---- end-to-end fixpoint differential ----------------------------------------------- *)
 
 let tc_src =
@@ -392,6 +555,10 @@ let suite =
     qcheck_guided_results_canonical;
     qcheck_disj_saturation_returns_left;
     qcheck_insertion_order_determinism;
+    qcheck_tie_order_is_map_order;
+    qcheck_proof_prob_bits;
+    qcheck_cached_prob_follows_env;
+    qcheck_ie_float_order;
     Alcotest.test_case "fixpoint: guided ≡ eager provenance" `Quick test_fixpoint_guided_vs_eager;
     Alcotest.test_case "wmc cache: bit-identical to uncached" `Quick test_wmc_cache_bit_identical;
     Alcotest.test_case "wmc cache: weight change invalidates" `Quick
