@@ -387,7 +387,9 @@ let neg_k_eager ?beam envr k (t : t) : t =
         let next =
           List.concat_map
             (fun p ->
-              List.filter_map (fun l -> merge_proofs envr p (unweighed [| l |])) (Array.to_list clause))
+              List.filter_map
+                (fun l -> merge_proofs envr p (unweighed [| l |]))
+                (Array.to_list clause))
             acc
         in
         top_k envr beam next)

@@ -323,7 +323,8 @@ let qcheck_ie_float_order =
       let env = ie_envs.(ei) in
       let f = Formula.top_k env k rf in
       let got = Wmc.dual ~env f and want = reference_ie env f in
-      (not (List.exists (fun p -> List.exists (fun (v, _) -> v mod nvars < 3) (Formula.proof_literals p)) f))
+      let grouped p = List.exists (fun (v, _) -> v mod nvars < 3) (Formula.proof_literals p) in
+      (not (List.exists grouped f))
       || same_bits (Dual.value got) (Dual.value want)
          && List.equal
               (fun (v, g) (v', g') -> v = v' && same_bits g g')
