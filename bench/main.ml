@@ -684,7 +684,7 @@ query sizes|}
      1.25x the minor words per tuple it did when the gate was set (11.6).
      Allocation counts repeat exactly from run to run, so the gate cannot
      pass or fail on timing noise.  A shortfall is a regression in the batch
-     operators and fails the bench driver.  The speedup over the cached
+     operators and makes the bench exit nonzero.  The speedup over the cached
      tree-walker is printed for information only: the oracle keeps getting
      faster, so a ratio against it is no gate. *)
   let col_words_gate = 1.25 *. 11.6 in
