@@ -1,3 +1,6 @@
+(* Alcotest sizes its suite column to the longest suite name and truncates
+   long test names to fit the line, so a suite name longer than 11
+   characters changes how every long test name prints. *)
 let () =
   Alcotest.run "scallop"
     [
@@ -6,7 +9,7 @@ let () =
       ("bdd", Test_bdd.suite);
       ("formula-wmc", Test_formula.suite);
       ("topk-guided", Test_topk.suite);
-      ("proof-golden", Test_proof_golden.suite);
+      ("golden", Test_proof_golden.suite);
       ("provenance", Test_provenance.suite);
       ("aggregate", Test_aggregate.suite);
       ("parser", Test_parser.suite);
