@@ -3,7 +3,12 @@
     and the bits of [Wmc.prob] and [Wmc.dual]), of sum3 runs through
     [Session.run], and of a short sum3 training run.  The expected values
     were recorded from the map-based proof representation; any rewrite of
-    the proof kernels must reproduce them bit for bit. *)
+    the proof kernels must reproduce them bit for bit.
+
+    The sampler and foreign-predicate digests pin the rows and recovered-tag
+    bits of seeded runs under four provenances, recorded while samplers and
+    foreign joins ran on the tree-walker; the executor that runs them must
+    reproduce every draw and every emission order. *)
 
 open Scallop_core
 module Rng = Scallop_utils.Rng
@@ -142,9 +147,120 @@ let test_sum3_training () =
   add_float buf r.Scallop_apps.Common.accuracy;
   check Alcotest.string "losses and accuracy" "3fc6138418f727f0;3fc366931180e5bb;acc=0;" (Buffer.contents buf)
 
+(* ---- samplers and foreign predicates ------------------------------------------- *)
+
+(* Every sampler ungrouped, implicitly grouped and [where]-grouped, several
+   in one program: weight ties (top<k> keeps input order among equals), a
+   sampler read under [not], and a head projection that merges two picks
+   (⊕-folded in pick order, visible in the last bits under addmultprob). *)
+let sampler_src =
+  {|type item(i32, i32)
+rel item = {0.31::(0, 4), 0.72::(0, 1), 0.55::(0, 7), 0.55::(0, 2), 0.18::(1, 3), 0.9::(1, 0), 0.44::(1, 5), 0.61::(2, 2), 0.61::(2, 6), 0.27::(2, 1), 0.83::(2, 9), 0.5::(3, 8), 0.35::(3, 3), 0.66::(3, 5)}
+type grp(i32)
+rel grp = {0.9::(0), 0.8::(1), 0.7::(2), 0.6::(4)}
+rel t_all(g, x) = g, x := top<4>(h, y: item(h, y))
+rel u_all(g, x) = g, x := uniform<5>(h, y: item(h, y))
+rel c_all(g, x) = g, x := categorical<4>(h, y: item(h, y))
+rel t_grp(g, x) = x := top<2>(y: item(g, y))
+rel u_grp(g, x) = x := uniform<2>(y: item(g, y))
+rel c_grp(g, x) = x := categorical<2>(y: item(g, y))
+rel t_dom(g, x) = x := top<2>(y: item(g, y) where g: grp(g))
+rel u_dom(g, x) = x := uniform<1>(y: item(g, y) where g: grp(g))
+rel c_dom(g, x) = x := categorical<2>(y: item(g, y) where g: grp(g))
+rel coarse(g, x / 4) = x := top<3>(y: item(g, y))
+rel rest(g, x) = item(g, x), not u_grp(g, x)
+query t_all
+query u_all
+query c_all
+query t_grp
+query u_grp
+query c_grp
+query t_dom
+query u_dom
+query c_dom
+query coarse
+query rest|}
+
+(* range, succ and string_chars with bound and free arguments, succ inside
+   a recursive stratum, and a sampler over foreign-derived rows. *)
+let foreign_src =
+  {|type e(i32, i32)
+rel e = {0.6::(0, 1), 0.7::(1, 2), 0.5::(2, 3), 0.8::(3, 4), 0.4::(1, 3), 0.9::(4, 0), 0.3::(2, 2)}
+type word(String)
+rel word = {0.7::("abca"), 0.4::("ba")}
+rel cell(x, y) = range(0, 4, x), range(0, 4, y), e(x, y)
+rel inr(x, y) = e(x, y), range(0, 3, x)
+rel nxt(x, y) = e(x, _), succ(x, y)
+rel prv(x, y) = e(_, y), succ(x, y)
+rel chk(x) = e(x, y), succ(x, y)
+rel walk(x, y) = e(x, y)
+rel walk(x, z) = walk(x, y), succ(y, z), e(y, z)
+rel chars(i, c) = word(w), string_chars(w, i, c)
+rel at0(w) = word(w), string_chars(w, 0, 'b')
+rel pickc(i) = i := uniform<2>(i: chars(i, c))
+query cell
+query inr
+query nxt
+query prv
+query chk
+query walk
+query chars
+query at0
+query pickc|}
+
+(* Output rows and recovered-tag bits of [src] at seeds 0..9. *)
+let seeded_digest src spec =
+  let compiled = Session.compile src in
+  let buf = Buffer.create 16384 in
+  for seed = 0 to 9 do
+    let config = { (Interp.default_config ()) with Interp.rng = Rng.create seed } in
+    let r = Session.run ~config ~provenance:(Registry.create spec) compiled () in
+    Buffer.add_string buf (Printf.sprintf "seed %d\n" seed);
+    List.iter
+      (fun (pred, rows) ->
+        Buffer.add_string buf (pred ^ "\n");
+        List.iter
+          (fun (t, o) ->
+            Buffer.add_string buf (Tuple.to_string t);
+            add_float buf (Provenance.Output.prob o);
+            Buffer.add_char buf '\n')
+          rows)
+      r.Session.outputs
+  done;
+  hex buf
+
+let seeded_specs =
+  [
+    ("boolean", Registry.Boolean);
+    ("minmaxprob", Registry.Max_min_prob);
+    ("addmultprob", Registry.Add_mult_prob);
+    ("topkproofs-3", Registry.Top_k_proofs 3);
+  ]
+
+let check_seeded_digests src expected () =
+  List.iter2
+    (fun (name, spec) want -> check Alcotest.string name want (seeded_digest src spec))
+    seeded_specs expected
+
 let suite =
   [
     Alcotest.test_case "operator stream digests" `Quick test_operator_stream;
     Alcotest.test_case "sum3 Session.run digests" `Quick test_sum3_runs;
     Alcotest.test_case "sum3 training losses and accuracy" `Quick test_sum3_training;
+    Alcotest.test_case "sampler digests at 10 seeds" `Quick
+      (check_seeded_digests sampler_src
+         [
+           "2bf6dfc92557c851e5e4fa1c91bce7d6";
+           "e8f9401dc89fab2a21b557e2bc108d25";
+           "47eef825fe2c2c9bc824380bb64945d0";
+           "f563521b44b6dae413fcb2b897bb4cc2";
+         ]);
+    Alcotest.test_case "foreign-predicate digests at 10 seeds" `Quick
+      (check_seeded_digests foreign_src
+         [
+           "7a5c73356ca880fc720b786475cc5eaa";
+           "513d658e8d30543831d6d8f32defc477";
+           "4cbea16b37a3cd5eb4e90e230341c1ab";
+           "faf87f151d71f1304e1cb5ffe4655afc";
+         ]);
   ]
