@@ -17,7 +17,9 @@
 
     [World_exact] implements the literal 2ⁿ enumeration for cross-checking
     the specializations on small inputs (used by the test suite), and
-    [mmp_count] is the O(n log n) counting algorithm of Appendix Alg. 1. *)
+    [mmp_count] is the O(n log n) counting algorithm of Appendix Alg. 1.
+    The samplers ([top], [uniform], [categorical]) live here too, so the
+    executor and the test oracle draw through one function. *)
 
 exception Unsupported of string
 
@@ -180,6 +182,35 @@ module Make (P : Provenance.S) = struct
     | Ram.Argmin -> extremum ~largest:false ~arg_len items
     | Ram.Argmax -> extremum ~largest:true ~arg_len items
     | Ram.Exists -> exists items
+
+  (* --- samplers ------------------------------------------------------------- *)
+
+  (** [sample rng sampler items] picks [min k |items|] of [items], drawing
+      only from [rng], so a fixed seed gives a fixed sample.  [Uniform] and
+      [Categorical] return their picks in input order; [Top_k] returns them
+      by descending weight, ties in input order (a stable sort on
+      [P.weight]).  The order is observable: a projection that merges two
+      picks ⊕-folds them in it.  The executor and the test oracle both call
+      this on one normalized group, whose items are sorted by tuple. *)
+  let sample rng (sampler : Ram.sampler) (items : (Tuple.t * P.t) list) :
+      (Tuple.t * P.t) list =
+    match sampler with
+    | Ram.Top_k k -> Scallop_utils.Listx.top_k_by (fun (_, t) -> P.weight t) k items
+    | Ram.Categorical k ->
+        let arr = Array.of_list items in
+        let n = Array.length arr in
+        if k >= n then items
+        else
+          let weights = Array.map (fun (_, t) -> P.weight t) arr in
+          Scallop_utils.Rng.weighted_sample_indices rng k weights
+          |> Array.map (fun i -> arr.(i))
+          |> Array.to_list
+    | Ram.Uniform k ->
+        let arr = Array.of_list items in
+        let n = Array.length arr in
+        if k >= n then items
+        else
+          Scallop_utils.Rng.sample_indices rng k n |> Array.map (fun i -> arr.(i)) |> Array.to_list
 
   (* --- exact world enumeration (reference implementation) ------------------ *)
 

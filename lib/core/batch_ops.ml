@@ -1,27 +1,29 @@
 (** Batch-at-a-time relational operators over columnar storage ({!Column}),
-    parameterized by a provenance — the vectorized execution engine every
-    run uses by default (see DESIGN.md, "Columnar executor").
+    parameterized by a provenance — the operators of the one execution
+    engine, {!Interp} (see DESIGN.md, "Columnar executor").
 
     A {!batch} is a struct-of-arrays relation fragment: one encoded column
     per attribute plus a parallel provenance-tag array, rows in {e emission
-    order} — the exact order in which the tree-walking interpreter would
-    have produced the same tuples.  Operators preserve that order (joins
-    even reproduce the tree-walker's reversed per-key match order), so
-    normalization folds ⊕ over duplicates in the identical sequence and the
-    result is bit-identical to {!Interp}'s list pipeline.
+    order} — the exact order in which the tuple-at-a-time tree-walker (the
+    test oracle, test/fuzz/tree_walker.ml) produces the same tuples.
+    Operators preserve that order (joins even reproduce the tree-walker's
+    reversed per-key match order), so normalization folds ⊕ over duplicates
+    in the identical sequence and the result is bit-identical to the
+    oracle's list pipeline.
 
     A {!crel} is a materialized relation: a stack of strictly-sorted runs
     merged with an amortized size-doubling policy (total merge cost
     O(N log N) across a fixpoint instead of O(N) per iteration), plus a
     tuple-hash membership table so the dominant "is this tuple new?" probe
     of semi-naive deltas is O(1) for genuinely new tuples.  A tuple's tag is
-    the one in the newest run holding it, already ⊕-merged as the
-    tree-walker's [merge_newly] stores it, so merging runs never
-    re-associates ⊕.
+    the one in the newest run holding it, already ⊕-merged (Rule-3), so
+    merging runs never re-associates ⊕.
 
-    Aggregations decode group bodies back to tuples and reuse
+    Aggregations and samplers decode group bodies back to tuples and reuse
     {!Aggregate.Make} verbatim, so the per-aggregator DP schemes — and their
-    provenance semantics — are shared with the oracle rather than cloned. *)
+    provenance semantics — and every sampler draw are shared with the
+    oracle rather than cloned.  Foreign joins call the {!Foreign} predicate
+    once per left row, in row order. *)
 
 let runtime_error msg = Exec_error.raise_error (Exec_error.Runtime_error { msg })
 
@@ -405,7 +407,8 @@ module Make (P : Provenance.S) = struct
   (* ---- normalization and sorted-run algebra ------------------------------- *)
 
   (** Stable-sort rows, ⊕-merge duplicates in emission order, drop discarded
-      tags: exactly [Interp.normalize] followed by [Tuple.Map.bindings]. *)
+      tags: exactly normalization (Fig. 24) into a [Tuple.Map] followed by
+      [Tuple.Map.bindings]. *)
   let rec sort_normalize (b : batch) : batch =
     if b.n = 0 then empty
     else begin
@@ -661,7 +664,7 @@ module Make (P : Provenance.S) = struct
   (** A relation as a stack of sorted runs.  A tuple's tag is the one in
       the newest run holding it: a run is pushed with every colliding
       tuple's tag already ⊕-merged into the relation's ({!delta_of_run}),
-      exactly as [Interp.merge_newly] stores it, so merging runs never
+      exactly as Rule-3 stores it, so merging runs never
       re-associates ⊕ and stays bit-identical for a non-associative ⊕ (the
       clamped float sum of [addmultprob]). *)
   type crel = {
@@ -794,8 +797,8 @@ module Make (P : Provenance.S) = struct
   (** One semi-naive round against the relation [old], for a sorted
       newly-derived run: returns [(acc, delta)].  [acc] is [newly] with each
       colliding tuple's tag replaced by the merged (old ⊕ new) tag — what
-      [Interp.merge_newly] stores, and what {!crel_push} takes.  [delta] is
-      [Interp.delta_of]: the rows of [acc] that are new or whose merged tag
+      the Rule-1/2/3 merge stores, and what {!crel_push} takes.  [delta] is
+      the round's delta: the rows of [acc] that are new or whose merged tag
       is not saturated. *)
   let delta_of_run ~(old : crel) (newly : batch) : batch * batch =
     if newly.n = 0 then (empty, empty)
@@ -1132,7 +1135,7 @@ module Make (P : Provenance.S) = struct
     end
 
   (** Anti-join right index: one entry per distinct key, tags ⊕-folded in the
-      right side's emission order ([Interp.build_antijoin_index]). *)
+      right side's emission order. *)
   type anti_index = {
     ai_cols : Column.t array;  (** key columns gathered at group leaders: strictly sorted *)
     ai_tags : P.t array;
@@ -1182,7 +1185,7 @@ module Make (P : Provenance.S) = struct
 
   (* [body] and [dom] are normalized runs (sorted strictly by full tuple), so
      group keys are consecutive prefix ranges and groups enumerate in sorted
-     key order — the same order [Interp.group_by_key] yields.  Group bodies
+     key order — the same order a [Tuple.Map] of groups yields.  Group bodies
      are decoded back to tuples and fed to the shared {!Aggregate.Make}. *)
 
   let rest_at ~key_len (b : batch) (i : int) : Tuple.t =
@@ -1224,23 +1227,28 @@ module Make (P : Provenance.S) = struct
       else (lo, search true)
     end
 
+  (* [f] applied to each group of [body] in sorted key order, every result
+     prefixed with its group's key. *)
+  let map_groups ~key_len (body : batch) (f : (Tuple.t * P.t) list -> (Tuple.t * P.t) list) :
+      batch =
+    let out = ref [] in
+    let s = ref 0 in
+    while !s < body.n do
+      let e = group_end ~key_len body !s in
+      let key = key_at ~key_len body !s in
+      let results = f (group_items ~key_len body !s e) in
+      List.iter (fun (r, t) -> out := (Tuple.append key r, t) :: !out) results;
+      s := e
+    done;
+    of_list (List.rev !out)
+
   let aggregate (agg : Ram.aggregator) ~(key_len : int) ~(arg_len : int)
       ~(group : [ `No_group | `Implicit | `Domain of batch ]) (body : batch) : batch =
     match group with
     | `No_group ->
         let items = List.init body.n (fun i -> (rest_at ~key_len body i, body.tags.(i))) in
         of_list (Agg.run agg ~arg_len items)
-    | `Implicit ->
-        let out = ref [] in
-        let s = ref 0 in
-        while !s < body.n do
-          let e = group_end ~key_len body !s in
-          let key = key_at ~key_len body !s in
-          let results = Agg.run agg ~arg_len (group_items ~key_len body !s e) in
-          List.iter (fun (r, t) -> out := (Tuple.append key r, t) :: !out) results;
-          s := e
-        done;
-        of_list (List.rev !out)
+    | `Implicit -> map_groups ~key_len body (Agg.run agg ~arg_len)
     | `Domain dom ->
         let out = ref [] in
         for i = 0 to dom.n - 1 do
@@ -1251,4 +1259,65 @@ module Make (P : Provenance.S) = struct
           List.iter (fun (r, t) -> out := (Tuple.append key r, P.mult tg t) :: !out) results
         done;
         of_list (List.rev !out)
+
+  (* ---- sampling ------------------------------------------------------------- *)
+
+  (** Sample a normalized [body] with the shared {!Aggregate.Make.sample},
+      once per group of its first [key_len] columns ([key_len = 0]: one
+      group holding every row).  Each group's picks are emitted after its
+      key in the order the sampler returns them. *)
+  let sample rng (sampler : Ram.sampler) ~(key_len : int) (body : batch) : batch =
+    map_groups ~key_len body (Agg.sample rng sampler)
+
+  (* ---- foreign predicates ----------------------------------------------------- *)
+
+  (** The foreign predicate [name], checked against its call's arity. *)
+  let foreign_predicate name (args : Ram.fp_arg list) : Foreign.fp =
+    match Foreign.lookup_predicate name with
+    | None -> runtime_error ("unknown foreign predicate $" ^ name)
+    | Some (arity, fp) ->
+        if List.length args <> arity then
+          runtime_error ("arity mismatch for foreign predicate " ^ name);
+        fp
+
+  (** Each row of [left], in order, binds [args] and is extended with the
+      [free_cols] of every tuple [fp] returns for it, in [fp]'s order; the
+      row's tag is kept. *)
+  let foreign_join ~name (fp : Foreign.fp) ~(args : Ram.fp_arg list) ~(free_cols : int array)
+      (left : batch) : batch =
+    let args = Array.of_list args in
+    let out = ref [] and m = ref 0 in
+    for i = 0 to left.n - 1 do
+      let pattern =
+        Array.map
+          (function
+            | Ram.F_col j -> Some (Column.get left.cols.(j) i)
+            | Ram.F_const v -> Some v
+            | Ram.F_free -> None)
+          args
+      in
+      match fp pattern with
+      | Error msg -> runtime_error (name ^ ": " ^ msg)
+      | Ok tuples ->
+          List.iter
+            (fun full ->
+              out := (i, Array.map (fun c -> full.(c)) free_cols) :: !out;
+              incr m)
+            tuples
+    done;
+    let m = !m in
+    if m = 0 then empty
+    else begin
+      let rows = Array.of_list (List.rev !out) in
+      let src = Array.map fst rows in
+      let extra k = Column.pack (Array.map (fun (_, free) -> free.(k)) rows) in
+      {
+        n = m;
+        cols =
+          Array.append
+            (Array.map (fun c -> Column.gather c src m) left.cols)
+            (Array.init (Array.length free_cols) extra);
+        tags = Array.map (fun i -> left.tags.(i)) src;
+      }
+    end
 end

@@ -23,6 +23,9 @@
     evaluating the full body in iteration one is reused by every delta
     variant in later iterations.
 
+    Plans carry no engine choice: the columnar executor ({!Interp}) runs
+    every node kind, samplers and foreign joins included.
+
     The profiler's statistics types and table printer live here as well,
     next to the node-id assignment they are keyed by; {!Interp} re-exports
     them. *)
@@ -31,11 +34,6 @@ type t = {
   pid : int;  (** stable pre-order node id, unique within a planned program *)
   label : string;  (** one-line operator label for profile tables *)
   invariant : bool;  (** result cannot change within the stratum's fixpoint *)
-  colable : bool;
-      (** the whole subtree is covered by the columnar batch executor: it
-          contains no sampler (stateful RNG draws) and no foreign join
-          (arbitrary OCaml callbacks).  Non-colable subtrees are evaluated by
-          the tree-walker even under [config.columnar] *)
   desc : desc;
 }
 
@@ -90,24 +88,10 @@ let delta_name p = "\001delta:" ^ p
 
 (* ---- planning -------------------------------------------------------------- *)
 
-(* Columnar coverage is a pure function of the node kind and the children's
-   flags, shared by [plan_expr] and the delta-variant spines. *)
-let colable_of_desc = function
-  | Empty | Singleton | Pred _ -> true
-  | Select (_, a) | Project (_, a) | One_overwrite a | Zero_overwrite a -> a.colable
-  | Union (a, b) | Product (a, b) | Diff (a, b) | Intersect (a, b) ->
-      a.colable && b.colable
-  | Join { left; right; _ } | Antijoin { left; right; _ } ->
-      left.colable && right.colable
-  | Aggregate { group; body; _ } ->
-      body.colable && (match group with Domain d -> d.colable | No_group | Implicit -> true)
-  | Sample _ -> false
-  | Foreign_join _ -> false
-
 let rec plan_expr ~next ~(heads : string list) (e : Ram.expr) : t =
   let pid = next () in
   let label = Ram.node_label e in
-  let mk invariant desc = { pid; label; invariant; colable = colable_of_desc desc; desc } in
+  let mk invariant desc = { pid; label; invariant; desc } in
   let sub = plan_expr ~next ~heads in
   match e with
   | Ram.Empty -> mk true Empty
@@ -187,9 +171,7 @@ let rec plan_expr ~next ~(heads : string list) (e : Ram.expr) : t =
     Spine nodes (ancestors of the replaced leaf) get fresh ids and are marked
     variant; everything off the spine is shared with the input plan. *)
 let rec delta_plans ~next ~(heads : string list) (p : t) : t list =
-  let redo label desc =
-    { pid = next (); label; invariant = false; colable = colable_of_desc desc; desc }
-  in
+  let redo label desc = { pid = next (); label; invariant = false; desc } in
   let on sub rebuild = List.map rebuild (delta_plans ~next ~heads sub) in
   match p.desc with
   | Pred pr when List.mem pr heads -> [ redo ("Δ" ^ pr) (Pred (delta_name pr)) ]

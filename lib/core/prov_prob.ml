@@ -64,34 +64,6 @@ end)
   let pp = Formula.pp
 end
 
-(** top-k-proofs over the {e eager} reference operators — the differential
-    test oracle for the guided search (and its benchmark baseline).  Same
-    semantics as {!Top_k_proofs}, materializing every candidate proof before
-    truncating. *)
-module Top_k_proofs_eager (K : sig
-  val k : int
-end)
-() : PROOFS_S = struct
-  module P = Prov_discrete.Proofs ()
-
-  let env = P.env
-
-  type t = Formula.t
-
-  let name = Fmt.str "topkproofseager-%d" K.k
-  let zero = Formula.ff
-  let one = Formula.tt
-  let add a b = Formula.disj_k_eager P.env K.k a b
-  let mult a b = Formula.conj_k_eager P.env K.k a b
-  let negate t = Some (Formula.neg_k_eager P.env K.k t)
-  let saturated ~old t = Formula.equal_ordered old t
-  let discard t = Formula.is_false t
-  let weight t = Formula.prob_upper_bound P.env t
-  let tag_of_input = P.tag_of_input
-  let recover t = Output.O_prob (Wmc.prob ~env:P.env t)
-  let pp = Formula.pp
-end
-
 (** sample-k-proofs: like top-k-proofs, but instead of keeping the k {e most
     probable} proofs deterministically, keeps k proofs sampled with
     probability proportional to their proof probability.  Trades reasoning

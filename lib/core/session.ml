@@ -15,13 +15,10 @@
     iteration/tuple/node caps, cancellation) travel in
     [config.Interp.budget]; {!run_batch} isolates failures per sample.
 
-    Every run executes on the columnar batch executor ({!Batch_ops}), with
-    plan subtrees it does not cover (samplers, foreign joins) on the
-    tree-walking interpreter inside the same run.  [config.Interp.columnar
-    = false] runs the whole program on the tree-walker instead, with
-    identical results; it exists only as the differential-test oracle.  The
-    field rides through {!batch_config} untouched, so batched samples all
-    execute under the engine the template config selects. *)
+    Every run executes on the columnar batch executor ({!Batch_ops}) — the
+    only engine, samplers and foreign joins included.  Its test oracle, a
+    tuple-at-a-time tree-walker in the test tree, reads its input through
+    {!input_db}, so both engines start from the same database. *)
 
 exception Error of Exec_error.t
 
@@ -127,24 +124,28 @@ let coerce_tuple (c : compiled) pred (t : Tuple.t) : Tuple.t =
                 (Value.ty_name tys.(i)))
         t
 
-let run ?(config = Interp.default_config ()) ~(provenance : Provenance.t) (c : compiled)
-    ?(facts : (string * (Provenance.Input.t * Tuple.t) list) list = [])
-    ?(outputs : string list option) () : result =
-  let module P = (val provenance : Provenance.S) in
-  let module I = Interp.Make (P) in
+(** A run's input database: the program's static facts, then [facts] with
+    the caller's me-groups shifted past the static ones, every tuple coerced
+    to its relation's column types and tagged by [P.tag_of_input].  Returns
+    the database and the provenance variable id assigned to each tagged
+    fact, in load order.  {!run} and the test oracle both load through
+    here. *)
+let input_db (type tag) (module P : Provenance.S with type t = tag) (c : compiled)
+    (facts : (string * (Provenance.Input.t * Tuple.t) list) list) :
+    tag Tuple.Map.t Interp.SMap.t * ((string * Tuple.t) * int) list =
   let fact_ids = ref [] in
   let add_fact db pred (input : Provenance.Input.t) tuple =
     let tuple = coerce_tuple c pred tuple in
     let tag, id = P.tag_of_input input in
     (match id with Some id -> fact_ids := ((pred, tuple), id) :: !fact_ids | None -> ());
-    I.db_add_fact db pred tuple tag
+    Interp.db_add_fact ~add:P.add db pred tuple tag
   in
   (* Static (program) facts first — their me-groups use low indices. *)
   let db =
     List.fold_left
       (fun db (pred, prob, me, tuple) ->
         add_fact db pred { Provenance.Input.prob; me_group = me } tuple)
-      I.empty_db c.static_facts
+      Interp.SMap.empty c.static_facts
   in
   (* Dynamic facts: shift caller me-groups past the static ones. *)
   let db =
@@ -161,13 +162,21 @@ let run ?(config = Interp.default_config ()) ~(provenance : Provenance.t) (c : c
           db entries)
       db facts
   in
+  (db, List.rev !fact_ids)
+
+let run ?(config = Interp.default_config ()) ~(provenance : Provenance.t) (c : compiled)
+    ?(facts : (string * (Provenance.Input.t * Tuple.t) list) list = [])
+    ?(outputs : string list option) () : result =
+  let module P = (val provenance : Provenance.S) in
+  let module I = Interp.Make (P) in
+  let db, fact_ids = input_db (module P) c facts in
   let out_rels = match outputs with Some o -> o | None -> c.ram.Ram.outputs in
   let outputs =
     try I.eval_plan_program_outputs config db c.plan ~out:out_rels with
     | Exec_error.Error e -> raise (Error e)
     | Aggregate.Unsupported msg -> raise (Error (Exec_error.Runtime_error { msg }))
   in
-  { outputs; fact_ids = List.rev !fact_ids; stats = config.Interp.stats }
+  { outputs; fact_ids; stats = config.Interp.stats }
 
 (* ---- batched execution ---------------------------------------------------------- *)
 

@@ -15,14 +15,15 @@
     so the differential oracle is only sound there on non-recursive
     programs.
 
-    The oracle ({!check_seed}) evaluates one generated program under every
-    mode pair {naive, semi-naive} × {cached, uncached} plus a 2-domain
-    [Session.run_batch], and demands identical outputs — tuples and
-    recovered probabilities both.  Each program additionally runs under the
-    columnar batch executor ([config.columnar]) in all three fixpoint
-    modes and across a 2-domain batch, compared {e bit-exactly} against its
-    same-mode tree-walker twin.  Failures name the seed so a run can be
-    replayed with [check_seed ~seed] alone. *)
+    The oracle ({!check_seed}) evaluates one generated program on the
+    uncached tree-walker ({!Tree_walker}) in naive and semi-naive mode and
+    demands identical outputs — tuples and recovered probabilities both.
+    The program then runs on the columnar executor, naive and semi-naive,
+    cached and uncached, and across a 2-domain [Session.run_batch]; every
+    run must match the oracle in its fixpoint mode {e bit-exactly} (each
+    batch sample against a sequential oracle run under the config
+    [Session.batch_config] gives it).  Failures name the seed so a run can
+    be replayed with [check_seed ~seed] alone. *)
 
 open Scallop_core
 module Rng = Scallop_utils.Rng
@@ -124,8 +125,8 @@ let snapshots_equal a b =
        a b
 
 (* Bit-exact comparison — used where the contract is identity, not
-   tolerance: stateful sessions against the cold run, and the columnar executor
-   against its same-mode tree-walker twin. *)
+   tolerance: stateful sessions against the cold run, and the columnar
+   executor against the same-mode oracle. *)
 let snapshots_bit_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -137,17 +138,12 @@ let snapshots_bit_equal a b =
               la lb)
        a b
 
-let mode_config ?(columnar = false) ~semi_naive ~cache () =
-  {
-    (Interp.default_config ()) with
-    Interp.semi_naive;
-    cache_indices = cache;
-    columnar;
-  }
+let mode_config ~semi_naive ~cache () =
+  { (Interp.default_config ()) with Interp.semi_naive; cache_indices = cache }
 
 (** Run the differential oracle for one (provenance, seed) pair.  [Ok] when
     every evaluation mode agrees; [Error msg] (naming the seed) otherwise.
-    With [~columnar_only:true] only the columnar-vs-tree-walker pairs are
+    With [~columnar_only:true] only the executor-vs-oracle pairs are
     checked: the oracle for provenances whose fixpoint modes legitimately
     differ (a non-idempotent ⊕ counts derivations per mode), where only
     same-mode bit-identity is a contract. *)
@@ -161,65 +157,48 @@ let check_seed ?(recursion = true) ?(columnar_only = false) ~(spec : Registry.sp
         (Fmt.str "seed %d: generated program failed to compile: %s@\n%s" seed
            (Session.error_string e) src)
   | compiled -> (
-      let run_mode ?columnar ~semi_naive ~cache () =
-        Session.run
-          ~config:(mode_config ?columnar ~semi_naive ~cache ())
-          ~provenance:(Registry.create spec) compiled ()
+      let oracle ?(config = mode_config ~semi_naive:true ~cache:false ()) () =
+        snapshot (Tree_walker.run ~config ~provenance:(Registry.create spec) compiled ())
       in
-      let run_batch_mode ?columnar () =
-        Session.run_batch ~jobs:2
-          ~config:(mode_config ?columnar ~semi_naive:true ~cache:true ())
-          ~provenance_of:(fun _ -> Registry.create spec)
-          compiled
-          [| []; [] |]
-        |> Array.to_list
-        |> List.mapi (fun i outcome ->
-               match outcome with
-               | Ok r -> (i, snapshot r)
-               | Error e ->
-                   failwith
-                     (Fmt.str "run_batch sample %d failed: %s" i (Session.error_string e)))
+      let run_mode ~semi_naive ~cache () =
+        snapshot
+          (Session.run
+             ~config:(mode_config ~semi_naive ~cache ())
+             ~provenance:(Registry.create spec) compiled ())
       in
       match
-        let reference = snapshot (run_mode ~semi_naive:false ~cache:false ()) in
-        let semi = snapshot (run_mode ~semi_naive:true ~cache:false ()) in
-        let semi_cached = snapshot (run_mode ~semi_naive:true ~cache:true ()) in
-        let modes =
-          [
-            ("naive+cache", snapshot (run_mode ~semi_naive:false ~cache:true ()));
-            ("semi-naive", semi);
-            ("semi-naive+cache", semi_cached);
-          ]
+        let reference = oracle ~config:(mode_config ~semi_naive:false ~cache:false ()) () in
+        let semi = oracle () in
+        let template = mode_config ~semi_naive:true ~cache:true () in
+        let batch =
+          Session.run_batch ~jobs:2 ~config:template
+            ~provenance_of:(fun _ -> Registry.create spec)
+            compiled
+            [| []; [] |]
+          |> Array.to_list
+          |> List.mapi (fun i outcome ->
+                 match outcome with
+                 | Ok r ->
+                     ( Fmt.str "columnar run_batch[%d] jobs=2" i,
+                       snapshot r,
+                       oracle ~config:(Session.batch_config template i) () )
+                 | Error e ->
+                     failwith
+                       (Fmt.str "run_batch sample %d failed: %s" i (Session.error_string e)))
         in
-        let batch = run_batch_mode () in
-        let batch_modes =
-          List.map (fun (i, snap) -> (Fmt.str "run_batch[%d] jobs=2" i, snap)) batch
-        in
-        (* The columnar executor is checked {e bit-exactly} against its
-           same-mode tree-walker twin — same fixpoint strategy, same cache
-           setting, sequentially and across a 2-domain batch. *)
+        (* The columnar executor is checked {e bit-exactly} against the
+           uncached oracle in the same fixpoint mode, cached and uncached,
+           sequentially and across a 2-domain batch. *)
         let columnar_pairs =
           [
-            ( "columnar-naive",
-              snapshot (run_mode ~columnar:true ~semi_naive:false ~cache:false ()),
-              reference );
-            ( "columnar",
-              snapshot (run_mode ~columnar:true ~semi_naive:true ~cache:true ()),
-              semi_cached );
-            ( "columnar+nocache",
-              snapshot (run_mode ~columnar:true ~semi_naive:true ~cache:false ()),
-              semi );
+            ("columnar-naive", run_mode ~semi_naive:false ~cache:false (), reference);
+            ("columnar-naive+cache", run_mode ~semi_naive:false ~cache:true (), reference);
+            ("columnar", run_mode ~semi_naive:true ~cache:true (), semi);
+            ("columnar+nocache", run_mode ~semi_naive:true ~cache:false (), semi);
           ]
-          @ List.map2
-              (fun (i, csnap) (_, tsnap) ->
-                (Fmt.str "columnar run_batch[%d] jobs=2" i, csnap, tsnap))
-              (run_batch_mode ~columnar:true ())
-              batch
+          @ batch
         in
-        List.filter_map
-          (fun (name, snap) ->
-            if columnar_only || snapshots_equal reference snap then None else Some name)
-          (modes @ batch_modes)
+        (if columnar_only || snapshots_equal reference semi then [] else [ "semi-naive" ])
         @ List.filter_map
             (fun (name, csnap, tsnap) ->
               if snapshots_bit_equal csnap tsnap then None else Some name)

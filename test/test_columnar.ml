@@ -1,14 +1,18 @@
 (** Property tests for the columnar executor's building blocks (qcheck):
     dictionary-encoding round-trip, sorted-run merge ≡ [Tuple.Map.union],
-    and every batch operator differentially against its tuple-at-a-time
-    tree-walker reference on random relations with random provenance tags,
-    under boolean, minmaxprob and topkproofs-3.
+    and every batch operator — samplers and foreign joins included —
+    differentially against the tuple-at-a-time tree-walker oracle
+    ({!Scallop_fuzz.Tree_walker}) on random relations with random
+    provenance tags, under boolean, minmaxprob and topkproofs-3.
 
     Operator comparisons are bit-exact: same tuples, same emission order,
     and tags equal through [P.recover] (for topkproofs that is the full
-    weighted model count of the proof formula). *)
+    weighted model count of the proof formula).  Whole programs are checked
+    against the oracle too, and the TC-500 boolean chain against its
+    allocation gate. *)
 
 open Scallop_core
+module Tree_walker = Scallop_fuzz.Tree_walker
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -70,6 +74,7 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
     unit Alcotest.test_case list =
   let module P = (val Registry.create spec) in
   let module I = Interp.Make (P) in
+  let module T = Tree_walker.Make (P) in
   let module B = Batch_ops.Make (P) in
   let tag_prob t = Provenance.Output.prob (P.recover t) in
   let items_equal l r =
@@ -89,9 +94,9 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
         List.fold_left
           (fun db ((a, b), p) ->
             let tag, _ = P.tag_of_input (Provenance.Input.prob p) in
-            I.db_add_fact db pred (tup2 a b) tag)
+            Interp.db_add_fact ~add:P.add db pred (tup2 a b) tag)
           db l)
-      I.empty_db facts
+      Interp.SMap.empty facts
   in
   let map_of l =
     List.fold_left
@@ -119,6 +124,10 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
     let open Ram in
     let a = Pred "a" and b = Pred "b" in
     let agg agg key_len group body = Aggregate { agg; key_len; arg_len = 0; group; body } in
+    let sample sampler key_len group body = Sample { sampler; key_len; group; body } in
+    let dom = Domain (Project ([ Access 0 ], b)) in
+    let int n = F_const (Value.int Value.I32 n) in
+    let foreign name args left = Foreign_join { name; args; left } in
     [
       ("select x!=y", Select (Binop (Foreign.Neq, Access 0, Access 1), a));
       ( "project swap/arith",
@@ -137,7 +146,23 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
       ("count domain", agg Count 1 (Domain (Project ([ Access 0 ], b))) a);
       ("exists no-group", agg Exists 0 No_group (Select (Binop (Foreign.Lt, Access 0, Access 1), a)));
       ("nested join-select", Select (Binop (Foreign.Leq, Access 0, Access 3),
-                                     Join { lkeys = [ 1 ]; rkeys = [ 0 ]; left = a; right = Union (a, b) }))
+                                     Join { lkeys = [ 1 ]; rkeys = [ 0 ]; left = a; right = Union (a, b) }));
+      ("top no-group", sample (Top_k 3) 0 No_group (Union (a, b)));
+      ("top implicit", sample (Top_k 2) 1 Implicit a);
+      ("top domain", sample (Top_k 1) 1 dom a);
+      ("uniform no-group", sample (Uniform 3) 0 No_group (Union (a, b)));
+      ("uniform implicit", sample (Uniform 2) 1 Implicit a);
+      ("uniform domain", sample (Uniform 2) 1 dom (Union (a, b)));
+      ("categorical no-group", sample (Categorical 3) 0 No_group a);
+      ("categorical implicit", sample (Categorical 2) 1 Implicit (Union (a, b)));
+      ("categorical domain", sample (Categorical 1) 1 dom a);
+      ("range bound bounds, free x", foreign "range" [ int 1; int 3; F_free ] a);
+      ("range column bounds, free x", foreign "range" [ F_col 0; F_col 1; F_free ] a);
+      ("range all bound", foreign "range" [ int 0; int 3; F_col 1 ] a);
+      ("succ bound, free", foreign "succ" [ F_col 0; F_free ] a);
+      ("succ free, bound", foreign "succ" [ F_free; F_col 1 ] a);
+      ("succ both bound", foreign "succ" [ F_col 0; F_col 1 ] (Union (a, b)));
+      ("range returning Error", foreign "range" [ F_free; int 3; F_col 0 ] a);
     ]
     @
     if rich_aggs then
@@ -155,11 +180,15 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
       (fun (la, lb) ->
         let db = db_of [ ("a", la); ("b", lb) ] in
         let plan = Plan.of_expr e in
-        let config = Interp.default_config () in
+        (* each side samples from its own copy of one stream *)
+        let rng = Scallop_utils.Rng.create (Hashtbl.hash (la, lb)) in
+        let config () =
+          { (Interp.default_config ()) with Interp.rng = Scallop_utils.Rng.copy rng }
+        in
         let run f = try Ok (f ()) with Exec_error.Error err -> Error err in
         match
-          ( run (fun () -> I.eval_plan config db plan),
-            run (fun () -> I.eval_plan_columnar config db plan) )
+          ( run (fun () -> T.eval (config ()) db plan),
+            run (fun () -> I.eval_plan_columnar (config ()) db plan) )
         with
         | Ok reference, Ok columnar -> items_equal reference columnar
         | Error _, Error _ -> true (* both reject (e.g. unsupported negation) *)
@@ -194,14 +223,13 @@ let addmult_tc ~strings () =
         ty ty (String.concat ", " edges)
     in
     let c = Session.compile src in
-    let rows columnar =
-      (Session.run
-         ~config:{ (Interp.default_config ()) with Interp.columnar }
-         ~provenance:(Registry.create Registry.Add_mult_prob) c ())
-        .Session.outputs
+    let rows (r : Session.result) =
+      r.Session.outputs
       |> List.concat_map (fun (_, l) -> List.map (fun (t, o) -> (t, Provenance.Output.prob o)) l)
     in
-    let a = rows true and b = rows false in
+    let provenance () = Registry.create Registry.Add_mult_prob in
+    let a = rows (Session.run ~provenance:(provenance ()) c ())
+    and b = rows (Tree_walker.run ~provenance:(provenance ()) c ()) in
     if
       not
         (List.length a = List.length b
@@ -215,18 +243,13 @@ let addmult_tc ~strings () =
       Fmt.(list ~sep:comma int)
       (List.rev !failures)
 
-(* ---- the default engine --------------------------------------------------------- *)
+(* ---- serve and the oracle ------------------------------------------------------- *)
 
-let default_is_columnar () =
-  Alcotest.(check bool) "default config runs columnar" true
-    (Interp.default_config ()).Interp.columnar
-
-(* One-shot programs piped through [scallop serve] (which runs them on the
-   default engine) must reply exactly the rows of an in-process tree-walker
-   run under the config the service gives request [n]: the bench's three
-   one-shot families, a sampler (its draws depend on that config's RNG
-   substream) and foreign predicates plus a foreign function (plan subtrees
-   that fall back to the tree-walker inside a columnar run). *)
+(* One-shot programs piped through [scallop serve] must reply exactly the
+   rows of an in-process oracle run under the config the service gives
+   request [n]: the bench's three one-shot families, a sampler (its draws
+   depend on that config's RNG substream) and foreign predicates plus a
+   foreign function. *)
 let serve_matches_tree_walker () =
   let rng = Scallop_utils.Rng.create 23 in
   let int n = Scallop_utils.Rng.int rng n in
@@ -268,11 +291,9 @@ let serve_matches_tree_walker () =
       (List.mapi
          (fun n program ->
            let c = Session.compile (String.map (fun ch -> if ch = ';' then '\n' else ch) program) in
-           let config =
-             { (Session.batch_config (Interp.default_config ()) n) with Interp.columnar = false }
-           in
+           let config = Session.batch_config (Interp.default_config ()) n in
            let r =
-             Session.run ~config ~provenance:(Registry.create Registry.Max_min_prob) c ()
+             Tree_walker.run ~config ~provenance:(Registry.create Registry.Max_min_prob) c ()
            in
            List.concat_map
              (fun (pred, rows) ->
@@ -312,15 +333,46 @@ let serve_matches_tree_walker () =
     "serve rows = tree-walker rows" expected
     (List.filter (fun l -> String.starts_with ~prefix:"out " l) replies)
 
+(* ---- allocation gate -------------------------------------------------------------- *)
+
+(* [bench interp]'s TC-500 boolean chain may allocate at most 1.25x the 11.6
+   minor words per output tuple it did when its gate was set.  Allocation
+   repeats exactly from run to run, so this holds between bench runs too. *)
+let tc500_minor_words () =
+  let c =
+    Session.compile
+      {|type edge(i32, i32)
+rel path(a, b) = edge(a, b)
+rel path(a, c) = path(a, b), edge(b, c)
+query path|}
+  in
+  let facts =
+    [
+      ( "edge",
+        List.init 500 (fun i ->
+            ( Provenance.Input.prob 0.9,
+              Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ] )) );
+    ]
+  in
+  let w0 = Gc.minor_words () in
+  let r = Session.run ~provenance:(Registry.create Registry.Boolean) c ~facts () in
+  let words = Gc.minor_words () -. w0 in
+  let tuples = List.length (Session.output r "path") in
+  Alcotest.(check int) "chain closure size" (500 * 501 / 2) tuples;
+  let per_tuple = words /. float_of_int tuples in
+  if not (per_tuple <= 1.25 *. 11.6) then
+    Alcotest.failf "TC-500 boolean: %.2f minor words per tuple > %.1f" per_tuple (1.25 *. 11.6)
+
 let suite =
   [
-    Alcotest.test_case "default config is columnar" `Quick default_is_columnar;
     Alcotest.test_case "serve one-shot replies = tree-walker rows" `Quick
       serve_matches_tree_walker;
     Alcotest.test_case "addmultprob TC, int columns: columnar = tree-walker bit-exactly" `Quick
       (addmult_tc ~strings:false);
     Alcotest.test_case "addmultprob TC, string columns: columnar = tree-walker bit-exactly"
       `Quick (addmult_tc ~strings:true);
+    Alcotest.test_case "TC-500 boolean chain: <= 14.5 minor words per tuple" `Quick
+      tc500_minor_words;
     col_roundtrip;
     col_cmp_consistent;
   ]

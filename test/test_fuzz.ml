@@ -1,12 +1,11 @@
-(** Differential fuzzing: grammar-directed random programs evaluated under
-    every mode pair (naive/semi-naive × cached/uncached) plus a 2-domain
-    [Session.run_batch]; all modes must agree with the naive uncached
-    reference.  Every program additionally runs under the columnar batch
-    executor — naive, semi-naive cached/uncached, and a 2-domain batch —
-    and must match its same-mode tree-walker twin {e bit-exactly} (tuples
-    and recovered probabilities), negation and aggregation included.
-    Failure messages carry the offending seed and program so a divergence
-    can be replayed deterministically. *)
+(** Differential fuzzing: grammar-directed random programs evaluated on the
+    uncached tree-walker oracle in naive and semi-naive mode, which must
+    agree.  Every program additionally runs on the columnar executor —
+    naive and semi-naive, cached and uncached, and a 2-domain batch — and
+    must match the same-mode oracle {e bit-exactly} (tuples and recovered
+    probabilities), negation and aggregation included.  Failure messages
+    carry the offending seed and program so a divergence can be replayed
+    deterministically. *)
 
 open Scallop_core
 open Scallop_fuzz
@@ -58,8 +57,8 @@ let suite =
          ~first:500 ~count:25);
     Alcotest.test_case "incr boolean: 2-domain shared-plan sweep" `Slow
       (check_incr ~parallel:true "incr-boolean-par" Registry.Boolean ~first:600 ~count:24);
-    (* Every provenance runs on the columnar engine by default, so these
-       get bit-exact pairs too.  addmultprob's ⊕ is a clamped float sum
+    (* Every provenance runs on the columnar engine, so these get bit-exact
+       pairs too.  addmultprob's ⊕ is a clamped float sum
        over recursive rules (naive and semi-naive count derivations
        differently, so only same-mode pairs are a contract);
        difftopkproofsme-3 is the training provenance. *)

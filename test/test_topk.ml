@@ -1,8 +1,9 @@
 (** Differential tests for the guided (lazy best-first) ∨k/∧k/¬k proof
-    operators against the eager reference oracle ({!Formula.disj_k_eager} and
-    friends, also instantiated as the {!Prov_prob.Top_k_proofs_eager}
-    provenance), plus insertion-order determinism, the cross-iteration WMC
-    cache, and the rewritten sample-k-proofs draw sequence. *)
+    operators against the eager reference oracle ({!Formula.disj_k_eager}
+    and friends, also instantiated as the
+    {!Scallop_fuzz.Tree_walker.Top_k_proofs_eager} provenance), plus
+    insertion-order determinism, the cross-iteration WMC cache, and the
+    rewritten sample-k-proofs draw sequence. *)
 
 open Scallop_core
 module Rng = Scallop_utils.Rng
@@ -351,7 +352,7 @@ let test_fixpoint_guided_vs_eager () =
   let run provenance = Session.output (Session.run ~provenance compiled ~facts ()) "path" in
   let eager : Provenance.t =
     let module M =
-      Prov_prob.Top_k_proofs_eager
+      Scallop_fuzz.Tree_walker.Top_k_proofs_eager
         (struct
           let k = 3
         end)
