@@ -198,38 +198,97 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
 
 (* ---- whole programs under a non-associative ⊕ ------------------------------- *)
 
+(* One node domain of the recursive-closure cases: [node k] is the value of
+   node [k]; with [labels > 0] every edge carries one of that many labels
+   (the values of nodes [0 .. labels-1]) and paths keep it, so the recursive
+   relation has width 3; [extra] adds rules to the closure program. *)
+type tc_domain = { seed : int; node : int -> Value.t; labels : int; extra : string }
+
+let i32 n = Value.int Value.I32 n
+let i64 n = Value.int Value.I64 n
+
+let ints_domain = { seed = 16; node = i32; labels = 0; extra = "" }
+
+let strings_domain =
+  { seed = 17; node = (fun k -> Value.string (Fmt.str "n%d" k)); labels = 0; extra = "" }
+
+(* Ids on both sides of zero, down to -2^30, the lower bound of a width-2
+   row that packs into one int: a packing that dropped the high bit of each
+   value would merge node [j] with node [j - 2^30]. *)
+let negative_domain =
+  {
+    seed = 31;
+    node = (fun k -> i32 (if k land 1 = 0 then k / 2 else (k / 2) - (1 lsl 30)));
+    labels = 0;
+    extra = "";
+  }
+
+let large_domain = { seed = 32; node = (fun k -> i64 ((1 lsl 40) + k)); labels = 0; extra = "" }
+
+(* Every edge packs, and an extra rule walks path ends up past 2^30, so the
+   closure first re-derives tuples that pack and later derives ones that do
+   not. *)
+let straddle_domain =
+  {
+    seed = 33;
+    node = (fun k -> i64 ((1 lsl 30) - 48 + k));
+    labels = 0;
+    extra = Fmt.str "rel path(a, b + 1) = path(a, b), b < %d\n" ((1 lsl 30) + 8);
+  }
+
+(* max_int - min_int overflows an int: no offset key spans these columns. *)
+let extreme_domain =
+  {
+    seed = 34;
+    node = (fun k -> i64 (if k land 1 = 0 then max_int - (k / 2) else min_int + (k / 2)));
+    labels = 0;
+    extra = "";
+  }
+
+let u64_domain =
+  { seed = 35; node = (fun k -> Value.int Value.U64 ((1 lsl 33) + (5 * k))); labels = 0; extra = "" }
+
+let width3_domain = { seed = 36; node = (fun k -> i32 ((k - 14) * 37_000)); labels = 3; extra = "" }
+
 (* addmultprob's ⊕ is a clamped float sum, so a tag folded in a different
    association differs in its last bits.  Transitive closure over random
    cyclic graphs derives the same path in many fixpoint rounds; int node
    columns take the radix merge of a relation's runs, string columns the
    pairwise one.  Both must equal the tree-walker bit for bit. *)
-let addmult_tc ~strings () =
-  let rng = Scallop_utils.Rng.create (if strings then 17 else 16) in
+let addmult_tc ?(spec = Registry.Add_mult_prob) (d : tc_domain) () =
+  let rng = Scallop_utils.Rng.create d.seed in
+  let ty = Value.ty_name (Value.type_of (d.node 0)) in
+  let src =
+    if d.labels = 0 then
+      Fmt.str
+        "type edge(%s, %s)\nrel path(a, b) = edge(a, b)\nrel path(a, c) = path(a, b), edge(b, c)\n%squery path\n"
+        ty ty d.extra
+    else
+      Fmt.str
+        "type edge(%s, %s, %s)\nrel path(a, b, l) = edge(a, b, l)\nrel path(a, c, l) = path(a, b, l), edge(b, c, l)\n%squery path\n"
+        ty ty ty d.extra
+  in
+  let c = Session.compile src in
   let failures = ref [] in
   for seed = 1 to 60 do
     let n = 5 + Scallop_utils.Rng.int rng 25 and m = 10 + Scallop_utils.Rng.int rng 80 in
-    let node k = if strings then Fmt.str "%S" (Fmt.str "n%d" k) else string_of_int k in
     let edges =
       List.init m (fun _ ->
-          Fmt.str "%.3f::(%s, %s)"
-            (0.05 +. (0.9 *. Scallop_utils.Rng.float rng))
-            (node (Scallop_utils.Rng.int rng n))
-            (node (Scallop_utils.Rng.int rng n)))
+          (* probabilities keep the three decimals of a fact literal *)
+          let p = Float.of_string (Fmt.str "%.3f" (0.05 +. (0.9 *. Scallop_utils.Rng.float rng))) in
+          let a = d.node (Scallop_utils.Rng.int rng n) in
+          let b = d.node (Scallop_utils.Rng.int rng n) in
+          let label = if d.labels = 0 then [] else [ d.node (Scallop_utils.Rng.int rng d.labels) ] in
+          (Provenance.Input.prob p, Tuple.of_list (a :: b :: label)))
     in
-    let ty = if strings then "String" else "i32" in
-    let src =
-      Fmt.str
-        "type edge(%s, %s)\nrel edge = {%s}\nrel path(a, b) = edge(a, b)\nrel path(a, c) = path(a, b), edge(b, c)\nquery path\n"
-        ty ty (String.concat ", " edges)
-    in
-    let c = Session.compile src in
+    let facts = [ ("edge", edges) ] in
     let rows (r : Session.result) =
       r.Session.outputs
       |> List.concat_map (fun (_, l) -> List.map (fun (t, o) -> (t, Provenance.Output.prob o)) l)
     in
-    let provenance () = Registry.create Registry.Add_mult_prob in
-    let a = rows (Session.run ~provenance:(provenance ()) c ())
-    and b = rows (Tree_walker.run ~provenance:(provenance ()) c ()) in
+    let provenance () = Registry.create spec in
+    let a = rows (Session.run ~provenance:(provenance ()) c ~facts ())
+    and b = rows (Tree_walker.run ~provenance:(provenance ()) c ~facts ()) in
     if
       not
         (List.length a = List.length b
@@ -242,6 +301,26 @@ let addmult_tc ~strings () =
     Alcotest.failf "columnar diverged from the tree-walker on graphs %a"
       Fmt.(list ~sep:comma int)
       (List.rev !failures)
+
+(* Boundary domains of the packed-int kernels, under a non-associative and
+   an idempotent ⊕. *)
+let boundary_tc_cases =
+  List.concat_map
+    (fun (name, d) ->
+      List.map
+        (fun (pname, spec) ->
+          Alcotest.test_case
+            (Fmt.str "%s TC, %s: columnar = tree-walker bit-exactly" pname name)
+            `Quick (addmult_tc ~spec d))
+        [ ("addmultprob", Registry.Add_mult_prob); ("minmaxprob", Registry.Max_min_prob) ])
+    [
+      ("negative ids", negative_domain);
+      ("ids >= 2^30", large_domain);
+      ("ids straddling 2^30", straddle_domain);
+      ("ids near max_int and min_int", extreme_domain);
+      ("u64 ids", u64_domain);
+      ("width-3 paths", width3_domain);
+    ]
 
 (* ---- serve and the oracle ------------------------------------------------------- *)
 
@@ -368,9 +447,9 @@ let suite =
     Alcotest.test_case "serve one-shot replies = tree-walker rows" `Quick
       serve_matches_tree_walker;
     Alcotest.test_case "addmultprob TC, int columns: columnar = tree-walker bit-exactly" `Quick
-      (addmult_tc ~strings:false);
+      (addmult_tc ints_domain);
     Alcotest.test_case "addmultprob TC, string columns: columnar = tree-walker bit-exactly"
-      `Quick (addmult_tc ~strings:true);
+      `Quick (addmult_tc strings_domain);
     Alcotest.test_case "TC-500 boolean chain: <= 14.5 minor words per tuple" `Quick
       tc500_minor_words;
     col_roundtrip;
@@ -379,3 +458,4 @@ let suite =
   @ tests_for "boolean" Registry.Boolean ~rich_aggs:true
   @ tests_for "minmaxprob" Registry.Max_min_prob ~rich_aggs:true
   @ tests_for "topkproofs-3" (Registry.Top_k_proofs 3) ~rich_aggs:false
+  @ boundary_tc_cases
