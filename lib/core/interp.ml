@@ -503,18 +503,16 @@ module Make (P : Provenance.S) = struct
       (string * (Tuple.t * Provenance.Output.t) list) list =
     let mon = make_monitor config.budget in
     if mon.watched then check_wall config mon;
-    let cdb = SMap.map B.crel_of_relation db in
-    let cdb =
-      fst
-        (List.fold_left
-           (fun (cdb, i) s -> (ceval_stratum config mon cdb i s, i + 1))
-           (cdb, 0) p.Plan.strata)
-    in
-    let outputs =
-      List.map (fun pred -> (pred, B.to_outputs (B.crel_force (crel_of cdb pred)))) out
-    in
-    B.release ();
-    outputs
+    (* a run stopped by its budget or an error hands the scratch back too *)
+    Fun.protect ~finally:B.release (fun () ->
+        let cdb = SMap.map B.crel_of_relation db in
+        let cdb =
+          fst
+            (List.fold_left
+               (fun (cdb, i) s -> (ceval_stratum config mon cdb i s, i + 1))
+               (cdb, 0) p.Plan.strata)
+        in
+        List.map (fun pred -> (pred, B.to_outputs (B.crel_force (crel_of cdb pred)))) out)
 
   (** Evaluate one plan tree over [db], uncached (the per-operator
       differential tests in test/test_columnar.ml). *)

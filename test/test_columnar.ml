@@ -442,6 +442,26 @@ query path|}
   if not (per_tuple <= 1.25 *. 11.6) then
     Alcotest.failf "TC-500 boolean: %.2f minor words per tuple > %.1f" per_tuple (1.25 *. 11.6)
 
+(* ---- pooled scratch ------------------------------------------------------------------ *)
+
+(* A run its budget stops still hands its scratch back to the domain's pool,
+   so the next run on the domain does not grow its buffers from nothing. *)
+let pool_refilled_after_budget_error () =
+  let c =
+    Session.compile
+      "type edge(i32, i32)\nrel path(a, b) = edge(a, b)\nrel path(a, c) = path(a, b), edge(b, c)\nquery path"
+  in
+  let facts =
+    [ ("edge", List.init 6 (fun i -> (Provenance.Input.none, Tuple.of_list [ i32 i; i32 (i + 1) ]))) ]
+  in
+  let config = { (Interp.default_config ()) with Interp.budget = Budget.make ~max_iterations:2 () } in
+  (match Session.run ~config ~provenance:(Registry.create Registry.Boolean) c ~facts () with
+  | _ -> Alcotest.fail "a 6-edge chain closed within 2 iterations"
+  | exception Session.Error (Exec_error.Budget_exceeded _) -> ());
+  Alcotest.(check bool)
+    "the domain's scratch is pooled" true
+    (Option.is_some (Atomic.get (Domain.DLS.get Batch_ops.pool)))
+
 let suite =
   [
     Alcotest.test_case "serve one-shot replies = tree-walker rows" `Quick
@@ -459,3 +479,7 @@ let suite =
   @ tests_for "minmaxprob" Registry.Max_min_prob ~rich_aggs:true
   @ tests_for "topkproofs-3" (Registry.Top_k_proofs 3) ~rich_aggs:false
   @ boundary_tc_cases
+  @ [
+      Alcotest.test_case "budget-stopped run returns its scratch to the pool" `Quick
+        pool_refilled_after_budget_error;
+    ]
