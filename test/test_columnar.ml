@@ -246,7 +246,7 @@ let extreme_domain =
   }
 
 let u64_domain =
-  { seed = 35; node = (fun k -> Value.int Value.U64 ((1 lsl 33) + (5 * k))); labels = 0; extra = "" }
+  { seed = 35; node = (fun k -> Value.int Value.U64 ((1 lsl 29) + (5 * k))); labels = 0; extra = "" }
 
 let width3_domain = { seed = 36; node = (fun k -> i32 ((k - 14) * 37_000)); labels = 3; extra = "" }
 
