@@ -491,10 +491,12 @@ query path|}
    (sum + count over many groups).  Each workload runs on the executor with
    the fixpoint index cache on and off, under discrete, minmaxprob and
    top-k-proof provenances, plus one row on the uncached tree-walker test
-   oracle ([Scallop_fuzz.Tree_walker], "columnar": false); a last row pair
-   times MNIST sum3 under difftopkproofsme-3 on the executor and the
-   oracle, alternating (the training path).  The measurements land in
-   BENCH_interp.json. *)
+   oracle ([Scallop_fuzz.Tree_walker], "columnar": false).  Dense
+   recursion over seeded random graphs ("reach-random", a closure that
+   re-derives most of its tuples) gets one cached executor row and one
+   oracle row per provenance; a last row pair times MNIST sum3 under
+   difftopkproofsme-3 on the executor and the oracle, alternating (the
+   training path).  The measurements land in BENCH_interp.json. *)
 and bench_interp (m : mode) =
   section "Interpreter workloads: fixpoint + aggregation throughput (writes BENCH_interp.json)";
   let open Scallop_core in
@@ -567,9 +569,9 @@ query sizes|}
   let words_of : ((string * string * bool * bool) * float) list ref = ref [] in
   let runs = if m.quick then 3 else 8 in
   let registry spec () = Registry.create spec in
-  (* the executor with the cache on and off, then (with [~oracle]) the
-     uncached oracle *)
-  let measure ?(oracle = false) ~name ~prov_name ~prov ~n compiled facts =
+  (* the executor with the cache on and (unless [~uncached:false]) off,
+     then (with [~oracle]) the uncached oracle *)
+  let measure ?(oracle = false) ?(uncached = true) ~name ~prov_name ~prov ~n compiled facts =
     List.iter
       (fun (columnar, cache) ->
         ignore (time_once ~cache ~columnar ~prov compiled facts);
@@ -590,7 +592,9 @@ query sizes|}
             {|    {"name": %S, "provenance": %S, "n": %d, "cache": %b, "columnar": %b, "runs": %d, "mean_ms": %.3f, "ops_per_sec": %.3f, "minor_words_per_tuple": %.1f}|}
             name prov_name n cache columnar runs (1000.0 *. mean) (1.0 /. mean) words
           :: !results)
-      ([ (true, true); (true, false) ] @ if oracle then [ (false, false) ] else [])
+      ([ (true, true) ]
+      @ (if uncached then [ (true, false) ] else [])
+      @ if oracle then [ (false, false) ] else [])
   in
   let tc = Session.compile tc_src in
   let agg = Session.compile agg_src in
@@ -642,6 +646,49 @@ query sizes|}
     ~prov:(registry Registry.Max_min_prob) ~n:2000 agg (agg_facts ~groups:50 ~per_group:40);
   measure ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"topkproofs-3"
     ~prov:(registry (Registry.Top_k_proofs 3)) ~n:60 agg (agg_facts ~groups:6 ~per_group:10);
+  (* Dense recursion: reachability over seeded random graphs in the shapes
+     of the one-shot reach family (60 nodes, 150 edges) and of a session
+     query (40 nodes, 100 edges).  Unlike the chains, these closures
+     re-derive most path tuples, so each fixpoint round normalizes
+     duplicate-heavy join output and probes the relation for tuples it
+     already holds. *)
+  let reach =
+    Session.compile
+      {|type edge(i32, i32)
+rel path(a, b) = edge(a, b)
+rel path(a, c) = path(a, b), edge(b, c)
+rel reach(b) = path(0, b)
+query reach|}
+  in
+  let random_graph ~seed ~nodes ~edges =
+    let rng = Scallop_utils.Rng.create seed in
+    let seen = Hashtbl.create (2 * edges) in
+    let rec pick acc k =
+      if k = 0 then List.rev acc
+      else
+        let a = Scallop_utils.Rng.int rng nodes and b = Scallop_utils.Rng.int rng nodes in
+        if a = b || Hashtbl.mem seen (a, b) then pick acc k
+        else begin
+          Hashtbl.add seen (a, b) ();
+          (* p >= 0.5: boolean keeps every edge *)
+          let p = 0.5 +. (0.45 *. Scallop_utils.Rng.float rng) in
+          pick
+            ((Provenance.Input.prob p, Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ])
+            :: acc)
+            (k - 1)
+        end
+    in
+    [ ("edge", pick [] edges) ]
+  in
+  List.iter
+    (fun (nodes, edges) ->
+      let facts = random_graph ~seed:(nodes + edges) ~nodes ~edges in
+      let name = Fmt.str "reach-random-%dx%d" nodes edges in
+      measure ~oracle:true ~uncached:false ~name ~prov_name:"boolean"
+        ~prov:(registry Registry.Boolean) ~n:edges reach facts;
+      measure ~oracle:true ~uncached:false ~name ~prov_name:"minmaxprob"
+        ~prov:(registry Registry.Max_min_prob) ~n:edges reach facts)
+    [ (60, 150); (40, 100) ];
   (* The training path's A/B: MNIST sum3 (Table 4) under difftopkproofsme-3,
      the provenance [train-sum3] trains with, the oracle and the cached
      executor alternating run by run so host drift hits both alike. *)
