@@ -88,6 +88,122 @@ let bound ~upper (cmp : int -> int -> int) (at : int array option) (from : int) 
   done;
   !lo
 
+(* ---- packed int keys ---------------------------------------------------------- *)
+
+(** A composite-key layout over unboxed int columns: column [c] contributes
+    its offset [v - mins.(c)] in the next [bits.(c)] bits, the first column
+    in the highest bits.  On rows whose offsets all fit their bits the key
+    is injective, and key order is lexicographic row order. *)
+type layout = { mins : int array; bits : int array }
+
+(** Write the key of row [i] of the columns [cols] to [keys.(off + i)], for
+    [i < n]; false when some offset does not fit its bits (the keys are
+    then meaningless).  An offset that wraps past [max_int] is negative, so
+    its top bit fails the fit test too. *)
+let pack_keys (l : layout) (cols : int array array) (n : int) (keys : int array) (off : int) :
+    bool =
+  let over = ref 0 in
+  (match cols with
+  | [| a0 |] ->
+      let m0 = l.mins.(0) and s0 = l.bits.(0) in
+      for i = 0 to n - 1 do
+        let x0 = a0.(i) - m0 in
+        over := !over lor (x0 lsr s0);
+        keys.(off + i) <- x0
+      done
+  | [| a0; a1 |] ->
+      let m0 = l.mins.(0) and s0 = l.bits.(0) and m1 = l.mins.(1) and s1 = l.bits.(1) in
+      for i = 0 to n - 1 do
+        let x0 = a0.(i) - m0 and x1 = a1.(i) - m1 in
+        over := !over lor (x0 lsr s0) lor (x1 lsr s1);
+        keys.(off + i) <- (x0 lsl s1) lor x1
+      done
+  | _ ->
+      for i = 0 to n - 1 do
+        let key = ref 0 in
+        for c = 0 to Array.length cols - 1 do
+          let x = cols.(c).(i) - l.mins.(c) in
+          over := !over lor (x lsr l.bits.(c));
+          key := (!key lsl l.bits.(c)) lor x
+        done;
+        keys.(off + i) <- !key
+      done);
+  !over = 0
+
+(** Number of distinct keys of a layout. *)
+let key_range (l : layout) : int = 1 lsl Array.fold_left ( + ) 0 l.bits
+
+(* Offset keys that index a count array: at most [radix_bits] wide, and
+   with at most [16 * total + 1024] possible keys, so the array stays
+   proportional to the data. *)
+let radix_bits = 20
+
+(** The narrowest layout for the int column sets [raw.(r)] of [lens.(r)]
+    rows each — offsets from each column's minimum, in as many bits as its
+    span needs — or [None] when a span overflows an int or the keys outrun
+    the guards above. *)
+let radix_layout (raw : int array array array) (lens : int array) : layout option =
+  let total = Array.fold_left ( + ) 0 lens in
+  let width = if Array.length raw = 0 then 0 else Array.length raw.(0) in
+  if width = 0 || total = 0 then None
+  else
+    try
+      let mins = Array.make width 0 and bits = Array.make width 0 in
+      let bits_total = ref 0 in
+      for c = 0 to width - 1 do
+        let mn = ref max_int and mx = ref min_int in
+        for r = 0 to Array.length raw - 1 do
+          let a = raw.(r).(c) in
+          for i = 0 to lens.(r) - 1 do
+            let v = a.(i) in
+            if v < !mn then mn := v;
+            if v > !mx then mx := v
+          done
+        done;
+        let span = !mx - !mn in
+        if span < 0 then raise Exit;
+        let b = ref 0 in
+        while span lsr !b > 0 do
+          incr b
+        done;
+        mins.(c) <- !mn;
+        bits.(c) <- !b;
+        bits_total := !bits_total + !b;
+        if !bits_total > radix_bits then raise Exit
+      done;
+      if 1 lsl !bits_total > (16 * total) + 1024 then None else Some { mins; bits }
+    with Exit -> None
+
+(** The fixed layout of exact-table keys for rows of [width] int columns:
+    absolute values, [62 / width] bits per column, so a key means the same
+    row in every iteration and is never negative.  [None] for widths with
+    fewer than 2 bits per column. *)
+let exact_layout (width : int) : layout option =
+  if width = 0 || 62 / width < 2 then None
+  else
+    let b = 62 / width in
+    Some { mins = Array.make width (-(1 lsl (b - 1))); bits = Array.make width b }
+
+(** The raw arrays of [cols] when every column is an unboxed int column. *)
+let int_arrays (cols : Column.t array) : int array array option =
+  try Some (Array.map (function Column.I (_, a) -> a | _ -> raise Exit) cols)
+  with Exit -> None
+
+(** The raw arrays of [cols] when each column [c] is an unboxed int column
+    of type [tys.(c)]. *)
+let typed_int_arrays (tys : Value.ty array) (cols : Column.t array) : int array array option =
+  if Array.length cols <> Array.length tys then None
+  else
+    try
+      Some
+        (Array.mapi
+           (fun c col ->
+             match col with
+             | Column.I (ty, a) when Value.equal_ty ty tys.(c) -> a
+             | _ -> raise Exit)
+           cols)
+    with Exit -> None
+
 (* ---- pooled scratch ---------------------------------------------------------- *)
 
 (** Index and value buffers that operators stage intermediate results in,
@@ -406,6 +522,39 @@ module Make (P : Provenance.S) = struct
 
   (* ---- normalization and sorted-run algebra ------------------------------- *)
 
+  (** Stable counting sort of [b]'s rows into [idx] by offset key
+      ({!radix_layout}), when every column is an unboxed int column and the
+      keys pass the layout's guards; returns the row-indexed keys.  Rows
+      scatter in input order, so equal rows keep their emission order —
+      the permutation the stable merge sort produces. *)
+  let counting_sort (b : batch) (idx : int array) : int array option =
+    match int_arrays b.cols with
+    | None -> None
+    | Some raw -> (
+        match radix_layout [| raw |] [| b.n |] with
+        | None -> None
+        | Some l ->
+            let n = b.n in
+            let keys = ints 1 n in
+            ignore (pack_keys l raw n keys 0);
+            (* [start.(k)]: first output position of key [k] *)
+            let range = key_range l in
+            let start = ints 2 (range + 1) in
+            Array.fill start 0 (range + 1) 0;
+            for i = 0 to n - 1 do
+              let k = keys.(i) + 1 in
+              start.(k) <- start.(k) + 1
+            done;
+            for k = 1 to range do
+              start.(k) <- start.(k) + start.(k - 1)
+            done;
+            for i = 0 to n - 1 do
+              let k = keys.(i) in
+              idx.(start.(k)) <- i;
+              start.(k) <- start.(k) + 1
+            done;
+            Some keys)
+
   (** Stable-sort rows, ⊕-merge duplicates in emission order, drop discarded
       tags: exactly normalization (Fig. 24) into a [Tuple.Map] followed by
       [Tuple.Map.bindings]. *)
@@ -447,17 +596,23 @@ module Make (P : Provenance.S) = struct
   and sort_normalize_slow rcmp (b : batch) : batch =
     let n = b.n in
     let idx = ints 0 n in
-    for i = 0 to n - 1 do
-      idx.(i) <- i
-    done;
-    sort_prefix rcmp idx (ints 1 n) n;
+    let same =
+      match counting_sort b idx with
+      | Some keys -> fun r r' -> keys.(r) = keys.(r')
+      | None ->
+          for i = 0 to n - 1 do
+            idx.(i) <- i
+          done;
+          sort_prefix rcmp idx (ints 1 n) n;
+          fun r r' -> rcmp r r' = 0
+    in
     (* fold each run of equal rows into its first (leader) row, compacting
        leaders and their ⊕-folded tags to the front of the buffers *)
     let tags = tag_buf n b.tags.(0) in
     let m = ref 0 in
     for p = 0 to n - 1 do
       let r = idx.(p) in
-      if !m > 0 && rcmp idx.(!m - 1) r = 0 then tags.(!m - 1) <- P.add tags.(!m - 1) b.tags.(r)
+      if !m > 0 && same idx.(!m - 1) r then tags.(!m - 1) <- P.add tags.(!m - 1) b.tags.(r)
       else begin
         idx.(!m) <- r;
         tags.(!m) <- b.tags.(r);
@@ -529,137 +684,211 @@ module Make (P : Provenance.S) = struct
       }
     end
 
-  (* When every column of every run is a same-type unboxed int column and the
-     per-column value spans pack into a small composite key, the whole run
+  (* When every column of every run is a same-type unboxed int column and
+     the runs' offset keys pass {!radix_layout}'s guards, the whole run
      stack merges with one counting pass instead of O(log k) pairwise
      comparison merges; the newest run holding a tuple supplies its tag.
-     Key-width and range guards keep the count array proportional to the
-     data; anything else falls back to the comparison merge. *)
-  let radix_bits = 20
-
+     Anything else falls back to the comparison merge. *)
   let force_radix (oldest_first : batch list) : batch option =
     match oldest_first with
     | [] -> Some empty
     | first :: _ -> (
-        let width = Array.length first.cols in
-        let total = List.fold_left (fun acc r -> acc + r.n) 0 oldest_first in
-        if width = 0 || total = 0 then None
-        else
-          try
-            let col_ty = function Column.I (ty, _) -> ty | _ -> raise Exit in
-            let tys = Array.map col_ty first.cols in
-            let runs = Array.of_list oldest_first in
-            let nruns = Array.length runs in
-            (* per-run raw int arrays, encoding-checked up front *)
-            let raw =
-              Array.map
-                (fun (r : batch) ->
-                  Array.mapi
-                    (fun c col ->
-                      match col with
-                      | Column.I (ty, a) when Value.equal_ty ty tys.(c) -> a
-                      | _ -> raise Exit)
-                    r.cols)
-                runs
-            in
-            (* Per-column spans; higher columns occupy higher key bits, so
-               composite-key order is exactly lexicographic row order. *)
-            let shift_bits = Array.make width 0 and mins = Array.make width 0 in
-            let bits_total = ref 0 in
-            for c = 0 to width - 1 do
-              let mn = ref max_int and mx = ref min_int in
-              for r = 0 to nruns - 1 do
-                let a = raw.(r).(c) in
-                for i = 0 to Array.length a - 1 do
-                  let v = a.(i) in
-                  if v < !mn then mn := v;
-                  if v > !mx then mx := v
-                done
-              done;
-              let span = !mx - !mn in
-              if span < 0 then raise Exit;
-              let bits = ref 0 in
-              while span lsr !bits > 0 do
-                incr bits
-              done;
-              mins.(c) <- !mn;
-              shift_bits.(c) <- !bits;
-              bits_total := !bits_total + !bits;
-              if !bits_total > radix_bits then raise Exit
+        try
+          let col_ty = function Column.I (ty, _) -> ty | _ -> raise Exit in
+          let tys = Array.map col_ty first.cols in
+          let width = Array.length tys in
+          let runs = Array.of_list oldest_first in
+          let nruns = Array.length runs in
+          (* per-run raw int arrays, encoding-checked up front *)
+          let raw =
+            Array.map
+              (fun (r : batch) ->
+                match typed_int_arrays tys r.cols with Some raw -> raw | None -> raise Exit)
+              runs
+          in
+          let lens = Array.map (fun (r : batch) -> r.n) runs in
+          let l = match radix_layout raw lens with Some l -> l | None -> raise Exit in
+          let total = Array.fold_left ( + ) 0 lens in
+          let range = key_range l in
+          (* composite keys, one pass over the runs; [slot] marks the keys
+             that occur *)
+          let keys = ints 0 total in
+          let slot = ints 1 range in
+          Array.fill slot 0 range 0;
+          let off = ref 0 in
+          for r = 0 to nruns - 1 do
+            ignore (pack_keys l raw.(r) lens.(r) keys !off);
+            for i = !off to !off + lens.(r) - 1 do
+              slot.(keys.(i)) <- 1
             done;
-            let range = 1 lsl !bits_total in
-            if range > (16 * total) + 1024 then raise Exit;
-            (* composite keys, one pass over the runs; [slot] marks the
-               keys that occur *)
-            let keys = ints 0 total in
-            let slot = ints 1 range in
-            Array.fill slot 0 range 0;
-            let off = ref 0 in
-            for r = 0 to nruns - 1 do
-              let rc = raw.(r) in
-              let n = runs.(r).n in
-              (match rc with
-              | [| a0; a1 |] ->
-                  let m0 = mins.(0) and m1 = mins.(1) and s1 = shift_bits.(1) in
-                  for i = 0 to n - 1 do
-                    let key = ((a0.(i) - m0) lsl s1) lor (a1.(i) - m1) in
-                    keys.(!off + i) <- key;
-                    slot.(key) <- 1
-                  done
-              | _ ->
-                  for i = 0 to n - 1 do
-                    let key = ref 0 in
-                    for c = 0 to width - 1 do
-                      key := (!key lsl shift_bits.(c)) lor (rc.(c).(i) - mins.(c))
-                    done;
-                    keys.(!off + i) <- !key;
-                    slot.(!key) <- 1
-                  done);
-              off := !off + n
-            done;
-            (* Distinct keys in ascending order — which is row order, the
-               key being injective on the offset values — take consecutive
-               output positions: [slot.(key)] becomes position + 1. *)
-            let m = ref 0 in
-            for k = 0 to range - 1 do
-              if slot.(k) <> 0 then begin
-                incr m;
-                slot.(k) <- !m
+            off := !off + lens.(r)
+          done;
+          (* Distinct keys in ascending order — which is row order, the
+             key being injective on the offset values — take consecutive
+             output positions: [slot.(key)] becomes position + 1. *)
+          let m = ref 0 in
+          for k = 0 to range - 1 do
+            if slot.(k) <> 0 then begin
+              incr m;
+              slot.(k) <- !m
+            end
+          done;
+          let m = !m in
+          (* Scatter each row to its key's position, runs oldest first: the
+             first occurrence writes the row (and negates its slot), later
+             (newer) ones overwrite its tag.  Outputs are sized exactly. *)
+          let out_cols = Array.init width (fun _ -> Array.make m 0) in
+          let out_tags = Array.make m first.tags.(0) in
+          let off = ref 0 in
+          for r = 0 to nruns - 1 do
+            let rc = raw.(r) and tg = runs.(r).tags in
+            let n = runs.(r).n in
+            for i = 0 to n - 1 do
+              let key = keys.(!off + i) in
+              let sl = slot.(key) in
+              if sl > 0 then begin
+                slot.(key) <- -sl;
+                for c = 0 to width - 1 do
+                  out_cols.(c).(sl - 1) <- rc.(c).(i)
+                done;
+                out_tags.(sl - 1) <- tg.(i)
               end
+              else out_tags.(-sl - 1) <- tg.(i)
             done;
-            let m = !m in
-            (* Scatter each row to its key's position, runs oldest first: the
-               first occurrence writes the row (and negates its slot), later
-               (newer) ones overwrite its tag.  Outputs are sized exactly. *)
-            let out_cols = Array.init width (fun _ -> Array.make m 0) in
-            let out_tags = Array.make m first.tags.(0) in
-            let off = ref 0 in
-            for r = 0 to nruns - 1 do
-              let rc = raw.(r) and tg = runs.(r).tags in
-              let n = runs.(r).n in
-              for i = 0 to n - 1 do
-                let key = keys.(!off + i) in
-                let sl = slot.(key) in
-                if sl > 0 then begin
-                  slot.(key) <- -sl;
-                  for c = 0 to width - 1 do
-                    out_cols.(c).(sl - 1) <- rc.(c).(i)
-                  done;
-                  out_tags.(sl - 1) <- tg.(i)
-                end
-                else out_tags.(-sl - 1) <- tg.(i)
-              done;
-              off := !off + n
-            done;
-            Some
-              {
-                n = m;
-                cols = Array.init width (fun c -> Column.I (tys.(c), out_cols.(c)));
-                tags = out_tags;
-              }
-          with Exit -> None)
+            off := !off + n
+          done;
+          Some
+            {
+              n = m;
+              cols = Array.init width (fun c -> Column.I (tys.(c), out_cols.(c)));
+              tags = out_tags;
+            }
+        with Exit -> None)
 
   (* ---- materialized relations: sorted-run stacks --------------------------- *)
+
+  (** Exact membership of a relation whose rows pack into one int
+      ({!exact_layout}): packed key → tag of the newest run holding the
+      tuple.  Open addressing with linear probing over a power-of-two
+      capacity at most half full; [-1] marks an empty slot, keys being
+      never negative. *)
+  type table = {
+    t_tys : Value.ty array;  (** the column types of every member *)
+    t_layout : layout;
+    mutable t_keys : int array;
+    mutable t_tags : P.t array;
+    mutable t_mask : int;
+    mutable t_count : int;
+  }
+
+  (* The slot holding [key], or the empty slot ending its probe sequence. *)
+  let tab_slot (t : table) (key : int) : int =
+    let i = ref (int_mix key land t.t_mask) in
+    while t.t_keys.(!i) >= 0 && t.t_keys.(!i) <> key do
+      i := (!i + 1) land t.t_mask
+    done;
+    !i
+
+  (* The slot holding [key], or -1. *)
+  let tab_find (t : table) (key : int) : int =
+    let i = tab_slot t key in
+    if t.t_keys.(i) = key then i else -1
+
+  let rec tab_set (t : table) (key : int) (tag : P.t) =
+    let i = tab_slot t key in
+    t.t_tags.(i) <- tag;
+    if t.t_keys.(i) <> key then begin
+      t.t_keys.(i) <- key;
+      t.t_count <- t.t_count + 1;
+      if 2 * t.t_count > t.t_mask then tab_grow t
+    end
+
+  and tab_grow (t : table) =
+    let keys = t.t_keys and tags = t.t_tags in
+    let cap = 2 * Array.length keys in
+    t.t_keys <- Array.make cap (-1);
+    t.t_tags <- Array.make cap tags.(0);
+    t.t_mask <- cap - 1;
+    Array.iteri
+      (fun i key ->
+        if key >= 0 then begin
+          let j = tab_slot t key in
+          t.t_keys.(j) <- key;
+          t.t_tags.(j) <- tags.(i)
+        end)
+      keys
+
+  (* The keys of [r]'s rows, staged in scratch slot [slot], when [r] packs
+     under [tys] and [l]: every column an int column of its type in [tys],
+     every value within the layout. *)
+  let packed_keys (tys : Value.ty array) (l : layout) (r : batch) (slot : int) : int array option
+      =
+    match typed_int_arrays tys r.cols with
+    | None -> None
+    | Some raw ->
+        let keys = ints slot r.n in
+        if pack_keys l raw r.n keys 0 then Some keys else None
+
+  (* The exact table of the runs [newest_first], built oldest first so each
+     key ends on its newest tag, and the keys of [newly] (scratch slot 2) —
+     when [newly] and every run pack under [newly]'s column types. *)
+  let tab_build (newest_first : batch list) (newly : batch) : (table * int array) option =
+    match Array.map (function Column.I (ty, _) -> ty | _ -> raise Exit) newly.cols with
+    | exception Exit -> None
+    | tys -> (
+        match exact_layout (Array.length tys) with
+        | None -> None
+        | Some l -> (
+            match packed_keys tys l newly 2 with
+            | None -> None
+            | Some keys ->
+                let total = List.fold_left (fun a (r : batch) -> a + r.n) newly.n newest_first in
+                let cap = ref 16 in
+                while !cap < 2 * total do
+                  cap := 2 * !cap
+                done;
+                let t =
+                  {
+                    t_tys = tys;
+                    t_layout = l;
+                    t_keys = Array.make !cap (-1);
+                    t_tags = Array.make !cap newly.tags.(0);
+                    t_mask = !cap - 1;
+                    t_count = 0;
+                  }
+                in
+                let add (r : batch) =
+                  match packed_keys tys l r 3 with
+                  | None -> false
+                  | Some rkeys ->
+                      for i = 0 to r.n - 1 do
+                        tab_set t rkeys.(i) r.tags.(i)
+                      done;
+                      true
+                in
+                if List.for_all add (List.rev newest_first) then Some (t, keys) else None))
+
+  (** Row hashes of a relation's members: the collision-tolerant pre-filter
+      of {!delta_of_run}'s probe, verified by binary search in the runs. *)
+  type hashed = {
+    hset : Ihs.t;  (** row hashes of every member tuple *)
+    mutable unhashed : batch list;  (** runs whose hashes are not in [hset] yet *)
+    mutable prehashed : batch option;
+        (** the one batch whose row hashes {!delta_of_run} already inserted
+            while probing — if the next {!crel_push} pushes that exact batch
+            (physical equality), it skips the hash queue entirely *)
+    mutable may_pack : bool;
+        (** no run has failed to pack: the relation may still switch to an
+            exact table *)
+  }
+
+  (** How {!delta_of_run} finds a probe row's member, one structure at a
+      time.  A relation starts [Unprobed] — delta relations are never
+      probed, so they never pay for a structure — and gets a hash set of
+      its runs at its first probe.  At its first re-derived tuple it
+      switches to [Exact] if every run packs; a pushed run that does not
+      pack sends it back to a hash set for good. *)
+  type membership = Unprobed | Hashed of hashed | Exact of table
 
   (** A relation as a stack of sorted runs.  A tuple's tag is the one in
       the newest run holding it: a run is pushed with every colliding
@@ -669,57 +898,34 @@ module Make (P : Provenance.S) = struct
       clamped float sum of [addmultprob]). *)
   type crel = {
     mutable runs : batch list;  (** newest first; each strictly sorted *)
-    mutable hset : Ihs.t option;
-        (** row hashes of every member tuple; [None] until first probed —
-            delta relations are never probed, so they never pay for one *)
-    mutable unhashed : batch list;  (** runs whose hashes are not in [hset] yet *)
-    mutable prehashed : batch option;
-        (** the one batch whose row hashes {!delta_of_run} already inserted
-            while probing — if the next {!crel_push} pushes that exact batch
-            (physical equality), it skips the hash queue entirely *)
+    mutable member : membership;
     mutable version : int;  (** bumped on every content change *)
   }
 
-  let crel_empty () : crel =
-    { runs = []; hset = None; unhashed = []; prehashed = None; version = 0 }
+  let crel_empty () : crel = { runs = []; member = Unprobed; version = 0 }
 
-  (** Flush pending runs into the membership set, building it on first use. *)
-  let hset_of (c : crel) : Ihs.t =
-    let s =
-      match c.hset with
-      | Some s -> s
-      | None ->
-          let total = List.fold_left (fun a (r : batch) -> a + r.n) 0 c.unhashed in
-          let s = Ihs.create total in
-          c.hset <- Some s;
-          s
-    in
+  (* Insert the row hashes of [runs] into [s]. *)
+  let hash_runs (s : Ihs.t) (runs : batch list) =
     List.iter
       (fun (r : batch) ->
-        let h = row_hasher r.cols in
+        let hash = row_hasher r.cols in
         for i = 0 to r.n - 1 do
-          Ihs.add s (h i)
+          Ihs.add s (hash i)
         done)
-      c.unhashed;
-    c.unhashed <- [];
-    s
+      runs
+
+  (** A hash-set membership of every run of [c]. *)
+  let hashed ~may_pack (c : crel) : hashed =
+    let s = Ihs.create (List.fold_left (fun a (r : batch) -> a + r.n) 0 c.runs) in
+    hash_runs s c.runs;
+    { hset = s; unhashed = []; prehashed = None; may_pack }
 
   let crel_of_run (r : batch) : crel =
-    let c = crel_empty () in
-    if r.n > 0 then begin
-      c.runs <- [ r ];
-      c.unhashed <- [ r ]
-    end;
-    c
+    if r.n = 0 then crel_empty () else { runs = [ r ]; member = Unprobed; version = 0 }
 
   let crel_of_relation (rel : P.t Tuple.Map.t) : crel =
-    let c = crel_empty () in
-    if not (Tuple.Map.is_empty rel) then begin
-      let r = of_list (Tuple.Map.bindings rel) in
-      c.runs <- [ r ];
-      c.unhashed <- [ r ]
-    end;
-    c
+    if Tuple.Map.is_empty rel then crel_empty ()
+    else crel_of_run (of_list (Tuple.Map.bindings rel))
 
   (* Amortized doubling: merging only when the newer run has caught up in
      size bounds the stack at O(log N) runs and total copying at O(N log N). *)
@@ -728,14 +934,25 @@ module Make (P : Provenance.S) = struct
     | runs -> runs
 
   (** Push a run whose tags already accumulate the relation's (the first
-      result of {!delta_of_run}). *)
+      result of {!delta_of_run}).  An exact table takes the run's keys and
+      tags; a hash set queues the run unless its probe already hashed it. *)
   let crel_push (c : crel) (r : batch) =
     if r.n > 0 then begin
       c.runs <- squash (r :: c.runs);
-      (match c.prehashed with
-      | Some b when b == r -> ()  (* hashes inserted during the delta probe *)
-      | _ -> c.unhashed <- r :: c.unhashed);
-      c.prehashed <- None;
+      (match c.member with
+      | Unprobed -> ()
+      | Hashed h ->
+          (match h.prehashed with
+          | Some b when b == r -> ()  (* hashes inserted during the delta probe *)
+          | _ -> h.unhashed <- r :: h.unhashed);
+          h.prehashed <- None
+      | Exact t -> (
+          match packed_keys t.t_tys t.t_layout r 0 with
+          | Some keys ->
+              for i = 0 to r.n - 1 do
+                tab_set t keys.(i) r.tags.(i)
+              done
+          | None -> c.member <- Hashed (hashed ~may_pack:false c)));
       c.version <- c.version + 1
     end
 
@@ -764,9 +981,6 @@ module Make (P : Provenance.S) = struct
               go newest_first
         in
         c.runs <- [ merged ];
-        (* same membership, one run: re-anchor the pending-hash queue so the
-           pre-merge run arrays can be collected *)
-        if c.hset = None then c.unhashed <- [ merged ];
         merged
 
   (* Position of the row of sorted run [r] equal to row [i] of the probe,
@@ -794,91 +1008,130 @@ module Make (P : Provenance.S) = struct
         tags = Array.init m (fun k -> b.tags.(idx.(k)));
       }
 
+  (* [(acc, delta)] of {!delta_of_run} once rows before [first] are known
+     new: for each later row [i], [find i] locates the member equal to it
+     (-1: none) and [tag_at] reads that member's tag.  A row whose merged
+     tag is physically its old one (e.g. [true || true]) changes nothing and
+     is left out of [acc]; [delta] indexes into [acc]. *)
+  let merge_probe (newly : batch) ~(first : int) (find : int -> int) (tag_at : int -> P.t) :
+      batch * batch =
+    let n = newly.n in
+    let aidx = ints 0 n and didx = ints 1 n and tags = tag_buf n newly.tags.(0) in
+    for i = 0 to first - 1 do
+      aidx.(i) <- i;
+      didx.(i) <- i;
+      tags.(i) <- newly.tags.(i)
+    done;
+    let ma = ref first and md = ref first in
+    for i = first to n - 1 do
+      let t_new = newly.tags.(i) in
+      let p = find i in
+      if p < 0 then begin
+        aidx.(!ma) <- i;
+        tags.(!ma) <- t_new;
+        didx.(!md) <- !ma;
+        incr ma;
+        incr md
+      end
+      else begin
+        let t_old = tag_at p in
+        let merged = P.add t_old t_new in
+        if merged != t_old then begin
+          aidx.(!ma) <- i;
+          tags.(!ma) <- merged;
+          if not (P.saturated ~old:t_old merged) then begin
+            didx.(!md) <- !ma;
+            incr md
+          end;
+          incr ma
+        end
+      end
+    done;
+    let acc = keep_rows newly aidx tags !ma in
+    (acc, select_rows acc didx !md)
+
+  (* [merge_probe] against an exact table, [keys] being [newly]'s. *)
+  let exact_probe (t : table) (newly : batch) ~(first : int) (keys : int array) : batch * batch =
+    merge_probe newly ~first (fun i -> tab_find t keys.(i)) (fun s -> t.t_tags.(s))
+
   (** One semi-naive round against the relation [old], for a sorted
       newly-derived run: returns [(acc, delta)].  [acc] is [newly] with each
       colliding tuple's tag replaced by the merged (old ⊕ new) tag — what
       the Rule-1/2/3 merge stores, and what {!crel_push} takes.  [delta] is
       the round's delta: the rows of [acc] that are new or whose merged tag
       is not saturated. *)
-  let delta_of_run ~(old : crel) (newly : batch) : batch * batch =
+  let rec delta_of_run ~(old : crel) (newly : batch) : batch * batch =
     if newly.n = 0 then (empty, empty)
     else if old.runs = [] then (newly, newly)
-    else begin
-      let hs = hset_of old in
-      let hash = row_hasher newly.cols in
-      (* Phase 1: membership scan that inserts each miss as it goes — on a
-         growing fixpoint the whole batch is usually new, so the delta IS
-         the normalized update (columns and tags shared) and the subsequent
-         push of this same batch finds its hashes already inserted
-         ([prehashed]), halving total hash work.  Rows in [newly] are
-         distinct (it is normalized), so inserting while scanning cannot
-         make a later row of the same batch look like a member.  A hit
-         aborts to the verifying slow path; the partial inserts are harmless
-         because every row of [newly] becomes a member on push regardless,
-         and intervening probes re-verify against the runs. *)
-      let hit = ref (-1) in
-      (try
-         for i = 0 to newly.n - 1 do
-           if Ihs.probe_add hs (hash i) then begin
-             hit := i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !hit < 0 then begin
-        old.prehashed <- Some newly;
-        (newly, newly)
-      end
-      else begin
-        (* Rows before the first hit missed the probe, so they are new.  From
-           the hit on, a row in the membership set takes its tag from the
-           newest run holding it, found with one comparator per run built
-           once per call, not per probe.  A row whose merged tag is
-           physically its old one (e.g. [true || true]) changes nothing and
-           is left out of [acc]; [delta] indexes into [acc]. *)
-        let runs = Array.of_list old.runs in
-        let cmps = Array.map (fun (r : batch) -> cross_cmp r.cols newly.cols) runs in
-        let n = newly.n in
-        let aidx = ints 0 n and didx = ints 1 n and tags = tag_buf n newly.tags.(0) in
-        for i = 0 to !hit - 1 do
-          aidx.(i) <- i;
-          didx.(i) <- i;
-          tags.(i) <- newly.tags.(i)
-        done;
-        let ma = ref !hit and md = ref !hit in
-        for i = !hit to n - 1 do
-          let t_new = newly.tags.(i) in
-          let p = ref (-1) and k = ref 0 in
-          if Ihs.mem hs (hash i) then
-            while !p < 0 && !k < Array.length runs do
-              p := find_in_run cmps.(!k) runs.(!k) i;
-              if !p < 0 then incr k
-            done;
-          if !p < 0 then begin
-            aidx.(!ma) <- i;
-            tags.(!ma) <- t_new;
-            didx.(!md) <- !ma;
-            incr ma;
-            incr md
+    else
+      match old.member with
+      | Exact t -> (
+          (* each probe is one lookup of the row's packed key *)
+          match packed_keys t.t_tys t.t_layout newly 2 with
+          | Some keys -> exact_probe t newly ~first:0 keys
+          | None ->
+              (* [newly]'s rows do not pack, so the run pushed next will
+                 not either: back to a hash set now *)
+              old.member <- Hashed (hashed ~may_pack:false old);
+              delta_of_run ~old newly)
+      | Unprobed ->
+          old.member <- Hashed (hashed ~may_pack:true old);
+          delta_of_run ~old newly
+      | Hashed h -> (
+          let hs = h.hset in
+          hash_runs hs h.unhashed;
+          h.unhashed <- [];
+          let hash = row_hasher newly.cols in
+          (* Phase 1: membership scan that inserts each miss as it goes — on
+             a growing fixpoint the whole batch is usually new, so the delta
+             IS the normalized update (columns and tags shared) and the
+             subsequent push of this same batch finds its hashes already
+             inserted ([prehashed]), halving total hash work.  Rows in
+             [newly] are distinct (it is normalized), so inserting while
+             scanning cannot make a later row of the same batch look like a
+             member.  A hit ends the scan; the partial inserts are harmless
+             because every row of [newly] becomes a member on push
+             regardless, and later probes verify against the runs. *)
+          let hit = ref (-1) in
+          (try
+             for i = 0 to newly.n - 1 do
+               if Ihs.probe_add hs (hash i) then begin
+                 hit := i;
+                 raise Exit
+               end
+             done
+           with Exit -> ());
+          if !hit < 0 then begin
+            h.prehashed <- Some newly;
+            (newly, newly)
           end
-          else begin
-            let t_old = runs.(!k).tags.(!p) in
-            let merged = P.add t_old t_new in
-            if merged != t_old then begin
-              aidx.(!ma) <- i;
-              tags.(!ma) <- merged;
-              if not (P.saturated ~old:t_old merged) then begin
-                didx.(!md) <- !ma;
-                incr md
-              end;
-              incr ma
-            end
-          end
-        done;
-        let acc = keep_rows newly aidx tags !ma in
-        (acc, select_rows acc didx !md)
-      end
-    end
+          else
+            (* Rows before the first hit missed the set, so they are new.
+               The first re-derived tuple switches a relation whose runs
+               all pack to an exact table. *)
+            match if h.may_pack then tab_build old.runs newly else None with
+            | Some (t, keys) ->
+                old.member <- Exact t;
+                exact_probe t newly ~first:!hit keys
+            | None ->
+                h.may_pack <- false;
+                (* From the hit on, a row in the hash set takes its tag from
+                   the newest run holding it, found with one comparator per
+                   run built once per call, not per probe. *)
+                let runs = Array.of_list old.runs in
+                let cmps = Array.map (fun (r : batch) -> cross_cmp r.cols newly.cols) runs in
+                let k = ref 0 in
+                merge_probe newly ~first:!hit
+                  (fun i ->
+                    let p = ref (-1) in
+                    k := 0;
+                    if Ihs.mem hs (hash i) then
+                      while !p < 0 && !k < Array.length runs do
+                        p := find_in_run cmps.(!k) runs.(!k) i;
+                        if !p < 0 then incr k
+                      done;
+                    !p)
+                  (fun p -> runs.(!k).tags.(p)))
 
   (* ---- σ / π / ∪ / × ------------------------------------------------------- *)
 

@@ -442,6 +442,27 @@ query path|}
   if not (per_tuple <= 1.25 *. 11.6) then
     Alcotest.failf "TC-500 boolean: %.2f minor words per tuple > %.1f" per_tuple (1.25 *. 11.6)
 
+(* ---- exact delta table -------------------------------------------------------------- *)
+
+(* A relation on its exact table goes back to a hash set when a run that
+   does not pack is pushed: a row of that run that does pack must still be
+   found with the tag the run gave it. *)
+let exact_table_push_revert () =
+  let module P = (val Registry.create Registry.Add_mult_prob) in
+  let module B = Batch_ops.Make (P) in
+  let tag p = fst (P.tag_of_input (Provenance.Input.prob p)) in
+  let run rows = B.of_list (List.map (fun (a, b, p) -> (Tuple.of_list [ i64 a; i64 b ], tag p)) rows) in
+  let c = B.crel_of_run (run [ (1, 2, 0.5); (2, 3, 0.5) ]) in
+  (* a re-derived tuple: the relation switches to its exact table *)
+  let acc, _ = B.delta_of_run ~old:c (run [ (1, 2, 0.25); (5, 6, 0.5) ]) in
+  B.crel_push c acc;
+  (* pushed without a probe; 2^40 does not pack *)
+  B.crel_push c (run [ (1, 2, 0.875); (1 lsl 40, 1, 0.5) ]);
+  let acc, _ = B.delta_of_run ~old:c (run [ (1, 2, 0.0625) ]) in
+  B.release ();
+  let probs b = List.map (fun (_, t) -> Provenance.Output.prob (P.recover t)) (B.to_list b) in
+  Alcotest.(check (list (float 0.0))) "merged with the pushed tag" [ 0.9375 ] (probs acc)
+
 (* ---- pooled scratch ------------------------------------------------------------------ *)
 
 (* A run its budget stops still hands its scratch back to the domain's pool,
@@ -482,4 +503,6 @@ let suite =
   @ [
       Alcotest.test_case "budget-stopped run returns its scratch to the pool" `Quick
         pool_refilled_after_budget_error;
+      Alcotest.test_case "pushing a run that does not pack leaves the exact table" `Quick
+        exact_table_push_revert;
     ]
