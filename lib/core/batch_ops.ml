@@ -9,15 +9,19 @@
     Operators preserve that order (joins even reproduce the tree-walker's
     reversed per-key match order), so normalization folds ⊕ over duplicates
     in the identical sequence and the result is bit-identical to the
-    oracle's list pipeline.
+    oracle's list pipeline.  Normalization sorts stably: a counting sort on
+    a packed row key when every column is an unboxed int column of small
+    span, a merge sort otherwise.
 
     A {!crel} is a materialized relation: a stack of strictly-sorted runs
     merged with an amortized size-doubling policy (total merge cost
-    O(N log N) across a fixpoint instead of O(N) per iteration), plus a
-    tuple-hash membership table so the dominant "is this tuple new?" probe
-    of semi-naive deltas is O(1) for genuinely new tuples.  A tuple's tag is
-    the one in the newest run holding it, already ⊕-merged (Rule-3), so
-    merging runs never re-associates ⊕.
+    O(N log N) across a fixpoint instead of O(N) per iteration), plus one
+    membership structure for the dominant "is this tuple new?" probe of
+    semi-naive deltas: a row-hash set, O(1) for genuinely new tuples, or —
+    from the relation's first re-derived tuple on, when its rows pack
+    losslessly into one int — an exact table from packed row to tag, O(1)
+    for every probe.  A tuple's tag is the one in the newest run holding
+    it, already ⊕-merged (Rule-3), so merging runs never re-associates ⊕.
 
     Aggregations and samplers decode group bodies back to tuples and reuse
     {!Aggregate.Make} verbatim, so the per-aggregator DP schemes — and their
@@ -890,12 +894,13 @@ module Make (P : Provenance.S) = struct
       pack sends it back to a hash set for good. *)
   type membership = Unprobed | Hashed of hashed | Exact of table
 
-  (** A relation as a stack of sorted runs.  A tuple's tag is the one in
-      the newest run holding it: a run is pushed with every colliding
-      tuple's tag already ⊕-merged into the relation's ({!delta_of_run}),
-      exactly as Rule-3 stores it, so merging runs never
-      re-associates ⊕ and stays bit-identical for a non-associative ⊕ (the
-      clamped float sum of [addmultprob]). *)
+  (** A relation as a stack of sorted runs and the {!membership} its
+      semi-naive probe uses.  A tuple's tag is the one in the newest run
+      holding it: a run is pushed with every colliding tuple's tag already
+      ⊕-merged into the relation's ({!delta_of_run}), exactly as Rule-3
+      stores it, so merging runs never re-associates ⊕ and stays
+      bit-identical for a non-associative ⊕ (the clamped float sum of
+      [addmultprob]); an exact table holds that same newest tag. *)
   type crel = {
     mutable runs : batch list;  (** newest first; each strictly sorted *)
     mutable member : membership;

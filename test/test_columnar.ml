@@ -252,9 +252,10 @@ let width3_domain = { seed = 36; node = (fun k -> i32 ((k - 14) * 37_000)); labe
 
 (* addmultprob's ⊕ is a clamped float sum, so a tag folded in a different
    association differs in its last bits.  Transitive closure over random
-   cyclic graphs derives the same path in many fixpoint rounds; int node
-   columns take the radix merge of a relation's runs, string columns the
-   pairwise one.  Both must equal the tree-walker bit for bit. *)
+   cyclic graphs on the domain [d] derives the same path in many fixpoint
+   rounds; int node columns take the radix merge of a relation's runs,
+   string columns the pairwise one.  Both must equal the tree-walker bit
+   for bit, under [spec] (addmultprob by default). *)
 let addmult_tc ?(spec = Registry.Add_mult_prob) (d : tc_domain) () =
   let rng = Scallop_utils.Rng.create d.seed in
   let ty = Value.ty_name (Value.type_of (d.node 0)) in
