@@ -379,6 +379,15 @@ module Make (P : Provenance.S) = struct
         | [| f0; f1 |] -> fun i -> ((((17 * 31) + f0 i) * 31) + f1 i)
         | fs -> fun i -> Array.fold_left (fun h f -> (h * 31) + f i) 17 fs)
 
+  (* The power-of-two capacity, at least 16, that holds [n] entries at most
+     half full: the open-addressing tables below grow past that load. *)
+  let half_full_capacity (n : int) : int =
+    let cap = ref 16 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
+    done;
+    !cap
+
   (* Open-addressing int hash set (linear probing, power-of-two capacity).
      Generic [Hashtbl] costs ~4x more per membership test — this sits on the
      per-derived-tuple fixpoint path. *)
@@ -391,11 +400,8 @@ module Make (P : Provenance.S) = struct
     }
 
     let create (expect : int) : t =
-      let cap = ref 16 in
-      while !cap < expect * 2 do
-        cap := !cap * 2
-      done;
-      { keys = Array.make !cap 0; mask = !cap - 1; count = 0; has_zero = false }
+      let cap = half_full_capacity expect in
+      { keys = Array.make cap 0; mask = cap - 1; count = 0; has_zero = false }
 
     let slot (t : t) (k : int) : int =
       let i = ref (int_mix k land t.mask) in
@@ -847,17 +853,14 @@ module Make (P : Provenance.S) = struct
             | None -> None
             | Some keys ->
                 let total = List.fold_left (fun a (r : batch) -> a + r.n) newly.n newest_first in
-                let cap = ref 16 in
-                while !cap < 2 * total do
-                  cap := 2 * !cap
-                done;
+                let cap = half_full_capacity total in
                 let t =
                   {
                     t_tys = tys;
                     t_layout = l;
-                    t_keys = Array.make !cap (-1);
-                    t_tags = Array.make !cap newly.tags.(0);
-                    t_mask = !cap - 1;
+                    t_keys = Array.make cap (-1);
+                    t_tags = Array.make cap newly.tags.(0);
+                    t_mask = cap - 1;
                     t_count = 0;
                   }
                 in
