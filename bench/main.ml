@@ -383,6 +383,200 @@ let bench_pacman (m : mode) =
   Fmt.pr "@.(paper: Scallop 50 episodes -> 99.4%%; DQN needs 50K episodes for 84.9%% —@.";
   Fmt.pr " shape: the symbolic agent is orders of magnitude more episode-efficient)@."
 
+(* ---- measurement harness and baseline writer ------------------------------------------------- *)
+
+(* Every perf section below times through [measure] or [measure_ab] and
+   writes its baseline through [write_baseline]: one loop, one statistics
+   module (the end-to-end benchmark's [E2e_core.Summary]) and one file
+   layout, stamped with the host and the commit that produced it. *)
+
+module Summary = E2e_core.Summary
+module Monotonic = Scallop_utils.Monotonic
+module Durable = Scallop_incr.Durable
+
+(* Untimed calls ahead of the timed reps, so caches fill and lazy set-up
+   finishes before anything is timed. *)
+let warmup = 1
+
+(** Wall-clock milliseconds and minor-heap words of each timed rep. *)
+type reps = { ms : float list; words : float list }
+
+(* One timed call of [f], after a full major collection so that no rep pays
+   for the garbage of the one before. *)
+let timed f =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let t0 = Monotonic.now () in
+  let x = f () in
+  let ms = 1000.0 *. (Monotonic.now () -. t0) in
+  (x, ms, Gc.minor_words () -. w0)
+
+(** [warmup] untimed calls of [f], then [reps] timed ones; their timings and
+    the last call's value. *)
+let measure ~reps f =
+  for _ = 1 to warmup do
+    ignore (f ())
+  done;
+  let ms = ref [] and words = ref [] and last = ref None in
+  for _ = 1 to reps do
+    (* the previous value is garbage before the next rep's collection *)
+    last := None;
+    let x, t, w = timed f in
+    last := Some x;
+    ms := t :: !ms;
+    words := w :: !words
+  done;
+  ({ ms = List.rev !ms; words = List.rev !words }, Option.get !last)
+
+(** Timings of two arms measured pair by pair, and the median over pairs of
+    the ratio of [b]'s time to [a]'s. *)
+type ab = { a : reps; b : reps; ratio : float }
+
+(** [warmup] untimed pairs, then [reps] timed pairs of one call of [a] and
+    one of [b].  [a] goes first in odd pairs and [b] in even ones: timing
+    one arm wholly after the other biases the later arm by host drift and
+    by whatever the heap grew to meanwhile.  [before] runs untimed ahead of
+    every pair, [check] after it on the values of [a] and [b]. *)
+let measure_ab ?(before = ignore) ?(check = fun _ _ -> ()) ~reps a b =
+  let ta = ref [] and tb = ref [] in
+  for i = 1 - warmup to reps do
+    before ();
+    let (x, ms_a, w_a), (y, ms_b, w_b) =
+      if i land 1 = 1 then
+        let ra = timed a in
+        (ra, timed b)
+      else
+        let rb = timed b in
+        (timed a, rb)
+    in
+    check x y;
+    if i >= 1 then begin
+      ta := (ms_a, w_a) :: !ta;
+      tb := (ms_b, w_b) :: !tb
+    end
+  done;
+  let reps_of l = { ms = List.rev_map fst l; words = List.rev_map snd l } in
+  let a = reps_of !ta and b = reps_of !tb in
+  { a; b; ratio = Summary.median (List.map2 ( /. ) b.ms a.ms) }
+
+(* Row fields are rendered JSON values. *)
+let jint = string_of_int
+let jnum ?(dp = 3) x = Printf.sprintf "%.*f" dp x
+let jstr s = Printf.sprintf "%S" s
+let jbool = string_of_bool
+
+(** Median and quartiles of a timing in milliseconds, as the row fields
+    [prefix ^ "median_ms"], [prefix ^ "q1_ms"] and [prefix ^ "q3_ms"]. *)
+let spread ?(prefix = "") ms =
+  let q1, q3 = Summary.quartiles ms in
+  [
+    (prefix ^ "median_ms", jnum (Summary.median ms));
+    (prefix ^ "q1_ms", jnum q1);
+    (prefix ^ "q3_ms", jnum q3);
+  ]
+
+let cores = Domain.recommended_domain_count ()
+
+let commit =
+  lazy
+    (match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic ->
+        let s = try input_line ic with End_of_file -> "" in
+        ignore (Unix.close_process_in ic);
+        if s = "" then "unknown" else s)
+
+(** Write the baseline [file] in the current directory: the host
+    fingerprint, [rows] as its "benchmarks" array, then the [summary]
+    fields. *)
+let write_baseline ?(summary = []) file rows =
+  let field (k, v) = Printf.sprintf "%S: %s" k v in
+  let top kv = "  " ^ field kv in
+  let row r = "    {" ^ String.concat ", " (List.map field r) ^ "}" in
+  let fingerprint =
+    [
+      ("cores", jint cores);
+      ("ocaml", jstr Sys.ocaml_version);
+      ("commit", jstr (Lazy.force commit));
+    ]
+  in
+  let body =
+    List.map top fingerprint
+    @ [ "  \"benchmarks\": [\n" ^ String.concat ",\n" (List.map row rows) ^ "\n  ]" ]
+    @ List.map top summary
+  in
+  let oc = open_out file in
+  output_string oc ("{\n" ^ String.concat ",\n" body ^ "\n}\n");
+  close_out oc;
+  Fmt.pr "@.  wrote %s (%d rows)@." file (List.length rows)
+
+(* A failed gate or correctness check: reported, and the driver exits
+   nonzero at the end. *)
+let fail fmt =
+  Fmt.kstr
+    (fun msg ->
+      incr bench_failures;
+      Fmt.epr "  FAIL: %s@." msg)
+    fmt
+
+(* ---- shared fixtures ------------------------------------------------------------------------- *)
+
+(* Transitive closure: the recursive workload most sections time. *)
+let tc_src = {|type edge(i32, i32)
+rel path(a, b) = edge(a, b)
+rel path(a, c) = path(a, b), edge(b, c)
+query path|}
+
+let agg_src = {|type item(i32, i32)
+rel total(g, s) = s := sum(x: item(g, x))
+rel sizes(g, n) = n := count(x: item(g, x))
+query total
+query sizes|}
+
+let pair a b = Scallop_core.(Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ])
+
+(* The chain 0 -> 1 -> ... -> n, every edge at probability 0.9. *)
+let chain_facts n =
+  [ ("edge", List.init n (fun i -> (Scallop_core.Provenance.Input.prob 0.9, pair i (i + 1)))) ]
+
+(* Bit-identity of two results: the same relations, tuples and output tags
+   (floats compared exactly), and the same fact ids. *)
+let same_result (a : Scallop_core.Session.result) (b : Scallop_core.Session.result) =
+  Stdlib.compare a.outputs b.outputs = 0 && Stdlib.compare a.fact_ids b.fact_ids = 0
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | exception Sys_error _ -> ()
+  | true ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      (try Sys.rmdir path with Sys_error _ -> ())
+  | false -> ( try Sys.remove path with Sys_error _ -> ())
+
+(* A fresh, empty path under the temp directory for on-disk state. *)
+let scratch name =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "scallop-bench-%d-%s" (Unix.getpid ()) name)
+  in
+  rm_rf d;
+  d
+
+(* Durable session "b" over [tc_src], holding the chain 0 -> ... -> n. *)
+let durable_chain mgr n =
+  ignore (Durable.open_session mgr ~sid:"b" tc_src);
+  for i = 0 to n - 1 do
+    Durable.assert_fact mgr ~sid:"b" ~pred:"edge" (pair i (i + 1))
+  done
+
+(* One update round on that session: assert the next chain edge, then
+   query. *)
+let durable_round mgr n =
+  let tip = ref n in
+  fun () ->
+    Durable.assert_fact mgr ~sid:"b" ~pred:"edge" (pair !tip (!tip + 1));
+    incr tip;
+    Durable.query mgr ~sid:"b" ()
+
 (* ---- micro-benchmarks (Appendix B tables 6-8) -------------------------------------------------- *)
 
 let rec bench_micro (m : mode) =
@@ -432,12 +626,6 @@ let rec bench_micro (m : mode) =
           in
           fun () -> ignore (Scallop_core.Wmc.prob ~env f)))
   in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
   let compiled = Scallop_core.Session.compile tc_src in
   let facts =
     let rng = Scallop_utils.Rng.create 5 in
@@ -445,9 +633,7 @@ query path|}
       ( "edge",
         List.init 30 (fun _ ->
             ( Scallop_core.Provenance.Input.prob (Scallop_utils.Rng.float rng),
-              Scallop_core.Tuple.of_list
-                [ Scallop_core.Value.int Scallop_core.Value.I32 (Scallop_utils.Rng.int rng 10);
-                  Scallop_core.Value.int Scallop_core.Value.I32 (Scallop_utils.Rng.int rng 10) ] )) );
+              pair (Scallop_utils.Rng.int rng 10) (Scallop_utils.Rng.int rng 10) )) );
     ]
   in
   let fixpoint =
@@ -500,27 +686,6 @@ query path|}
 and bench_interp (m : mode) =
   section "Interpreter workloads: fixpoint + aggregation throughput (writes BENCH_interp.json)";
   let open Scallop_core in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
-  let agg_src =
-    {|type item(i32, i32)
-rel total(g, s) = s := sum(x: item(g, x))
-rel sizes(g, n) = n := count(x: item(g, x))
-query total
-query sizes|}
-  in
-  let chain_facts n =
-    [
-      ( "edge",
-        List.init n (fun i ->
-            ( Provenance.Input.prob 0.9,
-              Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ] )) );
-    ]
-  in
   let agg_facts ~groups ~per_group =
     let rng = Scallop_utils.Rng.create 9 in
     [
@@ -529,78 +694,69 @@ query sizes|}
           (List.init groups (fun g ->
                List.init per_group (fun _ ->
                    ( Provenance.Input.prob (0.5 +. (0.5 *. Scallop_utils.Rng.float rng)),
-                     Tuple.of_list
-                       [
-                         Value.int Value.I32 g;
-                         Value.int Value.I32 (Scallop_utils.Rng.int rng 10);
-                       ] )))) );
+                     pair g (Scallop_utils.Rng.int rng 10) )))) );
     ]
   in
   (* [prov ()] makes the fresh provenance instance each run needs.  A
      [columnar] run is a [Session.run]; the other runs the uncached oracle
      on the same input database ([cache] is then false). *)
-  let run_once ~cache ~columnar ~prov compiled facts =
+  let run_once ~cache ~columnar ~prov compiled facts () =
     if columnar then
       Session.run
         ~config:{ (Interp.default_config ()) with Interp.cache_indices = cache }
         ~provenance:(prov ()) compiled ~facts ()
     else Scallop_fuzz.Tree_walker.run ~provenance:(prov ()) compiled ~facts ()
   in
-  let time_once ~cache ~columnar ~prov compiled facts =
-    let t0 = Scallop_utils.Monotonic.now () in
-    ignore (run_once ~cache ~columnar ~prov compiled facts);
-    Scallop_utils.Monotonic.now () -. t0
+  let tuples (r : Session.result) =
+    List.fold_left (fun acc (_, rows) -> acc + List.length rows) 0 r.Session.outputs
   in
-  (* Allocation profile: minor-heap words per derived output tuple, from a
-     dedicated run so the timed runs stay unperturbed.  The executor's rows
-     should sit well below the oracle's — flat columns replace one boxed
-     tuple + map node per derivation. *)
-  let alloc_per_tuple ~cache ~columnar ~prov compiled facts =
-    let w0 = Gc.minor_words () in
-    let r = run_once ~cache ~columnar ~prov compiled facts in
-    let words = Gc.minor_words () -. w0 in
-    let tuples =
-      List.fold_left (fun acc (_, rows) -> acc + List.length rows) 0 r.Session.outputs
-    in
-    if tuples = 0 then 0.0 else words /. float_of_int tuples
-  in
-  let results = ref [] in
-  let means : ((string * string * bool * bool) * float) list ref = ref [] in
-  let words_of : ((string * string * bool * bool) * float) list ref = ref [] in
+  let rows = ref [] in
+  (* (name, provenance, cache, columnar) -> (mean seconds, minor words per tuple) *)
+  let measured = Hashtbl.create 32 in
   let runs = if m.quick then 3 else 8 in
   let registry spec () = Registry.create spec in
+  (* Allocation profile: minor-heap words per derived output tuple, the
+     median over the timed reps.  The executor's rows should sit well below
+     the oracle's — flat columns replace one boxed tuple + map node per
+     derivation. *)
+  let add_row ~name ~prov_name ~n ~cache ~columnar ~tuples (r : reps) =
+    let mean = Summary.mean r.ms /. 1000.0 in
+    let words = if tuples = 0 then 0.0 else Summary.median r.words /. float_of_int tuples in
+    Hashtbl.replace measured (name, prov_name, cache, columnar) (mean, words);
+    Fmt.pr "  %-24s %-12s n=%-5d cache=%-5b columnar=%-5b %9.3f ms %10.2f ops/sec %9.1f w/tuple@."
+      name prov_name n cache columnar (1000.0 *. mean) (1.0 /. mean) words;
+    rows :=
+      ([
+         ("name", jstr name);
+         ("provenance", jstr prov_name);
+         ("n", jint n);
+         ("cache", jbool cache);
+         ("columnar", jbool columnar);
+         ("runs", jint (List.length r.ms));
+         ("mean_ms", jnum (1000.0 *. mean));
+         ("ops_per_sec", jnum (1.0 /. mean));
+         ("minor_words_per_tuple", jnum ~dp:1 words);
+       ]
+      @ spread r.ms)
+      :: !rows
+  in
   (* the executor with the cache on and (unless [~uncached:false]) off,
      then (with [~oracle]) the uncached oracle *)
-  let measure ?(oracle = false) ?(uncached = true) ~name ~prov_name ~prov ~n compiled facts =
+  let bench_rows ?(oracle = false) ?(uncached = true) ~name ~prov_name ~prov ~n compiled facts =
     List.iter
       (fun (columnar, cache) ->
-        ignore (time_once ~cache ~columnar ~prov compiled facts);
-        let total = ref 0.0 in
-        for _ = 1 to runs do
-          total := !total +. time_once ~cache ~columnar ~prov compiled facts
-        done;
-        let mean = !total /. float_of_int runs in
-        let words = alloc_per_tuple ~cache ~columnar ~prov compiled facts in
-        means := ((name, prov_name, cache, columnar), mean) :: !means;
-        words_of := ((name, prov_name, cache, columnar), words) :: !words_of;
-        Fmt.pr
-          "  %-24s %-12s n=%-5d cache=%-5b columnar=%-5b %9.2f ms %10.2f ops/sec %9.1f w/tuple@."
-          name prov_name n cache columnar (1000.0 *. mean) (1.0 /. mean) words;
-        Format.pp_print_flush Format.std_formatter ();
-        results :=
-          Fmt.str
-            {|    {"name": %S, "provenance": %S, "n": %d, "cache": %b, "columnar": %b, "runs": %d, "mean_ms": %.3f, "ops_per_sec": %.3f, "minor_words_per_tuple": %.1f}|}
-            name prov_name n cache columnar runs (1000.0 *. mean) (1.0 /. mean) words
-          :: !results)
+        let r, result = measure ~reps:runs (run_once ~cache ~columnar ~prov compiled facts) in
+        add_row ~name ~prov_name ~n ~cache ~columnar ~tuples:(tuples result) r)
       ([ (true, true) ]
       @ (if uncached then [ (true, false) ] else [])
       @ if oracle then [ (false, false) ] else [])
   in
+  let mean_of key = Option.map fst (Hashtbl.find_opt measured key) in
   let tc = Session.compile tc_src in
   let agg = Session.compile agg_src in
-  measure ~oracle:true ~name:"transitive-closure-chain" ~prov_name:"boolean"
+  bench_rows ~oracle:true ~name:"transitive-closure-chain" ~prov_name:"boolean"
     ~prov:(registry Registry.Boolean) ~n:500 tc (chain_facts 500);
-  measure ~oracle:true ~name:"transitive-closure-chain" ~prov_name:"minmaxprob"
+  bench_rows ~oracle:true ~name:"transitive-closure-chain" ~prov_name:"minmaxprob"
     ~prov:(registry Registry.Max_min_prob) ~n:500 tc (chain_facts 500);
   (* TC-120 under top-k proofs, three configurations: the guided best-first
      operators with the cross-iteration WMC cache (the default), guided
@@ -610,10 +766,10 @@ query sizes|}
      performance — exactly the fixpoint-iteration / training-step reuse the
      cache exists for. *)
   Wmc.clear_cache ();
-  measure ~name:"transitive-closure-chain" ~prov_name:"topkproofs-3"
+  bench_rows ~name:"transitive-closure-chain" ~prov_name:"topkproofs-3"
     ~prov:(registry (Registry.Top_k_proofs 3)) ~n:120 tc (chain_facts 120);
   Wmc.set_cache_enabled false;
-  measure ~name:"transitive-closure-chain" ~prov_name:"topkproofs-3-nowmccache"
+  bench_rows ~name:"transitive-closure-chain" ~prov_name:"topkproofs-3-nowmccache"
     ~prov:(registry (Registry.Top_k_proofs 3)) ~n:120 tc (chain_facts 120);
   let eager_topk3 () : Provenance.t =
     let module M =
@@ -625,26 +781,24 @@ query sizes|}
     in
     (module M)
   in
-  measure ~name:"transitive-closure-chain" ~prov_name:"topkproofseager-3-nowmccache"
+  bench_rows ~name:"transitive-closure-chain" ~prov_name:"topkproofseager-3-nowmccache"
     ~prov:eager_topk3 ~n:120 tc (chain_facts 120);
   Wmc.set_cache_enabled true;
   (* computed here, before the aggregation workload measures another
      topkproofs-3 row under the same key *)
   let speedup =
     match
-      ( List.assoc_opt
-          ("transitive-closure-chain", "topkproofseager-3-nowmccache", true, true)
-          !means,
-        List.assoc_opt ("transitive-closure-chain", "topkproofs-3", true, true) !means )
+      ( mean_of ("transitive-closure-chain", "topkproofseager-3-nowmccache", true, true),
+        mean_of ("transitive-closure-chain", "topkproofs-3", true, true) )
     with
     | Some eager, Some cached when cached > 0.0 -> eager /. cached
     | _ -> 0.0
   in
-  measure ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"boolean"
+  bench_rows ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"boolean"
     ~prov:(registry Registry.Boolean) ~n:2000 agg (agg_facts ~groups:50 ~per_group:40);
-  measure ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"minmaxprob"
+  bench_rows ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"minmaxprob"
     ~prov:(registry Registry.Max_min_prob) ~n:2000 agg (agg_facts ~groups:50 ~per_group:40);
-  measure ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"topkproofs-3"
+  bench_rows ~oracle:true ~name:"aggregation-sum-count" ~prov_name:"topkproofs-3"
     ~prov:(registry (Registry.Top_k_proofs 3)) ~n:60 agg (agg_facts ~groups:6 ~per_group:10);
   (* Dense recursion: reachability over seeded random graphs in the shapes
      of the one-shot reach family (60 nodes, 150 edges) and of a session
@@ -672,10 +826,7 @@ query reach|}
           Hashtbl.add seen (a, b) ();
           (* p >= 0.5: boolean keeps every edge *)
           let p = 0.5 +. (0.45 *. Scallop_utils.Rng.float rng) in
-          pick
-            ((Provenance.Input.prob p, Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ])
-            :: acc)
-            (k - 1)
+          pick ((Provenance.Input.prob p, pair a b) :: acc) (k - 1)
         end
     in
     [ ("edge", pick [] edges) ]
@@ -684,14 +835,14 @@ query reach|}
     (fun (nodes, edges) ->
       let facts = random_graph ~seed:(nodes + edges) ~nodes ~edges in
       let name = Fmt.str "reach-random-%dx%d" nodes edges in
-      measure ~oracle:true ~uncached:false ~name ~prov_name:"boolean"
+      bench_rows ~oracle:true ~uncached:false ~name ~prov_name:"boolean"
         ~prov:(registry Registry.Boolean) ~n:edges reach facts;
-      measure ~oracle:true ~uncached:false ~name ~prov_name:"minmaxprob"
+      bench_rows ~oracle:true ~uncached:false ~name ~prov_name:"minmaxprob"
         ~prov:(registry Registry.Max_min_prob) ~n:edges reach facts)
     [ (60, 150); (40, 100) ];
   (* The training path's A/B: MNIST sum3 (Table 4) under difftopkproofsme-3,
-     the provenance [train-sum3] trains with, the oracle and the cached
-     executor alternating run by run so host drift hits both alike. *)
+     the provenance [train-sum3] trains with, the oracle against the cached
+     executor. *)
   let sum3 = Session.compile Scallop_apps.Programs.mnist_sum3 in
   let digit_facts =
     let rng = Scallop_utils.Rng.create 5 in
@@ -704,29 +855,18 @@ query reach|}
       [ "digit_1"; "digit_2"; "digit_3" ]
   in
   let sum3_prov = registry (Registry.Diff_top_k_proofs_me 3) in
-  let ab_runs = if m.quick then 200 else 600 in
-  let ab_total = [| 0.0; 0.0 |] in
-  let sum3_once columnar = time_once ~cache:columnar ~columnar ~prov:sum3_prov sum3 digit_facts in
-  List.iter (fun columnar -> ignore (sum3_once columnar)) [ false; true ];
-  for _ = 1 to ab_runs do
-    List.iteri (fun k columnar -> ab_total.(k) <- ab_total.(k) +. sum3_once columnar) [ false; true ]
-  done;
-  List.iteri
-    (fun k columnar ->
-      let mean = ab_total.(k) /. float_of_int ab_runs in
-      let words = alloc_per_tuple ~cache:columnar ~columnar ~prov:sum3_prov sum3 digit_facts in
-      Fmt.pr "  %-24s %-12s n=%-5d cache=%-5b columnar=%-5b %9.3f ms %10.2f ops/sec %9.1f w/tuple@."
-        "mnist-sum3-ab" "difftopkproofsme-3" 30 columnar columnar (1000.0 *. mean) (1.0 /. mean)
-        words;
-      results :=
-        Fmt.str
-          {|    {"name": "mnist-sum3-ab", "provenance": "difftopkproofsme-3", "n": 30, "cache": %b, "columnar": %b, "runs": %d, "mean_ms": %.3f, "ops_per_sec": %.3f, "minor_words_per_tuple": %.1f}|}
-          columnar columnar ab_runs (1000.0 *. mean) (1.0 /. mean) words
-        :: !results)
-    [ false; true ];
-  let sum3_ratio = ab_total.(1) /. ab_total.(0) in
-  Fmt.pr "  mnist-sum3 difftopkproofsme-3 columnar/oracle time: %.3f (alternating, %d runs each)@."
-    sum3_ratio ab_runs;
+  let sum3_once columnar =
+    run_once ~cache:columnar ~columnar ~prov:sum3_prov sum3 digit_facts
+  in
+  let ab = measure_ab ~reps:(if m.quick then 200 else 600) (sum3_once false) (sum3_once true) in
+  let sum3_tuples = tuples (sum3_once true ()) in
+  List.iter
+    (fun (columnar, r) ->
+      add_row ~name:"mnist-sum3-ab" ~prov_name:"difftopkproofsme-3" ~n:30 ~cache:columnar
+        ~columnar ~tuples:sum3_tuples r)
+    [ (false, ab.a); (true, ab.b) ];
+  Fmt.pr "  mnist-sum3 difftopkproofsme-3 columnar/oracle time: %.3f (median of %d pairs)@."
+    ab.ratio (List.length ab.a.ms);
   Fmt.pr "@.  TC-120 topkproofs-3 guided+cache vs eager (historic): %.2fx@." speedup;
   (* Columnar gate: the TC-500 boolean columnar row may allocate at most
      1.25x the minor words per tuple it did when the gate was set (11.6).
@@ -737,65 +877,47 @@ query reach|}
      against a test oracle is no gate. *)
   let col_words_gate = 1.25 *. 11.6 in
   let col_words =
-    Option.value ~default:Float.infinity
-      (List.assoc_opt ("transitive-closure-chain", "boolean", true, true) !words_of)
+    match Hashtbl.find_opt measured ("transitive-closure-chain", "boolean", true, true) with
+    | Some (_, words) -> words
+    | None -> Float.infinity
   in
   let col_speedup =
     match
-      ( List.assoc_opt ("transitive-closure-chain", "boolean", false, false) !means,
-        List.assoc_opt ("transitive-closure-chain", "boolean", true, true) !means )
+      ( mean_of ("transitive-closure-chain", "boolean", false, false),
+        mean_of ("transitive-closure-chain", "boolean", true, true) )
     with
     | Some row, Some col when col > 0.0 -> row /. col
     | _ -> 0.0
   in
-  if not (col_words <= col_words_gate) then begin
-    incr bench_failures;
-    Fmt.epr "  COLUMNAR GATE FAILURE: TC-500 boolean columnar %.1f minor words/tuple > %.1f@."
-      col_words col_words_gate
-  end;
+  if not (col_words <= col_words_gate) then
+    fail "TC-500 boolean columnar %.1f minor words/tuple > %.1f" col_words col_words_gate;
   Fmt.pr "  TC-500 boolean columnar: %.1f minor words/tuple (gate <= %.1f) %s@." col_words
     col_words_gate
     (if col_words <= col_words_gate then "ok" else "VIOLATION");
   Fmt.pr "  TC-500 boolean columnar vs oracle (uncached): %.2fx (information only)@." col_speedup;
-  let oc = open_out "BENCH_interp.json" in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ],\n";
-  output_string oc
-    (Fmt.str "  \"tc120_topk_speedup_guided_cache_vs_eager\": %.3f,\n" speedup);
-  output_string oc (Fmt.str "  \"tc500_columnar_speedup\": %.3f,\n" col_speedup);
-  output_string oc
-    (Fmt.str "  \"tc500_columnar_minor_words_per_tuple\": %.1f,\n" col_words);
-  output_string oc
-    (Fmt.str "  \"tc500_columnar_minor_words_gate\": %.1f,\n" col_words_gate);
-  output_string oc (Fmt.str "  \"mnist_sum3_columnar_vs_tree\": %.3f\n}\n" sum3_ratio);
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_interp.json (%d measurements)@." (List.length !results)
+  write_baseline "BENCH_interp.json" (List.rev !rows)
+    ~summary:
+      [
+        ("tc120_topk_speedup_guided_cache_vs_eager", jnum speedup);
+        ("tc500_columnar_speedup", jnum col_speedup);
+        ("tc500_columnar_minor_words_per_tuple", jnum ~dp:1 col_words);
+        ("tc500_columnar_minor_words_gate", jnum ~dp:1 col_words_gate);
+        ("mnist_sum3_columnar_vs_tree", jnum ab.ratio);
+      ]
 
 (* ---- parallel batch runtime (BENCH_batch.json) ------------------------------------------------- *)
 
 (* Domain-scaling curve for [Session.run_batch] on the batched TC /
    aggregation workloads: one compiled plan, a batch of per-sample fact
-   sets, executed at 1/2/4/8 domains.  Every parallel run is compared
+   sets, executed at 1/2/4/8 domains.  A worker count above the host's
+   cores is no scaling claim, so that row records "skipped" and no
+   timings.  Every row, skipped or not, compares a parallel run
    tuple-for-tuple (probabilities included) against the sequential
    reference, so this benchmark doubles as a correctness check — any
    divergence bumps [bench_failures] and the driver exits nonzero. *)
 let bench_batch (m : mode) =
   section "Parallel batch runtime: domain-scaling curve (writes BENCH_batch.json)";
   let open Scallop_core in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
-  let agg_src =
-    {|type item(i32, i32)
-rel total(g, s) = s := sum(x: item(g, x))
-rel sizes(g, n) = n := count(x: item(g, x))
-query total
-query sizes|}
-  in
   let batch_size = if m.quick then 12 else 24 in
   let runs = if m.quick then 3 else 6 in
   let jobs_curve = [ 1; 2; 4; 8 ] in
@@ -807,8 +929,8 @@ query sizes|}
     [
       ( "edge",
         List.init n (fun j ->
-            ( Provenance.Input.prob (0.5 +. (0.5 *. Scallop_utils.Rng.float rng)),
-              Tuple.of_list [ Value.int Value.I32 j; Value.int Value.I32 (j + 1) ] )) );
+            (Provenance.Input.prob (0.5 +. (0.5 *. Scallop_utils.Rng.float rng)), pair j (j + 1)))
+      );
     ]
   in
   let agg_sample ~groups ~per_group i =
@@ -819,112 +941,96 @@ query sizes|}
           (List.init groups (fun g ->
                List.init per_group (fun _ ->
                    ( Provenance.Input.prob (0.5 +. (0.5 *. Scallop_utils.Rng.float rng)),
-                     Tuple.of_list
-                       [
-                         Value.int Value.I32 g;
-                         Value.int Value.I32 (Scallop_utils.Rng.int rng 10);
-                       ] )))) );
+                     pair g (Scallop_utils.Rng.int rng 10) )))) );
     ]
   in
-  let output_equal (a : Session.result) (b : Session.result) =
-    let rel_equal (pa, la) (pb, lb) =
-      String.equal pa pb
-      && List.length la = List.length lb
-      && List.for_all2
-           (fun (ta, oa) (tb, ob) -> Tuple.compare ta tb = 0 && Stdlib.compare oa ob = 0)
-           la lb
-    in
-    List.length a.Session.outputs = List.length b.Session.outputs
-    && List.for_all2 rel_equal a.Session.outputs b.Session.outputs
-    && Stdlib.compare a.Session.fact_ids b.Session.fact_ids = 0
-  in
-  let results = ref [] in
-  let measure ~name ~prov_name ~spec ~n compiled batch =
+  let rows = ref [] in
+  let bench_rows ~name ~prov_name ~spec ~n compiled batch =
     (* Sequential reference through the documented equivalence: a plain map
        of [Session.run] under [batch_config]. *)
-    let config () = Interp.default_config () in
     let reference =
       Array.mapi
         (fun i facts ->
           Session.run
-            ~config:(Session.batch_config (config ()) i)
+            ~config:(Session.batch_config (Interp.default_config ()) i)
             ~provenance:(Registry.create spec) compiled ~facts ())
         batch
     in
     let seq_mean = ref 0.0 in
     List.iter
       (fun jobs ->
-        let run_once () =
-          Session.run_batch_exn ~jobs ~config:(config ())
+        let run () =
+          Session.run_batch_exn ~jobs ~config:(Interp.default_config ())
             ~provenance_of:(fun _ -> Registry.create spec)
             compiled batch
         in
-        let out = run_once () in
-        let ok =
-          Array.length out = Array.length reference
-          && Array.for_all2 output_equal out reference
+        let deterministic out =
+          let ok =
+            Array.length out = Array.length reference && Array.for_all2 same_result out reference
+          in
+          if not ok then fail "%s/%s at jobs=%d differs from sequential" name prov_name jobs;
+          ok
         in
-        if not ok then begin
-          incr bench_failures;
-          Fmt.epr "  DIVERGENCE: %s/%s at jobs=%d differs from sequential!@." name prov_name
-            jobs
-        end;
-        let total = ref 0.0 in
-        for _ = 1 to runs do
-          let t0 = Scallop_utils.Monotonic.now () in
-          ignore (run_once ());
-          total := !total +. (Scallop_utils.Monotonic.now () -. t0)
-        done;
-        let mean = !total /. float_of_int runs in
-        if jobs = 1 then seq_mean := mean;
-        let speedup = if mean > 0.0 then !seq_mean /. mean else 0.0 in
-        Fmt.pr
-          "  %-24s %-12s n=%-4d batch=%-3d jobs=%d %9.2f ms %8.1f samples/s  x%.2f %s@." name
-          prov_name n batch_size jobs (1000.0 *. mean)
-          (float_of_int batch_size /. mean)
-          speedup
-          (if ok then "" else "DIVERGED");
-        Format.pp_print_flush Format.std_formatter ();
-        results :=
-          Fmt.str
-            {|    {"workload": %S, "provenance": %S, "n": %d, "batch": %d, "jobs": %d, "runs": %d, "mean_ms": %.3f, "samples_per_sec": %.3f, "speedup_vs_seq": %.3f, "deterministic": %b}|}
-            name prov_name n batch_size jobs runs (1000.0 *. mean)
+        let key =
+          [
+            ("workload", jstr name);
+            ("provenance", jstr prov_name);
+            ("n", jint n);
+            ("batch", jint batch_size);
+            ("jobs", jint jobs);
+          ]
+        in
+        if jobs > cores then begin
+          let ok = deterministic (run ()) in
+          Fmt.pr "  %-24s %-12s n=%-4d batch=%-3d jobs=%d skipped (%d cores)@." name prov_name n
+            batch_size jobs cores;
+          rows := (key @ [ ("skipped", jbool true); ("deterministic", jbool ok) ]) :: !rows
+        end
+        else begin
+          let r, out = measure ~reps:runs run in
+          let ok = deterministic out in
+          let mean = Summary.mean r.ms /. 1000.0 in
+          if jobs = 1 then seq_mean := mean;
+          let speedup = if mean > 0.0 then !seq_mean /. mean else 0.0 in
+          Fmt.pr "  %-24s %-12s n=%-4d batch=%-3d jobs=%d %9.2f ms %8.1f samples/s  x%.2f@." name
+            prov_name n batch_size jobs (1000.0 *. mean)
             (float_of_int batch_size /. mean)
-            speedup ok
-          :: !results)
+            speedup;
+          rows :=
+            (key
+            @ [
+                ("runs", jint runs);
+                ("mean_ms", jnum (1000.0 *. mean));
+                ("samples_per_sec", jnum (float_of_int batch_size /. mean));
+                ("speedup_vs_seq", jnum speedup);
+              ]
+            @ spread r.ms
+            @ [ ("deterministic", jbool ok) ])
+            :: !rows
+        end)
       jobs_curve
   in
   let tc = Session.compile tc_src in
   let agg = Session.compile agg_src in
   let tc_n = if m.quick then 120 else 250 in
-  measure ~name:"transitive-closure-chain" ~prov_name:"minmaxprob" ~spec:Registry.Max_min_prob
+  bench_rows ~name:"transitive-closure-chain" ~prov_name:"minmaxprob" ~spec:Registry.Max_min_prob
     ~n:tc_n tc
     (Array.init batch_size (chain_sample tc_n));
-  measure ~name:"transitive-closure-chain" ~prov_name:"topkproofs-2"
+  bench_rows ~name:"transitive-closure-chain" ~prov_name:"topkproofs-2"
     ~spec:(Registry.Top_k_proofs 2) ~n:60 tc
     (Array.init batch_size (chain_sample 60));
-  measure ~name:"aggregation-sum-count" ~prov_name:"minmaxprob" ~spec:Registry.Max_min_prob
+  bench_rows ~name:"aggregation-sum-count" ~prov_name:"minmaxprob" ~spec:Registry.Max_min_prob
     ~n:1600 agg
     (Array.init batch_size (agg_sample ~groups:40 ~per_group:40));
-  let oc = open_out "BENCH_batch.json" in
-  output_string oc
-    (Fmt.str "{\n  \"cores\": %d,\n  \"benchmarks\": [\n"
-       (Scallop_utils.Pool.default_jobs ()));
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_batch.json (%d measurements, %d cores available)@."
-    (List.length !results)
-    (Scallop_utils.Pool.default_jobs ());
-  if !bench_failures > 0 then
-    Fmt.epr "  %d determinism check(s) FAILED@." !bench_failures
+  write_baseline "BENCH_batch.json" (List.rev !rows)
 
 (* ---- resource governance (BENCH_budget.json) --------------------------------------------------- *)
 
 (* Two questions about the budget layer (see lib/core/budget.ml):
    1. Overhead: what do the cooperative checks cost on the 500-chain TC
       workload when a watched budget is active but never exhausted, vs. the
-      default (unwatched) config?  The amortized design targets <= 5%.
+      default (unwatched) config?  The amortized design targets <= 5%; the
+      overhead is the median of the per-pair governed/default ratios.
    2. Enforcement latency: how long after its 1-second deadline does a
       divergent program actually stop?  Must be < 2x the deadline, in both
       sequential and jobs=2 batched execution; a violation bumps
@@ -932,59 +1038,40 @@ query sizes|}
 let bench_budget (m : mode) =
   section "Resource governance: budget overhead + enforcement latency (writes BENCH_budget.json)";
   let open Scallop_core in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
-  let chain_facts n =
-    [
-      ( "edge",
-        List.init n (fun i ->
-            ( Provenance.Input.prob 0.9,
-              Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ] )) );
-    ]
-  in
-  let results = ref [] in
+  let rows = ref [] in
   let runs = if m.quick then 3 else 8 in
   (* -- overhead on the 500-chain TC benchmark -------------------------------- *)
   let tc = Session.compile tc_src in
   let facts = chain_facts 500 in
-  let time_once ~budget ~spec =
+  let run ~budget ~spec () =
     let config = { (Interp.default_config ()) with Interp.budget } in
-    let t0 = Scallop_utils.Monotonic.now () in
-    ignore (Session.run ~config ~provenance:(Registry.create spec) tc ~facts ());
-    Scallop_utils.Monotonic.now () -. t0
+    Session.run ~config ~provenance:(Registry.create spec) tc ~facts ()
   in
   (* A watched-but-never-exhausted budget: every axis active, all generous. *)
   let watched =
     Budget.make ~timeout:3600.0 ~max_tuples:max_int ~max_node_evals:max_int ()
   in
-  (* Interleave base/governed runs: measuring one arm wholly after the other
-     biases the later arm by whatever the heap grew to in the meantime. *)
-  let interleaved_means ~spec =
-    ignore (time_once ~budget:Budget.default ~spec);
-    ignore (time_once ~budget:watched ~spec);
-    let base = ref 0.0 and governed = ref 0.0 in
-    for _ = 1 to runs do
-      base := !base +. time_once ~budget:Budget.default ~spec;
-      governed := !governed +. time_once ~budget:watched ~spec
-    done;
-    (!base /. float_of_int runs, !governed /. float_of_int runs)
-  in
   List.iter
     (fun (prov_name, spec) ->
-      let base, governed = interleaved_means ~spec in
-      let overhead_pct = 100.0 *. ((governed /. base) -. 1.0) in
-      Fmt.pr "  tc-500 %-12s default %8.2f ms  governed %8.2f ms  overhead %+.2f%%@."
-        prov_name (1000.0 *. base) (1000.0 *. governed) overhead_pct;
-      Format.pp_print_flush Format.std_formatter ();
-      results :=
-        Fmt.str
-          {|    {"name": "tc-500-overhead", "provenance": %S, "runs": %d, "base_ms": %.3f, "governed_ms": %.3f, "overhead_pct": %.2f}|}
-          prov_name runs (1000.0 *. base) (1000.0 *. governed) overhead_pct
-        :: !results)
+      let ab =
+        measure_ab ~reps:runs (run ~budget:Budget.default ~spec) (run ~budget:watched ~spec)
+      in
+      let base = Summary.mean ab.a.ms and governed = Summary.mean ab.b.ms in
+      let overhead_pct = 100.0 *. (ab.ratio -. 1.0) in
+      Fmt.pr "  tc-500 %-12s default %8.2f ms  governed %8.2f ms  overhead %+.2f%%@." prov_name
+        base governed overhead_pct;
+      rows :=
+        ([
+           ("name", jstr "tc-500-overhead");
+           ("provenance", jstr prov_name);
+           ("runs", jint runs);
+           ("base_ms", jnum base);
+           ("governed_ms", jnum governed);
+           ("overhead_pct", jnum ~dp:2 overhead_pct);
+         ]
+        @ spread ~prefix:"base_" ab.a.ms
+        @ spread ~prefix:"governed_" ab.b.ms)
+        :: !rows)
     [ ("boolean", Registry.Boolean); ("minmaxprob", Registry.Max_min_prob) ];
   (* -- enforcement latency on a divergent program ---------------------------- *)
   let divergent_src =
@@ -1009,21 +1096,21 @@ query n|}
       | _ -> false
     in
     let within = elapsed < 2.0 *. deadline in
-    if not (stopped_by_deadline && within) then begin
-      incr bench_failures;
-      Fmt.epr "  ENFORCEMENT FAILURE: %s stopped_by_deadline=%b elapsed=%.2fs@." name
-        stopped_by_deadline elapsed
-    end;
+    if not (stopped_by_deadline && within) then
+      fail "%s stopped_by_deadline=%b elapsed=%.2fs" name stopped_by_deadline elapsed;
     Fmt.pr "  %-28s deadline=%.1fs stopped in %6.2fs %s@." name deadline elapsed
       (if stopped_by_deadline && within then "ok" else "VIOLATION");
-    Format.pp_print_flush Format.std_formatter ();
-    results :=
-      Fmt.str
-        {|    {"name": %S, "deadline_s": %.1f, "stopped_s": %.3f, "typed_deadline_error": %b, "within_2x": %b}|}
-        name deadline elapsed stopped_by_deadline within
-      :: !results
+    rows :=
+      [
+        ("name", jstr name);
+        ("deadline_s", jnum ~dp:1 deadline);
+        ("stopped_s", jnum elapsed);
+        ("typed_deadline_error", jbool stopped_by_deadline);
+        ("within_2x", jbool within);
+      ]
+      :: !rows
   in
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   let outcome =
     try
       ignore
@@ -1032,31 +1119,24 @@ query n|}
       Ok ()
     with Session.Error e -> Error e
   in
-  check ~name:"divergent-sequential" outcome (Scallop_utils.Monotonic.now () -. t0);
+  check ~name:"divergent-sequential" outcome (Monotonic.now () -. t0);
   (* Batched at jobs=2: the divergent sample must come back as a per-sample
      [Error] while its sibling (empty seed: converges instantly) completes. *)
   let batch = [| seed_facts; [ ("seed", []) ] |] in
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   let out =
     Session.run_batch ~jobs:2 ~config:(config ())
       ~provenance_of:(fun _ -> Registry.create Registry.Boolean)
       div batch
   in
-  let elapsed = Scallop_utils.Monotonic.now () -. t0 in
-  let sibling_ok = match out.(1) with Ok _ -> true | Error _ -> false in
-  if not sibling_ok then begin
-    incr bench_failures;
-    Fmt.epr "  ENFORCEMENT FAILURE: sibling sample failed alongside divergent one@."
-  end;
+  let elapsed = Monotonic.now () -. t0 in
+  (match out.(1) with
+  | Ok _ -> ()
+  | Error _ -> fail "sibling sample failed alongside the divergent one");
   check ~name:"divergent-batch-jobs2"
     (match out.(0) with Ok _ -> Ok () | Error e -> Error e)
     elapsed;
-  let oc = open_out "BENCH_budget.json" in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_budget.json (%d measurements)@." (List.length !results)
+  write_baseline "BENCH_budget.json" (List.rev !rows)
 
 (* ---- fault tolerance (BENCH_resilience.json) --------------------------------------------------- *)
 
@@ -1075,14 +1155,8 @@ let bench_resilience (m : mode) =
   section "Fault tolerance: checkpoint overhead + recovery (writes BENCH_resilience.json)";
   let open Scallop_tensor in
   let open Scallop_nn in
-  let results = ref [] in
-  let fresh_dir name =
-    let dir = Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "scallop-bench-resilience-%s-%d" name (Unix.getpid ())) in
-    Scallop_utils.Atomic_io.clear ~dir;
-    dir
-  in
-  (* -- 1. checkpoint overhead on MNIST-R sum2 -------------------------------- *)
+  let rows = ref [] in
+  (* -- 1. checkpoint overhead on MNIST-R sum3 -------------------------------- *)
   let config =
     { (base_config m) with
       Common.epochs = 2;
@@ -1096,50 +1170,48 @@ let bench_resilience (m : mode) =
      numbers.  The end-to-end checkpointed epoch time is still measured
      (once) and reported as an informational field. *)
   let every_n_steps = 200 in
-  let ck_dir = fresh_dir "overhead" in
+  let ck_dir = scratch "resilience-overhead" in
   let plain = Mnist_r.train_and_eval config Mnist.Sum3 in
   let ck = { (Common.checkpoint ck_dir) with Common.every_n_steps } in
   let ckpt = Mnist_r.train_and_eval ~checkpoint:ck config Mnist.Sum3 in
-  (* median latency of saving a representative snapshot (an MNIST-sized
-     MLP + Adam state, ~40 KB payload) through the full atomic protocol *)
-  let median_save_s =
+  rm_rf ck_dir;
+  (* latency of saving a representative snapshot (an MNIST-sized MLP + Adam
+     state, ~40 KB payload) through the full atomic protocol *)
+  let save_reps =
     let rng = Scallop_utils.Rng.create 99 in
     let mlp = Layers.Mlp.create rng [ 16; 64; 10 ] in
     let opt = Optim.adam ~lr:0.01 (Layers.Mlp.params mlp) in
     let payload =
       Common.checkpoint_payload ~done_steps:600 ~losses:[ 0.5; 0.4 ] ~total:0.0 ~opt ~rngs:[]
     in
-    let dir = fresh_dir "savelat" in
-    let times =
-      List.init 15 (fun _ ->
-          let t0 = Scallop_utils.Monotonic.now () in
-          ignore (Scallop_utils.Atomic_io.save ~dir ~keep:3 payload);
-          Scallop_utils.Monotonic.now () -. t0)
-    in
-    Scallop_utils.Atomic_io.clear ~dir;
-    let sorted = List.sort compare times in
-    List.nth sorted (List.length sorted / 2)
+    let dir = scratch "resilience-savelat" in
+    let r, _ = measure ~reps:15 (fun () -> Scallop_utils.Atomic_io.save ~dir ~keep:3 payload) in
+    rm_rf dir;
+    r
   in
+  let median_save_s = Summary.median save_reps.ms /. 1000.0 in
   let steps_per_epoch = config.Common.n_train in
   let saves_per_epoch = float_of_int steps_per_epoch /. float_of_int every_n_steps in
   let overhead_pct = 100.0 *. saves_per_epoch *. median_save_s /. plain.Common.epoch_time in
   let overhead_ok = overhead_pct <= 5.0 in
-  if not overhead_ok then begin
-    incr bench_failures;
-    Fmt.epr "  OVERHEAD FAILURE: checkpointing costs %+.2f%% of epoch time (budget 5%%)@."
-      overhead_pct
-  end;
+  if not overhead_ok then
+    fail "checkpointing costs %+.2f%% of epoch time (budget 5%%)" overhead_pct;
   Fmt.pr
     "  mnist-sum3: plain epoch %6.2fs, %.1f saves/epoch x %.1f ms median save = %.2f%% overhead %s@."
     plain.Common.epoch_time saves_per_epoch (1000.0 *. median_save_s) overhead_pct
     (if overhead_ok then "ok" else "VIOLATION");
-  Format.pp_print_flush Format.std_formatter ();
-  results :=
-    Fmt.str
-      {|    {"name": "checkpoint-overhead", "plain_epoch_s": %.4f, "checkpointed_epoch_s": %.4f, "median_save_ms": %.3f, "saves_per_epoch": %.1f, "overhead_pct": %.2f, "within_5pct": %b}|}
-      plain.Common.epoch_time ckpt.Common.epoch_time (1000.0 *. median_save_s)
-      saves_per_epoch overhead_pct overhead_ok
-    :: !results;
+  rows :=
+    ([
+       ("name", jstr "checkpoint-overhead");
+       ("plain_epoch_s", jnum ~dp:4 plain.Common.epoch_time);
+       ("checkpointed_epoch_s", jnum ~dp:4 ckpt.Common.epoch_time);
+       ("median_save_ms", jnum (1000.0 *. median_save_s));
+       ("saves_per_epoch", jnum ~dp:1 saves_per_epoch);
+       ("overhead_pct", jnum ~dp:2 overhead_pct);
+       ("within_5pct", jbool overhead_ok);
+     ]
+    @ spread ~prefix:"save_" save_reps.ms)
+    :: !rows;
   (* -- 2..4 run on a small self-contained trainer whose parameters we can
         inspect: an MLP classifier on fixed synthetic rows. ------------------- *)
   let data_rng = Scallop_utils.Rng.create 2026 in
@@ -1179,29 +1251,30 @@ let bench_resilience (m : mode) =
   ignore (run straight);
   let reference = params_blob straight in
   (* kill after 7 optimizer steps, then resume in a fresh process image *)
-  let ck_dir = fresh_dir "crash" in
+  let ck_dir = scratch "resilience-crash" in
   let ck = { (Common.checkpoint ck_dir) with Common.every_n_steps = 2 } in
   let crashed = make () in
   (try ignore (run ~checkpoint:ck ~crash_at:7 crashed) with Exit -> ());
   let resumed = make () in
   let _, opt2 = resumed in
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   let recovered = Common.try_resume ~ck ~opt:opt2 ~rngs:[] in
-  let recovery_ms = 1000.0 *. (Scallop_utils.Monotonic.now () -. t0) in
+  let recovery_ms = 1000.0 *. (Monotonic.now () -. t0) in
   let recovered_steps = match recovered with Some (s, _, _) -> s | None -> -1 in
   ignore (run ~checkpoint:ck resumed);
   let deterministic = String.equal (params_blob resumed) reference in
-  if not deterministic then begin
-    incr bench_failures;
-    Fmt.epr "  DETERMINISM FAILURE: resumed parameters differ from uninterrupted run@."
-  end;
+  if not deterministic then fail "resumed parameters differ from the uninterrupted run";
   Fmt.pr "  crash@7/resume: recovered at step %d in %.2f ms, bit-identical params: %b@."
     recovered_steps recovery_ms deterministic;
-  results :=
-    Fmt.str
-      {|    {"name": "crash-resume", "kill_after_steps": 7, "recovered_at_step": %d, "recovery_ms": %.3f, "bit_identical": %b}|}
-      recovered_steps recovery_ms deterministic
-    :: !results;
+  rows :=
+    [
+      ("name", jstr "crash-resume");
+      ("kill_after_steps", jint 7);
+      ("recovered_at_step", jint recovered_steps);
+      ("recovery_ms", jnum recovery_ms);
+      ("bit_identical", jbool deterministic);
+    ]
+    :: !rows;
   (* -- corruption fallback: flip a byte in the newest snapshot --------------- *)
   let resume_steps () =
     let _, opt' = make () in
@@ -1228,28 +1301,21 @@ let bench_resilience (m : mode) =
         after > 0 && after < before
     | _ -> false
   in
-  if not fallback_ok then begin
-    incr bench_failures;
-    Fmt.epr "  FALLBACK FAILURE: corrupted newest snapshot was not skipped@."
-  end;
+  rm_rf ck_dir;
+  if not fallback_ok then fail "corrupted newest snapshot was not skipped";
   Fmt.pr "  corrupt newest snapshot -> previous generation used: %b@." fallback_ok;
-  results :=
-    Fmt.str {|    {"name": "corruption-fallback", "previous_generation_used": %b}|} fallback_ok
-    :: !results;
-  let oc = open_out "BENCH_resilience.json" in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_resilience.json (%d measurements)@." (List.length !results)
+  rows :=
+    [ ("name", jstr "corruption-fallback"); ("previous_generation_used", jbool fallback_ok) ]
+    :: !rows;
+  write_baseline "BENCH_resilience.json" (List.rev !rows)
 
 (* ---- inference service (BENCH_service.json) ---------------------------------------------------- *)
 
 (* The supervised service runtime under load, in two regimes:
 
-   1. baseline: no faults — per-request latency percentiles (p50/p99, which
-      include queue wait) and throughput, plus a bit-identity check of
-      [Service.submit] against [Session.run_batch] over the same requests
+   1. baseline: no faults — per-request latency median, quartiles and p99
+      (which include queue wait) and throughput, plus a bit-identity check
+      of [Service.submit] against [Session.run_batch] over the same requests
       (the determinism contract; divergence bumps [bench_failures]);
    2. chaos: 10% worker kills + 10% stalls injected — goodput (successful
       replies per second) and the shed/retry/requeue/respawn counters.
@@ -1264,7 +1330,7 @@ let bench_service (m : mode) =
   let open Scallop_core in
   let module Rng = Scallop_utils.Rng in
   let n = if m.quick then 200 else 1000 in
-  let jobs = min 4 (Scallop_utils.Pool.default_jobs ()) in
+  let jobs = min 4 cores in
   let src =
     {|type edge(i32, i32)
 rel path(a, b) = edge(a, b)
@@ -1279,10 +1345,7 @@ query n_path|}
     for a = 0 to 6 do
       for b = 0 to 6 do
         if a <> b && Rng.float rng < 0.4 then
-          edges :=
-            ( Provenance.Input.prob (0.05 +. (0.9 *. Rng.float rng)),
-              Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ] )
-            :: !edges
+          edges := (Provenance.Input.prob (0.05 +. (0.9 *. Rng.float rng)), pair a b) :: !edges
       done
     done;
     [ ("edge", List.rev !edges) ]
@@ -1290,11 +1353,7 @@ query n_path|}
   let batch = Array.init n (sample (Rng.create 17)) in
   let interp = { (Interp.default_config ()) with Interp.rng = Rng.create 3 } in
   let spec = Registry.Max_min_prob in
-  let results = ref [] in
-  let percentile sorted p =
-    let k = Array.length sorted in
-    sorted.(min (k - 1) (int_of_float (ceil (p *. float_of_int k)) - 1))
-  in
+  let rows = ref [] in
   let run_regime ~name ~chaos =
     let config =
       {
@@ -1310,10 +1369,10 @@ query n_path|}
       }
     in
     let svc = Service.create ~config spec in
-    let t0 = Scallop_utils.Monotonic.now () in
+    let t0 = Monotonic.now () in
     let tickets = Array.map (fun facts -> Service.submit svc ~facts compiled) batch in
     let outcomes = Array.map (Service.await svc) tickets in
-    let wall = Scallop_utils.Monotonic.now () -. t0 in
+    let wall = Monotonic.now () -. t0 in
     Service.shutdown svc;
     let s = Service.stats svc in
     let ok =
@@ -1322,28 +1381,25 @@ query n_path|}
           match o.Service.response with Ok _ -> acc + 1 | Error _ -> acc)
         0 outcomes
     in
-    if s.Service.completed <> n then begin
-      incr bench_failures;
-      Fmt.epr "  SERVICE FAILURE (%s): %d/%d terminal outcomes@." name s.Service.completed n
-    end;
+    if s.Service.completed <> n then
+      fail "service (%s): %d/%d terminal outcomes" name s.Service.completed n;
     (* workers and their replacements are the only domains a service spawns *)
     if
       s.Service.domains_spawned <> jobs + s.Service.respawns
       || s.Service.domains_spawned <> s.Service.domains_joined
-    then begin
-      incr bench_failures;
-      Fmt.epr "  SERVICE FAILURE (%s): domain leak (%d workers, %d respawns, %d spawned, %d joined)@."
-        name jobs s.Service.respawns s.Service.domains_spawned s.Service.domains_joined
-    end;
-    (svc, outcomes, wall, s, ok)
+    then
+      fail "service (%s): domain leak (%d workers, %d respawns, %d spawned, %d joined)" name jobs
+        s.Service.respawns s.Service.domains_spawned s.Service.domains_joined;
+    (outcomes, wall, s, ok)
   in
 
   Fmt.pr "  %d requests, %d workers, provenance %s@.@." n jobs (Registry.spec_name spec);
   (* regime 1: baseline *)
-  let _, outcomes, wall, _, ok = run_regime ~name:"baseline" ~chaos:Chaos.none in
-  let lat = Array.map (fun (o : Service.outcome) -> o.Service.latency) outcomes in
-  Array.sort compare lat;
-  let p50 = 1000.0 *. percentile lat 0.50 and p99 = 1000.0 *. percentile lat 0.99 in
+  let outcomes, wall, _, ok = run_regime ~name:"baseline" ~chaos:Chaos.none in
+  let lat =
+    Array.to_list (Array.map (fun (o : Service.outcome) -> 1000.0 *. o.Service.latency) outcomes)
+  in
+  let p50 = Summary.median lat and p99 = Summary.quantile lat 0.99 in
   let rps = float_of_int n /. wall in
   Fmt.pr "  baseline: ok=%d/%d  p50=%.2fms  p99=%.2fms  throughput=%.0f req/s@." ok n p50 p99
     rps;
@@ -1355,22 +1411,24 @@ query n_path|}
   Array.iteri
     (fun i (o : Service.outcome) ->
       match (o.Service.response, reference.(i)) with
-      | Ok got, Ok want
-        when Stdlib.compare got.Session.outputs want.Session.outputs = 0
-             && Stdlib.compare got.Session.fact_ids want.Session.fact_ids = 0 ->
-          ()
+      | Ok got, Ok want when same_result got want -> ()
       | _ -> incr divergent)
     outcomes;
-  if !divergent > 0 then begin
-    incr bench_failures;
-    Fmt.epr "  DETERMINISM FAILURE: %d/%d requests diverge from run_batch@." !divergent n
-  end
+  if !divergent > 0 then fail "%d/%d requests diverge from run_batch" !divergent n
   else Fmt.pr "  determinism: all %d requests bit-identical to run_batch@." n;
-  results :=
-    Fmt.str
-      {|    {"name": "baseline", "requests": %d, "jobs": %d, "ok": %d, "p50_ms": %.3f, "p99_ms": %.3f, "throughput_rps": %.1f, "divergent": %d}|}
-      n jobs ok p50 p99 rps !divergent
-    :: !results;
+  rows :=
+    ([
+       ("name", jstr "baseline");
+       ("requests", jint n);
+       ("jobs", jint jobs);
+       ("ok", jint ok);
+       ("p50_ms", jnum p50);
+       ("p99_ms", jnum p99);
+       ("throughput_rps", jnum ~dp:1 rps);
+       ("divergent", jint !divergent);
+     ]
+    @ spread lat)
+    :: !rows;
 
   (* regime 2: chaos *)
   let chaos =
@@ -1383,136 +1441,95 @@ query n_path|}
       seed = 7;
     }
   in
-  let _, _, wall, s, ok = run_regime ~name:"chaos" ~chaos in
+  let _, wall, s, ok = run_regime ~name:"chaos" ~chaos in
   let goodput = float_of_int ok /. wall in
   Fmt.pr
     "  chaos(kill=10%%, stall=10%%): ok=%d/%d  goodput=%.0f req/s  kills=%d stalls=%d \
      retries=%d requeues=%d respawns=%d shed=%d@."
     ok n goodput s.Service.chaos_kills s.Service.chaos_stalls s.Service.retries
     s.Service.requeues s.Service.respawns s.Service.shed;
-  results :=
-    Fmt.str
-      {|    {"name": "chaos", "requests": %d, "jobs": %d, "ok": %d, "goodput_rps": %.1f, "kills": %d, "stalls": %d, "retries": %d, "requeues": %d, "respawns": %d, "shed": %d, "workers_lost": %d}|}
-      n jobs ok goodput s.Service.chaos_kills s.Service.chaos_stalls s.Service.retries
-      s.Service.requeues s.Service.respawns s.Service.shed s.Service.workers_lost
-    :: !results;
-
-  let oc = open_out "BENCH_service.json" in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_service.json (%d measurements)@." (List.length !results)
+  rows :=
+    [
+      ("name", jstr "chaos");
+      ("requests", jint n);
+      ("jobs", jint jobs);
+      ("ok", jint ok);
+      ("goodput_rps", jnum ~dp:1 goodput);
+      ("kills", jint s.Service.chaos_kills);
+      ("stalls", jint s.Service.chaos_stalls);
+      ("retries", jint s.Service.retries);
+      ("requeues", jint s.Service.requeues);
+      ("respawns", jint s.Service.respawns);
+      ("shed", jint s.Service.shed);
+      ("workers_lost", jint s.Service.workers_lost);
+    ]
+    :: !rows;
+  write_baseline "BENCH_service.json" (List.rev !rows)
 
 (* ---- stateful sessions (BENCH_incr.json) ---------------------------------------------------------- *)
 
-(* Session overhead: an update batch plus [Incr.query] against
-   [Incr.run_cold] on the same facts.  A dirty session query is one cold
-   run on the columnar executor, so the two should cost the same; the gate
-   keeps the session layer (overlay, canonical fact order, clean-repeat
-   cache) negligible next to the run it wraps.  Every round checks the two
-   answers bit for bit, and the order of the two timings alternates from
-   round to round so host drift hits both alike. *)
+(* Session overhead: an update batch plus [Incr.query] against a cold run
+   on the same facts.  A dirty session query is one cold run on the
+   columnar executor, so the two should cost the same; the gate keeps the
+   session layer (overlay, canonical fact order, clean-repeat cache)
+   negligible next to the run it wraps, on the median of the per-round
+   session/cold ratios.  The cold run goes to a twin session fed the same
+   batches untimed, so it sees the round's facts whichever arm runs first;
+   every round checks the two answers bit for bit. *)
 let bench_incr (m : mode) =
   section "Stateful sessions: update + query vs a cold run (writes BENCH_incr.json)";
   let open Scallop_core in
   let module Incr = Scallop_incr.Incr in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
-  let pair a b = Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ] in
-  (* bit-exact result equality: same relations, tuples, and output arms,
-     floats compared with Float.equal (no tolerance) *)
-  let output_equal (a : Provenance.Output.t) (b : Provenance.Output.t) =
-    match (a, b) with
-    | Provenance.Output.O_prob x, Provenance.Output.O_prob y -> Float.equal x y
-    | a, b -> a = b
-  in
-  let results_equal (a : Session.result) (b : Session.result) =
-    List.length a.Session.outputs = List.length b.Session.outputs
-    && List.for_all2
-         (fun (pa, la) (pb, lb) ->
-           String.equal pa pb
-           && List.length la = List.length lb
-           && List.for_all2
-                (fun (ta, oa) (tb, ob) -> Tuple.compare ta tb = 0 && output_equal oa ob)
-                la lb)
-         a.Session.outputs b.Session.outputs
-  in
   let prob_for i = 0.5 +. (float_of_int (i mod 50) /. 100.0) in
   let assert_edge t i = Incr.assert_fact t ~pred:"edge" ~prob:(prob_for i) (pair i (i + 1)) in
-  let timed f =
-    let t0 = Scallop_utils.Monotonic.now () in
-    let x = f () in
-    (x, Scallop_utils.Monotonic.now () -. t0)
-  in
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-  in
   let gate = 1.25 in
-  let results = ref [] in
+  let rows = ref [] in
   let worst = ref 0.0 in
-  (* One fresh session per row: assert the initial chain and pay the first
-     run, then measure the steady state. *)
   let run_row ~prov_name ~spec ~n ~batch ~rounds =
-    let t = Incr.open_session ~spec tc_src in
+    let t = Incr.open_session ~spec tc_src and twin = Incr.open_session ~spec tc_src in
     for i = 0 to n - 1 do
-      assert_edge t i
+      assert_edge t i;
+      assert_edge twin i
     done;
-    ignore (Incr.query t);
-    ignore (Incr.run_cold t);
     let tip = ref n in
-    let session_s = ref [] and cold_s = ref [] in
-    for round = 1 to rounds do
-      let (), update_s =
-        timed (fun () ->
-            for _ = 1 to batch do
-              assert_edge t !tip;
-              incr tip
-            done)
-      in
-      let query () = timed (fun () -> Incr.query t) in
-      let cold () = timed (fun () -> Incr.run_cold t) in
-      let (got, query_s), (want, run_s) =
-        if round mod 2 = 1 then
-          let q = query () in
-          (q, cold ())
-        else
-          let c = cold () in
-          (query (), c)
-      in
-      session_s := (update_s +. query_s) :: !session_s;
-      cold_s := run_s :: !cold_s;
-      if not (results_equal got want) then begin
-        incr bench_failures;
-        Fmt.pr "  FAIL: %s batch=%d: session result diverges from the cold run@." prov_name
-          batch
-      end
-    done;
-    let session_ms = 1000.0 *. median !session_s and cold_ms = 1000.0 *. median !cold_s in
-    let ratio = if cold_ms > 0.0 then session_ms /. cold_ms else infinity in
+    let ab =
+      measure_ab ~reps:rounds
+        ~before:(fun () ->
+          for i = !tip to !tip + batch - 1 do
+            assert_edge twin i
+          done)
+        ~check:(fun want got ->
+          if not (same_result got want) then
+            fail "%s batch=%d: session result diverges from the cold run" prov_name batch)
+        (fun () -> Incr.run_cold twin)
+        (fun () ->
+          for i = !tip to !tip + batch - 1 do
+            assert_edge t i
+          done;
+          tip := !tip + batch;
+          Incr.query t)
+    in
+    let ratio = ab.ratio in
     worst := Float.max !worst ratio;
     Fmt.pr "  %-12s n=%-4d batch=%-3d rounds=%-3d session %8.3f ms  cold %8.3f ms  %5.2fx %s@."
-      prov_name n batch rounds session_ms cold_ms ratio
+      prov_name n batch rounds (Summary.median ab.b.ms) (Summary.median ab.a.ms) ratio
       (if ratio <= gate then "ok" else "VIOLATION");
-    Format.pp_print_flush Format.std_formatter ();
-    if ratio > gate then begin
-      incr bench_failures;
-      Fmt.pr "  FAIL: %s batch=%d: session/cold %.2fx is above the %.2fx gate@." prov_name
-        batch ratio gate
-    end;
-    results :=
-      Fmt.str
-        {|    {"workload": "tc-chain-extend", "provenance": %S, "n": %d, "batch": %d, "rounds": %d, "session_median_ms": %.3f, "cold_median_ms": %.3f, "session_over_cold": %.3f}|}
-        prov_name n batch rounds session_ms cold_ms ratio
-      :: !results;
-    Incr.close t
+    if ratio > gate then
+      fail "%s batch=%d: session/cold %.2fx is above the %.2fx gate" prov_name batch ratio gate;
+    rows :=
+      ([
+         ("workload", jstr "tc-chain-extend");
+         ("provenance", jstr prov_name);
+         ("n", jint n);
+         ("batch", jint batch);
+         ("rounds", jint rounds);
+       ]
+      @ spread ~prefix:"session_" ab.b.ms
+      @ spread ~prefix:"cold_" ab.a.ms
+      @ [ ("session_over_cold", jnum ratio) ])
+      :: !rows;
+    Incr.close t;
+    Incr.close twin
   in
   let n = if m.quick then 300 else 500 in
   let rounds = if m.quick then 8 else 12 in
@@ -1521,18 +1538,9 @@ query path|}
       List.iter (fun batch -> run_row ~prov_name ~spec ~n ~batch ~rounds) [ 1; 8; 64 ])
     [ ("boolean", Registry.Boolean); ("minmaxprob", Registry.Max_min_prob) ];
   run_row ~prov_name:"topkproofs-3" ~spec:(Registry.Top_k_proofs 3) ~n:60 ~batch:1 ~rounds;
-  let oc = open_out "BENCH_incr.json" in
-  output_string oc
-    (Fmt.str "{\n  \"cores\": %d,\n  \"ocaml\": %S,\n  \"benchmarks\": [\n"
-       (Domain.recommended_domain_count ()) Sys.ocaml_version);
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ],\n";
-  output_string oc
-    (Fmt.str "  \"session_over_cold_max\": %.3f,\n  \"session_over_cold_gate\": %.2f\n}\n"
-       !worst gate);
-  close_out oc;
-  Fmt.pr "@.  worst session/cold %.2fx (gate %.2fx); wrote BENCH_incr.json (%d rows)@." !worst
-    gate (List.length !results)
+  Fmt.pr "@.  worst session/cold %.2fx (gate %.2fx)@." !worst gate;
+  write_baseline "BENCH_incr.json" (List.rev !rows)
+    ~summary:[ ("session_over_cold_max", jnum !worst); ("session_over_cold_gate", jnum ~dp:2 gate) ]
 
 (* ---- durable sessions (BENCH_durability.json) -------------------------------------------------- *)
 
@@ -1540,8 +1548,9 @@ query path|}
 
    1. WAL overhead: single-fact update rounds (assert + query) on a TC
       chain, an ephemeral registry vs a durable one with fsync'd
-      write-ahead logging.  Acceptance gate: the durable path costs at
-      most 10% more than the ephemeral path (bump [bench_failures]).
+      write-ahead logging, round for round.  Acceptance gate: the median
+      per-round durable/ephemeral ratio is at most 1.10, i.e. at most 10%
+      overhead (bump [bench_failures]).
    2. Recovery latency: time for a fresh manager to rebuild the session
       from snapshot + WAL replay, and bit-identity of the recovered
       session's answer against the pre-crash one (a divergence bumps
@@ -1552,114 +1561,63 @@ query path|}
 let bench_durability (m : mode) =
   section "Durable sessions: WAL overhead + crash recovery (writes BENCH_durability.json)";
   let open Scallop_core in
-  let module Durable = Scallop_incr.Durable in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
-  let pair a b = Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ] in
-  let output_equal (a : Provenance.Output.t) (b : Provenance.Output.t) =
-    match (a, b) with
-    | Provenance.Output.O_prob x, Provenance.Output.O_prob y -> Float.equal x y
-    | a, b -> a = b
-  in
-  let results_equal (a : Session.result) (b : Session.result) =
-    List.length a.Session.outputs = List.length b.Session.outputs
-    && List.for_all2
-         (fun (pa, la) (pb, lb) ->
-           String.equal pa pb
-           && List.length la = List.length lb
-           && List.for_all2
-                (fun (ta, oa) (tb, ob) -> Tuple.compare ta tb = 0 && output_equal oa ob)
-                la lb)
-         a.Session.outputs b.Session.outputs
-  in
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | exception Sys_error _ -> ()
-    | true ->
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        (try Sys.rmdir path with Sys_error _ -> ())
-    | false -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  let scratch name =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "scallop-bench-durability-%d-%s" (Unix.getpid ()) name)
-    in
-    rm_rf d;
-    d
-  in
   let n = if m.quick then 300 else 500 in
   let rounds = if m.quick then 30 else 60 in
-  let results = ref [] in
-  (* one update round = assert one chain-extending edge, then query *)
-  let run_updates ~state_dir =
-    let cfg =
-      match state_dir with
-      | None -> Durable.config Registry.Boolean
-      | Some dir -> Durable.config ~state_dir:dir Registry.Boolean
-    in
-    let mgr = Durable.create cfg in
-    let _ = Durable.open_session mgr ~sid:"b" tc_src in
-    for i = 0 to n - 1 do
-      Durable.assert_fact mgr ~sid:"b" ~pred:"edge" (pair i (i + 1))
-    done;
-    ignore (Durable.query mgr ~sid:"b" ());
-    let tip = ref n in
-    let t0 = Scallop_utils.Monotonic.now () in
-    for _ = 1 to rounds do
-      Durable.assert_fact mgr ~sid:"b" ~pred:"edge" (pair !tip (!tip + 1));
-      incr tip;
-      ignore (Durable.query mgr ~sid:"b" ())
-    done;
-    let mean = (Scallop_utils.Monotonic.now () -. t0) /. float_of_int rounds in
-    (mgr, mean)
-  in
-  let plain_mgr, plain_mean = run_updates ~state_dir:None in
+  let rows = ref [] in
+  let plain_mgr = Durable.create (Durable.config Registry.Boolean) in
+  let sd = scratch "durability-wal" in
+  let durable_mgr = Durable.create (Durable.config ~state_dir:sd Registry.Boolean) in
+  durable_chain plain_mgr n;
+  durable_chain durable_mgr n;
+  let ab = measure_ab ~reps:rounds (durable_round plain_mgr n) (durable_round durable_mgr n) in
   ignore (Durable.close plain_mgr ~sid:"b");
-  let sd = scratch "wal" in
-  let durable_mgr, durable_mean = run_updates ~state_dir:(Some sd) in
   let reference = Durable.query durable_mgr ~sid:"b" () in
   let w = Durable.stats durable_mgr in
   (* abandon without close: the on-disk state is a crash image *)
   Durable.shutdown durable_mgr;
-  let overhead_pct = 100.0 *. ((durable_mean /. plain_mean) -. 1.0) in
+  let overhead_pct = 100.0 *. (ab.ratio -. 1.0) in
   Fmt.pr
     "  TC-%d single-fact rounds: ephemeral %8.3f ms  durable %8.3f ms  overhead %+.1f%%@." n
-    (1000.0 *. plain_mean) (1000.0 *. durable_mean) overhead_pct;
+    (Summary.median ab.a.ms) (Summary.median ab.b.ms) overhead_pct;
   Fmt.pr "  wal: %d appends, %d bytes, %d snapshots@." w.Durable.wal_appends
     w.Durable.wal_bytes w.Durable.snapshots;
-  if overhead_pct > 10.0 then begin
-    incr bench_failures;
-    Fmt.pr "  FAIL: WAL overhead %.1f%% exceeds the 10%% gate@." overhead_pct
-  end;
-  results :=
-    Fmt.str
-      {|    {"workload": "tc-chain-extend", "n": %d, "rounds": %d, "ephemeral_mean_ms": %.3f, "durable_mean_ms": %.3f, "wal_overhead_pct": %.2f, "wal_appends": %d, "wal_bytes": %d, "snapshots": %d}|}
-      n rounds (1000.0 *. plain_mean) (1000.0 *. durable_mean) overhead_pct
-      w.Durable.wal_appends w.Durable.wal_bytes w.Durable.snapshots
-    :: !results;
+  if overhead_pct > 10.0 then fail "WAL overhead %.1f%% exceeds the 10%% gate" overhead_pct;
+  rows :=
+    ([
+       ("workload", jstr "tc-chain-extend");
+       ("n", jint n);
+       ("rounds", jint rounds);
+       ("ephemeral_mean_ms", jnum (Summary.mean ab.a.ms));
+       ("durable_mean_ms", jnum (Summary.mean ab.b.ms));
+       ("wal_overhead_pct", jnum ~dp:2 overhead_pct);
+     ]
+    @ spread ~prefix:"ephemeral_" ab.a.ms
+    @ spread ~prefix:"durable_" ab.b.ms
+    @ [
+        ("wal_appends", jint w.Durable.wal_appends);
+        ("wal_bytes", jint w.Durable.wal_bytes);
+        ("snapshots", jint w.Durable.snapshots);
+      ])
+    :: !rows;
   (* recovery: rebuild from snapshot + replay, answer must be bit-identical *)
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   let mgr2 = Durable.create (Durable.config ~state_dir:sd Registry.Boolean) in
-  let recovery_ms = 1000.0 *. (Scallop_utils.Monotonic.now () -. t0) in
+  let recovery_ms = 1000.0 *. (Monotonic.now () -. t0) in
   let r = Durable.stats mgr2 in
-  let recovered_answer = Durable.query mgr2 ~sid:"b" () in
-  if not (results_equal recovered_answer reference) then begin
-    incr bench_failures;
-    Fmt.pr "  FAIL: recovered session diverges from the pre-crash answer@."
-  end;
+  if not (same_result (Durable.query mgr2 ~sid:"b" ()) reference) then
+    fail "recovered session diverges from the pre-crash answer";
   Durable.shutdown mgr2;
   Fmt.pr "  recovery: %.3f ms (%d session, %d ops replayed, snapshot + bounded replay)@."
     recovery_ms r.Durable.recovered r.Durable.wal_replayed;
-  results :=
-    Fmt.str
-      {|    {"workload": "recovery", "n": %d, "recovery_ms": %.3f, "sessions_recovered": %d, "ops_replayed": %d}|}
-      n recovery_ms r.Durable.recovered r.Durable.wal_replayed
-    :: !results;
+  rows :=
+    [
+      ("workload", jstr "recovery");
+      ("n", jint n);
+      ("recovery_ms", jnum recovery_ms);
+      ("sessions_recovered", jint r.Durable.recovered);
+      ("ops_replayed", jint r.Durable.wal_replayed);
+    ]
+    :: !rows;
   (* kill-point sweep over the active segment *)
   let sdir = Filename.concat (Filename.concat sd "sessions") "s-b" in
   let seg =
@@ -1667,67 +1625,45 @@ query path|}
     |> List.filter (fun f -> Filename.check_suffix f ".log")
     |> List.sort compare |> List.rev |> List.hd |> Filename.concat sdir
   in
-  let raw =
-    let ic = open_in_bin seg in
-    let d = In_channel.input_all ic in
-    close_in ic;
-    d
-  in
+  let raw = In_channel.with_open_bin seg In_channel.input_all in
   let cuts = if m.quick then 16 else 64 in
-  let sweep_total = ref 0.0 and sweep_max = ref 0.0 and sweep_ok = ref 0 in
+  let sweep_ms = ref [] and sweep_ok = ref 0 in
   for k = 0 to cuts - 1 do
     let cut = String.length raw * k / cuts in
-    let oc = open_out_bin seg in
-    output_string oc (String.sub raw 0 cut);
-    close_out oc;
-    let t0 = Scallop_utils.Monotonic.now () in
+    Out_channel.with_open_bin seg (fun oc -> output_string oc (String.sub raw 0 cut));
+    let t0 = Monotonic.now () in
     match Durable.create (Durable.config ~state_dir:sd Registry.Boolean) with
-    | exception e ->
-        incr bench_failures;
-        Fmt.pr "  FAIL: cut at byte %d crashed recovery: %s@." cut (Printexc.to_string e)
+    | exception e -> fail "cut at byte %d crashed recovery: %s" cut (Printexc.to_string e)
     | mgr ->
-        let dt = 1000.0 *. (Scallop_utils.Monotonic.now () -. t0) in
-        sweep_total := !sweep_total +. dt;
-        if dt > !sweep_max then sweep_max := dt;
-        let st = Durable.stats mgr in
-        if st.Durable.recovery_failures > 0 then begin
-          incr bench_failures;
-          Fmt.pr "  FAIL: cut at byte %d quarantined the session (torn tail must recover)@."
-            cut
-        end
-        else begin
-          let got = Durable.query mgr ~sid:"b" () in
-          let cold = Durable.run_cold mgr ~sid:"b" () in
-          if results_equal got cold then incr sweep_ok
-          else begin
-            incr bench_failures;
-            Fmt.pr "  FAIL: cut at byte %d diverges from the cold oracle@." cut
-          end
-        end;
+        sweep_ms := (1000.0 *. (Monotonic.now () -. t0)) :: !sweep_ms;
+        if (Durable.stats mgr).Durable.recovery_failures > 0 then
+          fail "cut at byte %d quarantined the session (torn tail must recover)" cut
+        else if same_result (Durable.query mgr ~sid:"b" ()) (Durable.run_cold mgr ~sid:"b" ())
+        then incr sweep_ok
+        else fail "cut at byte %d diverges from the cold oracle" cut;
         Durable.shutdown mgr
   done;
-  let oc = open_out_bin seg in
-  output_string oc raw;
-  close_out oc;
-  Fmt.pr "  kill-point sweep: %d/%d cuts recovered bit-identically (mean %.3f ms, max %.3f ms)@."
-    !sweep_ok cuts
-    (!sweep_total /. float_of_int cuts)
-    !sweep_max;
-  results :=
-    Fmt.str
-      {|    {"workload": "kill-point-sweep", "cuts": %d, "recovered_identical": %d, "recovery_mean_ms": %.3f, "recovery_max_ms": %.3f}|}
-      cuts !sweep_ok
-      (!sweep_total /. float_of_int cuts)
-      !sweep_max
-    :: !results;
   rm_rf sd;
+  let sweep_mean = Summary.mean !sweep_ms and sweep_max = List.fold_left Float.max 0.0 !sweep_ms in
+  Fmt.pr "  kill-point sweep: %d/%d cuts recovered bit-identically (mean %.3f ms, max %.3f ms)@."
+    !sweep_ok cuts sweep_mean sweep_max;
+  rows :=
+    ([
+       ("workload", jstr "kill-point-sweep");
+       ("cuts", jint cuts);
+       ("recovered_identical", jint !sweep_ok);
+       ("recovery_mean_ms", jnum sweep_mean);
+       ("recovery_max_ms", jnum sweep_max);
+     ]
+    @ spread ~prefix:"recovery_" !sweep_ms)
+    :: !rows;
   (* group commit: concurrent writers to one session share fsync batches.
      Four domains drive fsync'd asserts into the same session (disjoint
      edge chains), so one batching leader settles several appends to the
      session's WAL per fsync; the sync count landing below the append
      count is the acceptance gate. *)
   let module Wal = Scallop_utils.Wal in
-  let gd = scratch "group" in
+  let gd = scratch "durability-group" in
   let gmgr =
     Durable.create
       (Durable.config ~state_dir:gd ~group_commit:true ~group_window:0.0005
@@ -1735,7 +1671,7 @@ query path|}
   in
   let writers = 4 and per = if m.quick then 100 else 250 in
   ignore (Durable.open_session gmgr ~sid:"g" tc_src);
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   let domains =
     List.init writers (fun w ->
         Domain.spawn (fun () ->
@@ -1745,37 +1681,34 @@ query path|}
             done))
   in
   List.iter Domain.join domains;
-  let group_dt = Scallop_utils.Monotonic.now () -. t0 in
+  let group_dt = Monotonic.now () -. t0 in
   let syncs, appends =
     match gmgr.Durable.wal_group with Some g -> Wal.Group.stats g | None -> (0, 0)
   in
   Durable.shutdown gmgr;
   rm_rf gd;
   let per_op_us = 1e6 *. group_dt /. float_of_int (writers * per) in
+  let per_fsync = float_of_int appends /. float_of_int (max 1 syncs) in
   Fmt.pr
     "  group commit: %d writers x %d fsync'd asserts in %.3f s (%.1f us/op), %d fsyncs \
      for %d appends (%.2f appends/fsync)@."
-    writers per group_dt per_op_us syncs appends
-    (float_of_int appends /. float_of_int (max 1 syncs));
-  if syncs >= appends then begin
-    incr bench_failures;
-    Fmt.pr "  FAIL: group commit did not amortize (%d fsyncs for %d appends)@." syncs appends
-  end;
-  results :=
-    Fmt.str
-      {|    {"workload": "group-commit", "writers": %d, "ops_per_writer": %d, "per_op_us": %.1f, "fsyncs": %d, "appends": %d, "appends_per_fsync": %.2f}|}
-      writers per per_op_us syncs appends
-      (float_of_int appends /. float_of_int (max 1 syncs))
-    :: !results;
-  let oc = open_out "BENCH_durability.json" in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ],\n";
-  output_string oc
-    (Fmt.str "  \"wal_overhead_pct\": %.2f,\n  \"wal_overhead_gate_pct\": 10.0\n}\n"
-       overhead_pct);
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_durability.json (%d measurements)@." (List.length !results)
+    writers per group_dt per_op_us syncs appends per_fsync;
+  if syncs >= appends then
+    fail "group commit did not amortize (%d fsyncs for %d appends)" syncs appends;
+  rows :=
+    [
+      ("workload", jstr "group-commit");
+      ("writers", jint writers);
+      ("ops_per_writer", jint per);
+      ("per_op_us", jnum ~dp:1 per_op_us);
+      ("fsyncs", jint syncs);
+      ("appends", jint appends);
+      ("appends_per_fsync", jnum ~dp:2 per_fsync);
+    ]
+    :: !rows;
+  write_baseline "BENCH_durability.json" (List.rev !rows)
+    ~summary:
+      [ ("wal_overhead_pct", jnum ~dp:2 overhead_pct); ("wal_overhead_gate_pct", jnum ~dp:1 10.0) ]
 
 (* ---- replicated durable sessions (BENCH_replication.json) -------------------------------------- *)
 
@@ -1784,8 +1717,9 @@ query path|}
    1. Acked-write overhead: single-fact update rounds (assert + query) on
       a TC-300 chain, a local-fsync durable session vs a primary whose
       every write blocks on a quorum acknowledgement from a live
-      follower.  Acceptance gate: quorum acking costs at most 25% over
-      the local-fsync path (bump [bench_failures]).
+      follower, round for round.  Acceptance gate: the median per-round
+      quorum/local ratio is at most 1.25, i.e. quorum acking costs at most
+      25% over the local-fsync path (bump [bench_failures]).
    2. Steady-state replication lag: the primary's acknowledgement-barrier
       wait — the time from local commit to quorum ack — mean and max.
    3. Failover: promotion latency of the caught-up follower, and
@@ -1796,76 +1730,18 @@ query path|}
 let bench_replication (m : mode) =
   section "Replication: quorum-ack overhead, lag, failover (writes BENCH_replication.json)";
   let open Scallop_core in
-  let module Durable = Scallop_incr.Durable in
   let module Replica = Scallop_incr.Replica in
-  let tc_src =
-    {|type edge(i32, i32)
-rel path(a, b) = edge(a, b)
-rel path(a, c) = path(a, b), edge(b, c)
-query path|}
-  in
-  let pair a b = Tuple.of_list [ Value.int Value.I32 a; Value.int Value.I32 b ] in
-  let output_equal (a : Provenance.Output.t) (b : Provenance.Output.t) =
-    match (a, b) with
-    | Provenance.Output.O_prob x, Provenance.Output.O_prob y -> Float.equal x y
-    | a, b -> a = b
-  in
-  let results_equal (a : Session.result) (b : Session.result) =
-    List.length a.Session.outputs = List.length b.Session.outputs
-    && List.for_all2
-         (fun (pa, la) (pb, lb) ->
-           String.equal pa pb
-           && List.length la = List.length lb
-           && List.for_all2
-                (fun (ta, oa) (tb, ob) -> Tuple.compare ta tb = 0 && output_equal oa ob)
-                la lb)
-         a.Session.outputs b.Session.outputs
-  in
-  let rec rm_rf path =
-    match Sys.is_directory path with
-    | exception Sys_error _ -> ()
-    | true ->
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        (try Sys.rmdir path with Sys_error _ -> ())
-    | false -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  let scratch name =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "scallop-bench-replication-%d-%s" (Unix.getpid ()) name)
-    in
-    rm_rf d;
-    d
-  in
   let n = 300 in
   let rounds = if m.quick then 30 else 60 in
-  let results = ref [] in
-  let seed_and_time mgr =
-    let _ = Durable.open_session mgr ~sid:"b" tc_src in
-    for i = 0 to n - 1 do
-      Durable.assert_fact mgr ~sid:"b" ~pred:"edge" (pair i (i + 1))
-    done;
-    ignore (Durable.query mgr ~sid:"b" ());
-    let tip = ref n in
-    let t0 = Scallop_utils.Monotonic.now () in
-    for _ = 1 to rounds do
-      Durable.assert_fact mgr ~sid:"b" ~pred:"edge" (pair !tip (!tip + 1));
-      incr tip;
-      ignore (Durable.query mgr ~sid:"b" ())
-    done;
-    (Scallop_utils.Monotonic.now () -. t0) /. float_of_int rounds
-  in
+  let rows = ref [] in
   (* baseline: local fsync'd WAL, no replication *)
-  let sd = scratch "local" in
+  let sd = scratch "replication-local" in
   let local_mgr = Durable.create (Durable.config ~state_dir:sd Registry.Boolean) in
-  let local_mean = seed_and_time local_mgr in
-  Durable.shutdown local_mgr;
-  rm_rf sd;
   (* quorum cluster: every write blocks on a live follower's ack.  The
      follower runs in-process, driven by the primary's barrier through the
      pump hook — the measured wait is apply + local log + ack, not a poll
      interval. *)
-  let root = scratch "quorum" in
+  let root = scratch "replication-quorum" in
   let ship = Filename.concat root "ship" in
   let fmgr =
     Durable.create
@@ -1884,50 +1760,62 @@ query path|}
   in
   let fol = Replica.Follower.create ~dir:ship ~fid:"beta" ~mgr:fmgr () in
   fol_ref := Some fol;
-  let quorum_mean = seed_and_time pmgr in
-  let overhead_pct = 100.0 *. ((quorum_mean /. local_mean) -. 1.0) in
+  durable_chain local_mgr n;
+  durable_chain pmgr n;
+  let ab = measure_ab ~reps:rounds (durable_round local_mgr n) (durable_round pmgr n) in
+  Durable.shutdown local_mgr;
+  rm_rf sd;
+  let overhead_pct = 100.0 *. (ab.ratio -. 1.0) in
   let pst = Replica.Primary.status prim in
   Fmt.pr
     "  TC-%d single-fact rounds: local-fsync %8.3f ms  quorum-acked %8.3f ms  overhead \
      %+.1f%%@."
-    n (1000.0 *. local_mean) (1000.0 *. quorum_mean) overhead_pct;
+    n (Summary.median ab.a.ms) (Summary.median ab.b.ms) overhead_pct;
   Fmt.pr "  replication lag (commit -> quorum ack): mean %.3f ms  max %.3f ms  (%d barriers)@."
     pst.Replica.Primary.st_mean_barrier_ms pst.st_max_barrier_ms pst.st_barriers;
-  if overhead_pct > 25.0 then begin
-    incr bench_failures;
-    Fmt.pr "  FAIL: quorum-ack overhead %.1f%% exceeds the 25%% gate@." overhead_pct
-  end;
-  results :=
-    Fmt.str
-      {|    {"workload": "tc-chain-extend", "n": %d, "rounds": %d, "local_fsync_mean_ms": %.3f, "quorum_mean_ms": %.3f, "quorum_overhead_pct": %.2f, "lag_mean_ms": %.3f, "lag_max_ms": %.3f, "frames_shipped": %d}|}
-      n rounds (1000.0 *. local_mean) (1000.0 *. quorum_mean) overhead_pct
-      pst.Replica.Primary.st_mean_barrier_ms pst.st_max_barrier_ms pst.st_shipped
-    :: !results;
+  if overhead_pct > 25.0 then fail "quorum-ack overhead %.1f%% exceeds the 25%% gate" overhead_pct;
+  rows :=
+    ([
+       ("workload", jstr "tc-chain-extend");
+       ("n", jint n);
+       ("rounds", jint rounds);
+       ("local_fsync_mean_ms", jnum (Summary.mean ab.a.ms));
+       ("quorum_mean_ms", jnum (Summary.mean ab.b.ms));
+       ("quorum_overhead_pct", jnum ~dp:2 overhead_pct);
+     ]
+    @ spread ~prefix:"local_fsync_" ab.a.ms
+    @ spread ~prefix:"quorum_" ab.b.ms
+    @ [
+        ("lag_mean_ms", jnum pst.Replica.Primary.st_mean_barrier_ms);
+        ("lag_max_ms", jnum pst.st_max_barrier_ms);
+        ("frames_shipped", jint pst.st_shipped);
+      ])
+    :: !rows;
   (* failover: promote the caught-up follower, answers must be bit-identical *)
   let reference = Durable.query pmgr ~sid:"b" () in
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   let _epoch = Replica.Follower.promote fol in
-  let promote_ms = 1000.0 *. (Scallop_utils.Monotonic.now () -. t0) in
-  let promoted_answer = Durable.query fmgr ~sid:"b" () in
-  if not (results_equal promoted_answer reference) then begin
-    incr bench_failures;
-    Fmt.pr "  FAIL: promoted follower diverges from the primary's answer@."
-  end;
+  let promote_ms = 1000.0 *. (Monotonic.now () -. t0) in
+  if not (same_result (Durable.query fmgr ~sid:"b" ()) reference) then
+    fail "promoted follower diverges from the primary's answer";
   let fst_ = Replica.Follower.status fol in
   Fmt.pr "  failover: promoted in %.3f ms (%d frames applied, %d divergences)@." promote_ms
     fst_.Replica.Follower.st_applied fst_.st_divergences;
-  results :=
-    Fmt.str
-      {|    {"workload": "failover", "promote_ms": %.3f, "frames_applied": %d, "divergences": %d}|}
-      promote_ms fst_.Replica.Follower.st_applied fst_.st_divergences
-    :: !results;
+  rows :=
+    [
+      ("workload", jstr "failover");
+      ("promote_ms", jnum promote_ms);
+      ("frames_applied", jint fst_.Replica.Follower.st_applied);
+      ("divergences", jint fst_.st_divergences);
+    ]
+    :: !rows;
   Durable.shutdown pmgr;
   Durable.shutdown fmgr;
   Replica.Primary.close prim;
   Replica.Follower.close fol;
   rm_rf root;
   (* async catch-up: a follower draining a burst it never saw land *)
-  let root2 = scratch "async" in
+  let root2 = scratch "replication-async" in
   let ship2 = Filename.concat root2 "ship" in
   let prim2 =
     Replica.Primary.create ~dir:ship2 ~id:"alpha" ~ack:Replica.Ack_async ()
@@ -1937,45 +1825,41 @@ query path|}
       (Durable.config ~state_dir:(Filename.concat root2 "p")
          ~repl:(Replica.Primary.sink prim2) Registry.Boolean)
   in
-  let _ = Durable.open_session pmgr2 ~sid:"b" tc_src in
-  for i = 0 to n - 1 do
-    Durable.assert_fact pmgr2 ~sid:"b" ~pred:"edge" (pair i (i + 1))
-  done;
+  durable_chain pmgr2 n;
   let fmgr2 =
     Durable.create
       (Durable.config ~state_dir:(Filename.concat root2 "f") Registry.Boolean)
   in
   let fol2 = Replica.Follower.create ~dir:ship2 ~fid:"beta" ~mgr:fmgr2 () in
-  let t0 = Scallop_utils.Monotonic.now () in
+  let t0 = Monotonic.now () in
   while Replica.Follower.poll fol2 > 0 do
     ()
   done;
-  let catchup_s = Scallop_utils.Monotonic.now () -. t0 in
+  let catchup_s = Monotonic.now () -. t0 in
   let fst2 = Replica.Follower.status fol2 in
   let frames = fst2.Replica.Follower.st_applied + fst2.st_installs + fst2.st_adoptions in
+  let frames_per_s = float_of_int (max 1 frames) /. Float.max 1e-9 catchup_s in
   Fmt.pr "  async catch-up: %d-op burst drained in %.3f ms (%.0f frames/s)@." n
-    (1000.0 *. catchup_s)
-    (float_of_int (max 1 frames) /. Float.max 1e-9 catchup_s);
-  results :=
-    Fmt.str
-      {|    {"workload": "async-catchup", "burst_ops": %d, "catchup_ms": %.3f, "frames_per_s": %.0f}|}
-      n (1000.0 *. catchup_s)
-      (float_of_int (max 1 frames) /. Float.max 1e-9 catchup_s)
-    :: !results;
+    (1000.0 *. catchup_s) frames_per_s;
+  rows :=
+    [
+      ("workload", jstr "async-catchup");
+      ("burst_ops", jint n);
+      ("catchup_ms", jnum (1000.0 *. catchup_s));
+      ("frames_per_s", jnum ~dp:0 frames_per_s);
+    ]
+    :: !rows;
   Durable.shutdown pmgr2;
   Durable.shutdown fmgr2;
   Replica.Primary.close prim2;
   Replica.Follower.close fol2;
   rm_rf root2;
-  let oc = open_out "BENCH_replication.json" in
-  output_string oc "{\n  \"benchmarks\": [\n";
-  output_string oc (String.concat ",\n" (List.rev !results));
-  output_string oc "\n  ],\n";
-  output_string oc
-    (Fmt.str "  \"quorum_overhead_pct\": %.2f,\n  \"quorum_overhead_gate_pct\": 25.0\n}\n"
-       overhead_pct);
-  close_out oc;
-  Fmt.pr "@.  wrote BENCH_replication.json (%d measurements)@." (List.length !results)
+  write_baseline "BENCH_replication.json" (List.rev !rows)
+    ~summary:
+      [
+        ("quorum_overhead_pct", jnum ~dp:2 overhead_pct);
+        ("quorum_overhead_gate_pct", jnum ~dp:1 25.0);
+      ]
 
 (* ---- driver --------------------------------------------------------------------------------------- *)
 

@@ -61,7 +61,6 @@ let mk m var lo hi =
 let bfalse : t = False
 let btrue : t = True
 let var m v = mk m v False True
-let nvar m v = mk m v True False
 
 let top_var = function
   | Node { var; _ } -> var

@@ -124,13 +124,6 @@ let cmp_across (a : t) (b : t) (i : int) (j : int) : int =
   | D (da, ca), D (db, cb) when da == db -> Stdlib.compare (ca.(i) : int) cb.(j)
   | _ -> Value.compare (get a i) (get b j)
 
-let cmp_within (c : t) (i : int) (j : int) : int = cmp_across c c i j
-
-(** Hash of row [i], consistent with {!Value.hash_value} (and therefore with
-    {!Tuple.hash} when folded across a row): equal values hash equally under
-    every encoding. *)
-let hash_at (c : t) (i : int) : int = Value.hash_value (get c i)
-
 (* ---- bulk movement ---------------------------------------------------------- *)
 
 (** Select the rows [idx.(0 .. n-1)], preserving the encoding

@@ -54,9 +54,11 @@ let rec compile_vexpr pos layout (e : Ast.expr) : Ram.vexpr =
       Ram.If_then_else
         (compile_vexpr pos layout c, compile_vexpr pos layout a, compile_vexpr pos layout b)
   | Ast.E_cast (a, tyname) -> (
-      match Value.ty_of_name tyname with
-      | Some ty -> Ram.Cast (ty, compile_vexpr pos layout a)
-      | None -> compile_error (Fmt.str "unknown type %S" tyname) pos)
+      match (Value.ty_of_name tyname, a) with
+      (* a literal is built at the type it is cast to, not through i32 *)
+      | Some ty, Ast.E_const (Ast.C_int n) -> Ram.Cast (ty, Ram.Const (Value.int_literal ty n))
+      | Some ty, _ -> Ram.Cast (ty, compile_vexpr pos layout a)
+      | None, _ -> compile_error (Fmt.str "unknown type %S" tyname) pos)
 
 (** Evaluate a variable-free expression at compile time. *)
 let eval_const pos (e : Ast.expr) : Value.t =

@@ -94,16 +94,6 @@ let kind_name = function
   | Tuples -> "tuples"
   | Node_evals -> "node-evals"
 
-(** True for the recoverable resource-policy diagnostics ([Budget_exceeded]
-    and [Cancelled]) as opposed to program/input errors. *)
-let is_resource = function Budget_exceeded _ | Cancelled _ -> true | _ -> false
-
-(** True for the per-example diagnostics a resilient training loop skips
-    and counts rather than propagates: resource exhaustion and non-finite
-    numerics.  Cancellation is excluded — it means the whole batch should
-    stop, not that one example misbehaved. *)
-let is_quarantine = function Budget_exceeded _ | Non_finite _ -> true | _ -> false
-
 (** True for failures a serving layer may retry verbatim with a fresh
     attempt: the request itself was never shown to be at fault.
     [Overloaded] means it was shed before executing, [Worker_lost] that the

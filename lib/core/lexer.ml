@@ -177,7 +177,10 @@ let tokenize (src : string) : spanned array =
       end;
       let s = String.sub src start (!i - start) in
       if !is_float then emit (FLOAT (float_of_string s)) p
-      else emit (INT (int_of_string s)) p
+      else
+        match int_of_string_opt s with
+        | Some n -> emit (INT n) p
+        | None -> raise (Lex_error (Fmt.str "integer literal %s out of range" s, p))
     end
     else if c = '"' then begin
       advance ();

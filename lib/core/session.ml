@@ -294,31 +294,6 @@ let prob_of (r : result) pred tuple : float =
   | Some (_, o) -> Provenance.Output.prob o
   | None -> 0.0
 
-(* ---- cross-iteration WMC cache controls --------------------------------------
-
-   Recovering top-k-proof formulas repeatedly compiles the same DNF to a BDD
-   and re-counts it under the same weights — across fixpoint iterations, and
-   across the runs of a training loop where only a few input probabilities
-   move per step.  {!Wmc} keeps a per-domain cache (hash-consed BDD manager +
-   results keyed on (root, weights), so changed probabilities re-count
-   automatically).  These re-exports let embedders toggle and inspect it
-   without depending on [Wmc] directly; [set_wmc_cache] is the only switch,
-   and the CLI has none. *)
-
-(** Enable/disable the per-domain WMC cache (on by default).  Disabling does
-    not clear existing entries; they are simply not consulted. *)
-let set_wmc_cache = Wmc.set_cache_enabled
-
-(** Whether the WMC cache is currently enabled. *)
-let wmc_cache_enabled = Wmc.cache_enabled
-
-(** Hit/miss/reset counters and current BDD-manager size for the calling
-    domain's cache. *)
-let wmc_cache_stats = Wmc.cache_stats
-
-(** Drop every cached BDD and counted result on the calling domain. *)
-let clear_wmc_cache = Wmc.clear_cache
-
 (* ---- shared compiled-plan cache ------------------------------------------------
 
    Multi-tenant serving compiles the same program text over and over: every
@@ -344,7 +319,6 @@ type plan_cache_stats = { hits : int; misses : int; evictions : int; entries : i
 
 type plan_cache_entry = {
   pc_source : string;  (** full text, to rule out hash collisions *)
-  pc_optimize : bool;
   pc_compiled : compiled;
   mutable pc_last_used : int;  (** LRU clock reading *)
 }
@@ -352,7 +326,7 @@ type plan_cache_entry = {
 let plan_cache : (string, plan_cache_entry) Hashtbl.t = Hashtbl.create 32
 let plan_cache_mutex = Mutex.create ()
 let plan_cache_clock = ref 0
-let plan_cache_limit = ref 64
+let plan_cache_limit = 64
 let plan_cache_hits = ref 0
 let plan_cache_misses = ref 0
 let plan_cache_evictions = ref 0
@@ -363,7 +337,7 @@ let plan_cache_locked f =
 
 (* Evict least-recently-used entries until the cap holds; requires the lock. *)
 let evict_over_limit_locked () =
-  while Hashtbl.length plan_cache > !plan_cache_limit do
+  while Hashtbl.length plan_cache > plan_cache_limit do
     let victim =
       Hashtbl.fold
         (fun key e acc ->
@@ -378,12 +352,6 @@ let evict_over_limit_locked () =
         incr plan_cache_evictions
     | None -> ()
   done
-
-(** Cap on cached plans (default 64); shrinking evicts immediately. *)
-let set_plan_cache_limit n =
-  plan_cache_locked (fun () ->
-      plan_cache_limit := max 1 n;
-      evict_over_limit_locked ())
 
 let plan_cache_stats () : plan_cache_stats =
   plan_cache_locked (fun () ->
@@ -403,12 +371,12 @@ let clear_plan_cache () =
     plan.  Compilation happens outside the cache lock, so a slow compile
     never blocks other tenants; two tenants racing on the same new program
     may both compile, with one result cached. *)
-let compile_cached ?(optimize = true) (source : string) : compiled =
+let compile_cached (source : string) : compiled =
   let key = source_hash source in
   let cached =
     plan_cache_locked (fun () ->
         match Hashtbl.find_opt plan_cache key with
-        | Some e when String.equal e.pc_source source && e.pc_optimize = optimize ->
+        | Some e when String.equal e.pc_source source ->
             incr plan_cache_hits;
             incr plan_cache_clock;
             e.pc_last_used <- !plan_cache_clock;
@@ -420,14 +388,13 @@ let compile_cached ?(optimize = true) (source : string) : compiled =
   match cached with
   | Some c -> c
   | None ->
-      let c = compile ~optimize source in
+      let c = compile source in
       plan_cache_locked (fun () ->
           if not (Hashtbl.mem plan_cache key) then begin
             incr plan_cache_clock;
             Hashtbl.replace plan_cache key
               {
                 pc_source = source;
-                pc_optimize = optimize;
                 pc_compiled = c;
                 pc_last_used = !plan_cache_clock;
               };

@@ -492,9 +492,10 @@ let check (front : Front.t) : result =
       | Ast.E_call (f, args) -> Ram.Call (f, List.map to_vexpr args)
       | Ast.E_if (c, a, b) -> Ram.If_then_else (to_vexpr c, to_vexpr a, to_vexpr b)
       | Ast.E_cast (a, tyname) -> (
-          match resolve_alias aliases tyname with
-          | Some ty -> Ram.Cast (ty, to_vexpr a)
-          | None -> raise (Type_error (Fmt.str "unknown type %S" tyname, pos)))
+          match (resolve_alias aliases tyname, a) with
+          | Some ty, Ast.E_const (Ast.C_int n) -> Ram.Cast (ty, Ram.Const (Value.int_literal ty n))
+          | Some ty, _ -> Ram.Cast (ty, to_vexpr a)
+          | None, _ -> raise (Type_error (Fmt.str "unknown type %S" tyname, pos)))
       | Ast.E_var v -> raise (Type_error (Fmt.str "variable %S in fact" v, pos))
       | Ast.E_wildcard -> raise (Type_error ("wildcard in fact", pos))
     in

@@ -103,6 +103,11 @@ let wrap_int ty n =
     should use [int_lit]. *)
 let int ty n = Int (ty, wrap_int ty n)
 
+(** A program literal elaborated to [ty]: built at [ty] when that is an
+    integer type, wrapping to its range, and at native width otherwise, for
+    the cast around it to convert. *)
+let int_literal ty n = int (if is_integer_ty ty then ty else I64) n
+
 let float ty f = Float (ty, f)
 let bool b = B b
 let char c = C c

@@ -183,8 +183,8 @@ let cache () = Domain.DLS.get cache_key
 
 let enabled = Atomic.make true
 
-(** Globally enable/disable the cross-iteration cache; {!Session.set_wmc_cache}
-    is the only switch (there is no CLI flag).  Disabled, every call
+(** Globally enable/disable the cross-iteration cache; this is the only
+    switch (there is no CLI flag).  Disabled, every call
     compiles into a fresh manager — the historic behaviour.  Results are
     identical either way. *)
 let set_cache_enabled b = Atomic.set enabled b

@@ -35,6 +35,3 @@ let sample t rng c =
     else c
   in
   Nd.map (fun x -> x +. Scallop_utils.Rng.gaussian ~sigma:t.noise rng) t.protos.(c')
-
-(** Sample a batch of percepts for the class list, stacked row-wise. *)
-let sample_batch t rng cs = Nd.stack_rows (List.map (sample t rng) cs)

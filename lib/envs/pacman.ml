@@ -15,9 +15,6 @@ type cell = Empty | Actor | Goal | Enemy
 
 type action = Up | Down | Right | Left
 
-let all_actions = [ Up; Down; Right; Left ]
-
-let action_index = function Up -> 0 | Down -> 1 | Right -> 2 | Left -> 3
 let action_of_index = function 0 -> Up | 1 -> Down | 2 -> Right | _ -> Left
 let action_name = function Up -> "up" | Down -> "down" | Right -> "right" | Left -> "left"
 

@@ -1238,9 +1238,6 @@ let compact mgr ~sid =
       let _ = touch_live_locked mgr entry in
       compact_locked mgr entry)
 
-(** Force-spill one session (test hook; no-op if pinned or non-durable). *)
-let evict mgr ~sid = locked mgr (fun () -> spill_locked mgr (find_entry mgr sid))
-
 let is_spilled mgr ~sid =
   locked mgr (fun () ->
       match (find_entry mgr sid).e_state with Spilled -> true | _ -> false)

@@ -176,12 +176,6 @@ let decode_ack : string -> ack =
 
 type ack_mode = Ack_none | Ack_async | Ack_quorum
 
-let ack_mode_of_string = function
-  | "none" -> Some Ack_none
-  | "async" -> Some Ack_async
-  | "quorum" -> Some Ack_quorum
-  | _ -> None
-
 let ack_mode_string = function
   | Ack_none -> "none"
   | Ack_async -> "async"

@@ -90,13 +90,6 @@ let record_failure t =
       | Half_open -> trip t
       | Open _ -> ())
 
-(** True while the breaker refuses immediately (open, cooldown running). *)
-let is_open t =
-  locked t (fun () ->
-      match t.state with
-      | Open { until } -> t.now () < until
-      | Closed _ | Half_open -> false)
-
 let opens t = locked t (fun () -> t.opens)
 
 let state_name t =

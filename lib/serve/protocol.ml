@@ -45,15 +45,16 @@ let drop_tokens k s =
   String.sub s i (n - i)
 
 (* Fact atoms for the stateful verbs: "0.9::edge(0, 1)" or "edge(0, 1)".
-   Values: true/false, integers (i32), floats (f64), "quoted" or bare
-   strings; [Incr] coerces them to the relation's declared column types. *)
+   Values: true/false, integers (i32, or i64 past the i32 range), floats
+   (f64), "quoted" or bare strings; [Incr] coerces them to the relation's
+   declared column types. *)
 let parse_value (s : string) : Value.t =
   let s = String.trim s in
   if String.equal s "true" then Value.bool true
   else if String.equal s "false" then Value.bool false
   else
     match int_of_string_opt s with
-    | Some n -> Value.int Value.I32 n
+    | Some n -> Value.int (if Value.wrap_int Value.I32 n = n then Value.I32 else Value.I64) n
     | None -> (
         match float_of_string_opt s with
         | Some f -> Value.float Value.F64 f

@@ -5,8 +5,7 @@
     workers wedge, or load spikes:
 
     - {b Admission control}: a bounded FIFO queue.  A submission that would
-      exceed the depth limit — or arrives while the oldest queued request
-      has waited past [max_queue_age] — is shed immediately with a typed
+      exceed the depth limit is shed immediately with a typed
       [Exec_error.Overloaded] instead of building an unbounded backlog.
     - {b Deadline propagation}: each request carries an absolute deadline
       ([request_timeout] from submission).  Every execution attempt runs
@@ -59,9 +58,6 @@ module U = Scallop_utils
 type config = {
   jobs : int;  (** worker domains executing requests *)
   queue_depth : int;  (** max requests waiting (not in flight) *)
-  max_queue_age : float option;
-      (** shed new arrivals while the oldest queued request has waited
-          longer than this (seconds) *)
   request_timeout : float option;  (** per-request deadline from submission *)
   max_retries : int;  (** transient retries (incl. watchdog requeues) per request *)
   backoff_base : float;  (** first retry backoff, seconds *)
@@ -88,7 +84,6 @@ let default_config () =
   {
     jobs = 2;
     queue_depth = 64;
-    max_queue_age = None;
     request_timeout = None;
     max_retries = 2;
     backoff_base = 0.01;
@@ -698,10 +693,7 @@ let submit_payload svc (payload : payload) : ticket =
       let oldest_age =
         if Queue.is_empty svc.queue then 0.0 else now -. (Queue.peek svc.queue).submitted_at
       in
-      let age_exceeded =
-        match svc.config.max_queue_age with Some a -> oldest_age > a | None -> false
-      in
-      if svc.stopping || depth >= svc.config.queue_depth || age_exceeded then begin
+      if svc.stopping || depth >= svc.config.queue_depth then begin
         svc.stats.shed <- svc.stats.shed + 1;
         finish_locked svc ticket
           (Error (Exec_error.Overloaded { depth; age = oldest_age }))
@@ -744,8 +736,6 @@ let stats svc : stats =
         s with
         breaker_opens = Array.fold_left (fun acc b -> acc + Breaker.opens b) 0 svc.breakers;
       })
-
-let queue_length svc = locked svc (fun () -> Queue.length svc.queue)
 
 (** Stop accepting, drain the queue, join the watchdog thread and every
     domain ever spawned (workers and replacements), then fail whatever

@@ -1,6 +1,6 @@
 (** Small directed-graph utilities used by the stratification analysis:
-    strongly connected components (Tarjan) and a topological order of the
-    condensation.  Nodes are identified by integers [0 .. n-1]. *)
+    strongly connected components (Tarjan).  Nodes are identified by
+    integers [0 .. n-1]. *)
 
 type t = { n : int; adj : int list array }
 
@@ -9,8 +9,6 @@ let create n = { n; adj = Array.make n [] }
 let add_edge g u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then invalid_arg "Graph.add_edge";
   if not (List.mem v g.adj.(u)) then g.adj.(u) <- v :: g.adj.(u)
-
-let successors g u = g.adj.(u)
 
 (** Tarjan's algorithm.  Returns [(comp, ncomp)] where [comp.(v)] is the
     component index of node [v].  Component indices are assigned in reverse
@@ -54,17 +52,3 @@ let scc g =
     if index.(v) = -1 then strongconnect v
   done;
   (comp, !next_comp)
-
-(** Topological order of the SCC condensation: returns component indices from
-    sources to sinks (dependencies first, given edges point from dependent to
-    dependency are reversed by the caller as needed).  Tarjan assigns
-    components in reverse topological order, so this is just [ncomp-1 .. 0]
-    reversed appropriately: an edge u->v implies comp(u) >= comp(v), so
-    ascending component index is a valid dependencies-first order. *)
-let condensation_order ncomp = List.init ncomp (fun i -> i)
-
-(** Nodes grouped by component, components in ascending index order. *)
-let components_of comp ncomp =
-  let buckets = Array.make ncomp [] in
-  Array.iteri (fun v c -> buckets.(c) <- v :: buckets.(c)) comp;
-  Array.to_list (Array.map List.rev buckets)

@@ -37,15 +37,6 @@ let rec subsets = function
       let rest = subsets xs in
       rest @ List.map (fun s -> x :: s) rest
 
-(** Index of the maximum element (first on ties); [None] on empty array. *)
-let argmax_arr arr =
-  if Array.length arr = 0 then None
-  else begin
-    let best = ref 0 in
-    Array.iteri (fun i x -> if x > arr.(!best) then best := i) arr;
-    Some !best
-  end
-
 let sum_float l = List.fold_left ( +. ) 0.0 l
 
 let average l =

@@ -287,8 +287,44 @@ let audit_incr_sessions (text : string) : string list =
       | Some _ -> ());
   List.rev !errs
 
+(** Every baseline names the host and commit that produced it, and every
+    repeated timing carries its spread: a row with a ["runs"] or ["rounds"]
+    field needs quartile fields (keys ending in [q1_ms] and [q3_ms]).  Rows
+    are the innermost JSON objects of the file. *)
+let audit_fingerprint_and_spreads (text : string) : string list =
+  let errs = ref [] in
+  let nag msg = errs := msg :: !errs in
+  if json_number_field text "cores" = None then nag "missing numeric cores field";
+  List.iter
+    (fun key ->
+      if count_substring text (Printf.sprintf "%S: \"" key) = 0 then
+        nag (Printf.sprintf "missing string %s field" key))
+    [ "ocaml"; "commit" ];
+  let open_at = ref None and row = ref 0 in
+  String.iteri
+    (fun i c ->
+      match c with
+      | '{' -> open_at := Some i
+      | '}' -> (
+          match !open_at with
+          | None -> ()
+          | Some j ->
+              open_at := None;
+              let obj = String.sub text j (i - j + 1) in
+              let has sub = count_substring obj sub > 0 in
+              if
+                (has "\"runs\":" || has "\"rounds\":")
+                && not (has "q1_ms\":" && has "q3_ms\":")
+              then nag (Printf.sprintf "row %d: repeated timing without quartiles" !row);
+              incr row)
+      | _ -> ())
+    text;
+  List.rev !errs
+
 (* The audits must reject what they exist to catch: a TC-500 columnar row
-   at 15.0 minor words per tuple breaks the 14.5 gate. *)
+   at 15.0 minor words per tuple breaks the 14.5 gate; a file without its
+   commit, or a repeated timing without quartiles, breaks the baseline
+   contract. *)
 let () =
   let rows =
     String.concat "\n" (List.init 4 (fun _ -> {|"columnar": true, "columnar": false|}))
@@ -300,6 +336,18 @@ let () =
   in
   if audit_interp_columnar (file 11.6) <> [] || audit_interp_columnar (file 15.0) = [] then begin
     Fmt.epr "smoke_bench_files: the BENCH_interp.json audit misjudges its own gate@.";
+    exit 1
+  end;
+  let file ?(commit = {|"commit": "abc1234", |}) row =
+    Printf.sprintf {|{"cores": 2, "ocaml": "5.1.1", %s"benchmarks": [%s]}|} commit row
+  in
+  let timed = {|{"name": "x", "runs": 3, "median_ms": 1.0, "q1_ms": 0.9, "q3_ms": 1.1}|} in
+  if
+    audit_fingerprint_and_spreads (file timed) <> []
+    || audit_fingerprint_and_spreads (file ~commit:"" timed) = []
+    || audit_fingerprint_and_spreads (file {|{"name": "x", "rounds": 3, "median_ms": 1.0}|}) = []
+  then begin
+    Fmt.epr "smoke_bench_files: the fingerprint and spread audit misjudges its own samples@.";
     exit 1
   end
 
@@ -316,6 +364,11 @@ let () =
         end)
       sources
     |> List.sort_uniq compare
+  in
+  let committed =
+    Sys.readdir repo_root |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
   in
   if referenced = [] then begin
     Fmt.epr "smoke_bench_files: no BENCH_*.json references found (scan broken?)@.";
@@ -334,6 +387,8 @@ let () =
         match parse_json text with
         | () ->
             let audit_errs =
+              audit_fingerprint_and_spreads text
+              @
               match name with
               | "BENCH_interp.json" -> audit_interp_columnar text
               | "BENCH_incr.json" -> audit_incr_sessions text
@@ -349,7 +404,7 @@ let () =
         | exception Bad msg ->
             incr failures;
             Fmt.epr "smoke_bench_files: %s does not parse: %s@." name msg)
-    referenced;
+    (List.sort_uniq compare (referenced @ committed));
   if !failures > 0 then exit 1;
   Fmt.pr "smoke_bench_files: %d referenced baseline file(s) present and well-formed@."
     (List.length referenced)

@@ -297,6 +297,54 @@ let test_cli_serve_protocol_errors () =
         Alcotest.failf "missing golden reply %S in %a" g Fmt.(Dump.list string) lines)
     golden
 
+(* An integer literal past the host int range is a typed parse error, not
+   an exception escaping the front end. *)
+let test_literal_out_of_range () =
+  match Session.compile "rel e = {99999999999999999999}\nquery e" with
+  | _ -> Alcotest.fail "out-of-range literal compiled"
+  | exception Session.Error e ->
+      (match e with
+      | Exec_error.Parse_error _ -> ()
+      | _ -> Alcotest.failf "wrong constructor: %s" (Session.error_string e));
+      check Alcotest.string "rendered message"
+        "parse error at 1:10: integer literal 99999999999999999999 out of range"
+        (Session.error_string e)
+
+(* A one-shot serve line with such a literal gets an error reply, and the
+   next line is still answered. *)
+let test_cli_serve_literal_out_of_range () =
+  let dir = Filename.temp_file "scallop_serve" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_text (path "in.txt") (fun oc ->
+      output_string oc "rel e = {99999999999999999999};query e\nrel p = {(1, 2)};query p\n");
+  let cmd =
+    Fmt.str "../bin/scallop.exe serve < %s > %s 2> %s"
+      (Filename.quote (path "in.txt"))
+      (Filename.quote (path "out.txt"))
+      (Filename.quote (path "err.txt"))
+  in
+  let code = Sys.command cmd in
+  let lines =
+    In_channel.with_open_text (path "out.txt") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (String.equal l ""))
+  in
+  Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  check Alcotest.int "serve exits cleanly" 0 code;
+  match lines with
+  | [ err; out; done_ ] ->
+      check Alcotest.string "typed error reply"
+        "done 0 error compile parse error at 1:10: integer literal 99999999999999999999 out of \
+         range"
+        err;
+      check Alcotest.string "next line answered" "out 1 true::p(1, 2)" out;
+      if not (String.starts_with ~prefix:"done 1 ok " done_) then
+        Alcotest.failf "next line not completed: %S" done_
+  | _ -> Alcotest.failf "unexpected replies %a" Fmt.(Dump.list string) lines
+
 (* ---- CLI per-file error policy ---------------------------------------------- *)
 
 (* One bad file and one good file: the run must exit nonzero, report the bad
@@ -361,4 +409,7 @@ let suite =
     Alcotest.test_case "incr: hash mismatch" `Quick test_incr_hash_mismatch;
     Alcotest.test_case "CLI serve: protocol errors are typed replies" `Quick
       test_cli_serve_protocol_errors;
+    Alcotest.test_case "literal out of range: parse error" `Quick test_literal_out_of_range;
+    Alcotest.test_case "CLI serve: out-of-range literal is a reply" `Quick
+      test_cli_serve_literal_out_of_range;
   ]

@@ -872,3 +872,55 @@ let suite =
         ("repeated variable in atom", test_repeated_variable_in_atom);
         ("long chain recursion", test_long_chain_recursion);
       ]
+
+(* ---- integer literals past the i32 range -------------------------------------- *)
+
+(* A literal is built at the type it is elaborated to: in an i64 column it
+   keeps its value, in an i32 column it wraps as an i32 does. *)
+let test_wide_literal_fact () =
+  let r = run {|type e(i64)
+rel e = {1099511627776}
+query e|} in
+  check slist "i64 column" [ "(1099511627776)" ] (rows_no_prob r "e");
+  let r = run {|type e(i32)
+rel e = {4294967297}
+query e|} in
+  check slist "i32 column wraps" [ "(1)" ] (rows_no_prob r "e")
+
+let test_wide_literal_comparison () =
+  let r =
+    run {|type e(i64)
+rel e = {1, 2, 4294967297}
+rel big(x) = e(x), x < 4294967296
+query big|}
+  in
+  check slist "below 2^32" [ "(1)"; "(2)" ] (rows_no_prob r "big")
+
+let test_wide_literal_head_arithmetic () =
+  let r = run {|type e(i64)
+rel e = {1, 2}
+rel big(x + 4294967296) = e(x)
+query big|} in
+  check slist "shifted past 2^32" [ "(4294967297)"; "(4294967298)" ] (rows_no_prob r "big")
+
+(* A serve [assert] line carries its integers untyped; one past the i32
+   range must reach an i64 column intact. *)
+let test_wide_literal_assert () =
+  let module Incr = Scallop_incr.Incr in
+  let t = Incr.open_session ~spec:Registry.Boolean "type e(i64)\nquery e" in
+  let prob, pred, tuple = Scallop_serve.Protocol.parse_fact_atom "e(1099511627776)" in
+  Incr.assert_fact t ~pred ?prob tuple;
+  let r = Incr.query t in
+  Incr.close t;
+  check slist "asserted" [ "(1099511627776)" ] (rows_no_prob r "e")
+
+let suite =
+  suite
+  @ List.map
+      (fun (n, f) -> Alcotest.test_case n `Quick f)
+      [
+        ("i64 literal fact", test_wide_literal_fact);
+        ("i64 literal comparison", test_wide_literal_comparison);
+        ("i64 literal in head arithmetic", test_wide_literal_head_arithmetic);
+        ("i64 literal asserted through serve", test_wide_literal_assert);
+      ]
