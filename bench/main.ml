@@ -405,11 +405,13 @@ type reps = { ms : float list; words : float list }
    for the garbage of the one before. *)
 let timed f =
   Gc.full_major ();
-  let w0 = Gc.minor_words () in
   let t0 = Monotonic.now () in
+  let w0 = Gc.minor_words () in
   let x = f () in
+  (* read before the clock, whose boxed floats are no part of [f]'s allocation *)
+  let words = Gc.minor_words () -. w0 in
   let ms = 1000.0 *. (Monotonic.now () -. t0) in
-  (x, ms, Gc.minor_words () -. w0)
+  (x, ms, words)
 
 (** [warmup] untimed calls of [f], then [reps] timed ones; their timings and
     the last call's value. *)
