@@ -47,7 +47,9 @@ let drop_tokens k s =
 (* Fact atoms for the stateful verbs: "0.9::edge(0, 1)" or "edge(0, 1)".
    Values: true/false, integers (i32, or i64 past the i32 range), floats
    (f64), "quoted" or bare strings; [Incr] coerces them to the relation's
-   declared column types. *)
+   declared column types.  A quoted string may hold [,] and [::], as the
+   rows [serve] prints do; escapes are not interpreted, so every double
+   quote opens or closes a string. *)
 let parse_value (s : string) : Value.t =
   let s = String.trim s in
   if String.equal s "true" then Value.bool true
@@ -64,10 +66,26 @@ let parse_value (s : string) : Value.t =
               Value.string (String.sub s 1 (n - 2))
             else Value.string s)
 
+(* The first [c] in [s] from index [i] on that lies outside double quotes. *)
+let index_unquoted s c i =
+  let rec go quoted i =
+    if i >= String.length s then None
+    else if s.[i] = '"' then go (not quoted) (i + 1)
+    else if s.[i] = c && not quoted then Some i
+    else go quoted (i + 1)
+  in
+  go false i
+
+(* [s] from index [i] on, cut at every [c] outside double quotes. *)
+let rec split_unquoted s c i =
+  match index_unquoted s c i with
+  | Some j -> String.sub s i (j - i) :: split_unquoted s c (j + 1)
+  | None -> [ String.sub s i (String.length s - i) ]
+
 let parse_fact_atom (s : string) : float option * string * Tuple.t =
   let s = String.trim s in
   let prob, rest =
-    match String.index_opt s ':' with
+    match index_unquoted s ':' 0 with
     | Some i when i + 1 < String.length s && s.[i + 1] = ':' -> (
         let p = String.sub s 0 i in
         match float_of_string_opt p with
@@ -85,8 +103,7 @@ let parse_fact_atom (s : string) : float option * string * Tuple.t =
       if String.equal pred "" then invalid_input "bad fact %S: empty predicate" s;
       let inner = String.sub rest (l + 1) (n - l - 2) in
       let vals =
-        if String.trim inner = "" then []
-        else List.map parse_value (String.split_on_char ',' inner)
+        if String.trim inner = "" then [] else List.map parse_value (split_unquoted inner ',' 0)
       in
       (prob, pred, Tuple.of_list vals)
 
@@ -146,6 +163,10 @@ let parse ?(max_line = default_max_line) (line : string) : (request, Exec_error.
       | "assert" :: sid :: _ :: _ ->
           check_sid sid;
           let prob, pred, tuple = parse_fact_atom (drop_tokens 2 line) in
+          (match prob with
+          | Some p when not (p >= 0.0 && p <= 1.0) ->
+              invalid_input "assert: probability %g is not a number in [0, 1]" p
+          | _ -> ());
           Assert { sid; prob; pred; tuple }
       | "assert" :: rest ->
           invalid_input "assert: expected 'assert <sid> [<prob>::]<pred>(<args>)', got %d argument%s"

@@ -605,6 +605,29 @@ let test_protocol_fuzz_total () =
 
 let test_protocol_classification () =
   let open Protocol in
+  List.iter
+    (fun p ->
+      match parse (Printf.sprintf "assert s1 %s::edge(1, 2)" p) with
+      | Error (Exec_error.Invalid_input _) -> ()
+      | _ -> Alcotest.failf "probability %s outside [0, 1] should be a typed error" p)
+    [ "nan"; "inf"; "-inf"; "1.5"; "-0.5" ];
+  (match parse {|assert s name("a,b")|} with
+  | Ok (Assert { prob = None; pred = "name"; tuple; _ }) ->
+      Alcotest.(check string) "comma inside quotes" {|("a,b")|} (Tuple.to_string tuple)
+  | _ -> Alcotest.fail "quoted comma misparsed");
+  (match parse {|assert s name("x::y")|} with
+  | Ok (Assert { prob = None; pred = "name"; tuple; _ }) ->
+      Alcotest.(check string) ":: inside quotes" {|("x::y")|} (Tuple.to_string tuple)
+  | _ -> Alcotest.fail "quoted :: misparsed");
+  (match parse {|assert s 0.5::pair("x::y", "a,b")|} with
+  | Ok (Assert { prob = Some 0.5; pred = "pair"; tuple; _ }) ->
+      Alcotest.(check string) "both, after a probability" {|("x::y", "a,b")|}
+        (Tuple.to_string tuple)
+  | _ -> Alcotest.fail "quoted pair misparsed");
+  (match parse {|retract s name("a,b")|} with
+  | Ok (Retract { pred = "name"; tuple; _ }) ->
+      Alcotest.(check int) "retract: comma inside quotes" 1 (Tuple.arity tuple)
+  | _ -> Alcotest.fail "quoted retract misparsed");
   (match parse "assert s1 0.5::edge(1, 2)" with
   | Ok (Assert { sid = "s1"; prob = Some 0.5; pred = "edge"; tuple }) ->
       Alcotest.(check int) "arity" 2 (Tuple.arity tuple)
