@@ -233,7 +233,7 @@ let serve_cmd =
   let module Service = Scallop_serve.Service in
   let module Chaos = Scallop_serve.Chaos in
   let module Protocol = Scallop_serve.Protocol in
-  let module Incr = Scallop_incr.Incr in
+  let module Server = Scallop_serve.Server in
   let module Durable = Scallop_incr.Durable in
   let module Replica = Scallop_incr.Replica in
   let queue_depth_arg =
@@ -464,13 +464,6 @@ let serve_cmd =
       }
     in
     let svc = Service.create ~config provenance in
-    (* Replication roles.  A primary ships every durable update into the
-       ship log (via the repl sink wired into [Durable]); a follower's
-       registry starts as a standby and a poller thread tails the ship
-       log into it.  Like the printer below, these helper loops are
-       threads on the main domain: the only domains are the service's
-       workers, since every extra domain joins each stop-the-world minor
-       GC. *)
     let primary =
       Option.map
         (fun dir ->
@@ -493,348 +486,15 @@ let serve_cmd =
     let follower =
       Option.map (fun dir -> Replica.Follower.create ~dir ~fid:repl_id ~mgr:dmgr ()) repl_follow
     in
-    let repl_stop = Atomic.make false in
-    let heartbeat_thread =
-      Option.map
-        (fun p ->
-          Thread.create
-            (fun () ->
-              while not (Atomic.get repl_stop) do
-                Replica.Primary.heartbeat p;
-                Unix.sleepf 0.25
-              done)
-            ())
-        primary
-    in
-    let poller_thread =
-      Option.map
-        (fun f ->
-          Thread.create
-            (fun () ->
-              let auto_promoted = ref false in
-              while not (Atomic.get repl_stop) do
-                (try if Replica.Follower.poll f = 0 then Unix.sleepf 0.002
-                 with _ -> Unix.sleepf 0.01);
-                match repl_auto_promote with
-                | Some ttl when not !auto_promoted -> (
-                    match Replica.Follower.primary_age f with
-                    | Some age when age > ttl ->
-                        (try
-                           let e = Replica.Follower.promote f in
-                           Fmt.epr "repl: primary heartbeat stale (%.1fs); promoted to epoch %d@." age
-                             e
-                         with Session.Error _ -> () (* promoted by hand already *));
-                        auto_promoted := true
-                    | _ -> ())
-                | _ -> ()
-              done)
-            ())
-        follower
-    in
-    (* Protocol: one request per stdin line ([;] separates items within a
-       line).  Replies stream on stdout in request order: zero or more
-       [out <id> ...] rows, then exactly one [done <id> ok|error ...] status
-       line per request.  Per-request failures are replies, not a process
-       failure: the exit status is 0 as long as the service answered.
-
-       A line starting with a stateful verb drives a stateful session
-       instead of a one-shot query:
-
-         open <sid> [hash=<hex>] <program>   compile (shared plan cache) + open
-         assert <sid> [<prob>::]<pred>(<args>)
-         retract <sid> <pred>(<args>)
-         query <sid> [<rel> ...]             rows + done, via the worker pool
-         close <sid>
-         stats                               plan-cache / WMC / session counters
-
-       Updates apply in line order (strictly serialized against the
-       session's in-flight queries); anything else is the legacy one-shot
-       path. *)
-    (* In-flight query tickets per session.  The session registry itself —
-       including recovery from --state-dir, WAL-before-apply commit, and
-       idle eviction — lives in [Durable]. *)
-    let tickets : (string, Service.ticket list ref) Hashtbl.t = Hashtbl.create 8 in
-    let pmutex = Mutex.create () in
-    let pcond = Condition.create () in
-    let pending = Queue.create () in
-    let eof = ref false in
-    (* The printer thread is the only writer of stdout ([Format] is not
-       thread-safe).  Each reply is rendered into [out] and flushed once,
-       so an 80-row reply costs one write rather than one per row. *)
-    let printer =
-      Thread.create
-        (fun () ->
-          let out = Buffer.create 4096 in
-          let ppf = Format.formatter_of_buffer out in
-          let rec loop () =
-            Mutex.lock pmutex;
-            while Queue.is_empty pending && not !eof do
-              Condition.wait pcond pmutex
-            done;
-            let item = if Queue.is_empty pending then None else Some (Queue.pop pending) in
-            Mutex.unlock pmutex;
-            match item with
-            | None -> ()
-            | Some (n, reply) ->
-                (match reply with
-                | `Err e -> Fmt.pf ppf "done %d error compile %s@." n (Session.error_string e)
-                | `Lines lines -> List.iter (fun l -> Fmt.pf ppf "%s@." l) lines
-                | `Ticket ticket -> (
-                    let o = Service.await svc ticket in
-                    let rung = Registry.spec_name o.Service.rung in
-                    let ms = 1000.0 *. o.Service.latency in
-                    match o.Service.response with
-                    | Ok result ->
-                        List.iter
-                          (fun (pred, rows) ->
-                            List.iter
-                              (fun (t, tag) ->
-                                Fmt.pf ppf "out %d %a::%s%a@." n Provenance.Output.pp tag
-                                  pred Tuple.pp t)
-                              rows)
-                          result.Session.outputs;
-                        Fmt.pf ppf "done %d ok rung=%s attempts=%d ms=%.1f@." n rung
-                          o.Service.attempts ms
-                    | Error e ->
-                        Fmt.pf ppf "done %d error rung=%s attempts=%d %s@." n rung
-                          o.Service.attempts (Session.error_string e)));
-                Buffer.output_buffer stdout out;
-                flush stdout;
-                Buffer.clear out;
-                loop ()
-          in
-          loop ())
-        ()
-    in
-    let push n reply =
-      Mutex.lock pmutex;
-      Queue.push (n, reply) pending;
-      Condition.signal pcond;
-      Mutex.unlock pmutex
-    in
-    (* Run a verb; protocol misuse surfaces as a typed Invalid_input reply
-       and any other exception as a typed runtime error — a request can
-       fail, never crash or wedge the service.  Stack_overflow and
-       Out_of_memory stay fatal: the process state is suspect. *)
-    let verb n f =
-      push n
-        (try f () with
-        | Session.Error e -> `Lines [ Fmt.str "done %d error %s" n (Session.error_string e) ]
-        | (Stack_overflow | Out_of_memory) as e -> raise e
-        | exn ->
-            `Lines
-              [
-                Fmt.str "done %d error %s" n
-                  (Session.error_string
-                     (Exec_error.Runtime_error { msg = "internal: " ^ Printexc.to_string exn }));
-              ])
-    in
-    let lookup sid =
-      if not (Durable.exists dmgr ~sid) then Session.invalid_input "unknown session %s" sid
-    in
-    let pending_of sid =
-      match Hashtbl.find_opt tickets sid with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add tickets sid r;
-          r
-    in
-    (* Serialize updates and close against ALL of the session's in-flight
-       queries, so a later assert can never be observed by an earlier query
-       executing on a worker domain.  Awaiting only the most recent ticket
-       is not enough: with two or more workers, two queries on the same
-       session can execute concurrently, and a close that awaited just the
-       newer one could tear the session down under the older — which then
-       failed spuriously with "session is closed". *)
-    let drain sid =
-      let r = pending_of sid in
-      List.iter (fun tk -> ignore (Service.await svc tk)) (List.rev !r);
-      r := []
-    in
-    let unquote line = String.map (fun c -> if c = ';' then '\n' else c) line in
-    let repl_status_lines n =
-      match (primary, follower) with
-      | Some p, _ ->
-          let s = Replica.Primary.status p in
-          Fmt.str
-            "out %d repl role=primary id=%s epoch=%d ack=%s seg=%d frames=%d shipped=%d \
-             rotations=%d barriers=%d lag-mean-ms=%.3f lag-max-ms=%.3f fenced=%s"
-            n repl_id s.Replica.Primary.st_epoch (Replica.ack_mode_string repl_ack) s.st_seg
-            s.st_frames s.st_shipped s.st_rotations s.st_barriers s.st_mean_barrier_ms
-            s.st_max_barrier_ms
-            (match s.st_fenced with Some e -> string_of_int e | None -> "no")
-          :: List.map
-               (fun (fid, a) ->
-                 Fmt.str "out %d repl follower %s epoch=%d seg=%d idx=%d%s" n fid
-                   a.Replica.a_epoch a.a_seg a.a_idx
-                   (if a.a_fence then " fence" else ""))
-               s.st_followers
-      | None, Some f ->
-          let s = Replica.Follower.status f in
-          Fmt.str
-            "out %d repl role=%s id=%s epoch=%d seg=%d idx=%d applied=%d skipped=%d \
-             installs=%d adoptions=%d seals=%d divergences=%d awaiting=%d primary-age=%s"
-            n
-            (if s.Replica.Follower.st_promoted then "promoted" else "follower")
-            repl_id s.st_epoch s.st_seg s.st_idx s.st_applied s.st_skipped s.st_installs
-            s.st_adoptions s.st_seals s.st_divergences s.st_awaiting
-            (match s.st_primary_age with Some a -> Fmt.str "%.1fs" a | None -> "none")
-          :: ((match s.st_last_error with
-              | None -> []
-              | Some e -> [ Fmt.str "out %d repl last-error %s" n e ])
-             @ List.map
-                 (fun (sid, lsn, seg) ->
-                   Fmt.str "out %d repl session %s lsn=%d seg=%d" n sid lsn seg)
-                 s.st_sessions)
-      | None, None -> [ Fmt.str "out %d repl role=none" n ]
-    in
-    let dispatch n (req : Protocol.request) =
-      match req with
-      | Protocol.Open { sid; expect_hash; program } ->
-          verb n (fun () ->
-              let hash =
-                Durable.open_session dmgr ~sid ?expect_hash (base_src ^ unquote program)
-              in
-              `Lines [ Fmt.str "done %d ok opened %s hash=%s" n sid hash ])
-      | Protocol.Assert { sid; prob; pred; tuple } ->
-          verb n (fun () ->
-              lookup sid;
-              drain sid;
-              Durable.assert_fact dmgr ~sid ~pred ?prob tuple;
-              `Lines [ Fmt.str "done %d ok asserted %s" n sid ])
-      | Protocol.Retract { sid; pred; tuple } ->
-          verb n (fun () ->
-              lookup sid;
-              drain sid;
-              Durable.retract_fact dmgr ~sid ~pred tuple;
-              `Lines [ Fmt.str "done %d ok retracted %s" n sid ])
-      | Protocol.Query { sid; outputs } ->
-          verb n (fun () ->
-              lookup sid;
-              let tk =
-                Service.submit_exec svc (fun ~rung:_ ~config ->
-                    Durable.query ?outputs ~budget:config.Interp.budget dmgr ~sid ())
-              in
-              let r = pending_of sid in
-              r := tk :: List.filter (fun t -> Service.poll svc t = None) !r;
-              `Ticket tk)
-      | Protocol.Close { sid } ->
-          verb n (fun () ->
-              lookup sid;
-              drain sid;
-              let st = Durable.close dmgr ~sid in
-              `Lines
-                [
-                  Fmt.str "out %d session %s %a" n sid Incr.pp_session_stats st;
-                  Fmt.str "done %d ok closed %s" n sid;
-                ])
-      | Protocol.Stats ->
-          verb n (fun () ->
-              let pc = Session.plan_cache_stats () in
-              let wc = Wmc.cache_stats () in
-              let c = Durable.session_counts dmgr in
-              let open_sessions = c.Durable.live + c.Durable.spilled + c.Durable.failed in
-              `Lines
-                ([
-                   Fmt.str "out %d plan-cache hits=%d misses=%d evictions=%d entries=%d" n
-                     pc.Session.hits pc.Session.misses pc.Session.evictions pc.Session.entries;
-                   Fmt.str
-                     "out %d wmc bdd-hits=%d bdd-misses=%d result-hits=%d \
-                      result-misses=%d resets=%d nodes=%d"
-                     n wc.Wmc.bdd_hits wc.Wmc.bdd_misses wc.Wmc.result_hits
-                     wc.Wmc.result_misses wc.Wmc.resets wc.Wmc.manager_nodes;
-                   Fmt.str "out %d sessions open=%d" n open_sessions;
-                 ]
-                @ (match state_dir with
-                  | None -> []
-                  | Some _ ->
-                      [
-                        Fmt.str "out %d durability %a live=%d spilled=%d failed=%d" n
-                          Durable.pp_stats (Durable.stats dmgr) c.Durable.live
-                          c.Durable.spilled c.Durable.failed;
-                      ])
-                @ (match primary with
-                  | None -> []
-                  | Some p ->
-                      let s = Replica.Primary.status p in
-                      [
-                        Fmt.str
-                          "out %d repl role=primary epoch=%d shipped=%d followers=%d \
-                           lag-mean-ms=%.3f"
-                          n s.Replica.Primary.st_epoch s.st_shipped
-                          (List.length s.st_followers) s.st_mean_barrier_ms;
-                      ])
-                @ (match follower with
-                  | None -> []
-                  | Some f ->
-                      let s = Replica.Follower.status f in
-                      [
-                        Fmt.str "out %d repl role=%s epoch=%d applied=%d divergences=%d" n
-                          (if s.Replica.Follower.st_promoted then "promoted" else "follower")
-                          s.st_epoch s.st_applied s.st_divergences;
-                      ])
-                @ [ Fmt.str "done %d ok stats" n ]))
-      | Protocol.Scrub ->
-          verb n (fun () ->
-              let reports = Durable.scrub dmgr in
-              let lines =
-                List.concat_map
-                  (fun r ->
-                    Fmt.str "out %d scrub %s snapshots=%d segments=%d errors=%d" n
-                      r.Durable.sc_sid r.Durable.sc_snapshots r.Durable.sc_segments
-                      (List.length r.Durable.sc_errors)
-                    :: List.map
-                         (fun e -> Fmt.str "out %d scrub %s ! %s" n r.Durable.sc_sid e)
-                         r.Durable.sc_errors)
-                  reports
-              in
-              let bad =
-                List.fold_left (fun acc r -> acc + List.length r.Durable.sc_errors) 0 reports
-              in
-              `Lines
-                (lines
-                @ [
-                    Fmt.str "done %d ok scrub sessions=%d errors=%d" n (List.length reports)
-                      bad;
-                  ]))
-      | Protocol.Repl_status ->
-          verb n (fun () -> `Lines (repl_status_lines n @ [ Fmt.str "done %d ok repl" n ]))
-      | Protocol.Repl_promote { epoch } ->
-          verb n (fun () ->
-              match follower with
-              | None -> Session.invalid_input "repl promote: this node is not a follower"
-              | Some f ->
-                  let e = Replica.Follower.promote ?epoch f in
-                  `Lines [ Fmt.str "done %d ok promoted epoch=%d" n e ])
-      | Protocol.Run { program } ->
-          push n
-            (match Session.compile (base_src ^ unquote program) with
-            | compiled -> `Ticket (Service.submit svc compiled)
-            | exception Session.Error e -> `Err e)
+    let server =
+      Server.create ~base:base_src ?auto_promote:repl_auto_promote ?primary ?follower svc dmgr
+        ~sink:(fun reply ->
+          print_string reply;
+          flush stdout)
     in
     let requests = Protocol.reader ~max_line:max_line_bytes stdin in
-    let reqno = ref 0 in
-    let rec read_loop () =
-      match Protocol.read_request requests with
-      | None -> ()
-      | Some outcome ->
-          let n = !reqno in
-          incr reqno;
-          (match outcome with
-          | Error e -> push n (`Lines [ Fmt.str "done %d error %s" n (Session.error_string e) ])
-          | Ok req -> dispatch n req);
-          read_loop ()
-    in
-    read_loop ();
-    Atomic.set repl_stop true;
-    Option.iter Thread.join poller_thread;
-    Option.iter Thread.join heartbeat_thread;
-    Mutex.lock pmutex;
-    eof := true;
-    Condition.broadcast pcond;
-    Mutex.unlock pmutex;
-    Thread.join printer;
+    Seq.iter (Server.handle server) (Seq.of_dispenser (fun () -> Protocol.read_request requests));
+    Server.close server;
     Service.shutdown svc;
     Durable.shutdown dmgr;
     Option.iter Replica.Primary.close primary;

@@ -101,21 +101,6 @@ let default_config () =
 
 (* ---- requests --------------------------------------------------------------------- *)
 
-type payload =
-  | Run of {
-      compiled : Session.compiled;
-      facts : (string * (Provenance.Input.t * Tuple.t) list) list;
-      outputs : string list option;
-    }
-      (** a one-shot query: executed by [Session.run] under the rung the
-          degradation ladder currently grants *)
-  | Exec of (rung:Registry.spec -> config:Interp.config -> Session.result)
-      (** an opaque execution run under the same admission, deadline,
-          retry, chaos and watchdog machinery; receives the granted rung
-          and the per-attempt constrained config.  Stateful sessions
-          ([Incr]) submit these — they pin their own provenance, so they
-          ignore the rung, but still degrade by budget via the config. *)
-
 (** The single terminal verdict of a request. *)
 type outcome = {
   response : (Session.result, Exec_error.t) result;
@@ -130,7 +115,8 @@ type outcome = {
 type ticket = {
   id : int;  (** submission ordinal; also the RNG substream index *)
   submitted_at : float;
-  payload : payload option;  (** [None] only for admission-shed tickets *)
+  run : rung:Registry.spec -> config:Interp.config -> Session.result;
+      (** the execution, given the granted rung and the per-attempt config *)
   mutable epoch : int;  (** bumped at each claim; stale workers can't complete *)
   mutable attempts : int;
   mutable retries_used : int;
@@ -341,7 +327,6 @@ let requeue_locked svc (ticket : ticket) =
    of the whole worker when chaos strikes. *)
 let execute svc w my_gen (ticket : ticket) =
   let cfg = svc.config in
-  let payload = Option.get ticket.payload in
   let jitter = U.Rng.substream (U.Rng.create cfg.seed) ticket.id in
   let deadline = Option.map (fun t -> ticket.submitted_at +. t) cfg.request_timeout in
   let last_rung = Array.length svc.ladder - 1 in
@@ -427,14 +412,7 @@ let execute svc w my_gen (ticket : ticket) =
                 }
               in
               try
-                let result =
-                  match payload with
-                  | Run { compiled; facts; outputs } ->
-                      Session.run ~config:run_cfg
-                        ~provenance:(Registry.create svc.ladder.(r))
-                        compiled ~facts ?outputs ()
-                  | Exec f -> f ~rung:svc.ladder.(r) ~config:run_cfg
-                in
+                let result = ticket.run ~rung:svc.ladder.(r) ~config:run_cfg in
                 let result =
                   if d.Chaos.nan then begin
                     let result, did = poison_result result in
@@ -667,10 +645,14 @@ let set_chaos svc chaos = locked svc (fun () -> svc.chaos <- chaos)
 let ladder svc = Array.to_list svc.ladder
 let breaker_states svc = Array.to_list (Array.map Breaker.state_name svc.breakers)
 
-(** Submit a payload.  Never blocks and never raises: an admission
-    rejection (queue full / too old / service stopping) returns a ticket
-    whose outcome is already [Error (Overloaded _)]. *)
-let submit_payload svc (payload : payload) : ticket =
+(** Submit an execution.  It runs on a worker domain under the service's
+    deadline, retry, chaos and watchdog supervision, and receives the rung
+    the degradation ladder grants and the per-attempt constrained config.
+    Stateful sessions pin their own provenance, so they ignore the rung but
+    still degrade by budget through the config.  Never blocks and never
+    raises: an admission rejection (queue full or service stopping)
+    returns a ticket whose outcome is already [Error (Overloaded _)]. *)
+let submit_exec svc run : ticket =
   locked svc (fun () ->
       let now = svc.config.now () in
       let id = svc.next_id in
@@ -680,7 +662,7 @@ let submit_payload svc (payload : payload) : ticket =
         {
           id;
           submitted_at = now;
-          payload = Some payload;
+          run;
           epoch = 0;
           attempts = 0;
           retries_used = 0;
@@ -706,16 +688,10 @@ let submit_payload svc (payload : payload) : ticket =
       end;
       ticket)
 
-(** Submit a one-shot query. *)
+(** Submit a one-shot query: [Session.run] under the granted rung. *)
 let submit svc ?outputs ?(facts = []) (compiled : Session.compiled) : ticket =
-  submit_payload svc (Run { compiled; facts; outputs })
-
-(** Submit an opaque execution (see {!payload}): it runs on a worker domain
-    under the service's deadline/retry/chaos supervision with the granted
-    rung and per-attempt config passed in. *)
-let submit_exec svc (f : rung:Registry.spec -> config:Interp.config -> Session.result) :
-    ticket =
-  submit_payload svc (Exec f)
+  submit_exec svc (fun ~rung ~config ->
+      Session.run ~config ~provenance:(Registry.create rung) compiled ~facts ?outputs ())
 
 (** Block until the ticket's terminal outcome. *)
 let await svc (ticket : ticket) : outcome =

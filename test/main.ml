@@ -33,4 +33,5 @@ let () =
       ("incr", Test_incr.suite);
       ("durability", Test_durability.suite);
       ("replication", Test_replication.suite);
+      ("server", Test_server.suite);
     ]
