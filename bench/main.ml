@@ -13,7 +13,7 @@
     continues from the newest valid snapshot; [--clip-grad] bounds the
     global gradient norm on every optimizer step.  Experiments:
       table1 table2 accuracy provenances table4 table5 fig18 fig19 pacman
-      micro batch budget resilience service incr durability replication
+      micro batch budget resilience service incr durability replication server
 
     Each run prints paper-reported reference numbers alongside measured ones
     (marked [paper]); see EXPERIMENTS.md for the recorded comparison. *)
@@ -1863,6 +1863,129 @@ let bench_replication (m : mode) =
         ("quorum_overhead_gate_pct", jnum ~dp:1 25.0);
       ]
 
+(* ---- the serve loop in process (BENCH_server.json) --------------------------------------------- *)
+
+(* [Server], the request loop behind [scallop serve], driven in process
+   with the end-to-end benchmark's sessions-maintain mix: 16 tenants, each
+   a 40-node min-max-prob reach graph of 100 edges, then 30% asserts, 30%
+   retracts and 40% queries.  The server runs over an in-memory registry
+   and one worker, and a closed loop keeps at most two requests
+   outstanding.  Opening the tenants and loading their graphs happens
+   before timing; each timed rep sends the next [ops] requests and waits
+   for their replies.  Every reply, set-up included, goes through the
+   generator's oracle ([Gen.check]), and a mismatch fails the section.
+   Minor words count the serving domain only (dispatch, writes, replies):
+   queries run on the worker's domain.  No gate yet. *)
+let bench_server (m : mode) =
+  section "Serve loop in process: the sessions-maintain mix (writes BENCH_server.json)";
+  let open Scallop_core in
+  let module Service = Scallop_serve.Service in
+  let module Server = Scallop_serve.Server in
+  let module Protocol = Scallop_serve.Protocol in
+  let module Gen = E2e_core.Gen in
+  let module Reply = E2e_core.Reply in
+  let sizes = { Gen.tenants = 16; nodes = 40; edges = 100; assert_pct = 30; retract_pct = 30 } in
+  let ops = if m.quick then 400 else 2000 in
+  let reps = if m.quick then 5 else 10 in
+  let window = 2 in
+  let spec = Registry.Max_min_prob in
+  let interp = Interp.default_config () in
+  let svc = Service.create ~config:{ (Service.default_config ()) with jobs = 1; interp } spec in
+  let dmgr = Durable.create (Durable.config ~group_commit:true ~interp spec) in
+  (* the closed loop: [sent] requests handed to the server, [replies] the
+     texts it sent back, newest first *)
+  let mu = Mutex.create () and answered = Condition.create () in
+  let sent = ref 0 and replies = ref [] and n_replies = ref 0 in
+  let sink reply =
+    Mutex.protect mu (fun () ->
+        replies := reply :: !replies;
+        incr n_replies;
+        Condition.signal answered)
+  in
+  let server = Server.create svc dmgr ~sink in
+  let await_below k =
+    Mutex.protect mu (fun () ->
+        while !sent - !n_replies > k do
+          Condition.wait answered mu
+        done)
+  in
+  let send (op : Gen.op) =
+    await_below (window - 1);
+    incr sent;
+    Server.handle server (Protocol.parse op.Gen.line)
+  in
+  let g = Gen.session_gen sizes ~seed:1 in
+  let setup = Gen.session_setup g in
+  List.iter send setup;
+  await_below 0;
+  (* the model moves with every generated request, so the reps' requests
+     are generated before timing, in the order they are sent *)
+  let batches =
+    List.init (warmup + reps) (fun _ -> List.init ops (fun _ -> Gen.session_next g))
+  in
+  let todo = ref batches in
+  let r, () =
+    measure ~reps (fun () ->
+        let batch = List.hd !todo in
+        todo := List.tl !todo;
+        List.iter send batch;
+        await_below 0)
+  in
+  Server.close server;
+  Service.shutdown svc;
+  Durable.shutdown dmgr;
+  (* each reply is one request's [out] rows and its [done] line *)
+  let answer text =
+    List.fold_left
+      (fun (ok, rows) line ->
+        match Reply.classify line with
+        | Reply.Out (_, row) -> (ok, row :: rows)
+        | Reply.Done (_, ok, _) -> (ok, rows)
+        | Reply.Other _ -> (false, rows))
+      (false, [])
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+  in
+  let requests = setup @ List.concat batches in
+  let bad =
+    List.fold_left2
+      (fun bad op text ->
+        let ok, rows = answer text in
+        if Gen.check op ~ok ~rows then bad else bad + 1)
+      0 requests (List.rev !replies)
+  in
+  let n = List.length requests in
+  if bad > 0 then fail "server: %d of %d replies disagree with the oracle" bad n
+  else Fmt.pr "  checked: all %d replies agree with the oracle@." n;
+  let per_op = List.map (fun ms -> ms /. float_of_int ops) r.ms in
+  let rate = List.map (fun ms -> 1000.0 /. ms) per_op in
+  let rate_q1, rate_q3 = Summary.quartiles rate in
+  let words = Summary.median r.words /. float_of_int ops in
+  Fmt.pr "  %d tenants, %d ops x %d reps, window %d: %.0f ops/s (q1 %.0f, q3 %.0f), %.3f ms/op, \
+          %.0f minor words/op@."
+    sizes.Gen.tenants ops reps window (Summary.median rate) rate_q1 rate_q3
+    (Summary.median per_op) words;
+  write_baseline "BENCH_server.json"
+    [
+      [
+        ("workload", jstr "sessions-maintain");
+        ("provenance", jstr (Registry.spec_name spec));
+        ("tenants", jint sizes.Gen.tenants);
+        ("nodes", jint sizes.Gen.nodes);
+        ("edges", jint sizes.Gen.edges);
+        ("jobs", jint 1);
+        ("window", jint window);
+        ("ops", jint ops);
+        ("runs", jint reps);
+        ("checked", jint n);
+        ("mismatches", jint bad);
+        ("ops_per_s_median", jnum ~dp:1 (Summary.median rate));
+        ("ops_per_s_q1", jnum ~dp:1 rate_q1);
+        ("ops_per_s_q3", jnum ~dp:1 rate_q3);
+      ]
+      @ spread ~prefix:"op_" per_op
+      @ [ ("minor_words_per_op", jnum ~dp:1 words) ];
+    ]
+
 (* ---- driver --------------------------------------------------------------------------------------- *)
 
 let all_experiments =
@@ -1885,6 +2008,7 @@ let all_experiments =
     ("incr", bench_incr);
     ("durability", bench_durability);
     ("replication", bench_replication);
+    ("server", bench_server);
   ]
 
 let () =
