@@ -9,6 +9,11 @@ let check = Alcotest.check
 
 let toks src = Array.to_list (Lexer.tokenize src) |> List.map (fun s -> s.Lexer.tok)
 
+(* Each token with its line and column. *)
+let spans src =
+  Array.to_list (Lexer.tokenize src)
+  |> List.map (fun s -> (s.Lexer.tok, s.Lexer.pos.Ast.line, s.Lexer.pos.Ast.col))
+
 let test_lexer_punctuation () =
   check Alcotest.int "token count" 13
     (List.length (toks "( ) { } , ; :: := :- == != <:"))
@@ -42,6 +47,71 @@ let test_lexer_error_position () =
       check Alcotest.int "line" 2 pos.Ast.line;
       check Alcotest.int "col" 3 pos.Ast.col
   | _ -> Alcotest.fail "expected lex error"
+
+let span_t =
+  Alcotest.testable
+    (fun ppf (tok, line, col) -> Fmt.pf ppf "%s@%d:%d" (Lexer.token_name tok) line col)
+    ( = )
+
+let check_spans name src expected =
+  check (Alcotest.list span_t) name expected (spans src)
+
+(* Every byte is one column, tabs and carriage returns included; a newline
+   inside a comment, string or char literal starts a new line. *)
+let test_lexer_positions () =
+  let open Lexer in
+  check_spans "tabs" "\ta\t\tb :: 7"
+    [ (IDENT "a", 1, 2); (IDENT "b", 1, 5); (COLONCOLON, 1, 7); (INT 7, 1, 10); (EOF, 1, 11) ];
+  check_spans "crlf" "a\r\nb\r\n  (" [ (IDENT "a", 1, 1); (IDENT "b", 2, 1); (LPAREN, 3, 3); (EOF, 3, 4) ];
+  check_spans "block comment over lines" "x /* one\ntwo\n */ y"
+    [ (IDENT "x", 1, 1); (IDENT "y", 3, 5); (EOF, 3, 6) ];
+  check_spans "line comment" "// c\n  k //" [ (IDENT "k", 2, 3); (EOF, 2, 7) ];
+  check_spans "string holding a newline" "\"a\nbc\" z"
+    [ (STRING "a\nbc", 1, 1); (IDENT "z", 2, 5); (EOF, 2, 6) ];
+  check_spans "char literals" "'q' ( '\\n' )\n'\n' _"
+    [
+      (CHARLIT 'q', 1, 1); (LPAREN, 1, 5); (CHARLIT '\n', 1, 7); (RPAREN, 1, 12);
+      (CHARLIT '\n', 2, 1); (UNDERSCORE, 3, 3); (EOF, 3, 4);
+    ];
+  check_spans "numbers and $/@" "12.5e1 9e $f @a\n"
+    [
+      (FLOAT 125.0, 1, 1); (INT 9, 1, 8); (IDENT "e", 1, 9); (DOLLAR_IDENT "f", 1, 11);
+      (AT_IDENT "a", 1, 14); (EOF, 2, 1);
+    ];
+  check_spans "empty source" "" [ (EOF, 1, 1) ];
+  check_spans "only newlines" "\n\n" [ (EOF, 3, 1) ]
+
+(* The message and position of every lexical error. *)
+let test_lexer_errors () =
+  let cases =
+    [
+      ("a /* open\n comment", "unterminated block comment", 1, 3);
+      ("/*/", "unterminated block comment", 1, 1);
+      ("x\n  \"abc", "unterminated string", 2, 3);
+      ("\"ab\\", "unterminated string", 1, 1);
+      ("'", "unterminated char literal", 1, 1);
+      ("'\\", "unterminated char literal", 1, 1);
+      ("\t'ab'", "unterminated char literal", 1, 2);
+      ("'a", "unterminated char literal", 1, 1);
+      ("p $ (", "expected identifier after '$'", 1, 3);
+      ("\n@", "expected identifier after '@'", 2, 1);
+      ("rel p = {#}", "unexpected character '#'", 1, 10);
+      ("a & b", "unexpected character '&'", 1, 3);
+      ("1 4611686018427387904", "integer literal 4611686018427387904 out of range", 1, 3);
+      ("007 99999999999999999999", "integer literal 99999999999999999999 out of range", 1, 5);
+    ]
+  in
+  List.iter
+    (fun (src, msg, line, col) ->
+      match Lexer.tokenize src with
+      | exception Lexer.Lex_error (m, pos) ->
+          check Alcotest.string (src ^ ": message") msg m;
+          check Alcotest.(pair int int) (src ^ ": position") (line, col) (pos.Ast.line, pos.Ast.col)
+      | _ -> Alcotest.failf "%S: expected a lex error" src)
+    cases;
+  (* the largest native int is still a literal *)
+  check (Alcotest.list span_t) "max_int" [ (Lexer.INT max_int, 1, 1); (Lexer.EOF, 1, 20) ]
+    (spans "4611686018427387903")
 
 (* ---- parser -------------------------------------------------------------------- *)
 
@@ -185,6 +255,8 @@ let suite =
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
     Alcotest.test_case "lexer $ and @" `Quick test_lexer_dollar_at;
     Alcotest.test_case "lexer error position" `Quick test_lexer_error_position;
+    Alcotest.test_case "lexer token positions" `Quick test_lexer_positions;
+    Alcotest.test_case "lexer error messages and positions" `Quick test_lexer_errors;
     Alcotest.test_case "type declarations" `Quick test_parse_type_decls;
     Alcotest.test_case "alias and subtype" `Quick test_parse_type_alias_subtype;
     Alcotest.test_case "multi const" `Quick test_parse_const_multi;

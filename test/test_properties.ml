@@ -103,6 +103,73 @@ let qcheck_parser_contained =
       | exception Parser.Parse_error _ -> true
       | exception _ -> false)
 
+(* ---- literal fact blocks ----------------------------------------------------------- *)
+
+let all_tys =
+  Value.[ I8; I16; I32; I64; ISize; U8; U16; U32; U64; USize; F32; F64; Bool; Char; Str ]
+
+(* A literal of the kind that fits [ty], as written and as [(l + 0)]
+   ([(l + 0.0)] for a float), which only the constant-expression evaluator
+   can lower. *)
+let literal_gen (ty : Value.ty) =
+  let open QCheck.Gen in
+  let same s = (s, s) in
+  let plus zero s = (s, Printf.sprintf "(%s + %s)" s zero) in
+  match ty with
+  | _ when Value.is_integer_ty ty ->
+      map (fun n -> plus "0" (string_of_int n))
+        (oneof [ int_bound 300; int_bound 70_000; int_bound max_int ])
+  | Value.F32 | Value.F64 ->
+      map (plus "0.0")
+        (oneof
+           [
+             map2 (Printf.sprintf "%d.%d") (int_bound 1000) (int_bound 999);
+             map2 (Printf.sprintf "%de%d") (int_bound 9) (int_bound 400);
+           ])
+  | Value.Bool -> map (fun b -> same (string_of_bool b)) bool
+  | Value.Char -> map (fun c -> same (Printf.sprintf "'%c'" c)) (char_range 'a' 'z')
+  | _ -> map (fun n -> same (Printf.sprintf "\"s%d\"" n)) (int_bound 50)
+
+(* A fact block over random column types, declared or left to inference;
+   most literals fit their column, some do not, so type errors are
+   compared as well as values. *)
+let literal_block_gen =
+  let open QCheck.Gen in
+  let* tys = list_size (int_range 1 3) (oneofl all_tys) in
+  let* declared = frequencyl [ (3, true); (1, false) ] in
+  let arg ty = frequency [ (6, literal_gen ty); (1, oneofl all_tys >>= literal_gen) ] in
+  let elem =
+    let* args = flatten_l (List.map arg tys) in
+    let* tag = frequency [ (2, return ""); (1, map (Printf.sprintf "0.%d::") (int_bound 99)) ] in
+    let* sep = oneofl [ ", "; "; " ] in
+    let tuple proj = Printf.sprintf "%s(%s)" tag (String.concat ", " (List.map proj args)) in
+    return (tuple fst ^ sep, tuple snd ^ sep)
+  in
+  let* elems = list_size (int_range 1 6) elem in
+  let decl =
+    if declared then
+      Printf.sprintf "type r(%s)\n" (String.concat ", " (List.map Value.ty_name tys))
+    else ""
+  in
+  let block proj =
+    let body = String.concat "" (List.map proj elems) in
+    (* drop the separator after the last element *)
+    let body = String.sub body 0 (String.length body - 2) in
+    Printf.sprintf "%srel r = {%s}\nquery r" decl body
+  in
+  return (block fst, block snd)
+
+let compiled_facts src =
+  match Session.compile src with
+  | c -> Ok c.Session.static_facts
+  | exception Session.Error e -> Error (Session.error_string e)
+
+let qcheck_literal_facts_match_evaluator =
+  qtest ~count:400 "literal facts lower as the constant evaluator does"
+    (QCheck.make ~print:(fun (a, b) -> a ^ "\n----\n" ^ b) literal_block_gen)
+    (fun (written, through_evaluator) ->
+      compiled_facts written = compiled_facts through_evaluator)
+
 (* ---- formula algebra -------------------------------------------------------------- *)
 
 let proof_gen =
@@ -215,6 +282,7 @@ let suite =
     qcheck_dual_gradient_linearity;
     qcheck_lexer_total;
     qcheck_parser_contained;
+    qcheck_literal_facts_match_evaluator;
     qcheck_disj_monotone;
     qcheck_conj_bounded;
     qcheck_negation_complements;
