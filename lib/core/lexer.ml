@@ -1,7 +1,11 @@
 (** Hand-written lexer for the Scallop surface language.
 
-    Produces a flat token array consumed by the recursive-descent
-    {!Parser}.  Line comments are [// ...]; block comments [/* ... */]. *)
+    Produces a token buffer for the recursive-descent {!Parser}: token
+    kinds and start offsets in parallel arrays, plus the offset at which
+    each line starts.  A token costs two array slots and, for punctuation
+    and small integers, no allocation; a line and column are computed only
+    where the parser asks for one ({!pos}).  Line comments are [// ...];
+    block comments [/* ... */]. *)
 
 type token =
   | IDENT of string
@@ -42,7 +46,16 @@ type token =
   | UNDERSCORE
   | EOF
 
-type spanned = { tok : token; pos : Ast.pos }
+(** The tokens of one source, the last one [EOF].  The arrays have spare
+    room at the end: only the first [count] (tokens) and [lines] (line
+    starts) slots are filled. *)
+type tokens = {
+  mutable kinds : token array;
+  mutable offsets : int array;  (** byte offset of each token's first character *)
+  mutable count : int;
+  mutable line_starts : int array;  (** byte offset of each line's first character *)
+  mutable lines : int;
+}
 
 exception Lex_error of string * Ast.pos
 
@@ -95,68 +108,107 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-let tokenize (src : string) : spanned array =
-  let n = String.length src in
-  let toks = ref [] in
-  let i = ref 0 in
-  let line = ref 1 in
-  let col = ref 1 in
-  let pos () : Ast.pos = { line = !line; col = !col } in
-  let advance () =
-    if !i < n then begin
-      if src.[!i] = '\n' then begin
-        incr line;
-        col := 1
-      end
-      else incr col;
-      incr i
-    end
+(** Line and column, both from 1, of byte [off]: every byte is one column,
+    tabs and carriage returns included. *)
+let pos_of_offset t off : Ast.pos =
+  (* the last line starting at or before [off] *)
+  let rec search lo hi =
+    if lo = hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if t.line_starts.(mid) <= off then search mid hi else search lo (mid - 1)
   in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let emit tok p = toks := { tok; pos = p } :: !toks in
+  let l = search 0 (t.lines - 1) in
+  { line = l + 1; col = off - t.line_starts.(l) + 1 }
+
+(** The position of token [k]. *)
+let pos t k = pos_of_offset t t.offsets.(k)
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let push t kind off =
+  if t.count = Array.length t.kinds then begin
+    t.kinds <- grow t.kinds EOF;
+    t.offsets <- grow t.offsets 0
+  end;
+  t.kinds.(t.count) <- kind;
+  t.offsets.(t.count) <- off;
+  t.count <- t.count + 1
+
+let new_line t off =
+  if t.lines = Array.length t.line_starts then t.line_starts <- grow t.line_starts 0;
+  t.line_starts.(t.lines) <- off;
+  t.lines <- t.lines + 1
+
+(* Small integer literals share one token each, as small [Value] ints share
+   one box. *)
+let small_ints = Array.init 1024 (fun n -> INT n)
+
+let tokenize (src : string) : tokens =
+  let n = String.length src in
+  let t =
+    let cap = 16 + (n / 4) in
+    { kinds = Array.make cap EOF; offsets = Array.make cap 0; count = 0;
+      line_starts = Array.make 16 0; lines = 1 }
+  in
+  let i = ref 0 in
+  let error msg start = raise (Lex_error (msg, pos_of_offset t start)) in
+  (* step over one byte of a comment, string or char literal, which may be
+     a newline *)
+  let step () =
+    if src.[!i] = '\n' then new_line t (!i + 1);
+    incr i
+  in
+  let digits () =
+    while !i < n && is_digit src.[!i] do
+      incr i
+    done
+  in
+  let emit start width tok =
+    i := start + width;
+    push t tok start
+  in
   while !i < n do
-    let c = src.[!i] in
-    let p = pos () in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '/' && peek 1 = Some '/' then
+    let start = !i in
+    let c = src.[start] in
+    let next = if start + 1 < n then src.[start + 1] else ' ' in
+    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then step ()
+    else if c = '/' && next = '/' then
       while !i < n && src.[!i] <> '\n' do
-        advance ()
+        incr i
       done
-    else if c = '/' && peek 1 = Some '*' then begin
-      advance ();
-      advance ();
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if src.[!i] = '*' && peek 1 = Some '/' then begin
-          advance ();
-          advance ();
-          closed := true
-        end
-        else advance ()
+    else if c = '/' && next = '*' then begin
+      i := start + 2;
+      while !i < n && not (src.[!i] = '*' && !i + 1 < n && src.[!i + 1] = '/') do
+        step ()
       done;
-      if not !closed then raise (Lex_error ("unterminated block comment", p))
+      if !i >= n then error "unterminated block comment" start;
+      i := !i + 2
     end
     else if is_ident_start c then begin
-      let start = !i in
       while !i < n && is_ident_char src.[!i] do
-        advance ()
+        incr i
       done;
-      let s = String.sub src start (!i - start) in
-      if s = "_" then emit UNDERSCORE p else emit (IDENT s) p
+      if !i = start + 1 && c = '_' then push t UNDERSCORE start
+      else push t (IDENT (String.sub src start (!i - start))) start
     end
     else if is_digit c then begin
-      let start = !i in
+      (* the value is built from the digits; [max_int] is the largest literal *)
+      let value = ref 0 and overflow = ref false in
       while !i < n && is_digit src.[!i] do
-        advance ()
+        let d = Char.code src.[!i] - Char.code '0' in
+        if !value > (max_int - d) / 10 then overflow := true else value := (10 * !value) + d;
+        incr i
       done;
       (* A '.' followed by a digit continues a float literal. *)
       let is_float = ref false in
-      if !i < n && src.[!i] = '.' && !i + 1 < n && is_digit src.[!i + 1] then begin
+      if !i + 1 < n && src.[!i] = '.' && is_digit src.[!i + 1] then begin
         is_float := true;
-        advance ();
-        while !i < n && is_digit src.[!i] do
-          advance ()
-        done
+        incr i;
+        digits ()
       end;
       (* An exponent marker only belongs to the number when digits follow
          ("9e" is the number 9 followed by the identifier e). *)
@@ -169,129 +221,88 @@ let tokenize (src : string) : spanned array =
       in
       if exponent_follows then begin
         is_float := true;
-        advance ();
-        if !i < n && (src.[!i] = '+' || src.[!i] = '-') then advance ();
-        while !i < n && is_digit src.[!i] do
-          advance ()
-        done
+        i := if src.[!i + 1] = '+' || src.[!i + 1] = '-' then !i + 2 else !i + 1;
+        digits ()
       end;
-      let s = String.sub src start (!i - start) in
-      if !is_float then emit (FLOAT (float_of_string s)) p
-      else
-        match int_of_string_opt s with
-        | Some n -> emit (INT n) p
-        | None -> raise (Lex_error (Fmt.str "integer literal %s out of range" s, p))
+      if !is_float then push t (FLOAT (float_of_string (String.sub src start (!i - start)))) start
+      else if !overflow then
+        error (Fmt.str "integer literal %s out of range" (String.sub src start (!i - start))) start
+      else push t (if !value < Array.length small_ints then small_ints.(!value) else INT !value) start
     end
     else if c = '"' then begin
-      advance ();
+      incr i;
       let buf = Buffer.create 16 in
       let closed = ref false in
       while (not !closed) && !i < n do
         let c = src.[!i] in
         if c = '"' then begin
-          advance ();
+          incr i;
           closed := true
         end
-        else if c = '\\' then begin
-          advance ();
-          (match peek 0 with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some '\\' -> Buffer.add_char buf '\\'
-          | Some '"' -> Buffer.add_char buf '"'
-          | Some c -> Buffer.add_char buf c
-          | None -> raise (Lex_error ("unterminated string", p)));
-          advance ()
-        end
         else begin
-          Buffer.add_char buf c;
-          advance ()
+          if c = '\\' then begin
+            incr i;
+            if !i >= n then error "unterminated string" start;
+            Buffer.add_char buf (match src.[!i] with 'n' -> '\n' | 't' -> '\t' | c -> c)
+          end
+          else Buffer.add_char buf c;
+          step ()
         end
       done;
-      if not !closed then raise (Lex_error ("unterminated string", p));
-      emit (STRING (Buffer.contents buf)) p
+      if not !closed then error "unterminated string" start;
+      push t (STRING (Buffer.contents buf)) start
     end
     else if c = '\'' then begin
-      advance ();
-      let ch =
-        match peek 0 with
-        | Some '\\' -> (
-            advance ();
-            match peek 0 with
-            | Some 'n' -> '\n'
-            | Some 't' -> '\t'
-            | Some c -> c
-            | None -> raise (Lex_error ("unterminated char literal", p)))
-        | Some c -> c
-        | None -> raise (Lex_error ("unterminated char literal", p))
-      in
-      advance ();
-      if peek 0 <> Some '\'' then raise (Lex_error ("unterminated char literal", p));
-      advance ();
-      emit (CHARLIT ch) p
+      let escaped = next = '\\' && start + 1 < n in
+      i := if escaped then start + 2 else start + 1;
+      if !i >= n then error "unterminated char literal" start;
+      let ch = match src.[!i] with 'n' when escaped -> '\n' | 't' when escaped -> '\t' | c -> c in
+      step ();
+      if !i >= n || src.[!i] <> '\'' then error "unterminated char literal" start;
+      incr i;
+      push t (CHARLIT ch) start
     end
-    else if c = '$' then begin
-      advance ();
-      let start = !i in
+    else if c = '$' || c = '@' then begin
+      incr i;
       while !i < n && is_ident_char src.[!i] do
-        advance ()
+        incr i
       done;
-      if !i = start then raise (Lex_error ("expected identifier after '$'", p));
-      emit (DOLLAR_IDENT (String.sub src start (!i - start))) p
-    end
-    else if c = '@' then begin
-      advance ();
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        advance ()
-      done;
-      if !i = start then raise (Lex_error ("expected identifier after '@'", p));
-      emit (AT_IDENT (String.sub src start (!i - start))) p
+      if !i = start + 1 then error (Fmt.str "expected identifier after '%c'" c) start;
+      let name = String.sub src (start + 1) (!i - start - 1) in
+      push t (if c = '$' then DOLLAR_IDENT name else AT_IDENT name) start
     end
     else begin
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      let emit2 tok =
-        advance ();
-        advance ();
-        emit tok p
-      in
-      let emit1 tok =
-        advance ();
-        emit tok p
-      in
-      match two with
-      | "::" -> emit2 COLONCOLON
-      | ":=" -> emit2 COLONEQ
-      | ":-" -> emit2 COLONDASH
-      | "==" -> emit2 EQEQ
-      | "!=" -> emit2 NEQ
-      | "<=" -> emit2 LEQ
-      | ">=" -> emit2 GEQ
-      | "<:" -> emit2 SUBTYPE
-      | "&&" -> emit2 ANDAND
-      | "||" -> emit2 OROR
-      | _ -> (
-          match c with
-          | '(' -> emit1 LPAREN
-          | ')' -> emit1 RPAREN
-          | '{' -> emit1 LBRACE
-          | '}' -> emit1 RBRACE
-          | '[' -> emit1 LBRACKET
-          | ']' -> emit1 RBRACKET
-          | ',' -> emit1 COMMA
-          | ';' -> emit1 SEMI
-          | ':' -> emit1 COLON
-          | '=' -> emit1 EQ
-          | '<' -> emit1 LT
-          | '>' -> emit1 GT
-          | '+' -> emit1 PLUS
-          | '-' -> emit1 MINUS
-          | '*' -> emit1 STAR
-          | '/' -> emit1 SLASH
-          | '%' -> emit1 PERCENT
-          | '!' -> emit1 BANG
-          | _ -> raise (Lex_error (Fmt.str "unexpected character %C" c, p)))
+      match (c, next) with
+      | ':', ':' -> emit start 2 COLONCOLON
+      | ':', '=' -> emit start 2 COLONEQ
+      | ':', '-' -> emit start 2 COLONDASH
+      | '=', '=' -> emit start 2 EQEQ
+      | '!', '=' -> emit start 2 NEQ
+      | '<', '=' -> emit start 2 LEQ
+      | '>', '=' -> emit start 2 GEQ
+      | '<', ':' -> emit start 2 SUBTYPE
+      | '&', '&' -> emit start 2 ANDAND
+      | '|', '|' -> emit start 2 OROR
+      | '(', _ -> emit start 1 LPAREN
+      | ')', _ -> emit start 1 RPAREN
+      | '{', _ -> emit start 1 LBRACE
+      | '}', _ -> emit start 1 RBRACE
+      | '[', _ -> emit start 1 LBRACKET
+      | ']', _ -> emit start 1 RBRACKET
+      | ',', _ -> emit start 1 COMMA
+      | ';', _ -> emit start 1 SEMI
+      | ':', _ -> emit start 1 COLON
+      | '=', _ -> emit start 1 EQ
+      | '<', _ -> emit start 1 LT
+      | '>', _ -> emit start 1 GT
+      | '+', _ -> emit start 1 PLUS
+      | '-', _ -> emit start 1 MINUS
+      | '*', _ -> emit start 1 STAR
+      | '/', _ -> emit start 1 SLASH
+      | '%', _ -> emit start 1 PERCENT
+      | '!', _ -> emit start 1 BANG
+      | _ -> error (Fmt.str "unexpected character %C" c) start
     end
   done;
-  emit EOF (pos ());
-  Array.of_list (List.rev !toks)
+  push t EOF n;
+  t

@@ -11,16 +11,16 @@ open Lexer
 
 exception Parse_error of string * Ast.pos
 
-type state = { toks : spanned array; mutable idx : int }
+type state = { toks : tokens; mutable idx : int }
 
-let peek st = st.toks.(st.idx).tok
-let peek_at st k = if st.idx + k < Array.length st.toks then st.toks.(st.idx + k).tok else EOF
-let pos st = st.toks.(st.idx).pos
+let peek st = st.toks.kinds.(st.idx)
+let peek_at st k = if st.idx + k < st.toks.count then st.toks.kinds.(st.idx + k) else EOF
+let pos st = Lexer.pos st.toks st.idx
 
 let next st =
-  let t = st.toks.(st.idx) in
-  if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1;
-  t.tok
+  let t = peek st in
+  if st.idx < st.toks.count - 1 then st.idx <- st.idx + 1;
+  t
 
 let error st msg = raise (Parse_error (msg, pos st))
 
@@ -291,15 +291,21 @@ and parse_unary_formula st =
   | _ -> Ast.F_constraint (parse_expr st)
 
 and parse_reduce st : Ast.formula =
-  let rec parse_vars acc =
+  (* [v1, v2, ...] and, for bindings, the ':' after them *)
+  let rec idents () =
     let v = expect_ident st in
     if peek st = COMMA then begin
       ignore (next st);
-      parse_vars (v :: acc)
+      v :: idents ()
     end
-    else List.rev (v :: acc)
+    else [ v ]
   in
-  let result_vars = parse_vars [] in
+  let binding () =
+    let vs = idents () in
+    expect st COLON;
+    vs
+  in
+  let result_vars = idents () in
   (match peek st with
   | COLONEQ | EQ -> ignore (next st)
   | _ -> error st "expected ':=' or '=' in aggregation");
@@ -313,15 +319,7 @@ and parse_reduce st : Ast.formula =
     end
     else if op_name = "argmin" || op_name = "argmax" then begin
       expect st LT;
-      let rec vars acc =
-        let v = expect_ident st in
-        if peek st = COMMA then begin
-          ignore (next st);
-          vars (v :: acc)
-        end
-        else List.rev (v :: acc)
-      in
-      let args = vars [] in
+      let args = idents () in
       expect st GT;
       Ast.R_arg_extremum (op_name, args)
     end
@@ -329,24 +327,13 @@ and parse_reduce st : Ast.formula =
     else error st (Fmt.str "unknown aggregator %S" op_name)
   in
   expect st LPAREN;
-  let rec parse_binding acc =
-    let v = expect_ident st in
-    if peek st = COMMA then begin
-      ignore (next st);
-      parse_binding (v :: acc)
-    end
-    else begin
-      expect st COLON;
-      List.rev (v :: acc)
-    end
-  in
-  let binding_vars = parse_binding [] in
+  let binding_vars = binding () in
   let body = parse_formula st in
   let where =
     match peek st with
     | IDENT "where" ->
         ignore (next st);
-        let gv = parse_binding [] in
+        let gv = binding () in
         let f = parse_formula st in
         Some (gv, f)
     | _ -> None

@@ -7,12 +7,16 @@ let check = Alcotest.check
 
 (* ---- lexer -------------------------------------------------------------------- *)
 
-let toks src = Array.to_list (Lexer.tokenize src) |> List.map (fun s -> s.Lexer.tok)
+let toks src =
+  let t = Lexer.tokenize src in
+  List.init t.Lexer.count (fun k -> t.Lexer.kinds.(k))
 
 (* Each token with its line and column. *)
 let spans src =
-  Array.to_list (Lexer.tokenize src)
-  |> List.map (fun s -> (s.Lexer.tok, s.Lexer.pos.Ast.line, s.Lexer.pos.Ast.col))
+  let t = Lexer.tokenize src in
+  List.init t.Lexer.count (fun k ->
+      let pos = Lexer.pos t k in
+      (t.Lexer.kinds.(k), pos.Ast.line, pos.Ast.col))
 
 let test_lexer_punctuation () =
   check Alcotest.int "token count" 13
