@@ -145,50 +145,26 @@ let rec dnf pos (f : Ast.formula) : clause list =
 
 and lower_reduce pos (r : Ast.reduce) : creduce =
   let where = Option.map (fun (gv, f) -> (gv, dnf pos (nnf f))) r.Ast.where in
-  match r.Ast.op with
-  | Ast.R_aggregate "forall" ->
-      (* forall(x: B)  ≡  not exists(x: not B), realized by aggregating
-         [exists] over the negated body and flipping the boolean result. *)
-      let neg_body = nnf (Ast.F_not r.Ast.body) in
-      {
-        result_vars = r.Ast.result_vars;
-        op = CR_aggregate Ram.Exists;
-        negate_result = true;
-        arg_vars = [];
-        binding_vars = r.Ast.binding_vars;
-        body = dnf pos neg_body;
-        where;
-      }
-  | Ast.R_aggregate name ->
-      {
-        result_vars = r.Ast.result_vars;
-        op = CR_aggregate (aggregator_of_name pos name);
-        negate_result = false;
-        arg_vars = [];
-        binding_vars = r.Ast.binding_vars;
-        body = dnf pos (nnf r.Ast.body);
-        where;
-      }
-  | Ast.R_arg_extremum (name, arg_vars) ->
-      {
-        result_vars = r.Ast.result_vars;
-        op = CR_aggregate (aggregator_of_name pos name);
-        negate_result = false;
-        arg_vars;
-        binding_vars = r.Ast.binding_vars;
-        body = dnf pos (nnf r.Ast.body);
-        where;
-      }
-  | Ast.R_sampler (name, k) ->
-      {
-        result_vars = r.Ast.result_vars;
-        op = CR_sampler (sampler_of pos name k);
-        negate_result = false;
-        arg_vars = [];
-        binding_vars = r.Ast.binding_vars;
-        body = dnf pos (nnf r.Ast.body);
-        where;
-      }
+  let op, negate_result, arg_vars, body =
+    match r.Ast.op with
+    | Ast.R_aggregate "forall" ->
+        (* forall(x: B)  ≡  not exists(x: not B), realized by aggregating
+           [exists] over the negated body and flipping the boolean result. *)
+        (CR_aggregate Ram.Exists, true, [], Ast.F_not r.Ast.body)
+    | Ast.R_aggregate name -> (CR_aggregate (aggregator_of_name pos name), false, [], r.Ast.body)
+    | Ast.R_arg_extremum (name, arg_vars) ->
+        (CR_aggregate (aggregator_of_name pos name), false, arg_vars, r.Ast.body)
+    | Ast.R_sampler (name, k) -> (CR_sampler (sampler_of pos name k), false, [], r.Ast.body)
+  in
+  {
+    result_vars = r.Ast.result_vars;
+    op;
+    negate_result;
+    arg_vars;
+    binding_vars = r.Ast.binding_vars;
+    body = dnf pos (nnf body);
+    where;
+  }
 
 (* ---- program lowering ------------------------------------------------------------------ *)
 

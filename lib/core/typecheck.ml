@@ -229,25 +229,14 @@ let check (front : Front.t) : result =
             Hashtbl.replace env v tv;
             tv)
     | Ast.E_wildcard -> fresh_var s
-    | Ast.E_const (Ast.C_int _) ->
+    | Ast.E_const c ->
         let tv = fresh_var s in
-        constrain_cls s pos tv Int_;
-        tv
-    | Ast.E_const (Ast.C_float _) ->
-        let tv = fresh_var s in
-        constrain_cls s pos tv Flt;
-        tv
-    | Ast.E_const (Ast.C_bool _) ->
-        let tv = fresh_var s in
-        assign_prim s pos tv Value.Bool;
-        tv
-    | Ast.E_const (Ast.C_char _) ->
-        let tv = fresh_var s in
-        assign_prim s pos tv Value.Char;
-        tv
-    | Ast.E_const (Ast.C_str _) ->
-        let tv = fresh_var s in
-        assign_prim s pos tv Value.Str;
+        (match c with
+        | Ast.C_int _ -> constrain_cls s pos tv Int_
+        | Ast.C_float _ -> constrain_cls s pos tv Flt
+        | Ast.C_bool _ -> assign_prim s pos tv Value.Bool
+        | Ast.C_char _ -> assign_prim s pos tv Value.Char
+        | Ast.C_str _ -> assign_prim s pos tv Value.Str);
         tv
     | Ast.E_binop (op, a, b) -> (
         let ta = type_expr pos env a and tb = type_expr pos env b in
@@ -371,11 +360,38 @@ let check (front : Front.t) : result =
         env)
       front.Front.rules
   in
-  (* Facts. *)
+  (* Facts.  A literal constrains its column the same way every time, so
+     of a fact whose arguments are all literals, only the first literal of
+     each kind in each column is typed; the rest could raise nothing the
+     first did not.  Facts with arithmetic are typed whole. *)
+  let typed_literals = Hashtbl.create 64 in
+  let kind = function
+    | Ast.C_int _ -> 0
+    | Ast.C_float _ -> 1
+    | Ast.C_bool _ -> 2
+    | Ast.C_char _ -> 3
+    | Ast.C_str _ -> 4
+  in
+  let literal = function Ast.E_const _ -> true | _ -> false in
   List.iter
     (fun (f : Front.fact) ->
-      let env = Hashtbl.create 4 in
-      type_atom f.Front.fact_pos env { Ast.pred = f.Front.pred; args = f.Front.args })
+      let pos = f.Front.fact_pos and pred = f.Front.pred in
+      (match f.Front.prob with
+      | Some p when not (p >= 0.0 && p <= 1.0) ->
+          raise (Type_error (Fmt.str "probability %g is not a number in [0, 1]" p, pos))
+      | _ -> ());
+      if Foreign.is_foreign_predicate pred || not (List.for_all literal f.Front.args) then
+        type_atom pos (Hashtbl.create 4) { Ast.pred; args = f.Front.args }
+      else
+        let slots = declare pos pred (List.length f.Front.args) in
+        List.iteri
+          (fun i arg ->
+            match arg with
+            | Ast.E_const c when not (Hashtbl.mem typed_literals ((5 * slots.(i)) + kind c)) ->
+                unify s pos (type_expr pos (Hashtbl.create 1) arg) slots.(i);
+                Hashtbl.replace typed_literals ((5 * slots.(i)) + kind c) ()
+            | _ -> ())
+          f.Front.args)
     front.Front.facts;
   (* ---- elaboration ------------------------------------------------------- *)
   let rel_types = Hashtbl.create 16 in
@@ -388,10 +404,7 @@ let check (front : Front.t) : result =
      wrap numeric literals in casts to it. *)
   let rec elab_expr env (expected : Value.ty option) (e : Ast.expr) : Ast.expr =
     match e with
-    | Ast.E_var v -> (
-        ignore expected;
-        match Hashtbl.find_opt env v with Some _ -> e | None -> e)
-    | Ast.E_wildcard -> e
+    | Ast.E_var _ | Ast.E_wildcard -> e
     | Ast.E_const (Ast.C_int _) -> (
         match expected with
         | Some ty when Value.is_integer_ty ty && ty <> Value.I32 ->
@@ -521,6 +534,18 @@ let check (front : Front.t) : result =
                  (Fmt.str "fact value %a does not fit type %s" Value.pp v (Value.ty_name expected), pos)))
     | None -> raise (Type_error ("fact argument evaluation failed", pos))
   in
+  (* A literal is built at its column type directly; the property test
+     "literal facts lower as the constant evaluator does" holds this to
+     what [eval_const_expr] gives for it. *)
+  let lower pos (ty : Value.ty) (e : Ast.expr) =
+    match (e, ty) with
+    | Ast.E_const (Ast.C_int n), _ when Value.is_integer_ty ty -> Value.int_literal ty n
+    | Ast.E_const (Ast.C_float f), (Value.F32 | Value.F64) -> Value.float ty f
+    | Ast.E_const (Ast.C_bool b), Value.Bool -> Value.bool b
+    | Ast.E_const (Ast.C_char c), Value.Char -> Value.char c
+    | Ast.E_const (Ast.C_str str), Value.Str -> Value.string str
+    | _ -> eval_const_expr pos ty e
+  in
   let facts =
     List.map
       (fun (f : Front.fact) ->
@@ -529,9 +554,7 @@ let check (front : Front.t) : result =
           | Some tys -> tys
           | None -> Array.of_list (List.map (fun _ -> Value.I32) f.Front.args)
         in
-        let vals =
-          List.mapi (fun i e -> eval_const_expr f.Front.fact_pos tys.(i) e) f.Front.args
-        in
+        let vals = List.mapi (fun i e -> lower f.Front.fact_pos tys.(i) e) f.Front.args in
         (f.Front.pred, f.Front.prob, f.Front.me_group, Tuple.of_list vals))
       front.Front.facts
   in

@@ -310,6 +310,31 @@ let test_literal_out_of_range () =
         "parse error at 1:10: integer literal 99999999999999999999 out of range"
         (Session.error_string e)
 
+(* A fact or rule tag must be a number in [0, 1]: program text gets the
+   same check as serve's [assert], as a type error at the fact's (or the
+   rule's) position. *)
+let test_tag_out_of_range () =
+  let expect_type_error src expected =
+    match Session.compile src with
+    | _ -> Alcotest.failf "compiled despite a bad tag: %S" src
+    | exception Session.Error e ->
+        (match e with
+        | Exec_error.Type_error _ -> ()
+        | _ -> Alcotest.failf "wrong constructor: %s" (Session.error_string e));
+        check Alcotest.string "rendered message" expected (Session.error_string e)
+  in
+  let rule = "\nrel p(a, c) = e(a, b), e(b, c)\nquery p" in
+  expect_type_error
+    ("rel e = {1.5::(1, 2), 0.5::(2, 3), 1e400::(3, 4)}" ^ rule)
+    "type error at 1:1: probability 1.5 is not a number in [0, 1]";
+  expect_type_error
+    ("rel e = {0.5::(2, 3)}\n  rel e = {1e400::(3, 4)}" ^ rule)
+    "type error at 2:3: probability inf is not a number in [0, 1]";
+  expect_type_error ("rel 2::e(1, 2)" ^ rule)
+    "type error at 1:1: probability 2 is not a number in [0, 1]";
+  expect_type_error "rel e = {(1, 2)}\nrel 1.01::p(a, b) = e(a, b)\nquery p"
+    "type error at 2:1: probability 1.01 is not a number in [0, 1]"
+
 (* A one-shot serve line with such a literal gets an error reply, and the
    next line is still answered. *)
 let test_cli_serve_literal_out_of_range () =
@@ -412,4 +437,5 @@ let suite =
     Alcotest.test_case "literal out of range: parse error" `Quick test_literal_out_of_range;
     Alcotest.test_case "CLI serve: out-of-range literal is a reply" `Quick
       test_cli_serve_literal_out_of_range;
+    Alcotest.test_case "tag outside [0, 1]: type error at the fact" `Quick test_tag_out_of_range;
   ]

@@ -914,6 +914,15 @@ let test_wide_literal_assert () =
   Incr.close t;
   check slist "asserted" [ "(1099511627776)" ] (rows_no_prob r "e")
 
+(* 0 and 1 are probabilities: only a tag outside [0, 1] is an error. *)
+let test_tags_at_bounds () =
+  let r =
+    run ~provenance:Registry.Add_mult_prob
+      "rel e = {0::(1, 2), 1::(2, 3), 1.0::(3, 1), 0.0::(1, 1)}\nrel 1::p(a) = e(a, _)\nquery p"
+  in
+  check (Alcotest.option (Alcotest.float 1e-9)) "p(2)" (Some 1.0) (prob_of r "p" "(2)");
+  check (Alcotest.option (Alcotest.float 1e-9)) "p(3)" (Some 1.0) (prob_of r "p" "(3)")
+
 let suite =
   suite
   @ List.map
@@ -923,4 +932,5 @@ let suite =
         ("i64 literal comparison", test_wide_literal_comparison);
         ("i64 literal in head arithmetic", test_wide_literal_head_arithmetic);
         ("i64 literal asserted through serve", test_wide_literal_assert);
+        ("tags at the bounds 0 and 1", test_tags_at_bounds);
       ]
