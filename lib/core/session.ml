@@ -125,17 +125,17 @@ let coerce_tuple (c : compiled) pred (t : Tuple.t) : Tuple.t =
         t
 
 (** A run's input database: the program's static facts, then [facts] with
-    the caller's me-groups shifted past the static ones, every tuple coerced
-    to its relation's column types and tagged by [P.tag_of_input].  Returns
-    the database and the provenance variable id assigned to each tagged
-    fact, in load order.  {!run} and the test oracle both load through
-    here. *)
+    the caller's me-groups shifted past the static ones and every tuple
+    coerced to its relation's column types, all tagged by [P.tag_of_input].
+    Static facts are already at those types ({!Typecheck.check} lowered
+    them there).  Returns the database and the provenance variable id
+    assigned to each tagged fact, in load order.  {!run} and the test
+    oracle both load through here. *)
 let input_db (type tag) (module P : Provenance.S with type t = tag) (c : compiled)
     (facts : (string * (Provenance.Input.t * Tuple.t) list) list) :
     tag Tuple.Map.t Interp.SMap.t * ((string * Tuple.t) * int) list =
   let fact_ids = ref [] in
   let add_fact db pred (input : Provenance.Input.t) tuple =
-    let tuple = coerce_tuple c pred tuple in
     let tag, id = P.tag_of_input input in
     (match id with Some id -> fact_ids := ((pred, tuple), id) :: !fact_ids | None -> ());
     Interp.db_add_fact ~add:P.add db pred tuple tag
@@ -158,7 +158,7 @@ let input_db (type tag) (module P : Provenance.S with type t = tag) (c : compile
               | Some g -> { input with Provenance.Input.me_group = Some (g + c.static_me_groups) }
               | None -> input
             in
-            add_fact db pred input tuple)
+            add_fact db pred input (coerce_tuple c pred tuple))
           db entries)
       db facts
   in
