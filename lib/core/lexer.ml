@@ -46,12 +46,14 @@ type token =
   | UNDERSCORE
   | EOF
 
-(** The tokens of one source, the last one [EOF].  The arrays have spare
-    room at the end: only the first [count] (tokens) and [lines] (line
-    starts) slots are filled. *)
+(** The tokens of one source, the last one [EOF].  Every token takes at
+    least one byte, so a source of [n] bytes has at most [n + 1] tokens and
+    the token arrays are made that long once; only the first [count] slots
+    are filled.  [line_starts] grows, and its first [lines] slots are
+    filled. *)
 type tokens = {
-  mutable kinds : token array;
-  mutable offsets : int array;  (** byte offset of each token's first character *)
+  kinds : token array;
+  offsets : int array;  (** byte offset of each token's first character *)
   mutable count : int;
   mutable line_starts : int array;  (** byte offset of each line's first character *)
   mutable lines : int;
@@ -104,9 +106,8 @@ let token_name = function
   | UNDERSCORE -> "_"
   | EOF -> "end of input"
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
-let is_digit c = c >= '0' && c <= '9'
+let is_ident_char = function 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false
+let is_digit = function '0' .. '9' -> true | _ -> false
 
 (** Line and column, both from 1, of byte [off]: every byte is one column,
     tabs and carriage returns included. *)
@@ -124,22 +125,17 @@ let pos_of_offset t off : Ast.pos =
 (** The position of token [k]. *)
 let pos t k = pos_of_offset t t.offsets.(k)
 
-let grow a fill =
-  let b = Array.make (2 * Array.length a) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 let push t kind off =
-  if t.count = Array.length t.kinds then begin
-    t.kinds <- grow t.kinds EOF;
-    t.offsets <- grow t.offsets 0
-  end;
   t.kinds.(t.count) <- kind;
   t.offsets.(t.count) <- off;
   t.count <- t.count + 1
 
 let new_line t off =
-  if t.lines = Array.length t.line_starts then t.line_starts <- grow t.line_starts 0;
+  if t.lines = Array.length t.line_starts then begin
+    let bigger = Array.make (2 * t.lines) 0 in
+    Array.blit t.line_starts 0 bigger 0 t.lines;
+    t.line_starts <- bigger
+  end;
   t.line_starts.(t.lines) <- off;
   t.lines <- t.lines + 1
 
@@ -150,8 +146,7 @@ let small_ints = Array.init 1024 (fun n -> INT n)
 let tokenize (src : string) : tokens =
   let n = String.length src in
   let t =
-    let cap = 16 + (n / 4) in
-    { kinds = Array.make cap EOF; offsets = Array.make cap 0; count = 0;
+    { kinds = Array.make (n + 1) EOF; offsets = Array.make (n + 1) 0; count = 0;
       line_starts = Array.make 16 0; lines = 1 }
   in
   let i = ref 0 in
@@ -175,134 +170,128 @@ let tokenize (src : string) : tokens =
     let start = !i in
     let c = src.[start] in
     let next = if start + 1 < n then src.[start + 1] else ' ' in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then step ()
-    else if c = '/' && next = '/' then
-      while !i < n && src.[!i] <> '\n' do
-        incr i
-      done
-    else if c = '/' && next = '*' then begin
-      i := start + 2;
-      while !i < n && not (src.[!i] = '*' && !i + 1 < n && src.[!i + 1] = '/') do
-        step ()
-      done;
-      if !i >= n then error "unterminated block comment" start;
-      i := !i + 2
-    end
-    else if is_ident_start c then begin
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      if !i = start + 1 && c = '_' then push t UNDERSCORE start
-      else push t (IDENT (String.sub src start (!i - start))) start
-    end
-    else if is_digit c then begin
-      (* the value is built from the digits; [max_int] is the largest literal *)
-      let value = ref 0 and overflow = ref false in
-      while !i < n && is_digit src.[!i] do
-        let d = Char.code src.[!i] - Char.code '0' in
-        if !value > (max_int - d) / 10 then overflow := true else value := (10 * !value) + d;
-        incr i
-      done;
-      (* A '.' followed by a digit continues a float literal. *)
-      let is_float = ref false in
-      if !i + 1 < n && src.[!i] = '.' && is_digit src.[!i + 1] then begin
-        is_float := true;
-        incr i;
-        digits ()
-      end;
-      (* An exponent marker only belongs to the number when digits follow
-         ("9e" is the number 9 followed by the identifier e). *)
-      let exponent_follows =
-        !i < n
-        && (src.[!i] = 'e' || src.[!i] = 'E')
-        &&
-        let j = if !i + 1 < n && (src.[!i + 1] = '+' || src.[!i + 1] = '-') then !i + 2 else !i + 1 in
-        j < n && is_digit src.[j]
-      in
-      if exponent_follows then begin
-        is_float := true;
-        i := if src.[!i + 1] = '+' || src.[!i + 1] = '-' then !i + 2 else !i + 1;
-        digits ()
-      end;
-      if !is_float then push t (FLOAT (float_of_string (String.sub src start (!i - start)))) start
-      else if !overflow then
-        error (Fmt.str "integer literal %s out of range" (String.sub src start (!i - start))) start
-      else push t (if !value < Array.length small_ints then small_ints.(!value) else INT !value) start
-    end
-    else if c = '"' then begin
-      incr i;
-      let buf = Buffer.create 16 in
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        let c = src.[!i] in
-        if c = '"' then begin
-          incr i;
-          closed := true
-        end
-        else begin
-          if c = '\\' then begin
-            incr i;
-            if !i >= n then error "unterminated string" start;
-            Buffer.add_char buf (match src.[!i] with 'n' -> '\n' | 't' -> '\t' | c -> c)
-          end
-          else Buffer.add_char buf c;
+    match c with
+    | ' ' | '\t' | '\r' | '\n' -> step ()
+    | '/' when next = '/' ->
+        while !i < n && src.[!i] <> '\n' do
+          incr i
+        done
+    | '/' when next = '*' ->
+        i := start + 2;
+        while !i < n && not (src.[!i] = '*' && !i + 1 < n && src.[!i + 1] = '/') do
           step ()
-        end
-      done;
-      if not !closed then error "unterminated string" start;
-      push t (STRING (Buffer.contents buf)) start
-    end
-    else if c = '\'' then begin
-      let escaped = next = '\\' && start + 1 < n in
-      i := if escaped then start + 2 else start + 1;
-      if !i >= n then error "unterminated char literal" start;
-      let ch = match src.[!i] with 'n' when escaped -> '\n' | 't' when escaped -> '\t' | c -> c in
-      step ();
-      if !i >= n || src.[!i] <> '\'' then error "unterminated char literal" start;
-      incr i;
-      push t (CHARLIT ch) start
-    end
-    else if c = '$' || c = '@' then begin
-      incr i;
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      if !i = start + 1 then error (Fmt.str "expected identifier after '%c'" c) start;
-      let name = String.sub src (start + 1) (!i - start - 1) in
-      push t (if c = '$' then DOLLAR_IDENT name else AT_IDENT name) start
-    end
-    else begin
-      match (c, next) with
-      | ':', ':' -> emit start 2 COLONCOLON
-      | ':', '=' -> emit start 2 COLONEQ
-      | ':', '-' -> emit start 2 COLONDASH
-      | '=', '=' -> emit start 2 EQEQ
-      | '!', '=' -> emit start 2 NEQ
-      | '<', '=' -> emit start 2 LEQ
-      | '>', '=' -> emit start 2 GEQ
-      | '<', ':' -> emit start 2 SUBTYPE
-      | '&', '&' -> emit start 2 ANDAND
-      | '|', '|' -> emit start 2 OROR
-      | '(', _ -> emit start 1 LPAREN
-      | ')', _ -> emit start 1 RPAREN
-      | '{', _ -> emit start 1 LBRACE
-      | '}', _ -> emit start 1 RBRACE
-      | '[', _ -> emit start 1 LBRACKET
-      | ']', _ -> emit start 1 RBRACKET
-      | ',', _ -> emit start 1 COMMA
-      | ';', _ -> emit start 1 SEMI
-      | ':', _ -> emit start 1 COLON
-      | '=', _ -> emit start 1 EQ
-      | '<', _ -> emit start 1 LT
-      | '>', _ -> emit start 1 GT
-      | '+', _ -> emit start 1 PLUS
-      | '-', _ -> emit start 1 MINUS
-      | '*', _ -> emit start 1 STAR
-      | '/', _ -> emit start 1 SLASH
-      | '%', _ -> emit start 1 PERCENT
-      | '!', _ -> emit start 1 BANG
-      | _ -> error (Fmt.str "unexpected character %C" c) start
-    end
+        done;
+        if !i >= n then error "unterminated block comment" start;
+        i := !i + 2
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        while !i < n && is_ident_char src.[!i] do
+          incr i
+        done;
+        if !i = start + 1 && c = '_' then push t UNDERSCORE start
+        else push t (IDENT (String.sub src start (!i - start))) start
+    | '0' .. '9' ->
+        (* the value is built from the digits; [max_int] is the largest literal *)
+        let value = ref 0 and overflow = ref false in
+        while !i < n && is_digit src.[!i] do
+          let d = Char.code src.[!i] - Char.code '0' in
+          if !value > (max_int - d) / 10 then overflow := true else value := (10 * !value) + d;
+          incr i
+        done;
+        (* A '.' followed by a digit continues a float literal. *)
+        let is_float = ref false in
+        if !i + 1 < n && src.[!i] = '.' && is_digit src.[!i + 1] then begin
+          is_float := true;
+          incr i;
+          digits ()
+        end;
+        (* An exponent marker only belongs to the number when digits follow
+           ("9e" is the number 9 followed by the identifier e). *)
+        let exponent_follows =
+          !i < n
+          && (src.[!i] = 'e' || src.[!i] = 'E')
+          &&
+          let j = if !i + 1 < n && (src.[!i + 1] = '+' || src.[!i + 1] = '-') then !i + 2 else !i + 1 in
+          j < n && is_digit src.[j]
+        in
+        if exponent_follows then begin
+          is_float := true;
+          i := if src.[!i + 1] = '+' || src.[!i + 1] = '-' then !i + 2 else !i + 1;
+          digits ()
+        end;
+        if !is_float then push t (FLOAT (float_of_string (String.sub src start (!i - start)))) start
+        else if !overflow then
+          error (Fmt.str "integer literal %s out of range" (String.sub src start (!i - start))) start
+        else push t (if !value < Array.length small_ints then small_ints.(!value) else INT !value) start
+    | '"' ->
+        incr i;
+        let buf = Buffer.create 16 in
+        let closed = ref false in
+        while (not !closed) && !i < n do
+          let c = src.[!i] in
+          if c = '"' then begin
+            incr i;
+            closed := true
+          end
+          else begin
+            if c = '\\' then begin
+              incr i;
+              if !i >= n then error "unterminated string" start;
+              Buffer.add_char buf (match src.[!i] with 'n' -> '\n' | 't' -> '\t' | c -> c)
+            end
+            else Buffer.add_char buf c;
+            step ()
+          end
+        done;
+        if not !closed then error "unterminated string" start;
+        push t (STRING (Buffer.contents buf)) start
+    | '\'' ->
+        let escaped = next = '\\' && start + 1 < n in
+        i := if escaped then start + 2 else start + 1;
+        if !i >= n then error "unterminated char literal" start;
+        let ch = match src.[!i] with 'n' when escaped -> '\n' | 't' when escaped -> '\t' | c -> c in
+        step ();
+        if !i >= n || src.[!i] <> '\'' then error "unterminated char literal" start;
+        incr i;
+        push t (CHARLIT ch) start
+    | '$' | '@' ->
+        incr i;
+        while !i < n && is_ident_char src.[!i] do
+          incr i
+        done;
+        if !i = start + 1 then error (Fmt.str "expected identifier after '%c'" c) start;
+        let name = String.sub src (start + 1) (!i - start - 1) in
+        push t (if c = '$' then DOLLAR_IDENT name else AT_IDENT name) start
+    | _ -> (
+        match (c, next) with
+        | ':', ':' -> emit start 2 COLONCOLON
+        | ':', '=' -> emit start 2 COLONEQ
+        | ':', '-' -> emit start 2 COLONDASH
+        | '=', '=' -> emit start 2 EQEQ
+        | '!', '=' -> emit start 2 NEQ
+        | '<', '=' -> emit start 2 LEQ
+        | '>', '=' -> emit start 2 GEQ
+        | '<', ':' -> emit start 2 SUBTYPE
+        | '&', '&' -> emit start 2 ANDAND
+        | '|', '|' -> emit start 2 OROR
+        | '(', _ -> emit start 1 LPAREN
+        | ')', _ -> emit start 1 RPAREN
+        | '{', _ -> emit start 1 LBRACE
+        | '}', _ -> emit start 1 RBRACE
+        | '[', _ -> emit start 1 LBRACKET
+        | ']', _ -> emit start 1 RBRACKET
+        | ',', _ -> emit start 1 COMMA
+        | ';', _ -> emit start 1 SEMI
+        | ':', _ -> emit start 1 COLON
+        | '=', _ -> emit start 1 EQ
+        | '<', _ -> emit start 1 LT
+        | '>', _ -> emit start 1 GT
+        | '+', _ -> emit start 1 PLUS
+        | '-', _ -> emit start 1 MINUS
+        | '*', _ -> emit start 1 STAR
+        | '/', _ -> emit start 1 SLASH
+        | '%', _ -> emit start 1 PERCENT
+        | '!', _ -> emit start 1 BANG
+        | _ -> error (Fmt.str "unexpected character %C" c) start)
   done;
   push t EOF n;
   t
