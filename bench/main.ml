@@ -398,20 +398,32 @@ module Durable = Scallop_incr.Durable
    finishes before anything is timed. *)
 let warmup = 1
 
-(** Wall-clock milliseconds and minor-heap words of each timed rep. *)
-type reps = { ms : float list; words : float list }
+(** Wall-clock milliseconds, minor-heap words and words promoted to the
+    major heap of each timed rep. *)
+type reps = { ms : float list; words : float list; promoted : float list }
 
 (* One timed call of [f], after a full major collection so that no rep pays
-   for the garbage of the one before. *)
+   for the garbage of the one before, and so that what [f] promotes repeats
+   exactly from rep to rep. *)
 let timed f =
   Gc.full_major ();
+  let _, p0, _ = Gc.counters () in
   let t0 = Monotonic.now () in
   let w0 = Gc.minor_words () in
   let x = f () in
   (* read before the clock, whose boxed floats are no part of [f]'s allocation *)
   let words = Gc.minor_words () -. w0 in
   let ms = 1000.0 *. (Monotonic.now () -. t0) in
-  (x, ms, words)
+  let _, p1, _ = Gc.counters () in
+  (x, { ms = [ ms ]; words = [ words ]; promoted = [ p1 -. p0 ] })
+
+(* Single reps, given newest first, joined in the order they were taken. *)
+let reps_of l =
+  List.fold_left
+    (fun acc r ->
+      { ms = r.ms @ acc.ms; words = r.words @ acc.words; promoted = r.promoted @ acc.promoted })
+    { ms = []; words = []; promoted = [] }
+    l
 
 (** [warmup] untimed calls of [f], then [reps] timed ones; their timings and
     the last call's value. *)
@@ -419,16 +431,15 @@ let measure ~reps f =
   for _ = 1 to warmup do
     ignore (f ())
   done;
-  let ms = ref [] and words = ref [] and last = ref None in
+  let taken = ref [] and last = ref None in
   for _ = 1 to reps do
     (* the previous value is garbage before the next rep's collection *)
     last := None;
-    let x, t, w = timed f in
+    let x, r = timed f in
     last := Some x;
-    ms := t :: !ms;
-    words := w :: !words
+    taken := r :: !taken
   done;
-  ({ ms = List.rev !ms; words = List.rev !words }, Option.get !last)
+  (reps_of !taken, Option.get !last)
 
 (** Timings of two arms measured pair by pair, and the median over pairs of
     the ratio of [b]'s time to [a]'s. *)
@@ -443,7 +454,7 @@ let measure_ab ?(before = ignore) ?(check = fun _ _ -> ()) ~reps a b =
   let ta = ref [] and tb = ref [] in
   for i = 1 - warmup to reps do
     before ();
-    let (x, ms_a, w_a), (y, ms_b, w_b) =
+    let (x, ra), (y, rb) =
       if i land 1 = 1 then
         let ra = timed a in
         (ra, timed b)
@@ -453,11 +464,10 @@ let measure_ab ?(before = ignore) ?(check = fun _ _ -> ()) ~reps a b =
     in
     check x y;
     if i >= 1 then begin
-      ta := (ms_a, w_a) :: !ta;
-      tb := (ms_b, w_b) :: !tb
+      ta := ra :: !ta;
+      tb := rb :: !tb
     end
   done;
-  let reps_of l = { ms = List.rev_map fst l; words = List.rev_map snd l } in
   let a = reps_of !ta and b = reps_of !tb in
   { a; b; ratio = Summary.median (List.map2 ( /. ) b.ms a.ms) }
 
@@ -1986,6 +1996,63 @@ let bench_server (m : mode) =
       @ [ ("minor_words_per_op", jnum ~dp:1 words) ];
     ]
 
+(* ---- front end ---------------------------------------------------------------------------- *)
+
+let bench_front (m : mode) =
+  section "Front end: one-shot programs through compile and input_db (writes BENCH_front.json)";
+  let open Scallop_core in
+  let module Gen = E2e_core.Gen in
+  (* oneshot-mixed's sizes (bench/e2e/e2e.ml), one family at a time *)
+  let family reach_pct unreach_pct =
+    { Gen.o_nodes = 60; o_edges = 150; groups = 40; per_group = 40; reach_pct; unreach_pct }
+  in
+  let families = [ ("reach", family 100 0); ("unreach", family 0 100); ("group", family 0 0) ] in
+  let programs = if m.quick then 5 else 20 in
+  let reps = if m.quick then 10 else 20 in
+  let module P = (val Registry.create Registry.Boolean) in
+  let rows =
+    List.map
+      (fun (name, cfg) ->
+        let rng = E2e_core.Prng.create ~seed:1 ~stream:2 in
+        (* a one-shot line is the program with ';' for its newlines *)
+        let sources =
+          List.init programs (fun _ ->
+              String.map (fun c -> if c = ';' then '\n' else c) (Gen.oneshot_next rng cfg).Gen.line)
+        in
+        (* every program is timed on its own, so its words repeat exactly *)
+        let per_program f = reps_of (List.rev_map (fun src -> fst (measure ~reps (f src))) sources) in
+        let compile = per_program (fun src () -> Session.compile src) in
+        let input_db =
+          per_program (fun src ->
+              let c = Session.compile src in
+              fun () -> Session.input_db (module P) c [])
+        in
+        let bytes = List.fold_left (fun acc s -> acc + String.length s) 0 sources / programs in
+        let words r = Summary.median r.words and promoted r = Summary.median r.promoted in
+        Fmt.pr "  %-8s %6d B: compile %.3f ms, %.0fk minor / %.0fk promoted words; input_db %.3f ms, \
+                %.0fk minor / %.0fk promoted words@."
+          name bytes (Summary.median compile.ms) (words compile /. 1e3) (promoted compile /. 1e3)
+          (Summary.median input_db.ms) (words input_db /. 1e3) (promoted input_db /. 1e3);
+        [
+          ("family", jstr name);
+          ("programs", jint programs);
+          ("runs", jint reps);
+          ("source_bytes", jint bytes);
+        ]
+        @ spread ~prefix:"compile_" compile.ms
+        @ [
+            ("compile_minor_words", jnum ~dp:0 (words compile));
+            ("compile_promoted_words", jnum ~dp:0 (promoted compile));
+          ]
+        @ spread ~prefix:"input_db_" input_db.ms
+        @ [
+            ("input_db_minor_words", jnum ~dp:0 (words input_db));
+            ("input_db_promoted_words", jnum ~dp:0 (promoted input_db));
+          ])
+      families
+  in
+  write_baseline "BENCH_front.json" rows
+
 (* ---- driver --------------------------------------------------------------------------------------- *)
 
 let all_experiments =
@@ -2009,6 +2076,7 @@ let all_experiments =
     ("durability", bench_durability);
     ("replication", bench_replication);
     ("server", bench_server);
+    ("front", bench_front);
   ]
 
 let () =
