@@ -372,6 +372,8 @@ let check (front : Front.t) : result =
     | Ast.C_char _ -> 3
     | Ast.C_str _ -> 4
   in
+  (* a (column type variable, literal kind) pair as one int *)
+  let key slot c = (5 * slot) + kind c in
   let literal = function Ast.E_const _ -> true | _ -> false in
   List.iter
     (fun (f : Front.fact) ->
@@ -387,9 +389,9 @@ let check (front : Front.t) : result =
         List.iteri
           (fun i arg ->
             match arg with
-            | Ast.E_const c when not (Hashtbl.mem typed_literals ((5 * slots.(i)) + kind c)) ->
+            | Ast.E_const c when not (Hashtbl.mem typed_literals (key slots.(i) c)) ->
                 unify s pos (type_expr pos (Hashtbl.create 1) arg) slots.(i);
-                Hashtbl.replace typed_literals ((5 * slots.(i)) + kind c) ()
+                Hashtbl.replace typed_literals (key slots.(i) c) ()
             | _ -> ())
           f.Front.args)
     front.Front.facts;
