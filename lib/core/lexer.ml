@@ -151,8 +151,8 @@ let tokenize (src : string) : tokens =
   in
   let i = ref 0 in
   let error msg start = raise (Lex_error (msg, pos_of_offset t start)) in
-  (* step over one byte of a comment, string or char literal, which may be
-     a newline *)
+  (* step over one byte that may be a newline: whitespace, or inside a
+     comment, string or char literal *)
   let step () =
     if src.[!i] = '\n' then new_line t (!i + 1);
     incr i
