@@ -417,7 +417,7 @@ let timed f =
   let _, p1, _ = Gc.counters () in
   (x, { ms = [ ms ]; words = [ words ]; promoted = [ p1 -. p0 ] })
 
-(* Single reps, given newest first, joined in the order they were taken. *)
+(* Reps given newest first, joined in the order they were taken. *)
 let reps_of l =
   List.fold_left
     (fun acc r ->
