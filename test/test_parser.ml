@@ -259,8 +259,6 @@ let suite =
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
     Alcotest.test_case "lexer $ and @" `Quick test_lexer_dollar_at;
     Alcotest.test_case "lexer error position" `Quick test_lexer_error_position;
-    Alcotest.test_case "lexer token positions" `Quick test_lexer_positions;
-    Alcotest.test_case "lexer error messages and positions" `Quick test_lexer_errors;
     Alcotest.test_case "type declarations" `Quick test_parse_type_decls;
     Alcotest.test_case "alias and subtype" `Quick test_parse_type_alias_subtype;
     Alcotest.test_case "multi const" `Quick test_parse_const_multi;
@@ -276,4 +274,6 @@ let suite =
     Alcotest.test_case "query and import" `Quick test_parse_query_import;
     Alcotest.test_case "parse error position" `Quick test_parse_error_positions;
     Alcotest.test_case "all paper programs compile" `Quick test_all_paper_programs_compile;
+    Alcotest.test_case "lexer token positions" `Quick test_lexer_positions;
+    Alcotest.test_case "lexer error messages and positions" `Quick test_lexer_errors;
   ]

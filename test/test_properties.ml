@@ -282,10 +282,10 @@ let suite =
     qcheck_dual_gradient_linearity;
     qcheck_lexer_total;
     qcheck_parser_contained;
-    qcheck_literal_facts_match_evaluator;
     qcheck_disj_monotone;
     qcheck_conj_bounded;
     qcheck_negation_complements;
     Alcotest.test_case "generators deterministic" `Quick test_generators_deterministic;
     Alcotest.test_case "session gradient vs finite diff" `Quick test_session_gradient_finite_diff;
+    qcheck_literal_facts_match_evaluator;
   ]
