@@ -437,9 +437,9 @@ type state =
 type entry = {
   sid : string;
   dir : string option;
-  source : string;
-  hash : string;
-  expect_hash : string option;
+  mutable source : string;  (** the program; set at open and by every load *)
+  mutable hash : string;
+  mutable expect_hash : string option;
   mutable e_state : state;
   mutable next_lsn : int;
   mutable active_seg : int;
@@ -492,20 +492,7 @@ let locked mgr f = Mutex.protect mgr.mutex f
 let stats mgr = mgr.dstats
 let spec_name_of mgr = Registry.spec_name mgr.cfg.spec
 
-(* ---- loading one session from disk ----------------------------------------------- *)
-
-type loaded = {
-  l_incr : Incr.t;
-  l_source : string;
-  l_hash : string;
-  l_expect : string option;
-  l_next_lsn : int;
-  l_active_seg : int;
-  l_seg_chain : int64;  (** checksum chain over the active segment's records *)
-  l_seg_records : int;
-  l_replayed : int;
-  l_closed : bool;
-}
+(* ---- internals (callers hold the mutex) ------------------------------------------- *)
 
 (* Validate an assert/retract against the engine without mutating it,
    raising exactly what applying it would; the op carries the checked
@@ -517,8 +504,8 @@ let check_change incr = function
       Op_retract { r with tuple = Incr.check_retract incr ~pred tuple }
   | (Op_open _ | Op_close _) as op -> op
 
-(* Apply an assert/retract to the engine: the commit, replay and remote
-   apply paths all go through here. *)
+(* Apply an assert/retract to the engine: the log step and replay both go
+   through here. *)
 let apply_change incr = function
   | Op_assert { pred; input; tuple; _ } ->
       Incr.assert_fact incr ~pred ?prob:input.Provenance.Input.prob
@@ -526,21 +513,76 @@ let apply_change incr = function
   | Op_retract { pred; tuple; _ } -> Incr.retract_fact incr ~pred tuple
   | Op_open _ | Op_close _ -> ()
 
-(* A session directory with no snapshot and zero complete log records: the
-   crash happened before the open was acknowledged, so the session never
-   observably existed — its remains are discarded, not quarantined. *)
-exception Never_opened
+(* The one entry constructor.  A new session sits at lsn 1 of its first
+   segment with an empty chain; {!load_locked} fills in where a log left
+   one. *)
+let make_entry mgr ~sid ~dir ?(source = "") ?(hash = "") ?expect_hash ?(next_lsn = 1)
+    ?(active_seg = 0) e_state =
+  {
+    sid;
+    dir;
+    source;
+    hash;
+    expect_hash;
+    e_state;
+    next_lsn;
+    active_seg;
+    seg_chain = 0L;
+    seg_records = 0;
+    ops_since_snap = 0;
+    last_used = mgr.cfg.now ();
+    pins = 0;
+    last_stats = Incr.empty_session_stats ();
+  }
+
+(* Close a live session's WAL writer (fsync'd); the next append reopens
+   the active segment. *)
+let release_wal = function
+  | Live ({ wal = Some w; _ } as l) ->
+      Wal.close w;
+      l.wal <- None
+  | Spilled | Failed _ | Closed | Live { wal = None; _ } -> ()
+
+(* Quarantine [entry] as [err] and raise it.  The engine is left in place
+   (a pinned query may still be reading it); only the WAL writer is
+   released. *)
+let quarantine_locked entry err =
+  release_wal entry.e_state;
+  entry.e_state <- Failed err;
+  raise (Session.Error err)
+
+let as_recovery_failed ~session = function
+  | Exec_error.Recovery_failed _ as e -> e
+  | other -> Exec_error.Recovery_failed { session; reason = Session.error_string other }
+
+let find_entry mgr sid =
+  match Hashtbl.find_opt mgr.entries sid with
+  | Some e -> e
+  | None -> invalid_input "unknown session %s" sid
+
+(* ---- loading one session from disk ----------------------------------------------- *)
+
+(* A session directory whose log shows no open session: there is no
+   snapshot and zero complete records (the crash beat the open's
+   acknowledgement), or the log ends in a close record (the crash beat
+   the directory removal).  The session never observably existed, or is
+   observably gone, so its remains are discarded, not quarantined. *)
+exception Not_open
 
 (* Newest snapshot generation that both checksums (Atomic_io envelope) and
    decodes — the generation fallback extended to the payload layer. *)
 let load_snapshot ~sdir : snapshot option =
   Option.map snd (Atomic_io.load_latest ~dir:sdir ~decode:decode_snapshot)
 
-(** Rebuild one session from its directory.  Raises
+(** The one loader, behind recovery at {!create}, rehydration and snapshot
+    install: rebuild [entry]'s engine and log position from its directory
+    and make it [Live], with every replayed op counted in
+    [ops_since_snap].  Raises [Not_open], or
     [Session.Error (Recovery_failed _)] on anything that cannot be
-    attributed to a mid-write crash. *)
-let load_session mgr ~sid ~dir : loaded =
-  let session = sid in
+    attributed to a mid-write crash; the entry is untouched then. *)
+let load_locked mgr entry : live =
+  let session = entry.sid in
+  let dir = Option.get entry.dir in
   let snap = load_snapshot ~sdir:(snap_dir dir) in
   let newest_gen_present =
     match List.rev (Generations.list ~dir:(snap_dir dir)) with
@@ -588,7 +630,7 @@ let load_session mgr ~sid ~dir : loaded =
         match ops with
         | Op_open { expect_hash; hash; spec; source } :: _ ->
             (expect_hash, hash, spec, source, 0, [])
-        | [] -> raise Never_opened
+        | [] -> raise Not_open
         | _ :: _ -> recovery_failed ~session "no valid snapshot and no open record")
   in
   if not (String.equal spec (spec_name_of mgr)) then
@@ -641,6 +683,7 @@ let load_session mgr ~sid ~dir : loaded =
    with Session.Error e ->
      recovery_failed ~session "unreplayable op at lsn %d: %s" !max_lsn
        (Session.error_string e));
+  if !was_closed then raise Not_open;
   (* Appends must land in a segment newer than any snapshot generation
      present on disk — even one skipped as corrupt — so every fallback
      path still reads them. *)
@@ -650,101 +693,66 @@ let load_session mgr ~sid ~dir : loaded =
       List.fold_left (fun (c, n) p -> (chain_add c p, n + 1)) (0L, 0) !last_records
     else (0L, 0)
   in
-  {
-    l_incr = incr;
-    l_source = source;
-    l_hash = hash;
-    l_expect = expect_hash;
-    l_next_lsn = !max_lsn + 1;
-    l_active_seg = active_seg;
-    l_seg_chain = seg_chain;
-    l_seg_records = seg_records;
-    l_replayed = !replayed;
-    l_closed = !was_closed;
-  }
+  let l = { incr; wal = None } in
+  entry.source <- source;
+  entry.hash <- hash;
+  entry.expect_hash <- expect_hash;
+  entry.e_state <- Live l;
+  entry.next_lsn <- !max_lsn + 1;
+  entry.active_seg <- active_seg;
+  entry.seg_chain <- seg_chain;
+  entry.seg_records <- seg_records;
+  entry.ops_since_snap <- !replayed;
+  l
 
-(* ---- internals (callers hold the mutex) ------------------------------------------- *)
-
-(* The one entry constructor.  A new session sits at lsn 1 of segment 0
-   with an empty chain; recovery passes where the log left it. *)
-let make_entry mgr ~sid ~dir ?(source = "") ?(hash = "") ?expect_hash ?(next_lsn = 1)
-    ?(active_seg = 0) ?(seg_chain = 0L) ?(seg_records = 0) ?(ops_since_snap = 0) e_state =
-  {
-    sid;
-    dir;
-    source;
-    hash;
-    expect_hash;
-    e_state;
-    next_lsn;
-    active_seg;
-    seg_chain;
-    seg_records;
-    ops_since_snap;
-    last_used = mgr.cfg.now ();
-    pins = 0;
-    last_stats =
-      (match e_state with Live l -> Incr.stats l.incr | _ -> Incr.empty_session_stats ());
-  }
-
-let entry_of_loaded mgr ~sid ~dir ~ops_since_snap (l : loaded) =
-  make_entry mgr ~sid ~dir:(Some dir) ~source:l.l_source ~hash:l.l_hash ?expect_hash:l.l_expect
-    ~next_lsn:l.l_next_lsn ~active_seg:l.l_active_seg ~seg_chain:l.l_seg_chain
-    ~seg_records:l.l_seg_records ~ops_since_snap
-    (Live { incr = l.l_incr; wal = None })
-
-(* Close a live session's WAL writer (fsync'd); the next append reopens
-   the active segment. *)
-let release_wal = function
-  | Live ({ wal = Some w; _ } as l) ->
-      Wal.close w;
-      l.wal <- None
-  | Spilled | Failed _ | Closed | Live { wal = None; _ } -> ()
-
-let as_recovery_failed ~session = function
-  | Exec_error.Recovery_failed _ as e -> e
-  | other -> Exec_error.Recovery_failed { session; reason = Session.error_string other }
-
-let find_entry mgr sid =
-  match Hashtbl.find_opt mgr.entries sid with
-  | Some e -> e
-  | None -> invalid_input "unknown session %s" sid
-
-let wal_of mgr entry (l : live) : Wal.t =
-  match l.wal with
-  | Some w -> w
-  | None ->
-      let dir = Option.get entry.dir in
-      let w =
-        io_guard (fun () ->
-            Atomic_io.mkdir_p dir;
-            Wal.open_append ~sync:mgr.cfg.wal_sync ?group:mgr.wal_group
-              ~path:(Segments.path ~dir entry.active_seg) ())
-      in
-      l.wal <- Some w;
-      w
+(* ---- the write path ----------------------------------------------------------------- *)
 
 let emit mgr ev = match mgr.cfg.repl with Some s -> s.rs_emit ev | None -> ()
 
-(* Append raw record bytes to the session's active segment and fold them
-   into the segment chain.  Returns the group-commit ticket the caller must
-   settle (outside the lock) before acknowledging, when one exists. *)
-let append_payload mgr entry (l : live) (payload : string) : int option =
-  let w = wal_of mgr entry l in
-  let ticket = io_guard (fun () -> Wal.append_ticket w payload) in
-  (match ticket with Some tk -> mgr.max_ticket <- max mgr.max_ticket tk | None -> ());
-  entry.seg_chain <- chain_add entry.seg_chain payload;
-  entry.seg_records <- entry.seg_records + 1;
-  mgr.dstats.wal_appends <- mgr.dstats.wal_appends + 1;
-  mgr.dstats.wal_bytes <- mgr.dstats.wal_bytes + String.length payload + Wal.record_header_len;
-  ticket
-
-let append_op mgr entry (l : live) (op : op) : int option =
+(** The one write path.  Every record a session logs — a local open,
+    assert, retract or close, and every replicated one on a follower — is
+    appended here: open the writer if needed, append, fold the record
+    into the segment's checksum chain and count it.  From then on the op
+    is committed: the engine applies it and the lsn advances before
+    anything else runs, and only then is the record shipped to followers.
+    [payload] is [op]'s record: its encoding, or on a follower the
+    primary's exact bytes.  Returns the group-commit ticket the caller
+    must settle (outside the lock) before acknowledging, when one
+    exists. *)
+let log_locked mgr entry (l : live) op payload : int option =
+  let commit () =
+    (match op with
+    | Op_assert _ | Op_retract _ ->
+        apply_change l.incr op;
+        entry.ops_since_snap <- entry.ops_since_snap + 1
+    | Op_open _ | Op_close _ -> ());
+    entry.next_lsn <- op_lsn op + 1
+  in
   match entry.dir with
-  | None -> None
-  | Some _ ->
-      let payload = encode_op op in
-      let ticket = append_payload mgr entry l payload in
+  | None ->
+      commit ();
+      None
+  | Some dir ->
+      let w =
+        match l.wal with
+        | Some w -> w
+        | None ->
+            let w =
+              io_guard (fun () ->
+                  Atomic_io.mkdir_p dir;
+                  Wal.open_append ~sync:mgr.cfg.wal_sync ?group:mgr.wal_group
+                    ~path:(Segments.path ~dir entry.active_seg) ())
+            in
+            l.wal <- Some w;
+            w
+      in
+      let ticket = io_guard (fun () -> Wal.append_ticket w payload) in
+      (match ticket with Some tk -> mgr.max_ticket <- max mgr.max_ticket tk | None -> ());
+      entry.seg_chain <- chain_add entry.seg_chain payload;
+      entry.seg_records <- entry.seg_records + 1;
+      mgr.dstats.wal_appends <- mgr.dstats.wal_appends + 1;
+      mgr.dstats.wal_bytes <- mgr.dstats.wal_bytes + String.length payload + Wal.record_header_len;
+      commit ();
       emit mgr
         (Ev_op
            {
@@ -780,6 +788,58 @@ let flush mgr : unit =
   | Some g ->
       let tk = locked mgr (fun () -> mgr.max_ticket) in
       if tk >= 0 then io_guard (fun () -> Wal.Group.wait g tk)
+
+(* The one open, local or replicated: register a fresh entry for [incr]
+   at segment [seg] and log its open record [op], first removing any
+   directory a crash left under its name. *)
+let open_locked mgr ~sid ~seg incr op payload : entry * int option =
+  match op with
+  | Op_open { expect_hash; hash; source; _ } ->
+      let dir = Option.map (fun sd -> session_dir sd sid) mgr.cfg.state_dir in
+      let l = { incr; wal = None } in
+      let entry = make_entry mgr ~sid ~dir ~source ~hash ?expect_hash ~active_seg:seg (Live l) in
+      Option.iter rm_rf dir;
+      let ticket = log_locked mgr entry l op payload in
+      Hashtbl.replace mgr.entries sid entry;
+      (entry, ticket)
+  | Op_assert _ | Op_retract _ | Op_close _ -> invalid_arg "Durable.open_locked"
+
+(* Wait until no query holds [entry] pinned. *)
+let drain_locked mgr entry =
+  while entry.pins > 0 do
+    Condition.wait mgr.unpinned mgr.mutex
+  done
+
+(* The one close, local or replicated; the caller has drained the
+   session's queries.  The close record is made durable before the
+   directory goes, so a crash between the two replays as a clean close.
+   A close whose record cannot be made durable raises the typed error and
+   quarantines the session instead: after a failed write or fsync neither
+   the record nor the log can be trusted, and a retried close discards
+   it. *)
+let close_locked mgr entry (l : live) op payload =
+  entry.last_stats <- Incr.stats l.incr;
+  (try settle mgr (log_locked mgr entry l op payload)
+   with Session.Error e -> quarantine_locked entry e);
+  release_wal entry.e_state;
+  Incr.close l.incr;
+  Option.iter rm_rf entry.dir;
+  entry.e_state <- Closed
+
+(* The one rotation, once snapshot generation [gen] of [entry] is durable
+   — by compaction or by adopting a replicated snapshot.  The generation
+   folds in every op so far, so the next append opens a segment past it
+   with a fresh chain, and segments no retained generation needs are
+   pruned. *)
+let rotate_locked entry dir gen =
+  if gen >= entry.active_seg then begin
+    release_wal entry.e_state;
+    entry.active_seg <- gen + 1;
+    entry.seg_chain <- 0L;
+    entry.seg_records <- 0
+  end;
+  entry.ops_since_snap <- 0;
+  prune_segments dir
 
 (* Snapshot the session's current overlay, rotate the WAL to a fresh
    segment, and prune segments no retained snapshot generation needs.  The
@@ -817,13 +877,8 @@ let compact_locked mgr entry =
              chain = entry.seg_chain;
              records = entry.seg_records;
            });
-      release_wal entry.e_state;
-      entry.active_seg <- max (entry.active_seg + 1) (gen + 1);
-      entry.seg_chain <- 0L;
-      entry.seg_records <- 0;
-      entry.ops_since_snap <- 0;
-      emit mgr (Ev_snapshot { sid = entry.sid; gen; lsn = s.sn_lsn; payload = encoded });
-      prune_segments dir
+      rotate_locked entry dir gen;
+      emit mgr (Ev_snapshot { sid = entry.sid; gen; lsn = s.sn_lsn; payload = encoded })
   | _ -> ()
 
 (* Spill a cold session: make the disk state current (a fresh snapshot if
@@ -869,35 +924,24 @@ let enforce_caps_locked mgr =
             |> List.filteri (fun i _ -> i < excess)
             |> List.iter (spill_locked mgr))
 
+(* Load a spilled session back; a session whose state no longer loads is
+   quarantined. *)
 let rehydrate_locked mgr entry : live =
-  let dir = Option.get entry.dir in
-  match load_session mgr ~sid:entry.sid ~dir with
-  | loaded ->
-      let l = { incr = loaded.l_incr; wal = None } in
-      entry.e_state <- Live l;
-      entry.next_lsn <- loaded.l_next_lsn;
-      entry.active_seg <- loaded.l_active_seg;
-      entry.seg_chain <- loaded.l_seg_chain;
-      entry.seg_records <- loaded.l_seg_records;
-      entry.ops_since_snap <- loaded.l_replayed;
+  match load_locked mgr entry with
+  | l ->
       mgr.dstats.rehydrations <- mgr.dstats.rehydrations + 1;
-      mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + loaded.l_replayed;
+      mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + entry.ops_since_snap;
       enforce_caps_locked mgr;
       l
-  | exception Never_opened ->
-      (* a spilled session's state vanished from under us: quarantine *)
-      let e =
-        Exec_error.Recovery_failed
-          { session = entry.sid; reason = "no valid snapshot and no open record" }
-      in
-      entry.e_state <- Failed e;
+  | exception Not_open ->
+      (* a spilled session's state vanished from under us *)
       mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
-      raise (Session.Error e)
+      quarantine_locked entry
+        (Exec_error.Recovery_failed
+           { session = entry.sid; reason = "no valid snapshot and no open record" })
   | exception Session.Error e ->
-      let e = as_recovery_failed ~session:entry.sid e in
-      entry.e_state <- Failed e;
       mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
-      raise (Session.Error e)
+      quarantine_locked entry (as_recovery_failed ~session:entry.sid e)
 
 (* Hydrated handle for a touch; refreshes the LRU clock. *)
 let touch_live_locked mgr entry : live =
@@ -1016,22 +1060,16 @@ let create (cfg : config) : t =
           then begin
             let sid = decode_sid (String.sub name plen (String.length name - plen)) in
             let dir = Filename.concat root name in
-            match load_session mgr ~sid ~dir with
-            | loaded when loaded.l_closed ->
-                (* closed cleanly; the crash beat the directory removal *)
-                rm_rf dir
-            | exception Never_opened ->
-                (* the crash beat the open acknowledgement *)
-                rm_rf dir
-            | loaded ->
-                Hashtbl.replace mgr.entries sid
-                  (entry_of_loaded mgr ~sid ~dir ~ops_since_snap:loaded.l_replayed loaded);
+            let entry = make_entry mgr ~sid ~dir:(Some dir) ~next_lsn:0 Spilled in
+            match load_locked mgr entry with
+            | _ ->
+                Hashtbl.replace mgr.entries sid entry;
                 mgr.dstats.recovered <- mgr.dstats.recovered + 1;
-                mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + loaded.l_replayed
+                mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + entry.ops_since_snap
+            | exception Not_open -> rm_rf dir
             | exception Session.Error e ->
-                Hashtbl.replace mgr.entries sid
-                  (make_entry mgr ~sid ~dir:(Some dir) ~next_lsn:0
-                     (Failed (as_recovery_failed ~session:sid e)));
+                entry.e_state <- Failed (as_recovery_failed ~session:sid e);
+                Hashtbl.replace mgr.entries sid entry;
                 mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1
           end)
         names;
@@ -1052,14 +1090,8 @@ let open_session mgr ~sid ?expect_hash source : string =
           Incr.open_session ~config:mgr.cfg.interp ?expect_hash ~spec:mgr.cfg.spec source
         in
         let hash = Incr.program_hash incr in
-        let dir = Option.map (fun sd -> session_dir sd sid) mgr.cfg.state_dir in
-        let l = { incr; wal = None } in
-        let entry = make_entry mgr ~sid ~dir ~source ~hash ?expect_hash (Live l) in
-        Option.iter rm_rf dir;
-        let ticket =
-          append_op mgr entry l (Op_open { expect_hash; hash; spec = spec_name_of mgr; source })
-        in
-        Hashtbl.replace mgr.entries sid entry;
+        let op = Op_open { expect_hash; hash; spec = spec_name_of mgr; source } in
+        let _, ticket = open_locked mgr ~sid ~seg:0 incr op (encode_op op) in
         maybe_rotate_ship_locked mgr;
         enforce_caps_locked mgr;
         (hash, ticket))
@@ -1076,10 +1108,7 @@ let commit_change mgr ~sid op =
         let entry = find_entry mgr sid in
         let l = touch_live_locked mgr entry in
         let op = check_change l.incr (op entry.next_lsn) in
-        let ticket = append_op mgr entry l op in
-        apply_change l.incr op;
-        entry.next_lsn <- entry.next_lsn + 1;
-        entry.ops_since_snap <- entry.ops_since_snap + 1;
+        let ticket = log_locked mgr entry l op (encode_op op) in
         if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
           compact_locked mgr entry;
         maybe_rotate_ship_locked mgr;
@@ -1128,54 +1157,18 @@ let query ?outputs ?budget mgr ~sid () : Session.result =
 let run_cold ?outputs mgr ~sid () : Session.result =
   with_pinned mgr ~sid (fun incr -> Incr.run_cold ?outputs incr)
 
-(* Log a closing session's close record and make it durable before its
-   directory goes, so a crash between the two replays as a clean close.
-   Runs under the manager lock: nothing touches the entry while the record
-   settles.  Raises a typed error when the write or its fsync fails. *)
-let log_close_locked mgr entry =
-  match entry.e_state with
-  | Live l ->
-      entry.last_stats <- Incr.stats l.incr;
-      let ticket = append_op mgr entry l (Op_close { lsn = entry.next_lsn }) in
-      entry.next_lsn <- entry.next_lsn + 1;
-      settle mgr ticket;
-      release_wal entry.e_state;
-      Incr.close l.incr
-  | Spilled -> (
-      (* no need to rehydrate the engine just to retire it *)
-      match entry.dir with
-      | None -> ()
-      | Some dir ->
-          let payload = encode_op (Op_close { lsn = entry.next_lsn }) in
-          io_guard (fun () ->
-              let w =
-                Wal.open_append ~sync:mgr.cfg.wal_sync
-                  ~path:(Segments.path ~dir entry.active_seg) ()
-              in
-              Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.append w payload));
-          entry.seg_chain <- chain_add entry.seg_chain payload;
-          entry.seg_records <- entry.seg_records + 1;
-          emit mgr
-            (Ev_op
-               {
-                 sid = entry.sid;
-                 seg = entry.active_seg;
-                 lsn = entry.next_lsn;
-                 chain = entry.seg_chain;
-                 payload;
-               });
-          entry.next_lsn <- entry.next_lsn + 1)
-  | Failed _ | Closed -> ()
-
 (** Close a session: drain in-flight queries (pins), log the close and wait
     for it to be durable, delete the session's on-disk state, and retire
     the entry.  The sid stays registered as closed — re-opening it in the
     same process is "already open", matching the in-memory registry.
-    Closing a quarantined session discards its state.  A close whose
-    record cannot be made durable raises the typed I/O error and
-    quarantines the session instead: after a failed fsync neither the
+    Closing a quarantined session discards its state.  A spilled session
+    is rehydrated to log its close; if its state no longer loads, the
+    close replies [Recovery_failed] and a retried close discards it.  A
+    close whose record cannot be made durable raises the typed I/O error
+    and quarantines the session instead: after a failed fsync neither the
     record nor the log can be trusted, and a retried close discards it.
-    Returns the session's final statistics. *)
+    Returns the session's final statistics; a spilled session's are those
+    it had when it spilled. *)
 let close mgr ~sid : Incr.session_stats =
   let result =
     locked mgr (fun () ->
@@ -1188,16 +1181,14 @@ let close mgr ~sid : Incr.session_stats =
             entry.e_state <- Closed;
             entry.last_stats
         | Spilled | Live _ ->
-            while entry.pins > 0 do
-              Condition.wait mgr.unpinned mgr.mutex
-            done;
-            (try log_close_locked mgr entry
-             with Session.Error e ->
-               release_wal entry.e_state;
-               entry.e_state <- Failed e;
-               raise (Session.Error e));
-            Option.iter rm_rf entry.dir;
-            entry.e_state <- Closed;
+            drain_locked mgr entry;
+            let at_spill =
+              match entry.e_state with Spilled -> Some entry.last_stats | _ -> None
+            in
+            let l = touch_live_locked mgr entry in
+            let op = Op_close { lsn = entry.next_lsn } in
+            close_locked mgr entry l op (encode_op op);
+            Option.iter (fun s -> entry.last_stats <- s) at_spill;
             entry.last_stats)
   in
   (match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ());
@@ -1265,19 +1256,13 @@ let diverged_no_entry ~session ~segment fmt =
       raise (Session.Error (Exec_error.Replication_diverged { session; segment; reason })))
     fmt
 
-(* Quarantine [entry] and raise.  The engine is left in place (a pinned
-   standby query may still be reading it); only the WAL writer is
-   released. *)
+(* Quarantine [entry] as diverged and raise. *)
 let diverged mgr entry ~segment fmt =
   Fmt.kstr
     (fun reason ->
-      let err =
-        Exec_error.Replication_diverged { session = entry.sid; segment; reason }
-      in
-      release_wal entry.e_state;
-      entry.e_state <- Failed err;
       mgr.dstats.divergences <- mgr.dstats.divergences + 1;
-      raise (Session.Error err))
+      quarantine_locked entry
+        (Exec_error.Replication_diverged { session = entry.sid; segment; reason }))
     fmt
 
 type watermark = {
@@ -1302,10 +1287,11 @@ let remote_watermark mgr ~sid : watermark option =
               wm_closed = (match e.e_state with Closed -> true | _ -> false);
             })
 
-(** Apply one replicated op at exactly ([seg], [lsn]), verifying the
-    checksum chain after it.  The record is appended to the local WAL
-    asynchronously (group ticket); call {!flush} before acknowledging a
-    batch. *)
+(** Apply one replicated op at exactly ([seg], [lsn]) through the same
+    open, log step and close as a local write, verifying the checksum
+    chain it extends before logging it.  The record is appended to the
+    local WAL asynchronously (group ticket); call {!flush} before
+    acknowledging a batch. *)
 let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
   locked mgr (fun () ->
       if mgr.cfg.state_dir = None then
@@ -1316,7 +1302,7 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
           diverged_no_entry ~session:sid ~segment:seg "undecodable replicated record: %s"
             msg
       in
-      match op with
+      (match op with
       | Op_open { expect_hash; hash; spec; source } ->
           if Hashtbl.mem mgr.entries sid then
             invalid_input "replicated open for existing session %s" sid;
@@ -1336,16 +1322,10 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
             diverged_no_entry ~session:sid ~segment:seg
               "replicated program hashes to %s, frame says %s" (Incr.program_hash incr)
               hash;
-          let dir = Option.map (fun sd -> session_dir sd sid) mgr.cfg.state_dir in
-          let l = { incr; wal = None } in
-          let entry = make_entry mgr ~sid ~dir ~source ~hash ?expect_hash ~active_seg:seg (Live l) in
-          Option.iter rm_rf dir;
-          ignore (append_payload mgr entry l payload);
-          Hashtbl.replace mgr.entries sid entry;
+          let entry, _ = open_locked mgr ~sid ~seg incr op payload in
           if not (Int64.equal entry.seg_chain chain) then
-            diverged mgr entry ~segment:seg "checksum chain mismatch on open";
-          mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1
-      | (Op_assert _ | Op_retract _ | Op_close _) as op -> (
+            diverged mgr entry ~segment:seg "checksum chain mismatch on open"
+      | Op_assert _ | Op_retract _ | Op_close _ ->
           let entry =
             match Hashtbl.find_opt mgr.entries sid with
             | Some e -> e
@@ -1364,43 +1344,25 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
             diverged mgr entry ~segment:seg "op for segment %d but active segment is %d"
               seg entry.active_seg;
           let l = touch_live_locked mgr entry in
-          let check_chain () =
-            if not (Int64.equal entry.seg_chain chain) then
-              diverged mgr entry ~segment:seg "checksum chain mismatch after lsn %d" lsn
-          in
-          match op with
-          | Op_assert _ | Op_retract _ ->
-              let op =
+          let op =
+            match op with
+            | Op_close _ ->
+                (* drain standby queries exactly like a local close *)
+                drain_locked mgr entry;
+                op
+            | _ -> (
                 try check_change l.incr op
                 with Session.Error e ->
                   diverged mgr entry ~segment:seg "replicated %s no longer validates: %s"
                     (match op with Op_assert _ -> "assert" | _ -> "retract")
-                    (Session.error_string e)
-              in
-              ignore (append_payload mgr entry l payload);
-              check_chain ();
-              apply_change l.incr op;
-              entry.next_lsn <- entry.next_lsn + 1;
-              entry.ops_since_snap <- entry.ops_since_snap + 1;
-              mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1
-          | Op_close _ ->
-              (* drain standby queries exactly like a local close *)
-              while entry.pins > 0 do
-                Condition.wait mgr.unpinned mgr.mutex
-              done;
-              ignore (append_payload mgr entry l payload);
-              check_chain ();
-              entry.next_lsn <- entry.next_lsn + 1;
-              (match entry.e_state with
-              | Live l2 ->
-                  entry.last_stats <- Incr.stats l2.incr;
-                  release_wal entry.e_state;
-                  Incr.close l2.incr
-              | _ -> ());
-              Option.iter rm_rf entry.dir;
-              entry.e_state <- Closed;
-              mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1
-          | Op_open _ -> assert false))
+                    (Session.error_string e))
+          in
+          if not (Int64.equal (chain_add entry.seg_chain payload) chain) then
+            diverged mgr entry ~segment:seg "checksum chain mismatch after lsn %d" lsn;
+          (match op with
+          | Op_close _ -> close_locked mgr entry l op payload
+          | _ -> ignore (log_locked mgr entry l op payload)));
+      mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1)
 
 (** Verify a sealed segment against the local replay: same last lsn, same
     record count, same checksum chain.  Rotation itself happens when the
@@ -1466,14 +1428,7 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
               Atomic_io.save_at ~dir:(snap_dir dir) ~gen ~keep:mgr.cfg.keep_snapshots
                 payload);
           mgr.dstats.snapshots <- mgr.dstats.snapshots + 1;
-          if gen + 1 > e.active_seg then begin
-            release_wal e.e_state;
-            e.active_seg <- gen + 1;
-            e.seg_chain <- 0L;
-            e.seg_records <- 0
-          end;
-          e.ops_since_snap <- 0;
-          prune_segments dir;
+          rotate_locked e dir gen;
           Adopted
       | _ -> (
           (* unknown, quarantined, or behind: full transfer *)
@@ -1483,13 +1438,13 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
               rm_rf dir;
               Atomic_io.save_at ~dir:(snap_dir dir) ~gen ~keep:mgr.cfg.keep_snapshots
                 payload);
-          match load_session mgr ~sid ~dir with
-          | loaded ->
-              Hashtbl.replace mgr.entries sid
-                (entry_of_loaded mgr ~sid ~dir ~ops_since_snap:0 loaded);
+          let entry = make_entry mgr ~sid ~dir:(Some dir) Spilled in
+          match load_locked mgr entry with
+          | _ ->
+              Hashtbl.replace mgr.entries sid entry;
               mgr.dstats.remote_installs <- mgr.dstats.remote_installs + 1;
               Installed
-          | exception Never_opened ->
+          | exception Not_open ->
               diverged_no_entry ~session:sid ~segment:gen
                 "installed snapshot did not load"
           | exception Session.Error e ->

@@ -105,75 +105,61 @@ let spec t = t.spec
 let is_closed t = locked t (fun () -> t.closed)
 let stats t : session_stats = locked t (fun () -> { t.sstats with queries = t.sstats.queries })
 
+let relation t pred =
+  match SMap.find_opt pred t.overlay with Some r -> r | None -> Tuple.Map.empty
+
+(* ---- validation (the write-ahead discipline) -------------------------------
+
+   A durability layer must order "record the op" before "apply the op", yet
+   never record an op that the session would reject — a rejected op in the
+   log would poison replay.  [assert_fact] and [retract_fact] run these
+   checks before they mutate anything, and {!check_assert} and
+   {!check_retract} expose them alone, so a caller can validate → log →
+   apply and know the apply cannot fail. *)
+
+let checked_assert t ~pred tuple =
+  ensure_open t;
+  if not (Hashtbl.mem t.compiled.Session.rel_types pred) then
+    invalid_input "assert into unknown relation %s" pred;
+  Session.coerce_tuple t.compiled pred tuple
+
+let checked_retract t ~pred tuple =
+  ensure_open t;
+  let tuple =
+    if Hashtbl.mem t.compiled.Session.rel_types pred then
+      Session.coerce_tuple t.compiled pred tuple
+    else tuple
+  in
+  if not (Tuple.Map.mem tuple (relation t pred)) then
+    invalid_input "retract %s%a: fact was never asserted" pred Tuple.pp tuple;
+  tuple
+
 let assert_fact t ~pred ?prob ?me_group tuple =
   locked t (fun () ->
-      ensure_open t;
-      if not (Hashtbl.mem t.compiled.Session.rel_types pred) then
-        invalid_input "assert into unknown relation %s" pred;
-      let tuple = Session.coerce_tuple t.compiled pred tuple in
-      let input = { Provenance.Input.prob; me_group } in
-      let rel =
-        match SMap.find_opt pred t.overlay with Some r -> r | None -> Tuple.Map.empty
-      in
-      let existed = Tuple.Map.mem tuple rel in
-      t.overlay <- SMap.add pred (Tuple.Map.add tuple input rel) t.overlay;
-      if not existed then t.order <- (pred, tuple) :: t.order;
+      let tuple = checked_assert t ~pred tuple in
+      let rel = relation t pred in
+      if not (Tuple.Map.mem tuple rel) then t.order <- (pred, tuple) :: t.order;
+      t.overlay <- SMap.add pred (Tuple.Map.add tuple { Provenance.Input.prob; me_group } rel) t.overlay;
       t.dirty <- true)
 
 let retract_fact t ~pred tuple =
   locked t (fun () ->
-      ensure_open t;
-      let tuple =
-        if Hashtbl.mem t.compiled.Session.rel_types pred then
-          Session.coerce_tuple t.compiled pred tuple
-        else tuple
-      in
-      let rel =
-        match SMap.find_opt pred t.overlay with Some r -> r | None -> Tuple.Map.empty
-      in
-      if not (Tuple.Map.mem tuple rel) then
-        invalid_input "retract %s%a: fact was never asserted" pred Tuple.pp tuple;
-      t.overlay <- SMap.add pred (Tuple.Map.remove tuple rel) t.overlay;
+      let tuple = checked_retract t ~pred tuple in
+      t.overlay <- SMap.add pred (Tuple.Map.remove tuple (relation t pred)) t.overlay;
       t.order <-
         List.filter (fun (p, u) -> not (String.equal p pred && Tuple.equal u tuple)) t.order;
       t.dirty <- true)
-
-(* ---- pre-validation (the write-ahead discipline) ---------------------------
-
-   A durability layer must order "record the op" before "apply the op", yet
-   never record an op that the session would reject — a rejected op in the
-   log would poison replay.  These checks raise exactly the [Invalid_input]
-   the mutating call would raise, without mutating anything, so a caller
-   can validate → log → apply and know the apply cannot fail. *)
 
 (** [check_assert t ~pred tuple] validates an assert without applying it:
     raises the same {!Session.Error} [assert_fact] would, and returns the
     tuple coerced to the relation's column types (the canonical form worth
     logging). *)
-let check_assert t ~pred tuple : Tuple.t =
-  locked t (fun () ->
-      ensure_open t;
-      if not (Hashtbl.mem t.compiled.Session.rel_types pred) then
-        invalid_input "assert into unknown relation %s" pred;
-      Session.coerce_tuple t.compiled pred tuple)
+let check_assert t ~pred tuple : Tuple.t = locked t (fun () -> checked_assert t ~pred tuple)
 
 (** [check_retract t ~pred tuple] validates a retract without applying it:
     raises the same {!Session.Error} [retract_fact] would, and returns the
     coerced tuple. *)
-let check_retract t ~pred tuple : Tuple.t =
-  locked t (fun () ->
-      ensure_open t;
-      let tuple =
-        if Hashtbl.mem t.compiled.Session.rel_types pred then
-          Session.coerce_tuple t.compiled pred tuple
-        else tuple
-      in
-      let rel =
-        match SMap.find_opt pred t.overlay with Some r -> r | None -> Tuple.Map.empty
-      in
-      if not (Tuple.Map.mem tuple rel) then
-        invalid_input "retract %s%a: fact was never asserted" pred Tuple.pp tuple;
-      tuple)
+let check_retract t ~pred tuple : Tuple.t = locked t (fun () -> checked_retract t ~pred tuple)
 
 (* The full current EDB in canonical order: predicates by first assertion,
    facts within a predicate by first assertion.  This is the fact list the
