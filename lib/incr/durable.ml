@@ -738,15 +738,35 @@ let log_locked mgr entry (l : live) op payload : int option =
         | Some w -> w
         | None ->
             let w =
-              io_guard (fun () ->
-                  Atomic_io.mkdir_p dir;
-                  Wal.open_append ~sync:mgr.cfg.wal_sync ?group:mgr.wal_group
-                    ~path:(Segments.path ~dir entry.active_seg) ())
+              try
+                io_guard (fun () ->
+                    Atomic_io.mkdir_p dir;
+                    Wal.open_append ~sync:mgr.cfg.wal_sync ?group:mgr.wal_group
+                      ~path:(Segments.path ~dir entry.active_seg) ())
+              with Wal.Unwritable { tail; _ } ->
+                mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
+                quarantine_locked entry
+                  (Exec_error.Recovery_failed
+                     {
+                       session = entry.sid;
+                       reason =
+                         Fmt.str "log segment %s is unwritable: %s"
+                           (Segments.name entry.active_seg) (Wal.tail_string tail);
+                     })
             in
             l.wal <- Some w;
             w
       in
-      let ticket = io_guard (fun () -> Wal.append_ticket w payload) in
+      let ticket =
+        try io_guard (fun () -> Wal.append_ticket w payload)
+        with e ->
+          (* A failed append may leave part of its record behind.  Drop the
+             writer: the next append reopens the segment, and reopening
+             truncates the torn tail. *)
+          Wal.close w;
+          l.wal <- None;
+          raise e
+      in
       (match ticket with Some tk -> mgr.max_ticket <- max mgr.max_ticket tk | None -> ());
       entry.seg_chain <- chain_add entry.seg_chain payload;
       entry.seg_records <- entry.seg_records + 1;
