@@ -951,7 +951,6 @@ let rehydrate_locked mgr entry : live =
   | l ->
       mgr.dstats.rehydrations <- mgr.dstats.rehydrations + 1;
       mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + entry.ops_since_snap;
-      enforce_caps_locked mgr;
       l
   | exception Not_open ->
       (* a spilled session's state vanished from under us *)
@@ -963,7 +962,9 @@ let rehydrate_locked mgr entry : live =
       mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
       quarantine_locked entry (as_recovery_failed ~session:entry.sid e)
 
-(* Hydrated handle for a touch; refreshes the LRU clock. *)
+(* Hydrated handle for a touch; refreshes the LRU clock.  A touch never
+   spills the entry it hands back: caps are enforced once the operation
+   is done with its entry, or has pinned it. *)
 let touch_live_locked mgr entry : live =
   entry.last_used <- mgr.cfg.now ();
   match entry.e_state with
@@ -1164,6 +1165,7 @@ let with_pinned mgr ~sid f =
         let entry = find_entry mgr sid in
         let l = touch_live_locked mgr entry in
         entry.pins <- entry.pins + 1;
+        enforce_caps_locked mgr;
         (entry, l))
   in
   Fun.protect ~finally:(fun () -> unpin mgr entry) (fun () -> f l.incr)
@@ -1382,7 +1384,8 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
           (match op with
           | Op_close _ -> close_locked mgr entry l op payload
           | _ -> ignore (log_locked mgr entry l op payload)));
-      mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1)
+      mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1;
+      enforce_caps_locked mgr)
 
 (** Verify a sealed segment against the local replay: same last lsn, same
     record count, same checksum chain.  Rotation itself happens when the
