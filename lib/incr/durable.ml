@@ -456,6 +456,8 @@ type stats = {
   mutable wal_bytes : int;
   mutable wal_replayed : int;  (** op records replayed by recovery + rehydration *)
   mutable snapshots : int;
+  mutable snapshot_failures : int;
+      (** compactions that failed after their op committed; the next op retries *)
   mutable evictions : int;
   mutable rehydrations : int;
   mutable recovered : int;  (** sessions rebuilt alive at {!create} *)
@@ -469,10 +471,11 @@ type stats = {
 
 let pp_stats ppf (s : stats) =
   Fmt.pf ppf
-    "wal-appends=%d wal-bytes=%d wal-replayed=%d snapshots=%d evictions=%d \
-     rehydrations=%d recovered=%d recovery-failed=%d remote-applied=%d \
+    "wal-appends=%d wal-bytes=%d wal-replayed=%d snapshots=%d snapshot-failures=%d \
+     evictions=%d rehydrations=%d recovered=%d recovery-failed=%d remote-applied=%d \
      remote-installs=%d diverged=%d scrubs=%d scrub-errors=%d"
-    s.wal_appends s.wal_bytes s.wal_replayed s.snapshots s.evictions s.rehydrations
+    s.wal_appends s.wal_bytes s.wal_replayed s.snapshots s.snapshot_failures s.evictions
+    s.rehydrations
     s.recovered s.recovery_failures s.remote_applied s.remote_installs s.divergences
     s.scrubs s.scrub_errors
 
@@ -901,17 +904,28 @@ let compact_locked mgr entry =
       emit mgr (Ev_snapshot { sid = entry.sid; gen; lsn = s.sn_lsn; payload = encoded })
   | _ -> ()
 
+(* Compact after an op has committed, or to spill.  The op stands
+   whatever happens here: a failed snapshot is counted, never raised, and
+   the next op retries it.  Returns whether the snapshot was taken. *)
+let try_compact_locked mgr entry =
+  match compact_locked mgr entry with
+  | () -> true
+  | exception Session.Error _ ->
+      mgr.dstats.snapshot_failures <- mgr.dstats.snapshot_failures + 1;
+      false
+
 (* Spill a cold session: make the disk state current (a fresh snapshot if
    any op is unsnapshotted), release the writer, drop the in-memory
-   engine. *)
+   engine.  A session whose snapshot fails stays live. *)
 let spill_locked mgr entry =
   match entry.e_state with
   | Live l when entry.pins = 0 && entry.dir <> None ->
-      if entry.ops_since_snap > 0 then compact_locked mgr entry;
-      release_wal entry.e_state;
-      entry.last_stats <- Incr.stats l.incr;
-      entry.e_state <- Spilled;
-      mgr.dstats.evictions <- mgr.dstats.evictions + 1
+      if entry.ops_since_snap = 0 || try_compact_locked mgr entry then begin
+        release_wal entry.e_state;
+        entry.last_stats <- Incr.stats l.incr;
+        entry.e_state <- Spilled;
+        mgr.dstats.evictions <- mgr.dstats.evictions + 1
+      end
   | _ -> ()
 
 let enforce_caps_locked mgr =
@@ -1049,6 +1063,7 @@ let create (cfg : config) : t =
           wal_bytes = 0;
           wal_replayed = 0;
           snapshots = 0;
+          snapshot_failures = 0;
           evictions = 0;
           rehydrations = 0;
           recovered = 0;
@@ -1131,7 +1146,7 @@ let commit_change mgr ~sid op =
         let op = check_change l.incr (op entry.next_lsn) in
         let ticket = log_locked mgr entry l op (encode_op op) in
         if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
-          compact_locked mgr entry;
+          ignore (try_compact_locked mgr entry);
         maybe_rotate_ship_locked mgr;
         enforce_caps_locked mgr;
         ticket)

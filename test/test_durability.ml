@@ -569,6 +569,150 @@ let test_close_fsync_failure_quarantines () =
   Durable.shutdown mgr;
   rm_rf sd
 
+(* ---- the write path's failure policy ---------------------------------------------- *)
+
+let session_path sd sid = Filename.concat (Filename.concat sd "sessions") ("s-" ^ sid)
+let segment_path sd sid k = Filename.concat (session_path sd sid) (Printf.sprintf "wal-%09d.log" k)
+
+let live_wal mgr sid =
+  match (Hashtbl.find mgr.Durable.entries sid).Durable.e_state with
+  | Durable.Live { wal = Some w; _ } -> w
+  | _ -> Alcotest.fail "expected a live session with an open WAL writer"
+
+(* A write cut short leaves part of its record in the segment.  The writer
+   that failed is dropped, so the next append reopens the segment, which
+   truncates the torn tail rather than writing after it: every
+   acknowledged assert survives a restart. *)
+let test_failed_append_truncates_torn_tail () =
+  let sd = scratch_dir () in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ()) in
+  let _ = Durable.open_session mgr ~sid:"s" tc_src in
+  Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair 1 2);
+  Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair 2 3);
+  let wal = live_wal mgr "s" in
+  let seg = segment_path sd "s" 0 in
+  let frame = Bytes.create (Wal.record_header_len + 7) in
+  Bytes.set_int32_le frame 0 7l;
+  Bytes.set_int64_le frame 4 (Atomic_io.fnv1a64 "payload");
+  Bytes.blit_string "payload" 0 frame Wal.record_header_len 7;
+  let fd = Unix.openfile seg [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+  ignore (Unix.write fd frame 0 10);
+  Unix.close fd;
+  (* the disk refuses the next write *)
+  let ro = Unix.openfile seg [ Unix.O_RDONLY ] 0 in
+  Unix.dup2 ro wal.Wal.fd;
+  Unix.close ro;
+  (match Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair 3 4) with
+  | () -> Alcotest.fail "an append through a read-only descriptor was acknowledged"
+  | exception Session.Error (Exec_error.Runtime_error _) -> ());
+  (* and takes writes again *)
+  let rw = Unix.openfile seg [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+  Unix.dup2 rw wal.Wal.fd;
+  Unix.close rw;
+  List.iter
+    (fun (a, b) -> Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair a b))
+    [ (3, 4); (4, 5); (5, 6); (6, 7) ];
+  let expected = q mgr "s" in
+  Durable.shutdown mgr;
+  (try Unix.close wal.Wal.fd with Unix.Unix_error _ -> ());
+  let mgr2 = Durable.create (mgr_config ~state_dir:sd ()) in
+  (match q mgr2 "s" with
+  | _ -> ()
+  | exception Session.Error e ->
+      Alcotest.failf "acknowledged asserts lost: %s" (Session.error_string e));
+  check_recovered_identity "after a failed append" mgr2 "s" expected;
+  Durable.shutdown mgr2;
+  rm_rf sd
+
+(* A segment that [Wal.open_append] refuses quarantines its session with a
+   typed error, and a retried close discards it. *)
+let test_unwritable_segment_quarantines () =
+  let sd = scratch_dir () in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ()) in
+  let _ = Durable.open_session mgr ~sid:"s" tc_src in
+  for i = 1 to 5 do
+    Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair i (i + 1))
+  done;
+  Durable.shutdown mgr;
+  let mgr2 = Durable.create (mgr_config ~state_dir:sd ()) in
+  flip_byte (segment_path sd "s" 0) 20;
+  (match Durable.assert_fact mgr2 ~sid:"s" ~pred:"edge" (pair 9 9) with
+  | () -> Alcotest.fail "an assert into a corrupt segment was acknowledged"
+  | exception Session.Error (Exec_error.Recovery_failed _) -> ()
+  | exception e -> Alcotest.failf "expected Recovery_failed, got %s" (Printexc.to_string e));
+  (match Durable.close mgr2 ~sid:"s" with
+  | _ -> ()
+  | exception e -> Alcotest.failf "a retried close failed: %s" (Printexc.to_string e));
+  Alcotest.(check int) "closed" 1 (Durable.session_counts mgr2).Durable.closed;
+  Alcotest.(check bool) "session state removed" false (Sys.file_exists (session_path sd "s"));
+  Durable.shutdown mgr2;
+  rm_rf sd
+
+(* A touch never spills the entry it hands back: at [max_live:0] every
+   write rehydrates its session, logs through it and spills it again,
+   closing the writer each time. *)
+let test_rehydrate_keeps_its_entry () =
+  let fds () = try Some (Array.length (Sys.readdir "/proc/self/fd")) with Sys_error _ -> None in
+  let sd = scratch_dir () in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ~max_live:0 ()) in
+  let _ = Durable.open_session mgr ~sid:"s" tc_src in
+  Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair 0 1);
+  let before = fds () in
+  for i = 1 to 50 do
+    Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair i (i + 1))
+  done;
+  (match (before, fds ()) with
+  | Some b, Some a -> Alcotest.(check int) "open descriptors stay flat" b a
+  | _ -> ());
+  let expected = q mgr "s" in
+  Durable.shutdown mgr;
+  let mgr2 = Durable.create (mgr_config ~state_dir:sd ()) in
+  check_recovered_identity "every write at max_live 0" mgr2 "s" expected;
+  Durable.shutdown mgr2;
+  rm_rf sd
+
+(* A compaction that fails after its op is logged neither fails nor undoes
+   the op: the snapshot directory is a regular file, so every snapshot
+   write fails while the WAL takes every append. *)
+let test_snapshot_failure_keeps_committed_op () =
+  let sd = scratch_dir () in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ~snapshot_every:4 ()) in
+  let _ = Durable.open_session mgr ~sid:"s" tc_src in
+  Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair 0 1);
+  write_bytes (Filename.concat (session_path sd "s") "snap") "not a directory";
+  for i = 1 to 6 do
+    match Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair i (i + 1)) with
+    | () -> ()
+    | exception Session.Error e ->
+        Alcotest.failf "assert %d was logged and applied but failed: %s" i
+          (Session.error_string e)
+  done;
+  if (Durable.stats mgr).Durable.snapshot_failures < 1 then
+    Alcotest.fail "the failed snapshots were not counted";
+  let expected = q mgr "s" in
+  Durable.shutdown mgr;
+  let mgr2 = Durable.create (mgr_config ~state_dir:sd ()) in
+  check_recovered_identity "after failed snapshots" mgr2 "s" expected;
+  Durable.shutdown mgr2;
+  rm_rf sd
+
+(* Closing a spilled session replies with the statistics it spilled with. *)
+let test_close_spilled_keeps_stats () =
+  let sd = scratch_dir () in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ~max_live:1 ()) in
+  let _ = Durable.open_session mgr ~sid:"a" tc_src in
+  Durable.assert_fact mgr ~sid:"a" ~pred:"edge" (pair 1 2);
+  let _ = q mgr "a" in
+  Durable.assert_fact mgr ~sid:"a" ~pred:"edge" (pair 2 3);
+  let _ = q mgr "a" in
+  let _ = Durable.open_session mgr ~sid:"b" tc_src in
+  Alcotest.(check bool) "a spilled" true (Durable.is_spilled mgr ~sid:"a");
+  let st = Durable.close mgr ~sid:"a" in
+  Alcotest.(check string) "close stats" "queries=2 updates=2 full=2"
+    (Fmt.str "%a" Incr.pp_session_stats st);
+  Durable.shutdown mgr;
+  rm_rf sd
+
 (* ---- on-disk format golden ------------------------------------------------------- *)
 
 (* Byte-exact pins of every on-disk encoding and file name.  A state dir or
@@ -687,4 +831,14 @@ let suite =
     Alcotest.test_case "close fsync failure quarantines the session" `Quick
       test_close_fsync_failure_quarantines;
     Alcotest.test_case "on-disk format golden" `Quick test_format_golden;
+    Alcotest.test_case "failed append truncates its torn tail" `Quick
+      test_failed_append_truncates_torn_tail;
+    Alcotest.test_case "unwritable segment quarantines the session" `Quick
+      test_unwritable_segment_quarantines;
+    Alcotest.test_case "rehydration keeps the entry it loads" `Quick
+      test_rehydrate_keeps_its_entry;
+    Alcotest.test_case "snapshot failure keeps the committed op" `Quick
+      test_snapshot_failure_keeps_committed_op;
+    Alcotest.test_case "close of a spilled session keeps its stats" `Quick
+      test_close_spilled_keeps_stats;
   ]

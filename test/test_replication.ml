@@ -495,6 +495,65 @@ let test_promote_fsync_failure () =
   destroy c;
   List.iter Unix.close [ r; w ]
 
+(* ---- the shared write path ----------------------------------------------------------- *)
+
+(* Every file under [dir], as (path relative to [dir], bytes), sorted. *)
+let rec files_under dir rel =
+  Sys.readdir (Filename.concat dir rel)
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun e ->
+         let r = if rel = "" then e else Filename.concat rel e in
+         if Sys.is_directory (Filename.concat dir r) then files_under dir r
+         else [ (r, read_bytes (Filename.concat dir r)) ])
+
+(* Follower segments and snapshots are byte-identical to the primary's:
+   both write them through the same log step and rotation. *)
+let test_follower_files_byte_identical () =
+  let c = make_cluster ~snapshot_every:3 () in
+  List.iter
+    (fun sid ->
+      List.iter
+        (function
+          | Open -> ignore (Durable.open_session c.pmgr ~sid tc_src)
+          | A (a, b) -> Durable.assert_fact c.pmgr ~sid ~pred:"edge" (pair a b)
+          | R (a, b) -> Durable.retract_fact c.pmgr ~sid ~pred:"edge" (pair a b))
+        script)
+    [ "s"; "t" ];
+  ignore (Durable.close c.pmgr ~sid:"t");
+  let sessions node = Filename.concat (Filename.concat c.root node) "sessions" in
+  let primary = files_under (sessions "p") "" and follower = files_under (sessions "f") "" in
+  Alcotest.(check (list string)) "same files" (List.map fst primary) (List.map fst follower);
+  List.iter2
+    (fun (name, p) (_, f) -> if not (String.equal p f) then Alcotest.failf "%s differs" name)
+    primary follower;
+  destroy c
+
+(* A ship-log write that fails after the session's own append cannot undo
+   the op: it is applied and its lsn consumed, so the live session answers
+   what a restart recovers. *)
+let test_ship_failure_keeps_committed_op () =
+  let c = make_cluster () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2) ];
+  let ship_fd = c.prim.Replica.Primary.wal.Wal.fd in
+  let saved = Unix.dup ship_fd in
+  let ro = Unix.openfile (Filename.concat c.root "read-only") [ Unix.O_RDONLY; Unix.O_CREAT ] 0o644 in
+  Unix.dup2 ro ship_fd;
+  Unix.close ro;
+  (match apply c.pmgr (A (2, 3)) with
+  | () -> Alcotest.fail "an op whose ship write failed was acknowledged"
+  | exception Session.Error _ -> ());
+  Unix.dup2 saved ship_fd;
+  Unix.close saved;
+  let live = q c.pmgr "s" in
+  let restarted =
+    Durable.create
+      (Durable.config ~state_dir:(Filename.concat c.root "p") ~wal_sync:false Registry.Boolean)
+  in
+  if not (results_equal live (q restarted "s")) then
+    Alcotest.fail "the live session and its restart disagree";
+  Durable.shutdown restarted;
+  destroy c
+
 (* ---- ack codec ---------------------------------------------------------------------- *)
 
 (* Acks decode as strictly as every other record: no trailing bytes, and a
@@ -798,4 +857,8 @@ let suite =
     Alcotest.test_case "line reader bounds and typed replies" `Quick test_reader_bounds;
     Alcotest.test_case "chunked line reader = bytewise reader" `Quick
       test_reader_matches_bytewise;
+    Alcotest.test_case "follower files byte-identical to the primary's" `Quick
+      test_follower_files_byte_identical;
+    Alcotest.test_case "ship failure keeps the committed op" `Quick
+      test_ship_failure_keeps_committed_op;
   ]
