@@ -997,14 +997,6 @@ module Make (P : Provenance.S) = struct
     let p = bound ~upper:false cmp None 0 r.n i in
     if p < r.n && cmp p i = 0 then p else -1
 
-  let to_relation (c : crel) : P.t Tuple.Map.t =
-    let r = crel_force c in
-    let m = ref Tuple.Map.empty in
-    for i = r.n - 1 downto 0 do
-      m := Tuple.Map.add (tuple_at r i) r.tags.(i) !m
-    done;
-    !m
-
   (* Rows [idx.(0 .. m-1)] of [b] with their own tags. *)
   let select_rows (b : batch) (idx : int array) (m : int) : batch =
     if m = b.n then b

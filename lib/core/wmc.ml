@@ -64,8 +64,8 @@ let wmc_of_root (type a) (ops : a ops) ~(weight_of : int -> a) ~vars root : a =
     ~w_neg:(fun v -> ops.complement (weight_of v))
     ~vars root
 
-(* Fresh-manager compilation: used by the generic [run] entry point and when
-   the cross-iteration cache is disabled. *)
+(* Fresh-manager compilation: used when the cross-iteration cache is
+   disabled. *)
 let wmc_bdd (type a) (ops : a ops) ~(weight_of : int -> a) (formula : Formula.t) : a =
   let m = Scallop_bdd.Bdd.manager () in
   let dnf =
@@ -364,14 +364,6 @@ let rec has_me_vars env : Formula.t -> bool = function
         if Formula.group env (Formula.lit_var lits.(i)) <> Formula.no_group then found := true
       done;
       !found || has_me_vars env rest
-
-(** WMC in an arbitrary weight semiring. *)
-let run (type a) (ops : a ops) ~(weight_of : int -> a) ~(env : Formula.env)
-    (formula : Formula.t) : a =
-  if Formula.is_false formula then ops.zero
-  else if Formula.is_true formula then ops.one
-  else if has_me_vars env formula then wmc_ie ops ~weight_of ~env formula
-  else wmc_bdd ops ~weight_of formula
 
 (* Shared dispatch for the cached entry points: trivial formulas and the
    mutual-exclusion IE engine bypass the cache; the BDD path goes through

@@ -117,7 +117,6 @@ type ticket = {
   submitted_at : float;
   run : rung:Registry.spec -> config:Interp.config -> Session.result;
       (** the execution, given the granted rung and the per-attempt config *)
-  mutable epoch : int;  (** bumped at each claim; stale workers can't complete *)
   mutable attempts : int;
   mutable retries_used : int;
   mutable requeues : int;
@@ -502,7 +501,6 @@ let claim svc w my_gen =
         if w.generation <> my_gen then None
         else if not (Queue.is_empty svc.queue) then begin
           let ticket = Queue.pop svc.queue in
-          ticket.epoch <- ticket.epoch + 1;
           w.watchdog_cancelled <- false;
           w.current <- Some (ticket, U.Cancel.create ());
           Atomic.set w.heartbeat (svc.config.now ());
@@ -663,7 +661,6 @@ let submit_exec svc run : ticket =
           id;
           submitted_at = now;
           run;
-          epoch = 0;
           attempts = 0;
           retries_used = 0;
           requeues = 0;

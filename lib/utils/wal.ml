@@ -141,7 +141,6 @@ module Tail = struct
   }
 
   let create ~path () = { path; file_off = 0; started = false; pending = "" }
-  let consumed t = t.file_off - String.length t.pending
 
   (** Newly completed records since the previous poll, in append order.
       [Ok []] means "nothing new yet" (including: the file does not exist
@@ -316,18 +315,11 @@ end
 (* ---- appending -------------------------------------------------------------- *)
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   sync : bool;
   group : Group.t option;
-  mutable appends : int;
-  mutable bytes : int;  (** record bytes written through this writer *)
   mutable closed : bool;
 }
-
-let path t = t.path
-let appends t = t.appends
-let bytes t = t.bytes
 
 exception Unwritable of { path : string; tail : tail }
 
@@ -371,7 +363,7 @@ let open_append ?(sync = true) ?group ~path () : t =
       Atomic_io.fsync_dir (Filename.dirname path)
     end
   end;
-  { path; fd; sync; group; appends = 0; bytes = 0; closed = false }
+  { fd; sync; group; closed = false }
 
 (** Append one record without waiting for stable storage.  The whole frame
     goes down in a single [write].  Returns [Some ticket] when the writer
@@ -387,8 +379,6 @@ let append_ticket (t : t) (payload : string) : int option =
   Bytes.set_int64_le frame 4 (fnv1a64 payload);
   Bytes.blit_string payload 0 frame record_header_len len;
   Atomic_io.write_all t.fd (Bytes.unsafe_to_string frame);
-  t.appends <- t.appends + 1;
-  t.bytes <- t.bytes + Bytes.length frame;
   if not t.sync then None
   else
     match t.group with
