@@ -715,9 +715,12 @@ let emit mgr ev = match mgr.cfg.repl with Some s -> s.rs_emit ev | None -> ()
 (** The one write path.  Every record a session logs — a local open,
     assert, retract or close, and every replicated one on a follower — is
     appended here: open the writer if needed, append, fold the record
-    into the segment's checksum chain and count it.  From then on the op
-    is committed: the engine applies it and the lsn advances before
-    anything else runs, and only then is the record shipped to followers.
+    into the segment's checksum chain and count it.  A segment that
+    [Wal.open_append] refuses quarantines the session as
+    [Recovery_failed].  Once the record is in the log the op is
+    committed: the engine applies it and the lsn advances before anything
+    else runs, and only then is the record shipped to followers, so a
+    shipping failure may fail the reply but never un-applies the op.
     [payload] is [op]'s record: its encoding, or on a follower the
     primary's exact bytes.  Returns the group-commit ticket the caller
     must settle (outside the lock) before acknowledging, when one
@@ -806,11 +809,8 @@ let commit_wait mgr (ticket : int option) : unit =
     follower's batch-apply path appends many records asynchronously and
     settles them with one flush before acknowledging. *)
 let flush mgr : unit =
-  match mgr.wal_group with
-  | None -> ()
-  | Some g ->
-      let tk = locked mgr (fun () -> mgr.max_ticket) in
-      if tk >= 0 then io_guard (fun () -> Wal.Group.wait g tk)
+  let tk = locked mgr (fun () -> mgr.max_ticket) in
+  if tk >= 0 then settle mgr (Some tk)
 
 (* The one open, local or replicated: register a fresh entry for [incr]
    at segment [seg] and log its open record [op], first removing any
