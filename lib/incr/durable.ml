@@ -841,7 +841,6 @@ let drain_locked mgr entry =
    the record nor the log can be trusted, and a retried close discards
    it. *)
 let close_locked mgr entry (l : live) op payload =
-  entry.last_stats <- Incr.stats l.incr;
   (try settle mgr (log_locked mgr entry l op payload)
    with Session.Error e -> quarantine_locked entry e);
   release_wal entry.e_state;
@@ -1219,13 +1218,13 @@ let close mgr ~sid : Incr.session_stats =
             entry.last_stats
         | Spilled | Live _ ->
             drain_locked mgr entry;
-            let at_spill =
-              match entry.e_state with Spilled -> Some entry.last_stats | _ -> None
-            in
+            (* a spilled session keeps the statistics it spilled with; the
+               engine rehydrated to log its close starts from zero *)
+            let spilled = match entry.e_state with Spilled -> true | _ -> false in
             let l = touch_live_locked mgr entry in
+            if not spilled then entry.last_stats <- Incr.stats l.incr;
             let op = Op_close { lsn = entry.next_lsn } in
             close_locked mgr entry l op (encode_op op);
-            Option.iter (fun s -> entry.last_stats <- s) at_spill;
             entry.last_stats)
   in
   (match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ());
@@ -1397,7 +1396,9 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
           if not (Int64.equal (chain_add entry.seg_chain payload) chain) then
             diverged mgr entry ~segment:seg "checksum chain mismatch after lsn %d" lsn;
           (match op with
-          | Op_close _ -> close_locked mgr entry l op payload
+          | Op_close _ ->
+              entry.last_stats <- Incr.stats l.incr;
+              close_locked mgr entry l op payload
           | _ -> ignore (log_locked mgr entry l op payload)));
       mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1;
       enforce_caps_locked mgr)
