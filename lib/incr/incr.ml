@@ -137,9 +137,10 @@ let checked_retract t ~pred tuple =
 let assert_fact t ~pred ?prob ?me_group tuple =
   locked t (fun () ->
       let tuple = checked_assert t ~pred tuple in
+      let input = { Provenance.Input.prob; me_group } in
       let rel = relation t pred in
       if not (Tuple.Map.mem tuple rel) then t.order <- (pred, tuple) :: t.order;
-      t.overlay <- SMap.add pred (Tuple.Map.add tuple { Provenance.Input.prob; me_group } rel) t.overlay;
+      t.overlay <- SMap.add pred (Tuple.Map.add tuple input rel) t.overlay;
       t.dirty <- true)
 
 let retract_fact t ~pred tuple =

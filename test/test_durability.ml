@@ -572,7 +572,8 @@ let test_close_fsync_failure_quarantines () =
 (* ---- the write path's failure policy ---------------------------------------------- *)
 
 let session_path sd sid = Filename.concat (Filename.concat sd "sessions") ("s-" ^ sid)
-let segment_path sd sid k = Filename.concat (session_path sd sid) (Printf.sprintf "wal-%09d.log" k)
+let segment_path sd sid k =
+  Filename.concat (session_path sd sid) (Printf.sprintf "wal-%09d.log" k)
 
 let live_wal mgr sid =
   match (Hashtbl.find mgr.Durable.entries sid).Durable.e_state with

@@ -536,7 +536,9 @@ let test_ship_failure_keeps_committed_op () =
   List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2) ];
   let ship_fd = c.prim.Replica.Primary.wal.Wal.fd in
   let saved = Unix.dup ship_fd in
-  let ro = Unix.openfile (Filename.concat c.root "read-only") [ Unix.O_RDONLY; Unix.O_CREAT ] 0o644 in
+  let ro =
+    Unix.openfile (Filename.concat c.root "read-only") [ Unix.O_RDONLY; Unix.O_CREAT ] 0o644
+  in
   Unix.dup2 ro ship_fd;
   Unix.close ro;
   (match apply c.pmgr (A (2, 3)) with
