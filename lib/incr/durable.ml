@@ -712,6 +712,16 @@ let load_locked mgr entry : live =
 
 let emit mgr ev = match mgr.cfg.repl with Some s -> s.rs_emit ev | None -> ()
 
+(* The commit half of the log step: apply the op to the engine and
+   advance the lsn. *)
+let commit_locked entry (l : live) op =
+  (match op with
+  | Op_assert _ | Op_retract _ ->
+      apply_change l.incr op;
+      entry.ops_since_snap <- entry.ops_since_snap + 1
+  | Op_open _ | Op_close _ -> ());
+  entry.next_lsn <- op_lsn op + 1
+
 (** The one write path.  Every record a session logs — a local open,
     assert, retract or close, and every replicated one on a follower — is
     appended here: open the writer if needed, append, fold the record
@@ -722,23 +732,16 @@ let emit mgr ev = match mgr.cfg.repl with Some s -> s.rs_emit ev | None -> ()
     else runs, and only then is the record shipped to followers, so a
     shipping failure may fail the reply but never un-applies the op.
     [payload] is [op]'s record: its encoding, or on a follower the
-    primary's exact bytes.  Returns the group-commit ticket the caller
-    must settle (outside the lock) before acknowledging, when one
-    exists. *)
-let log_locked mgr entry (l : live) op payload : int option =
-  let commit () =
-    (match op with
-    | Op_assert _ | Op_retract _ ->
-        apply_change l.incr op;
-        entry.ops_since_snap <- entry.ops_since_snap + 1
-    | Op_open _ | Op_close _ -> ());
-    entry.next_lsn <- op_lsn op + 1
-  in
+    primary's exact bytes; a session without a log never forces it.
+    Returns the group-commit ticket the caller must settle (outside the
+    lock) before acknowledging, when one exists. *)
+let log_locked mgr entry (l : live) op (payload : string Lazy.t) : int option =
   match entry.dir with
   | None ->
-      commit ();
+      commit_locked entry l op;
       None
   | Some dir ->
+      let payload = Lazy.force payload in
       let w =
         match l.wal with
         | Some w -> w
@@ -778,7 +781,7 @@ let log_locked mgr entry (l : live) op payload : int option =
       entry.seg_records <- entry.seg_records + 1;
       mgr.dstats.wal_appends <- mgr.dstats.wal_appends + 1;
       mgr.dstats.wal_bytes <- mgr.dstats.wal_bytes + String.length payload + Wal.record_header_len;
-      commit ();
+      commit_locked entry l op;
       emit mgr
         (Ev_op
            {
@@ -1126,7 +1129,7 @@ let open_session mgr ~sid ?expect_hash source : string =
         in
         let hash = Incr.program_hash incr in
         let op = Op_open { expect_hash; hash; spec = spec_name_of mgr; source } in
-        let _, ticket = open_locked mgr ~sid ~seg:0 incr op (encode_op op) in
+        let _, ticket = open_locked mgr ~sid ~seg:0 incr op (lazy (encode_op op)) in
         maybe_rotate_ship_locked mgr;
         enforce_caps_locked mgr;
         (hash, ticket))
@@ -1143,7 +1146,7 @@ let commit_change mgr ~sid op =
         let entry = find_entry mgr sid in
         let l = touch_live_locked mgr entry in
         let op = check_change l.incr (op entry.next_lsn) in
-        let ticket = log_locked mgr entry l op (encode_op op) in
+        let ticket = log_locked mgr entry l op (lazy (encode_op op)) in
         if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
           ignore (try_compact_locked mgr entry);
         maybe_rotate_ship_locked mgr;
@@ -1224,7 +1227,7 @@ let close mgr ~sid : Incr.session_stats =
             let l = touch_live_locked mgr entry in
             if not spilled then entry.last_stats <- Incr.stats l.incr;
             let op = Op_close { lsn = entry.next_lsn } in
-            close_locked mgr entry l op (encode_op op);
+            close_locked mgr entry l op (lazy (encode_op op));
             entry.last_stats)
   in
   (match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ());
@@ -1358,7 +1361,7 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
             diverged_no_entry ~session:sid ~segment:seg
               "replicated program hashes to %s, frame says %s" (Incr.program_hash incr)
               hash;
-          let entry, _ = open_locked mgr ~sid ~seg incr op payload in
+          let entry, _ = open_locked mgr ~sid ~seg incr op (Lazy.from_val payload) in
           if not (Int64.equal entry.seg_chain chain) then
             diverged mgr entry ~segment:seg "checksum chain mismatch on open"
       | Op_assert _ | Op_retract _ | Op_close _ ->
@@ -1398,8 +1401,8 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
           (match op with
           | Op_close _ ->
               entry.last_stats <- Incr.stats l.incr;
-              close_locked mgr entry l op payload
-          | _ -> ignore (log_locked mgr entry l op payload)));
+              close_locked mgr entry l op (Lazy.from_val payload)
+          | _ -> ignore (log_locked mgr entry l op (Lazy.from_val payload))));
       mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1;
       enforce_caps_locked mgr)
 
