@@ -1257,8 +1257,8 @@ let session_counts mgr : counts =
         mgr.entries
         { live = 0; spilled = 0; failed = 0; closed = 0 })
 
-(** Run the idle-TTL / LRU-cap sweep now (it also runs after every
-    state-changing op). *)
+(** Run the idle-TTL / LRU-cap sweep now (it also runs after every open,
+    write and replicated op, and once a query has pinned its session). *)
 let sweep mgr = locked mgr (fun () -> enforce_caps_locked mgr)
 
 (** Force a compaction snapshot of one session (test hook). *)
