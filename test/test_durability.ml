@@ -697,6 +697,29 @@ let test_snapshot_failure_keeps_committed_op () =
   Durable.shutdown mgr2;
   rm_rf sd
 
+(* A spill whose snapshot fails leaves its session live, and the open
+   whose cap sweep tried it still succeeds. *)
+let test_failed_spill_keeps_session_live () =
+  let sd = scratch_dir () in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ~max_live:1 ()) in
+  let _ = Durable.open_session mgr ~sid:"a" tc_src in
+  Durable.assert_fact mgr ~sid:"a" ~pred:"edge" (pair 1 2);
+  write_bytes (Filename.concat (session_path sd "a") "snap") "not a directory";
+  (match Durable.open_session mgr ~sid:"b" tc_src with
+  | _ -> ()
+  | exception Session.Error e ->
+      Alcotest.failf "the open whose sweep failed to spill failed: %s" (Session.error_string e));
+  Alcotest.(check bool) "a stays live" false (Durable.is_spilled mgr ~sid:"a");
+  if (Durable.stats mgr).Durable.snapshot_failures < 1 then
+    Alcotest.fail "the failed spill was not counted";
+  let expected = q mgr "a" in
+  Durable.shutdown mgr;
+  let mgr2 = Durable.create (mgr_config ~state_dir:sd ()) in
+  Alcotest.(check int) "both sessions recovered" 2 (Durable.stats mgr2).Durable.recovered;
+  check_recovered_identity "after a failed spill" mgr2 "a" expected;
+  Durable.shutdown mgr2;
+  rm_rf sd
+
 (* Closing a spilled session replies with the statistics it spilled with. *)
 let test_close_spilled_keeps_stats () =
   let sd = scratch_dir () in
@@ -842,4 +865,6 @@ let suite =
       test_snapshot_failure_keeps_committed_op;
     Alcotest.test_case "close of a spilled session keeps its stats" `Quick
       test_close_spilled_keeps_stats;
+    Alcotest.test_case "failed spill keeps the session live" `Quick
+      test_failed_spill_keeps_session_live;
   ]
