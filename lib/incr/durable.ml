@@ -712,6 +712,13 @@ let load_locked mgr entry : live =
 
 let emit mgr ev = match mgr.cfg.repl with Some s -> s.rs_emit ev | None -> ()
 
+(* Wait for the group fsync covering an op's ticket, raising its failure
+   as a typed error. *)
+let settle mgr (ticket : int option) : unit =
+  match (ticket, mgr.wal_group) with
+  | Some tk, Some g -> io_guard (fun () -> Wal.Group.wait g tk)
+  | _ -> ()
+
 (* The commit half of the log step: apply the op to the engine and
    advance the lsn. *)
 let commit_locked entry (l : live) op =
@@ -771,7 +778,10 @@ let log_locked mgr entry (l : live) op (payload : string Lazy.t) : int option =
         with e ->
           (* A failed append may leave part of its record behind.  Drop the
              writer: the next append reopens the segment, and reopening
-             truncates the torn tail. *)
+             truncates the torn tail.  Closing flushes only on a best-effort
+             basis, so first settle the group fsync of the records before
+             it: a failure there reaches their own waiters. *)
+          (try settle mgr (Some mgr.max_ticket) with Session.Error _ -> ());
           Wal.close w;
           l.wal <- None;
           raise e
@@ -792,13 +802,6 @@ let log_locked mgr entry (l : live) op (payload : string Lazy.t) : int option =
              payload;
            });
       ticket
-
-(* Wait for the group fsync covering an op's ticket, raising its failure
-   as a typed error. *)
-let settle mgr (ticket : int option) : unit =
-  match (ticket, mgr.wal_group) with
-  | Some tk, Some g -> io_guard (fun () -> Wal.Group.wait g tk)
-  | _ -> ()
 
 (* Settle an op's durability and replication level, called OUTSIDE the
    manager lock after the locked section committed locally: wait for the

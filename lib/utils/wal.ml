@@ -296,7 +296,8 @@ module Group = struct
       ignored.  No acknowledgement depends on this flush — a record is
       acknowledged only after {!wait} settles its ticket, and the writers
       closed with records still unsettled (compaction and spill, which
-      snapshot first; shutdown) acknowledge nothing through them. *)
+      snapshot first; shutdown) acknowledge nothing through them.  A
+      writer dropped after a failed append settles its tickets first. *)
   let forget t fd : unit =
     let was_dirty =
       Mutex.protect t.m (fun () ->

@@ -625,6 +625,43 @@ let test_failed_append_truncates_torn_tail () =
   Durable.shutdown mgr2;
   rm_rf sd
 
+(* Dropping the writer after a failed append must not acknowledge the
+   records before it that still wait for their group fsync.  A follower
+   appends replicated records without waiting; then a pipe's read end
+   stands in for its segment, so the next append and the fsync both
+   fail, and the flush that settles the earlier records must fail too. *)
+let test_failed_append_keeps_pending_fsyncs () =
+  let sd = scratch_dir () in
+  let mgr =
+    Durable.create
+      (Durable.config ~state_dir:sd ~wal_sync:true ~group_commit:true ~standby:true
+         Registry.Boolean)
+  in
+  let chain = ref 0L in
+  let apply lsn op =
+    let payload = Durable.encode_op op in
+    chain := Durable.chain_add !chain payload;
+    Durable.apply_remote mgr ~sid:"s" ~seg:0 ~lsn ~chain:!chain ~payload
+  in
+  let edge lsn a b =
+    Durable.Op_assert { lsn; pred = "edge"; input = Provenance.Input.none; tuple = pair a b }
+  in
+  apply 0
+    (Durable.Op_open
+       { expect_hash = None; hash = Session.source_hash tc_src; spec = "boolean"; source = tc_src });
+  apply 1 (edge 1 1 2);
+  let r, w = Unix.pipe () in
+  Unix.dup2 r (live_wal mgr "s").Wal.fd;
+  (match apply 2 (edge 2 2 3) with
+  | () -> Alcotest.fail "an append into a pipe's read end succeeded"
+  | exception Session.Error _ -> ());
+  (match Durable.flush mgr with
+  | () -> Alcotest.fail "records whose fsync failed were settled as durable"
+  | exception Session.Error _ -> ());
+  List.iter Unix.close [ r; w ];
+  Durable.shutdown mgr;
+  rm_rf sd
+
 (* A segment that [Wal.open_append] refuses quarantines its session with a
    typed error, and a retried close discards it. *)
 let test_unwritable_segment_quarantines () =
@@ -867,4 +904,6 @@ let suite =
       test_close_spilled_keeps_stats;
     Alcotest.test_case "failed spill keeps the session live" `Quick
       test_failed_spill_keeps_session_live;
+    Alcotest.test_case "failed append keeps pending fsyncs" `Quick
+      test_failed_append_keeps_pending_fsyncs;
   ]
