@@ -776,11 +776,10 @@ let log_locked mgr entry (l : live) op (payload : string Lazy.t) : int option =
       let ticket =
         try io_guard (fun () -> Wal.append_ticket w payload)
         with e ->
-          (* A failed append may leave part of its record behind.  Drop the
-             writer: the next append reopens the segment, and reopening
-             truncates the torn tail.  Closing flushes only on a best-effort
-             basis, so first settle the group fsync of the records before
-             it: a failure there reaches their own waiters. *)
+          (* A failed append may leave part of its record behind: drop the
+             writer, and the next append reopens the segment, truncating the
+             torn tail.  Closing flushes best-effort, so first settle the
+             records before it; a failed fsync then reaches their waiters. *)
           (try settle mgr (Some mgr.max_ticket) with Session.Error _ -> ());
           Wal.close w;
           l.wal <- None;
@@ -963,32 +962,29 @@ let enforce_caps_locked mgr =
             |> List.filteri (fun i _ -> i < excess)
             |> List.iter (spill_locked mgr))
 
-(* Load a spilled session back; a session whose state no longer loads is
-   quarantined. *)
-let rehydrate_locked mgr entry : live =
-  match load_locked mgr entry with
-  | l ->
-      mgr.dstats.rehydrations <- mgr.dstats.rehydrations + 1;
-      mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + entry.ops_since_snap;
-      l
-  | exception Not_open ->
-      (* a spilled session's state vanished from under us *)
-      mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
-      quarantine_locked entry
-        (Exec_error.Recovery_failed
-           { session = entry.sid; reason = "no valid snapshot and no open record" })
-  | exception Session.Error e ->
-      mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
-      quarantine_locked entry (as_recovery_failed ~session:entry.sid e)
-
-(* Hydrated handle for a touch; refreshes the LRU clock.  A touch never
-   spills the entry it hands back: caps are enforced once the operation
-   is done with its entry, or has pinned it. *)
+(* Hydrated handle for a touch; refreshes the LRU clock.  A spilled
+   session is loaded back, and one whose state no longer loads is
+   quarantined.  A touch never spills the entry it hands back: caps are
+   enforced once the operation is done with its entry, or has pinned it. *)
 let touch_live_locked mgr entry : live =
   entry.last_used <- mgr.cfg.now ();
   match entry.e_state with
   | Live l -> l
-  | Spilled -> rehydrate_locked mgr entry
+  | Spilled -> (
+      match load_locked mgr entry with
+      | l ->
+          mgr.dstats.rehydrations <- mgr.dstats.rehydrations + 1;
+          mgr.dstats.wal_replayed <- mgr.dstats.wal_replayed + entry.ops_since_snap;
+          l
+      | exception Not_open ->
+          (* a spilled session's state vanished from under us *)
+          mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
+          quarantine_locked entry
+            (Exec_error.Recovery_failed
+               { session = entry.sid; reason = "no valid snapshot and no open record" })
+      | exception Session.Error e ->
+          mgr.dstats.recovery_failures <- mgr.dstats.recovery_failures + 1;
+          quarantine_locked entry (as_recovery_failed ~session:entry.sid e))
   | Failed e -> raise (Session.Error e)
   | Closed -> invalid_input "session is closed"
 
