@@ -686,15 +686,15 @@ let rec bench_micro (m : mode) =
 (* End-to-end SclRam interpreter throughput on the two shapes every later
    perf PR is judged against: a deep recursive fixpoint (transitive closure
    on a chain, maximizing semi-naive iteration count) and a wide aggregation
-   (sum + count over many groups).  Each workload runs on the executor with
-   the fixpoint index cache on and off, under discrete, minmaxprob and
-   top-k-proof provenances, plus one row on the uncached tree-walker test
-   oracle ([Scallop_fuzz.Tree_walker], "columnar": false).  Dense
-   recursion over seeded random graphs ("reach-random", a closure that
-   re-derives most of its tuples) gets one cached executor row and one
-   oracle row per provenance; a last row pair times MNIST sum3 under
-   difftopkproofsme-3 on the executor and the oracle, alternating (the
-   training path).  The measurements land in BENCH_interp.json. *)
+   (sum + count over many groups).  Each workload runs on the executor
+   under discrete, minmaxprob and top-k-proof provenances, most of them
+   with one more row on the uncached tree-walker test oracle
+   ([Scallop_fuzz.Tree_walker], "columnar": false).  Dense recursion over
+   seeded random graphs ("reach-random", a closure that re-derives most of
+   its tuples) gets one executor row and one oracle row per provenance; a
+   last row pair times MNIST sum3 under difftopkproofsme-3 on the executor
+   and the oracle, alternating (the training path).  The measurements land
+   in BENCH_interp.json. *)
 and bench_interp (m : mode) =
   section "Interpreter workloads: fixpoint + aggregation throughput (writes BENCH_interp.json)";
   let open Scallop_core in
@@ -711,19 +711,16 @@ and bench_interp (m : mode) =
   in
   (* [prov ()] makes the fresh provenance instance each run needs.  A
      [columnar] run is a [Session.run]; the other runs the uncached oracle
-     on the same input database ([cache] is then false). *)
-  let run_once ~cache ~columnar ~prov compiled facts () =
-    if columnar then
-      Session.run
-        ~config:{ (Interp.default_config ()) with Interp.cache_indices = cache }
-        ~provenance:(prov ()) compiled ~facts ()
+     on the same input database. *)
+  let run_once ~columnar ~prov compiled facts () =
+    if columnar then Session.run ~provenance:(prov ()) compiled ~facts ()
     else Scallop_fuzz.Tree_walker.run ~provenance:(prov ()) compiled ~facts ()
   in
   let tuples (r : Session.result) =
     List.fold_left (fun acc (_, rows) -> acc + List.length rows) 0 r.Session.outputs
   in
   let rows = ref [] in
-  (* (name, provenance, cache, columnar) -> (mean seconds, minor words per tuple) *)
+  (* (name, provenance, columnar) -> (mean seconds, minor words per tuple) *)
   let measured = Hashtbl.create 32 in
   let runs = if m.quick then 3 else 8 in
   let registry spec () = Registry.create spec in
@@ -731,18 +728,17 @@ and bench_interp (m : mode) =
      median over the timed reps.  The executor's rows should sit well below
      the oracle's — flat columns replace one boxed tuple + map node per
      derivation. *)
-  let add_row ~name ~prov_name ~n ~cache ~columnar ~tuples (r : reps) =
+  let add_row ~name ~prov_name ~n ~columnar ~tuples (r : reps) =
     let mean = Summary.mean r.ms /. 1000.0 in
     let words = if tuples = 0 then 0.0 else Summary.median r.words /. float_of_int tuples in
-    Hashtbl.replace measured (name, prov_name, cache, columnar) (mean, words);
-    Fmt.pr "  %-24s %-12s n=%-5d cache=%-5b columnar=%-5b %9.3f ms %10.2f ops/sec %9.1f w/tuple@."
-      name prov_name n cache columnar (1000.0 *. mean) (1.0 /. mean) words;
+    Hashtbl.replace measured (name, prov_name, columnar) (mean, words);
+    Fmt.pr "  %-24s %-12s n=%-5d columnar=%-5b %9.3f ms %10.2f ops/sec %9.1f w/tuple@." name
+      prov_name n columnar (1000.0 *. mean) (1.0 /. mean) words;
     rows :=
       ([
          ("name", jstr name);
          ("provenance", jstr prov_name);
          ("n", jint n);
-         ("cache", jbool cache);
          ("columnar", jbool columnar);
          ("runs", jint (List.length r.ms));
          ("mean_ms", jnum (1000.0 *. mean));
@@ -752,16 +748,13 @@ and bench_interp (m : mode) =
       @ spread r.ms)
       :: !rows
   in
-  (* the executor with the cache on and (unless [~uncached:false]) off,
-     then (with [~oracle]) the uncached oracle *)
-  let bench_rows ?(oracle = false) ?(uncached = true) ~name ~prov_name ~prov ~n compiled facts =
+  (* the executor, then (with [~oracle]) the uncached oracle *)
+  let bench_rows ?(oracle = false) ~name ~prov_name ~prov ~n compiled facts =
     List.iter
-      (fun (columnar, cache) ->
-        let r, result = measure ~reps:runs (run_once ~cache ~columnar ~prov compiled facts) in
-        add_row ~name ~prov_name ~n ~cache ~columnar ~tuples:(tuples result) r)
-      ([ (true, true) ]
-      @ (if uncached then [ (true, false) ] else [])
-      @ if oracle then [ (false, false) ] else [])
+      (fun columnar ->
+        let r, result = measure ~reps:runs (run_once ~columnar ~prov compiled facts) in
+        add_row ~name ~prov_name ~n ~columnar ~tuples:(tuples result) r)
+      (true :: (if oracle then [ false ] else []))
   in
   let mean_of key = Option.map fst (Hashtbl.find_opt measured key) in
   let tc = Session.compile tc_src in
@@ -800,8 +793,8 @@ and bench_interp (m : mode) =
      topkproofs-3 row under the same key *)
   let speedup =
     match
-      ( mean_of ("transitive-closure-chain", "topkproofseager-3-nowmccache", true, true),
-        mean_of ("transitive-closure-chain", "topkproofs-3", true, true) )
+      ( mean_of ("transitive-closure-chain", "topkproofseager-3-nowmccache", true),
+        mean_of ("transitive-closure-chain", "topkproofs-3", true) )
     with
     | Some eager, Some cached when cached > 0.0 -> eager /. cached
     | _ -> 0.0
@@ -847,13 +840,13 @@ query reach|}
     (fun (nodes, edges) ->
       let facts = random_graph ~seed:(nodes + edges) ~nodes ~edges in
       let name = Fmt.str "reach-random-%dx%d" nodes edges in
-      bench_rows ~oracle:true ~uncached:false ~name ~prov_name:"boolean"
-        ~prov:(registry Registry.Boolean) ~n:edges reach facts;
-      bench_rows ~oracle:true ~uncached:false ~name ~prov_name:"minmaxprob"
+      bench_rows ~oracle:true ~name ~prov_name:"boolean" ~prov:(registry Registry.Boolean)
+        ~n:edges reach facts;
+      bench_rows ~oracle:true ~name ~prov_name:"minmaxprob"
         ~prov:(registry Registry.Max_min_prob) ~n:edges reach facts)
     [ (60, 150); (40, 100) ];
   (* The training path's A/B: MNIST sum3 (Table 4) under difftopkproofsme-3,
-     the provenance [train-sum3] trains with, the oracle against the cached
+     the provenance [train-sum3] trains with, the oracle against the
      executor. *)
   let sum3 = Session.compile Scallop_apps.Programs.mnist_sum3 in
   let digit_facts =
@@ -867,15 +860,13 @@ query reach|}
       [ "digit_1"; "digit_2"; "digit_3" ]
   in
   let sum3_prov = registry (Registry.Diff_top_k_proofs_me 3) in
-  let sum3_once columnar =
-    run_once ~cache:columnar ~columnar ~prov:sum3_prov sum3 digit_facts
-  in
+  let sum3_once columnar = run_once ~columnar ~prov:sum3_prov sum3 digit_facts in
   let ab = measure_ab ~reps:(if m.quick then 200 else 600) (sum3_once false) (sum3_once true) in
   let sum3_tuples = tuples (sum3_once true ()) in
   List.iter
     (fun (columnar, r) ->
-      add_row ~name:"mnist-sum3-ab" ~prov_name:"difftopkproofsme-3" ~n:30 ~cache:columnar
-        ~columnar ~tuples:sum3_tuples r)
+      add_row ~name:"mnist-sum3-ab" ~prov_name:"difftopkproofsme-3" ~n:30 ~columnar
+        ~tuples:sum3_tuples r)
     [ (false, ab.a); (true, ab.b) ];
   Fmt.pr "  mnist-sum3 difftopkproofsme-3 columnar/oracle time: %.3f (median of %d pairs)@."
     ab.ratio (List.length ab.a.ms);
@@ -889,14 +880,14 @@ query reach|}
      against a test oracle is no gate. *)
   let col_words_gate = 1.25 *. 11.6 in
   let col_words =
-    match Hashtbl.find_opt measured ("transitive-closure-chain", "boolean", true, true) with
+    match Hashtbl.find_opt measured ("transitive-closure-chain", "boolean", true) with
     | Some (_, words) -> words
     | None -> Float.infinity
   in
   let col_speedup =
     match
-      ( mean_of ("transitive-closure-chain", "boolean", false, false),
-        mean_of ("transitive-closure-chain", "boolean", true, true) )
+      ( mean_of ("transitive-closure-chain", "boolean", false),
+        mean_of ("transitive-closure-chain", "boolean", true) )
     with
     | Some row, Some col when col > 0.0 -> row /. col
     | _ -> 0.0

@@ -81,7 +81,6 @@ let max_iterations_arg =
 
 let make_config ?(budget = Budget.default) ~seed ~profile () =
   {
-    (Interp.default_config ()) with
     Interp.rng = Scallop_utils.Rng.create seed;
     budget;
     stats = (if profile then Some (Interp.empty_stats ()) else None);

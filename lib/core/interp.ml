@@ -20,13 +20,13 @@
       counted and timed under its node id, and each stratum records an
       iteration trace (see {!Plan.stats}).  With [stats = None] the only
       overhead is one match per node.
-    - {e fixpoint caching}: when [config.cache_indices] is set, join and
-      anti-join indices whose right side is invariant within the stratum,
-      normalized right-hand relations of −/∩, and the materialized results
-      of maximal invariant subtrees are computed once per stratum and reused
-      across fixpoint iterations.  Caches are discarded at stratum exit.
+    - {e fixpoint caching}: in a recursive stratum, join and anti-join
+      indices whose right side is invariant within the stratum, normalized
+      right-hand relations of −/∩, and the materialized results of maximal
+      invariant subtrees are computed once per stratum and reused across
+      fixpoint iterations.  Caches are discarded at stratum exit.
       Invariance excludes samplers, so cached evaluation is observationally
-      identical to uncached evaluation.
+      identical to the uncached test oracle's.
 
     Every run is additionally governed by a {!Budget.t} carried in the
     config: wall-clock deadline, per-stratum fixpoint-iteration cap,
@@ -70,10 +70,6 @@ let pp_profile = Plan.pp_profile
 type config = {
   rng : Scallop_utils.Rng.t;
   budget : Budget.t;  (** resource bounds for each run under this config *)
-  semi_naive : bool;
-  cache_indices : bool;
-      (** reuse join indices / invariant sub-relations across fixpoint
-          iterations (sound; see {!Plan}) *)
   stats : stats option;  (** profiling sink; [None] disables collection *)
 }
 
@@ -81,8 +77,6 @@ let default_config () =
   {
     rng = Scallop_utils.Rng.create 0;
     budget = Budget.default;
-    semi_naive = true;
-    cache_indices = true;
     stats = None;
   }
 
@@ -290,6 +284,19 @@ module Make (P : Provenance.S) = struct
             r)
     | _ -> B.sort_normalize (ceval config mon cache cdb b)
 
+  and cjoin_index config mon cache cdb rkeys (right : Plan.t) : B.key_index =
+    match cache with
+    | Some c when right.Plan.invariant -> (
+        match Hashtbl.find_opt c.cc_joins right.Plan.pid with
+        | Some ix ->
+            record_hit config right.Plan.pid;
+            ix
+        | None ->
+            let ix = B.build_key_index rkeys (ceval config mon None cdb right) in
+            Hashtbl.add c.cc_joins right.Plan.pid ix;
+            ix)
+    | _ -> B.build_key_index rkeys (ceval config mon cache cdb right)
+
   and ceval_node config mon cache (cdb : cdb) (p : Plan.t) : B.batch =
     match p.Plan.desc with
     | Plan.Empty -> B.empty
@@ -301,19 +308,7 @@ module Make (P : Provenance.S) = struct
         (* fused π∘⋈ for pure column selections: identical emission order and
            tags, but the gathers of dropped join columns are never done (the
            recursive-rule hot path is π[k…]( Δ ⋈ edb )) *)
-        let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.cc_joins right.Plan.pid with
-              | Some ix ->
-                  record_hit config right.Plan.pid;
-                  ix
-              | None ->
-                  let ix = B.build_key_index rkeys (ceval config mon None cdb right) in
-                  Hashtbl.add c.cc_joins right.Plan.pid ix;
-                  ix)
-          | _ -> B.build_key_index rkeys (ceval config mon cache cdb right)
-        in
+        let index = cjoin_index config mon cache cdb rkeys right in
         let lb = ceval config mon cache cdb left in
         let width = Array.length lb.B.cols + Array.length index.B.ki_src.B.cols in
         let keep = List.map (function Ram.Access i -> i | _ -> assert false) m in
@@ -338,19 +333,7 @@ module Make (P : Provenance.S) = struct
         let ra = ceval config mon cache cdb a in
         B.intersect ra rb
     | Plan.Join { lkeys; rkeys; left; right } ->
-        let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.cc_joins right.Plan.pid with
-              | Some ix ->
-                  record_hit config right.Plan.pid;
-                  ix
-              | None ->
-                  let ix = B.build_key_index rkeys (ceval config mon None cdb right) in
-                  Hashtbl.add c.cc_joins right.Plan.pid ix;
-                  ix)
-          | _ -> B.build_key_index rkeys (ceval config mon cache cdb right)
-        in
+        let index = cjoin_index config mon cache cdb rkeys right in
         B.join ~lkeys (ceval config mon cache cdb left) index
     | Plan.Antijoin { lkeys; rkeys; left; right } ->
         let index =
@@ -419,9 +402,7 @@ module Make (P : Provenance.S) = struct
   let ceval_stratum config mon (cdb : cdb) (sidx : int) (s : Plan.stratum) : cdb =
     mon.m_stratum <- sidx;
     mon.m_iterations <- 0;
-    let cache =
-      if config.cache_indices && s.Plan.recursive then Some (fresh_ccache config) else None
-    in
+    let cache = if s.Plan.recursive then Some (fresh_ccache config) else None in
     let trace = new_trace config sidx in
     let record_iter ?size () = record_iter config trace ?size () in
     let rule_updates cdb plans_of =
@@ -453,11 +434,11 @@ module Make (P : Provenance.S) = struct
       push cdb (deltas_of cdb (rule_updates cdb (fun r -> [ r.Plan.body ])))
     end
     else begin
-      (* delta-drained loop shared by naive and semi-naive: [delta_of_run]
-         empty for every head ⟺ the relations saturated (saturation is
-         reflexive), so both modes share the same termination test.  Naive
-         re-evaluates every full body each round; semi-naive only the delta
-         variants, with the round's deltas bound under their mangled names. *)
+      (* semi-naive, drained by deltas: [delta_of_run] empty for every head
+         ⟺ the relations saturated (saturation is reflexive), the naive
+         lfp°'s termination test.  Each round after the first evaluates only
+         the rules' delta variants, with the round's deltas bound under
+         their mangled names. *)
       let rec loop cdb deltas iters =
         if List.for_all (fun (_, (_, d)) -> d.B.n = 0) deltas then begin
           mon.m_iterations <- iters - 1;
@@ -465,17 +446,12 @@ module Make (P : Provenance.S) = struct
         end
         else begin
           check_iteration config mon ~next_iter:iters;
-          let updates =
-            if config.semi_naive then begin
-              let cdb_with_deltas =
-                List.fold_left
-                  (fun a (h, (_, d)) -> SMap.add (Plan.delta_name h) (B.crel_of_run d) a)
-                  cdb deltas
-              in
-              rule_updates cdb_with_deltas (fun r -> r.Plan.deltas)
-            end
-            else rule_updates cdb (fun r -> [ r.Plan.body ])
+          let cdb_with_deltas =
+            List.fold_left
+              (fun a (h, (_, d)) -> SMap.add (Plan.delta_name h) (B.crel_of_run d) a)
+              cdb deltas
           in
+          let updates = rule_updates cdb_with_deltas (fun r -> r.Plan.deltas) in
           let deltas' = deltas_of cdb updates in
           let cdb' = push cdb deltas' in
           record_iter

@@ -16,14 +16,14 @@
     programs.
 
     The oracle ({!check_seed}) evaluates one generated program on the
-    uncached tree-walker ({!Tree_walker}) in naive and semi-naive mode and
-    demands identical outputs — tuples and recovered probabilities both.
-    The program then runs on the columnar executor, naive and semi-naive,
-    cached and uncached, and across a 2-domain [Session.run_batch]; every
-    run must match the oracle in its fixpoint mode {e bit-exactly} (each
-    batch sample against a sequential oracle run under the config
-    [Session.batch_config] gives it).  Failures name the seed so a run can
-    be replayed with [check_seed ~seed] alone. *)
+    uncached tree-walker ({!Tree_walker}) by the naive lfp° and
+    semi-naively, and demands identical outputs — tuples and recovered
+    probabilities both.  The program then runs on the columnar executor,
+    sequentially and across a 2-domain [Session.run_batch]; every run must
+    match the oracle's semi-naive run {e bit-exactly} (each batch sample
+    against a sequential oracle run under the config [Session.batch_config]
+    gives it).  Failures name the seed so a run can be replayed with
+    [check_seed ~seed] alone. *)
 
 open Scallop_core
 module Rng = Scallop_utils.Rng
@@ -126,7 +126,7 @@ let snapshots_equal a b =
 
 (* Bit-exact comparison — used where the contract is identity, not
    tolerance: stateful sessions against the cold run, and the columnar
-   executor against the same-mode oracle. *)
+   executor against the oracle's semi-naive run. *)
 let snapshots_bit_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -138,15 +138,12 @@ let snapshots_bit_equal a b =
               la lb)
        a b
 
-let mode_config ~semi_naive ~cache () =
-  { (Interp.default_config ()) with Interp.semi_naive; cache_indices = cache }
-
 (** Run the differential oracle for one (provenance, seed) pair.  [Ok] when
-    every evaluation mode agrees; [Error msg] (naming the seed) otherwise.
-    With [~columnar_only:true] only the executor-vs-oracle pairs are
-    checked: the oracle for provenances whose fixpoint modes legitimately
-    differ (a non-idempotent ⊕ counts derivations per mode), where only
-    same-mode bit-identity is a contract. *)
+    every evaluation agrees; [Error msg] (naming the seed) otherwise.  With
+    [~columnar_only:true] only the executor-vs-oracle pairs are checked:
+    the oracle for provenances whose naive and semi-naive fixpoints
+    legitimately differ (a non-idempotent ⊕ counts derivations per mode),
+    where only bit-identity with the semi-naive oracle is a contract. *)
 let check_seed ?(recursion = true) ?(columnar_only = false) ~(spec : Registry.spec)
     ~(base_rng : Rng.t) ~(seed : int) () : (unit, string) result =
   let rng = Rng.substream base_rng seed in
@@ -157,19 +154,12 @@ let check_seed ?(recursion = true) ?(columnar_only = false) ~(spec : Registry.sp
         (Fmt.str "seed %d: generated program failed to compile: %s@\n%s" seed
            (Session.error_string e) src)
   | compiled -> (
-      let oracle ?(config = mode_config ~semi_naive:true ~cache:false ()) () =
-        snapshot (Tree_walker.run ~config ~provenance:(Registry.create spec) compiled ())
-      in
-      let run_mode ~semi_naive ~cache () =
-        snapshot
-          (Session.run
-             ~config:(mode_config ~semi_naive ~cache ())
-             ~provenance:(Registry.create spec) compiled ())
+      let oracle ?naive ?config () =
+        snapshot (Tree_walker.run ?naive ?config ~provenance:(Registry.create spec) compiled ())
       in
       match
-        let reference = oracle ~config:(mode_config ~semi_naive:false ~cache:false ()) () in
         let semi = oracle () in
-        let template = mode_config ~semi_naive:true ~cache:true () in
+        let template = Interp.default_config () in
         let batch =
           Session.run_batch ~jobs:2 ~config:template
             ~provenance_of:(fun _ -> Registry.create spec)
@@ -187,18 +177,16 @@ let check_seed ?(recursion = true) ?(columnar_only = false) ~(spec : Registry.sp
                        (Fmt.str "run_batch sample %d failed: %s" i (Session.error_string e)))
         in
         (* The columnar executor is checked {e bit-exactly} against the
-           uncached oracle in the same fixpoint mode, cached and uncached,
-           sequentially and across a 2-domain batch. *)
+           uncached semi-naive oracle, sequentially and across a 2-domain
+           batch. *)
         let columnar_pairs =
-          [
-            ("columnar-naive", run_mode ~semi_naive:false ~cache:false (), reference);
-            ("columnar-naive+cache", run_mode ~semi_naive:false ~cache:true (), reference);
-            ("columnar", run_mode ~semi_naive:true ~cache:true (), semi);
-            ("columnar+nocache", run_mode ~semi_naive:true ~cache:false (), semi);
-          ]
-          @ batch
+          ( "columnar",
+            snapshot (Session.run ~provenance:(Registry.create spec) compiled ()),
+            semi )
+          :: batch
         in
-        (if columnar_only || snapshots_equal reference semi then [] else [ "semi-naive" ])
+        (if columnar_only || snapshots_equal (oracle ~naive:true ()) semi then []
+         else [ "semi-naive" ])
         @ List.filter_map
             (fun (name, csnap, tsnap) ->
               if snapshots_bit_equal csnap tsnap then None else Some name)

@@ -3,13 +3,13 @@
 
     It evaluates the same {!Plan.t} trees over lists of tagged tuples and
     balanced maps, independently of {!Scallop_core.Batch_ops}: no fixpoint
-    caches, no profiling, no budget.  [config.semi_naive] picks naive lfp°
-    (Fig. 24, re-evaluate every rule until the database saturates) or
-    semi-naive evaluation over the plan's delta variants;
-    [config.cache_indices] and [config.stats] are ignored.  Samplers draw
-    from [config.rng] through the shared {!Aggregate.Make.sample}, and the
-    input database comes from {!Session.input_db}, as for a production
-    run. *)
+    caches, no profiling, no budget.  It evaluates recursive strata
+    semi-naively over the plan's delta variants, as the executor does, or,
+    with [~naive:true], by the naive lfp° that defines their semantics
+    (Fig. 24: re-evaluate every rule until the database saturates).  Of
+    the config only [config.rng] is read: samplers draw from it through
+    the shared {!Aggregate.Make.sample}.  The input database comes from
+    {!Session.input_db}, as for a production run. *)
 
 open Scallop_core
 
@@ -229,9 +229,9 @@ module Make (P : Provenance.S) = struct
         SMap.add r.Plan.head (merge_newly (relation_of db r.Plan.head) newly) acc)
       db s.Plan.rules
 
-  let eval_stratum config (db : db) (s : Plan.stratum) : db =
+  let eval_stratum ~naive config (db : db) (s : Plan.stratum) : db =
     if not s.Plan.recursive then step config s db
-    else if not config.Interp.semi_naive then begin
+    else if naive then begin
       let rec iterate db =
         let db' = step config s db in
         if
@@ -288,8 +288,8 @@ module Make (P : Provenance.S) = struct
     end
 
   (** Evaluate every stratum of a planned program over [db]. *)
-  let eval_plan_program config (db : db) (p : Plan.program) : db =
-    List.fold_left (eval_stratum config) db p.Plan.strata
+  let eval_plan_program ~naive config (db : db) (p : Plan.program) : db =
+    List.fold_left (eval_stratum ~naive config) db p.Plan.strata
 
   (** Recovery phase: apply ρ to the tags of an output relation. *)
   let recover (db : db) pred : (Tuple.t * Provenance.Output.t) list =
@@ -297,14 +297,15 @@ module Make (P : Provenance.S) = struct
 end
 
 (** {!Session.run} on the oracle: the same input database, errors and
-    result shape ([stats = None]). *)
-let run ?(config = Interp.default_config ()) ~(provenance : Provenance.t) (c : Session.compiled)
-    ?(facts = []) ?(outputs : string list option) () : Session.result =
+    result shape ([stats = None]).  [~naive:true] evaluates recursive
+    strata by the naive lfp°. *)
+let run ?(naive = false) ?(config = Interp.default_config ()) ~(provenance : Provenance.t)
+    (c : Session.compiled) ?(facts = []) ?(outputs : string list option) () : Session.result =
   let module P = (val provenance : Provenance.S) in
   let module T = Make (P) in
   let db, fact_ids = Session.input_db (module P) c facts in
   let db =
-    try T.eval_plan_program config db c.Session.plan with
+    try T.eval_plan_program ~naive config db c.Session.plan with
     | Exec_error.Error e -> raise (Session.Error e)
     | Aggregate.Unsupported msg -> raise (Session.Error (Exec_error.Runtime_error { msg }))
   in

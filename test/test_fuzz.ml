@@ -1,11 +1,10 @@
 (** Differential fuzzing: grammar-directed random programs evaluated on the
-    uncached tree-walker oracle in naive and semi-naive mode, which must
-    agree.  Every program additionally runs on the columnar executor —
-    naive and semi-naive, cached and uncached, and a 2-domain batch — and
-    must match the same-mode oracle {e bit-exactly} (tuples and recovered
-    probabilities), negation and aggregation included.  Failure messages
-    carry the offending seed and program so a divergence can be replayed
-    deterministically. *)
+    uncached tree-walker oracle by the naive lfp° and semi-naively, which
+    must agree.  Every program additionally runs on the columnar executor,
+    sequentially and in a 2-domain batch, and must match the semi-naive
+    oracle {e bit-exactly} (tuples and recovered probabilities), negation
+    and aggregation included.  Failure messages carry the offending seed
+    and program so a divergence can be replayed deterministically. *)
 
 open Scallop_core
 open Scallop_fuzz
@@ -60,7 +59,7 @@ let suite =
     (* Every provenance runs on the columnar engine, so these get bit-exact
        pairs too.  addmultprob's ⊕ is a clamped float sum
        over recursive rules (naive and semi-naive count derivations
-       differently, so only same-mode pairs are a contract);
+       differently, so only the executor-vs-oracle pairs are a contract);
        difftopkproofsme-3 is the training provenance. *)
     Alcotest.test_case "addmultprob: 60 programs, columnar = tree-walker bit-exactly" `Slow
       (check_spec ~columnar_only:true "addmultprob" Registry.Add_mult_prob ~first:700 ~count:60);
