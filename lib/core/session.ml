@@ -47,7 +47,7 @@ let wrap_errors f =
   | Demand.Demand_error (msg, pos) -> raise (Error (Exec_error.Demand_error { msg; pos }))
   | Exec_error.Error e -> raise (Error e)
 
-let compile ?load ?(optimize = true) (source : string) : compiled =
+let compile ?load (source : string) : compiled =
   wrap_errors (fun () ->
       let ast = Parser.parse_program source in
       let patterns = Demand.patterns_of_program ast in
@@ -71,7 +71,7 @@ let compile ?load ?(optimize = true) (source : string) : compiled =
         end
       in
       Front.check_safety front;
-      let typed = Typecheck.check { front with Front.rules = front.Front.rules } in
+      let typed = Typecheck.check front in
       let strata = Stratify.stratify typed.Typecheck.rules in
       let outputs =
         if typed.Typecheck.queries <> [] then typed.Typecheck.queries
@@ -81,7 +81,7 @@ let compile ?load ?(optimize = true) (source : string) : compiled =
           |> Scallop_utils.Listx.dedup_stable String.equal
       in
       let ram = Compile.compile_strata strata ~outputs in
-      let ram = if optimize then Opt.optimize_program ram else ram in
+      let ram = Opt.optimize_program ram in
       let static_me_groups =
         List.fold_left
           (fun acc (_, _, me, _) -> match me with Some g -> max acc (g + 1) | None -> acc)

@@ -16,7 +16,6 @@ type cell = Empty | Actor | Goal | Enemy
 type action = Up | Down | Right | Left
 
 let action_of_index = function 0 -> Up | 1 -> Down | 2 -> Right | _ -> Left
-let action_name = function Up -> "up" | Down -> "down" | Right -> "right" | Left -> "left"
 
 type t = {
   grid : int;
