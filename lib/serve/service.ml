@@ -18,11 +18,11 @@
       exponential backoff.  Deterministic failures are never retried.
     - {b Circuit-broken degradation}: one {!Breaker} per rung of
       {!Scallop_core.Registry.degradation_ladder}.  A [Budget_exceeded]
-      attempt records a failure and falls one rung; after
-      [breaker_threshold] consecutive failures the rung's breaker opens and
-      subsequent requests skip straight to the cheaper rung without paying
-      for the doomed attempt, until a half-open probe succeeds and restores
-      fidelity.
+      attempt of a one-shot query ({!submit}) records a failure and falls
+      one rung; after [breaker_threshold] consecutive failures the rung's
+      breaker opens and subsequent queries skip straight to the cheaper
+      rung without paying for the doomed attempt, until a half-open probe
+      succeeds and restores fidelity.  {!submit_exec} runs at rung 0 only.
     - {b Worker supervision}: requests execute on [jobs] worker domains
       that heartbeat on the service clock — the only domains the service
       spawns.  A watchdog thread on the domain that called {!create}
@@ -77,7 +77,6 @@ type config = {
           replaced per attempt by the watchdog token. *)
   chaos : Chaos.t;  (** initial fault-injection config (see {!set_chaos}) *)
   now : unit -> float;  (** injectable clock (ages, deadlines, heartbeats, breakers) *)
-  seed : int;  (** backoff jitter root *)
 }
 
 let default_config () =
@@ -96,7 +95,6 @@ let default_config () =
     interp = Interp.default_config ();
     chaos = Chaos.none;
     now = U.Monotonic.now;
-    seed = 0;
   }
 
 (* ---- requests --------------------------------------------------------------------- *)
@@ -117,6 +115,7 @@ type ticket = {
   submitted_at : float;
   run : rung:Registry.spec -> config:Interp.config -> Session.result;
       (** the execution, given the granted rung and the per-attempt config *)
+  ladder : bool;  (** walks the degradation ladder ({!submit}); else rung 0 only *)
   mutable attempts : int;
   mutable retries_used : int;
   mutable requeues : int;
@@ -326,9 +325,9 @@ let requeue_locked svc (ticket : ticket) =
    of the whole worker when chaos strikes. *)
 let execute svc w my_gen (ticket : ticket) =
   let cfg = svc.config in
-  let jitter = U.Rng.substream (U.Rng.create cfg.seed) ticket.id in
+  let jitter = U.Rng.substream (U.Rng.create 0) ticket.id in
   let deadline = Option.map (fun t -> ticket.submitted_at +. t) cfg.request_timeout in
-  let last_rung = Array.length svc.ladder - 1 in
+  let last_rung = if ticket.ladder then Array.length svc.ladder - 1 else 0 in
   let rec attempt r =
     (* Skip rungs whose breaker is open; the cheapest rung always serves. *)
     let r =
@@ -433,9 +432,9 @@ let execute svc w my_gen (ticket : ticket) =
   and handle r response =
     match response with
     | Ok _ ->
-        Breaker.record_success svc.breakers.(r);
+        if ticket.ladder then Breaker.record_success svc.breakers.(r);
         complete svc w my_gen ticket response ~rung_idx:r
-    | Error e when Exec_error.is_degradable e ->
+    | Error e when ticket.ladder && Exec_error.is_degradable e ->
         Breaker.record_failure svc.breakers.(r);
         if r < last_rung then attempt (r + 1)
         else complete svc w my_gen ticket response ~rung_idx:r
@@ -643,14 +642,7 @@ let set_chaos svc chaos = locked svc (fun () -> svc.chaos <- chaos)
 let ladder svc = Array.to_list svc.ladder
 let breaker_states svc = Array.to_list (Array.map Breaker.state_name svc.breakers)
 
-(** Submit an execution.  It runs on a worker domain under the service's
-    deadline, retry, chaos and watchdog supervision, and receives the rung
-    the degradation ladder grants and the per-attempt constrained config.
-    Stateful sessions pin their own provenance, so they ignore the rung but
-    still degrade by budget through the config.  Never blocks and never
-    raises: an admission rejection (queue full or service stopping)
-    returns a ticket whose outcome is already [Error (Overloaded _)]. *)
-let submit_exec svc run : ticket =
+let enqueue svc ~ladder run : ticket =
   locked svc (fun () ->
       let now = svc.config.now () in
       let id = svc.next_id in
@@ -661,6 +653,7 @@ let submit_exec svc run : ticket =
           id;
           submitted_at = now;
           run;
+          ladder;
           attempts = 0;
           retries_used = 0;
           requeues = 0;
@@ -685,9 +678,19 @@ let submit_exec svc run : ticket =
       end;
       ticket)
 
-(** Submit a one-shot query: [Session.run] under the granted rung. *)
+(** Submit an execution.  It runs on a worker domain under the service's
+    deadline, retry, chaos and watchdog supervision, at rung 0 with the
+    per-attempt constrained config, and neither walks the ladder nor
+    reads or feeds a breaker: stateful sessions pin their own provenance.
+    Never blocks and never raises: an admission rejection (queue full or
+    service stopping) returns a ticket whose outcome is already
+    [Error (Overloaded _)]. *)
+let submit_exec svc run : ticket = enqueue svc ~ladder:false run
+
+(** Submit a one-shot query: [Session.run] under the rung the degradation
+    ladder grants. *)
 let submit svc ?outputs ?(facts = []) (compiled : Session.compiled) : ticket =
-  submit_exec svc (fun ~rung ~config ->
+  enqueue svc ~ladder:true (fun ~rung ~config ->
       Session.run ~config ~provenance:(Registry.create rung) compiled ~facts ?outputs ())
 
 (** Block until the ticket's terminal outcome. *)

@@ -12,6 +12,8 @@
     - circuit breaker at the service level (injectable clock): consecutive
       budget faults open rung 0, requests skip straight to the cheaper
       rung, and a successful half-open probe restores fidelity;
+    - executions submitted with [submit_exec] run at rung 0 only: their
+      budget failures walk no ladder and open no breaker;
     - transient retry with backoff (chaos NaN poisoning caught by the
       finiteness guardrail);
     - per-request deadline propagation (queue wait and stalls burn it);
@@ -328,6 +330,64 @@ let test_service_breaker_degrades_and_recovers () =
       if s.Service.breaker_opens < 2 then
         Alcotest.failf "expected >= 2 breaker opens, got %d" s.Service.breaker_opens)
 
+(* An execution submitted with [submit_exec] (a session query pins its own
+   provenance and ignores the rung) runs at rung 0 only: its budget
+   failures neither walk the ladder nor open a breaker, so they cannot
+   degrade the one-shot queries that follow. *)
+let test_exec_stays_off_the_ladder () =
+  let chain =
+    Session.compile
+      {|type edge(i32, i32)
+rel path(a, b) = edge(a, b)
+rel path(a, c) = path(a, b), edge(b, c)
+query path|}
+  in
+  let facts =
+    [
+      ( "edge",
+        List.init 20 (fun i ->
+            (Provenance.Input.none, Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ]))
+      );
+    ]
+  in
+  let config =
+    {
+      (Service.default_config ()) with
+      Service.jobs = 1;
+      max_retries = 0;
+      breaker_threshold = 2;
+      watchdog_interval = None;
+      interp = { (Interp.default_config ()) with Interp.budget = Budget.make ~max_iterations:5 () };
+    }
+  in
+  Service.with_service ~config (Registry.Top_k_proofs 3) (fun svc ->
+      for i = 1 to 3 do
+        let o =
+          Service.await svc
+            (Service.submit_exec svc (fun ~rung:_ ~config ->
+                 Session.run ~config ~provenance:(Registry.create Registry.Boolean) chain ~facts ()))
+        in
+        (match o.Service.response with
+        | Error (Exec_error.Budget_exceeded _) -> ()
+        | _ -> Alcotest.failf "exec %d: expected Budget_exceeded" i);
+        check Alcotest.string (Fmt.str "exec %d reports rung 0" i) "topkproofs-3"
+          (Registry.spec_name o.Service.rung);
+        check Alcotest.int (Fmt.str "exec %d ran once" i) 1 o.Service.attempts;
+        Alcotest.(check bool) (Fmt.str "exec %d not degraded" i) false o.Service.degraded
+      done;
+      check Alcotest.string "rung-0 breaker still closed" "closed"
+        (List.hd (Service.breaker_states svc));
+      let o = Service.await svc (Service.submit svc (Session.compile trivial_src)) in
+      (match o.Service.response with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "one-shot failed: %s" (Session.error_string e));
+      check Alcotest.string "one-shot at full fidelity" "topkproofs-3"
+        (Registry.spec_name o.Service.rung);
+      Alcotest.(check bool) "one-shot not degraded" false o.Service.degraded;
+      let s = Service.stats svc in
+      check Alcotest.int "no breaker opened" 0 s.Service.breaker_opens;
+      check Alcotest.int "nothing degraded" 0 s.Service.degraded)
+
 (* ---- transient retry with backoff (NaN guardrail) -------------------------------- *)
 
 let test_nan_retry_then_exhaust () =
@@ -468,4 +528,6 @@ let suite =
     Alcotest.test_case "shutdown: leftovers failed, domains joined" `Quick
       test_shutdown_without_watchdog_fails_leftovers;
     Alcotest.test_case "chaos: reproducible decisions" `Quick test_chaos_decisions_reproducible;
+    Alcotest.test_case "exec tickets stay off the degradation ladder" `Quick
+      test_exec_stays_off_the_ladder;
   ]
