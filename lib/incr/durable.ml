@@ -14,7 +14,7 @@
       which is what makes replay exactly-once.
     - {b Compacted snapshots.}  Every [snapshot_every] ops the session's
       current EDB overlay is serialized through {!Scallop_utils.Atomic_io}
-      (atomic rename, checksummed envelope, newest [keep_snapshots]
+      (atomic rename, checksummed envelope, newest {!keep_snapshots}
       generations retained) and the WAL rotates to a fresh segment, so
       recovery is newest-valid-snapshot + bounded replay rather than
       full-history replay.  Segment [k] holds exactly the ops recorded
@@ -368,7 +368,7 @@ type repl_event =
     acknowledgement. *)
 type repl_sink = {
   rs_emit : repl_event -> unit;
-  rs_rotation_due : unit -> bool;  (** ship log wants a fresh segment *)
+  rs_rotation_due : unit -> bool;  (** ship segment full, or an append to it failed *)
   rs_rotate_begin : unit -> unit;  (** open it (the epoch frame goes first) *)
   rs_rotate_end : unit -> unit;  (** barrier snapshots emitted; prune old segments *)
   rs_barrier : unit -> unit;
@@ -376,13 +376,15 @@ type repl_sink = {
 
 (* ---- configuration ------------------------------------------------------------ *)
 
+(** Snapshot generations retained per session. *)
+let keep_snapshots = 3
+
 type config = {
   state_dir : string option;
       (** [None]: in-memory registry — no durability, no eviction *)
   spec : Registry.spec;
   interp : Interp.config;
   snapshot_every : int;  (** ops between compaction snapshots *)
-  keep_snapshots : int;  (** snapshot generations retained per session *)
   wal_sync : bool;  (** fsync each WAL append before acknowledging *)
   group_commit : bool;
       (** batch concurrent sessions' WAL fsyncs into one ({!Wal.Group});
@@ -398,19 +400,17 @@ type config = {
           {!set_standby}[ mgr false] promotes the registry *)
 }
 
-let config ?state_dir ?(snapshot_every = 64) ?(keep_snapshots = 3) ?(wal_sync = true)
+let config ?state_dir ?(snapshot_every = 64) ?(wal_sync = true)
     ?(group_commit = false) ?(group_window = 0.) ?max_live ?idle_ttl
     ?(now = Scallop_utils.Monotonic.now) ?(interp = Interp.default_config ()) ?repl
     ?(standby = false) (spec : Registry.spec) : config =
   if snapshot_every < 1 then invalid_arg "Durable.config: snapshot_every must be >= 1";
-  if keep_snapshots < 1 then invalid_arg "Durable.config: keep_snapshots must be >= 1";
   if group_window < 0. then invalid_arg "Durable.config: group_window must be >= 0";
   {
     state_dir;
     spec;
     interp;
     snapshot_every;
-    keep_snapshots;
     wal_sync;
     group_commit;
     group_window;
@@ -889,7 +889,7 @@ let compact_locked mgr entry =
       let encoded = encode_snapshot s in
       let gen =
         io_guard (fun () ->
-            Atomic_io.save ~dir:(snap_dir dir) ~keep:mgr.cfg.keep_snapshots encoded)
+            Atomic_io.save ~dir:(snap_dir dir) ~keep:keep_snapshots encoded)
       in
       mgr.dstats.snapshots <- mgr.dstats.snapshots + 1;
       (* Seal the outgoing segment for the followers — chain and record
@@ -1037,6 +1037,9 @@ let rotate_ship_locked mgr (s : repl_sink) =
   Hashtbl.iter (fun _ e -> ship_snapshot_locked mgr e) mgr.entries;
   s.rs_rotate_end ()
 
+(* Every write (open, assert, retract, close) starts here, so a ship
+   segment that is full, or whose last append failed, takes no frame of
+   the write. *)
 let maybe_rotate_ship_locked mgr =
   match mgr.cfg.repl with
   | Some s when s.rs_rotation_due () -> rotate_ship_locked mgr s
@@ -1128,8 +1131,8 @@ let open_session mgr ~sid ?expect_hash source : string =
         in
         let hash = Incr.program_hash incr in
         let op = Op_open { expect_hash; hash; spec = spec_name_of mgr; source } in
-        let _, ticket = open_locked mgr ~sid ~seg:0 incr op (lazy (encode_op op)) in
         maybe_rotate_ship_locked mgr;
+        let _, ticket = open_locked mgr ~sid ~seg:0 incr op (lazy (encode_op op)) in
         enforce_caps_locked mgr;
         (hash, ticket))
   in
@@ -1142,13 +1145,13 @@ let commit_change mgr ~sid op =
   let ticket =
     locked mgr (fun () ->
         require_primary mgr;
+        maybe_rotate_ship_locked mgr;
         let entry = find_entry mgr sid in
         let l = touch_live_locked mgr entry in
         let op = check_change l.incr (op entry.next_lsn) in
         let ticket = log_locked mgr entry l op (lazy (encode_op op)) in
         if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
           ignore (try_compact_locked mgr entry);
-        maybe_rotate_ship_locked mgr;
         enforce_caps_locked mgr;
         ticket)
   in
@@ -1226,6 +1229,7 @@ let close mgr ~sid : Incr.session_stats =
             let l = touch_live_locked mgr entry in
             if not spilled then entry.last_stats <- Incr.stats l.incr;
             let op = Op_close { lsn = entry.next_lsn } in
+            maybe_rotate_ship_locked mgr;
             close_locked mgr entry l op (lazy (encode_op op));
             entry.last_stats)
   in
@@ -1466,7 +1470,7 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
       | Some e when healthy e && e.next_lsn - 1 = s.sn_lsn ->
           let dir = Option.get e.dir in
           io_guard (fun () ->
-              Atomic_io.save_at ~dir:(snap_dir dir) ~gen ~keep:mgr.cfg.keep_snapshots
+              Atomic_io.save_at ~dir:(snap_dir dir) ~gen ~keep:keep_snapshots
                 payload);
           mgr.dstats.snapshots <- mgr.dstats.snapshots + 1;
           rotate_locked e dir gen;
@@ -1477,7 +1481,7 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
           let dir = session_dir state_dir sid in
           io_guard (fun () ->
               rm_rf dir;
-              Atomic_io.save_at ~dir:(snap_dir dir) ~gen ~keep:mgr.cfg.keep_snapshots
+              Atomic_io.save_at ~dir:(snap_dir dir) ~gen ~keep:keep_snapshots
                 payload);
           let entry = make_entry mgr ~sid ~dir:(Some dir) Spilled in
           match load_locked mgr entry with

@@ -205,6 +205,10 @@ module Primary = struct
     mutable wal : Wal.t;
     mutable seg : int;
     mutable frames : int;  (** frames in the active ship segment *)
+    mutable torn : bool;
+        (** an append to the active segment failed, maybe leaving part of a
+            frame a follower has read: the segment takes no further frame,
+            and the next write rotates past it *)
     mutable fenced : int option;  (** the epoch that deposed us *)
     mutable acks : (string * ack) list;  (** newest ack per follower *)
     mutable tails : (string * Wal.Tail.t) list;
@@ -218,7 +222,15 @@ module Primary = struct
     with Unix.Unix_error _ | Sys_error _ -> ()
 
   let ship_locked p (f : frame) =
-    Durable.io_guard (fun () -> Wal.append p.wal (encode_frame f));
+    if p.torn then
+      raise
+        (Session.Error
+           (Exec_error.Runtime_error
+              { msg = Fmt.str "ship segment %d failed an append and awaits rotation" p.seg }));
+    (try Durable.io_guard (fun () -> Wal.append p.wal (encode_frame f))
+     with e ->
+       p.torn <- true;
+       raise e);
     p.frames <- p.frames + 1;
     p.stats.shipped <- p.stats.shipped + 1
 
@@ -253,6 +265,7 @@ module Primary = struct
         wal;
         seg;
         frames = 0;
+        torn = false;
         fenced = None;
         acks = [];
         tails = [];
@@ -363,16 +376,19 @@ module Primary = struct
   let sink (p : t) : Durable.repl_sink =
     {
       Durable.rs_emit = (fun ev -> Mutex.protect p.m (fun () -> ship_locked p (F_event ev)));
-      rs_rotation_due = (fun () -> p.frames >= p.segment_frames);
+      rs_rotation_due = (fun () -> p.torn || p.frames >= p.segment_frames);
       rs_rotate_begin =
         (fun () ->
           Mutex.protect p.m (fun () ->
-              Wal.close p.wal;
-              p.seg <- p.seg + 1;
-              p.wal <-
+              let wal =
                 Durable.io_guard (fun () ->
-                    Wal.open_append ~sync:false ~path:(Ship.path ~dir:p.dir p.seg) ());
+                    Wal.open_append ~sync:false ~path:(Ship.path ~dir:p.dir (p.seg + 1)) ())
+              in
+              Wal.close p.wal;
+              p.wal <- wal;
+              p.seg <- p.seg + 1;
               p.frames <- 0;
+              p.torn <- false;
               p.stats.rotations <- p.stats.rotations + 1;
               ship_locked p (F_epoch { epoch = p.epoch; primary = p.id })));
       rs_rotate_end =
@@ -424,7 +440,6 @@ module Follower = struct
     mutable installs : int;  (** full snapshot transfers *)
     mutable adoptions : int;  (** snapshots adopted as the local compaction point *)
     mutable seals : int;  (** segment seals verified *)
-    mutable resyncs : int;  (** sessions parked awaiting a snapshot *)
     mutable divergences : int;
   }
 
@@ -473,16 +488,11 @@ module Follower = struct
           installs = 0;
           adoptions = 0;
           seals = 0;
-          resyncs = 0;
           divergences = 0;
         };
     }
 
-  let park f sid =
-    if not (Hashtbl.mem f.await sid) then begin
-      Hashtbl.replace f.await sid ();
-      f.stats.resyncs <- f.stats.resyncs + 1
-    end
+  let park f sid = Hashtbl.replace f.await sid ()
 
   let handle_frame f (frame : frame) =
     f.idx <- f.idx + 1;

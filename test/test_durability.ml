@@ -190,8 +190,8 @@ let test_wal_byte_flip () =
 
 (* ---- durable manager helpers --------------------------------------------------- *)
 
-let mgr_config ?snapshot_every ?keep_snapshots ?max_live ?idle_ttl ?now ~state_dir () =
-  Durable.config ~state_dir ?snapshot_every ?keep_snapshots ?max_live ?idle_ttl ?now
+let mgr_config ?snapshot_every ?max_live ?idle_ttl ?now ~state_dir () =
+  Durable.config ~state_dir ?snapshot_every ?max_live ?idle_ttl ?now
     ~wal_sync:false (* tests kill no power; skipping fsync keeps the sweep fast *)
     Registry.Boolean
 
@@ -332,7 +332,7 @@ let test_idempotent_replay () =
    closed as a typed, per-session quarantine. *)
 let test_snapshot_generation_fallback () =
   let sd = scratch_dir () in
-  let mgr = Durable.create (mgr_config ~state_dir:sd ~snapshot_every:2 ~keep_snapshots:3 ()) in
+  let mgr = Durable.create (mgr_config ~state_dir:sd ~snapshot_every:2 ()) in
   let _ = Durable.open_session mgr ~sid:"s" tc_src in
   List.iter
     (fun (a, b) -> Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair a b))

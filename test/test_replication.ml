@@ -556,6 +556,38 @@ let test_ship_failure_keeps_committed_op () =
   Durable.shutdown restarted;
   destroy c
 
+(* A failed ship-log append finishes its segment.  The op replies a typed
+   error; the next op first rotates the ship log, and the barrier snapshots
+   heading the fresh segment bring the follower to the primary's state,
+   though the segment is far from its size-triggered rotation. *)
+let test_failed_ship_append_rotates () =
+  let c = make_cluster () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2) ];
+  let rotations () = (Replica.Primary.status c.prim).Replica.Primary.st_rotations in
+  let before = rotations () in
+  let ship_fd = c.prim.Replica.Primary.wal.Wal.fd in
+  let saved = Unix.dup ship_fd in
+  let ro =
+    Unix.openfile (Filename.concat c.root "read-only") [ Unix.O_RDONLY; Unix.O_CREAT ] 0o644
+  in
+  Unix.dup2 ro ship_fd;
+  Unix.close ro;
+  (match apply c.pmgr (A (2, 3)) with
+  | () -> Alcotest.fail "an op whose ship append failed was acknowledged"
+  | exception Session.Error (Exec_error.Runtime_error _) -> ());
+  Unix.dup2 saved ship_fd;
+  Unix.close saved;
+  (match apply c.pmgr (A (3, 4)) with
+  | () -> ()
+  | exception Session.Error e ->
+      Alcotest.failf "the op after the failed append: %s" (Session.error_string e));
+  Alcotest.(check int) "one rotation, past the failed segment" (before + 1) (rotations ());
+  Alcotest.(check int) "no session parked on the follower" 0
+    (Replica.Follower.status c.fol).Replica.Follower.st_awaiting;
+  if not (results_equal (q c.fmgr "s") (q c.pmgr "s")) then
+    Alcotest.fail "the follower's answers differ from the primary's";
+  destroy c
+
 (* ---- ack codec ---------------------------------------------------------------------- *)
 
 (* Acks decode as strictly as every other record: no trailing bytes, and a
@@ -863,4 +895,6 @@ let suite =
       test_follower_files_byte_identical;
     Alcotest.test_case "ship failure keeps the committed op" `Quick
       test_ship_failure_keeps_committed_op;
+    Alcotest.test_case "failed ship append rotates the ship log" `Quick
+      test_failed_ship_append_rotates;
   ]
