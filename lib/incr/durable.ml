@@ -1037,9 +1037,9 @@ let rotate_ship_locked mgr (s : repl_sink) =
   Hashtbl.iter (fun _ e -> ship_snapshot_locked mgr e) mgr.entries;
   s.rs_rotate_end ()
 
-(* Every write (open, assert, retract, close) starts here, so a ship
-   segment that is full, or whose last append failed, takes no frame of
-   the write. *)
+(* Every write (open, assert, retract, close) calls this before it logs,
+   so a ship segment that is full, or whose last append failed, takes no
+   frame of the write. *)
 let maybe_rotate_ship_locked mgr =
   match mgr.cfg.repl with
   | Some s when s.rs_rotation_due () -> rotate_ship_locked mgr s

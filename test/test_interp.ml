@@ -128,7 +128,9 @@ rel e = {(0, 1), (1, 0)}
 rel path(a, b) = e(a, b)
 rel path(a, c) = path(a, b), e(b, c)
 query path|} in
-  let config = { (Interp.default_config ()) with Interp.budget = Budget.make ~max_iterations:20 () } in
+  let config =
+    { (Interp.default_config ()) with Interp.budget = Budget.make ~max_iterations:20 () }
+  in
   match Session.interpret ~config ~provenance:(Registry.create Registry.Natural) src with
   | exception Session.Error (Exec_error.Budget_exceeded { kind = Exec_error.Iterations; _ })
     ->

@@ -346,8 +346,8 @@ query path|}
     [
       ( "edge",
         List.init 20 (fun i ->
-            (Provenance.Input.none, Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ]))
-      );
+            ( Provenance.Input.none,
+              Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ] )) );
     ]
   in
   let config =
@@ -365,7 +365,8 @@ query path|}
         let o =
           Service.await svc
             (Service.submit_exec svc (fun ~rung:_ ~config ->
-                 Session.run ~config ~provenance:(Registry.create Registry.Boolean) chain ~facts ()))
+                 Session.run ~config ~provenance:(Registry.create Registry.Boolean) chain ~facts
+                   ()))
         in
         (match o.Service.response with
         | Error (Exec_error.Budget_exceeded _) -> ()
