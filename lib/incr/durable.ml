@@ -359,19 +359,19 @@ type repl_event =
   | Ev_snapshot of { sid : string; gen : int; lsn : int; payload : string }
 
 (** How the replication transport plugs in without {!Durable} knowing it
-    exists.  [rs_emit], [rs_rotation_due], [rs_rotate_begin] and
-    [rs_rotate_end] are called {b under the manager lock} — they must only
-    write the ship log, never call back into the registry.  [rs_barrier]
-    runs {b outside} the lock after an op's local durability is settled;
-    it blocks for the configured acknowledgement level and raises typed
-    [Session.Error]s ([Fenced], [Ack_timeout]) to veto the
-    acknowledgement. *)
+    exists.  Every field is called {b under the manager lock} — it must
+    only touch the ship log, never call back into the registry.
+    [rs_barrier] is called once an op's frames are shipped and returns
+    the op's wait, which runs {b outside} the lock after the op's local
+    durability is settled: it blocks for the configured acknowledgement
+    level of those frames and raises typed [Session.Error]s ([Fenced],
+    [Ack_timeout]) to veto the acknowledgement. *)
 type repl_sink = {
   rs_emit : repl_event -> unit;
   rs_rotation_due : unit -> bool;  (** ship segment full, or an append to it failed *)
   rs_rotate_begin : unit -> unit;  (** open it (the epoch frame goes first) *)
   rs_rotate_end : unit -> unit;  (** barrier snapshots emitted; prune old segments *)
-  rs_barrier : unit -> unit;
+  rs_barrier : unit -> unit -> unit;
 }
 
 (* ---- configuration ------------------------------------------------------------ *)
@@ -802,13 +802,16 @@ let log_locked mgr entry (l : live) op (payload : string Lazy.t) : int option =
            });
       ticket
 
-(* Settle an op's durability and replication level, called OUTSIDE the
-   manager lock after the locked section committed locally: wait for the
-   group fsync covering the op's ticket, then run the replication barrier
-   (which may raise Fenced / Ack_timeout to veto the acknowledgement). *)
-let commit_wait mgr (ticket : int option) : unit =
-  settle mgr ticket;
-  match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ()
+(* The acknowledgement half of a write, taken under the manager lock once
+   its commit shipped and run OUTSIDE it: wait for the group fsync
+   covering the op's ticket, then for the replication barrier on the op's
+   frames (which may raise Fenced / Ack_timeout to veto the
+   acknowledgement). *)
+let acknowledgement_locked mgr (ticket : int option) : unit -> unit =
+  let barrier = match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ignore in
+  fun () ->
+    settle mgr ticket;
+    barrier ()
 
 (** Wait until every WAL record appended so far is on stable storage — the
     follower's batch-apply path appends many records asynchronously and
@@ -1118,56 +1121,78 @@ let create (cfg : config) : t =
 
 (* ---- operations --------------------------------------------------------------------- *)
 
-(** Open a session.  The program is compiled (shared plan cache) and
-    validated {e before} anything is persisted, so a rejected open leaves no
-    on-disk trace.  Returns the program hash. *)
+(* Every write below comes in two halves.  The commit ([commit_open],
+   [commit_assert], [commit_retract]) validates, logs, applies and ships
+   under the manager lock; a later write or query sees it as soon as it
+   returns.  It returns the write's acknowledgement, still owed: calling
+   it waits for the record's group fsync and then for the replication
+   barrier, outside any lock, and raises the typed error that vetoes the
+   acknowledgement.  A caller may commit more writes before it calls an
+   earlier one's, so several writes share one fsync and one follower ack;
+   it acknowledges a write only once that call returned.  [open_session],
+   [assert_fact] and [retract_fact] do both halves in turn.  [close] stays
+   whole: it settles its record under the lock, before it removes the
+   session's directory, and then waits only for the barrier. *)
+
+(** Commit a session open.  The program is compiled (shared plan cache)
+    and validated {e before} anything is persisted, so a rejected open
+    leaves no on-disk trace.  Returns the program hash and the open's
+    acknowledgement. *)
+let commit_open mgr ~sid ?expect_hash source : string * (unit -> unit) =
+  locked mgr (fun () ->
+      require_primary mgr;
+      if Hashtbl.mem mgr.entries sid then invalid_input "session %s already open" sid;
+      let incr =
+        Incr.open_session ~config:mgr.cfg.interp ?expect_hash ~spec:mgr.cfg.spec source
+      in
+      let hash = Incr.program_hash incr in
+      let op = Op_open { expect_hash; hash; spec = spec_name_of mgr; source } in
+      maybe_rotate_ship_locked mgr;
+      let _, ticket = open_locked mgr ~sid ~seg:0 incr op (lazy (encode_op op)) in
+      enforce_caps_locked mgr;
+      (hash, acknowledgement_locked mgr ticket))
+
+(** Open a session and wait for its acknowledgement.  Returns the program
+    hash. *)
 let open_session mgr ~sid ?expect_hash source : string =
-  let result, ticket =
-    locked mgr (fun () ->
-        require_primary mgr;
-        if Hashtbl.mem mgr.entries sid then invalid_input "session %s already open" sid;
-        let incr =
-          Incr.open_session ~config:mgr.cfg.interp ?expect_hash ~spec:mgr.cfg.spec source
-        in
-        let hash = Incr.program_hash incr in
-        let op = Op_open { expect_hash; hash; spec = spec_name_of mgr; source } in
-        maybe_rotate_ship_locked mgr;
-        let _, ticket = open_locked mgr ~sid ~seg:0 incr op (lazy (encode_op op)) in
-        enforce_caps_locked mgr;
-        (hash, ticket))
-  in
-  commit_wait mgr ticket;
-  result
+  let hash, ack = commit_open mgr ~sid ?expect_hash source in
+  ack ();
+  hash
 
-(* The validate → log → apply commit shared by {!assert_fact} and
-   {!retract_fact}: [op lsn] is the change to commit at [lsn]. *)
-let commit_change mgr ~sid op =
-  let ticket =
-    locked mgr (fun () ->
-        require_primary mgr;
-        maybe_rotate_ship_locked mgr;
-        let entry = find_entry mgr sid in
-        let l = touch_live_locked mgr entry in
-        let op = check_change l.incr (op entry.next_lsn) in
-        let ticket = log_locked mgr entry l op (lazy (encode_op op)) in
-        if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
-          ignore (try_compact_locked mgr entry);
-        enforce_caps_locked mgr;
-        ticket)
-  in
-  commit_wait mgr ticket
+(* The validate → log → apply commit shared by {!commit_assert} and
+   {!commit_retract}: [op lsn] is the change to commit at [lsn]. *)
+let commit_change mgr ~sid op : unit -> unit =
+  locked mgr (fun () ->
+      require_primary mgr;
+      maybe_rotate_ship_locked mgr;
+      let entry = find_entry mgr sid in
+      let l = touch_live_locked mgr entry in
+      let op = check_change l.incr (op entry.next_lsn) in
+      let ticket = log_locked mgr entry l op (lazy (encode_op op)) in
+      if entry.dir <> None && entry.ops_since_snap >= mgr.cfg.snapshot_every then
+        ignore (try_compact_locked mgr entry);
+      enforce_caps_locked mgr;
+      acknowledgement_locked mgr ticket)
 
-(** Assert a fact.  Commit protocol: validate (raising exactly what
-    {!Incr.assert_fact} would, without mutating), append the op to the WAL
-    (fsync'd), then apply.  An acknowledged assert is therefore both valid
-    and durable. *)
-let assert_fact mgr ~sid ~pred ?prob ?me_group tup =
+(** Commit an assert: validate (raising exactly what {!Incr.assert_fact}
+    would, without mutating), append the op to the WAL, then apply.
+    Returns the assert's acknowledgement; once it returns, the assert is
+    both valid and durable. *)
+let commit_assert mgr ~sid ~pred ?prob ?me_group tup : unit -> unit =
   commit_change mgr ~sid (fun lsn ->
       Op_assert { lsn; pred; input = { Provenance.Input.prob; me_group }; tuple = tup })
 
-(** Retract a fact; same validate → log → apply protocol as {!assert_fact}. *)
-let retract_fact mgr ~sid ~pred tup =
+(** Commit a retract; same validate → log → apply protocol as
+    {!commit_assert}. *)
+let commit_retract mgr ~sid ~pred tup : unit -> unit =
   commit_change mgr ~sid (fun lsn -> Op_retract { lsn; pred; tuple = tup })
+
+(** Assert a fact and wait for its acknowledgement. *)
+let assert_fact mgr ~sid ~pred ?prob ?me_group tup =
+  commit_assert mgr ~sid ~pred ?prob ?me_group tup ()
+
+(** Retract a fact and wait for its acknowledgement. *)
+let retract_fact mgr ~sid ~pred tup = commit_retract mgr ~sid ~pred tup ()
 
 let unpin mgr entry =
   locked mgr (fun () ->
@@ -1211,16 +1236,15 @@ let run_cold ?outputs mgr ~sid () : Session.result =
     Returns the session's final statistics; a spilled session's are those
     it had when it spilled. *)
 let close mgr ~sid : Incr.session_stats =
-  let result =
+  let result, ack =
     locked mgr (fun () ->
         require_primary mgr;
         let entry = find_entry mgr sid in
-        match entry.e_state with
+        (match entry.e_state with
         | Closed -> invalid_input "session is closed"
         | Failed _ ->
             Option.iter rm_rf entry.dir;
-            entry.e_state <- Closed;
-            entry.last_stats
+            entry.e_state <- Closed
         | Spilled | Live _ ->
             drain_locked mgr entry;
             (* a spilled session keeps the statistics it spilled with; the
@@ -1230,10 +1254,11 @@ let close mgr ~sid : Incr.session_stats =
             if not spilled then entry.last_stats <- Incr.stats l.incr;
             let op = Op_close { lsn = entry.next_lsn } in
             maybe_rotate_ship_locked mgr;
-            close_locked mgr entry l op (lazy (encode_op op));
-            entry.last_stats)
+            close_locked mgr entry l op (lazy (encode_op op)));
+        (* the record is settled already: only the barrier is owed *)
+        (entry.last_stats, acknowledgement_locked mgr None))
   in
-  (match mgr.cfg.repl with Some s -> s.rs_barrier () | None -> ());
+  ack ();
   result
 
 (** Latest statistics for a session (live handle if hydrated, last observed
@@ -1411,7 +1436,9 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
 
 (** Verify a sealed segment against the local replay: same last lsn, same
     record count, same checksum chain.  Rotation itself happens when the
-    snapshot that follows the seal is adopted. *)
+    snapshot that follows the seal is adopted.  A follower whose replay
+    stopped short of the seal only missed frames: it parks the session
+    for that snapshot instead of calling this. *)
 let seal_remote mgr ~sid ~seg ~last_lsn ~chain ~records : unit =
   locked mgr (fun () ->
       match Hashtbl.find_opt mgr.entries sid with

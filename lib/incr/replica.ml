@@ -324,53 +324,69 @@ module Primary = struct
         p.fenced <- Some (max e (match p.fenced with Some f -> f | None -> 0))
     | _ -> ()
 
-  let raise_fenced p e = raise (Session.Error (Exec_error.Fenced { epoch = p.epoch; current = e }))
+  let check_fenced_locked p =
+    match p.fenced with
+    | Some e -> raise (Session.Error (Exec_error.Fenced { epoch = p.epoch; current = e }))
+    | None -> ()
 
-  (* The acknowledgement barrier, run after every state-changing op's
-     local durability is settled.  Quorum mode blocks until cluster/2+1
-     followers have acknowledged the current ship position under our
-     epoch, then verifies the EPOCH file one last time — the fencing
-     handshake: a quorum of acks means nothing if the epoch has moved. *)
+  (* The acknowledgement barrier of a state-changing op.  [barrier p] is
+     taken once the op's frames are shipped and marks the ship position;
+     the function it returns runs after the op's local durability is
+     settled.  Quorum mode blocks until cluster/2+1 followers have
+     acknowledged the marked position under our epoch, then verifies the
+     EPOCH file one last time — the fencing handshake: a quorum of acks
+     means nothing if the epoch has moved.  [p.m] is held only to read
+     acks and fence state, never across the sleep between polls, so other
+     writes keep shipping while one waits. *)
   let barrier p =
-    Mutex.protect p.m (fun () ->
-        p.stats.barriers <- p.stats.barriers + 1;
-        (match p.fenced with Some e -> raise_fenced p e | None -> ());
-        match p.ack with
-        | Ack_none -> ()
-        | Ack_async ->
-            (* non-blocking: drain acks for lag accounting and fence
-               detection; verify the epoch file periodically *)
-            refresh_acks_locked p;
-            if p.stats.barriers land 31 = 0 then check_epoch_locked p;
-            (match p.fenced with Some e -> raise_fenced p e | None -> ())
-        | Ack_quorum ->
-            let target_seg = p.seg and target_idx = p.frames in
-            let quorum = (p.cluster / 2) + 1 in
-            let t0 = Scallop_utils.Monotonic.now () in
-            let caught (a : ack) =
-              a.a_epoch = p.epoch
-              && (a.a_seg > target_seg || (a.a_seg = target_seg && a.a_idx >= target_idx))
-            in
-            let rec wait () =
+    let target_seg, target_idx = Mutex.protect p.m (fun () -> (p.seg, p.frames)) in
+    let caught (_, (a : ack)) =
+      a.a_epoch = p.epoch
+      && (a.a_seg > target_seg || (a.a_seg = target_seg && a.a_idx >= target_idx))
+    in
+    let quorum_wait () =
+      let quorum = (p.cluster / 2) + 1 in
+      let t0 = Scallop_utils.Monotonic.now () in
+      let rec wait () =
+        let n =
+          Mutex.protect p.m (fun () ->
               refresh_acks_locked p;
-              (match p.fenced with Some e -> raise_fenced p e | None -> ());
-              let n = List.length (List.filter (fun (_, a) -> caught a) p.acks) in
-              if n >= quorum then ()
-              else begin
-                let waited = Scallop_utils.Monotonic.elapsed_since t0 in
-                if waited > p.ack_timeout then
-                  raise
-                    (Session.Error (Exec_error.Ack_timeout { acked = n; quorum; waited }));
-                (match p.pump with Some f -> f () | None -> Unix.sleepf 0.0005);
-                wait ()
-              end
-            in
-            wait ();
-            check_epoch_locked p;
-            (match p.fenced with Some e -> raise_fenced p e | None -> ());
-            let waited = Scallop_utils.Monotonic.elapsed_since t0 in
-            p.stats.barrier_wait <- p.stats.barrier_wait +. waited;
-            if waited > p.stats.max_barrier_wait then p.stats.max_barrier_wait <- waited)
+              check_fenced_locked p;
+              List.length (List.filter caught p.acks))
+        in
+        if n < quorum then begin
+          let waited = Scallop_utils.Monotonic.elapsed_since t0 in
+          if waited > p.ack_timeout then
+            raise (Session.Error (Exec_error.Ack_timeout { acked = n; quorum; waited }));
+          (match p.pump with Some f -> f () | None -> Unix.sleepf 0.0005);
+          wait ()
+        end
+      in
+      wait ();
+      Mutex.protect p.m (fun () ->
+          check_epoch_locked p;
+          check_fenced_locked p;
+          let waited = Scallop_utils.Monotonic.elapsed_since t0 in
+          p.stats.barrier_wait <- p.stats.barrier_wait +. waited;
+          if waited > p.stats.max_barrier_wait then p.stats.max_barrier_wait <- waited)
+    in
+    fun () ->
+      let waits =
+        Mutex.protect p.m (fun () ->
+            p.stats.barriers <- p.stats.barriers + 1;
+            check_fenced_locked p;
+            match p.ack with
+            | Ack_none -> false
+            | Ack_async ->
+                (* non-blocking: drain acks for lag accounting and fence
+                   detection; verify the epoch file periodically *)
+                refresh_acks_locked p;
+                if p.stats.barriers land 31 = 0 then check_epoch_locked p;
+                check_fenced_locked p;
+                false
+            | Ack_quorum -> true)
+      in
+      if waits then quorum_wait ()
 
   (** The {!Durable.repl_sink} gluing this primary under a registry. *)
   let sink (p : t) : Durable.repl_sink =
@@ -448,7 +464,10 @@ module Follower = struct
     fid : string;
     mgr : Durable.t;
     m : Mutex.t;
-    ack : Wal.t;
+    mutable ack : Wal.t;
+    mutable ack_torn : bool;
+        (** an append to the ack log failed, maybe leaving part of a record
+            the primary has read already: the next ack replaces the log *)
     mutable seg : int;  (** ship segment being tailed; 0 = not attached *)
     mutable idx : int;  (** frames consumed in that segment *)
     mutable tail : Wal.Tail.t option;
@@ -474,6 +493,7 @@ module Follower = struct
       mgr;
       m = Mutex.create ();
       ack;
+      ack_torn = false;
       seg = 0;
       idx = 0;
       tail = None;
@@ -532,6 +552,11 @@ module Follower = struct
               if wm.Durable.wm_closed then f.stats.skipped <- f.stats.skipped + 1
               else if wm.wm_failed then park f sid
               else if seg < wm.wm_seg then f.stats.skipped <- f.stats.skipped + 1
+              else if seg = wm.wm_seg && last_lsn >= wm.wm_next_lsn then
+                (* replay stopped short of the seal: we missed frames (a
+                   failed ship append), and the snapshot that follows the
+                   seal reinstalls the session *)
+                park f sid
               else if seg = wm.wm_seg then begin
                 try
                   Durable.seal_remote f.mgr ~sid ~seg ~last_lsn ~chain ~records;
@@ -554,10 +579,32 @@ module Follower = struct
           f.stats.divergences <- f.stats.divergences + 1;
           f.last_error <- Some (Session.error_string e))
 
+  (* Swap in a fresh ack log, renamed over the old one, after a failed
+     append.  Appending after the torn bytes would hide every later ack
+     from the primary, whose tail reports the damage on each poll; a new
+     file is read from its first byte instead. *)
+  let replace_ack_log_locked f =
+    let path = ack_path f.dir f.fid in
+    let tmp = path ^ ".tmp" in
+    if Sys.file_exists tmp then Sys.remove tmp;
+    let w = Wal.open_append ~sync:false ~path:tmp () in
+    (try Unix.rename tmp path
+     with e ->
+       Wal.close w;
+       raise e);
+    Wal.close f.ack;
+    f.ack <- w;
+    f.ack_torn <- false
+
   let write_ack_locked f ~fence =
     Durable.io_guard (fun () ->
-        Wal.append f.ack
-          (encode_ack { a_epoch = f.epoch; a_seg = f.seg; a_idx = f.idx; a_fence = fence });
+        if f.ack_torn then replace_ack_log_locked f;
+        (try
+           Wal.append f.ack
+             (encode_ack { a_epoch = f.epoch; a_seg = f.seg; a_idx = f.idx; a_fence = fence })
+         with e ->
+           f.ack_torn <- true;
+           raise e);
         if fence then Wal.sync_now f.ack)
 
   (* Move the cursor to ship segment [s]. *)

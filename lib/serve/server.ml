@@ -26,15 +26,23 @@
 
     Updates apply in line order (strictly serialized against the
     session's in-flight queries); anything else is the legacy one-shot
-    path.  The session registry itself (recovery from a state dir,
-    WAL-before-apply commit, idle eviction) lives in [Durable]. *)
+    path.  An open, assert or retract commits on the request loop and is
+    acknowledged by the printer: its [done ... ok] waits there for the
+    write's group fsync and replication barrier, so the loop reads the
+    next line meanwhile and writes in flight share one fsync and one
+    follower ack.  A close stays synchronous.  The session registry itself
+    (recovery from a state dir, WAL-before-apply commit, idle eviction)
+    lives in [Durable]. *)
 
 open Scallop_core
 module Durable = Scallop_incr.Durable
 module Replica = Scallop_incr.Replica
 
-(* What request [n] is owed: rendered lines, or a query still running. *)
-type reply = Lines of string list | Ticket of Service.ticket
+(* What request [n] is owed: rendered lines, or a wait that renders them
+   when it ends — a query still running, or a committed write still
+   waiting for its acknowledgement.  A wait that raises is answered as a
+   failed request. *)
+type reply = Lines of string list | Later of (Format.formatter -> unit)
 
 type t = {
   svc : Service.t;
@@ -50,6 +58,7 @@ type t = {
   cond : Condition.t;
   replies : (int * reply) Queue.t;  (** owed to the sink, oldest first *)
   mutable eof : bool;
+  fatal : exn option Atomic.t;  (** what stopped the printer, re-raised by {!handle} *)
   stop : bool Atomic.t;
   helpers : Thread.t list;  (** the replication role's loops *)
   mutable printer : Thread.t option;
@@ -87,12 +96,25 @@ let poll_loop stop auto_promote f =
     | _ -> ()
   done
 
-(* The printer thread is the only caller of [sink].  Each reply is
-   rendered into [out] and handed over once, so an 80-row reply costs one
-   write rather than one per row. *)
+let error_lines n e = [ Fmt.str "done %d error %s" n (Session.error_string e) ]
+
+(* How request [n] answers a failure: a typed error reply.
+   [Stack_overflow] and [Out_of_memory] stay fatal, because the process
+   state is suspect. *)
+let failure_lines n = function
+  | Session.Error e -> error_lines n e
+  | (Stack_overflow | Out_of_memory) as e -> raise e
+  | exn -> error_lines n (Exec_error.Runtime_error { msg = "internal: " ^ Printexc.to_string exn })
+
+(* The printer thread is the only caller of [sink], and it runs each
+   deferred reply in request order.  Each reply is rendered into [out] and
+   handed over once, so an 80-row reply costs one write rather than one
+   per row.  What stops it — a fatal failure, or a sink that raises — is
+   re-raised on the request loop. *)
 let print_loop t sink =
   let out = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer out in
+  let print lines = List.iter (fun l -> Fmt.pf ppf "%s@." l) lines in
   let rec loop () =
     Mutex.lock t.m;
     while Queue.is_empty t.replies && not t.eof do
@@ -104,31 +126,44 @@ let print_loop t sink =
     | None -> ()
     | Some (n, reply) ->
         (match reply with
-        | Lines lines -> List.iter (fun l -> Fmt.pf ppf "%s@." l) lines
-        | Ticket ticket -> (
-            let o = Service.await t.svc ticket in
-            let rung = Registry.spec_name o.Service.rung in
-            let ms = 1000.0 *. o.Service.latency in
-            match o.Service.response with
-            | Ok result ->
-                List.iter
-                  (fun (pred, rows) ->
-                    List.iter
-                      (fun (tuple, tag) ->
-                        Fmt.pf ppf "out %d %a::%s%a@." n Provenance.Output.pp tag pred
-                          Tuple.pp tuple)
-                      rows)
-                  result.Session.outputs;
-                Fmt.pf ppf "done %d ok rung=%s attempts=%d ms=%.1f@." n rung
-                  o.Service.attempts ms
-            | Error e ->
-                Fmt.pf ppf "done %d error rung=%s attempts=%d %s@." n rung
-                  o.Service.attempts (Session.error_string e)));
+        | Lines lines -> print lines
+        | Later render -> (
+            try render ppf
+            with e ->
+              Format.pp_print_flush ppf ();
+              Buffer.clear out;
+              print (failure_lines n e)));
         sink (Buffer.contents out);
         Buffer.clear out;
         loop ()
   in
-  loop ()
+  try loop () with e -> Atomic.set t.fatal (Some e)
+
+(* A query's reply, once its ticket is done. *)
+let render_ticket svc n ticket ppf =
+  let o = Service.await svc ticket in
+  let rung = Registry.spec_name o.Service.rung in
+  let ms = 1000.0 *. o.Service.latency in
+  match o.Service.response with
+  | Ok result ->
+      List.iter
+        (fun (pred, rows) ->
+          List.iter
+            (fun (tuple, tag) ->
+              Fmt.pf ppf "out %d %a::%s%a@." n Provenance.Output.pp tag pred Tuple.pp tuple)
+            rows)
+        result.Session.outputs;
+      Fmt.pf ppf "done %d ok rung=%s attempts=%d ms=%.1f@." n rung o.Service.attempts ms
+  | Error e ->
+      Fmt.pf ppf "done %d error rung=%s attempts=%d %s@." n rung o.Service.attempts
+        (Session.error_string e)
+
+(* A committed write's reply: [line] once [ack] returns. *)
+let acknowledged ack line =
+  Later
+    (fun ppf ->
+      ack ();
+      Fmt.pf ppf "%s@." line)
 
 (** A server over [svc] and [dmgr], replying to [sink].  [base] is
     prefixed to every program; a [primary] heartbeats and a [follower]
@@ -153,6 +188,7 @@ let create ?(base = "") ?auto_promote ?primary ?follower ~sink svc dmgr =
       cond = Condition.create ();
       replies = Queue.create ();
       eof = false;
+      fatal = Atomic.make None;
       stop;
       helpers = Option.to_list poller @ Option.to_list heartbeat;
       printer = None;
@@ -265,18 +301,20 @@ let stats_lines t n =
 let dispatch t n (req : Protocol.request) =
   match req with
   | Protocol.Open { sid; expect_hash; program } ->
-      let hash = Durable.open_session t.dmgr ~sid ?expect_hash (t.base ^ unquote program) in
-      Lines [ Fmt.str "done %d ok opened %s hash=%s" n sid hash ]
+      let hash, ack = Durable.commit_open t.dmgr ~sid ?expect_hash (t.base ^ unquote program) in
+      acknowledged ack (Fmt.str "done %d ok opened %s hash=%s" n sid hash)
   | Protocol.Assert { sid; prob; pred; tuple } ->
       lookup t sid;
       drain t sid;
-      Durable.assert_fact t.dmgr ~sid ~pred ?prob tuple;
-      Lines [ Fmt.str "done %d ok asserted %s" n sid ]
+      acknowledged
+        (Durable.commit_assert t.dmgr ~sid ~pred ?prob tuple)
+        (Fmt.str "done %d ok asserted %s" n sid)
   | Protocol.Retract { sid; pred; tuple } ->
       lookup t sid;
       drain t sid;
-      Durable.retract_fact t.dmgr ~sid ~pred tuple;
-      Lines [ Fmt.str "done %d ok retracted %s" n sid ]
+      acknowledged
+        (Durable.commit_retract t.dmgr ~sid ~pred tuple)
+        (Fmt.str "done %d ok retracted %s" n sid)
   | Protocol.Query { sid; outputs } ->
       lookup t sid;
       let tk =
@@ -285,7 +323,7 @@ let dispatch t n (req : Protocol.request) =
       in
       let running = List.filter (fun (_, q) -> Service.poll t.svc q = None) t.inflight in
       t.inflight <- (sid, tk) :: running;
-      Ticket tk
+      Later (render_ticket t.svc n tk)
   | Protocol.Close { sid } ->
       lookup t sid;
       drain t sid;
@@ -319,36 +357,32 @@ let dispatch t n (req : Protocol.request) =
           Lines [ Fmt.str "done %d ok promoted epoch=%d" n e ])
   | Protocol.Run { program } -> (
       match Session.compile (t.base ^ unquote program) with
-      | compiled -> Ticket (Service.submit t.svc compiled)
+      | compiled -> Later (render_ticket t.svc n (Service.submit t.svc compiled))
       | exception Session.Error e ->
           Lines [ Fmt.str "done %d error compile %s" n (Session.error_string e) ])
 
-let error_reply n e = Lines [ Fmt.str "done %d error %s" n (Session.error_string e) ]
-
 (** Answer one request under the next request id.  Its reply is queued
     behind every earlier one; a write first waits for its session's
-    in-flight queries.  A failure is a typed error reply, never an
-    exception, except [Stack_overflow] and [Out_of_memory], which stay
-    fatal because the process state is suspect.  Call from one thread at
-    a time. *)
+    in-flight queries, and returns once committed, before it is
+    acknowledged.  A failure is a typed error reply, never an exception,
+    except [Stack_overflow] and [Out_of_memory], which stay fatal because
+    the process state is suspect: raised here, or by the next call (or
+    {!close}) when the printer met them.  Call from one thread at a
+    time. *)
 let handle t (req : (Protocol.request, Exec_error.t) result) =
+  Option.iter raise (Atomic.get t.fatal);
   let n = t.next in
   t.next <- n + 1;
   let reply =
     match req with
-    | Error e -> error_reply n e
-    | Ok req -> (
-        try dispatch t n req with
-        | Session.Error e -> error_reply n e
-        | (Stack_overflow | Out_of_memory) as e -> raise e
-        | exn ->
-            let msg = "internal: " ^ Printexc.to_string exn in
-            error_reply n (Exec_error.Runtime_error { msg }))
+    | Error e -> Lines (error_lines n e)
+    | Ok req -> ( try dispatch t n req with e -> Lines (failure_lines n e))
   in
   push t n reply
 
 (** Stop the replication threads, then return once every owed reply has
-    reached the sink, which waits for the queries still running. *)
+    reached the sink, which waits for the queries still running and the
+    writes still owed an acknowledgement. *)
 let close t =
   Atomic.set t.stop true;
   List.iter Thread.join t.helpers;
@@ -356,4 +390,5 @@ let close t =
   t.eof <- true;
   Condition.broadcast t.cond;
   Mutex.unlock t.m;
-  Option.iter Thread.join t.printer
+  Option.iter Thread.join t.printer;
+  Option.iter raise (Atomic.get t.fatal)

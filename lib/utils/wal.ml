@@ -131,16 +131,20 @@ let read ~path : string list * tail =
     carried across polls and retried once more bytes land; a complete frame
     whose checksum fails is likewise held back (it may be a write observed
     mid-[write]) and only reported as corruption once bytes exist {e
-    beyond} it, which a torn write cannot produce. *)
+    beyond} it, which a torn write cannot produce.  A file replaced under
+    the path (another inode) or cut back below the bytes already read is
+    a new log: the cursor starts over from its first byte. *)
 module Tail = struct
   type t = {
     path : string;
+    mutable dev : int;  (** device and inode of the file read so far *)
+    mutable ino : int;
     mutable file_off : int;  (** next byte to read from the file *)
     mutable started : bool;  (** magic consumed *)
     mutable pending : string;  (** bytes read but not yet framed *)
   }
 
-  let create ~path () = { path; file_off = 0; started = false; pending = "" }
+  let create ~path () = { path; dev = -1; ino = -1; file_off = 0; started = false; pending = "" }
 
   (** Newly completed records since the previous poll, in append order.
       [Ok []] means "nothing new yet" (including: the file does not exist
@@ -153,7 +157,15 @@ module Tail = struct
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
-            let n = in_channel_length ic in
+            let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+            let n = st.Unix.st_size in
+            if st.st_dev <> t.dev || st.st_ino <> t.ino || n < t.file_off then begin
+              t.dev <- st.st_dev;
+              t.ino <- st.st_ino;
+              t.file_off <- 0;
+              t.started <- false;
+              t.pending <- ""
+            end;
             if n > t.file_off then begin
               seek_in ic t.file_off;
               let fresh = really_input_string ic (n - t.file_off) in
@@ -206,6 +218,7 @@ module Group = struct
     mutable durable : int;  (** tickets < durable are on stable storage *)
     mutable leader : bool;  (** a leader is currently flushing *)
     mutable dirty : Unix.file_descr list;
+    mutable flushing : Unix.file_descr list;  (** the leader's batch while it flushes *)
     mutable syncs : int;  (** fsync calls issued *)
     mutable appends : int;  (** tickets issued *)
     mutable failed : (int * int * exn) list;
@@ -222,6 +235,7 @@ module Group = struct
       durable = 0;
       leader = false;
       dirty = [];
+      flushing = [];
       syncs = 0;
       appends = 0;
       failed = [];
@@ -276,6 +290,7 @@ module Group = struct
         Mutex.protect t.m (fun () ->
             let fds = t.dirty in
             t.dirty <- [];
+            t.flushing <- fds;
             (t.durable, t.next, fds))
       in
       let error = flush_fds t fds in
@@ -285,6 +300,7 @@ module Group = struct
           | Some _, (l, hi, e) :: older when hi = lo -> t.failed <- (l, upto, e) :: older
           | Some e, older -> t.failed <- (lo, upto, e) :: older);
           t.durable <- max t.durable upto;
+          t.flushing <- [];
           t.leader <- false;
           Condition.broadcast t.flushed);
       wait t ticket
@@ -292,15 +308,20 @@ module Group = struct
 
   (** Flush [fd] now and drop it from the dirty set: a writer about to
       close its descriptor must not leave it for a later leader to fsync
-      (fsync on a closed fd is EBADF).  Best effort: an fsync error is
-      ignored.  No acknowledgement depends on this flush — a record is
-      acknowledged only after {!wait} settles its ticket, and the writers
+      (fsync on a closed fd is EBADF), and waits for a leader that is
+      flushing it already, which may run on another thread.  Best effort:
+      an fsync error is ignored.  No acknowledgement depends on this
+      flush — a record is acknowledged only after {!wait} settles its
+      ticket, and the writers
       closed with records still unsettled (compaction and spill, which
       snapshot first; shutdown) acknowledge nothing through them.  A
       writer dropped after a failed append settles its tickets first. *)
   let forget t fd : unit =
     let was_dirty =
       Mutex.protect t.m (fun () ->
+          while List.memq fd t.flushing do
+            Condition.wait t.flushed t.m
+          done;
           let was_dirty = List.memq fd t.dirty in
           t.dirty <- List.filter (fun d -> not (d == fd)) t.dirty;
           was_dirty)

@@ -7,16 +7,21 @@
     same script runs against a primary shipping its WAL to a live
     follower process under [--repl-ack quorum] — every acknowledged
     update has therefore been applied and locally logged by the follower
-    before the client saw its reply.  The primary is SIGKILLed after an
-    acknowledged prefix; the follower (which first proves it refuses
-    writes as a standby) is promoted by [repl promote] and takes the rest
-    of the script.  Its final rows must be bit-identical to the
-    reference.  Finally the promoted follower is itself SIGKILLed and
-    restarted single-node on its own state dir: it must report the
-    session recovered and serve the same rows again — replicated state is
-    durable state.  Last, a fresh primary and follower pair must both exit
-    0 within a deadline once stdin closes: the heartbeat and poller loops
-    are threads the serve loop stops and joins.
+    before the client saw its reply.  After that acknowledged prefix, a
+    burst of distinct asserts into a second session goes out without
+    waiting, and only its first replies are read: the primary is
+    SIGKILLed with writes in flight.  The follower (which first proves it
+    refuses writes as a standby) is promoted by [repl promote] and takes
+    the rest of the script.  Its final rows must be bit-identical to the
+    reference; every acknowledged assert of the burst must be there (the
+    others may or may not be), with the second session unquarantined,
+    which the promoted node then closes.  Finally the promoted follower
+    is itself SIGKILLed and restarted single-node on its own state dir:
+    it must report the session recovered and serve the same rows again —
+    replicated state is durable state.  Last, a fresh primary and
+    follower pair must both exit 0 within a deadline once stdin closes:
+    the heartbeat and poller loops are threads the serve loop stops and
+    joins.
 
     Exits nonzero on any divergence, missing reply, or unexpected server
     death. *)
@@ -56,6 +61,11 @@ let updates =
         live := (a, b) :: !live;
         Printf.sprintf "assert s1 edge(%d, %d)" a b
       end)
+
+(* the burst: a session of its own, and distinct asserts into it *)
+let burst_open = "open s2 type e(i32, i32);rel r(a, b) = e(a, b);query r"
+let burst = List.init 40 (fun k -> Printf.sprintf "assert s2 e(%d, %d)" k (k + 1))
+let burst_read = 12 (* replies read before the kill, the open's included *)
 
 (* ---- process plumbing -------------------------------------------------------- *)
 
@@ -124,10 +134,12 @@ let finish_within secs p what =
   wait ();
   close_in_noerr p.from
 
+(* Kill before closing the pipes: a server still printing replies would
+   otherwise die of SIGPIPE first. *)
 let sigkill p =
+  Unix.kill p.pid Sys.sigkill;
   close_out_noerr p.into;
   close_in_noerr p.from;
-  Unix.kill p.pid Sys.sigkill;
   match Unix.waitpid [] p.pid with
   | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
   | _, st ->
@@ -202,8 +214,22 @@ let () =
   send prim open_line;
   List.iter (send prim) prefix;
   ignore (read_replies prim (1 + cut));
+  send prim burst_open;
+  List.iter (send prim) burst;
+  (* the burst's open is request 1+cut and its asserts follow it *)
+  let acked =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "done"; n; "ok"; "asserted"; "s2" ] -> Some (int_of_string n - (2 + cut))
+        | _ -> None)
+      (read_replies prim burst_read)
+  in
+  if List.length acked <> burst_read - 1 then
+    fail "burst: %d of the first %d asserts acknowledged" (List.length acked) (burst_read - 1);
   (* every reply above was quorum-acked: the follower has applied and
-     locally logged each of them.  Kill the primary without mercy. *)
+     locally logged each of them.  Kill the primary without mercy, with
+     the rest of the burst in flight. *)
   sigkill prim;
 
   (* a standby must refuse writes with a typed reply, not apply them *)
@@ -235,6 +261,22 @@ let () =
     List.iter2
       (fun a b -> if not (String.equal a b) then fail "row diverged after failover: %S vs %S" a b)
       promoted_rows reference;
+
+  (* the burst: every acknowledged assert survived the kill *)
+  send fol "query s2";
+  send fol "repl status";
+  send fol "close s2";
+  let lines_b = read_replies fol 3 in
+  let burst_rows = rows_of lines_b (final_fn + 1) in
+  List.iter
+    (fun k ->
+      if not (List.mem (Printf.sprintf "true::r(%d, %d)" k (k + 1)) burst_rows) then
+        fail "acknowledged burst assert %d lost in the failover" k)
+    acked;
+  if not (List.exists (fun l -> has l (Printf.sprintf "done %d ok" (final_fn + 1))) lines_b)
+  then fail "the burst's session does not answer after failover: %s" (String.concat " | " lines_b);
+  if not (List.exists (fun l -> has l "role=promoted" && has l " divergences=0 ") lines_b) then
+    fail "the promoted follower counted a divergence: %s" (String.concat " | " lines_b);
 
   (* ---- replicated state is durable state -------------------------------------- *)
   sigkill fol;
@@ -278,8 +320,10 @@ let () =
   rm_rf dir_f2;
   if !failures > 0 then exit 1;
   Fmt.pr
-    "smoke: follower promoted after SIGKILLing a quorum-acked primary at update %d; %d \
-     final rows bit-identical to the uninterrupted run, and identical again after the \
-     promoted node itself was killed and recovered; a primary and a follower both exited \
-     cleanly on stdin EOF@."
-    cut (List.length reference)
+    "smoke: follower promoted after SIGKILLing a quorum-acked primary at update %d with \
+     writes in flight; %d final rows bit-identical to the uninterrupted run, and identical \
+     again after the promoted node itself was killed and recovered; %d acknowledged burst \
+     asserts all survived (%d of %d reached the promoted node); a primary and a follower \
+     both exited cleanly on stdin EOF@."
+    cut (List.length reference) (List.length acked) (List.length burst_rows)
+    (List.length burst)

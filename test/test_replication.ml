@@ -52,8 +52,8 @@ type cluster = {
    [pump] hook, so a quorum-acknowledged op has deterministically been
    applied AND locally logged by the follower before the primary's update
    call returns — no polling loops, no sleeps. *)
-let make_cluster ?(ack = Replica.Ack_quorum) ?(segment_frames = 4096) ?(retain = 2)
-    ?(snapshot_every = 64) () : cluster =
+let make_cluster ?(ack = Replica.Ack_quorum) ?(ack_timeout = 10.0) ?(segment_frames = 4096)
+    ?(retain = 2) ?(snapshot_every = 64) () : cluster =
   let root = scratch_dir () in
   let ship = Filename.concat root "ship" in
   let fmgr =
@@ -64,8 +64,8 @@ let make_cluster ?(ack = Replica.Ack_quorum) ?(segment_frames = 4096) ?(retain =
   let fol_ref = ref None in
   let pump () = match !fol_ref with Some f -> ignore (Replica.Follower.poll f) | None -> () in
   let prim =
-    Replica.Primary.create ~dir:ship ~id:"alpha" ~ack ~cluster:1 ~ack_timeout:10.0
-      ~segment_frames ~retain ~pump ()
+    Replica.Primary.create ~dir:ship ~id:"alpha" ~ack ~cluster:1 ~ack_timeout ~segment_frames
+      ~retain ~pump ()
   in
   let pmgr =
     Durable.create
@@ -588,6 +588,74 @@ let test_failed_ship_append_rotates () =
     Alcotest.fail "the follower's answers differ from the primary's";
   destroy c
 
+(* Run [f] while appends through [fd] fail: a read-only descriptor on
+   [root]/read-only stands in for a disk that refuses the write. *)
+let with_failing_appends root fd f =
+  let saved = Unix.dup fd in
+  let ro =
+    Unix.openfile (Filename.concat root "read-only") [ Unix.O_RDONLY; Unix.O_CREAT ] 0o644
+  in
+  Unix.dup2 ro fd;
+  Unix.close ro;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved fd;
+      Unix.close saved)
+    f
+
+(* A follower that missed the frame of a failed ship append is lagging,
+   not diverged.  The seal heading the fresh ship segment is past its
+   replay, so it parks the session for the snapshot after the seal, which
+   reinstalls it: no divergence is counted and nothing is quarantined. *)
+let test_missed_frame_is_lag () =
+  let c = make_cluster () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2) ];
+  with_failing_appends c.root c.prim.Replica.Primary.wal.Wal.fd (fun () ->
+      match apply c.pmgr (A (2, 3)) with
+      | () -> Alcotest.fail "an op whose ship append failed was acknowledged"
+      | exception Session.Error _ -> ());
+  apply c.pmgr (A (3, 4));
+  let st = Replica.Follower.status c.fol in
+  Alcotest.(check int) "no divergence on the follower" 0 st.Replica.Follower.st_divergences;
+  Alcotest.(check int) "none in the registry" 0 (Durable.stats c.fmgr).Durable.divergences;
+  Alcotest.(check (option string)) "no error" None st.st_last_error;
+  if st.st_installs < 1 then Alcotest.fail "the snapshot after the seal should reinstall it";
+  if not (results_equal (q c.fmgr "s") (q c.pmgr "s")) then
+    Alcotest.fail "the follower's answers differ from the primary's";
+  destroy c
+
+(* A failed ack-log append must not stall quorum acks.  Torn bytes end the
+   follower's ack log and the primary has read them; then one append
+   fails.  The next ack goes to a fresh log, which the primary reads from
+   its first byte, so the next quorum write is acknowledged in time. *)
+let test_failed_ack_append_keeps_quorum () =
+  let c = make_cluster ~ack_timeout:0.5 () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1) ];
+  let ack_log = Replica.ack_path (Filename.concat c.root "ship") "beta" in
+  (* a record cut short: its whole header, then 2 of its 4 payload bytes *)
+  let torn = Bytes.create (Wal.record_header_len + 2) in
+  Bytes.set_int32_le torn 0 4l;
+  Bytes.set_int64_le torn 4 (Atomic_io.fnv1a64 "torn");
+  Bytes.blit_string "to" 0 torn Wal.record_header_len 2;
+  let fd = Unix.openfile ack_log [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+  ignore (Unix.write fd torn 0 (Bytes.length torn));
+  Unix.close fd;
+  ignore (Replica.Primary.status c.prim);
+  (* a ship-log rotation gives the follower frames to ack with no write
+     waiting on them; its ack append fails *)
+  Durable.ship_barrier c.pmgr;
+  with_failing_appends c.root c.fol.Replica.Follower.ack.Wal.fd (fun () ->
+      match Replica.Follower.poll c.fol with
+      | _ -> Alcotest.fail "an ack append through a read-only descriptor succeeded"
+      | exception Session.Error _ -> ());
+  (match apply c.pmgr (A (1, 2)) with
+  | () -> ()
+  | exception Session.Error e ->
+      Alcotest.failf "the quorum write after a failed ack append: %s" (Session.error_string e));
+  if not (results_equal (q c.fmgr "s") (q c.pmgr "s")) then
+    Alcotest.fail "the follower's answers differ from the primary's";
+  destroy c
+
 (* ---- ack codec ---------------------------------------------------------------------- *)
 
 (* Acks decode as strictly as every other record: no trailing bytes, and a
@@ -897,4 +965,8 @@ let suite =
       test_ship_failure_keeps_committed_op;
     Alcotest.test_case "failed ship append rotates the ship log" `Quick
       test_failed_ship_append_rotates;
+    Alcotest.test_case "a follower that missed a frame lags, not diverges" `Quick
+      test_missed_frame_is_lag;
+    Alcotest.test_case "failed ack append keeps quorum acks" `Quick
+      test_failed_ack_append_keeps_quorum;
   ]

@@ -7,11 +7,16 @@
       its [out] rows;
     - quoted strings holding [,] and [::] go through assert, query and
       retract, and a rejected probability leaves the session's answer
-      unchanged. *)
+      unchanged;
+    - a quorum write's [handle] returns at its commit, and its [ok] is
+      printed only once the follower applied it, in request order; a
+      failed acknowledgement answers in its place. *)
 
 open Scallop_core
 open Scallop_serve
 module Durable = Scallop_incr.Durable
+module Replica = Scallop_incr.Replica
+module Wal = Scallop_utils.Wal
 
 (* A server wired as [scallop serve -p minmaxprob] wires it with default
    flags ([chaos] and [jobs] aside), fed [feed] and closed; the bytes it
@@ -257,6 +262,207 @@ let test_quoted_and_probabilities () =
   Alcotest.(check string) "probability 1 accepted" "done 11 ok asserted s" (status_of 11 lines);
   Alcotest.(check string) "probability 0 accepted" "done 12 ok asserted s" (status_of 12 lines)
 
+(* ---- pipelined acknowledgements -------------------------------------------------- *)
+
+(* A [Server] over a quorum primary whose barrier pumps an in-process
+   follower, but only while [gate] is open: a closed gate holds every
+   write's acknowledgement and none of its commits.  Each reply is kept
+   with the follower's applied-frame count at the moment it reached the
+   sink, and [on_reply] sees it first. *)
+type quorum = {
+  root : string;
+  svc : Service.t;
+  pmgr : Durable.t;
+  fmgr : Durable.t;
+  prim : Replica.Primary.t;
+  fol : Replica.Follower.t;
+  server : Server.t;
+  gate : bool Atomic.t;
+  on_reply : (string -> unit) ref;
+  replies : (string * int) list ref;  (** newest first *)
+  replies_m : Mutex.t;
+}
+
+let applied f = (Replica.Follower.status f).Replica.Follower.st_applied
+
+let quorum_server ?(ack_timeout = 5.0) () =
+  let root = Test_replication.scratch_dir () in
+  let ship = Filename.concat root "ship" in
+  let fmgr =
+    Durable.create
+      (Durable.config ~state_dir:(Filename.concat root "f") ~wal_sync:false Registry.Boolean)
+  in
+  let gate = Atomic.make true in
+  let fol_ref = ref None in
+  let pump () =
+    match !fol_ref with
+    | Some f when Atomic.get gate -> ignore (Replica.Follower.poll f)
+    | _ -> Unix.sleepf 0.001
+  in
+  let prim =
+    Replica.Primary.create ~dir:ship ~id:"alpha" ~ack:Replica.Ack_quorum ~cluster:1
+      ~ack_timeout ~pump ()
+  in
+  let pmgr =
+    Durable.create
+      (Durable.config ~state_dir:(Filename.concat root "p") ~wal_sync:true ~group_commit:true
+         ~repl:(Replica.Primary.sink prim) Registry.Boolean)
+  in
+  let fol = Replica.Follower.create ~dir:ship ~fid:"beta" ~mgr:fmgr () in
+  fol_ref := Some fol;
+  let svc =
+    Service.create ~config:{ (Service.default_config ()) with jobs = 1 } Registry.Boolean
+  in
+  let on_reply = ref ignore and replies = ref [] and replies_m = Mutex.create () in
+  let sink reply =
+    !on_reply reply;
+    let n = applied fol in
+    Mutex.protect replies_m (fun () -> replies := (reply, n) :: !replies)
+  in
+  let server = Server.create ~primary:prim ~sink svc pmgr in
+  { root; svc; pmgr; fmgr; prim; fol; server; gate; on_reply; replies; replies_m }
+
+let send q line = Server.handle q.server (Protocol.parse line)
+
+(* Request [n]'s reply and the follower's applied count when it was
+   printed, once it has reached the sink. *)
+let reply_of q n =
+  let tag = "done " ^ string_of_int n ^ " " in
+  let has_done (r, _) = List.exists (String.starts_with ~prefix:tag) (split_lines r) in
+  List.find_opt has_done (Mutex.protect q.replies_m (fun () -> !(q.replies)))
+
+let await_reply q n =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec go () =
+    match reply_of q n with
+    | Some r -> r
+    | None when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.001;
+        go ()
+    | None -> Alcotest.failf "no reply to request %d within 10 s" n
+  in
+  go ()
+
+(* Close the server and return every reply line, in the order printed. *)
+let finish q =
+  Server.close q.server;
+  Service.shutdown q.svc;
+  Durable.shutdown q.pmgr;
+  Durable.shutdown q.fmgr;
+  Replica.Primary.close q.prim;
+  Replica.Follower.close q.fol;
+  List.concat_map (fun (r, _) -> split_lines r) (List.rev !(q.replies))
+
+let open_s = "open s " ^ String.map (fun c -> if c = '\n' then ';' else c) Test_durability.tc_src
+
+(* [handle] returns for a quorum write at its commit, before any follower
+   acknowledged it; its [ok] reaches the sink only after the follower
+   applied it. *)
+let test_write_returns_before_ack () =
+  let q = quorum_server () in
+  send q open_s;
+  ignore (await_reply q 0);
+  Atomic.set q.gate false;
+  let before = applied q.fol in
+  send q "assert s edge(0, 1)";
+  Alcotest.(check bool) "no reply while the follower has not acked" true (reply_of q 1 = None);
+  Alcotest.(check int) "the follower has not applied it" before (applied q.fol);
+  Atomic.set q.gate true;
+  let reply, applied_then = await_reply q 1 in
+  Alcotest.(check string) "acknowledged" "done 1 ok asserted s\n" reply;
+  if applied_then <= before then
+    Alcotest.fail "the ok reached the sink before the follower applied the write";
+  ignore (finish q);
+  Test_replication.rm_rf q.root
+
+(* Writes and queries sent while every acknowledgement is held: replies
+   stay in request order, and a query after a pending write answers with
+   that write applied. *)
+let test_pipelined_replies_in_order () =
+  let q = quorum_server () in
+  send q open_s;
+  ignore (await_reply q 0);
+  Atomic.set q.gate false;
+  List.iter (send q)
+    [
+      "assert s edge(0, 1)";
+      "query s";
+      "assert s edge(1, 2)";
+      "retract s edge(0, 1)";
+      "query s";
+      "rel p = {(1, 2)};query p";
+    ];
+  Atomic.set q.gate true;
+  let lines = finish q in
+  Alcotest.(check (list string))
+    "status lines in request order"
+    [ "0"; "1"; "2"; "3"; "4"; "5"; "6" ]
+    (List.filter_map
+       (fun l -> match words l with "done" :: n :: _ -> Some n | _ -> None)
+       lines);
+  Alcotest.(check string) "assert" "done 1 ok asserted s" (status_of 1 lines);
+  Alcotest.(check (list string)) "the query sees the pending assert" [ "true::path(0, 1)" ]
+    (rows_of 2 lines);
+  Alcotest.(check string) "assert" "done 3 ok asserted s" (status_of 3 lines);
+  Alcotest.(check string) "retract" "done 4 ok retracted s" (status_of 4 lines);
+  Alcotest.(check (list string)) "the query sees both pending writes" [ "true::path(1, 2)" ]
+    (rows_of 5 lines);
+  Alcotest.(check (list string)) "one-shot" [ "true::p(1, 2)" ] (rows_of 6 lines);
+  Test_replication.rm_rf q.root
+
+(* A write whose acknowledgement times out replies the typed error in its
+   place, and the requests behind it are still answered.  The gate opens
+   once that reply is printed, so the next write is acknowledged. *)
+let test_ack_timeout_in_place () =
+  let q = quorum_server ~ack_timeout:0.2 () in
+  send q open_s;
+  ignore (await_reply q 0);
+  Atomic.set q.gate false;
+  (q.on_reply := fun r -> if String.starts_with ~prefix:"done 1 " r then Atomic.set q.gate true);
+  List.iter (send q) [ "assert s edge(0, 1)"; "query s"; "assert s edge(1, 2)"; "query s" ];
+  let lines = finish q in
+  (match words (status_of 1 lines) with
+  | "done" :: "1" :: "error" :: "replication" :: "ack" :: "timeout:" :: "0/1" :: _ -> ()
+  | _ -> Alcotest.failf "expected a typed ack timeout, got %S" (status_of 1 lines));
+  Alcotest.(check (list string)) "the write stays applied" [ "true::path(0, 1)" ]
+    (rows_of 2 lines);
+  Alcotest.(check string) "the next write" "done 3 ok asserted s" (status_of 3 lines);
+  Alcotest.(check (list string))
+    "the last query"
+    [ "true::path(0, 1)"; "true::path(0, 2)"; "true::path(1, 2)" ]
+    (List.sort compare (rows_of 4 lines));
+  Test_replication.rm_rf q.root
+
+(* A write whose group fsync fails replies the typed I/O error in its
+   place; fsync on a pipe fails, so a pipe stands in for the session's
+   WAL.  A restart recovers every write acknowledged before it. *)
+let test_fsync_failure_in_place () =
+  let q = quorum_server () in
+  List.iter (send q) [ open_s; "assert s edge(0, 1)"; "assert s edge(1, 2)" ];
+  ignore (await_reply q 2);
+  let r, pw = Unix.pipe () in
+  Unix.dup2 pw (Test_durability.live_wal q.pmgr "s").Wal.fd;
+  List.iter (send q) [ "assert s edge(2, 3)"; "query s"; "assert s edge(3, 4)" ];
+  let lines = finish q in
+  List.iter Unix.close [ r; pw ];
+  List.iter
+    (fun n ->
+      match words (status_of n lines) with
+      | _ :: _ :: "error" :: "state-dir" :: "I/O" :: "failed:" :: _ -> ()
+      | _ -> Alcotest.failf "expected a typed I/O error, got %S" (status_of n lines))
+    [ 3; 5 ];
+  Alcotest.(check int) "the query is answered" 1
+    (List.length (List.filter (String.starts_with ~prefix:"done 4 ok") lines));
+  let restarted =
+    Durable.create
+      (Durable.config ~state_dir:(Filename.concat q.root "p") ~wal_sync:false Registry.Boolean)
+  in
+  let oracle = Test_replication.(oracle [ Open; A (0, 1); A (1, 2) ]) in
+  if not (Test_durability.results_equal (Durable.query restarted ~sid:"s" ()) oracle) then
+    Alcotest.fail "the restart does not hold exactly the acknowledged writes";
+  Durable.shutdown restarted;
+  Test_replication.rm_rf q.root
+
 let suite =
   [
     Alcotest.test_case "scallop serve and Server agree" `Quick test_cli_twin;
@@ -264,4 +470,11 @@ let suite =
     Alcotest.test_case "one status line per request" `Quick test_one_status_per_request;
     Alcotest.test_case "quoted strings and bad probabilities" `Quick
       test_quoted_and_probabilities;
+    Alcotest.test_case "a quorum write returns before its ack" `Quick
+      test_write_returns_before_ack;
+    Alcotest.test_case "pipelined replies stay in request order" `Quick
+      test_pipelined_replies_in_order;
+    Alcotest.test_case "an ack timeout replies in its place" `Quick test_ack_timeout_in_place;
+    Alcotest.test_case "a failed group fsync replies in its place" `Quick
+      test_fsync_failure_in_place;
   ]
