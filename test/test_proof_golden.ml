@@ -147,6 +147,42 @@ let test_sum3_training () =
   add_float buf r.Scallop_apps.Common.accuracy;
   check Alcotest.string "losses and accuracy" "3fc6138418f727f0;3fc366931180e5bb;acc=0;" (Buffer.contents buf)
 
+(* The per-sample trainers: [Mnist_r.train_and_eval] runs each sample
+   through [Scallop_layer.forward], [Hwf_app.train_and_eval] through
+   [forward_open] on top-k symbol mappings and an open output domain. *)
+let report_digest (r : Scallop_apps.Common.report) =
+  let buf = Buffer.create 256 in
+  List.iter (add_float buf) r.Scallop_apps.Common.losses;
+  Buffer.add_string buf "acc=";
+  add_float buf r.Scallop_apps.Common.accuracy;
+  Buffer.contents buf
+
+let small_config seed ~epochs ~n_train ~n_test =
+  {
+    Scallop_apps.Common.default_config with
+    Scallop_apps.Common.seed;
+    epochs;
+    n_train;
+    n_test;
+  }
+
+let test_sum2_sample_training () =
+  let r =
+    Scallop_apps.Mnist_r.train_and_eval
+      (small_config 23 ~epochs:2 ~n_train:48 ~n_test:32)
+      Scallop_data.Mnist.Sum2
+  in
+  check Alcotest.string "losses and accuracy" "3fc98abc13218730;3fb9f3cdc347f5c7;acc=3feb000000000000;"
+    (report_digest r)
+
+let test_hwf_sample_training () =
+  let r =
+    Scallop_apps.Hwf_app.train_and_eval ~max_len:5
+      (small_config 29 ~epochs:3 ~n_train:32 ~n_test:32)
+  in
+  check Alcotest.string "losses and accuracy"
+    "3fc61d44a17205a5;3fbad6ba3667fcde;3fb3989e9b2bb5e2;acc=3fc4000000000000;" (report_digest r)
+
 (* ---- samplers and foreign predicates ------------------------------------------- *)
 
 (* Every sampler ungrouped, implicitly grouped and [where]-grouped, several
@@ -247,6 +283,8 @@ let suite =
     Alcotest.test_case "operator stream digests" `Quick test_operator_stream;
     Alcotest.test_case "sum3 Session.run digests" `Quick test_sum3_runs;
     Alcotest.test_case "sum3 training losses and accuracy" `Quick test_sum3_training;
+    Alcotest.test_case "sum2 per-sample training" `Quick test_sum2_sample_training;
+    Alcotest.test_case "hwf per-sample training" `Quick test_hwf_sample_training;
     Alcotest.test_case "sampler digests at 10 seeds" `Quick
       (check_seeded_digests sampler_src
          [
