@@ -1667,11 +1667,7 @@ let bench_durability (m : mode) =
      count is the acceptance gate. *)
   let module Wal = Scallop_utils.Wal in
   let gd = scratch "durability-group" in
-  let gmgr =
-    Durable.create
-      (Durable.config ~state_dir:gd ~group_commit:true ~group_window:0.0005
-         Registry.Boolean)
-  in
+  let gmgr = Durable.create (Durable.config ~state_dir:gd ~group_commit:true Registry.Boolean) in
   let writers = 4 and per = if m.quick then 100 else 250 in
   ignore (Durable.open_session gmgr ~sid:"g" tc_src);
   let t0 = Monotonic.now () in

@@ -228,41 +228,18 @@ let train_loop ~(config : config) ?checkpoint ~(rngs : Scallop_utils.Rng.t list)
   done;
   (List.rev !losses, !times)
 
-(** Train/eval skeleton: [train_step] returns the sample loss; [eval_sample]
-    returns whether the prediction was correct.  Returns the report.
-
-    With [?checkpoint], training state is snapshotted every
-    [checkpoint.every_n_steps] optimizer steps and the run resumes from the
-    newest valid snapshot; [?rngs] lists any generator streams the
-    [train_step] closure draws from, so they are saved and restored too.
-    Non-finite losses/gradients are quarantined (skipped + counted in the
-    report's [faults]) rather than applied. *)
-let run_task ?checkpoint ?(rngs : Scallop_utils.Rng.t list = []) ?(faults = Faults.create ())
-    ~task ~(config : config) ~(train_data : 'a list) ~(test_data : 'a list) ~(opt : Optim.t)
-    ~(train_step : 'a -> Autodiff.t) ~(eval_sample : 'a -> bool) () : report =
-  let losses, times =
-    train_loop ~config ?checkpoint ~rngs ~faults ~opt
-      ~n_examples:(List.length train_data)
-      ~units:(Array.of_list train_data) ~loss_of_unit:train_step ()
-  in
-  let correct = List.length (List.filter eval_sample test_data) in
-  {
-    task;
-    provenance = provenance_name config.provenance;
-    accuracy = float_of_int correct /. float_of_int (max 1 (List.length test_data));
-    epoch_time = Scallop_utils.Listx.average times;
-    losses;
-    faults;
-  }
-
 (** Minibatched train/eval skeleton for the parallel runtime: [train_batch]
     returns one scalar loss per sample of the minibatch (typically computed
     with {!Scallop_nn.Scallop_layer.forward_batch} over a worker pool); the
     losses are summed into a single backward pass and one optimizer step per
-    minibatch.  With [batch_size = 1] the optimization trajectory coincides
-    with {!run_task}'s sample-at-a-time loop.  [eval_batch] returns
-    per-sample correctness.  Checkpointing and the numeric guardrails work
-    as in {!run_task}, at minibatch granularity. *)
+    minibatch.  [eval_batch] returns per-sample correctness.
+
+    With [?checkpoint], training state is snapshotted every
+    [checkpoint.every_n_steps] optimizer steps and the run resumes from the
+    newest valid snapshot; [?rngs] lists any generator streams the
+    [train_batch] closure draws from, so they are saved and restored too.
+    Non-finite losses/gradients are quarantined (skipped + counted in the
+    report's [faults]) rather than applied. *)
 let run_task_batched ?checkpoint ?(rngs : Scallop_utils.Rng.t list = [])
     ?(faults = Faults.create ()) ~task ~(config : config) ~(batch_size : int)
     ~(train_data : 'a list) ~(test_data : 'a list) ~(opt : Optim.t)
@@ -288,3 +265,11 @@ let run_task_batched ?checkpoint ?(rngs : Scallop_utils.Rng.t list = [])
     losses;
     faults;
   }
+
+(** Sample-at-a-time train/eval skeleton: {!run_task_batched} with
+    [batch_size = 1].  [train_step] returns the sample loss; [eval_sample]
+    returns whether the prediction was correct. *)
+let run_task ?checkpoint ?rngs ?faults ~task ~config ~train_data ~test_data ~opt
+    ~(train_step : 'a -> Autodiff.t) ~(eval_sample : 'a -> bool) () : report =
+  run_task_batched ?checkpoint ?rngs ?faults ~task ~config ~batch_size:1 ~train_data ~test_data
+    ~opt ~train_batch:(Array.map train_step) ~eval_batch:(Array.map eval_sample) ()

@@ -37,39 +37,6 @@ let forward ?(spec = Registry.Diff_top_k_proofs_me 3) ?(sample_k = 7) (m : model
   in
   Scallop_layer.forward_open ~spec ~compiled:m.compiled ~static_facts ~inputs ~out_pred:"result" ()
 
-let layer_samples_of ~sample_k (m : model) (samples : Hwf.sample array) :
-    Scallop_layer.sample array =
-  Array.map
-    (fun (s : Hwf.sample) ->
-      let inputs =
-        List.mapi
-          (fun i img ->
-            let probs = Layers.Mlp.classify m.mlp (Autodiff.const img) in
-            Scallop_layer.topk_mapping ~k:sample_k ~pred:"symbol"
-              ~tuples:(symbol_tuples_at i) ~probs ~mutually_exclusive:true)
-          s.Hwf.images
-      in
-      let static_facts =
-        [ ("length", Tuple.of_list [ Value.int Value.USize (List.length s.Hwf.images) ]) ]
-      in
-      { Scallop_layer.inputs; static_facts })
-    samples
-
-(** Batched forward over a pool: one compiled grammar, many formulas. *)
-let forward_batch ?(spec = Registry.Diff_top_k_proofs_me 3) ?(sample_k = 7) ?pool ?jobs
-    (m : model) (samples : Hwf.sample array) : Scallop_layer.run_output array =
-  Scallop_layer.forward_open_batch ?pool ?jobs ~spec ~compiled:m.compiled ~out_pred:"result"
-    (layer_samples_of ~sample_k m samples)
-
-(** Resilient batched forward: per-sample outcomes, with NaN quarantine and
-    budget degradation handled by {!Scallop_layer.resilient_forward_open_batch}. *)
-let resilient_forward_batch ?(spec = Registry.Diff_top_k_proofs_me 3) ?(sample_k = 7) ?pool
-    ?jobs ?config ?faults (m : model) (samples : Hwf.sample array) :
-    (Scallop_layer.run_output, Exec_error.t) result array =
-  Scallop_layer.resilient_forward_open_batch ?pool ?jobs ?config ?faults ~spec
-    ~compiled:m.compiled ~out_pred:"result"
-    (layer_samples_of ~sample_k m samples)
-
 (** Decode a result tuple's numeric value.  [None] for a malformed
     (non-float) tuple: callers must treat that as a {e counted} per-example
     failure — mapping it to [nan] (the historical behavior) let the bad
@@ -130,49 +97,3 @@ let train_and_eval ?(dim = 16) ?(noise = 0.35) ?(max_len = 7) ?checkpoint
     ~eval_sample:(fun s ->
       match predict ~spec m s with Some v -> close v s.Hwf.value | None -> false)
     ()
-
-(** Minibatched counterpart of {!train_and_eval} on the parallel runtime.
-    Per-sample failures (budget, NaN quarantine, malformed tuples) go through
-    the resilient layer path: the sample contributes zero loss (training) or
-    counts incorrect (eval) and is tallied in the report's fault record. *)
-let train_and_eval_batched ?(dim = 16) ?(noise = 0.35) ?(max_len = 7) ?(batch_size = 16)
-    ?(jobs = 1) ?checkpoint (config : Common.config) : Common.report =
-  let rng = Scallop_utils.Rng.create config.Common.seed in
-  let data = Hwf.create ~noise ~dim ~seed:(config.Common.seed + 1) () in
-  let m = create_model ~rng ~dim in
-  let opt = Optim.adam ~lr:config.Common.lr (Layers.Mlp.params m.mlp) in
-  let train_data = Hwf.dataset ~max_len data config.Common.n_train in
-  let test_data = Hwf.dataset ~max_len data config.Common.n_test in
-  let spec = config.Common.provenance in
-  let faults = Scallop_utils.Faults.create () in
-  let zero = Autodiff.const (Nd.scalar 0.0) in
-  let loss_of outcome (s : Hwf.sample) =
-    match outcome with
-    | Error _ -> zero
-    | Ok (out : Scallop_layer.run_output) -> (
-        if Array.length out.Scallop_layer.tuples = 0 then zero
-        else
-          match decode_values ~faults out with
-          | None -> zero
-          | Some vals -> loss_of_decoded out vals s)
-  in
-  let correct_of outcome (s : Hwf.sample) =
-    match outcome with
-    | Error _ -> false
-    | Ok (out : Scallop_layer.run_output) -> (
-        match decode_values out with
-        | None -> false
-        | Some vals ->
-            let y = Autodiff.value out.Scallop_layer.y in
-            let best = ref 0 in
-            Array.iteri (fun j _ -> if Nd.get1 y j > Nd.get1 y !best then best := j) vals;
-            close vals.(!best) s.Hwf.value)
-  in
-  Scallop_utils.Pool.with_pool (max 1 jobs) (fun pool ->
-      Common.run_task_batched ?checkpoint ~faults ~task:"HWF" ~config ~batch_size ~train_data
-        ~test_data ~opt
-        ~train_batch:(fun samples ->
-          Array.map2 loss_of (resilient_forward_batch ~spec ~pool ~faults m samples) samples)
-        ~eval_batch:(fun samples ->
-          Array.map2 correct_of (resilient_forward_batch ~spec ~pool m samples) samples)
-        ())

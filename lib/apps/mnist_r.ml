@@ -71,63 +71,56 @@ let create_model ~rng ~dim task =
     task;
   }
 
-let forward ?(spec = Registry.Diff_top_k_proofs_me 3) (m : model)
-    (s : Scallop_data.Mnist.sample) : Autodiff.t =
+(** The layer sample of one MNIST sample: classify its images, then map
+    the distributions onto the task's interface.  Also returns the output
+    predicate and candidate tuples, which depend on the task alone. *)
+let layer_sample (m : model) (s : Scallop_data.Mnist.sample) =
   let probs =
     List.map (fun img -> Layers.Mlp.classify m.mlp (Autodiff.const img)) s.Scallop_data.Mnist.images
   in
   let inputs, out_pred, candidates = interface m.task probs in
-  Scallop_layer.forward ~spec ~compiled:m.compiled ~inputs ~out_pred ~candidates ()
+  ({ Scallop_layer.inputs; static_facts = [] }, out_pred, candidates)
+
+let layer_batch (m : model) (samples : Scallop_data.Mnist.sample array) =
+  let mapped = Array.map (layer_sample m) samples in
+  let out_pred, candidates =
+    if Array.length mapped = 0 then ("", [||])
+    else
+      let _, out_pred, candidates = mapped.(0) in
+      (out_pred, candidates)
+  in
+  (Array.map (fun (ls, _, _) -> ls) mapped, out_pred, candidates)
+
+let forward ?(spec = Registry.Diff_top_k_proofs_me 3) (m : model)
+    (s : Scallop_data.Mnist.sample) : Autodiff.t =
+  let ls, out_pred, candidates = layer_sample m s in
+  Scallop_layer.forward ~spec ~compiled:m.compiled ~inputs:ls.Scallop_layer.inputs ~out_pred
+    ~candidates ()
 
 (** Batched forward: classify all images (main domain), then run the logic
     program for the whole minibatch across the pool. *)
 let forward_batch ?(spec = Registry.Diff_top_k_proofs_me 3) ?pool ?jobs (m : model)
     (samples : Scallop_data.Mnist.sample array) : Autodiff.t array =
-  let out_pred = ref "" and candidates = ref [||] in
-  let layer_samples =
-    Array.map
-      (fun (s : Scallop_data.Mnist.sample) ->
-        let probs =
-          List.map
-            (fun img -> Layers.Mlp.classify m.mlp (Autodiff.const img))
-            s.Scallop_data.Mnist.images
-        in
-        let inputs, op, cands = interface m.task probs in
-        out_pred := op;
-        candidates := cands;
-        { Scallop_layer.inputs; static_facts = [] })
-      samples
-  in
-  Scallop_layer.forward_batch ?pool ?jobs ~spec ~compiled:m.compiled ~out_pred:!out_pred
-    ~candidates:!candidates layer_samples
+  let layer_samples, out_pred, candidates = layer_batch m samples in
+  Scallop_layer.forward_batch ?pool ?jobs ~spec ~compiled:m.compiled ~out_pred ~candidates
+    layer_samples
 
 (** Resilient batched forward: per-sample outcome slots, with quarantine
     and budget degradation (see {!Scallop_layer.resilient_forward_batch}). *)
 let resilient_forward_batch ?(spec = Registry.Diff_top_k_proofs_me 3) ?pool ?jobs ?config
     ?faults (m : model) (samples : Scallop_data.Mnist.sample array) :
     (Autodiff.t, Exec_error.t) result array =
-  let out_pred = ref "" and candidates = ref [||] in
-  let layer_samples =
-    Array.map
-      (fun (s : Scallop_data.Mnist.sample) ->
-        let probs =
-          List.map
-            (fun img -> Layers.Mlp.classify m.mlp (Autodiff.const img))
-            s.Scallop_data.Mnist.images
-        in
-        let inputs, op, cands = interface m.task probs in
-        out_pred := op;
-        candidates := cands;
-        { Scallop_layer.inputs; static_facts = [] })
-      samples
-  in
+  let layer_samples, out_pred, candidates = layer_batch m samples in
   Scallop_layer.resilient_forward_batch ?pool ?jobs ?config ?faults ~spec ~compiled:m.compiled
-    ~out_pred:!out_pred ~candidates:!candidates layer_samples
+    ~out_pred ~candidates layer_samples
 
-let predict ?spec (m : model) s =
-  let y = forward ?spec m s in
-  if m.task = Not_3_or_4 then if Nd.get1 (Autodiff.value y) 0 > 0.5 then 1 else 0
+(** The predicted output index of a probability row. *)
+let decode task y =
+  if task = Scallop_data.Mnist.Not_3_or_4 then
+    if Nd.get1 (Autodiff.value y) 0 > 0.5 then 1 else 0
   else Nd.argmax_row (Autodiff.value y) 0
+
+let predict ?spec (m : model) s = decode m.task (forward ?spec m s)
 
 (** Accuracy of the perception component itself (for RQ5 failure analysis). *)
 let digit_accuracy (m : model) (data : Scallop_data.Mnist.sample list) =
@@ -143,28 +136,35 @@ let digit_accuracy (m : model) (data : Scallop_data.Mnist.sample list) =
     data;
   float_of_int !correct /. float_of_int (max 1 !total)
 
-let train_and_eval ?(dim = 16) ?(noise = 0.5) ?checkpoint (config : Common.config)
-    (task : Scallop_data.Mnist.task) : Common.report =
+(* What both trainers build from a config: the model, its optimizer, the
+   train and test splits, and a sample's BCE target row. *)
+let setup ~dim ~noise (config : Common.config) task =
   let rng = Scallop_utils.Rng.create config.Common.seed in
   let data = Scallop_data.Mnist.create ~noise ~dim ~seed:(config.Common.seed + 1) () in
   let m = create_model ~rng ~dim task in
   let opt = Optim.adam ~lr:config.Common.lr (Layers.Mlp.params m.mlp) in
   let train_data = Scallop_data.Mnist.dataset data task config.Common.n_train in
   let test_data = Scallop_data.Mnist.dataset data task config.Common.n_test in
-  let spec = config.Common.provenance in
   let n_candidates =
-    let _, _, cands = interface task (List.map (fun _ -> Autodiff.const (Nd.zeros [| 1; 10 |])) (List.init (Scallop_data.Mnist.num_images task) Fun.id)) in
+    let zeros _ = Autodiff.const (Nd.zeros [| 1; 10 |]) in
+    let _, _, cands = interface task (List.init (Scallop_data.Mnist.num_images task) zeros) in
     Array.length cands
   in
+  let target_row (s : Scallop_data.Mnist.sample) =
+    if task = Not_3_or_4 then Nd.of_array [| 1; 1 |] [| float_of_int s.target |]
+    else Common.one_hot n_candidates (target_index task s)
+  in
+  (m, opt, train_data, test_data, target_row)
+
+let train_and_eval ?(dim = 16) ?(noise = 0.5) ?checkpoint (config : Common.config)
+    (task : Scallop_data.Mnist.task) : Common.report =
+  let m, opt, train_data, test_data, target_row = setup ~dim ~noise config task in
+  let spec = config.Common.provenance in
   Common.run_task ?checkpoint ~task:(Scallop_data.Mnist.task_name task) ~config ~train_data
     ~test_data ~opt
     ~train_step:(fun s ->
       let y = forward ~spec m s in
-      let target =
-        if task = Not_3_or_4 then Nd.of_array [| 1; 1 |] [| float_of_int s.target |]
-        else Common.one_hot n_candidates (target_index task s)
-      in
-      Common.bce y (Autodiff.const target))
+      Common.bce y (Autodiff.const (target_row s)))
     ~eval_sample:(fun s -> predict ~spec m s = target_index task s)
     ()
 
@@ -173,21 +173,8 @@ let train_and_eval ?(dim = 16) ?(noise = 0.5) ?checkpoint (config : Common.confi
     shared pool; gradients route back to the right samples positionally. *)
 let train_and_eval_batched ?(dim = 16) ?(noise = 0.5) ?(batch_size = 16) ?(jobs = 1)
     ?checkpoint (config : Common.config) (task : Scallop_data.Mnist.task) : Common.report =
-  let rng = Scallop_utils.Rng.create config.Common.seed in
-  let data = Scallop_data.Mnist.create ~noise ~dim ~seed:(config.Common.seed + 1) () in
-  let m = create_model ~rng ~dim task in
-  let opt = Optim.adam ~lr:config.Common.lr (Layers.Mlp.params m.mlp) in
-  let train_data = Scallop_data.Mnist.dataset data task config.Common.n_train in
-  let test_data = Scallop_data.Mnist.dataset data task config.Common.n_test in
+  let m, opt, train_data, test_data, target_row = setup ~dim ~noise config task in
   let spec = config.Common.provenance in
-  let n_candidates =
-    let _, _, cands = interface task (List.map (fun _ -> Autodiff.const (Nd.zeros [| 1; 10 |])) (List.init (Scallop_data.Mnist.num_images task) Fun.id)) in
-    Array.length cands
-  in
-  let target_row (s : Scallop_data.Mnist.sample) =
-    if task = Not_3_or_4 then Nd.of_array [| 1; 1 |] [| float_of_int s.target |]
-    else Common.one_hot n_candidates (target_index task s)
-  in
   let faults = Scallop_utils.Faults.create () in
   let zero = Autodiff.const (Nd.scalar 0.0) in
   Scallop_utils.Pool.with_pool (max 1 jobs) (fun pool ->
@@ -204,15 +191,7 @@ let train_and_eval_batched ?(dim = 16) ?(noise = 0.5) ?(batch_size = 16) ?(jobs 
         ~eval_batch:(fun samples ->
           let ys = resilient_forward_batch ~spec ~pool m samples in
           Array.map2
-            (fun y (s : Scallop_data.Mnist.sample) ->
-              match y with
-              | Error _ -> false
-              | Ok y ->
-                  let predicted =
-                    if task = Not_3_or_4 then
-                      if Nd.get1 (Autodiff.value y) 0 > 0.5 then 1 else 0
-                    else Nd.argmax_row (Autodiff.value y) 0
-                  in
-                  predicted = target_index task s)
+            (fun y s ->
+              match y with Error _ -> false | Ok y -> decode task y = target_index task s)
             ys samples)
         ())

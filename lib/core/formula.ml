@@ -15,8 +15,9 @@
     set comparison, and is what the guided best-first implementations of
     [conj_k]/[neg_k] exploit to prune low-weight proofs {e before}
     materializing them (see DESIGN.md, "Guided lazy proof search").  The
-    eager reference implementations are kept as [conj_k_eager] etc. and
-    serve as the differential-test oracle.
+    eager ¬k stays here as [neg_k_eager], the guided one's fallback; the
+    eager ∨k and ∧k of the differential-test oracle live with the test
+    tree-walker.
 
     Mutual exclusion (Appendix B.4.4): input facts may belong to an exclusion
     group; a proof containing two distinct positive literals from the same
@@ -358,17 +359,7 @@ let top_k envr k proofs =
     let c = weigh_all envr proofs in
     prefix_to_list c (finalize k c)
 
-(* --- eager reference operations (differential-test oracle) ---------------- *)
-
-(** ∨k : union of proof sets, truncated. *)
-let disj_k_eager envr k (a : t) (b : t) : t = top_k envr k (a @ b)
-
-(** ∧k : pairwise conflict-checked merge, truncated (Table 8). *)
-let conj_k_eager envr k (a : t) (b : t) : t =
-  let merged =
-    List.concat_map (fun pa -> List.filter_map (fun pb -> merge_proofs envr pa pb) b) a
-  in
-  top_k envr k merged
+(* --- eager ¬k (the guided one's fallback) ----------------------------------- *)
 
 (* The CNF of ¬t: one clause per proof, the negation of each of its
    literals (flipping the polarity bit keeps the array sorted). *)

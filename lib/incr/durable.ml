@@ -389,8 +389,6 @@ type config = {
   group_commit : bool;
       (** batch concurrent sessions' WAL fsyncs into one ({!Wal.Group});
           meaningless without [wal_sync] *)
-  group_window : float;
-      (** leader flush-gathering window in seconds (see {!Wal.Group}) *)
   max_live : int option;  (** LRU cap on hydrated sessions *)
   idle_ttl : float option;  (** spill sessions idle longer than this (seconds) *)
   now : unit -> float;  (** injectable clock for idle accounting *)
@@ -401,11 +399,10 @@ type config = {
 }
 
 let config ?state_dir ?(snapshot_every = 64) ?(wal_sync = true)
-    ?(group_commit = false) ?(group_window = 0.) ?max_live ?idle_ttl
+    ?(group_commit = false) ?max_live ?idle_ttl
     ?(now = Scallop_utils.Monotonic.now) ?(interp = Interp.default_config ()) ?repl
     ?(standby = false) (spec : Registry.spec) : config =
   if snapshot_every < 1 then invalid_arg "Durable.config: snapshot_every must be >= 1";
-  if group_window < 0. then invalid_arg "Durable.config: group_window must be >= 0";
   {
     state_dir;
     spec;
@@ -413,7 +410,6 @@ let config ?state_dir ?(snapshot_every = 64) ?(wal_sync = true)
     snapshot_every;
     wal_sync;
     group_commit;
-    group_window;
     max_live;
     idle_ttl;
     now;
@@ -1083,7 +1079,7 @@ let create (cfg : config) : t =
         };
       wal_group =
         (if cfg.group_commit && cfg.wal_sync then
-           Some (Wal.Group.create ~window:cfg.group_window ())
+           Some (Wal.Group.create ())
          else None);
       role = (if cfg.standby then `Standby else `Primary);
       max_ticket = -1;

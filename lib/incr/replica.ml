@@ -330,16 +330,21 @@ module Primary = struct
     | None -> ()
 
   (* The acknowledgement barrier of a state-changing op.  [barrier p] is
-     taken once the op's frames are shipped and marks the ship position;
-     the function it returns runs after the op's local durability is
-     settled.  Quorum mode blocks until cluster/2+1 followers have
-     acknowledged the marked position under our epoch, then verifies the
-     EPOCH file one last time — the fencing handshake: a quorum of acks
-     means nothing if the epoch has moved.  [p.m] is held only to read
-     acks and fence state, never across the sleep between polls, so other
-     writes keep shipping while one waits. *)
+     taken once the op's frames are shipped and marks the ship position,
+     which is the op's commit: its quorum deadline runs [ack_timeout] from
+     there, however long the op then waits behind earlier writes.  The
+     function it returns runs after the op's local durability is settled.
+     Quorum mode blocks until cluster/2+1 followers have acknowledged the
+     marked position under our epoch, then verifies the EPOCH file one
+     last time — the fencing handshake: a quorum of acks means nothing if
+     the epoch has moved.  An op reached past its deadline still polls
+     once more before it times out.  [p.m] is held only to read acks and
+     fence state, never across the sleep between polls, so other writes
+     keep shipping while one waits. *)
   let barrier p =
-    let target_seg, target_idx = Mutex.protect p.m (fun () -> (p.seg, p.frames)) in
+    let target_seg, target_idx, committed =
+      Mutex.protect p.m (fun () -> (p.seg, p.frames, Scallop_utils.Monotonic.now ()))
+    in
     let caught (_, (a : ack)) =
       a.a_epoch = p.epoch
       && (a.a_seg > target_seg || (a.a_seg = target_seg && a.a_idx >= target_idx))
@@ -347,22 +352,23 @@ module Primary = struct
     let quorum_wait () =
       let quorum = (p.cluster / 2) + 1 in
       let t0 = Scallop_utils.Monotonic.now () in
+      let acked () =
+        Mutex.protect p.m (fun () ->
+            refresh_acks_locked p;
+            check_fenced_locked p;
+            List.length (List.filter caught p.acks))
+      in
       let rec wait () =
-        let n =
-          Mutex.protect p.m (fun () ->
-              refresh_acks_locked p;
-              check_fenced_locked p;
-              List.length (List.filter caught p.acks))
-        in
+        (match p.pump with Some f -> f () | None -> Unix.sleepf 0.0005);
+        let n = acked () in
         if n < quorum then begin
-          let waited = Scallop_utils.Monotonic.elapsed_since t0 in
+          let waited = Scallop_utils.Monotonic.elapsed_since committed in
           if waited > p.ack_timeout then
             raise (Session.Error (Exec_error.Ack_timeout { acked = n; quorum; waited }));
-          (match p.pump with Some f -> f () | None -> Unix.sleepf 0.0005);
           wait ()
         end
       in
-      wait ();
+      if acked () < quorum then wait ();
       Mutex.protect p.m (fun () ->
           check_epoch_locked p;
           check_fenced_locked p;

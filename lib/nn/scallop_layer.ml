@@ -53,8 +53,8 @@ type run_output = {
 
    [prepare_sample] (cheap, main thread): turn input mappings into tagged
    facts and remember which (mapping, entry) slot produced each fact.
-   [Session.run] / [Session.run_batch] (heavy, parallelizable): pure symbolic
-   execution returning plain data.
+   [Session.run_batch] (heavy, parallelizable): pure symbolic execution
+   returning plain data.
    [wire_outputs] (main thread): route each output's ∂y/∂r Jacobian entries
    back to the probs tensors of the sample that produced them, creating the
    autodiff nodes.  Keeping graph construction on the caller's domain makes
@@ -160,19 +160,7 @@ let wire_outputs ~compiled ~inputs ~(prepared : prepared) ~(result : Session.res
       { y = Autodiff.custom ~op:("scallop:" ^ out_pred) ~value:y ~parents; tuples = out_tuples })
     outputs
 
-(* Shared implementation: run the program once and wire up the Jacobian for
-   each requested output relation. *)
-let run_multi_internal ~config ~spec ~compiled ~static_facts ~inputs
-    ~(outputs : (string * Tuple.t array option) list) : run_output list =
-  let provenance = Registry.create spec in
-  let prepared = prepare_sample ~compiled ~static_facts ~inputs in
-  let result =
-    Session.run ~config ~provenance compiled ~facts:prepared.p_facts
-      ~outputs:(List.map fst outputs) ()
-  in
-  wire_outputs ~compiled ~inputs ~prepared ~result ~outputs
-
-(* ---- batched execution ----------------------------------------------------------
+(* ---- execution ------------------------------------------------------------------
 
    One compiled plan, many samples: preparation and Jacobian wiring stay on
    the calling domain (they build autodiff graph nodes), while the symbolic
@@ -180,7 +168,9 @@ let run_multi_internal ~config ~spec ~compiled ~static_facts ~inputs
    {!Session.run_batch}, each with a fresh provenance instance and private
    interpreter state.  Results are positional: sample [i]'s outputs wire
    back to sample [i]'s probs tensors, so gradients land on the right rows
-   of the batch regardless of which worker ran which sample. *)
+   of the batch regardless of which worker ran which sample.  The
+   per-sample entry points at the end of this file run a one-sample
+   batch. *)
 
 (** One element of a batched forward. *)
 type sample = { inputs : input_mapping list; static_facts : static_fact list }
@@ -190,9 +180,9 @@ type sample = { inputs : input_mapping list; static_facts : static_fact list }
     [config.Interp.budget] (deadline, iteration/tuple/node caps,
     cancellation) or failed on its own inputs.  Skipped samples cost no
     autodiff nodes; surviving samples are wired exactly as in
-    {!run_multi_batch}, so a training loop can drop (or down-weight) the
+    {!forward_batch}, so a training loop can drop (or down-weight) the
     skipped examples and still backpropagate through the rest of the
-    batch. *)
+    batch.  This is the one place the layer runs a program. *)
 let try_run_multi_batch ?pool ?jobs ?(config = Interp.default_config ()) ~spec ~compiled
     ~(outputs : (string * Tuple.t array option) list) (samples : sample array) :
     (run_output list, Exec_error.t) result array =
@@ -322,21 +312,6 @@ let resilient_forward_batch ?pool ?jobs ?config ?max_degrade ?faults ~(spec : Re
   |> Array.map
        (Result.map (function [ (out : run_output) ] -> out.y | _ -> assert false))
 
-(** Resilient {!forward_open_batch}: open candidate domains per sample. *)
-let resilient_forward_open_batch ?pool ?jobs ?config ?max_degrade ?faults
-    ~(spec : Registry.spec) ~(compiled : Session.compiled) ~(out_pred : string)
-    (samples : sample array) : (run_output, Exec_error.t) result array =
-  resilient_run_multi_batch ?pool ?jobs ?config ?max_degrade ?faults ~spec ~compiled
-    ~outputs:[ (out_pred, None) ]
-    samples
-  |> Array.map (Result.map (function [ out ] -> out | _ -> assert false))
-
-let run_multi_batch ?pool ?jobs ?config ~spec ~compiled
-    ~(outputs : (string * Tuple.t array option) list) (samples : sample array) :
-    run_output list array =
-  try_run_multi_batch ?pool ?jobs ?config ~spec ~compiled ~outputs samples
-  |> Array.map (function Ok outs -> outs | Error e -> raise (Session.Error e))
-
 (** Budget-aware {!forward_batch}: sample [i]'s slot is its probability
     vector, or the diagnostic that stopped it ("example skipped"). *)
 let try_forward_batch ?pool ?jobs ?config ~(spec : Registry.spec)
@@ -349,53 +324,59 @@ let try_forward_batch ?pool ?jobs ?config ~(spec : Registry.spec)
        (Result.map (function [ (out : run_output) ] -> out.y | _ -> assert false))
 
 (** Batched {!forward}: one output relation with a shared candidate domain;
-    row [i] of the result is sample [i]'s probability vector. *)
+    row [i] of the result is sample [i]'s probability vector.  The first
+    failed sample raises its diagnostic as [Session.Error]. *)
 let forward_batch ?pool ?jobs ?config ~(spec : Registry.spec)
     ~(compiled : Session.compiled) ~(out_pred : string) ~(candidates : Tuple.t array)
     (samples : sample array) : Autodiff.t array =
-  run_multi_batch ?pool ?jobs ?config ~spec ~compiled
-    ~outputs:[ (out_pred, Some candidates) ]
-    samples
-  |> Array.map (function [ out ] -> out.y | _ -> assert false)
+  try_forward_batch ?pool ?jobs ?config ~spec ~compiled ~out_pred ~candidates samples
+  |> Array.map (function Ok y -> y | Error e -> raise (Session.Error e))
 
-(** Batched {!forward_open}: open candidate domains per sample. *)
-let forward_open_batch ?pool ?jobs ?config ~(spec : Registry.spec)
-    ~(compiled : Session.compiled) ~(out_pred : string) (samples : sample array) :
-    run_output array =
-  run_multi_batch ?pool ?jobs ?config ~spec ~compiled ~outputs:[ (out_pred, None) ] samples
-  |> Array.map (function [ out ] -> out | _ -> assert false)
+(* ---- one sample ------------------------------------------------------------------ *)
+
+(** Run [s] as a one-sample batch and raise its diagnostic as
+    [Session.Error], as [Session.run] does.  Like sample 0 of any batch, a
+    sampler in the program draws from [Rng.substream config.rng 0]. *)
+let run_sample ?config ~spec ~compiled ~outputs (s : sample) : run_output list =
+  match try_run_multi_batch ?config ~spec ~compiled ~outputs [| s |] with
+  | [| Ok outs |] -> outs
+  | [| Error e |] -> raise (Session.Error e)
+  | _ -> assert false
 
 (** Run with a fixed output candidate domain: the result row gives the
-    probability of each candidate (0 when underived). *)
-let forward ?(config = Interp.default_config ()) ~(spec : Registry.spec)
+    probability of each candidate (0 when underived).  Runs as a one-sample
+    batch ({!run_sample}). *)
+let forward ?config ~(spec : Registry.spec)
     ~(compiled : Session.compiled) ?(static_facts : static_fact list = [])
     ~(inputs : input_mapping list) ~(out_pred : string) ~(candidates : Tuple.t array) () :
     Autodiff.t =
   match
-    run_multi_internal ~config ~spec ~compiled ~static_facts ~inputs
-      ~outputs:[ (out_pred, Some candidates) ]
+    run_sample ?config ~spec ~compiled ~outputs:[ (out_pred, Some candidates) ]
+      { inputs; static_facts }
   with
   | [ out ] -> out.y
   | _ -> assert false
 
 (** Run with an open output domain: all derived tuples become candidates
-    (used when the output space is unbounded, e.g. HWF's rational results). *)
-let forward_open ?(config = Interp.default_config ()) ~(spec : Registry.spec)
+    (used when the output space is unbounded, e.g. HWF's rational results).
+    Runs as a one-sample batch ({!run_sample}). *)
+let forward_open ?config ~(spec : Registry.spec)
     ~(compiled : Session.compiled) ?(static_facts : static_fact list = [])
     ~(inputs : input_mapping list) ~(out_pred : string) () : run_output =
   match
-    run_multi_internal ~config ~spec ~compiled ~static_facts ~inputs
-      ~outputs:[ (out_pred, None) ]
+    run_sample ?config ~spec ~compiled ~outputs:[ (out_pred, None) ] { inputs; static_facts }
   with
   | [ out ] -> out
   | _ -> assert false
 
 (** Run once and read several output relations (e.g. PacMan's [next_action]
-    and [violation]), amortizing the program execution. *)
-let forward_multi ?(config = Interp.default_config ()) ~(spec : Registry.spec)
+    and [violation]), amortizing the program execution.  Runs as a
+    one-sample batch ({!run_sample}). *)
+let forward_multi ?config ~(spec : Registry.spec)
     ~(compiled : Session.compiled) ?(static_facts : static_fact list = [])
     ~(inputs : input_mapping list) ~(outputs : (string * Tuple.t array) list) () :
     Autodiff.t list =
-  run_multi_internal ~config ~spec ~compiled ~static_facts ~inputs
+  run_sample ?config ~spec ~compiled
     ~outputs:(List.map (fun (p, c) -> (p, Some c)) outputs)
+    { inputs; static_facts }
   |> List.map (fun o -> o.y)

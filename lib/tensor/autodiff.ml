@@ -183,16 +183,9 @@ let custom ~op ~value ~parents = make ~parents ~op ~requires_grad:(needs_grad pa
 
 (* ---- numeric guardrails ------------------------------------------------------------- *)
 
-(** Raised by {!assert_finite} and {!backward_guarded} when a NaN or
-    infinity is found; the payload names the offending op. *)
+(** Raised by {!backward_guarded} when a NaN or infinity is found; the
+    payload names the offending op. *)
 exception Non_finite of string
-
-(** [assert_finite ~what v] raises {!Non_finite} if [v]'s value contains a
-    NaN or an infinity. *)
-let assert_finite ?what (v : t) =
-  if not (Nd.is_finite v.value) then
-    Non_finite (Printf.sprintf "non-finite value in %s" (Option.value what ~default:v.op))
-    |> raise
 
 (* ---- backward pass ------------------------------------------------------------------ *)
 

@@ -209,7 +209,3 @@ let parallel_mapi t ?chunk ?cancel ~f arr =
 (** [parallel_map t ~f arr] = [Array.map f arr], in parallel. *)
 let parallel_map t ?chunk ?cancel ~f arr =
   parallel_map_init t ?chunk ?cancel ~init:(fun _ -> ()) ~f:(fun () _ x -> f x) arr
-
-(** [parallel_iter t ~f arr]: run [f] over every element for its effects. *)
-let parallel_iter t ?chunk ?cancel ~f arr =
-  ignore (parallel_map t ?chunk ?cancel ~f:(fun x -> f x) arr : unit array)

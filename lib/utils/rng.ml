@@ -15,13 +15,11 @@ let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (** Raw 64-bit stream position, for serialization: a generator restored
-    with {!set_state} (or rebuilt with {!of_state}) continues the exact
-    output sequence of the generator {!state} was read from. *)
+    with {!set_state} continues the exact output sequence of the generator
+    {!state} was read from. *)
 let state t = t.state
 
 let set_state t s = t.state <- s
-
-let of_state s = { state = s }
 
 (* One SplitMix64 step: advance the state and scramble the output. *)
 let next_int64 t =
@@ -119,14 +117,6 @@ let choose t lst =
   match lst with
   | [] -> invalid_arg "Rng.choose: empty list"
   | _ -> List.nth lst (int t (List.length lst))
-
-(** [sample_without_replacement t k arr] returns [k] distinct elements. *)
-let sample_without_replacement t k arr =
-  let n = Array.length arr in
-  if k > n then invalid_arg "Rng.sample_without_replacement: k > n";
-  let copy = Array.copy arr in
-  shuffle t copy;
-  Array.sub copy 0 k
 
 (** [sample_indices t k n] draws [k] distinct indices uniformly from [0, n)
     ([k ≤ n]), returned in ascending order.  Partial Fisher–Yates: only the

@@ -205,15 +205,11 @@ end
     grab.  Appends that landed while the leader was flushing get the next
     batch.  When an fsync of the batch fails, every ticket in it raises
     that error from {!Group.wait}, as an inline fsync would; consecutive
-    failed batches share one recorded range.  An optional [window] makes
-    the leader sleep briefly before grabbing, letting stragglers pile into
-    the same flush — higher amortization at the cost of bounded added
-    latency. *)
+    failed batches share one recorded range. *)
 module Group = struct
   type t = {
     m : Mutex.t;
     flushed : Condition.t;
-    window : float;
     mutable next : int;  (** next ticket to issue *)
     mutable durable : int;  (** tickets < durable are on stable storage *)
     mutable leader : bool;  (** a leader is currently flushing *)
@@ -226,11 +222,10 @@ module Group = struct
             (exclusive) and the error their waiters raise *)
   }
 
-  let create ?(window = 0.) () =
+  let create () =
     {
       m = Mutex.create ();
       flushed = Condition.create ();
-      window;
       next = 0;
       durable = 0;
       leader = false;
@@ -285,7 +280,6 @@ module Group = struct
           end)
     in
     if lead then begin
-      if t.window > 0. then Unix.sleepf t.window;
       let lo, upto, fds =
         Mutex.protect t.m (fun () ->
             let fds = t.dirty in

@@ -312,9 +312,22 @@ let run ?(naive = false) ?(config = Interp.default_config ()) ~(provenance : Pro
   let out = match outputs with Some o -> o | None -> c.Session.ram.Ram.outputs in
   { Session.outputs = List.map (fun pred -> (pred, T.recover db pred)) out; fact_ids; stats = None }
 
-(** top-k-proofs over the {e eager} reference operators
-    ([Formula.disj_k_eager] and friends) — the differential oracle for the
-    guided search and its benchmark baseline.  Same semantics as
+(* ---- eager reference operators (the oracle of the guided proof search) ---- *)
+
+(** ∨k : union of proof sets, truncated. *)
+let disj_k_eager envr k (a : Formula.t) (b : Formula.t) : Formula.t =
+  Formula.top_k envr k (a @ b)
+
+(** ∧k : pairwise conflict-checked merge, truncated (Table 8). *)
+let conj_k_eager envr k (a : Formula.t) (b : Formula.t) : Formula.t =
+  let merged =
+    List.concat_map (fun pa -> List.filter_map (fun pb -> Formula.merge_proofs envr pa pb) b) a
+  in
+  Formula.top_k envr k merged
+
+(** top-k-proofs over the {e eager} reference operators ({!disj_k_eager},
+    {!conj_k_eager} and [Formula.neg_k_eager]) — the differential oracle
+    for the guided search and its benchmark baseline.  Same semantics as
     {!Prov_prob.Top_k_proofs}, materializing every candidate proof before
     truncating. *)
 module Top_k_proofs_eager (K : sig
@@ -330,8 +343,8 @@ end)
   let name = Fmt.str "topkproofseager-%d" K.k
   let zero = Formula.ff
   let one = Formula.tt
-  let add a b = Formula.disj_k_eager P.env K.k a b
-  let mult a b = Formula.conj_k_eager P.env K.k a b
+  let add a b = disj_k_eager P.env K.k a b
+  let mult a b = conj_k_eager P.env K.k a b
   let negate t = Some (Formula.neg_k_eager P.env K.k t)
   let saturated ~old t = Formula.equal_ordered old t
   let discard t = Formula.is_false t

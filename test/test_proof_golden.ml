@@ -283,8 +283,6 @@ let suite =
     Alcotest.test_case "operator stream digests" `Quick test_operator_stream;
     Alcotest.test_case "sum3 Session.run digests" `Quick test_sum3_runs;
     Alcotest.test_case "sum3 training losses and accuracy" `Quick test_sum3_training;
-    Alcotest.test_case "sum2 per-sample training" `Quick test_sum2_sample_training;
-    Alcotest.test_case "hwf per-sample training" `Quick test_hwf_sample_training;
     Alcotest.test_case "sampler digests at 10 seeds" `Quick
       (check_seeded_digests sampler_src
          [
@@ -301,4 +299,6 @@ let suite =
            "4cbea16b37a3cd5eb4e90e230341c1ab";
            "faf87f151d71f1304e1cb5ffe4655afc";
          ]);
+    Alcotest.test_case "sum2 per-sample training" `Quick test_sum2_sample_training;
+    Alcotest.test_case "hwf per-sample training" `Quick test_hwf_sample_training;
   ]

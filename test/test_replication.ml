@@ -404,7 +404,7 @@ let test_group_commit_amortizes_fsyncs () =
    far below) one per append. *)
 let test_group_commit_concurrent_writers () =
   let dir = scratch_dir () in
-  let g = Wal.Group.create ~window:0.001 () in
+  let g = Wal.Group.create () in
   let writers =
     Array.init 4 (fun i ->
         Wal.open_append ~group:g ~path:(Filename.concat dir (Printf.sprintf "w%d.log" i)) ())

@@ -433,6 +433,30 @@ let test_ack_timeout_in_place () =
     (List.sort compare (rows_of 4 lines));
   Test_replication.rm_rf q.root
 
+(* Writes pipelined behind a follower that never acks time out together:
+   each quorum deadline runs from the write's commit, not from when the
+   printer reaches it, so ten writes cost about one timeout, not ten. *)
+let test_ack_deadline_from_commit () =
+  let q = quorum_server ~ack_timeout:0.2 () in
+  send q open_s;
+  ignore (await_reply q 0);
+  Atomic.set q.gate false;
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to 10 do
+    send q (Printf.sprintf "assert s edge(%d, %d)" i (i + 1))
+  done;
+  ignore (await_reply q 10);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let lines = finish q in
+  for n = 1 to 10 do
+    match words (status_of n lines) with
+    | "done" :: _ :: "error" :: "replication" :: "ack" :: "timeout:" :: "0/1" :: _ -> ()
+    | _ -> Alcotest.failf "expected a typed ack timeout, got %S" (status_of n lines)
+  done;
+  if elapsed > 0.6 then
+    Alcotest.failf "the last of 10 timeouts replied %.3f s after the first commit" elapsed;
+  Test_replication.rm_rf q.root
+
 (* A write whose group fsync fails replies the typed I/O error in its
    place; fsync on a pipe fails, so a pipe stands in for the session's
    WAL.  A restart recovers every write acknowledged before it. *)
@@ -477,4 +501,5 @@ let suite =
     Alcotest.test_case "an ack timeout replies in its place" `Quick test_ack_timeout_in_place;
     Alcotest.test_case "a failed group fsync replies in its place" `Quick
       test_fsync_failure_in_place;
+    Alcotest.test_case "ack deadlines run from the commit" `Quick test_ack_deadline_from_commit;
   ]

@@ -1,7 +1,8 @@
 (** Differential tests for the guided (lazy best-first) ∨k/∧k/¬k proof
-    operators against the eager reference oracle ({!Formula.disj_k_eager}
-    and friends, also instantiated as the
-    {!Scallop_fuzz.Tree_walker.Top_k_proofs_eager} provenance), plus
+    operators against the eager reference oracle
+    ({!Scallop_fuzz.Tree_walker.disj_k_eager} and friends, also
+    instantiated as the {!Scallop_fuzz.Tree_walker.Top_k_proofs_eager}
+    provenance), plus
     insertion-order determinism, the cross-iteration WMC cache, and the
     rewritten sample-k-proofs draw sequence. *)
 
@@ -83,13 +84,13 @@ let qcheck_disj_guided_eq_eager =
   qtest "∨k guided ≡ eager" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
-      agree env (Formula.disj_k env k a b) (Formula.disj_k_eager env k a b))
+      agree env (Formula.disj_k env k a b) (Scallop_fuzz.Tree_walker.disj_k_eager env k a b))
 
 let qcheck_conj_guided_eq_eager =
   qtest "∧k guided ≡ eager" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
-      agree env (Formula.conj_k env k a b) (Formula.conj_k_eager env k a b))
+      agree env (Formula.conj_k env k a b) (Scallop_fuzz.Tree_walker.conj_k_eager env k a b))
 
 let qcheck_neg_guided_eq_eager =
   qtest "¬k guided ≡ unbounded eager" neg_case_gen (fun (ei, k, rf) ->
@@ -146,7 +147,7 @@ let qcheck_disj_saturation_returns_left =
         @ rb
         |> canon env
       in
-      (not (Formula.equal_ordered (Formula.disj_k_eager env k a b) a))
+      (not (Formula.equal_ordered (Scallop_fuzz.Tree_walker.disj_k_eager env k a b) a))
       || Formula.disj_k env k a b == a)
 
 let qcheck_insertion_order_determinism =
@@ -212,7 +213,7 @@ let qcheck_proof_prob_bits =
           Formula.disj_k env k a b;
           Formula.conj_k env k a b;
           Formula.neg_k env k a;
-          Formula.conj_k_eager env k a b;
+          Scallop_fuzz.Tree_walker.conj_k_eager env k a b;
         ])
 
 (* A probability cached under one environment is never served under
