@@ -81,6 +81,8 @@ let layer_sample (m : model) (s : Scallop_data.Mnist.sample) =
   let inputs, out_pred, candidates = interface m.task probs in
   ({ Scallop_layer.inputs; static_facts = [] }, out_pred, candidates)
 
+(** {!layer_sample} over a minibatch, with the output predicate and
+    candidates of its task. *)
 let layer_batch (m : model) (samples : Scallop_data.Mnist.sample array) =
   let mapped = Array.map (layer_sample m) samples in
   let out_pred, candidates =

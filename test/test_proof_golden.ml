@@ -5,6 +5,11 @@
     were recorded from the map-based proof representation; any rewrite of
     the proof kernels must reproduce them bit for bit.
 
+    The per-sample training digests (MNIST-R sum2 and HWF) were recorded
+    while [Scallop_layer.forward] and [forward_open] ran their sample
+    through [Session.run] directly; running it as a one-sample batch must
+    reproduce them.
+
     The sampler and foreign-predicate digests pin the rows and recovered-tag
     bits of seeded runs under four provenances, recorded while samplers and
     foreign joins ran on the tree-walker; the executor that runs them must
