@@ -36,7 +36,6 @@ let merge_d f da db =
     da db
 
 let add a b = { v = a.v +. b.v; d = merge_d ( +. ) a.d b.d }
-let sub a b = { v = a.v -. b.v; d = merge_d ( -. ) a.d b.d }
 
 let mul a b =
   {

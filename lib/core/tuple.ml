@@ -8,7 +8,6 @@ type t = Value.t array
 
 let arity (t : t) = Array.length t
 let of_list = Array.of_list
-let to_list = Array.to_list
 let unit : t = [||]
 let get (t : t) i = t.(i)
 
@@ -30,13 +29,6 @@ let rec compare_from (a : t) (b : t) i =
     if c <> 0 then c else compare_from a b (i + 1)
 
 let compare (a : t) (b : t) = compare_from a b 0
-
-(** Structural hash, consistent with {!equal}: equal tuples hash equally no
-    matter how their values are stored.  The columnar executor's sorted-run
-    relations ({!Batch_ops}) key their membership tables on this, computing
-    the same fold column-wise without materializing the tuple. *)
-let hash (t : t) : int =
-  Array.fold_left (fun h v -> (h * 31) + Value.hash_value v) 17 t
 
 let append (a : t) (b : t) : t = Array.append a b
 

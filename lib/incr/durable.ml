@@ -36,11 +36,16 @@
     - {b Idle eviction.}  With [max_live] / [idle_ttl] set, cold sessions
       spill: a final snapshot makes the disk state current, the in-memory
       {!Incr.t} is dropped, and the next touch transparently rehydrates.
-      Sessions with queries in flight are pinned and never spilled
-      mid-query; {!close} drains pins before tearing down.
+    - {b One lock.}  The manager lock is the only lock on session state,
+      and each decision about a session is taken once, under it: a write
+      commits there, a query takes its {!Incr.snapshot} there, and a
+      replicated frame is judged and applied there in one call.  A query
+      then runs outside the lock, on its snapshot, so it stalls no write
+      and no other session, and neither a spill nor {!close} waits for
+      it.
 
-    Without a [state_dir] the registry still works (including pin-draining
-    close) but nothing persists and nothing is evicted. *)
+    Without a [state_dir] the registry still works but nothing persists
+    and nothing is evicted. *)
 
 open Scallop_core
 module Wal = Scallop_utils.Wal
@@ -443,8 +448,8 @@ type entry = {
   mutable seg_records : int;  (** records in the active segment *)
   mutable ops_since_snap : int;  (** unsnapshotted ops; bounds rehydration replay *)
   mutable last_used : float;
-  mutable pins : int;  (** queries in flight; pinned entries are never spilled *)
-  mutable last_stats : Incr.session_stats;  (** carried across spill / close *)
+  mutable last_stats : Incr.session_stats;
+      (** carried across spill, quarantine and close *)
 }
 
 type stats = {
@@ -478,7 +483,6 @@ let pp_stats ppf (s : stats) =
 type t = {
   cfg : config;
   mutex : Mutex.t;
-  unpinned : Condition.t;
   entries : (string, entry) Hashtbl.t;
   dstats : stats;
   wal_group : Wal.Group.t option;
@@ -530,7 +534,6 @@ let make_entry mgr ~sid ~dir ?(source = "") ?(hash = "") ?expect_hash ?(next_lsn
     seg_records = 0;
     ops_since_snap = 0;
     last_used = mgr.cfg.now ();
-    pins = 0;
     last_stats = Incr.empty_session_stats ();
   }
 
@@ -542,10 +545,10 @@ let release_wal = function
       l.wal <- None
   | Spilled | Failed _ | Closed | Live { wal = None; _ } -> ()
 
-(* Quarantine [entry] as [err] and raise it.  The engine is left in place
-   (a pinned query may still be reading it); only the WAL writer is
-   released. *)
+(* Quarantine [entry] as [err] and raise it, keeping the statistics of its
+   engine; only the WAL writer is released. *)
 let quarantine_locked entry err =
+  (match entry.e_state with Live l -> entry.last_stats <- Incr.stats l.incr | _ -> ());
   release_wal entry.e_state;
   entry.e_state <- Failed err;
   raise (Session.Error err)
@@ -831,19 +834,13 @@ let open_locked mgr ~sid ~seg incr op payload : entry * int option =
       (entry, ticket)
   | Op_assert _ | Op_retract _ | Op_close _ -> invalid_arg "Durable.open_locked"
 
-(* Wait until no query holds [entry] pinned. *)
-let drain_locked mgr entry =
-  while entry.pins > 0 do
-    Condition.wait mgr.unpinned mgr.mutex
-  done
-
-(* The one close, local or replicated; the caller has drained the
-   session's queries.  The close record is made durable before the
-   directory goes, so a crash between the two replays as a clean close.
-   A close whose record cannot be made durable raises the typed error and
-   quarantines the session instead: after a failed write or fsync neither
-   the record nor the log can be trusted, and a retried close discards
-   it. *)
+(* The one close, local or replicated.  A query still running on the
+   session finishes on its snapshot.  The close record is made durable
+   before the directory goes, so a crash between the two replays as a
+   clean close.  A close whose record cannot be made durable raises the
+   typed error and quarantines the session instead: after a failed write
+   or fsync neither the record nor the log can be trusted, and a retried
+   close discards it. *)
 let close_locked mgr entry (l : live) op payload =
   (try settle mgr (log_locked mgr entry l op payload)
    with Session.Error e -> quarantine_locked entry e);
@@ -922,7 +919,7 @@ let try_compact_locked mgr entry =
    engine.  A session whose snapshot fails stays live. *)
 let spill_locked mgr entry =
   match entry.e_state with
-  | Live l when entry.pins = 0 && entry.dir <> None ->
+  | Live l when entry.dir <> None ->
       if entry.ops_since_snap = 0 || try_compact_locked mgr entry then begin
         release_wal entry.e_state;
         entry.last_stats <- Incr.stats l.incr;
@@ -941,7 +938,7 @@ let enforce_caps_locked mgr =
           Hashtbl.iter
             (fun _ e ->
               match e.e_state with
-              | Live _ when e.pins = 0 && now -. e.last_used > ttl -> spill_locked mgr e
+              | Live _ when now -. e.last_used > ttl -> spill_locked mgr e
               | _ -> ())
             mgr.entries
       | None -> ());
@@ -956,7 +953,6 @@ let enforce_caps_locked mgr =
           let excess = List.length live - cap in
           if excess > 0 then
             live
-            |> List.filter (fun e -> e.pins = 0)
             |> List.sort (fun a b -> compare a.last_used b.last_used)
             |> List.filteri (fun i _ -> i < excess)
             |> List.iter (spill_locked mgr))
@@ -964,7 +960,8 @@ let enforce_caps_locked mgr =
 (* Hydrated handle for a touch; refreshes the LRU clock.  A spilled
    session is loaded back, and one whose state no longer loads is
    quarantined.  A touch never spills the entry it hands back: caps are
-   enforced once the operation is done with its entry, or has pinned it. *)
+   enforced once the operation is done with its entry, or has taken its
+   snapshot. *)
 let touch_live_locked mgr entry : live =
   entry.last_used <- mgr.cfg.now ();
   match entry.e_state with
@@ -1058,7 +1055,6 @@ let create (cfg : config) : t =
     {
       cfg;
       mutex = Mutex.create ();
-      unpinned = Condition.create ();
       entries = Hashtbl.create 16;
       dstats =
         {
@@ -1190,45 +1186,37 @@ let assert_fact mgr ~sid ~pred ?prob ?me_group tup =
 (** Retract a fact and wait for its acknowledgement. *)
 let retract_fact mgr ~sid ~pred tup = commit_retract mgr ~sid ~pred tup ()
 
-let unpin mgr entry =
+(* A read takes its session's snapshot under the manager lock (the touch
+   rehydrates a spilled session, and the cap sweep runs) and evaluates it
+   outside the lock. *)
+let snapshot mgr ~sid ?outputs () : Incr.snapshot =
   locked mgr (fun () ->
-      entry.pins <- entry.pins - 1;
-      entry.last_used <- mgr.cfg.now ();
-      (match entry.e_state with Live l -> entry.last_stats <- Incr.stats l.incr | _ -> ());
-      Condition.broadcast mgr.unpinned)
-
-(* Reads pin the entry: the manager mutex is released for the (possibly
-   long) evaluation, and pinned entries are never spilled or torn down. *)
-let with_pinned mgr ~sid f =
-  let entry, l =
-    locked mgr (fun () ->
-        let entry = find_entry mgr sid in
-        let l = touch_live_locked mgr entry in
-        entry.pins <- entry.pins + 1;
-        enforce_caps_locked mgr;
-        (entry, l))
-  in
-  Fun.protect ~finally:(fun () -> unpin mgr entry) (fun () -> f l.incr)
+      let l = touch_live_locked mgr (find_entry mgr sid) in
+      let s = Incr.snapshot ?outputs l.incr in
+      enforce_caps_locked mgr;
+      s)
 
 (** Answer a query.  Queries never touch the log — they change no durable
-    state (a query only runs the program over the in-memory overlay). *)
+    state (a query only runs the program over a snapshot of the in-memory
+    overlay). *)
 let query ?outputs ?budget mgr ~sid () : Session.result =
-  with_pinned mgr ~sid (fun incr -> Incr.query ?outputs ?budget incr)
+  Incr.run ?budget (snapshot mgr ~sid ?outputs ())
 
 (** The differential oracle for tests and benchmarks. *)
 let run_cold ?outputs mgr ~sid () : Session.result =
-  with_pinned mgr ~sid (fun incr -> Incr.run_cold ?outputs incr)
+  Incr.oracle (snapshot mgr ~sid ?outputs ())
 
-(** Close a session: drain in-flight queries (pins), log the close and wait
-    for it to be durable, delete the session's on-disk state, and retire
-    the entry.  The sid stays registered as closed — re-opening it in the
-    same process is "already open", matching the in-memory registry.
-    Closing a quarantined session discards its state.  A spilled session
-    is rehydrated to log its close; if its state no longer loads, the
-    close replies [Recovery_failed] and a retried close discards it.  A
-    close whose record cannot be made durable raises the typed I/O error
+(** Close a session: log the close and wait for it to be durable, delete
+    the session's on-disk state, and retire the entry.  The sid stays
+    registered as closed — re-opening it in the same process is "already
+    open", matching the in-memory registry.  Closing a quarantined
+    session discards its state.  A spilled session is rehydrated to log
+    its close; if its state no longer loads, the close replies
+    [Recovery_failed] and a retried close discards it.  A close whose
+    record cannot be made durable raises the typed I/O error
     and quarantines the session instead: after a failed fsync neither the
     record nor the log can be trusted, and a retried close discards it.
+    A query still running on the session finishes on its snapshot.
     Returns the session's final statistics; a spilled session's are those
     it had when it spilled. *)
 let close mgr ~sid : Incr.session_stats =
@@ -1242,7 +1230,6 @@ let close mgr ~sid : Incr.session_stats =
             Option.iter rm_rf entry.dir;
             entry.e_state <- Closed
         | Spilled | Live _ ->
-            drain_locked mgr entry;
             (* a spilled session keeps the statistics it spilled with; the
                engine rehydrated to log its close starts from zero *)
             let spilled = match entry.e_state with Spilled -> true | _ -> false in
@@ -1282,7 +1269,7 @@ let session_counts mgr : counts =
         { live = 0; spilled = 0; failed = 0; closed = 0 })
 
 (** Run the idle-TTL / LRU-cap sweep now (it also runs after every open,
-    write and replicated op, and once a query has pinned its session). *)
+    write and replicated op, and once a query has taken its snapshot). *)
 let sweep mgr = locked mgr (fun () -> enforce_caps_locked mgr)
 
 (** Force a compaction snapshot of one session (test hook). *)
@@ -1328,138 +1315,118 @@ let diverged mgr entry ~segment fmt =
         (Exec_error.Replication_diverged { session = entry.sid; segment; reason }))
     fmt
 
-type watermark = {
-  wm_next_lsn : int;
-  wm_seg : int;  (** active segment *)
-  wm_failed : bool;  (** quarantined — only a snapshot transfer can heal it *)
-  wm_closed : bool;
-}
-
-(** Where a session's replayed state stands — what the follower compares
-    each incoming frame against to decide skip / apply / resync. *)
-let remote_watermark mgr ~sid : watermark option =
-  locked mgr (fun () ->
-      match Hashtbl.find_opt mgr.entries sid with
-      | None -> None
-      | Some e ->
-          Some
-            {
-              wm_next_lsn = e.next_lsn;
-              wm_seg = e.active_seg;
-              wm_failed = (match e.e_state with Failed _ -> true | _ -> false);
-              wm_closed = (match e.e_state with Closed -> true | _ -> false);
-            })
+(** What a replicated frame did here.  Judging a frame and applying it is
+    one call under the manager lock, so no write can slip in between. *)
+type verdict =
+  | Applied  (** the frame extended the local replay *)
+  | Stale  (** already replayed here, or the session is closed *)
+  | Gap
+      (** frames are missing before it, or the session is quarantined: the
+          frame changes nothing, and only a snapshot transfer brings the
+          session on *)
 
 (** Apply one replicated op at exactly ([seg], [lsn]) through the same
     open, log step and close as a local write, verifying the checksum
-    chain it extends before logging it.  The record is appended to the
-    local WAL asynchronously (group ticket); call {!flush} before
-    acknowledging a batch. *)
-let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
+    chain it extends before logging it.  An op the replay already holds is
+    [Stale], and one the replay has not reached is a [Gap].  The record is
+    appended to the local WAL asynchronously (group ticket); call {!flush}
+    before acknowledging a batch. *)
+let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : verdict =
   locked mgr (fun () ->
       if mgr.cfg.state_dir = None then
         invalid_input "remote apply requires a state dir";
-      let op =
+      let decode () =
         try decode_op payload
         with Codec.Decode msg ->
           diverged_no_entry ~session:sid ~segment:seg "undecodable replicated record: %s"
             msg
       in
-      (match op with
-      | Op_open { expect_hash; hash; spec; source } ->
-          if Hashtbl.mem mgr.entries sid then
-            invalid_input "replicated open for existing session %s" sid;
-          if not (String.equal spec (spec_name_of mgr)) then
-            diverged_no_entry ~session:sid ~segment:seg
-              "session opened under provenance %s, this node runs %s" spec
-              (spec_name_of mgr);
-          let incr =
-            try
-              Incr.open_session ~config:mgr.cfg.interp ?expect_hash ~spec:mgr.cfg.spec
-                source
-            with Session.Error e ->
-              diverged_no_entry ~session:sid ~segment:seg
-                "replicated program does not compile: %s" (Session.error_string e)
-          in
-          if not (String.equal (Incr.program_hash incr) hash) then
-            diverged_no_entry ~session:sid ~segment:seg
-              "replicated program hashes to %s, frame says %s" (Incr.program_hash incr)
-              hash;
-          let entry, _ = open_locked mgr ~sid ~seg incr op (Lazy.from_val payload) in
-          if not (Int64.equal entry.seg_chain chain) then
-            diverged mgr entry ~segment:seg "checksum chain mismatch on open"
-      | Op_assert _ | Op_retract _ | Op_close _ ->
-          let entry =
-            match Hashtbl.find_opt mgr.entries sid with
-            | Some e -> e
-            | None ->
+      let verdict =
+        match Hashtbl.find_opt mgr.entries sid with
+        | None when lsn <> 0 -> Gap (* lagged past the session's open *)
+        | None -> (
+            match decode () with
+            | Op_open { expect_hash; hash; spec; source } as op ->
+                if not (String.equal spec (spec_name_of mgr)) then
+                  diverged_no_entry ~session:sid ~segment:seg
+                    "session opened under provenance %s, this node runs %s" spec
+                    (spec_name_of mgr);
+                let incr =
+                  try
+                    Incr.open_session ~config:mgr.cfg.interp ?expect_hash ~spec:mgr.cfg.spec
+                      source
+                  with Session.Error e ->
+                    diverged_no_entry ~session:sid ~segment:seg
+                      "replicated program does not compile: %s" (Session.error_string e)
+                in
+                if not (String.equal (Incr.program_hash incr) hash) then
+                  diverged_no_entry ~session:sid ~segment:seg
+                    "replicated program hashes to %s, frame says %s" (Incr.program_hash incr)
+                    hash;
+                let entry, _ = open_locked mgr ~sid ~seg incr op (Lazy.from_val payload) in
+                if not (Int64.equal entry.seg_chain chain) then
+                  diverged mgr entry ~segment:seg "checksum chain mismatch on open";
+                Applied
+            | Op_assert _ | Op_retract _ | Op_close _ ->
                 diverged_no_entry ~session:sid ~segment:seg
-                  "replicated op for unknown session"
-          in
-          (match entry.e_state with
-          | Failed err -> raise (Session.Error err)
-          | Closed -> invalid_input "replicated op for closed session %s" sid
-          | Live _ | Spilled -> ());
-          if lsn <> entry.next_lsn then
-            diverged mgr entry ~segment:seg "op at lsn %d arrived at watermark %d" lsn
-              entry.next_lsn;
-          if seg <> entry.active_seg then
-            diverged mgr entry ~segment:seg "op for segment %d but active segment is %d"
-              seg entry.active_seg;
-          let l = touch_live_locked mgr entry in
-          let op =
-            match op with
+                  "replicated op for unknown session")
+        | Some { e_state = Closed; _ } -> Stale
+        | Some { e_state = Failed _; _ } -> Gap
+        | Some e when lsn < e.next_lsn -> Stale
+        | Some e when lsn > e.next_lsn || seg <> e.active_seg -> Gap
+        | Some entry ->
+            let l = touch_live_locked mgr entry in
+            let op =
+              match decode () with
+              | Op_open _ -> invalid_input "replicated open for existing session %s" sid
+              | Op_close _ as op -> op
+              | (Op_assert _ | Op_retract _) as op -> (
+                  try check_change l.incr op
+                  with Session.Error e ->
+                    diverged mgr entry ~segment:seg "replicated %s no longer validates: %s"
+                      (match op with Op_assert _ -> "assert" | _ -> "retract")
+                      (Session.error_string e))
+            in
+            if not (Int64.equal (chain_add entry.seg_chain payload) chain) then
+              diverged mgr entry ~segment:seg "checksum chain mismatch after lsn %d" lsn;
+            (match op with
             | Op_close _ ->
-                (* drain standby queries exactly like a local close *)
-                drain_locked mgr entry;
-                op
-            | _ -> (
-                try check_change l.incr op
-                with Session.Error e ->
-                  diverged mgr entry ~segment:seg "replicated %s no longer validates: %s"
-                    (match op with Op_assert _ -> "assert" | _ -> "retract")
-                    (Session.error_string e))
-          in
-          if not (Int64.equal (chain_add entry.seg_chain payload) chain) then
-            diverged mgr entry ~segment:seg "checksum chain mismatch after lsn %d" lsn;
-          (match op with
-          | Op_close _ ->
-              entry.last_stats <- Incr.stats l.incr;
-              close_locked mgr entry l op (Lazy.from_val payload)
-          | _ -> ignore (log_locked mgr entry l op (Lazy.from_val payload))));
-      mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1;
-      enforce_caps_locked mgr)
+                entry.last_stats <- Incr.stats l.incr;
+                close_locked mgr entry l op (Lazy.from_val payload)
+            | _ -> ignore (log_locked mgr entry l op (Lazy.from_val payload)));
+            Applied
+      in
+      if verdict = Applied then begin
+        mgr.dstats.remote_applied <- mgr.dstats.remote_applied + 1;
+        enforce_caps_locked mgr
+      end;
+      verdict)
 
 (** Verify a sealed segment against the local replay: same last lsn, same
     record count, same checksum chain.  Rotation itself happens when the
-    snapshot that follows the seal is adopted.  A follower whose replay
-    stopped short of the seal only missed frames: it parks the session
-    for that snapshot instead of calling this. *)
-let seal_remote mgr ~sid ~seg ~last_lsn ~chain ~records : unit =
+    snapshot that follows the seal is adopted.  A seal of a segment the
+    replay has rotated past, or of a session unknown or closed here, is
+    [Stale].  A seal the replay has not reached is a [Gap]: frames were
+    missed, as after a failed ship append, and the snapshot that follows
+    the seal reinstalls the session. *)
+let seal_remote mgr ~sid ~seg ~last_lsn ~chain ~records : verdict =
   locked mgr (fun () ->
       match Hashtbl.find_opt mgr.entries sid with
-      | None -> ()  (* unknown here: the snapshot that follows will install it *)
-      | Some entry -> (
-          match entry.e_state with
-          | Failed _ | Closed -> ()
-          | Live _ | Spilled ->
-              if seg < entry.active_seg then () (* already sealed; replayed frame *)
-              else if seg > entry.active_seg then
-                diverged mgr entry ~segment:seg "seal for future segment (active is %d)"
-                  entry.active_seg
-              else begin
-                if entry.next_lsn - 1 <> last_lsn then
-                  diverged mgr entry ~segment:seg
-                    "segment sealed at lsn %d but replay reached %d" last_lsn
-                    (entry.next_lsn - 1);
-                if entry.seg_records <> records then
-                  diverged mgr entry ~segment:seg
-                    "segment sealed with %d records but replay holds %d" records
-                    entry.seg_records;
-                if not (Int64.equal entry.seg_chain chain) then
-                  diverged mgr entry ~segment:seg
-                    "checksum chain mismatch at seal (%d records)" records
-              end))
+      | None | Some { e_state = Closed; _ } -> Stale
+      | Some { e_state = Failed _; _ } -> Gap
+      | Some e when seg < e.active_seg -> Stale
+      | Some e when seg > e.active_seg || last_lsn >= e.next_lsn -> Gap
+      | Some entry ->
+          if entry.next_lsn - 1 <> last_lsn then
+            diverged mgr entry ~segment:seg "segment sealed at lsn %d but replay reached %d"
+              last_lsn (entry.next_lsn - 1);
+          if entry.seg_records <> records then
+            diverged mgr entry ~segment:seg
+              "segment sealed with %d records but replay holds %d" records entry.seg_records;
+          if not (Int64.equal entry.seg_chain chain) then
+            diverged mgr entry ~segment:seg "checksum chain mismatch at seal (%d records)"
+              records;
+          Applied)
 
 type install =
   | Installed  (** full snapshot transfer: session rebuilt from the payload *)

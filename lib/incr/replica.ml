@@ -520,60 +520,32 @@ module Follower = struct
 
   let park f sid = Hashtbl.replace f.await sid ()
 
+  (* Count or park by what [Durable] judged a frame for [sid] to do; a
+     parked session takes nothing until a snapshot bridges it. *)
+  let judge f sid ~applied (verdict : unit -> Durable.verdict) =
+    if Hashtbl.mem f.await sid then f.stats.skipped <- f.stats.skipped + 1
+    else
+      match verdict () with
+      | Durable.Applied -> applied ()
+      | Durable.Stale -> f.stats.skipped <- f.stats.skipped + 1
+      | Durable.Gap -> park f sid
+      | exception Session.Error e ->
+          f.stats.divergences <- f.stats.divergences + 1;
+          f.last_error <- Some (Session.error_string e);
+          park f sid
+
   let handle_frame f (frame : frame) =
     f.idx <- f.idx + 1;
     match frame with
     | F_epoch { epoch; _ } -> if epoch > f.epoch then f.epoch <- epoch
     | F_event (Durable.Ev_op { sid; seg; lsn; chain; payload }) ->
-        let apply () =
-          try
-            Durable.apply_remote f.mgr ~sid ~seg ~lsn ~chain ~payload;
-            f.stats.applied <- f.stats.applied + 1
-          with Session.Error e ->
-            f.stats.divergences <- f.stats.divergences + 1;
-            f.last_error <- Some (Session.error_string e);
-            park f sid
-        in
-        if Hashtbl.mem f.await sid then f.stats.skipped <- f.stats.skipped + 1
-        else begin
-          match Durable.remote_watermark f.mgr ~sid with
-          | None ->
-              (* lsn 0 is the open record; anything else for an unknown
-                 session means we lagged past its history *)
-              if lsn = 0 then apply () else park f sid
-          | Some wm ->
-              if wm.Durable.wm_closed then f.stats.skipped <- f.stats.skipped + 1
-              else if wm.wm_failed then park f sid
-              else if lsn = 0 then f.stats.skipped <- f.stats.skipped + 1
-              else if lsn < wm.wm_next_lsn then f.stats.skipped <- f.stats.skipped + 1
-              else if lsn = wm.wm_next_lsn && seg = wm.wm_seg then apply ()
-              else park f sid (* gap: lag past pruning or segment misalignment *)
-        end
+        judge f sid
+          ~applied:(fun () -> f.stats.applied <- f.stats.applied + 1)
+          (fun () -> Durable.apply_remote f.mgr ~sid ~seg ~lsn ~chain ~payload)
     | F_event (Durable.Ev_seal { sid; seg; last_lsn; chain; records }) ->
-        if Hashtbl.mem f.await sid then f.stats.skipped <- f.stats.skipped + 1
-        else begin
-          match Durable.remote_watermark f.mgr ~sid with
-          | None -> f.stats.skipped <- f.stats.skipped + 1
-          | Some wm ->
-              if wm.Durable.wm_closed then f.stats.skipped <- f.stats.skipped + 1
-              else if wm.wm_failed then park f sid
-              else if seg < wm.wm_seg then f.stats.skipped <- f.stats.skipped + 1
-              else if seg = wm.wm_seg && last_lsn >= wm.wm_next_lsn then
-                (* replay stopped short of the seal: we missed frames (a
-                   failed ship append), and the snapshot that follows the
-                   seal reinstalls the session *)
-                park f sid
-              else if seg = wm.wm_seg then begin
-                try
-                  Durable.seal_remote f.mgr ~sid ~seg ~last_lsn ~chain ~records;
-                  f.stats.seals <- f.stats.seals + 1
-                with Session.Error e ->
-                  f.stats.divergences <- f.stats.divergences + 1;
-                  f.last_error <- Some (Session.error_string e);
-                  park f sid
-              end
-              else park f sid
-        end
+        judge f sid
+          ~applied:(fun () -> f.stats.seals <- f.stats.seals + 1)
+          (fun () -> Durable.seal_remote f.mgr ~sid ~seg ~last_lsn ~chain ~records)
     | F_event (Durable.Ev_snapshot { sid; gen; payload; _ }) -> (
         try
           (match Durable.install_snapshot f.mgr ~sid ~gen ~payload with

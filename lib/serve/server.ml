@@ -30,7 +30,8 @@
     acknowledged by the printer: its [done ... ok] waits there for the
     write's group fsync and replication barrier, so the loop reads the
     next line meanwhile and writes in flight share one fsync and one
-    follower ack.  A close stays synchronous.  The session registry itself
+    follower ack; at most the service's [queue_depth] writes wait for
+    their acknowledgement at once.  A close stays synchronous.  The session registry itself
     (recovery from a state dir, WAL-before-apply commit, idle eviction)
     lives in [Durable]. *)
 
@@ -57,6 +58,7 @@ type t = {
   m : Mutex.t;
   cond : Condition.t;
   replies : (int * reply) Queue.t;  (** owed to the sink, oldest first *)
+  mutable owed : int;  (** writes committed and not yet acknowledged *)
   mutable eof : bool;
   fatal : exn option Atomic.t;  (** what stopped the printer, re-raised by {!handle} *)
   stop : bool Atomic.t;
@@ -137,7 +139,10 @@ let print_loop t sink =
         Buffer.clear out;
         loop ()
   in
-  try loop () with e -> Atomic.set t.fatal (Some e)
+  try loop ()
+  with e ->
+    Atomic.set t.fatal (Some e);
+    Mutex.protect t.m (fun () -> Condition.broadcast t.cond)
 
 (* A query's reply, once its ticket is done. *)
 let render_ticket svc n ticket ppf =
@@ -158,12 +163,31 @@ let render_ticket svc n ticket ppf =
       Fmt.pf ppf "done %d error rung=%s attempts=%d %s@." n rung o.Service.attempts
         (Session.error_string e)
 
-(* A committed write's reply: [line] once [ack] returns. *)
-let acknowledged ack line =
+(* A committed write's reply: [line] once [ack] returns.  The write is
+   owed an acknowledgement until then. *)
+let acknowledged t ack line =
+  Mutex.protect t.m (fun () -> t.owed <- t.owed + 1);
+  let settled () =
+    Mutex.protect t.m (fun () ->
+        t.owed <- t.owed - 1;
+        Condition.broadcast t.cond)
+  in
   Later
     (fun ppf ->
-      ack ();
+      Fun.protect ~finally:settled ack;
       Fmt.pf ppf "%s@." line)
+
+(* Before a write commits: once [queue_depth] writes are owed an
+   acknowledgement, wait for the oldest, so a client that pipelines
+   writes feels backpressure and the replies owed stay bounded.  What
+   stopped the printer, which settles them, is re-raised instead. *)
+let await_room t =
+  Mutex.protect t.m (fun () ->
+      let bound = max 1 t.svc.Service.config.Service.queue_depth in
+      while t.owed >= bound && Atomic.get t.fatal = None do
+        Condition.wait t.cond t.m
+      done);
+  Option.iter raise (Atomic.get t.fatal)
 
 (** A server over [svc] and [dmgr], replying to [sink].  [base] is
     prefixed to every program; a [primary] heartbeats and a [follower]
@@ -187,6 +211,7 @@ let create ?(base = "") ?auto_promote ?primary ?follower ~sink svc dmgr =
       m = Mutex.create ();
       cond = Condition.create ();
       replies = Queue.create ();
+      owed = 0;
       eof = false;
       fatal = Atomic.make None;
       stop;
@@ -302,17 +327,17 @@ let dispatch t n (req : Protocol.request) =
   match req with
   | Protocol.Open { sid; expect_hash; program } ->
       let hash, ack = Durable.commit_open t.dmgr ~sid ?expect_hash (t.base ^ unquote program) in
-      acknowledged ack (Fmt.str "done %d ok opened %s hash=%s" n sid hash)
+      acknowledged t ack (Fmt.str "done %d ok opened %s hash=%s" n sid hash)
   | Protocol.Assert { sid; prob; pred; tuple } ->
       lookup t sid;
       drain t sid;
-      acknowledged
+      acknowledged t
         (Durable.commit_assert t.dmgr ~sid ~pred ?prob tuple)
         (Fmt.str "done %d ok asserted %s" n sid)
   | Protocol.Retract { sid; pred; tuple } ->
       lookup t sid;
       drain t sid;
-      acknowledged
+      acknowledged t
         (Durable.commit_retract t.dmgr ~sid ~pred tuple)
         (Fmt.str "done %d ok retracted %s" n sid)
   | Protocol.Query { sid; outputs } ->
@@ -362,15 +387,19 @@ let dispatch t n (req : Protocol.request) =
           Lines [ Fmt.str "done %d error compile %s" n (Session.error_string e) ])
 
 (** Answer one request under the next request id.  Its reply is queued
-    behind every earlier one; a write first waits for its session's
-    in-flight queries, and returns once committed, before it is
-    acknowledged.  A failure is a typed error reply, never an exception,
-    except [Stack_overflow] and [Out_of_memory], which stay fatal because
-    the process state is suspect: raised here, or by the next call (or
-    {!close}) when the printer met them.  Call from one thread at a
-    time. *)
+    behind every earlier one; a write first waits for room among the
+    writes owed an acknowledgement (at most the service's [queue_depth])
+    and for its session's in-flight queries, and returns once committed,
+    before it is acknowledged.  A failure is a typed error reply, never an
+    exception, except [Stack_overflow] and [Out_of_memory], which stay
+    fatal because the process state is suspect: raised here, or by the
+    next call (or {!close}) when the printer met them.  Call from one
+    thread at a time. *)
 let handle t (req : (Protocol.request, Exec_error.t) result) =
   Option.iter raise (Atomic.get t.fatal);
+  (match req with
+  | Ok (Protocol.Open _ | Protocol.Assert _ | Protocol.Retract _) -> await_room t
+  | _ -> ());
   let n = t.next in
   t.next <- n + 1;
   let reply =

@@ -53,7 +53,6 @@ let mul a b =
   binary "mul" a b ~f:Nd.mul ~dfa:(fun g -> Nd.mul g b.value) ~dfb:(fun g -> Nd.mul g a.value)
 
 let scale k v = unary "scale" v ~f:(Nd.scale k) ~df:(Nd.scale k)
-let neg v = scale (-1.0) v
 
 let matmul a b =
   binary "matmul" a b
@@ -113,12 +112,6 @@ let softmax v =
 let sum v =
   unary "sum" v ~f:(fun x -> Nd.scalar (Nd.sum x)) ~df:(fun g ->
       Nd.create v.value.Nd.shape g.Nd.data.(0))
-
-let mean v =
-  let n = float_of_int (Nd.numel v.value) in
-  unary "mean" v
-    ~f:(fun x -> Nd.scalar (Nd.mean x))
-    ~df:(fun g -> Nd.create v.value.Nd.shape (g.Nd.data.(0) /. n))
 
 (** Binary cross-entropy between predicted probabilities [p] (any shape) and
     targets [y] (same shape, entries in [0,1]); mean over elements. *)

@@ -7,8 +7,6 @@ type t = { data : float array; shape : int array }
 
 let numel t = Array.length t.data
 
-let size t dim = t.shape.(dim)
-
 let rank t = Array.length t.shape
 
 let shape_numel shape = Array.fold_left ( * ) 1 shape
@@ -46,7 +44,6 @@ let map2 f a b =
 let add a b = map2 ( +. ) a b
 let sub a b = map2 ( -. ) a b
 let mul a b = map2 ( *. ) a b
-let div a b = map2 ( /. ) a b
 let scale k t = map (fun x -> k *. x) t
 let neg t = scale (-1.0) t
 
@@ -134,10 +131,6 @@ let argmax_row mat i =
     if mat.data.((i * n) + j) > mat.data.((i * n) + !best) then best := j
   done;
   !best
-
-let row mat i =
-  let n = mat.shape.(1) in
-  init [| 1; n |] (fun j -> mat.data.((i * n) + j))
 
 (** Stack a list of row vectors (each 1×n) into an m×n matrix. *)
 let stack_rows rows =

@@ -23,6 +23,3 @@ let create () : t = Atomic.make false
 let cancel (t : t) = Atomic.set t true
 
 let cancelled (t : t) = Atomic.get t
-
-(** [check t] raises {!Cancelled} if [t] has been cancelled. *)
-let check (t : t) = if Atomic.get t then raise Cancelled

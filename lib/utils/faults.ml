@@ -26,13 +26,6 @@ let create () = { nan_quarantined = 0; budget_skipped = 0; degraded = 0; malform
 
 let total t = t.nan_quarantined + t.budget_skipped + t.degraded + t.malformed
 
-(** Fold [src] into [dst] (e.g. per-epoch counters into a run total). *)
-let merge ~into:(dst : t) (src : t) =
-  dst.nan_quarantined <- dst.nan_quarantined + src.nan_quarantined;
-  dst.budget_skipped <- dst.budget_skipped + src.budget_skipped;
-  dst.degraded <- dst.degraded + src.degraded;
-  dst.malformed <- dst.malformed + src.malformed
-
 let pp fmt t =
   Fmt.pf fmt "nan=%d budget=%d degraded=%d malformed=%d" t.nan_quarantined t.budget_skipped
     t.degraded t.malformed

@@ -17,9 +17,3 @@ external now : unit -> float = "scallop_monotonic_now"
 
 (** [elapsed_since t0] is [now () -. t0]. *)
 let elapsed_since t0 = now () -. t0
-
-(** Time a thunk: [(result, seconds)]. *)
-let timed f =
-  let t0 = now () in
-  let r = f () in
-  (r, now () -. t0)

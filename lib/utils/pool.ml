@@ -38,8 +38,6 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let size t = t.size
-
 (** What the hardware offers; the natural default for [create]. *)
 let default_jobs () = Domain.recommended_domain_count ()
 

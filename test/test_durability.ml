@@ -2,8 +2,8 @@
     WAL fault injection (torn tails, byte flips, truncation at every byte),
     crash-consistent recovery bit-identity against op-prefix oracles,
     idempotent replay across the snapshot/prune window, snapshot-generation
-    fallback, idle eviction + rehydration, and close draining in-flight
-    queries. *)
+    fallback, idle eviction + rehydration, a close racing an in-flight
+    query, and queries that stall no write. *)
 
 open Scallop_core
 module Incr = Scallop_incr.Incr
@@ -440,10 +440,9 @@ let test_eviction_idle_ttl () =
 (* ---- close vs in-flight queries -------------------------------------------------- *)
 
 (* Regression for the close/in-flight race: a close issued while a query is
-   still executing on another domain must drain it, not tear the session
-   down under it (which surfaced as a spurious "session is closed").  The
-   session is pinned for the duration of the query, and close waits for
-   pins. *)
+   still executing on another domain must not tear the session down under
+   it (which surfaced as a spurious "session is closed").  The query runs
+   on the snapshot it took, so it finishes whatever the close does. *)
 let test_close_drains_inflight_query () =
   (* a chain long enough that the query reliably overlaps the close *)
   let n = 400 in
@@ -473,6 +472,71 @@ let test_close_drains_inflight_query () =
   (match q mgr "s" with
   | _ -> Alcotest.fail "query after close should fail"
   | exception Session.Error (Exec_error.Invalid_input _) -> ())
+
+(* [tc_src] over a static chain of [n] edges: its [path] query derives
+   n(n+1)/2 tuples, which takes 50-150 ms at n = 500. *)
+let chain_src n =
+  tc_src ^ "\nrel edge = {"
+  ^ String.concat ", " (List.init n (fun i -> Printf.sprintf "(%d, %d)" i (i + 1)))
+  ^ "}"
+
+(* Run [q] on another domain and return once it has been running for
+   2 ms: the time it started, and a join giving its answer and how long
+   it ran. *)
+let start_query q =
+  let started = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set started (Some (Unix.gettimeofday ()));
+        let r = q () in
+        (r, Unix.gettimeofday ()))
+  in
+  let rec wait () =
+    match Atomic.get started with
+    | Some t0 -> t0
+    | None ->
+        Domain.cpu_relax ();
+        wait ()
+  in
+  let t0 = wait () in
+  Unix.sleepf 0.002;
+  let join () =
+    let r, t1 = Domain.join d in
+    (r, t1 -. t0)
+  in
+  (t0, join)
+
+let path_count (r : Session.result) = List.length (List.assoc "path" r.Session.outputs)
+
+(* Fail unless [what] returned at [t] before the query that started at
+   [t0] and ran [elapsed] seconds was half done: a call that did so did
+   not wait for the query. *)
+let check_before_half what ~t0 t elapsed =
+  if t -. t0 >= elapsed /. 2. then
+    Alcotest.failf "%s waited for the long query: it returned %.1f ms into a %.1f ms query" what
+      (1000. *. (t -. t0))
+      (1000. *. elapsed)
+
+(* A query holds no lock while it evaluates: during a long query on [s],
+   an assert on [s] and a query on another session both return, and the
+   long query answers the facts it started with. *)
+let test_query_stalls_nothing () =
+  let n = 500 in
+  let mgr = Durable.create (Durable.config Registry.Boolean) in
+  let _ = Durable.open_session mgr ~sid:"s" (chain_src n) in
+  let _ = Durable.open_session mgr ~sid:"t" tc_src in
+  Durable.assert_fact mgr ~sid:"t" ~pred:"edge" (pair 0 1);
+  let t0, join = start_query (fun () -> q mgr "s") in
+  Durable.assert_fact mgr ~sid:"s" ~pred:"edge" (pair n (n + 1));
+  let asserted = Unix.gettimeofday () in
+  Alcotest.(check int) "the other session answers" 1 (path_count (q mgr "t"));
+  let queried = Unix.gettimeofday () in
+  let r, elapsed = join () in
+  check_before_half "the assert" ~t0 asserted elapsed;
+  check_before_half "the other session's query" ~t0 queried elapsed;
+  Alcotest.(check int) "the long query excludes the assert" (n * (n + 1) / 2) (path_count r);
+  Alcotest.(check int) "a later query includes it" ((n + 1) * (n + 2) / 2)
+    (path_count (q mgr "s"))
 
 (* ---- protocol edges --------------------------------------------------------------- *)
 
@@ -641,7 +705,9 @@ let test_failed_append_keeps_pending_fsyncs () =
   let apply lsn op =
     let payload = Durable.encode_op op in
     chain := Durable.chain_add !chain payload;
-    Durable.apply_remote mgr ~sid:"s" ~seg:0 ~lsn ~chain:!chain ~payload
+    match Durable.apply_remote mgr ~sid:"s" ~seg:0 ~lsn ~chain:!chain ~payload with
+    | Durable.Applied -> ()
+    | Durable.Stale | Durable.Gap -> Alcotest.failf "the op at lsn %d was not applied" lsn
   in
   let edge lsn a b =
     Durable.Op_assert { lsn; pred = "edge"; input = Provenance.Input.none; tuple = pair a b }
@@ -906,4 +972,6 @@ let suite =
       test_failed_spill_keeps_session_live;
     Alcotest.test_case "failed append keeps pending fsyncs" `Quick
       test_failed_append_keeps_pending_fsyncs;
+    Alcotest.test_case "a running query stalls no write and no session" `Quick
+      test_query_stalls_nothing;
   ]

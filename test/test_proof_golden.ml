@@ -188,6 +188,18 @@ let test_hwf_sample_training () =
   check Alcotest.string "losses and accuracy"
     "3fc61d44a17205a5;3fbad6ba3667fcde;3fb3989e9b2bb5e2;acc=3fc4000000000000;" (report_digest r)
 
+(* The batched trainer at the sum2 per-sample pin's config: its test
+   accuracy is strictly between 0 and 1, so a layer that returns garbage
+   fails the accuracy half of the pin too. *)
+let test_sum2_batched_training () =
+  let r =
+    Scallop_apps.Mnist_r.train_and_eval_batched ~batch_size:16 ~jobs:1
+      (small_config 23 ~epochs:2 ~n_train:48 ~n_test:32)
+      Scallop_data.Mnist.Sum2
+  in
+  check Alcotest.string "losses and accuracy" "3fc8e7a81d57ba04;3fc5805a833f2630;acc=3fd4000000000000;"
+    (report_digest r)
+
 (* ---- samplers and foreign predicates ------------------------------------------- *)
 
 (* Every sampler ungrouped, implicitly grouped and [where]-grouped, several
@@ -306,4 +318,5 @@ let suite =
          ]);
     Alcotest.test_case "sum2 per-sample training" `Quick test_sum2_sample_training;
     Alcotest.test_case "hwf per-sample training" `Quick test_hwf_sample_training;
+    Alcotest.test_case "sum2 batched training" `Quick test_sum2_batched_training;
   ]

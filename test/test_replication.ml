@@ -240,30 +240,24 @@ let test_lag_past_pruning_snapshot_transfer () =
    quarantine exactly that session with the typed diagnostic, and a later
    snapshot transfer must heal it. *)
 let test_divergence_quarantine_and_heal () =
-  let c = make_cluster () in
-  List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2) ];
-  let wm =
-    match Durable.remote_watermark c.fmgr ~sid:"s" with
-    | Some wm -> wm
+  (* session "s"'s next lsn and active segment on the follower *)
+  let watermark mgr =
+    match List.find_opt (fun (sid, _, _) -> sid = "s") (Durable.session_watermarks mgr) with
+    | Some (_, next_lsn, seg) -> (next_lsn, seg)
     | None -> Alcotest.fail "follower should know the session"
   in
+  let c = make_cluster () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1); A (1, 2) ];
+  let next_lsn, seg = watermark c.fmgr in
   (* forge a frame at the right position but with a poisoned checksum
      chain: the splice point where a forked history would graft on *)
   let payload =
     Durable.encode_op
       (Durable.Op_assert
-         {
-           lsn = wm.Durable.wm_next_lsn;
-           pred = "edge";
-           input = Provenance.Input.none;
-           tuple = pair 7 7;
-         })
+         { lsn = next_lsn; pred = "edge"; input = Provenance.Input.none; tuple = pair 7 7 })
   in
-  (match
-     Durable.apply_remote c.fmgr ~sid:"s" ~seg:wm.Durable.wm_seg ~lsn:wm.Durable.wm_next_lsn
-       ~chain:0xDEADL ~payload
-   with
-  | () -> Alcotest.fail "chain mismatch must diverge"
+  (match Durable.apply_remote c.fmgr ~sid:"s" ~seg ~lsn:next_lsn ~chain:0xDEADL ~payload with
+  | _ -> Alcotest.fail "chain mismatch must diverge"
   | exception Session.Error (Exec_error.Replication_diverged { session = "s"; reason; _ }) ->
       if String.length reason = 0 then Alcotest.fail "empty divergence reason"
   | exception Session.Error e ->
@@ -274,19 +268,24 @@ let test_divergence_quarantine_and_heal () =
   (match q c.fmgr "s" with
   | _ -> Alcotest.fail "query on a diverged session should fail"
   | exception Session.Error (Exec_error.Replication_diverged _) -> ());
-  (* a seal that contradicts local state is also a divergence *)
+  (* a seal the replay has not reached only shows missed frames ... *)
   let c2 = make_cluster () in
   List.iter (apply c2.pmgr) [ Open; A (0, 1) ];
-  let wm2 =
-    match Durable.remote_watermark c2.fmgr ~sid:"s" with
-    | Some wm -> wm
-    | None -> Alcotest.fail "follower should know the session"
-  in
+  let next_lsn2, seg2 = watermark c2.fmgr in
   (match
-     Durable.seal_remote c2.fmgr ~sid:"s" ~seg:wm2.Durable.wm_seg
-       ~last_lsn:(wm2.Durable.wm_next_lsn + 5) ~chain:0L ~records:99
+     Durable.seal_remote c2.fmgr ~sid:"s" ~seg:seg2 ~last_lsn:(next_lsn2 + 5) ~chain:0L
+       ~records:99
    with
-  | () -> Alcotest.fail "contradictory seal must diverge"
+  | Durable.Gap -> ()
+  | _ -> Alcotest.fail "a seal ahead of the replay is a gap"
+  | exception Session.Error e ->
+      Alcotest.failf "a seal ahead of the replay diverged: %s" (Session.error_string e));
+  (* ... but one that contradicts the replay at its own lsn is a divergence *)
+  (match
+     Durable.seal_remote c2.fmgr ~sid:"s" ~seg:seg2 ~last_lsn:(next_lsn2 - 1) ~chain:0L
+       ~records:99
+   with
+  | _ -> Alcotest.fail "contradictory seal must diverge"
   | exception Session.Error (Exec_error.Replication_diverged _) -> ());
   destroy c2;
   (* healing: the primary compacts, the snapshot frame rebuilds the
@@ -622,6 +621,27 @@ let test_missed_frame_is_lag () =
   if st.st_installs < 1 then Alcotest.fail "the snapshot after the seal should reinstall it";
   if not (results_equal (q c.fmgr "s") (q c.pmgr "s")) then
     Alcotest.fail "the follower's answers differ from the primary's";
+  destroy c
+
+(* A follower's replay never waits for its standby's queries: [poll]
+   applies the primary's assert to [s] while a long query on the
+   follower's [s] runs, and returns before that query is half done. *)
+let test_replay_passes_standby_queries () =
+  let n = 500 in
+  let c = make_cluster ~ack:Replica.Ack_none () in
+  ignore (Durable.open_session c.pmgr ~sid:"s" (Test_durability.chain_src n));
+  ignore (Replica.Follower.poll c.fol);
+  let t0, join = Test_durability.start_query (fun () -> q c.fmgr "s") in
+  Durable.assert_fact c.pmgr ~sid:"s" ~pred:"edge" (pair n (n + 1));
+  let applied () = (Replica.Follower.status c.fol).Replica.Follower.st_applied in
+  let before = applied () in
+  ignore (Replica.Follower.poll c.fol);
+  let polled = Unix.gettimeofday () in
+  Alcotest.(check int) "the assert is applied" (before + 1) (applied ());
+  let r, elapsed = join () in
+  Test_durability.check_before_half "the replay" ~t0 polled elapsed;
+  Alcotest.(check int) "the query answers the facts it started with" (n * (n + 1) / 2)
+    (Test_durability.path_count r);
   destroy c
 
 (* A failed ack-log append must not stall quorum acks.  Torn bytes end the
@@ -969,4 +989,6 @@ let suite =
       test_missed_frame_is_lag;
     Alcotest.test_case "failed ack append keeps quorum acks" `Quick
       test_failed_ack_append_keeps_quorum;
+    Alcotest.test_case "replay passes standby queries" `Quick
+      test_replay_passes_standby_queries;
   ]

@@ -10,7 +10,11 @@
       unchanged;
     - a quorum write's [handle] returns at its commit, and its [ok] is
       printed only once the follower applied it, in request order; a
-      failed acknowledgement answers in its place. *)
+      failed acknowledgement answers in its place;
+    - once [queue_depth] writes are owed an acknowledgement, [handle]
+      waits for the oldest before it commits another;
+    - a follower promotes itself once its primary's heartbeat is stale,
+      and not while it is fresh. *)
 
 open Scallop_core
 open Scallop_serve
@@ -285,7 +289,8 @@ type quorum = {
 
 let applied f = (Replica.Follower.status f).Replica.Follower.st_applied
 
-let quorum_server ?(ack_timeout = 5.0) () =
+let quorum_server ?(ack_timeout = 5.0) ?(queue_depth = (Service.default_config ()).queue_depth)
+    () =
   let root = Test_replication.scratch_dir () in
   let ship = Filename.concat root "ship" in
   let fmgr =
@@ -311,7 +316,8 @@ let quorum_server ?(ack_timeout = 5.0) () =
   let fol = Replica.Follower.create ~dir:ship ~fid:"beta" ~mgr:fmgr () in
   fol_ref := Some fol;
   let svc =
-    Service.create ~config:{ (Service.default_config ()) with jobs = 1 } Registry.Boolean
+    Service.create ~config:{ (Service.default_config ()) with jobs = 1; queue_depth }
+      Registry.Boolean
   in
   let on_reply = ref ignore and replies = ref [] and replies_m = Mutex.create () in
   let sink reply =
@@ -457,6 +463,39 @@ let test_ack_deadline_from_commit () =
     Alcotest.failf "the last of 10 timeouts replied %.3f s after the first commit" elapsed;
   Test_replication.rm_rf q.root
 
+(* At [queue_depth] writes owed an acknowledgement, [handle] waits for the
+   oldest before it commits another: with the gate closed and room for
+   two, the third pipelined assert returns only once the gate opens. *)
+let test_write_pipeline_bound () =
+  let q = quorum_server ~queue_depth:2 () in
+  send q open_s;
+  ignore (await_reply q 0);
+  Atomic.set q.gate false;
+  List.iter (send q) [ "assert s edge(0, 1)"; "assert s edge(1, 2)" ];
+  let returned = Atomic.make None in
+  let third =
+    Thread.create
+      (fun () ->
+        send q "assert s edge(2, 3)";
+        Atomic.set returned (Some (Unix.gettimeofday ())))
+      ()
+  in
+  Unix.sleepf 0.2;
+  let opened = Unix.gettimeofday () in
+  let early = Atomic.get returned in
+  Atomic.set q.gate true;
+  Thread.join third;
+  (match (early, Atomic.get returned) with
+  | None, Some t when t >= opened -> ()
+  | _ -> Alcotest.fail "the third assert was committed while two writes were owed");
+  let lines = finish q in
+  List.iter
+    (fun n ->
+      Alcotest.(check string) "acknowledged" (Printf.sprintf "done %d ok asserted s" n)
+        (status_of n lines))
+    [ 1; 2; 3 ];
+  Test_replication.rm_rf q.root
+
 (* A write whose group fsync fails replies the typed I/O error in its
    place; fsync on a pipe fails, so a pipe stands in for the session's
    WAL.  A restart recovers every write acknowledged before it. *)
@@ -487,6 +526,45 @@ let test_fsync_failure_in_place () =
   Durable.shutdown restarted;
   Test_replication.rm_rf q.root
 
+(* ---- heartbeat and auto-promotion ------------------------------------------------ *)
+
+(* Two servers on one ship directory: a primary, whose server runs the
+   heartbeat thread, and a follower promoting itself once that heartbeat
+   is 0.5 s stale.  It stays a follower while the primary heartbeats, and
+   promotes soon after the primary's server closes. *)
+let test_auto_promote_on_stale_heartbeat () =
+  let root = Test_replication.scratch_dir () in
+  let ship = Filename.concat root "ship" in
+  let registry ?repl name =
+    Durable.create
+      (Durable.config ~state_dir:(Filename.concat root name) ~wal_sync:false ?repl
+         Registry.Boolean)
+  in
+  let service () =
+    Service.create ~config:{ (Service.default_config ()) with jobs = 1 } Registry.Boolean
+  in
+  let prim = Replica.Primary.create ~dir:ship ~id:"alpha" () in
+  let pmgr = registry ~repl:(Replica.Primary.sink prim) "p" and fmgr = registry "f" in
+  let fol = Replica.Follower.create ~dir:ship ~fid:"beta" ~mgr:fmgr () in
+  let psvc = service () and fsvc = service () in
+  let primary = Server.create ~primary:prim ~sink:ignore psvc pmgr in
+  let follower = Server.create ~auto_promote:0.5 ~follower:fol ~sink:ignore fsvc fmgr in
+  let promoted () = (Replica.Follower.status fol).Replica.Follower.st_promoted in
+  Unix.sleepf 1.5;
+  Alcotest.(check bool) "a follower while the primary heartbeats" false (promoted ());
+  Server.close primary;
+  let closed = Unix.gettimeofday () in
+  while (not (promoted ())) && Unix.gettimeofday () -. closed < 2.0 do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "promoted within 2 s of the primary's close" true (promoted ());
+  Server.close follower;
+  List.iter Service.shutdown [ psvc; fsvc ];
+  List.iter Durable.shutdown [ pmgr; fmgr ];
+  Replica.Primary.close prim;
+  Replica.Follower.close fol;
+  Test_replication.rm_rf root
+
 let suite =
   [
     Alcotest.test_case "scallop serve and Server agree" `Quick test_cli_twin;
@@ -502,4 +580,8 @@ let suite =
     Alcotest.test_case "a failed group fsync replies in its place" `Quick
       test_fsync_failure_in_place;
     Alcotest.test_case "ack deadlines run from the commit" `Quick test_ack_deadline_from_commit;
+    Alcotest.test_case "pipelined writes stop at the queue depth" `Quick
+      test_write_pipeline_bound;
+    Alcotest.test_case "a stale heartbeat auto-promotes the follower" `Quick
+      test_auto_promote_on_stale_heartbeat;
   ]
