@@ -1122,9 +1122,9 @@ let create (cfg : config) : t =
    acknowledgement.  A caller may commit more writes before it calls an
    earlier one's, so several writes share one fsync and one follower ack;
    it acknowledges a write only once that call returned.  [open_session],
-   [assert_fact] and [retract_fact] do both halves in turn.  [close] stays
-   whole: it settles its record under the lock, before it removes the
-   session's directory, and then waits only for the barrier. *)
+   [assert_fact], [retract_fact] and [close] do both halves in turn.  A
+   close settles its record under the lock, before it removes the
+   session's directory, so its acknowledgement waits only for the barrier. *)
 
 (** Commit a session open.  The program is compiled (shared plan cache)
     and validated {e before} anything is persisted, so a rejected open
@@ -1206,29 +1206,30 @@ let query ?outputs ?budget mgr ~sid () : Session.result =
 let run_cold ?outputs mgr ~sid () : Session.result =
   Incr.oracle (snapshot mgr ~sid ?outputs ())
 
-(** Close a session: log the close and wait for it to be durable, delete
-    the session's on-disk state, and retire the entry.  The sid stays
-    registered as closed — re-opening it in the same process is "already
-    open", matching the in-memory registry.  Closing a quarantined
-    session discards its state.  A spilled session is rehydrated to log
-    its close; if its state no longer loads, the close replies
-    [Recovery_failed] and a retried close discards it.  A close whose
-    record cannot be made durable raises the typed I/O error
-    and quarantines the session instead: after a failed fsync neither the
-    record nor the log can be trusted, and a retried close discards it.
+(** Commit a session close: log the close and wait for it to be durable,
+    delete the session's on-disk state, and retire the entry.  The sid
+    stays registered as closed — re-opening it in the same process is
+    "already open".  Closing a quarantined session discards its state.
+    A spilled session is rehydrated to log its close; if its state no
+    longer loads, the close raises [Recovery_failed].  A close whose
+    record cannot be made durable raises the typed I/O error and
+    quarantines the session: after a failed fsync neither the record nor
+    the log can be trusted.  A retried close discards it in both cases.
     A query still running on the session finishes on its snapshot.
-    Returns the session's final statistics; a spilled session's are those
-    it had when it spilled. *)
-let close mgr ~sid : Incr.session_stats =
-  let result, ack =
-    locked mgr (fun () ->
-        require_primary mgr;
-        let entry = find_entry mgr sid in
-        (match entry.e_state with
+    Returns the acknowledgement: it waits for the barrier, then returns
+    the final statistics, a live session's read then, a spilled or
+    quarantined one's as they were when it spilled or failed. *)
+let commit_close mgr ~sid : unit -> Incr.session_stats =
+  locked mgr (fun () ->
+      require_primary mgr;
+      let entry = find_entry mgr sid in
+      let final =
+        match entry.e_state with
         | Closed -> invalid_input "session is closed"
         | Failed _ ->
             Option.iter rm_rf entry.dir;
-            entry.e_state <- Closed
+            entry.e_state <- Closed;
+            Fun.const entry.last_stats
         | Spilled | Live _ ->
             (* a spilled session keeps the statistics it spilled with; the
                engine rehydrated to log its close starts from zero *)
@@ -1237,12 +1238,17 @@ let close mgr ~sid : Incr.session_stats =
             if not spilled then entry.last_stats <- Incr.stats l.incr;
             let op = Op_close { lsn = entry.next_lsn } in
             maybe_rotate_ship_locked mgr;
-            close_locked mgr entry l op (lazy (encode_op op)));
-        (* the record is settled already: only the barrier is owed *)
-        (entry.last_stats, acknowledgement_locked mgr None))
-  in
-  ack ();
-  result
+            close_locked mgr entry l op (lazy (encode_op op));
+            if spilled then Fun.const entry.last_stats else fun () -> Incr.stats l.incr
+      in
+      (* the record is settled already: only the barrier is owed *)
+      let barrier = acknowledgement_locked mgr None in
+      fun () ->
+        barrier ();
+        final ())
+
+(** Close a session and wait for its acknowledgement; its final statistics. *)
+let close mgr ~sid : Incr.session_stats = commit_close mgr ~sid ()
 
 (** Latest statistics for a session (live handle if hydrated, last observed
     otherwise). *)

@@ -574,16 +574,20 @@ module Follower = struct
     f.ack <- w;
     f.ack_torn <- false
 
+  (* A failed append leaves [ack_torn] set; every failure is kept as
+     [last_error]. *)
   let write_ack_locked f ~fence =
-    Durable.io_guard (fun () ->
-        if f.ack_torn then replace_ack_log_locked f;
-        (try
-           Wal.append f.ack
-             (encode_ack { a_epoch = f.epoch; a_seg = f.seg; a_idx = f.idx; a_fence = fence })
-         with e ->
-           f.ack_torn <- true;
-           raise e);
-        if fence then Wal.sync_now f.ack)
+    try
+      Durable.io_guard (fun () ->
+          if f.ack_torn then replace_ack_log_locked f;
+          f.ack_torn <- true;
+          Wal.append f.ack
+            (encode_ack { a_epoch = f.epoch; a_seg = f.seg; a_idx = f.idx; a_fence = fence });
+          f.ack_torn <- false;
+          if fence then Wal.sync_now f.ack)
+    with Session.Error e as exn ->
+      f.last_error <- Some (Session.error_string e);
+      raise exn
 
   (* Move the cursor to ship segment [s]. *)
   let attach_locked f s =
@@ -594,6 +598,9 @@ module Follower = struct
   let poll_locked f : int =
     if f.promoted then 0
     else begin
+      (* re-send a failed ack: its frames are applied, and no later frame
+         may come to carry it *)
+      if f.ack_torn then write_ack_locked f ~fence:false;
       let progress = ref 0 in
       let continue = ref true in
       while !continue do

@@ -24,19 +24,21 @@
       close <sid>
       stats                               plan-cache / WMC / session counters
 
-    Updates apply in line order (strictly serialized against the
-    session's in-flight queries); anything else is the legacy one-shot
-    path.  An open, assert or retract commits on the request loop and is
+    Updates apply in line order; anything else is the legacy one-shot
+    path.  A session query takes its snapshot on the request loop and a
+    worker evaluates it, so it answers exactly the writes sent before it.
+    An open, assert, retract or close commits on the request loop and is
     acknowledged by the printer: its [done ... ok] waits there for the
     write's group fsync and replication barrier, so the loop reads the
     next line meanwhile and writes in flight share one fsync and one
     follower ack; at most the service's [queue_depth] writes wait for
-    their acknowledgement at once.  A close stays synchronous.  The session registry itself
+    their acknowledgement at once.  The session registry itself
     (recovery from a state dir, WAL-before-apply commit, idle eviction)
     lives in [Durable]. *)
 
 open Scallop_core
 module Durable = Scallop_incr.Durable
+module Incr = Scallop_incr.Incr
 module Replica = Scallop_incr.Replica
 
 (* What request [n] is owed: rendered lines, or a wait that renders them
@@ -52,9 +54,6 @@ type t = {
   follower : Replica.Follower.t option;
   base : string;  (** prefixed to every opened and one-shot program *)
   mutable next : int;  (** id of the next request *)
-  mutable inflight : (string * Service.ticket) list;
-      (** submitted session queries, newest first; finished ones are pruned
-          at each query *)
   m : Mutex.t;
   cond : Condition.t;
   replies : (int * reply) Queue.t;  (** owed to the sink, oldest first *)
@@ -163,19 +162,16 @@ let render_ticket svc n ticket ppf =
       Fmt.pf ppf "done %d error rung=%s attempts=%d %s@." n rung o.Service.attempts
         (Session.error_string e)
 
-(* A committed write's reply: [line] once [ack] returns.  The write is
-   owed an acknowledgement until then. *)
-let acknowledged t ack line =
+(* A committed write's reply: the [lines] of what [ack] returns, once it
+   returns.  The write is owed an acknowledgement until then. *)
+let acknowledged t ack lines =
   Mutex.protect t.m (fun () -> t.owed <- t.owed + 1);
   let settled () =
     Mutex.protect t.m (fun () ->
         t.owed <- t.owed - 1;
         Condition.broadcast t.cond)
   in
-  Later
-    (fun ppf ->
-      Fun.protect ~finally:settled ack;
-      Fmt.pf ppf "%s@." line)
+  Later (fun ppf -> List.iter (Fmt.pf ppf "%s@.") (lines (Fun.protect ~finally:settled ack)))
 
 (* Before a write commits: once [queue_depth] writes are owed an
    acknowledgement, wait for the oldest, so a client that pipelines
@@ -207,7 +203,6 @@ let create ?(base = "") ?auto_promote ?primary ?follower ~sink svc dmgr =
       follower;
       base;
       next = 0;
-      inflight = [];
       m = Mutex.create ();
       cond = Condition.create ();
       replies = Queue.create ();
@@ -232,18 +227,6 @@ let push t n reply =
 
 let lookup t sid =
   if not (Durable.exists t.dmgr ~sid) then Session.invalid_input "unknown session %s" sid
-
-(* Serialize updates and close against ALL of the session's in-flight
-   queries, so a later assert can never be observed by an earlier query
-   executing on a worker domain.  Awaiting only the most recent ticket
-   is not enough: with two or more workers, two queries on the same
-   session can execute concurrently, and a close that awaited just the
-   newer one could tear the session down under the older — which then
-   failed spuriously with "session is closed". *)
-let drain t sid =
-  let mine, others = List.partition (fun (s, _) -> String.equal s sid) t.inflight in
-  List.iter (fun (_, tk) -> ignore (Service.await t.svc tk)) (List.rev mine);
-  t.inflight <- others
 
 let unquote line = String.map (fun c -> if c = ';' then '\n' else c) line
 
@@ -327,37 +310,35 @@ let dispatch t n (req : Protocol.request) =
   match req with
   | Protocol.Open { sid; expect_hash; program } ->
       let hash, ack = Durable.commit_open t.dmgr ~sid ?expect_hash (t.base ^ unquote program) in
-      acknowledged t ack (Fmt.str "done %d ok opened %s hash=%s" n sid hash)
+      acknowledged t ack (fun () -> [ Fmt.str "done %d ok opened %s hash=%s" n sid hash ])
   | Protocol.Assert { sid; prob; pred; tuple } ->
       lookup t sid;
-      drain t sid;
       acknowledged t
         (Durable.commit_assert t.dmgr ~sid ~pred ?prob tuple)
-        (Fmt.str "done %d ok asserted %s" n sid)
+        (fun () -> [ Fmt.str "done %d ok asserted %s" n sid ])
   | Protocol.Retract { sid; pred; tuple } ->
       lookup t sid;
-      drain t sid;
       acknowledged t
         (Durable.commit_retract t.dmgr ~sid ~pred tuple)
-        (Fmt.str "done %d ok retracted %s" n sid)
+        (fun () -> [ Fmt.str "done %d ok retracted %s" n sid ])
   | Protocol.Query { sid; outputs } ->
       lookup t sid;
-      let tk =
-        Service.submit_exec t.svc (fun ~rung:_ ~config ->
-            Durable.query ?outputs ~budget:config.Interp.budget t.dmgr ~sid ())
+      (* the snapshot is taken on the loop, so the query answers exactly
+         the writes before it; one that fails fails the query *)
+      let snap =
+        try Ok (Durable.snapshot t.dmgr ~sid ?outputs ()) with Session.Error _ as e -> Error e
       in
-      let running = List.filter (fun (_, q) -> Service.poll t.svc q = None) t.inflight in
-      t.inflight <- (sid, tk) :: running;
-      Later (render_ticket t.svc n tk)
+      let run ~rung:_ ~config =
+        Incr.run ~budget:config.Interp.budget (Result.fold ~ok:Fun.id ~error:raise snap)
+      in
+      Later (render_ticket t.svc n (Service.submit_exec t.svc run))
   | Protocol.Close { sid } ->
       lookup t sid;
-      drain t sid;
-      let st = Durable.close t.dmgr ~sid in
-      Lines
-        [
-          Fmt.str "out %d session %s %a" n sid Scallop_incr.Incr.pp_session_stats st;
-          Fmt.str "done %d ok closed %s" n sid;
-        ]
+      acknowledged t (Durable.commit_close t.dmgr ~sid) (fun st ->
+          [
+            Fmt.str "out %d session %s %a" n sid Incr.pp_session_stats st;
+            Fmt.str "done %d ok closed %s" n sid;
+          ])
   | Protocol.Stats -> Lines (stats_lines t n)
   | Protocol.Scrub ->
       let reports = Durable.scrub t.dmgr in
@@ -387,18 +368,19 @@ let dispatch t n (req : Protocol.request) =
           Lines [ Fmt.str "done %d error compile %s" n (Session.error_string e) ])
 
 (** Answer one request under the next request id.  Its reply is queued
-    behind every earlier one; a write first waits for room among the
-    writes owed an acknowledgement (at most the service's [queue_depth])
-    and for its session's in-flight queries, and returns once committed,
-    before it is acknowledged.  A failure is a typed error reply, never an
-    exception, except [Stack_overflow] and [Out_of_memory], which stay
-    fatal because the process state is suspect: raised here, or by the
-    next call (or {!close}) when the printer met them.  Call from one
-    thread at a time. *)
+    behind every earlier one; a write (open, assert, retract or close)
+    first waits for room among the writes owed an acknowledgement (at
+    most the service's [queue_depth]) and returns once committed, before
+    it is acknowledged, without waiting for any query.  A failure is a
+    typed error reply, never an exception, except [Stack_overflow] and
+    [Out_of_memory], which stay fatal because the process state is
+    suspect: raised here, or by the next call (or {!close}) when the
+    printer met them.  Call from one thread at a time. *)
 let handle t (req : (Protocol.request, Exec_error.t) result) =
   Option.iter raise (Atomic.get t.fatal);
   (match req with
-  | Ok (Protocol.Open _ | Protocol.Assert _ | Protocol.Retract _) -> await_room t
+  | Ok (Protocol.Open _ | Protocol.Assert _ | Protocol.Retract _ | Protocol.Close _) ->
+      await_room t
   | _ -> ());
   let n = t.next in
   t.next <- n + 1;

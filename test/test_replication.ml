@@ -676,6 +676,28 @@ let test_failed_ack_append_keeps_quorum () =
     Alcotest.fail "the follower's answers differ from the primary's";
   destroy c
 
+(* A follower whose ack append failed has applied the frames it could not
+   acknowledge.  Its next poll finds no new frame, and must still send
+   that ack, or the quorum write those frames carry waits out its
+   timeout; the failure stays visible as the follower's last error. *)
+let test_failed_ack_is_resent () =
+  let c = make_cluster ~ack_timeout:0.5 () in
+  List.iter (apply c.pmgr) [ Open; A (0, 1) ];
+  let ack = Durable.commit_assert c.pmgr ~sid:"s" ~pred:"edge" (pair 1 2) in
+  with_failing_appends c.root c.fol.Replica.Follower.ack.Wal.fd (fun () ->
+      match Replica.Follower.poll c.fol with
+      | _ -> Alcotest.fail "an ack append through a read-only descriptor succeeded"
+      | exception Session.Error _ -> ());
+  (match ack () with
+  | () -> ()
+  | exception Session.Error e ->
+      Alcotest.failf "the quorum write whose ack append failed: %s" (Session.error_string e));
+  if (Replica.Follower.status c.fol).Replica.Follower.st_last_error = None then
+    Alcotest.fail "the failed ack append left no last error";
+  if not (results_equal (q c.fmgr "s") (q c.pmgr "s")) then
+    Alcotest.fail "the follower's answers differ from the primary's";
+  destroy c
+
 (* ---- ack codec ---------------------------------------------------------------------- *)
 
 (* Acks decode as strictly as every other record: no trailing bytes, and a
@@ -991,4 +1013,5 @@ let suite =
       test_failed_ack_append_keeps_quorum;
     Alcotest.test_case "replay passes standby queries" `Quick
       test_replay_passes_standby_queries;
+    Alcotest.test_case "a failed ack is sent by the next poll" `Quick test_failed_ack_is_resent;
   ]

@@ -2,15 +2,16 @@
 
     - [scallop serve] and a [Server] replying into a buffer answer the same
       script with the same bytes;
-    - a write waits for its session's in-flight queries;
+    - a query answers the writes sent before it and none after, and a
+      write or a close does not wait for the session's running queries;
     - every request gets exactly one [done] line, in request order, after
       its [out] rows;
     - quoted strings holding [,] and [::] go through assert, query and
       retract, and a rejected probability leaves the session's answer
       unchanged;
-    - a quorum write's [handle] returns at its commit, and its [ok] is
-      printed only once the follower applied it, in request order; a
-      failed acknowledgement answers in its place;
+    - a quorum write's [handle], a close's included, returns at its
+      commit, and its [ok] is printed only once the follower applied it,
+      in request order; a failed acknowledgement answers in its place;
     - once [queue_depth] writes are owed an acknowledgement, [handle]
       waits for the oldest before it commits another;
     - a follower promotes itself once its primary's heartbeat is stale,
@@ -178,7 +179,7 @@ let tc_open =
    c);query path"
 
 (* Every attempt stalls 50 ms on one of two workers, so the assert arrives
-   while query 2 still waits to run: it must wait for that query. *)
+   while query 2 still waits to run: that query must not see it. *)
 let test_write_waits () =
   let chaos = { Chaos.none with latency_prob = 1.0; latency = 0.05 } in
   let lines =
@@ -565,6 +566,56 @@ let test_auto_promote_on_stale_heartbeat () =
   Replica.Follower.close fol;
   Test_replication.rm_rf root
 
+(* ---- the loop waits on no query ------------------------------------------------- *)
+
+(* Every attempt stalls 0.3 s on one of two workers.  The assert sent
+   while query 2 runs returns at once, and query 2 does not see it; the
+   query after it does.  The close sent while both queries run counts
+   both. *)
+let test_write_passes_running_query () =
+  let chaos = { Chaos.none with latency_prob = 1.0; latency = 0.3 } in
+  let took = ref infinity in
+  let lines =
+    split_lines
+      (serve ~chaos ~jobs:2 (fun server ->
+           let send l = Server.handle server (Protocol.parse l) in
+           List.iter send [ tc_open; "assert s edge(0, 1)"; "query s" ];
+           let t0 = Unix.gettimeofday () in
+           send "assert s edge(1, 2)";
+           took := Unix.gettimeofday () -. t0;
+           List.iter send [ "query s"; "close s" ]))
+  in
+  if !took > 0.1 then Alcotest.failf "the assert returned %.3f s after it was sent" !took;
+  Alcotest.(check (list string)) "the running query" [ "1.000000::path(0, 1)" ] (rows_of 2 lines);
+  Alcotest.(check (list string))
+    "the query after the write"
+    [ "1.000000::path(0, 1)"; "1.000000::path(0, 2)"; "1.000000::path(1, 2)" ]
+    (List.sort compare (rows_of 4 lines));
+  (match rows_of 5 lines with
+  | [ row ] when List.mem "queries=2" (words row) -> ()
+  | rows -> Alcotest.failf "the close's statistics: %s" (String.concat " | " rows));
+  Alcotest.(check string) "the close" "done 5 ok closed s" (status_of 5 lines)
+
+(* [handle] returns for a quorum close at its commit; its statistics and
+   [ok] reach the sink only once the follower acknowledged it. *)
+let test_close_returns_before_ack () =
+  let q = quorum_server ~ack_timeout:2.0 () in
+  send q open_s;
+  ignore (await_reply q 0);
+  Atomic.set q.gate false;
+  let t0 = Unix.gettimeofday () in
+  send q "close s";
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 0.5 then Alcotest.failf "the close returned %.3f s after it was sent" took;
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "no reply while the follower has not acked" true (reply_of q 1 = None);
+  Atomic.set q.gate true;
+  let reply, _ = await_reply q 1 in
+  Alcotest.(check string) "acknowledged"
+    "out 1 session s queries=0 updates=0 full=0\ndone 1 ok closed s\n" reply;
+  ignore (finish q);
+  Test_replication.rm_rf q.root
+
 let suite =
   [
     Alcotest.test_case "scallop serve and Server agree" `Quick test_cli_twin;
@@ -584,4 +635,8 @@ let suite =
       test_write_pipeline_bound;
     Alcotest.test_case "a stale heartbeat auto-promotes the follower" `Quick
       test_auto_promote_on_stale_heartbeat;
+    Alcotest.test_case "a write does not wait for a running query" `Quick
+      test_write_passes_running_query;
+    Alcotest.test_case "a quorum close returns before its ack" `Quick
+      test_close_returns_before_ack;
   ]
