@@ -1986,7 +1986,7 @@ let bench_server (m : mode) =
 (* ---- front end ---------------------------------------------------------------------------- *)
 
 let bench_front (m : mode) =
-  section "Front end: one-shot programs through compile and input_db (writes BENCH_front.json)";
+  section "Front end: one-shot programs through compile and input relations (writes BENCH_front.json)";
   let open Scallop_core in
   let module Gen = E2e_core.Gen in
   (* oneshot-mixed's sizes (bench/e2e/e2e.ml), one family at a time *)
@@ -1997,6 +1997,15 @@ let bench_front (m : mode) =
   let programs = if m.quick then 5 else 20 in
   let reps = if m.quick then 10 else 20 in
   let module P = (val Registry.create Registry.Boolean) in
+  let module B = Batch_ops.Make (P) in
+  (* a run's input relations, built as [Session.run] builds them *)
+  let inputs c () =
+    let inp = B.inputs () in
+    ignore (Session.load_facts (module P) c [] ~add:(B.input_add inp));
+    let batches = B.input_batches inp in
+    B.release ();
+    batches
+  in
   let rows =
     List.map
       (fun (name, cfg) ->
@@ -2009,17 +2018,13 @@ let bench_front (m : mode) =
         (* every program is timed on its own, so its words repeat exactly *)
         let per_program f = reps_of (List.rev_map (fun src -> fst (measure ~reps (f src))) sources) in
         let compile = per_program (fun src () -> Session.compile src) in
-        let input_db =
-          per_program (fun src ->
-              let c = Session.compile src in
-              fun () -> Session.input_db (module P) c [])
-        in
+        let inputs = per_program (fun src -> inputs (Session.compile src)) in
         let bytes = List.fold_left (fun acc s -> acc + String.length s) 0 sources / programs in
         let words r = Summary.median r.words and promoted r = Summary.median r.promoted in
-        Fmt.pr "  %-8s %6d B: compile %.3f ms, %.0fk minor / %.0fk promoted words; input_db %.3f ms, \
+        Fmt.pr "  %-8s %6d B: compile %.3f ms, %.0fk minor / %.0fk promoted words; inputs %.3f ms, \
                 %.0fk minor / %.0fk promoted words@."
           name bytes (Summary.median compile.ms) (words compile /. 1e3) (promoted compile /. 1e3)
-          (Summary.median input_db.ms) (words input_db /. 1e3) (promoted input_db /. 1e3);
+          (Summary.median inputs.ms) (words inputs /. 1e3) (promoted inputs /. 1e3);
         [
           ("family", jstr name);
           ("programs", jint programs);
@@ -2031,10 +2036,10 @@ let bench_front (m : mode) =
             ("compile_minor_words", jnum ~dp:0 (words compile));
             ("compile_promoted_words", jnum ~dp:0 (promoted compile));
           ]
-        @ spread ~prefix:"input_db_" input_db.ms
+        @ spread ~prefix:"inputs_" inputs.ms
         @ [
-            ("input_db_minor_words", jnum ~dp:0 (words input_db));
-            ("input_db_promoted_words", jnum ~dp:0 (promoted input_db));
+            ("inputs_minor_words", jnum ~dp:0 (words inputs));
+            ("inputs_promoted_words", jnum ~dp:0 (promoted inputs));
           ])
       families
   in

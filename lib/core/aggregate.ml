@@ -7,9 +7,13 @@
     enumeration is exponential, so we implement the standard per-aggregator
     polynomial schemes, expressed generically over any provenance:
 
-    - count: dynamic programming over (item, count-so-far) — O(n²) ⊕/⊗ ops —
-      equivalent to the world sum for any commutative semiring.
-    - sum/prod: the same DP keyed by accumulated value.
+    - count: dynamic programming over (item, count-so-far), equivalent to
+      the world sum for any commutative semiring.  It skips the cells that
+      can only stay 0, so it costs O(n) ⊕/⊗ ops over certain tags (every
+      boolean relation) and O(n²) in general; the test oracle keeps the
+      plain O(n²) DP it is checked against.
+    - sum/prod: the same DP keyed by accumulated value; over no items they
+      yield 0 and 1.
     - min/max/argmin/argmax: outcome u is tagged t_u ⊗ ∏_{v ≻ u} ⊖t_v
       (Scallop's specialization; exact in absorptive semirings).
     - exists: true ↦ ⊕ᵢ tᵢ, false ↦ ∏ᵢ ⊖tᵢ. (forall is desugared by the
@@ -17,7 +21,9 @@
 
     [World_exact] implements the literal 2ⁿ enumeration for cross-checking
     the specializations on small inputs (used by the test suite), and
-    [mmp_count] is the O(n log n) counting algorithm of Appendix Alg. 1.
+    [mmp_count] is the O(n log n) counting algorithm of Appendix Alg. 1,
+    checked by the tests but not wired into [run]: max-min-prob counts
+    through the general DP.
     The samplers ([top], [uniform], [categorical]) live here too, so the
     executor and the test oracle draw through one function. *)
 
@@ -31,18 +37,40 @@ module Make (P : Provenance.S) = struct
 
   (* --- count ------------------------------------------------------------ *)
 
+  (** The DP over (item, count-so-far), visiting only the cells that can
+      leave [P.zero].  Item [i] updates cell [j] to
+      [dp(j) ⊗ ⊖t ⊕ dp(j-1) ⊗ t] ([dp(0) ⊗ ⊖t ⊕ 0] at [j = 0]).  A cell
+      whose inputs are physically [P.zero] is skipped when that update,
+      evaluated once for the item on [P.zero] inputs, returned [P.zero]
+      itself: the cell would stay [P.zero].  Every other cell gets the full
+      update, in the descending order of the plain O(n²) DP, so each tag is
+      bit-identical to it.  Cells outside [[lo, hi]] hold [P.zero]; for
+      certain tags ([P.one] with a zero complement, e.g. every boolean
+      relation) that window is one cell wide and the count is O(n). *)
   let count (items : (Tuple.t * P.t) list) : (Tuple.t * P.t) list =
     let n = List.length items in
     let dp = Array.make (n + 1) P.zero in
     dp.(0) <- P.one;
+    let lo = ref 0 and hi = ref 0 in
     List.iteri
       (fun i (_, t) ->
         let nt = neg t in
-        (* process item i: counts up to i+1 are reachable *)
-        for j = i + 1 downto 0 do
+        let inner_stays = P.add (P.mult P.zero nt) (P.mult P.zero t) == P.zero in
+        let first_stays = lazy (P.add (P.mult P.zero nt) P.zero == P.zero) in
+        (* cells above [top] and below [bottom] have P.zero inputs *)
+        let top = if inner_stays then !hi + 1 else i + 1 in
+        let bottom = if inner_stays && !lo > 0 && Lazy.force first_stays then !lo else 0 in
+        lo := n + 1;
+        hi := -1;
+        for j = top downto bottom do
           let keep = P.mult dp.(j) nt in
           let take = if j > 0 then P.mult dp.(j - 1) t else P.zero in
-          dp.(j) <- P.add keep take
+          let d = P.add keep take in
+          dp.(j) <- d;
+          if d != P.zero then begin
+            if j > !hi then hi := j;
+            lo := j
+          end
         done)
       items;
     List.filter_map
@@ -53,7 +81,7 @@ module Make (P : Provenance.S) = struct
 
   (* --- sum / prod --------------------------------------------------------- *)
 
-  let fold_values op ~init (items : (Tuple.t * P.t) list) : (Tuple.t * P.t) list =
+  let fold_values op ~init ~neutral (items : (Tuple.t * P.t) list) : (Tuple.t * P.t) list =
     (* DP over accumulated value; tuples must be unary numeric. *)
     let module VM = Map.Make (struct
       type t = Value.t
@@ -74,10 +102,10 @@ module Make (P : Provenance.S) = struct
     in
     match init_value with
     | None ->
-        (* Empty input: the neutral value with tag 1 requires knowing the
-           type; typed programs reach here only through Domain groups, where
-           the compiler supplies i32 as a reasonable default. *)
-        [ ([| Value.int Value.I32 0 |], P.one) ]
+        (* Empty input (an empty body without a group, or an empty
+           [where] group): the neutral value with tag 1.  Its type is not
+           known here, so it is an i32. *)
+        [ ([| Value.int Value.I32 neutral |], P.one) ]
     | Some init_v ->
         let states = ref (VM.singleton init_v P.one) in
         List.iter
@@ -105,7 +133,7 @@ module Make (P : Provenance.S) = struct
         VM.fold (fun v tag acc -> ([| v |], tag) :: acc) !states [] |> List.rev
 
   let sum items =
-    fold_values (Foreign.eval_binop Foreign.Add)
+    fold_values (Foreign.eval_binop Foreign.Add) ~neutral:0
       ~init:(fun ty ->
         if Value.is_integer_ty ty then Some (Value.int ty 0)
         else if Value.is_float_ty ty then Some (Value.float ty 0.0)
@@ -113,7 +141,7 @@ module Make (P : Provenance.S) = struct
       items
 
   let prod items =
-    fold_values (Foreign.eval_binop Foreign.Mul)
+    fold_values (Foreign.eval_binop Foreign.Mul) ~neutral:1
       ~init:(fun ty ->
         if Value.is_integer_ty ty then Some (Value.int ty 1)
         else if Value.is_float_ty ty then Some (Value.float ty 1.0)

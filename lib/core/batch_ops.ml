@@ -23,6 +23,10 @@
     for every probe.  A tuple's tag is the one in the newest run holding
     it, already ⊕-merged (Rule-3), so merging runs never re-associates ⊕.
 
+    A run's input relations are built here too ({!Make.input_batches}):
+    each predicate's facts become int columns where they can, are ordered
+    by the same sort, and have their duplicates ⊕-folded in load order.
+
     Aggregations and samplers decode group bodies back to tuples and reuse
     {!Aggregate.Make} verbatim, so the per-aggregator DP schemes — and their
     provenance semantics — and every sampler draw are shared with the
@@ -565,6 +569,28 @@ module Make (P : Provenance.S) = struct
             done;
             Some keys)
 
+  (** Stable sort of [b]'s rows into [idx.(0 .. b.n-1)] ([rcmp] is
+      [self_cmp b.cols]); returns the test for two equal rows.  Counting
+      sort on packed keys when {!counting_sort} applies, merge sort
+      otherwise. *)
+  let sort_rows rcmp (b : batch) (idx : int array) : int -> int -> bool =
+    match counting_sort b idx with
+    | Some keys -> fun r r' -> keys.(r) = keys.(r')
+    | None ->
+        for i = 0 to b.n - 1 do
+          idx.(i) <- i
+        done;
+        sort_prefix rcmp idx (ints 1 b.n) b.n;
+        fun r r' -> rcmp r r' = 0
+
+  (* Whether [b]'s rows are strictly increasing under [rcmp]. *)
+  let strictly_sorted rcmp (b : batch) : bool =
+    let i = ref 1 in
+    while !i < b.n && rcmp (!i - 1) !i < 0 do
+      incr i
+    done;
+    !i >= b.n
+
   (** Stable-sort rows, ⊕-merge duplicates in emission order, drop discarded
       tags: exactly normalization (Fig. 24) into a [Tuple.Map] followed by
       [Tuple.Map.bindings]. *)
@@ -576,16 +602,7 @@ module Make (P : Provenance.S) = struct
          entirely — only the discard filter applies, and when nothing is
          discarded the batch is returned as-is, arrays shared. *)
       let rcmp = self_cmp b.cols in
-      let sorted = ref true in
-      (try
-         for i = 1 to b.n - 1 do
-           if rcmp (i - 1) i >= 0 then begin
-             sorted := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !sorted then begin
+      if strictly_sorted rcmp b then begin
         if Array.exists P.discard b.tags then begin
           let idx = ints 0 b.n and tags = tag_buf b.n b.tags.(0) in
           let m = ref 0 in
@@ -606,16 +623,7 @@ module Make (P : Provenance.S) = struct
   and sort_normalize_slow rcmp (b : batch) : batch =
     let n = b.n in
     let idx = ints 0 n in
-    let same =
-      match counting_sort b idx with
-      | Some keys -> fun r r' -> keys.(r) = keys.(r')
-      | None ->
-          for i = 0 to n - 1 do
-            idx.(i) <- i
-          done;
-          sort_prefix rcmp idx (ints 1 n) n;
-          fun r r' -> rcmp r r' = 0
-    in
+    let same = sort_rows rcmp b idx in
     (* fold each run of equal rows into its first (leader) row, compacting
        leaders and their ⊕-folded tags to the front of the buffers *)
     let tags = tag_buf n b.tags.(0) in
@@ -931,10 +939,6 @@ module Make (P : Provenance.S) = struct
   let crel_of_run (r : batch) : crel =
     if r.n = 0 then crel_empty () else { runs = [ r ]; member = Unprobed; version = 0 }
 
-  let crel_of_relation (rel : P.t Tuple.Map.t) : crel =
-    if Tuple.Map.is_empty rel then crel_empty ()
-    else crel_of_run (of_list (Tuple.Map.bindings rel))
-
   (* Amortized doubling: merging only when the newer run has caught up in
      size bounds the stack at O(log N) runs and total copying at O(N log N). *)
   let rec squash = function
@@ -1132,6 +1136,140 @@ module Make (P : Provenance.S) = struct
                       done;
                     !p)
                   (fun p -> runs.(!k).tags.(p)))
+
+  (* ---- input relations ------------------------------------------------------ *)
+
+  (* One predicate's facts, in load order. *)
+  type input_rel = {
+    pred : string;
+    mutable rows : Tuple.t array;
+    mutable row_tags : P.t array;
+    mutable len : int;
+  }
+
+  (** A run's input facts, gathered in load order by {!input_add} and built
+      by {!input_batches}. *)
+  type inputs = {
+    mutable rels : input_rel array;  (** in order of first fact *)
+    mutable nrels : int;
+    mutable last : int;  (** the relation of the latest fact *)
+    mutable order : int array;  (** the relation of each fact, in load order *)
+    mutable count : int;
+  }
+
+  let inputs () : inputs = { rels = [||]; nrels = 0; last = 0; order = [||]; count = 0 }
+
+  (* [a] with room for [len + 1] entries ([filler] fills the growth). *)
+  let room (a : 'a array) (len : int) (filler : 'a) : 'a array =
+    if len < Array.length a then a
+    else begin
+      let b = Array.make (max 16 (2 * len)) filler in
+      Array.blit a 0 b 0 len;
+      b
+    end
+
+  let rel_index (inp : inputs) pred : int =
+    if inp.nrels > 0 && String.equal inp.rels.(inp.last).pred pred then inp.last
+    else begin
+      let i = ref 0 in
+      while !i < inp.nrels && not (String.equal inp.rels.(!i).pred pred) do
+        incr i
+      done;
+      if !i = inp.nrels then begin
+        let r = { pred; rows = [||]; row_tags = [||]; len = 0 } in
+        inp.rels <- room inp.rels inp.nrels r;
+        inp.rels.(inp.nrels) <- r;
+        inp.nrels <- inp.nrels + 1
+      end;
+      !i
+    end
+
+  (** Append one fact of [pred] with its input tag. *)
+  let input_add (inp : inputs) pred (tuple : Tuple.t) (tag : P.t) =
+    let i = rel_index inp pred in
+    let r = inp.rels.(i) in
+    if r.len > 0 && Array.length tuple <> Array.length r.rows.(0) then
+      Exec_error.raise_error
+        (Exec_error.Invalid_input
+           { msg = Fmt.str "arity mismatch for %s: expected %d" pred (Array.length r.rows.(0)) });
+    r.rows <- room r.rows r.len tuple;
+    r.rows.(r.len) <- tuple;
+    r.row_tags <- room r.row_tags r.len tag;
+    r.row_tags.(r.len) <- tag;
+    r.len <- r.len + 1;
+    inp.order <- room inp.order inp.count 0;
+    inp.order.(inp.count) <- i;
+    inp.count <- inp.count + 1;
+    inp.last <- i
+
+  (* Column [c] of [rows.(0 .. n-1)]: unboxed straight from the tuples when
+     every value is an int of one type, {!Column.pack}ed otherwise. *)
+  let column_of_rows (rows : Tuple.t array) (n : int) (c : int) : Column.t =
+    let packed () = Column.pack (Array.init n (fun i -> rows.(i).(c))) in
+    match rows.(0).(c) with
+    | Value.Int (ty0, _) -> (
+        let a = Array.make n 0 in
+        try
+          for i = 0 to n - 1 do
+            match rows.(i).(c) with
+            | Value.Int (ty, x) when Value.equal_ty ty ty0 -> a.(i) <- x
+            | _ -> raise Exit
+          done;
+          Column.I (ty0, a)
+        with Exit -> packed ())
+    | _ -> packed ()
+
+  (* One relation's distinct rows in sorted order: the columns, [lead.(o)]
+     the first row (in load order) equal to output row [o], and [slot.(r)]
+     the output row of row [r]. *)
+  type input_run = { run_cols : Column.t array; lead : int array; slot : int array }
+
+  let sort_input (r : input_rel) : input_run =
+    let n = r.len in
+    let cols = Array.init (Array.length r.rows.(0)) (column_of_rows r.rows n) in
+    let b = { n; cols; tags = r.row_tags } in
+    let rcmp = self_cmp cols in
+    if strictly_sorted rcmp b then
+      { run_cols = cols; lead = Array.init n Fun.id; slot = Array.init n Fun.id }
+    else begin
+      let idx = ints 0 n in
+      let same = sort_rows rcmp b idx in
+      (* a stable sort puts each group's first-loaded row first *)
+      let slot = Array.make n 0 in
+      let m = ref 0 in
+      for p = 0 to n - 1 do
+        let row = idx.(p) in
+        if !m > 0 && same idx.(!m - 1) row then slot.(row) <- !m - 1
+        else begin
+          idx.(!m) <- row;
+          slot.(row) <- !m;
+          incr m
+        end
+      done;
+      let lead = Array.sub idx 0 !m in
+      { run_cols = Array.map (fun c -> Column.gather c lead !m) cols; lead; slot }
+    end
+
+  (** The input relations, one strictly sorted batch per predicate.  A
+      repeated tuple keeps its first position and its tags are ⊕-folded in
+      load order, across all relations, making exactly the ⊕ calls of
+      inserting each fact into a [Tuple.Map] as it is loaded (samplekproofs
+      draws from its RNG inside ⊕).  Discardable tags are kept: an input
+      fact tagged 0 is still a row of its relation. *)
+  let input_batches (inp : inputs) : (string * batch) list =
+    let runs = Array.init inp.nrels (fun i -> sort_input inp.rels.(i)) in
+    let tags = Array.map (fun run -> Array.make (Array.length run.lead) P.zero) runs in
+    let cursor = Array.make inp.nrels 0 in
+    for k = 0 to inp.count - 1 do
+      let i = inp.order.(k) in
+      let row = cursor.(i) in
+      cursor.(i) <- row + 1;
+      let o = runs.(i).slot.(row) and t = inp.rels.(i).row_tags.(row) in
+      tags.(i).(o) <- (if runs.(i).lead.(o) = row then t else P.add tags.(i).(o) t)
+    done;
+    List.init inp.nrels (fun i ->
+        ( inp.rels.(i).pred,
+          { n = Array.length runs.(i).lead; cols = runs.(i).run_cols; tags = tags.(i) } ))
 
   (* ---- σ / π / ∪ / × ------------------------------------------------------- *)
 

@@ -2,9 +2,12 @@
     parameterized by a provenance.
 
     A database maps predicates to relations; a relation maps tuples to tags.
-    Expression evaluation produces (possibly duplicated) tagged tuples;
-    rule evaluation normalizes them (⊕-merging duplicates and applying early
-    [discard]) and merges with previously derived facts (Rule-1/2/3).
+    A run starts from its input relations, one strictly sorted column batch
+    per predicate ({!Batch_ops.Make.input_batches}, built by {!Session.run}),
+    each seeding its relation.  Expression evaluation produces (possibly
+    duplicated) tagged tuples; rule evaluation normalizes them (⊕-merging
+    duplicates and applying early [discard]) and merges with previously
+    derived facts (Rule-1/2/3).
     Stratum evaluation is the saturation-checked least-fixed-point lfp°.
 
     There is one executor: the columnar batch executor ({!Batch_ops}) runs
@@ -191,21 +194,8 @@ let check_iteration config (mon : monitor) ~next_iter =
 
 module SMap = Map.Make (String)
 
-(** Add [tuple] with [tag] to [pred] in a run's input database (predicate ↦
-    tuple ↦ tag, built by {!Session.input_db}); a repeated tuple's tags are
-    merged with [add]. *)
-let db_add_fact ~add db pred tuple tag =
-  let rel = match SMap.find_opt pred db with Some r -> r | None -> Tuple.Map.empty in
-  let rel =
-    Tuple.Map.update tuple (fun cur -> Some (match cur with None -> tag | Some t -> add t tag)) rel
-  in
-  SMap.add pred rel db
-
 module Make (P : Provenance.S) = struct
   module B = Batch_ops.Make (P)
-
-  type relation = P.t Tuple.Map.t
-  type db = relation SMap.t
 
   (* ---- the executor ----------------------------------------------------------- *)
 
@@ -471,17 +461,21 @@ module Make (P : Provenance.S) = struct
 
   (* ---- programs --------------------------------------------------------------- *)
 
-  (** Evaluate a planned program over the input [db] and recover the [out]
-      relations — the entry point {!Session.run} uses.  Outputs are read
-      directly off the final sorted runs: a forced run enumerates in exactly
-      [Tuple.Map.bindings] order. *)
-  let eval_plan_program_outputs config (db : db) (p : Plan.program) ~(out : string list) :
-      (string * (Tuple.t * Provenance.Output.t) list) list =
+  (* Each input relation, a strictly sorted batch, seeds its relation. *)
+  let cdb_of_inputs (inputs : (string * B.batch) list) : cdb =
+    List.fold_left (fun cdb (pred, b) -> SMap.add pred (B.crel_of_run b) cdb) SMap.empty inputs
+
+  (** Evaluate a planned program over its input relations ({!B.input_batches})
+      and recover the [out] relations — the entry point {!Session.run} uses.
+      Outputs are read directly off the final sorted runs: a forced run
+      enumerates in exactly [Tuple.Map.bindings] order. *)
+  let eval_plan_program_outputs config (inputs : (string * B.batch) list) (p : Plan.program)
+      ~(out : string list) : (string * (Tuple.t * Provenance.Output.t) list) list =
     let mon = make_monitor config.budget in
     if mon.watched then check_wall config mon;
     (* a run stopped by its budget or an error hands the scratch back too *)
     Fun.protect ~finally:B.release (fun () ->
-        let cdb = SMap.map B.crel_of_relation db in
+        let cdb = cdb_of_inputs inputs in
         let cdb =
           fst
             (List.fold_left
@@ -490,9 +484,10 @@ module Make (P : Provenance.S) = struct
         in
         List.map (fun pred -> (pred, B.to_outputs (B.crel_force (crel_of cdb pred)))) out)
 
-  (** Evaluate one plan tree over [db], uncached (the per-operator
-      differential tests in test/test_columnar.ml). *)
-  let eval_plan_columnar config (db : db) (p : Plan.t) : (Tuple.t * P.t) list =
+  (** Evaluate one plan tree over strictly sorted input relations, uncached
+      (the per-operator differential tests in test/test_columnar.ml). *)
+  let eval_plan_columnar config (inputs : (string * B.batch) list) (p : Plan.t) :
+      (Tuple.t * P.t) list =
     let mon = make_monitor config.budget in
-    B.to_list (ceval config mon None (SMap.map B.crel_of_relation db) p)
+    B.to_list (ceval config mon None (cdb_of_inputs inputs) p)
 end

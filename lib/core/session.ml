@@ -16,9 +16,12 @@
     [config.Interp.budget]; {!run_batch} isolates failures per sample.
 
     Every run executes on the columnar batch executor ({!Batch_ops}) — the
-    only engine, samplers and foreign joins included.  Its test oracle, a
-    tuple-at-a-time tree-walker in the test tree, reads its input through
-    {!input_db}, so both engines start from the same database. *)
+    only engine, samplers and foreign joins included.  {!run} hands it one
+    strictly sorted column batch per input predicate, built in one pass
+    over the facts {!load_facts} feeds it.  Its test oracle, a
+    tuple-at-a-time tree-walker in the test tree, folds the same fact
+    sequence into maps, so both engines start from the same facts, tags
+    and variable ids. *)
 
 exception Error of Exec_error.t
 
@@ -124,55 +127,55 @@ let coerce_tuple (c : compiled) pred (t : Tuple.t) : Tuple.t =
                 (Value.ty_name tys.(i)))
         t
 
-(** A run's input database: the program's static facts, then [facts] with
-    the caller's me-groups shifted past the static ones and every tuple
-    coerced to its relation's column types, all tagged by [P.tag_of_input].
-    Static facts are already at those types ({!Typecheck.check} lowered
-    them there).  Returns the database and the provenance variable id
-    assigned to each tagged fact, in load order.  {!run} and the test
-    oracle both load through here. *)
-let input_db (type tag) (module P : Provenance.S with type t = tag) (c : compiled)
-    (facts : (string * (Provenance.Input.t * Tuple.t) list) list) :
-    tag Tuple.Map.t Interp.SMap.t * ((string * Tuple.t) * int) list =
+(** Feed a run's input facts to [add] in load order: the program's static
+    facts, then [facts] with the caller's me-groups shifted past the static
+    ones and every tuple coerced to its relation's column types, each
+    tagged by [P.tag_of_input] as it is loaded.  Static facts are already
+    at those types ({!Typecheck.check} lowered them there).  Returns the
+    provenance variable id assigned to each tagged fact, in load order.
+    {!run} builds its input relations from this sequence
+    ({!Batch_ops.Make.input_batches}); the test oracle builds its map
+    database from it. *)
+let load_facts (type tag) (module P : Provenance.S with type t = tag) (c : compiled)
+    (facts : (string * (Provenance.Input.t * Tuple.t) list) list)
+    ~(add : string -> Tuple.t -> tag -> unit) : ((string * Tuple.t) * int) list =
   let fact_ids = ref [] in
-  let add_fact db pred (input : Provenance.Input.t) tuple =
+  let load pred (input : Provenance.Input.t) tuple =
     let tag, id = P.tag_of_input input in
     (match id with Some id -> fact_ids := ((pred, tuple), id) :: !fact_ids | None -> ());
-    Interp.db_add_fact ~add:P.add db pred tuple tag
+    add pred tuple tag
   in
   (* Static (program) facts first — their me-groups use low indices. *)
-  let db =
-    List.fold_left
-      (fun db (pred, prob, me, tuple) ->
-        add_fact db pred { Provenance.Input.prob; me_group = me } tuple)
-      Interp.SMap.empty c.static_facts
-  in
+  List.iter
+    (fun (pred, prob, me, tuple) -> load pred { Provenance.Input.prob; me_group = me } tuple)
+    c.static_facts;
   (* Dynamic facts: shift caller me-groups past the static ones. *)
-  let db =
-    List.fold_left
-      (fun db (pred, entries) ->
-        List.fold_left
-          (fun db ((input : Provenance.Input.t), tuple) ->
-            let input =
-              match input.Provenance.Input.me_group with
-              | Some g -> { input with Provenance.Input.me_group = Some (g + c.static_me_groups) }
-              | None -> input
-            in
-            add_fact db pred input (coerce_tuple c pred tuple))
-          db entries)
-      db facts
-  in
-  (db, List.rev !fact_ids)
+  List.iter
+    (fun (pred, entries) ->
+      List.iter
+        (fun ((input : Provenance.Input.t), tuple) ->
+          let input =
+            match input.Provenance.Input.me_group with
+            | Some g -> { input with Provenance.Input.me_group = Some (g + c.static_me_groups) }
+            | None -> input
+          in
+          load pred input (coerce_tuple c pred tuple))
+        entries)
+    facts;
+  List.rev !fact_ids
 
 let run ?(config = Interp.default_config ()) ~(provenance : Provenance.t) (c : compiled)
     ?(facts : (string * (Provenance.Input.t * Tuple.t) list) list = [])
     ?(outputs : string list option) () : result =
   let module P = (val provenance : Provenance.S) in
   let module I = Interp.Make (P) in
-  let db, fact_ids = input_db (module P) c facts in
   let out_rels = match outputs with Some o -> o | None -> c.ram.Ram.outputs in
-  let outputs =
-    try I.eval_plan_program_outputs config db c.plan ~out:out_rels with
+  let outputs, fact_ids =
+    try
+      let inputs = I.B.inputs () in
+      let fact_ids = load_facts (module P) c facts ~add:(I.B.input_add inputs) in
+      (I.eval_plan_program_outputs config (I.B.input_batches inputs) c.plan ~out:out_rels, fact_ids)
+    with
     | Exec_error.Error e -> raise (Error e)
     | Aggregate.Unsupported msg -> raise (Error (Exec_error.Runtime_error { msg }))
   in

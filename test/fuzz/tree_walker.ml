@@ -8,8 +8,15 @@
     with [~naive:true], by the naive lfp° that defines their semantics
     (Fig. 24: re-evaluate every rule until the database saturates).  Of
     the config only [config.rng] is read: samplers draw from it through
-    the shared {!Aggregate.Make.sample}.  The input database comes from
-    {!Session.input_db}, as for a production run. *)
+    the shared {!Aggregate.Make.sample}.
+
+    Two pieces are its own rather than production's.  Its input database
+    ({!Make.input_db}) folds the facts {!Session.load_facts} feeds it into a
+    [Tuple.Map] per predicate as they load, where the executor builds
+    sorted column batches.  Its [count] ({!Make.count_dp}) is the plain
+    O(n²) dynamic program, where {!Aggregate.Make.count} skips the cells
+    that can only stay 0.  Every other aggregator is the shared
+    {!Aggregate.Make.run}. *)
 
 open Scallop_core
 
@@ -24,6 +31,50 @@ module Make (P : Provenance.S) = struct
     match SMap.find_opt pred db with Some r -> r | None -> Tuple.Map.empty
 
   let runtime_error msg = Exec_error.raise_error (Exec_error.Runtime_error { msg })
+
+  (* ---- input database ------------------------------------------------------ *)
+
+  (** The run's input database: each fact {!Session.load_facts} loads is
+      added to its predicate's map as it arrives, a repeated tuple's tags
+      ⊕-merged.  Returns the database and the fact ids. *)
+  let input_db (c : Session.compiled) facts : db * ((string * Tuple.t) * int) list =
+    let db = ref SMap.empty in
+    let add pred tuple tag =
+      let rel =
+        Tuple.Map.update tuple
+          (fun cur -> Some (match cur with None -> tag | Some t -> P.add t tag))
+          (relation_of !db pred)
+      in
+      db := SMap.add pred rel !db
+    in
+    let fact_ids = Session.load_facts (module P) c facts ~add in
+    (!db, fact_ids)
+
+  (* ---- count (the plain DP) ------------------------------------------------- *)
+
+  (** Count by the DP over (item, count-so-far), visiting every cell: O(n²)
+      ⊕/⊗ calls under every provenance. *)
+  let count_dp (items : (Tuple.t * P.t) list) : (Tuple.t * P.t) list =
+    let n = List.length items in
+    let dp = Array.make (n + 1) P.zero in
+    dp.(0) <- P.one;
+    List.iteri
+      (fun i (_, t) ->
+        let nt = Agg.neg t in
+        for j = i + 1 downto 0 do
+          let keep = P.mult dp.(j) nt in
+          let take = if j > 0 then P.mult dp.(j - 1) t else P.zero in
+          dp.(j) <- P.add keep take
+        done)
+      items;
+    List.filter_map
+      (fun j ->
+        let t = dp.(j) in
+        if P.discard t then None else Some ([| Value.int Value.USize j |], t))
+      (Scallop_utils.Listx.range 0 (n + 1))
+
+  let aggregate agg ~arg_len items =
+    match agg with Ram.Count -> count_dp items | _ -> Agg.run agg ~arg_len items
 
   (* ---- normalization (Fig. 24, Normalize) ------------------------------- *)
 
@@ -141,11 +192,11 @@ module Make (P : Provenance.S) = struct
         match group with
         | Plan.No_group ->
             let rest = List.map (fun (u, t) -> (snd (split_key key_len u), t)) items in
-            Agg.run agg ~arg_len rest
+            aggregate agg ~arg_len rest
         | Plan.Implicit ->
             group_by_key key_len items
             |> List.concat_map (fun (key, group_items) ->
-                   Agg.run agg ~arg_len group_items
+                   aggregate agg ~arg_len group_items
                    |> List.map (fun (r, t) -> (Tuple.append key r, t)))
         | Plan.Domain dom ->
             let domain = Tuple.Map.bindings (normalize (eval config db dom)) in
@@ -153,7 +204,7 @@ module Make (P : Provenance.S) = struct
             List.concat_map
               (fun (key, tg) ->
                 let group_items = Option.value (Tuple.Map.find_opt key grouped) ~default:[] in
-                Agg.run agg ~arg_len group_items
+                aggregate agg ~arg_len group_items
                 |> List.map (fun (r, t) -> (Tuple.append key r, P.mult tg t)))
               domain)
     | Plan.Sample { sampler; key_len; group; body } -> (
@@ -296,14 +347,14 @@ module Make (P : Provenance.S) = struct
     Tuple.Map.bindings (relation_of db pred) |> List.map (fun (u, t) -> (u, P.recover t))
 end
 
-(** {!Session.run} on the oracle: the same input database, errors and
-    result shape ([stats = None]).  [~naive:true] evaluates recursive
+(** {!Session.run} on the oracle: the same input facts, errors and result
+    shape ([stats = None]).  [~naive:true] evaluates recursive
     strata by the naive lfp°. *)
 let run ?(naive = false) ?(config = Interp.default_config ()) ~(provenance : Provenance.t)
     (c : Session.compiled) ?(facts = []) ?(outputs : string list option) () : Session.result =
   let module P = (val provenance : Provenance.S) in
   let module T = Make (P) in
-  let db, fact_ids = Session.input_db (module P) c facts in
+  let db, fact_ids = T.input_db c facts in
   let db =
     try T.eval_plan_program ~naive config db c.Session.plan with
     | Exec_error.Error e -> raise (Session.Error e)

@@ -204,6 +204,132 @@ let test_count_formula_tags () =
       via_formula via_float
   done
 
+(* prod over an empty relation, and over an empty [where] group, is 1: the
+   empty product, as the world semantics gives it. *)
+let test_prod_over_nothing () =
+  let src =
+    {|type sale(i32, i32)
+type grp(i32)
+rel grp = {0, 1}
+rel sale = {(0, 3), (0, 4)}
+rel product(t) = t := prod(x: sale(9, x))
+rel gprod(g, t) = t := prod(x: sale(g, x) where g: grp(g))
+rel gsum(g, t) = t := sum(x: sale(g, x) where g: grp(g))
+query product
+query gprod
+query gsum|}
+  in
+  let r = Session.interpret ~provenance:(Registry.create Registry.Boolean) src in
+  let rows pred = List.map fst (Session.output r pred) in
+  let tuples = Alcotest.(list (testable Tuple.pp (fun a b -> Tuple.compare a b = 0))) in
+  check tuples "prod over no sale" [ [| i32 1 |] ] (rows "product");
+  check tuples "prod per group" [ [| i32 0; i32 12 |]; [| i32 1; i32 1 |] ] (rows "gprod");
+  check tuples "sum per group" [ [| i32 0; i32 7 |]; [| i32 1; i32 0 |] ] (rows "gsum");
+  check rows_testable "world semantics agrees"
+    [ ([| i32 1 |], 1.0) ]
+    (AggMMP.world_exact Ram.Prod ~arg_len:0 [])
+
+(* A boolean provenance that counts its ⊕ and ⊗ calls. *)
+module Counted_boolean = struct
+  include Prov_discrete.Boolean
+
+  let calls = ref 0
+
+  let add a b =
+    incr calls;
+    Prov_discrete.Boolean.add a b
+
+  let mult a b =
+    incr calls;
+    Prov_discrete.Boolean.mult a b
+end
+
+(* Counting n certain tuples skips every cell that can only stay false:
+   O(n) ⊕/⊗ calls, where the full DP makes about 3n²/2 (6M at n = 2,000). *)
+let test_count_linear_on_certain_tags () =
+  let n = 2000 in
+  let c = Session.compile "type r(i32)\nrel cnt(k) = k := count(x: r(x))\nquery cnt" in
+  let facts = [ ("r", List.init n (fun i -> (Provenance.Input.none, [| i32 i |]))) ] in
+  Counted_boolean.calls := 0;
+  let r = Session.run ~provenance:(module Counted_boolean) c ~facts () in
+  check
+    Alcotest.(list (testable Tuple.pp (fun a b -> Tuple.compare a b = 0)))
+    "count" [ [| Value.int Value.USize n |] ] (List.map fst (Session.output r "cnt"));
+  if !Counted_boolean.calls > 20 * n then
+    Alcotest.failf "%d ⊕/⊗ calls to count %d certain tuples (bound %d)" !Counted_boolean.calls n
+      (20 * n)
+
+(* Every provenance of the registry; the sampling ones twice, at k = 1 and
+   2, each side on a fresh instance with the same seed. *)
+let every_provenance =
+  Registry.
+    [
+      Unit;
+      Boolean;
+      Natural;
+      Max_min_prob;
+      Add_mult_prob;
+      Proofs;
+      Top_k_proofs 3;
+      Sample_k_proofs (1, 5);
+      Sample_k_proofs (2, 5);
+      Exact_prob;
+      Diff_exact_prob;
+      Diff_max_min_prob;
+      Diff_add_mult_prob;
+      Diff_nand_mult_prob;
+      Diff_top_k_proofs 3;
+      Diff_top_k_proofs_me 3;
+      Diff_sample_k_proofs (1, 5);
+      Diff_sample_k_proofs (2, 5);
+      Diff_top_bottom_k_clauses 3;
+    ]
+
+(* Input tags: certain, 0, 1, NaN, or a probability. *)
+let input_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Provenance.Input.none);
+        (1, return (Provenance.Input.prob 0.0));
+        (2, return (Provenance.Input.prob 1.0));
+        (1, return (Provenance.Input.prob Float.nan));
+        (3, map Provenance.Input.prob (float_range 0.05 0.95));
+      ])
+
+let bits x = if Float.is_nan x then "nan" else Printf.sprintf "%Lx" (Int64.bits_of_float x)
+
+(* The rows of counting [inputs] on a fresh instance of [spec]: tuples,
+   printed tags and the bits of their recovered outputs, or the error. *)
+let count_rows spec ~oracle inputs =
+  let module P = (val Registry.create spec) in
+  let module A = Aggregate.Make (P) in
+  let module T = Scallop_fuzz.Tree_walker.Make (P) in
+  try
+    let items = List.mapi (fun i input -> ([| i32 i |], fst (P.tag_of_input input))) inputs in
+    (if oracle then T.count_dp items else A.run Ram.Count ~arg_len:0 items)
+    |> List.map (fun (u, t) ->
+           let out =
+             match P.recover t with
+             | Provenance.Output.O_prob p -> bits p
+             | O_dual d ->
+                 String.concat ","
+                   (bits (Dual.value d) :: List.map (fun (v, g) -> Fmt.str "%d:%s" v (bits g))
+                                             (Dual.deriv_list d))
+             | o -> Fmt.str "%a" Provenance.Output.pp o
+           in
+           Fmt.str "%a %a %s" Tuple.pp u P.pp t out)
+  with e -> [ Printexc.to_string e ]
+
+let qcheck_count_equals_oracle_dp =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"count = oracle DP under every provenance"
+       QCheck.(make QCheck.Gen.(list_size (int_bound 7) input_gen))
+       (fun inputs ->
+         List.for_all
+           (fun spec -> count_rows spec ~oracle:false inputs = count_rows spec ~oracle:true inputs)
+           every_provenance))
+
 let suite =
   [
     test_count_sp;
@@ -220,4 +346,7 @@ let suite =
     Alcotest.test_case "boolean count is cardinality" `Quick test_boolean_count_is_cardinality;
     Alcotest.test_case "empty aggregations" `Quick test_empty_aggregations;
     Alcotest.test_case "count with formula tags" `Quick test_count_formula_tags;
+    Alcotest.test_case "prod over nothing is 1" `Quick test_prod_over_nothing;
+    Alcotest.test_case "count is linear on certain tags" `Quick test_count_linear_on_certain_tags;
+    qcheck_count_equals_oracle_dp;
   ]

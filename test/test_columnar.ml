@@ -86,17 +86,26 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
   in
   (* A fresh provenance instance per qcheck sample would be ideal, but
      topkproofs assigns fact variables statefully per instance — so both
-     engines must read the *same* db built from one instance, which is
-     exactly what the differential harness wants anyway. *)
+     engines must read the *same* tags from one instance, which is exactly
+     what the differential harness wants anyway.  The oracle folds them
+     into maps, the executor into its input batches. *)
   let db_of facts =
-    List.fold_left
-      (fun db (pred, l) ->
-        List.fold_left
-          (fun db ((a, b), p) ->
+    let db = ref T.SMap.empty and inputs = B.inputs () in
+    List.iter
+      (fun (pred, l) ->
+        List.iter
+          (fun ((a, b), p) ->
             let tag, _ = P.tag_of_input (Provenance.Input.prob p) in
-            Interp.db_add_fact ~add:P.add db pred (tup2 a b) tag)
-          db l)
-      Interp.SMap.empty facts
+            let rel =
+              Tuple.Map.update (tup2 a b)
+                (fun cur -> Some (match cur with None -> tag | Some t -> P.add t tag))
+                (T.relation_of !db pred)
+            in
+            db := T.SMap.add pred rel !db;
+            B.input_add inputs pred (tup2 a b) tag)
+          l)
+      facts;
+    (!db, B.input_batches inputs)
   in
   let map_of l =
     List.fold_left
@@ -178,7 +187,7 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
       (Fmt.str "%s: %s ≡ tree-walker" prov_name ename)
       (QCheck.pair rel_gen rel_gen)
       (fun (la, lb) ->
-        let db = db_of [ ("a", la); ("b", lb) ] in
+        let db, inputs = db_of [ ("a", la); ("b", lb) ] in
         let plan = Plan.of_expr e in
         (* each side samples from its own copy of one stream *)
         let rng = Scallop_utils.Rng.create (Hashtbl.hash (la, lb)) in
@@ -188,7 +197,7 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
         let run f = try Ok (f ()) with Exec_error.Error err -> Error err in
         match
           ( run (fun () -> T.eval (config ()) db plan),
-            run (fun () -> I.eval_plan_columnar (config ()) db plan) )
+            run (fun () -> I.eval_plan_columnar (config ()) inputs plan) )
         with
         | Ok reference, Ok columnar -> items_equal reference columnar
         | Error _, Error _ -> true (* both reject (e.g. unsupported negation) *)

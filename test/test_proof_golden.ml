@@ -295,6 +295,109 @@ let check_seeded_digests src expected () =
     (fun (name, spec) want -> check Alcotest.string name want (seeded_digest src spec))
     seeded_specs expected
 
+(* ---- input relations ----------------------------------------------------------- *)
+
+(* Static facts of two relations interleaved, each with duplicates under
+   several keys (samplekproofs-1 draws inside every ⊕ that folds them), tags
+   of 0 and below 0.5, and nullary, string, i64 and u64 columns. *)
+let input_src =
+  {|type edge(i32, i32)
+type flag()
+type name(String, i64)
+type big(u64, i64)
+type w(usize)
+rel edge = {0.3::(0, 1), 0.8::(0, 1), 0.6::(1, 2), 0.2::(1, 2), 0.9::(1, 2), 0.0::(2, 3)}
+rel name = {0.9::("bob", 4000000000), 0.3::("alice", -5), 0.6::("bob", 4000000000), ("", 0)}
+rel edge = {0.7::(0, 1), 0.1::(2, 3), 0.4::(2, 0), 0.35::(1, 2)}
+rel flag = {0.4::(), ()}
+rel name = {0.45::("alice", -5), 0.65::("bob", 4000000000)}
+rel big = {(18446744073, -4611686018427387903), (1, 2), 0.2::(1, 2), 0.7::(0, 4611686018427387903)}
+rel path(a, b) = edge(a, b)
+query path|}
+
+(* Caller facts after the static ones: more duplicates, me-groups, and an
+   i32 coerced into the usize column. *)
+let input_facts =
+  let i32 n = Value.int Value.I32 n and p = Provenance.Input.prob in
+  [
+    ("edge", [ (p 0.55, [| i32 1; i32 2 |]); (p ~me_group:0 0.25, [| i32 0; i32 1 |]) ]);
+    ("w", [ (Provenance.Input.none, [| i32 3 |]); (p ~me_group:0 0.5, [| i32 1 |]) ]);
+    ("edge", [ (p 0.0, [| i32 5; i32 5 |]); (p ~me_group:1 0.6, [| i32 2; i32 0 |]) ]);
+    ("name", [ (p 0.15, [| Value.string "bob"; Value.int Value.I64 4000000000 |]) ]);
+  ]
+
+let input_specs =
+  Registry.
+    [
+      Boolean;
+      Natural;
+      Max_min_prob;
+      Add_mult_prob;
+      Top_k_proofs 3;
+      Sample_k_proofs (1, 3);
+      Diff_top_k_proofs_me 3;
+      Diff_sample_k_proofs (1, 3);
+    ]
+
+(* Each relation's rows with their printed tags and recovered-tag bits, by
+   predicate, and the fact ids. *)
+let input_rows (type tag) (module P : Provenance.S with type t = tag) rels fact_ids =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (pred, rows) ->
+      Buffer.add_string buf (pred ^ "\n");
+      List.iter
+        (fun (u, (t : tag)) ->
+          Buffer.add_string buf (Fmt.str "%s %a " (Tuple.to_string u) P.pp t);
+          (match P.recover t with
+          | Provenance.Output.O_dual d -> add_dual buf d
+          | o -> add_float buf (Provenance.Output.prob o));
+          Buffer.add_char buf '\n')
+        rows)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rels);
+  List.iter
+    (fun ((pred, u), id) -> Buffer.add_string buf (Fmt.str "%s%s=%d\n" pred (Tuple.to_string u) id))
+    fact_ids;
+  Buffer.contents buf
+
+(* The executor's input batches equal the oracle's map database, row for row
+   and tag for tag, each side on a fresh provenance instance. *)
+let test_input_relations () =
+  let c = Session.compile input_src in
+  List.iter
+    (fun spec ->
+      let batches =
+        let module P = (val Registry.create spec) in
+        let module B = Batch_ops.Make (P) in
+        let inputs = B.inputs () in
+        let ids = Session.load_facts (module P) c input_facts ~add:(B.input_add inputs) in
+        let rels = List.map (fun (pred, b) -> (pred, B.to_list b)) (B.input_batches inputs) in
+        B.release ();
+        input_rows (module P) rels ids
+      in
+      let maps =
+        let module P = (val Registry.create spec) in
+        let module T = Scallop_fuzz.Tree_walker.Make (P) in
+        let db, ids = T.input_db c input_facts in
+        input_rows (module P)
+          (List.map (fun (pred, rel) -> (pred, Tuple.Map.bindings rel)) (T.SMap.bindings db))
+          ids
+      in
+      check Alcotest.string (Registry.spec_name spec) maps batches)
+    input_specs;
+  (* a false tag does not drop an input fact: false::edge(2, 3) (0.0 and
+     0.1 folded) and false::edge(5, 5) print under boolean *)
+  let r =
+    Session.run ~provenance:(Registry.create Registry.Boolean) c ~facts:input_facts
+      ~outputs:[ "edge" ] ()
+  in
+  let false_rows =
+    List.filter_map
+      (fun (u, o) -> if Provenance.Output.prob o = 0.0 then Some (Tuple.to_string u) else None)
+      (Session.output r "edge")
+  in
+  check Alcotest.(list string) "false rows kept" [ "(2, 3)"; "(5, 5)" ] false_rows
+
 let suite =
   [
     Alcotest.test_case "operator stream digests" `Quick test_operator_stream;
@@ -319,4 +422,5 @@ let suite =
     Alcotest.test_case "sum2 per-sample training" `Quick test_sum2_sample_training;
     Alcotest.test_case "hwf per-sample training" `Quick test_hwf_sample_training;
     Alcotest.test_case "sum2 batched training" `Quick test_sum2_batched_training;
+    Alcotest.test_case "input relations = the map builder" `Quick test_input_relations;
   ]
