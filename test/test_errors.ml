@@ -410,6 +410,16 @@ let test_cli_per_file_errors () =
   if not (contains stdout_text "p(1, 2)") then
     Alcotest.failf "good file's output missing from stdout: %S" stdout_text
 
+(* Facts of two arities for a predicate the program does not declare (a
+   declared one is checked against its type first): a typed input error,
+   not an exception out of the executor. *)
+let test_undeclared_arity_mismatch () =
+  let c = Session.compile "type r(i32)\nrel q(x) = r(x)\nquery q" in
+  let i n = Value.int Value.I32 n in
+  let facts = [ ("u", [ (Provenance.Input.none, [| i 1; i 2 |]); (Provenance.Input.none, [| i 3 |]) ]) ] in
+  expect_invalid "arity mismatch for u: expected 2" (fun () ->
+      Session.run ~provenance:(Registry.create Registry.Boolean) c ~facts ~outputs:[ "u" ] ())
+
 let suite =
   [
     Alcotest.test_case "unstratifiable: constructor and message" `Quick test_unstratifiable;
@@ -438,4 +448,6 @@ let suite =
     Alcotest.test_case "CLI serve: out-of-range literal is a reply" `Quick
       test_cli_serve_literal_out_of_range;
     Alcotest.test_case "tag outside [0, 1]: type error at the fact" `Quick test_tag_out_of_range;
+    Alcotest.test_case "undeclared relation, two arities: invalid input" `Quick
+      test_undeclared_arity_mismatch;
   ]
