@@ -56,10 +56,12 @@ module Make (P : Provenance.S) = struct
       (fun i (_, t) ->
         let nt = neg t in
         let inner_stays = P.add (P.mult P.zero nt) (P.mult P.zero t) == P.zero in
-        let first_stays = lazy (P.add (P.mult P.zero nt) P.zero == P.zero) in
-        (* cells above [top] and below [bottom] have P.zero inputs *)
+        (* cells above [top] and below [bottom] have P.zero inputs; cell 0
+           has its own update *)
         let top = if inner_stays then !hi + 1 else i + 1 in
-        let bottom = if inner_stays && !lo > 0 && Lazy.force first_stays then !lo else 0 in
+        let bottom =
+          if inner_stays && !lo > 0 && P.add (P.mult P.zero nt) P.zero == P.zero then !lo else 0
+        in
         lo := n + 1;
         hi := -1;
         for j = top downto bottom do
