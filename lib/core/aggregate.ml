@@ -83,7 +83,8 @@ module Make (P : Provenance.S) = struct
 
   (* --- sum / prod --------------------------------------------------------- *)
 
-  let fold_values op ~init ~neutral (items : (Tuple.t * P.t) list) : (Tuple.t * P.t) list =
+  let fold_values op ~init ~neutral ?result_ty (items : (Tuple.t * P.t) list) :
+      (Tuple.t * P.t) list =
     (* DP over accumulated value; tuples must be unary numeric. *)
     let module VM = Map.Make (struct
       type t = Value.t
@@ -105,9 +106,15 @@ module Make (P : Provenance.S) = struct
     match init_value with
     | None ->
         (* Empty input (an empty body without a group, or an empty
-           [where] group): the neutral value with tag 1.  Its type is not
-           known here, so it is an i32. *)
-        [ ([| Value.int Value.I32 neutral |], P.one) ]
+           [where] group): the neutral value with tag 1, at the result
+           column's type (i32 when the caller does not know it). *)
+        let v =
+          match result_ty with
+          | Some ty when Value.is_float_ty ty -> Value.float ty (float_of_int neutral)
+          | Some ty when Value.is_integer_ty ty -> Value.int ty neutral
+          | _ -> Value.int Value.I32 neutral
+        in
+        [ ([| v |], P.one) ]
     | Some init_v ->
         let states = ref (VM.singleton init_v P.one) in
         List.iter
@@ -134,16 +141,16 @@ module Make (P : Provenance.S) = struct
           items;
         VM.fold (fun v tag acc -> ([| v |], tag) :: acc) !states [] |> List.rev
 
-  let sum items =
-    fold_values (Foreign.eval_binop Foreign.Add) ~neutral:0
+  let sum ?result_ty items =
+    fold_values (Foreign.eval_binop Foreign.Add) ~neutral:0 ?result_ty
       ~init:(fun ty ->
         if Value.is_integer_ty ty then Some (Value.int ty 0)
         else if Value.is_float_ty ty then Some (Value.float ty 0.0)
         else None)
       items
 
-  let prod items =
-    fold_values (Foreign.eval_binop Foreign.Mul) ~neutral:1
+  let prod ?result_ty items =
+    fold_values (Foreign.eval_binop Foreign.Mul) ~neutral:1 ?result_ty
       ~init:(fun ty ->
         if Value.is_integer_ty ty then Some (Value.int ty 1)
         else if Value.is_float_ty ty then Some (Value.float ty 1.0)
@@ -201,12 +208,14 @@ module Make (P : Provenance.S) = struct
 
   (* --- dispatch ------------------------------------------------------------ *)
 
-  let run (agg : Ram.aggregator) ~arg_len (items : (Tuple.t * P.t) list) :
+  (** [result_ty] is the result column's type, which an empty [sum] or
+      [prod] needs for its neutral value (i32 when absent). *)
+  let run (agg : Ram.aggregator) ~arg_len ?result_ty (items : (Tuple.t * P.t) list) :
       (Tuple.t * P.t) list =
     match agg with
     | Ram.Count -> count items
-    | Ram.Sum -> sum items
-    | Ram.Prod -> prod items
+    | Ram.Sum -> sum ?result_ty items
+    | Ram.Prod -> prod ?result_ty items
     | Ram.Min -> extremum ~largest:false ~arg_len:0 items
     | Ram.Max -> extremum ~largest:true ~arg_len:0 items
     | Ram.Argmin -> extremum ~largest:false ~arg_len items

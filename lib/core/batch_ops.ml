@@ -1633,20 +1633,20 @@ module Make (P : Provenance.S) = struct
     done;
     of_list (List.rev !out)
 
-  let aggregate (agg : Ram.aggregator) ~(key_len : int) ~(arg_len : int)
+  let aggregate (agg : Ram.aggregator) ~(key_len : int) ~(arg_len : int) ?result_ty
       ~(group : [ `No_group | `Implicit | `Domain of batch ]) (body : batch) : batch =
     match group with
     | `No_group ->
         let items = List.init body.n (fun i -> (rest_at ~key_len body i, body.tags.(i))) in
-        of_list (Agg.run agg ~arg_len items)
-    | `Implicit -> map_groups ~key_len body (Agg.run agg ~arg_len)
+        of_list (Agg.run agg ~arg_len ?result_ty items)
+    | `Implicit -> map_groups ~key_len body (Agg.run agg ~arg_len ?result_ty)
     | `Domain dom ->
         let out = ref [] in
         for i = 0 to dom.n - 1 do
           let lo, hi = prefix_range body dom.cols i in
           let key = tuple_at dom i in
           let tg = dom.tags.(i) in
-          let results = Agg.run agg ~arg_len (group_items ~key_len body lo hi) in
+          let results = Agg.run agg ~arg_len ?result_ty (group_items ~key_len body lo hi) in
           List.iter (fun (r, t) -> out := (Tuple.append key r, P.mult tg t) :: !out) results
         done;
         of_list (List.rev !out)

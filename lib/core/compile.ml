@@ -410,7 +410,14 @@ and compile_reduce pos ~fresh ~outer_vars (r : Front.creduce) : plan =
     match r.Front.op with
     | Front.CR_aggregate agg ->
         Ram.Aggregate
-          { agg; key_len; arg_len = List.length r.Front.arg_vars; group; body = body_plan.expr }
+          {
+            agg;
+            key_len;
+            arg_len = List.length r.Front.arg_vars;
+            result_ty = (match r.Front.result_tys with [ ty ] -> Some ty | _ -> None);
+            group;
+            body = body_plan.expr;
+          }
     | Front.CR_sampler sampler -> Ram.Sample { sampler; key_len; group; body = body_plan.expr }
   in
   let expr =

@@ -29,6 +29,7 @@ and creduce = {
   negate_result : bool;  (** forall: flip the boolean result column *)
   arg_vars : string list;  (** argmin/argmax *)
   binding_vars : string list;
+  result_tys : Value.ty list;  (** of [result_vars]; filled in by {!Typecheck} *)
   body : clause list;  (** disjuncts *)
   where : (string list * clause list) option;
 }
@@ -162,6 +163,7 @@ and lower_reduce pos (r : Ast.reduce) : creduce =
     negate_result;
     arg_vars;
     binding_vars = r.Ast.binding_vars;
+    result_tys = [];
     body = dnf pos (nnf body);
     where;
   }

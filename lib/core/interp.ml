@@ -342,7 +342,7 @@ module Make (P : Provenance.S) = struct
         B.antijoin ~lkeys (ceval config mon cache cdb left) index
     | Plan.One_overwrite e -> B.retag P.one (B.sort_normalize (ceval config mon cache cdb e))
     | Plan.Zero_overwrite e -> B.retag P.zero (B.sort_normalize (ceval config mon cache cdb e))
-    | Plan.Aggregate { agg; key_len; arg_len; group; body } ->
+    | Plan.Aggregate { agg; key_len; arg_len; result_ty; group; body } ->
         let items = B.sort_normalize (ceval config mon cache cdb body) in
         let group =
           match group with
@@ -350,7 +350,7 @@ module Make (P : Provenance.S) = struct
           | Plan.Implicit -> `Implicit
           | Plan.Domain dom -> `Domain (B.sort_normalize (ceval config mon cache cdb dom))
         in
-        B.aggregate agg ~key_len ~arg_len ~group items
+        B.aggregate agg ~key_len ~arg_len ?result_ty ~group items
     | Plan.Sample { sampler; key_len; group; body } ->
         (* a [Domain] is never evaluated: its groups are the body's keys, as
            for [Implicit] *)

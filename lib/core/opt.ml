@@ -135,9 +135,9 @@ let rec optimize_expr (e : expr) : expr =
       match optimize_expr sub with Empty -> Empty | sub -> One_overwrite sub)
   | Zero_overwrite sub -> (
       match optimize_expr sub with Empty -> Empty | sub -> Zero_overwrite sub)
-  | Aggregate { agg; key_len; arg_len; group; body } ->
+  | Aggregate { agg; key_len; arg_len; result_ty; group; body } ->
       let group = match group with Domain d -> Domain (optimize_expr d) | g -> g in
-      Aggregate { agg; key_len; arg_len; group; body = optimize_expr body }
+      Aggregate { agg; key_len; arg_len; result_ty; group; body = optimize_expr body }
   | Sample { sampler; key_len; group; body } ->
       let group = match group with Domain d -> Domain (optimize_expr d) | g -> g in
       Sample { sampler; key_len; group; body = optimize_expr body }

@@ -55,6 +55,7 @@ and desc =
       agg : Ram.aggregator;
       key_len : int;
       arg_len : int;
+      result_ty : Value.ty option;
       group : group;
       body : t;
     }
@@ -127,7 +128,7 @@ let rec plan_expr ~next ~(heads : string list) (e : Ram.expr) : t =
   | Ram.Zero_overwrite a ->
       let a = sub a in
       mk a.invariant (Zero_overwrite a)
-  | Ram.Aggregate { agg; key_len; arg_len; group; body } ->
+  | Ram.Aggregate { agg; key_len; arg_len; result_ty; group; body } ->
       let body = sub body in
       let group, group_inv =
         match group with
@@ -137,7 +138,7 @@ let rec plan_expr ~next ~(heads : string list) (e : Ram.expr) : t =
             let d = sub d in
             (Domain d, d.invariant)
       in
-      mk (body.invariant && group_inv) (Aggregate { agg; key_len; arg_len; group; body })
+      mk (body.invariant && group_inv) (Aggregate { agg; key_len; arg_len; result_ty; group; body })
   | Ram.Sample { sampler; key_len; group; body } ->
       let body = sub body in
       let group =

@@ -175,6 +175,9 @@ and expr =
       agg : aggregator;
       key_len : int;  (** group-by key columns (tuple prefix) *)
       arg_len : int;  (** argmin/argmax argument columns after the keys *)
+      result_ty : Value.ty option;
+          (** the type of a one-column result, which an empty sum or prod
+              group needs for its neutral value *)
       group : group;
       body : expr;
     }
@@ -232,7 +235,7 @@ let rec pp_expr fmt = function
         (Fmt.list ~sep:Fmt.comma Fmt.int) rkeys pp_expr right
   | One_overwrite e -> Fmt.pf fmt "𝟙(%a)" pp_expr e
   | Zero_overwrite e -> Fmt.pf fmt "∅tag(%a)" pp_expr e
-  | Aggregate { agg; key_len; arg_len; group; body } ->
+  | Aggregate { agg; key_len; arg_len; group; body; _ } ->
       Fmt.pf fmt "γ[%s,k=%d,a=%d%s](%a)" (aggregator_name agg) key_len arg_len
         (match group with
         | No_group -> ""

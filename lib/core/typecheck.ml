@@ -474,7 +474,9 @@ let check (front : Front.t) : result =
         Front.L_reduce
           {
             r with
-            Front.body = List.map (List.map (elab_literal env)) r.Front.body;
+            Front.result_tys =
+              List.map (fun v -> resolved s (Hashtbl.find env v)) r.Front.result_vars;
+            body = List.map (List.map (elab_literal env)) r.Front.body;
             where =
               Option.map
                 (fun (gv, cl) -> (gv, List.map (List.map (elab_literal env)) cl))

@@ -73,8 +73,8 @@ module Make (P : Provenance.S) = struct
         if P.discard t then None else Some ([| Value.int Value.USize j |], t))
       (Scallop_utils.Listx.range 0 (n + 1))
 
-  let aggregate agg ~arg_len items =
-    match agg with Ram.Count -> count_dp items | _ -> Agg.run agg ~arg_len items
+  let aggregate agg ~arg_len ?result_ty items =
+    match agg with Ram.Count -> count_dp items | _ -> Agg.run agg ~arg_len ?result_ty items
 
   (* ---- normalization (Fig. 24, Normalize) ------------------------------- *)
 
@@ -187,16 +187,16 @@ module Make (P : Provenance.S) = struct
         Tuple.Map.bindings (normalize (eval config db e)) |> List.map (fun (u, _) -> (u, P.one))
     | Plan.Zero_overwrite e ->
         Tuple.Map.bindings (normalize (eval config db e)) |> List.map (fun (u, _) -> (u, P.zero))
-    | Plan.Aggregate { agg; key_len; arg_len; group; body } -> (
+    | Plan.Aggregate { agg; key_len; arg_len; result_ty; group; body } -> (
         let items = Tuple.Map.bindings (normalize (eval config db body)) in
         match group with
         | Plan.No_group ->
             let rest = List.map (fun (u, t) -> (snd (split_key key_len u), t)) items in
-            aggregate agg ~arg_len rest
+            aggregate agg ~arg_len ?result_ty rest
         | Plan.Implicit ->
             group_by_key key_len items
             |> List.concat_map (fun (key, group_items) ->
-                   aggregate agg ~arg_len group_items
+                   aggregate agg ~arg_len ?result_ty group_items
                    |> List.map (fun (r, t) -> (Tuple.append key r, t)))
         | Plan.Domain dom ->
             let domain = Tuple.Map.bindings (normalize (eval config db dom)) in
@@ -204,7 +204,7 @@ module Make (P : Provenance.S) = struct
             List.concat_map
               (fun (key, tg) ->
                 let group_items = Option.value (Tuple.Map.find_opt key grouped) ~default:[] in
-                aggregate agg ~arg_len group_items
+                aggregate agg ~arg_len ?result_ty group_items
                 |> List.map (fun (r, t) -> (Tuple.append key r, P.mult tg t)))
               domain)
     | Plan.Sample { sampler; key_len; group; body } -> (

@@ -229,6 +229,29 @@ query gsum|}
     [ ([| i32 1 |], 1.0) ]
     (AggMMP.world_exact Ram.Prod ~arg_len:0 [])
 
+(* An empty group's neutral value has the result column's type: 0.0 and
+   1.0 in an f32 column, so a comparison with a float literal holds. *)
+let test_empty_group_neutral_type () =
+  let src =
+    {|type fitem(i32, f32)
+type grp(i32)
+rel grp = {1, 2}
+rel fitem = {(1, 7.5)}
+rel s(g, t) = t := sum(x: fitem(g, x) where g: grp(g))
+rel p(g, t) = t := prod(x: fitem(g, x) where g: grp(g))
+rel z(g) = s(g, t), t == 0.0
+query s
+query p
+query z|}
+  in
+  let r = Session.interpret ~provenance:(Registry.create Registry.Boolean) src in
+  let rows pred = List.map fst (Session.output r pred) in
+  let tuples = Alcotest.(list (testable Tuple.pp (fun a b -> Tuple.compare a b = 0))) in
+  let f32 x = Value.float Value.F32 x in
+  check tuples "sum" [ [| i32 1; f32 7.5 |]; [| i32 2; f32 0.0 |] ] (rows "s");
+  check tuples "prod" [ [| i32 1; f32 7.5 |]; [| i32 2; f32 1.0 |] ] (rows "p");
+  check tuples "compared with 0.0" [ [| i32 2 |] ] (rows "z")
+
 (* A boolean provenance that counts its ⊕ and ⊗ calls. *)
 module Counted_boolean = struct
   include Prov_discrete.Boolean
@@ -347,6 +370,8 @@ let suite =
     Alcotest.test_case "empty aggregations" `Quick test_empty_aggregations;
     Alcotest.test_case "count with formula tags" `Quick test_count_formula_tags;
     Alcotest.test_case "prod over nothing is 1" `Quick test_prod_over_nothing;
+    Alcotest.test_case "empty group's neutral has the column type" `Quick
+      test_empty_group_neutral_type;
     Alcotest.test_case "count is linear on certain tags" `Quick test_count_linear_on_certain_tags;
     qcheck_count_equals_oracle_dp;
   ]

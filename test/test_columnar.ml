@@ -132,7 +132,9 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
   let exprs =
     let open Ram in
     let a = Pred "a" and b = Pred "b" in
-    let agg agg key_len group body = Aggregate { agg; key_len; arg_len = 0; group; body } in
+    let agg agg key_len group body =
+      Aggregate { agg; key_len; arg_len = 0; result_ty = None; group; body }
+    in
     let sample sampler key_len group body = Sample { sampler; key_len; group; body } in
     let dom = Domain (Project ([ Access 0 ], b)) in
     let int n = F_const (Value.int Value.I32 n) in

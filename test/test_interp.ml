@@ -174,7 +174,14 @@ let test_delta_variants_skip_aggregate () =
   let body =
     Plan.of_expr ~heads:[ "p" ]
       (Ram.Aggregate
-         { agg = Ram.Count; key_len = 0; arg_len = 0; group = Ram.No_group; body = Ram.Pred "q" })
+         {
+           agg = Ram.Count;
+           key_len = 0;
+           arg_len = 0;
+           result_ty = None;
+           group = Ram.No_group;
+           body = Ram.Pred "q";
+         })
   in
   check Alcotest.int "aggregates carry no delta" 0
     (List.length (Plan.delta_variants ~heads:[ "p" ] body))
