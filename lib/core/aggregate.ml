@@ -83,7 +83,7 @@ module Make (P : Provenance.S) = struct
 
   (* --- sum / prod --------------------------------------------------------- *)
 
-  let fold_values op ~init ~neutral ?result_ty (items : (Tuple.t * P.t) list) :
+  let fold_values op ~init ?result_ty (items : (Tuple.t * P.t) list) :
       (Tuple.t * P.t) list =
     (* DP over accumulated value; tuples must be unary numeric. *)
     let module VM = Map.Make (struct
@@ -108,13 +108,10 @@ module Make (P : Provenance.S) = struct
         (* Empty input (an empty body without a group, or an empty
            [where] group): the neutral value with tag 1, at the result
            column's type (i32 when the caller does not know it). *)
-        let v =
-          match result_ty with
-          | Some ty when Value.is_float_ty ty -> Value.float ty (float_of_int neutral)
-          | Some ty when Value.is_integer_ty ty -> Value.int ty neutral
-          | _ -> Value.int Value.I32 neutral
+        let neutral =
+          match Option.bind result_ty init with Some v -> v | None -> Option.get (init Value.I32)
         in
-        [ ([| v |], P.one) ]
+        [ ([| neutral |], P.one) ]
     | Some init_v ->
         let states = ref (VM.singleton init_v P.one) in
         List.iter
@@ -142,7 +139,7 @@ module Make (P : Provenance.S) = struct
         VM.fold (fun v tag acc -> ([| v |], tag) :: acc) !states [] |> List.rev
 
   let sum ?result_ty items =
-    fold_values (Foreign.eval_binop Foreign.Add) ~neutral:0 ?result_ty
+    fold_values (Foreign.eval_binop Foreign.Add) ?result_ty
       ~init:(fun ty ->
         if Value.is_integer_ty ty then Some (Value.int ty 0)
         else if Value.is_float_ty ty then Some (Value.float ty 0.0)
@@ -150,7 +147,7 @@ module Make (P : Provenance.S) = struct
       items
 
   let prod ?result_ty items =
-    fold_values (Foreign.eval_binop Foreign.Mul) ~neutral:1 ?result_ty
+    fold_values (Foreign.eval_binop Foreign.Mul) ?result_ty
       ~init:(fun ty ->
         if Value.is_integer_ty ty then Some (Value.int ty 1)
         else if Value.is_float_ty ty then Some (Value.float ty 1.0)
